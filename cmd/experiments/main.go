@@ -21,6 +21,7 @@ import (
 	"chipletnoc/internal/artifact"
 	"chipletnoc/internal/durable"
 	"chipletnoc/internal/experiments"
+	"chipletnoc/internal/noc"
 	"chipletnoc/internal/server"
 )
 
@@ -76,13 +77,31 @@ func main() {
 		fmt.Printf("wrote %s\n", path)
 	}
 
+	// reportEngine says why a run cost what it did: what the activity
+	// gate skipped and how the partitioned engine batched, summed over
+	// every Network.Run call in between.
+	reportEngine := func(engine noc.EngineStats) {
+		pct := func(part, whole uint64) float64 {
+			if whole == 0 {
+				return 0
+			}
+			return 100 * float64(part) / float64(whole)
+		}
+		fmt.Printf("[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, device ticks skipped %.1f%%; %d epochs, %d barrier syncs\n",
+			engine.Cycles, engine.SkippedCycles, pct(engine.SkippedCycles, engine.Cycles),
+			pct(engine.RingTicksSkipped, engine.RingTicks), pct(engine.DeviceTicksSkipped, engine.DeviceTicks),
+			engine.EpochsRun, engine.BarrierSyncs)
+	}
+
 	// invoke runs one artifact and reports where its wall clock went:
 	// the serial-equivalent time is the sum of per-job wall clocks, so
 	// wall vs serial shows the speedup the worker pool delivered.
 	invoke := func(name string, run func()) {
 		start := time.Now()
+		engine := noc.EngineTotals()
 		run()
 		wall := time.Since(start)
+		engine = noc.EngineTotals().Sub(engine)
 		var jobs int
 		var serial time.Duration
 		var all []experiments.JobTiming
@@ -98,6 +117,7 @@ func main() {
 			name, wall.Round(time.Millisecond), jobs, serial.Round(time.Millisecond),
 			*parallel, float64(serial)/float64(wall))
 		if *timing {
+			reportEngine(engine)
 			sort.Slice(all, func(i, j int) bool { return all[i].Wall > all[j].Wall })
 			for _, j := range all {
 				fmt.Printf("[timing]   %-40s %v\n", j.Name, j.Wall.Round(time.Millisecond))
@@ -124,6 +144,7 @@ func main() {
 		}
 	}
 
+	engineStart := noc.EngineTotals()
 	switch *exp {
 	case "all":
 		for _, k := range experiments.ExperimentNames() {
@@ -136,10 +157,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		if *timing {
+			reportEngine(noc.EngineTotals().Sub(engineStart))
+		}
 	case "serving":
 		if err := runServing(scale, *servingSpec, *cacheDir, writeCSV); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
+		}
+		if *timing {
+			reportEngine(noc.EngineTotals().Sub(engineStart))
 		}
 	default:
 		invoke(*exp, func() { catalog(*exp) })

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"chipletnoc/internal/noc"
@@ -19,142 +21,33 @@ import (
 // multiringSpec chains four full rings with RBRG-L2 bridges: the
 // simplest topology whose partitions only communicate through
 // serialized boundary devices.
-const multiringSpec = `{
-  "name": "diff-multiring",
-  "rings": [
-    {"name": "r0", "positions": 12, "full": true},
-    {"name": "r1", "positions": 12, "full": true},
-    {"name": "r2", "positions": 12, "full": true},
-    {"name": "r3", "positions": 12, "full": true}
-  ],
-  "devices": [
-    {"name": "c0", "type": "requester", "ring": "r0", "position": 0,
-     "outstanding": 8, "rate": 0.8, "readFraction": 0.7, "lineBytes": 64, "targets": ["m3"]},
-    {"name": "c1", "type": "requester", "ring": "r1", "position": 2,
-     "outstanding": 8, "rate": 0.8, "readFraction": 0.5, "lineBytes": 64, "targets": ["m0", "m3"]},
-    {"name": "c2", "type": "requester", "ring": "r2", "position": 4,
-     "outstanding": 8, "rate": 0.8, "readFraction": 0.6, "lineBytes": 64, "targets": ["m0"]},
-    {"name": "m0", "type": "memory", "ring": "r0", "position": 6,
-     "accessCycles": 20, "bytesPerCycle": 64, "queueDepth": 16},
-    {"name": "m3", "type": "memory", "ring": "r3", "position": 6,
-     "accessCycles": 20, "bytesPerCycle": 64, "queueDepth": 16}
-  ],
-  "bridges": [
-    {"name": "b01", "type": "rbrg-l2",
-     "stations": [{"ring": "r0", "position": 11}, {"ring": "r1", "position": 0}]},
-    {"name": "b12", "type": "rbrg-l2",
-     "stations": [{"ring": "r1", "position": 11}, {"ring": "r2", "position": 0}]},
-    {"name": "b23", "type": "rbrg-l2",
-     "stations": [{"ring": "r2", "position": 11}, {"ring": "r3", "position": 0}]}
-  ]
-}`
+var multiringSpec = readSpec("diff-multiring.json")
 
 // meshSpec crosses two vertical and two horizontal rings with RBRG-L1
 // intersections — the AI die's fabric in miniature, where every ring
 // touches every other partition.
-const meshSpec = `{
-  "name": "diff-mesh",
-  "rings": [
-    {"name": "v0", "positions": 10, "full": true},
-    {"name": "v1", "positions": 10, "full": true},
-    {"name": "h0", "positions": 10, "full": true},
-    {"name": "h1", "positions": 10, "full": true}
-  ],
-  "devices": [
-    {"name": "c00", "type": "requester", "ring": "v0", "position": 0,
-     "outstanding": 6, "rate": 0.9, "readFraction": 0.5, "lineBytes": 128, "targets": ["l20", "l21"]},
-    {"name": "c10", "type": "requester", "ring": "v1", "position": 0,
-     "outstanding": 6, "rate": 0.9, "readFraction": 0.5, "lineBytes": 128, "targets": ["l21", "l20"]},
-    {"name": "l20", "type": "memory", "ring": "h0", "position": 5,
-     "accessCycles": 8, "bytesPerCycle": 128, "queueDepth": 32},
-    {"name": "l21", "type": "memory", "ring": "h1", "position": 5,
-     "accessCycles": 8, "bytesPerCycle": 128, "queueDepth": 32}
-  ],
-  "bridges": [
-    {"name": "x00", "type": "rbrg-l1",
-     "stations": [{"ring": "v0", "position": 3}, {"ring": "h0", "position": 0}]},
-    {"name": "x01", "type": "rbrg-l1",
-     "stations": [{"ring": "v0", "position": 7}, {"ring": "h1", "position": 0}]},
-    {"name": "x10", "type": "rbrg-l1",
-     "stations": [{"ring": "v1", "position": 3}, {"ring": "h0", "position": 9}]},
-    {"name": "x11", "type": "rbrg-l1",
-     "stations": [{"ring": "v1", "position": 7}, {"ring": "h1", "position": 9}]}
-  ]
-}`
+var meshSpec = readSpec("diff-mesh.json")
 
 // hubSpec attaches three spoke rings to one central hub ring — the
 // IO-die pattern, with a deliberately unbalanced partition weight (the
 // hub is bigger than any spoke).
-const hubSpec = `{
-  "name": "diff-hub",
-  "rings": [
-    {"name": "hub", "positions": 16, "full": true},
-    {"name": "s0", "positions": 6, "full": true},
-    {"name": "s1", "positions": 6, "full": true},
-    {"name": "s2", "positions": 6, "full": true}
-  ],
-  "devices": [
-    {"name": "c0", "type": "requester", "ring": "s0", "position": 2,
-     "outstanding": 4, "rate": 0.7, "readFraction": 0.8, "lineBytes": 64, "targets": ["dram"]},
-    {"name": "c1", "type": "requester", "ring": "s1", "position": 2,
-     "outstanding": 4, "rate": 0.7, "readFraction": 0.4, "lineBytes": 64, "targets": ["dram"]},
-    {"name": "c2", "type": "requester", "ring": "s2", "position": 2,
-     "outstanding": 4, "rate": 0.7, "readFraction": 0.6, "lineBytes": 64, "targets": ["dram"]},
-    {"name": "dram", "type": "memory", "ring": "hub", "position": 8,
-     "accessCycles": 40, "bytesPerCycle": 32, "queueDepth": 24}
-  ],
-  "bridges": [
-    {"name": "h0", "type": "rbrg-l2",
-     "stations": [{"ring": "hub", "position": 0}, {"ring": "s0", "position": 0}]},
-    {"name": "h1", "type": "rbrg-l2",
-     "stations": [{"ring": "hub", "position": 5}, {"ring": "s1", "position": 0}]},
-    {"name": "h2", "type": "rbrg-l2",
-     "stations": [{"ring": "hub", "position": 11}, {"ring": "s2", "position": 0}]}
-  ]
-}`
+var hubSpec = readSpec("diff-hub.json")
 
 // meshFaultSpec is meshSpec plus a fault schedule killing and repairing
 // one intersection mid-run with a watchdog armed: the partitioned engine
 // must fall back for the failure window and still match bit for bit.
-const meshFaultSpec = `{
-  "name": "diff-mesh",
-  "rings": [
-    {"name": "v0", "positions": 10, "full": true},
-    {"name": "v1", "positions": 10, "full": true},
-    {"name": "h0", "positions": 10, "full": true},
-    {"name": "h1", "positions": 10, "full": true}
-  ],
-  "devices": [
-    {"name": "c00", "type": "requester", "ring": "v0", "position": 0,
-     "outstanding": 6, "rate": 0.9, "readFraction": 0.5, "lineBytes": 128,
-     "retryTimeout": 400, "retryMax": 8, "targets": ["l20", "l21"]},
-    {"name": "c10", "type": "requester", "ring": "v1", "position": 0,
-     "outstanding": 6, "rate": 0.9, "readFraction": 0.5, "lineBytes": 128,
-     "retryTimeout": 400, "retryMax": 8, "targets": ["l21", "l20"]},
-    {"name": "l20", "type": "memory", "ring": "h0", "position": 5,
-     "accessCycles": 8, "bytesPerCycle": 128, "queueDepth": 32},
-    {"name": "l21", "type": "memory", "ring": "h1", "position": 5,
-     "accessCycles": 8, "bytesPerCycle": 128, "queueDepth": 32}
-  ],
-  "bridges": [
-    {"name": "x00", "type": "rbrg-l1",
-     "stations": [{"ring": "v0", "position": 3}, {"ring": "h0", "position": 0}]},
-    {"name": "x01", "type": "rbrg-l1",
-     "stations": [{"ring": "v0", "position": 7}, {"ring": "h1", "position": 0}]},
-    {"name": "x10", "type": "rbrg-l1",
-     "stations": [{"ring": "v1", "position": 3}, {"ring": "h0", "position": 9}]},
-    {"name": "x11", "type": "rbrg-l1",
-     "stations": [{"ring": "v1", "position": 7}, {"ring": "h1", "position": 9}]}
-  ],
-  "faults": {
-    "watchdogCycles": 600,
-    "events": [
-      {"at": 400, "kind": "kill-bridge", "bridge": "x00", "repairAt": 1200},
-      {"at": 700, "kind": "drop-flit"},
-      {"at": 900, "kind": "corrupt-flit"}
-    ]
-  }
-}`
+var meshFaultSpec = readSpec("diff-mesh-faults.json")
+
+// readSpec loads one of the differential reference fabrics from
+// testdata/, where internal/noc's gated-vs-forced-awake suite reads the
+// same four documents.
+func readSpec(name string) string {
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
+}
 
 // configDigest is the comparable outcome of one run: the exported
 // counters plus an FNV-1a hash over per-flit latencies in delivery

@@ -103,6 +103,11 @@ func (inj *Injector) IdleUntil(now sim.Cycle) sim.Cycle {
 	return sim.Cycle(next)
 }
 
+// FixedSchedule implements noc.ScheduleIdler: nothing another device
+// does can move the injector's next due cycle, so a superstep epoch may
+// run up to it.
+func (inj *Injector) FixedSchedule() {}
+
 // Pending returns how many schedule events have not fired yet.
 func (inj *Injector) Pending() int { return len(inj.events) - inj.next + len(inj.repairs) }
 

@@ -193,6 +193,28 @@ func (c *Controller) Tick(now sim.Cycle) {
 	}
 }
 
+// IdleUntil implements noc.IdleUntiler. The controller is idle when Tick
+// would touch nothing: no arrival to accept, no request waiting for a
+// bandwidth grant, no reply to inject — and the token bucket already at
+// its cap, so the refill is a no-op too. A bucket still filling keeps the
+// controller awake: skipping a refill and adding it back later in one
+// step would round differently from the cycle-by-cycle float sum. With
+// requests in service it sleeps until the oldest completes (inSvc is in
+// ready order: grants are FIFO and the access time is one constant).
+func (c *Controller) IdleUntil(now sim.Cycle) sim.Cycle {
+	if len(c.queue)+len(c.replies) > 0 || c.iface.EjectLen() > 0 ||
+		c.tokens != c.cfg.BytesPerCycle*float64(c.cfg.QueueDepth) {
+		return now
+	}
+	if len(c.inSvc) == 0 {
+		return noc.Never
+	}
+	if r := c.inSvc[0].ready; r > now {
+		return r
+	}
+	return now
+}
+
 // RegisterMetrics exposes the controller's counters and queue depths on
 // a metrics registry under "mem.<name>.*". Everything registered only
 // reads controller state, so instrumentation never changes behaviour.

@@ -163,6 +163,29 @@ func (b *RBRGL1) Tick(now sim.Cycle) {
 	}
 }
 
+// IdleUntil implements IdleUntiler. The bridge has no timers, so it is
+// either busy now or idle until an arrival wakes it: idle means Tick
+// would find nothing to forward on any interface (escape buffer and
+// eject queue empty) and runDRM would change nothing — nothing queued
+// for injection and the inject/deflect watermarks current, so no stall
+// or block counter moves; eject space free, so no deflection can happen
+// unseen while it sleeps; not in DRM; the dead latch clear.
+func (b *RBRGL1) IdleUntil(now sim.Cycle) sim.Cycle {
+	if b.dead || b.net.NodeFailed(b.node) || (b.cfg.EnableSwap && b.cfg.DeadlockThreshold <= 0) {
+		return now
+	}
+	for _, h := range b.halves {
+		ni := h.iface
+		if len(h.escape) > 0 || ni.eject.n+ni.inject.n+ni.bypass.n > 0 ||
+			h.drm || h.stalledCycles != 0 || h.blockedCycles != 0 ||
+			h.lastInjectSeen != ni.Injected || h.lastDeflectSeen != ni.Deflected ||
+			ni.freeEjectEntries() <= 0 {
+			return now
+		}
+	}
+	return Never
+}
+
 // dropBuffers discards everything the bridge holds — escape buffers and
 // its interface queues — when the node is killed. DRM state resets so a
 // later repair starts clean.
@@ -551,6 +574,56 @@ func (b *RBRGL2) Tick(now sim.Cycle) {
 	b.mergeLink()
 }
 
+// IdleUntil implements IdleUntiler for the monolithic bridge: the earlier
+// of its halves' bounds, with nothing staged for the link merge that ends
+// its Tick. A failed bridge is never idle — its Tick is the one that
+// purges the buffers, and FailBridge wakes it for that.
+func (b *RBRGL2) IdleUntil(now sim.Cycle) sim.Cycle {
+	if b.net.NodeFailed(b.node) {
+		return now
+	}
+	for side := range b.half {
+		if h := &b.half[side]; len(h.out)+len(h.credOut) > 0 {
+			return now
+		}
+	}
+	w := b.halfIdleUntil(0, now)
+	if o := b.halfIdleUntil(1, now); o < w {
+		w = o
+	}
+	return w
+}
+
+// halfIdleUntil is IdleUntil for one side (what a split half's ticker
+// reports). The half is idle when tickHalf would change nothing: every
+// buffer it drains and all three interface queues empty, the dead latch
+// clear, and runDRM at rest (not in DRM, no stall count, inject watermark
+// current, eject space free so DRM cannot be entered). What it staged
+// for the next link merge does not keep it awake: tickHalf only ever
+// appends there. It then sleeps until the first flit or credit pulse
+// already on the wire towards it lands; mergeLink lowers the wake when
+// the far half launches more.
+func (b *RBRGL2) halfIdleUntil(side int, now sim.Cycle) sim.Cycle {
+	h := &b.half[side]
+	ni := h.iface
+	if h.dead || h.drm || h.stalledCycles != 0 || h.lastInjectSeen != ni.Injected ||
+		len(h.tx)+len(h.reserve)+len(h.rx) > 0 ||
+		ni.eject.n+ni.inject.n+ni.bypass.n > 0 || ni.freeEjectEntries() <= 0 {
+		return now
+	}
+	w := Never
+	if len(h.pipe) > 0 {
+		w = h.pipe[0].arrives
+	}
+	if len(h.credIn) > 0 && h.credIn[0].arrives < w {
+		w = h.credIn[0].arrives
+	}
+	if w < now {
+		return now
+	}
+	return w
+}
+
 // tickHalf advances one side of the bridge by one cycle, touching only
 // that side's state. The partitioned engine calls it from the partition
 // owning the side's ring; a failed bridge never reaches here (a
@@ -639,11 +712,13 @@ func (b *RBRGL2) stageCredit(h *l2half, now sim.Cycle, norm, esc int32) {
 // The sequential engine merges every cycle (end of Tick); the superstep
 // engine merges at epoch barriers — identical behaviour, because the
 // epoch horizon never exceeds the link latency, so nothing staged inside
-// an epoch could have arrived before the barrier anyway.
+// an epoch could have arrived before the barrier anyway. A receiving half
+// that went to sleep with an empty wire is woken for the first arrival.
 func (b *RBRGL2) mergeLink() {
 	for side := 0; side < 2; side++ {
 		src, dst := &b.half[side], &b.half[1-side]
 		if len(src.out) > 0 {
+			dst.iface.wakeBy(src.out[0].arrives)
 			dst.pipe = append(dst.pipe, src.out...)
 			for i := range src.out {
 				src.out[i] = pipeFlit{}
@@ -651,6 +726,7 @@ func (b *RBRGL2) mergeLink() {
 			src.out = src.out[:0]
 		}
 		if len(src.credOut) > 0 {
+			dst.iface.wakeBy(src.credOut[0].arrives)
 			dst.credIn = append(dst.credIn, src.credOut...)
 			src.credOut = src.credOut[:0]
 		}

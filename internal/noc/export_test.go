@@ -1,0 +1,7 @@
+package noc
+
+// ForceAwake switches n to the reference engine — every ring and device
+// ticked every cycle, the clock never jumped — for the external
+// differential suite in gate_diff_test.go. It exists only in test
+// builds: production code has no way to turn the activity gate off.
+func (n *Network) ForceAwake() { n.forceAwake = true }

@@ -89,6 +89,7 @@ func (n *Network) FailBridge(node NodeID) error {
 	n.trace(trace.Fault, 0, info.name, "bridge killed")
 	n.rebuildRoutes()
 	n.rerouteLiveFlits()
+	n.wakeAll()
 	return nil
 }
 
@@ -106,6 +107,7 @@ func (n *Network) RepairBridge(node NodeID) error {
 	n.trace(trace.Fault, 0, n.nodes[node].name, "bridge repaired")
 	n.rebuildRoutes()
 	n.rerouteLiveFlits()
+	n.wakeAll()
 	return nil
 }
 
@@ -126,6 +128,7 @@ func (n *Network) StallStation(ring RingID, pos int, cycles int) error {
 		st.stalledUntil = until
 	}
 	n.trace(trace.Fault, 0, fmt.Sprintf("r%d.p%d", ring, pos), fmt.Sprintf("stalled %d cycles", cycles))
+	n.wakeAll()
 	return nil
 }
 
@@ -146,6 +149,7 @@ func (n *Network) LiveSlotCount() int {
 // produced, not physical storage order. Returns nil when fewer than
 // nth+1 slots are occupied.
 func (n *Network) nthLiveSlot(nth int) (*slot, *Ring, *loop) {
+	n.syncRings()
 	for _, r := range n.rings {
 		for p := 0; p < r.positions; p++ {
 			if s := r.cw.at(p); s.flit != nil {
@@ -228,6 +232,7 @@ func (n *Network) SetWatchdog(budget, period int) {
 func (n *Network) watchdogSweep(now sim.Cycle) {
 	budget := sim.Cycle(n.watchdogBudget)
 	expired := func(f *Flit) bool { return now-f.Created > budget }
+	n.syncRings()
 	for _, r := range n.rings {
 		n.sweepLoop(r, &r.cw, expired)
 		if r.full {
@@ -278,12 +283,16 @@ func (n *Network) sweepLoop(r *Ring, l *loop, expired func(*Flit) bool) {
 // ejectQueue is set, entries addressed to this interface's own node are
 // spared (they are already counted delivered). Each surviving entry is
 // popped and re-pushed exactly once, which restores the original FIFO
-// order after len(q) iterations.
+// order after len(q) iterations. Flits dropped from the inject and bypass
+// queues leave the ring's queued count with them.
 func (n *Network) sweepQueue(r *Ring, ni *NodeInterface, q *flitRing, expired func(*Flit) bool, ejectQueue bool) {
 	for count := q.len(); count > 0; count-- {
 		f := q.pop()
 		if expired(f) && !(ejectQueue && f.Dst == ni.node) {
 			n.dropFlit(f, r.shard, cWatchdogDrops, r, trace.WatchdogDrop, n.nodes[ni.node].name, "aged out in queue")
+			if !ejectQueue {
+				r.queued--
+			}
 			continue
 		}
 		q.push(f)
@@ -311,6 +320,7 @@ func (n *Network) dropFlit(f *Flit, sh *shard, cause counterIdx, r *Ring, kind t
 func (n *Network) dropInterfaceQueues(ni *NodeInterface) {
 	r := ni.station.ring
 	where := n.nodes[ni.node].name
+	r.queued -= ni.inject.len() + ni.bypass.len()
 	for _, q := range []*flitRing{&ni.inject, &ni.bypass, &ni.eject} {
 		for q.len() > 0 {
 			n.dropFlit(q.pop(), r.shard, cFault, r, trace.Fault, where, "lost in dead bridge")
@@ -350,6 +360,7 @@ func purgeTagState(r *Ring, id uint64) {
 // left to the watchdog; flits whose best exit moved (a parallel bridge
 // died, or a repaired bridge restored the short path) are retargeted.
 func (n *Network) rerouteLiveFlits() {
+	n.syncRings()
 	for _, r := range n.rings {
 		// s is the occupied ring slot holding f (nil for queued flits);
 		// its cached exit position must track the reroute.
@@ -418,13 +429,12 @@ type FlitBufferer interface {
 func (n *Network) AccountedFlits() uint64 {
 	var total uint64
 	for _, r := range n.rings {
-		total += uint64(r.occupancy())
+		total += uint64(r.occupancy() + r.queued)
 		for _, st := range r.stations {
 			for _, ni := range st.ifaces {
 				if ni == nil {
 					continue
 				}
-				total += uint64(ni.inject.len() + ni.bypass.len())
 				for i := 0; i < ni.eject.len(); i++ {
 					if ni.eject.at(i).Dst != ni.node {
 						total++
@@ -443,8 +453,17 @@ func (n *Network) AccountedFlits() uint64 {
 
 // CheckConservation verifies the flit conservation invariant, returning
 // a descriptive error when accounting has leaked or double-counted a
-// flit.
+// flit. It also recounts every ring's inject and bypass queues against
+// the ring's running queued count — the number the idle-ring gate trusts
+// — so a site that forgot to keep it exact fails here, not as a ring that
+// never wakes.
 func (n *Network) CheckConservation() error {
+	n.syncRings()
+	for _, r := range n.rings {
+		if queued := r.countQueued(); queued != r.queued {
+			return fmt.Errorf("noc: ring %d counts %d queued flits, its interfaces hold %d", r.id, r.queued, queued)
+		}
+	}
 	accounted := n.AccountedFlits()
 	if n.InjectedFlits != n.DeliveredFlits+n.DroppedFlits+accounted {
 		return fmt.Errorf("noc: conservation violated: injected %d != delivered %d + dropped %d + accounted %d",

@@ -1,0 +1,335 @@
+// Activity gating: a component that would do nothing is not visited.
+//
+// Below saturation most rings carry nothing and most devices wait for a
+// reply most cycles. The two loops here — the only ring loop and the only
+// device loop the tick engines have — skip them:
+//
+//   - A ring whose loops hold no flit and whose interfaces queue none is
+//     idle (Ring.idle): advancing it moves nothing and every station tick
+//     returns at its first test. It is skipped, its clock is still
+//     stamped, and its rotation catches up in one head update (Ring.sync)
+//     the next cycle it is busy or observed.
+//   - A device that implements IdleUntiler is skipped while it says so.
+//     Devices anchored at a node sleep on wake words, one per interface of
+//     their node; the loop stores IdleUntil(now+1) after each Tick, and an
+//     ejection into an interface, NodeInterface.Wake, a link merge towards
+//     a bridge half or any fault operation lowers the word again.
+//     Node-less devices are asked IdleUntil(now) every cycle.
+//   - When every ring is idle and every device sleeps, Run jumps the
+//     clock to the earliest wake (skipQuiescent), clamped like an epoch.
+//
+// Nothing simulated changes: the words and counts are derived state, never
+// serialized, and Network.forceAwake (tests only) turns all of it off to
+// give the differential suites their reference engine.
+package noc
+
+import (
+	"sync"
+
+	"chipletnoc/internal/sim"
+)
+
+// Never is what IdleUntil returns when the device has nothing to wait
+// for: it stays idle until it is handed work.
+const Never = sim.Cycle(^uint64(0))
+
+// devGate is one device of a group and how it is gated. idle == nil: it
+// ticks every cycle. lo < hi: it sleeps on wake words [lo, hi) and is
+// awake when any of them has come. lo == hi: it has no node to be woken
+// through and is asked every cycle. unit is its trace-ordering unit:
+// 2*registration index, +1 for the side-1 half of a split bridge, so
+// buffered device events sort back into registration order.
+type devGate struct {
+	dev    Device
+	idle   IdleUntiler
+	lo, hi int32
+	unit   int32
+}
+
+// wakeAt returns the cycle a device with an idle contract next wants to
+// tick: now or earlier when it is awake. Small enough to inline into the
+// device loop; the uncommon shapes go through wakeAtSlow.
+func (g *devGate) wakeAt(words []sim.Cycle, now sim.Cycle) sim.Cycle {
+	if g.hi-g.lo == 1 {
+		return words[g.lo]
+	}
+	return g.wakeAtSlow(words, now)
+}
+
+func (g *devGate) wakeAtSlow(words []sim.Cycle, now sim.Cycle) sim.Cycle {
+	if g.lo == g.hi {
+		return g.idle.IdleUntil(now)
+	}
+	w := words[g.lo]
+	for _, o := range words[g.lo+1 : g.hi] {
+		if o < w {
+			w = o
+		}
+	}
+	return w
+}
+
+// bindGates lays out the wake table for the current device list and
+// builds the sequential engine's group over it. Words are handed out in
+// registration order, a NodeOwner device taking one per interface of its
+// node, so a device's words are adjacent; interfaces no device owns keep
+// a word of their own so NodeInterface.wake is never nil. A node claimed
+// by an earlier device is not shared: the later device is polled.
+// Everything starts awake.
+func (n *Network) bindGates() {
+	for _, info := range n.nodes {
+		for _, ni := range info.ifaces {
+			ni.wake = nil
+		}
+	}
+	var order []*NodeInterface // order[w] owns word w
+	take := func(ni *NodeInterface) {
+		ni.wake = &ni.unbound // claimed; pointed into the table below
+		order = append(order, ni)
+	}
+	seq := &partition{net: n, rings: n.rings, shard: n.shards[0]}
+	for i, d := range n.devices {
+		g := devGate{dev: d, unit: int32(i * 2)}
+		g.idle, _ = d.(IdleUntiler)
+		if o, ok := d.(NodeOwner); ok {
+			if ifaces := n.nodes[o.Node()].ifaces; len(ifaces) > 0 && ifaces[0].wake == nil {
+				g.lo = int32(len(order))
+				for _, ni := range ifaces {
+					take(ni)
+				}
+				g.hi = int32(len(order))
+			}
+		}
+		seq.devs = append(seq.devs, g)
+	}
+	for _, info := range n.nodes {
+		for _, ni := range info.ifaces {
+			if ni.wake == nil {
+				take(ni)
+			}
+		}
+	}
+	n.wake = make([]sim.Cycle, len(order))
+	for w, ni := range order {
+		ni.wake = &n.wake[w]
+	}
+	n.seq = seq
+}
+
+// wakeAll makes every device tick at its next slot: fault operations,
+// throttle changes and checkpoint restores change what devices would see
+// without going through an interface.
+func (n *Network) wakeAll() {
+	for i := range n.wake {
+		n.wake[i] = 0
+	}
+}
+
+// syncRings catches every ring's rotation up with the network's tick
+// count — the one point every reader of slot positions outside a ring's
+// own tick goes through first.
+func (n *Network) syncRings() {
+	for _, r := range n.rings {
+		r.sync(n.ticks)
+	}
+}
+
+// tickRings runs one cycle of the group's rings: advance then stations,
+// ring by ring (a ring's tick touches only its own slots and interfaces,
+// so per-ring order equals the phase order), skipping idle rings. turn is
+// the cycle's advance number — the network's tick count once this cycle
+// is counted.
+func (p *partition) tickRings(now sim.Cycle, turn uint64) {
+	sh := p.shard
+	force := p.net.forceAwake
+	tracing := p.net.Tracer != nil // the trace context is only read when events are recorded
+	skipped := uint64(0)
+	for _, r := range p.rings {
+		r.now = now
+		if r.idle() && !force {
+			skipped++
+			continue
+		}
+		r.sync(turn - 1)
+		r.advance()
+		if tracing {
+			sh.tctx = traceCtx{at: now, phase: 0, unit: int32(r.id)}
+		}
+		r.tick(now)
+	}
+	sh.counts[cRingSkips] += skipped
+}
+
+// tickDevices runs one cycle of the group's devices in registration
+// order, skipping those asleep, and leaves in nextWake the earliest cycle
+// any of them asked for.
+func (p *partition) tickDevices(now sim.Cycle) {
+	sh := p.shard
+	words := p.net.wake
+	force := p.net.forceAwake
+	tracing := p.net.Tracer != nil
+	next := Never
+	skipped := uint64(0)
+	for i := range p.devs {
+		g := &p.devs[i]
+		if tracing {
+			sh.tctx = traceCtx{at: now, phase: 1, unit: g.unit}
+		}
+		if g.idle == nil || force {
+			g.dev.Tick(now)
+			next = now + 1
+			continue
+		}
+		if w := g.wakeAt(words, now); w > now {
+			if w < next {
+				next = w
+			}
+			skipped++
+			continue
+		}
+		g.dev.Tick(now)
+		w := now + 1
+		if g.lo < g.hi {
+			// Going to sleep is the only store: a device that stays awake
+			// leaves its (already past) words alone, so busy devices in
+			// different partitions never dirty a shared line.
+			if w = g.idle.IdleUntil(now + 1); w > now+1 {
+				for j := g.lo; j < g.hi; j++ {
+					words[j] = w
+				}
+			}
+		}
+		if w < next {
+			next = w
+		}
+	}
+	p.nextWake = next
+	sh.counts[cDevSkips] += skipped
+}
+
+// skipQuiescent jumps the clock over the cycles in which nothing at all
+// would tick and returns how many it skipped (0 when anything is busy).
+// groups is everything that ticks: the sequential group, or a plan's
+// partitions and tail. The test is cheap when the network is busy — some
+// group's loop saw a device that wants the next cycle — and otherwise
+// O(rings + devices): every ring idle, every wake word and every polled
+// device in the future. The landing cycle runs the cycle tail, so a
+// watchdog sweep or metrics sample due on it fires; clampStretch keeps
+// such a boundary from falling inside the jump. A throttle controller
+// samples its window every cycle, so its presence rules jumps out.
+func (n *Network) skipQuiescent(remaining int, groups ...*partition) int {
+	if remaining <= 0 || n.throttle != nil || n.forceAwake {
+		return 0
+	}
+	t0 := sim.Cycle(n.ticks)
+	for _, g := range groups {
+		if g.nextWake <= t0 {
+			return 0
+		}
+	}
+	for _, r := range n.rings {
+		if !r.idle() {
+			return 0
+		}
+	}
+	wake := Never
+	devices := 0
+	for _, g := range groups {
+		for i := range g.devs {
+			d := &g.devs[i]
+			if d.idle == nil {
+				return 0
+			}
+			w := d.wakeAt(n.wake, t0)
+			if w <= t0 {
+				return 0
+			}
+			if w < wake {
+				wake = w
+			}
+		}
+		devices += len(g.devs)
+	}
+	k := remaining
+	if d := uint64(wake - t0); d < uint64(k) {
+		k = int(d)
+	}
+	k = n.clampStretch(k, t0, remaining)
+	n.ticks += uint64(k)
+	n.now = t0 + sim.Cycle(k) - 1
+	for _, r := range n.rings {
+		r.now = n.now
+	}
+	n.SkippedCycles += uint64(k)
+	n.RingTicksSkipped += uint64(k * len(n.rings))
+	n.DeviceTicksSkipped += uint64(k * devices)
+	n.cycleTail(n.now)
+	return k
+}
+
+// EngineStats says how the tick engines spent a stretch of simulated
+// time: of Cycles cycles, SkippedCycles were jumped as quiescent; of the
+// RingTicks ring-cycles and DeviceTicks device-cycles they contained,
+// the *Skipped ones were not executed (jumped cycles included); and the
+// partitioned engine ran EpochsRun epochs over BarrierSyncs barrier
+// crossings. Host-side diagnostics: nothing here is simulated state.
+type EngineStats struct {
+	Cycles, SkippedCycles           uint64
+	RingTicks, RingTicksSkipped     uint64
+	DeviceTicks, DeviceTicksSkipped uint64
+	EpochsRun, BarrierSyncs         uint64
+}
+
+// fields lists the counters once, for the arithmetic below.
+func (s *EngineStats) fields() [8]*uint64 {
+	return [8]*uint64{&s.Cycles, &s.SkippedCycles, &s.RingTicks, &s.RingTicksSkipped,
+		&s.DeviceTicks, &s.DeviceTicksSkipped, &s.EpochsRun, &s.BarrierSyncs}
+}
+
+// Sub returns the stretch between an earlier reading b and s.
+func (s EngineStats) Sub(b EngineStats) EngineStats {
+	for i, f := range s.fields() {
+		*f -= *b.fields()[i]
+	}
+	return s
+}
+
+// engineStats reads this network's counters. Ring and device totals use
+// the current ring and device counts, which do not change once a
+// network is running.
+func (n *Network) engineStats() EngineStats {
+	return EngineStats{
+		Cycles: n.ticks, SkippedCycles: n.SkippedCycles,
+		RingTicks: n.ticks * uint64(len(n.rings)), RingTicksSkipped: n.RingTicksSkipped,
+		DeviceTicks: n.ticks * uint64(len(n.devices)), DeviceTicksSkipped: n.DeviceTicksSkipped,
+		EpochsRun: n.EpochsRun, BarrierSyncs: n.BarrierSyncs,
+	}
+}
+
+// engineTotals sums what every Run call of the process did, so a caller
+// that never sees the networks (cmd/experiments -timing, around a whole
+// artifact) can still report why a run cost what it did.
+var engineTotals struct {
+	sync.Mutex
+	EngineStats
+}
+
+// EngineTotals returns the process-wide sums over all Run calls so far;
+// callers subtract two readings. Cycles driven through Tick directly are
+// not included.
+func EngineTotals() EngineStats {
+	engineTotals.Lock()
+	defer engineTotals.Unlock()
+	return engineTotals.EngineStats
+}
+
+// noteRun publishes one Run call's share: what the network's counters
+// gained since the reading taken when the call began.
+func (n *Network) noteRun(before EngineStats) {
+	gained := n.engineStats().Sub(before)
+	engineTotals.Lock()
+	defer engineTotals.Unlock()
+	for i, f := range engineTotals.fields() {
+		*f += *gained.fields()[i]
+	}
+}

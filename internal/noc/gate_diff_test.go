@@ -1,0 +1,343 @@
+package noc_test
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"chipletnoc/internal/coherence"
+	"chipletnoc/internal/config"
+	"chipletnoc/internal/metrics"
+	"chipletnoc/internal/noc"
+	"chipletnoc/internal/serving"
+	"chipletnoc/internal/soc"
+	"chipletnoc/internal/trace"
+	"chipletnoc/internal/traffic"
+)
+
+// The gated-vs-forced-awake differential suite. Every reference system —
+// the two paper SoCs, the quad-die package, the four declarative fabrics
+// of internal/config's partition suite, the serving fabric — runs under
+// the activity-gated engines at partitions 1, 2 and auto, and must equal
+// the forced-awake sequential engine (noc.Network.ForceAwake, test builds
+// only) in flit counters, latency stream, metrics export, trace event
+// stream and checkpoint bytes. The golden digests themselves stay pinned
+// where they always were (internal/soc, internal/experiments); this
+// suite proves the gate cannot be what moves them.
+
+// system is one built reference system behind the few things the suite
+// needs from it.
+type system struct {
+	net     *noc.Network
+	run     func(cycles int)
+	metrics func(*metrics.Registry)
+	// extra is state the network's counters do not cover (the serving
+	// orchestrator's completion stream); may be nil.
+	extra func() string
+	// checkpoint is nil for systems that cannot checkpoint (a fault
+	// injector or the serving devices are attached).
+	checkpoint func() ([]byte, error)
+}
+
+type outcome struct {
+	counters, extra  string
+	latFNV, traceFNV uint64
+	metrics, ckpt    string
+}
+
+func observe(t *testing.T, s system, cycles int) outcome {
+	t.Helper()
+	reg := metrics.New(250)
+	s.metrics(reg)
+	tr := trace.New(1 << 17)
+	s.net.Tracer = tr
+	lat := fnv.New64a()
+	s.net.RecordLatency(func(f *noc.Flit, c uint64) { fmt.Fprintf(lat, "%d|%d\n", f.ID, c) })
+	s.run(cycles)
+	if err := s.net.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	n := s.net
+	o := outcome{
+		counters: fmt.Sprintf("inj=%d del=%d bytes=%d drop=%d defl=%d hops=%d rerouted=%d ticks=%d",
+			n.InjectedFlits, n.DeliveredFlits, n.DeliveredBytes, n.DroppedFlits, n.Deflections, n.TotalHops, n.ReroutedFlits, n.Ticks()),
+		latFNV: lat.Sum64(),
+	}
+	if s.extra != nil {
+		o.extra = s.extra()
+	}
+	th := fnv.New64a()
+	for _, e := range tr.Events() {
+		fmt.Fprintf(th, "%d|%d|%d|%s|%s\n", e.Cycle, e.Kind, e.FlitID, e.Where, e.Detail)
+	}
+	o.traceFNV = th.Sum64()
+	var mb bytes.Buffer
+	if err := reg.Snapshot("diff", uint64(cycles)).WriteJSON(&mb); err != nil {
+		t.Fatal(err)
+	}
+	o.metrics = mb.String()
+	if s.checkpoint != nil {
+		b, err := s.checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.ckpt = string(b)
+	}
+	return o
+}
+
+func (o outcome) String() string {
+	h := func(s string) uint64 { f := fnv.New64a(); f.Write([]byte(s)); return f.Sum64() }
+	return fmt.Sprintf("%s %s lat=%x trace=%x metrics=%x ckpt=%x(%dB)",
+		o.counters, o.extra, o.latFNV, o.traceFNV, h(o.metrics), h(o.ckpt), len(o.ckpt))
+}
+
+// diffGated runs build() forced awake and then gated at partitions 1, 2
+// and auto, and returns the gated sequential network for callers that
+// assert on what was skipped.
+func diffGated(t *testing.T, cycles int, build func(partitions int) system) *noc.Network {
+	t.Helper()
+	ref := build(1)
+	ref.net.ForceAwake()
+	want := observe(t, ref, cycles)
+	if n := ref.net; n.SkippedCycles+n.RingTicksSkipped+n.DeviceTicksSkipped != 0 {
+		t.Fatal("forced-awake reference skipped work")
+	}
+	var seq *noc.Network
+	for _, parts := range []int{1, 2, noc.PartitionsAuto} {
+		s := build(parts)
+		if got := observe(t, s, cycles); got != want {
+			t.Errorf("partitions=%d: gated engine diverged from forced-awake\n got: %v\nwant: %v", parts, got, want)
+		}
+		if parts == 1 {
+			seq = s.net
+		}
+	}
+	return seq
+}
+
+func serverSystem(s *soc.ServerCPU) system {
+	return system{
+		net: s.Net, run: s.Run, metrics: s.EnableMetrics,
+		checkpoint: func() ([]byte, error) {
+			var b bytes.Buffer
+			err := s.WriteCheckpoint(&b, nil)
+			return b.Bytes(), err
+		},
+	}
+}
+
+// TestGateDiffServerCPU: the coherent-read scenario of the soc golden
+// test — M/E/S lines primed in die-0 directories, read from both compute
+// dies. A handful of transactions on a large fabric: most rings and
+// devices idle most cycles.
+func TestGateDiffServerCPU(t *testing.T) {
+	diffGated(t, 4000, func(parts int) system {
+		cfg := soc.DefaultServerConfig()
+		cfg.ClustersPerDie = 3
+		cfg.Partitions = parts
+		s := soc.BuildServerCPU(cfg, soc.CoherentCores, nil)
+		perDie := cfg.ClustersPerDie * cfg.CoresPerCluster
+		states := []coherence.State{coherence.Modified, coherence.Exclusive, coherence.Shared}
+		var addrs []uint64
+		for i := 0; len(addrs) < 24; i++ {
+			addr := uint64(i) * 4096
+			home := s.Homes.HomeOf(addr)
+			if home >= cfg.ClustersPerDie {
+				continue
+			}
+			s.Dirs[home].SetLine(addr, states[len(addrs)%len(states)], s.Cores[0].Node())
+			addrs = append(addrs, addr)
+		}
+		for i, a := range addrs {
+			reader := s.Cores[2]
+			if i%2 == 1 {
+				reader = s.Cores[perDie+2]
+			}
+			reader.Read(a)
+		}
+		return serverSystem(s)
+	})
+}
+
+// TestGateDiffAIProcessor: the golden AI die, a mesh of rings woven from
+// RBRG-L1 intersections under saturating traffic.
+func TestGateDiffAIProcessor(t *testing.T) {
+	diffGated(t, 3000, func(parts int) system {
+		cfg := soc.DefaultAIConfig()
+		cfg.VRings, cfg.HRings = 4, 2
+		cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
+		cfg.HBMStacks, cfg.DMAEngines = 2, 2
+		cfg.Partitions = parts
+		a := soc.BuildAIProcessor(cfg)
+		return system{
+			net: a.Net, run: a.Run, metrics: a.EnableMetrics,
+			checkpoint: func() ([]byte, error) {
+				var b bytes.Buffer
+				err := a.WriteCheckpoint(&b, nil)
+				return b.Bytes(), err
+			},
+		}
+	})
+}
+
+// quadDie is the four-die Server-CPU of the benchmark's quad-die
+// workloads at the given request rate.
+func quadDie(parts int, rate float64) *soc.ServerCPU {
+	cfg := soc.DefaultServerConfig()
+	cfg.Packages = 2
+	cfg.ClustersPerDie = 2
+	cfg.Partitions = parts
+	return soc.BuildServerCPU(cfg, soc.MemoryCores, func(core int, s *soc.ServerCPU) traffic.RequesterConfig {
+		const line = 64
+		return traffic.RequesterConfig{
+			Outstanding:  8,
+			Rate:         rate,
+			ReadFraction: 0.7,
+			LineBytes:    line,
+			Stream:       traffic.NewSeqStream(uint64(core)<<28, line, 1<<22),
+			TargetOf:     traffic.InterleavedTargetsBy(s.AllDDRNodes(), line),
+		}
+	})
+}
+
+// TestGateDiffQuadDie runs the quad-die package saturated (every
+// requester issuing every cycle: the gate finds little to close and must
+// cost nothing) and at a trickle (one request per core per thousand
+// cycles: rings and bridges sleep, the requesters — which have no idle
+// contract — tick on). Either way the requesters keep the clock from
+// ever jumping.
+func TestGateDiffQuadDie(t *testing.T) {
+	for _, rate := range []float64{1, 0.001} {
+		seq := diffGated(t, 3000, func(parts int) system { return serverSystem(quadDie(parts, rate)) })
+		if seq.SkippedCycles != 0 {
+			t.Errorf("rate %v: quad-die jumped %d cycles; its requesters tick every cycle", rate, seq.SkippedCycles)
+		}
+		if rate < 1 && seq.RingTicksSkipped == 0 {
+			t.Errorf("rate %v: no ring tick skipped on a nearly empty fabric", rate)
+		}
+	}
+}
+
+// TestGateDiffConfigFabrics runs the four declarative reference fabrics
+// of internal/config's partition suite — bridged multi-ring chain,
+// mesh-of-rings, hub-and-spoke, and the mesh with a fault schedule
+// (bridge kill and repair, flit drop and corruption, watchdog) — at
+// their own request rates and throttled down to a trickle, where the
+// faults land in a mostly sleeping fabric.
+func TestGateDiffConfigFabrics(t *testing.T) {
+	for _, name := range []string{"diff-multiring", "diff-mesh", "diff-hub", "diff-mesh-faults"} {
+		doc, err := os.ReadFile(filepath.Join("..", "config", "testdata", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, trickle := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/trickle=%v", name, trickle), func(t *testing.T) {
+				diffGated(t, 2500, func(parts int) system {
+					spec, err := config.Parse(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec.Partitions = parts
+					if trickle {
+						for i := range spec.Devices {
+							if spec.Devices[i].Type == "requester" {
+								spec.Devices[i].Rate = 0.004
+							}
+						}
+					}
+					sys, err := spec.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := system{net: sys.Net, run: sys.Run, metrics: sys.EnableMetrics}
+					if sys.Injector == nil {
+						s.checkpoint = func() ([]byte, error) {
+							var b bytes.Buffer
+							err := sys.WriteCheckpoint(&b, nil)
+							return b.Bytes(), err
+						}
+					}
+					return s
+				})
+			})
+		}
+	}
+}
+
+// servingSystem builds the default serving spec at one offered load.
+func servingSystem(t *testing.T, load float64, parts int) (system, *serving.System) {
+	t.Helper()
+	spec, err := config.ParseServingSpec([]byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.ApplyDefaults(true)
+	spec.Loads = []float64{load}
+	spec.Cycles = 20000
+	spec.Partitions = parts
+	sys, err := serving.Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return system{
+		net: sys.Net,
+		run: func(int) { sys.Run() },
+		metrics: func(reg *metrics.Registry) {
+			sys.Net.EnableMetrics(reg)
+			sys.RegisterMetrics(reg)
+		},
+		extra: func() string {
+			o := sys.Orch
+			return fmt.Sprintf("admitted=%d completed=%d stalls=%d peak=%d stream=%x sketch=%x",
+				o.Admitted, o.Completed, o.StallCycles, o.PeakPending, o.StreamDigest(), o.Sketch.Digest())
+		},
+	}, sys
+}
+
+// TestGateDiffServing runs the default serving spec far below the knee
+// (load 1: the fabric is empty most cycles and most of the run is
+// jumped) and at the top of the benchmark's sweep (load 24). The
+// orchestrator's arrival draw-ahead, the engines' hand-delivered wakes
+// and the polled serial tail are all on this path.
+func TestGateDiffServing(t *testing.T) {
+	for _, load := range []float64{1, 24} {
+		diffGated(t, 20000, func(parts int) system {
+			s, _ := servingSystem(t, load, parts)
+			return s
+		})
+	}
+}
+
+// TestGateSaysWhatItSkipped pins the diagnostics on the two ends of the
+// benchmark: the default serving spec at load 1 spends at least 30 % of
+// its cycles in quiescent jumps under either engine (a jumped cycle
+// counts every ring and every device as skipped, so those counters are
+// bounded below by it), the saturated quad-die package none at all.
+func TestGateSaysWhatItSkipped(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		s, sys := servingSystem(t, 1, parts)
+		s.run(0)
+		n := sys.Net
+		if float64(n.SkippedCycles) < 0.30*float64(n.Ticks()) {
+			t.Errorf("partitions=%d: serving at load 1 jumped %d of %d cycles, want at least 30%%", parts, n.SkippedCycles, n.Ticks())
+		}
+		rings := uint64(len(n.Rings()))
+		devices := uint64(3*len(sys.Engines) + 1) // engine, memory, bridge per die; the orchestrator
+		if n.RingTicksSkipped < n.SkippedCycles*rings || n.RingTicksSkipped > n.Ticks()*rings {
+			t.Errorf("partitions=%d: %d ring ticks skipped over %d cycles (%d jumped) of %d rings", parts, n.RingTicksSkipped, n.Ticks(), n.SkippedCycles, rings)
+		}
+		if n.DeviceTicksSkipped < n.SkippedCycles*devices {
+			t.Errorf("partitions=%d: %d device ticks skipped over %d jumped cycles of %d devices", parts, n.DeviceTicksSkipped, n.SkippedCycles, devices)
+		}
+	}
+
+	q := quadDie(1, 1)
+	q.Run(3000)
+	if q.Net.SkippedCycles != 0 {
+		t.Errorf("saturated quad-die jumped %d cycles", q.Net.SkippedCycles)
+	}
+}

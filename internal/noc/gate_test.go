@@ -1,0 +1,436 @@
+package noc
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"chipletnoc/internal/metrics"
+	"chipletnoc/internal/sim"
+	"chipletnoc/internal/trace"
+)
+
+// gateRig is a three-ring fabric with one bridge of each kind — r0 and r1
+// joined by an RBRG-L2, r1 and r2 by an RBRG-L1 — and a scripted source
+// and a sink on every ring. The sources release seeded random bursts with
+// random idle gaps between them, so a run alternates between busy
+// stretches (deflections, bridge backpressure) and stretches in which
+// single rings, single devices, or the whole network have nothing to do.
+type gateRig struct {
+	net  *Network
+	srcs []*source
+	snks []*sink
+	l2   *RBRGL2
+	l1   *RBRGL1
+}
+
+func buildGateRig(t testing.TB, seed uint64, maxGap int) *gateRig {
+	t.Helper()
+	net := NewNetwork("gate")
+	r0 := net.AddRing(8, true)
+	r1 := net.AddRing(10, true)
+	r2 := net.AddRing(6, false)
+	g := &gateRig{net: net}
+	g.srcs = []*source{
+		newSource(t, net, r0.AddStation(0), "src0"),
+		newSource(t, net, r1.AddStation(2), "src1"),
+		newSource(t, net, r2.AddStation(2), "src2"),
+	}
+	g.snks = []*sink{
+		newSink(t, net, r0.AddStation(3), "snk0", 1),
+		newSink(t, net, r1.AddStation(7), "snk1", 2),
+		newSink(t, net, r2.AddStation(4), "snk2", 1),
+	}
+	l2 := DefaultRBRGL2Config()
+	l2.LinkLatency = 4
+	g.l2 = NewRBRGL2(net, "l2", l2, r0.AddStation(5), r1.AddStation(0))
+	l1 := DefaultRBRGL1Config()
+	l1.InjectDepth, l1.EjectDepth, l1.ForwardPerCycle = 4, 4, 1
+	g.l1 = NewRBRGL1(net, "l1", l1, r1.AddStation(5), r2.AddStation(0))
+	net.MustFinalize()
+
+	rng := sim.NewRNG(seed)
+	at := sim.Cycle(0)
+	for burst := 0; burst < 24; burst++ {
+		at += sim.Cycle(rng.Intn(maxGap + 1))
+		for n := 1 + rng.Intn(14); n > 0; n-- {
+			src, dst := g.srcs[rng.Intn(3)], g.snks[rng.Intn(3)]
+			src.queueAt(net.NewFlit(src.Node(), dst.Node(), KindData, LineBytes), at)
+		}
+	}
+	return g
+}
+
+// gateOutcome is everything a run of the rig can be observed by.
+type gateOutcome struct {
+	injected, delivered, dropped, deflections, hops uint64
+	ticks                                           uint64
+	got                                             string // per-sink delivery order
+	latFNV, traceFNV                                uint64
+	metrics, ckpt                                   string
+}
+
+// observeRig attaches every observer to the rig, lets run drive it, and
+// collects the outcome.
+func observeRig(t testing.TB, g *gateRig, run func()) gateOutcome {
+	t.Helper()
+	net := g.net
+	reg := metrics.New(64)
+	net.EnableMetrics(reg)
+	tr := trace.New(1 << 16)
+	net.Tracer = tr
+	lat := fnv.New64a()
+	net.RecordLatency(func(f *Flit, cycles uint64) { fmt.Fprintf(lat, "%d|%d\n", f.ID, cycles) })
+	run()
+	if err := net.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	out := gateOutcome{
+		injected: net.InjectedFlits, delivered: net.DeliveredFlits, dropped: net.DroppedFlits,
+		deflections: net.Deflections, hops: net.TotalHops, ticks: net.ticks,
+		latFNV: lat.Sum64(),
+	}
+	for _, s := range g.snks {
+		out.got += "|"
+		for _, f := range s.got {
+			out.got += fmt.Sprintf("%d,", f.ID)
+		}
+	}
+	th := fnv.New64a()
+	for _, e := range tr.Events() {
+		fmt.Fprintf(th, "%d|%d|%d|%s|%s\n", e.Cycle, e.Kind, e.FlitID, e.Where, e.Detail)
+	}
+	out.traceFNV = th.Sum64()
+	var mb, cb bytes.Buffer
+	if err := reg.Snapshot("gate", net.ticks).WriteJSON(&mb); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCheckpoint(&cb, net, nil); err != nil {
+		t.Fatal(err)
+	}
+	out.metrics, out.ckpt = mb.String(), cb.String()
+	return out
+}
+
+// TestGatedEnginesMatchForcedAwake is the in-package differential: the
+// rig under the gated sequential engine, the planner's two partitions
+// (cut at the L2) and an assignment that cuts the L1 bridge (which then
+// sleeps on its wake words in the serial tail) must equal the
+// forced-awake reference in counters, delivery order, latency stream,
+// trace event stream, metrics export and checkpoint bytes — over dense
+// traffic, sparse traffic that leaves single components idle, and
+// traffic so sparse that whole stretches are jumped.
+func TestGatedEnginesMatchForcedAwake(t *testing.T) {
+	const cycles = 1500
+	for _, maxGap := range []int{0, 30, 200} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			ref := buildGateRig(t, seed, maxGap)
+			ref.net.forceAwake = true
+			want := observeRig(t, ref, func() { ref.net.Run(cycles) })
+			if n := ref.net; n.SkippedCycles+n.RingTicksSkipped+n.DeviceTicksSkipped != 0 {
+				t.Fatalf("forced-awake reference skipped work")
+			}
+
+			engines := []struct {
+				name string
+				run  func(*Network)
+			}{
+				{"sequential", func(n *Network) { n.Run(cycles) }},
+				{"sequential-sliced", func(n *Network) {
+					for done := 0; done < cycles; done += 250 {
+						n.Run(250)
+					}
+				}},
+				{"partitions=2", func(n *Network) { n.SetPartitions(2); n.Run(cycles) }},
+				{"partitions=auto", func(n *Network) { n.SetPartitions(PartitionsAuto); n.Run(cycles) }},
+				{"l1-cut", func(n *Network) {
+					n.SetPartitions(2)
+					n.runPartitioned(n.buildPlan([]int{0, 0, 1}, 2), cycles)
+				}},
+			}
+			for _, e := range engines {
+				g := buildGateRig(t, seed, maxGap)
+				got := observeRig(t, g, func() { e.run(g.net) })
+				if got != want {
+					t.Errorf("maxGap=%d seed=%d %s: diverged from forced-awake\n got: %s\nwant: %s",
+						maxGap, seed, e.name, got.brief(), want.brief())
+				}
+				n := g.net
+				if n.RingTicksSkipped == 0 || n.DeviceTicksSkipped == 0 {
+					t.Errorf("maxGap=%d seed=%d %s: gate never closed (%d ring, %d device ticks skipped)",
+						maxGap, seed, e.name, n.RingTicksSkipped, n.DeviceTicksSkipped)
+				}
+				if maxGap == 200 && n.SkippedCycles == 0 {
+					t.Errorf("maxGap=%d seed=%d %s: no quiescent stretch was jumped", maxGap, seed, e.name)
+				}
+			}
+		}
+	}
+}
+
+// brief renders an outcome without its bulky members.
+func (o gateOutcome) brief() string {
+	h := func(s string) uint64 { f := fnv.New64a(); f.Write([]byte(s)); return f.Sum64() }
+	return fmt.Sprintf("inj=%d del=%d drop=%d defl=%d hops=%d ticks=%d got=%x lat=%x trace=%x metrics=%x ckpt=%x(%dB)",
+		o.injected, o.delivered, o.dropped, o.deflections, o.hops, o.ticks,
+		h(o.got), o.latFNV, o.traceFNV, h(o.metrics), h(o.ckpt), len(o.ckpt))
+}
+
+// TestResumeFromCheckpointInsideIdleStretch stops the rig in the middle of
+// a jumped stretch (Run's remaining-cycles clamp ends the jump there),
+// checkpoints with rings behind on rotation and every device asleep, and
+// requires: the bytes equal the forced-awake engine's at the same cycle;
+// a twin restored from them — gated or forced awake, sequential or
+// partitioned — finishes exactly like the uninterrupted run. Wake state
+// and rotation lag are derived, so nothing of them may be in the file.
+func TestResumeFromCheckpointInsideIdleStretch(t *testing.T) {
+	const seed, maxGap, full = 2, 200, 1500
+	// Find a cycle strictly inside a jumped stretch.
+	probe := buildGateRig(t, seed, maxGap)
+	stop := 0
+	for c := 0; c < full; c++ {
+		before := probe.net.SkippedCycles
+		probe.net.Run(1)
+		if probe.net.SkippedCycles > before || probe.net.seq.nextWake > sim.Cycle(c)+40 {
+			// Run(1) can never jump (nothing remains); a far nextWake with
+			// idle rings is what a longer Run would have jumped over.
+			idle := true
+			for _, r := range probe.net.rings {
+				idle = idle && r.idle()
+			}
+			if idle && c > 100 {
+				stop = c + 20
+				break
+			}
+		}
+	}
+	if stop == 0 {
+		t.Fatal("rig never went quiescent; the test needs an idle stretch")
+	}
+
+	uninterrupted := buildGateRig(t, seed, maxGap)
+	want := observeRig(t, uninterrupted, func() { uninterrupted.net.Run(full) })
+
+	checkpointAt := func(force bool) (string, uint64) {
+		g := buildGateRig(t, seed, maxGap)
+		g.net.forceAwake = force
+		g.net.Run(stop)
+		var b bytes.Buffer
+		if err := WriteCheckpoint(&b, g.net, nil); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), g.net.SkippedCycles
+	}
+	gated, skipped := checkpointAt(false)
+	forced, _ := checkpointAt(true)
+	if skipped == 0 {
+		t.Fatalf("no cycle was jumped before the checkpoint at %d", stop)
+	}
+	if gated != forced {
+		t.Fatalf("checkpoint at cycle %d inside an idle stretch differs between gated and forced-awake engines", stop)
+	}
+
+	for _, resume := range []struct {
+		name  string
+		force bool
+		parts int
+	}{{"gated", false, 1}, {"forced-awake", true, 1}, {"partitions=2", false, 2}} {
+		g := buildGateRig(t, seed, maxGap)
+		for _, s := range g.srcs {
+			s.pending, s.release = nil, nil // everything comes from the file
+		}
+		got := observeRig(t, g, func() {
+			if _, err := ReadCheckpoint(bytes.NewReader([]byte(gated)), g.net); err != nil {
+				t.Fatal(err)
+			}
+			g.net.forceAwake = resume.force
+			g.net.SetPartitions(resume.parts)
+			g.net.Run(full - stop)
+		})
+		// The resumed run's observers attach at the checkpoint, so only
+		// what the final state determines is comparable.
+		if got.ckpt != want.ckpt || got.got != want.got || got.ticks != want.ticks ||
+			got.delivered != want.delivered || got.hops != want.hops {
+			t.Errorf("%s resume diverged\n got: %s\nwant: %s", resume.name, got.brief(), want.brief())
+		}
+	}
+}
+
+// TestJumpStopsAtBoundaries pins the clamps the jump shares with the
+// epoch horizon: a jumped stretch never swallows a watchdog sweep or a
+// metrics sample (both still fire on their exact cycles — the sample
+// series and the sweep-driven drops are compared with the forced-awake
+// engine by TestGatedEnginesMatchForcedAwake; here the cycle arithmetic
+// is checked directly) and never overruns the Run call.
+func TestJumpStopsAtBoundaries(t *testing.T) {
+	g := buildGateRig(t, 1, 0) // all traffic up front, then silence
+	net := g.net
+	reg := metrics.New(100)
+	net.EnableMetrics(reg)
+	net.SetWatchdog(1000, 70)
+	net.Run(400) // drain
+	if !net.rings[0].idle() || net.InFlight() != 0 {
+		t.Fatalf("rig did not drain: %d in flight", net.InFlight())
+	}
+	for _, run := range []int{1, 7, 64, 333, 1000} {
+		before, skipped := net.ticks, net.SkippedCycles
+		net.Run(run)
+		if net.ticks != before+uint64(run) {
+			t.Fatalf("Run(%d) advanced %d cycles", run, net.ticks-before)
+		}
+		if run > 1 && net.SkippedCycles == skipped {
+			t.Fatalf("Run(%d) over a silent network jumped nothing", run)
+		}
+		if net.now != sim.Cycle(net.ticks-1) {
+			t.Fatalf("after Run(%d): now=%d, ticks=%d", run, net.now, net.ticks)
+		}
+		for _, r := range net.rings {
+			if r.now != net.now {
+				t.Fatalf("ring %d clock %d lags the network's %d after a jump", r.id, r.now, net.now)
+			}
+		}
+	}
+	// One sample per 100 cycles, on the cycle, none skipped, none doubled.
+	for _, sr := range reg.Snapshot("gate", net.ticks).Series {
+		if want := int(net.ticks / 100); len(sr.Cycles) != want {
+			t.Fatalf("%s: %d samples over %d cycles, want %d", sr.Name, len(sr.Cycles), net.ticks, want)
+		}
+		for i, c := range sr.Cycles {
+			if c != uint64(i+1)*100 {
+				t.Fatalf("%s: sample %d taken at cycle %d", sr.Name, i, c)
+			}
+		}
+	}
+}
+
+// TestThrottleRulesOutJumps: the congestion controller samples its
+// window every cycle, so with one installed the clock never jumps —
+// rings and devices are still gated.
+func TestThrottleRulesOutJumps(t *testing.T) {
+	g := buildGateRig(t, 1, 0)
+	g.net.SetThrottle(DefaultThrottleConfig())
+	g.net.Run(1200)
+	if g.net.SkippedCycles != 0 {
+		t.Fatalf("jumped %d cycles under a throttle controller", g.net.SkippedCycles)
+	}
+	if g.net.RingTicksSkipped == 0 || g.net.DeviceTicksSkipped == 0 {
+		t.Fatal("throttle turned ring/device gating off")
+	}
+}
+
+// TestRingSyncEqualsMissedAdvances: catching a skipped ring up in one
+// head update lands every slot — here tagged ones, the only thing an
+// idle ring can carry — exactly where single advances would have.
+func TestRingSyncEqualsMissedAdvances(t *testing.T) {
+	for _, positions := range []int{2, 5, 8} {
+		for missed := uint64(0); missed < 3*uint64(positions)+2; missed++ {
+			mk := func() *Ring {
+				net := NewNetwork("t")
+				r := net.AddRing(positions, true)
+				r.cw.at(1).itagOwner = 7
+				r.ccw.at(0).itagOwner = 3
+				return r
+			}
+			stepped, synced := mk(), mk()
+			for i := uint64(0); i < missed; i++ {
+				stepped.advance()
+			}
+			synced.sync(missed)
+			for p := 0; p < positions; p++ {
+				if stepped.cw.at(p).itagOwner != synced.cw.at(p).itagOwner ||
+					stepped.ccw.at(p).itagOwner != synced.ccw.at(p).itagOwner {
+					t.Fatalf("positions=%d missed=%d: slot %d differs", positions, missed, p)
+				}
+			}
+			if synced.turned != missed || stepped.turned != missed {
+				t.Fatalf("turn counters %d/%d, want %d", synced.turned, stepped.turned, missed)
+			}
+		}
+	}
+}
+
+// TestIdleUntilHonest is the invariant the whole gate rests on, checked
+// for every IdleUntiler of the rig (both bridges, sources, sinks) on
+// fuzzed traffic: whenever a device says IdleUntil(now) > now, ticking it
+// anyway must change nothing — the whole network's snapshot bytes (every
+// queue, buffer, counter and the device's own codec), the flit
+// free-lists and the trace stream stay identical. The cycle loop below is
+// sequentialCycle with the gate open and the check spliced in before
+// each device tick. A field added to a device later that an "idle" tick
+// moves fails here as soon as it is serialized.
+func TestIdleUntilHonest(t *testing.T) {
+	type netState struct {
+		snap         string
+		free, events int
+	}
+	state := func(net *Network) netState {
+		e := sim.NewEncoder()
+		if err := net.SnapshotState(e); err != nil {
+			t.Fatal(err)
+		}
+		free := 0
+		for _, sh := range net.shards {
+			free += len(sh.freeFlits)
+		}
+		return netState{string(e.Data()), free, net.Tracer.Len()}
+	}
+	for _, maxGap := range []int{0, 25, 120} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			g := buildGateRig(t, seed, maxGap)
+			net := g.net
+			net.forceAwake = true
+			net.Tracer = trace.New(1 << 16)
+			for _, k := range g.snks {
+				k.discard = true
+			}
+			if seed%2 == 0 {
+				// Starve the sinks' drain so eject queues fill, arrivals
+				// deflect and the bridges' DRM counters move.
+				g.snks[1].drainPer = 0
+			}
+			idleTicks := map[string]int{}
+			for c := 0; c < 700; c++ {
+				now := sim.Cycle(net.ticks)
+				if c == 400 {
+					g.snks[1].drainPer = 2
+					g.snks[1].iface.Wake()
+				}
+				net.now = now
+				net.ticks++
+				if net.seq == nil {
+					net.bindGates()
+				}
+				net.seq.tickRings(now, net.ticks)
+				var before netState
+				fresh := false // before describes the state right now
+				for i := range net.seq.devs {
+					d := &net.seq.devs[i]
+					if d.idle == nil || d.idle.IdleUntil(now) <= now {
+						d.dev.Tick(now)
+						fresh = false
+						continue
+					}
+					if !fresh {
+						before = state(net)
+					}
+					d.dev.Tick(now)
+					after := state(net)
+					if after != before {
+						t.Fatalf("maxGap=%d seed=%d cycle %d: %s said idle until %d but its Tick changed state (snapshot equal: %v, free flits %d->%d, trace events %d->%d)",
+							maxGap, seed, now, d.dev.Name(), d.idle.IdleUntil(now), before.snap == after.snap,
+							before.free, after.free, before.events, after.events)
+					}
+					before, fresh = after, true
+					idleTicks[d.dev.Name()]++
+				}
+				net.cycleTail(now)
+			}
+			for _, name := range []string{"l1", "l2", "src0", "snk2"} {
+				if idleTicks[name] == 0 {
+					t.Errorf("maxGap=%d seed=%d: %s never reported idle; the property was not exercised", maxGap, seed, name)
+				}
+			}
+		}
+	}
+}

@@ -13,6 +13,9 @@ type sink struct {
 	iface    *NodeInterface
 	drainPer int // flits drained per cycle; 0 = never drain
 	got      []*Flit
+	// discard releases drained flits instead of remembering them, for
+	// tests that snapshot the network often and want the snapshots small.
+	discard bool
 }
 
 func newSink(t testing.TB, net *Network, st *CrossStation, name string, drainPer int) *sink {
@@ -26,22 +29,39 @@ func newSink(t testing.TB, net *Network, st *CrossStation, name string, drainPer
 
 func (s *sink) Name() string { return s.name }
 func (s *sink) Node() NodeID { return s.iface.Node() }
+
+// IdleUntil implements IdleUntiler: nothing ejected (or never draining)
+// means Tick does nothing until an arrival wakes the sink.
+func (s *sink) IdleUntil(now sim.Cycle) sim.Cycle {
+	if s.drainPer > 0 && s.iface.EjectLen() > 0 {
+		return now
+	}
+	return Never
+}
+
 func (s *sink) Tick(now sim.Cycle) {
 	for i := 0; i < s.drainPer; i++ {
 		f := s.iface.Recv()
 		if f == nil {
 			return
 		}
+		if s.discard {
+			s.iface.station.ring.net.ReleaseFlit(f)
+			continue
+		}
 		s.got = append(s.got, f)
 	}
 }
 
 // source is a test endpoint that emits a fixed list of flits as fast as
-// the inject queue accepts them, and drains anything ejected to it.
+// the inject queue accepts them — each no earlier than its release cycle,
+// so a test can script bursts with idle gaps between them — and drains
+// anything ejected to it.
 type source struct {
 	name    string
 	iface   *NodeInterface
 	pending []*Flit
+	release []sim.Cycle // release[i] gates pending[i]
 	got     []*Flit
 }
 
@@ -56,10 +76,36 @@ func newSource(t testing.TB, net *Network, st *CrossStation, name string) *sourc
 
 func (s *source) Name() string  { return s.name }
 func (s *source) Node() NodeID  { return s.iface.Node() }
-func (s *source) queue(f *Flit) { s.pending = append(s.pending, f) }
+func (s *source) queue(f *Flit) { s.queueAt(f, 0) }
+
+// queueAt queues f for sending at cycle at or later, behind everything
+// queued before it. The work arrives outside the fabric, so the source
+// is woken by hand (the contract Engine.enqueue follows in production).
+func (s *source) queueAt(f *Flit, at sim.Cycle) {
+	s.iface.Wake()
+	s.pending = append(s.pending, f)
+	s.release = append(s.release, at)
+}
+
+// IdleUntil implements IdleUntiler: idle with nothing to receive and
+// nothing due; the head's release cycle is the only timer.
+func (s *source) IdleUntil(now sim.Cycle) sim.Cycle {
+	if s.iface.EjectLen() > 0 {
+		return now
+	}
+	if len(s.pending) == 0 {
+		return Never
+	}
+	if s.release[0] > now {
+		return s.release[0]
+	}
+	return now
+}
+
 func (s *source) Tick(now sim.Cycle) {
-	for len(s.pending) > 0 && s.iface.Send(s.pending[0]) {
+	for len(s.pending) > 0 && s.release[0] <= now && s.iface.Send(s.pending[0]) {
 		s.pending = s.pending[1:]
+		s.release = s.release[1:]
 	}
 	for {
 		f := s.iface.Recv()

@@ -13,7 +13,9 @@ import (
 
 // Device is anything attached to the network through node interfaces:
 // cores, cache slices, memory controllers, traffic generators and ring
-// bridges. Devices are ticked after all ring/station logic each cycle.
+// bridges. Devices are ticked after all ring/station logic each cycle —
+// every cycle, unless they also implement IdleUntiler and say they have
+// nothing to do (see gate.go).
 type Device interface {
 	Name() string
 	Tick(now sim.Cycle)
@@ -79,6 +81,15 @@ type Network struct {
 	lookahead int
 	plan      *tickPlan // lazily built; nil or invalid after topology edits
 
+	// Activity gating (gate.go). seq is the sequential engine's one group
+	// — every ring, every device — built lazily with the wake table: one
+	// word per node interface, laid out so a device's words are adjacent.
+	// forceAwake is the test-only reference engine: every ring and device
+	// ticks every cycle and the clock never jumps.
+	seq        *partition
+	wake       []sim.Cycle
+	forceAwake bool
+
 	// bufferEvents is set while partitions free-run inside an epoch:
 	// deliveries park latency samples and OnDeliver notifications on the
 	// delivering ring and trace events on the recording shard, each
@@ -100,6 +111,17 @@ type Network struct {
 	// Diagnostics only — never serialized, excluded from digests.
 	EpochsRun    uint64
 	BarrierSyncs uint64
+
+	// SkippedCycles / RingTicksSkipped / DeviceTicksSkipped count what the
+	// activity gate saved: cycles Run jumped over because the whole
+	// network was quiescent, ring ticks (advance plus every station) not
+	// executed because the ring carried and queued nothing, and device
+	// ticks not executed because the device reported itself idle — both
+	// including the rings and devices of jumped cycles. Diagnostics only,
+	// like the two above.
+	SkippedCycles      uint64
+	RingTicksSkipped   uint64
+	DeviceTicksSkipped uint64
 
 	// traceScratch is the reusable merge buffer the epoch-tail trace
 	// replay sorts shard buffers into.
@@ -690,20 +712,17 @@ func (n *Network) Tick(now sim.Cycle) {
 }
 
 // sequentialCycle runs one cycle's ring, device and bookkeeping phases on
-// the calling goroutine. Counters still flow through the shards (keyed
-// by ring/node, not by goroutine), so this body is also the per-cycle
-// fallback the partitioned engine drops to whenever a cycle is not
-// eligible for concurrency.
+// the calling goroutine: the gated ring and device loops of gate.go over
+// the one group that holds the whole network. Counters still flow
+// through the shards (keyed by ring/node, not by goroutine), so this body
+// is also the per-cycle fallback the partitioned engine drops to whenever
+// a cycle is not eligible for concurrency.
 func (n *Network) sequentialCycle(now sim.Cycle) {
-	for _, r := range n.rings {
-		r.advance()
+	if n.seq == nil {
+		n.bindGates()
 	}
-	for _, r := range n.rings {
-		r.tick(now)
-	}
-	for _, d := range n.devices {
-		d.Tick(now)
-	}
+	n.seq.tickRings(now, n.ticks)
+	n.seq.tickDevices(now)
 	n.cycleTail(now)
 }
 

@@ -14,17 +14,22 @@
 //
 //	serial   compute horizon k, publish (t0, k), set bufferEvents
 //	barrier
-//	parallel per partition, k times: advance + tick own rings (ring-ID
-//	         order), tick own devices (registration order, split-bridge
-//	         halves at their bridge's slot) — side effects (latency
-//	         samples, OnDeliver, trace events) buffer with their
-//	         emission keys
+//	parallel per partition, k times: advance + tick own busy rings
+//	         (ring-ID order), tick own awake devices (registration
+//	         order, split-bridge halves at their bridge's slot) — side
+//	         effects (latency samples, OnDeliver, trace events) buffer
+//	         with their emission keys
 //	barrier
 //	serial   merge split-bridge links, replay deliveries in (cycle,
-//	         ring) order, tick serial devices at the epoch's last cycle
-//	         (their trace emissions buffer under their registration
-//	         slot), replay traces in (cycle, phase, unit) order,
-//	         watchdog sweep when due, shard fold, metrics sample
+//	         ring) order, tick awake serial devices at the epoch's last
+//	         cycle (their trace emissions buffer under their
+//	         registration slot), replay traces in (cycle, phase, unit)
+//	         order, watchdog sweep when due, shard fold, metrics sample,
+//	         then jump the clock if the whole network is quiescent
+//
+// The ring and device loops are the activity-gated helpers of gate.go,
+// the same pair the sequential engine's cycle runs over one all-inclusive
+// group.
 //
 // Epochs that are not eligible run the ordinary sequential body one
 // cycle at a time instead: a throttle controller (global arbitration
@@ -51,14 +56,39 @@ type NodeOwner interface {
 	Node() NodeID
 }
 
-// IdleUntiler is implemented by serial devices whose Tick is a pure
-// no-op until a pre-computable cycle (the fault injector: its schedule
-// is fixed up front). IdleUntil returns the first cycle >= now at which
-// Tick does real work; the superstep horizon lets an epoch run to that
-// cycle and ticks the device in the epoch tail. Serial devices without
-// this contract pin the horizon to one cycle.
+// IdleUntiler is implemented by devices that can tell when their Tick is
+// a no-op. IdleUntil(now) > now promises that Tick(now) would change
+// nothing — no field of the device, no flit sent, received or released,
+// no trace event — and that the same holds for every later cycle before
+// the returned one unless the device is handed work first: a flit ejected
+// into one of its interfaces, NodeInterface.Wake from a device that
+// queued work on it directly, or a fault operation. A device with
+// nothing to wait for returns the far future; one with work returns now.
+//
+// The tick engine uses the promise in two ways (gate.go). A device that
+// is also a NodeOwner gets a wake cycle per interface: it is skipped
+// while every one lies in the future, the network stores IdleUntil(now+1)
+// after each Tick and zeroes the wake on ejection or Wake. A device with
+// no node (the fault injector, the serving orchestrator) cannot be woken
+// that way, so it is asked IdleUntil(now) at its registration slot every
+// cycle instead. When every ring is idle and every device's answer lies
+// in the future, Run jumps the clock to the earliest one.
 type IdleUntiler interface {
 	IdleUntil(now sim.Cycle) sim.Cycle
+}
+
+// ScheduleIdler is the stronger promise the superstep horizon needs from
+// a serial device: its idle bound is a schedule fixed up front (the fault
+// injector), so it holds no matter what other devices do in the
+// meantime, and an epoch may run up to the returned cycle and tick the
+// device once, in the epoch tail. A plain IdleUntiler's bound is only
+// good until someone hands the device work — the serving orchestrator's
+// ends the cycle any engine completes a transfer — so a serial device
+// without FixedSchedule pins epochs to one cycle, exactly as a serial
+// device with no idle contract at all does.
+type ScheduleIdler interface {
+	IdleUntiler
+	FixedSchedule()
 }
 
 // PartitionsAuto, passed to SetPartitions, picks the partition count at
@@ -72,15 +102,21 @@ const PartitionsAuto = -1
 // nothing and delays the exported-counter fold indefinitely.
 const superstepMaxHorizon = 1024
 
-// partition is one concurrently advancing ring group.
+// partition is one ring group with the devices that tick beside it: a
+// concurrently advancing slice of the network under the partitioned
+// engine, the whole network under the sequential one (Network.seq), or
+// the ring-less group of serial devices an epoch tail ticks (tickPlan.tail).
 type partition struct {
-	rings   []*Ring  // ring-ID ascending
-	devices []Device // registration order; split-bridge halves in-place
-	// devUnit[i] is devices[i]'s trace-ordering unit: 2*registration
-	// index, +1 for the side-1 half of a split bridge, so buffered device
-	// events sort back into the sequential engine's registration order.
-	devUnit []int32
-	shard   *shard
+	net   *Network
+	rings []*Ring // ring-ID ascending
+	// devs are the group's devices with their gates (see gate.go), in
+	// registration order; split-bridge halves in-place.
+	devs []devGate
+	// nextWake is, after tickDevices, a lower bound on the next cycle any
+	// device of this group wants to tick, as far as the loop could see;
+	// the quiescent jump uses it as its cheap first test.
+	nextWake sim.Cycle
+	shard    *shard
 }
 
 // tickPlan is the frozen schedule for a partition count: the ring
@@ -90,14 +126,18 @@ type partition struct {
 type tickPlan struct {
 	parts  []*partition
 	splits []*RBRGL2 // bridges whose halves tick in different partitions
-	serial []Device  // registration order; the fault injector lands here
-	// serialUnit[i] is serial[i]'s trace-ordering unit (2*registration
-	// index), matching the partition devices' numbering so buffered
-	// serial-tail events merge at their registration slot.
-	serialUnit []int32
+	// tail holds the serial devices in registration order (the fault
+	// injector and the serving orchestrator land here); it has no rings
+	// and writes its trace context on shard 0. Its devices' trace units
+	// match the partition devices' numbering, so buffered serial-tail
+	// events merge at their registration slot.
+	tail *partition
+	// groups is parts followed by tail: everything the quiescence test
+	// must find asleep.
+	groups []*partition
 	// structural is the plan's lookahead ceiling: the minimum link
 	// pipeline depth over split bridges (1 if any serial device lacks the
-	// IdleUntiler contract, superstepMaxHorizon when nothing bounds it).
+	// ScheduleIdler contract, superstepMaxHorizon when nothing bounds it).
 	structural int
 }
 
@@ -111,6 +151,8 @@ type l2HalfTicker struct {
 func (t l2HalfTicker) Name() string { return t.b.name }
 
 func (t l2HalfTicker) Tick(now sim.Cycle) { t.b.tickHalf(t.side, now) }
+
+func (t l2HalfTicker) IdleUntil(now sim.Cycle) sim.Cycle { return t.b.halfIdleUntil(t.side, now) }
 
 // SetPartitions requests the partition count used by Run: 0 or 1 selects
 // the sequential engine, higher counts are clamped to the ring count,
@@ -159,10 +201,12 @@ func (n *Network) Partitions() int {
 	return p
 }
 
-// invalidatePlan discards the frozen schedule (topology or partition
-// request changed) and restores the sequential shard routing. Cheap when
-// no plan exists.
+// invalidatePlan discards the frozen schedules (device list or partition
+// request changed) and restores the sequential shard routing. The wake
+// table goes with them and is rebuilt all-awake. Cheap when nothing was
+// built yet.
 func (n *Network) invalidatePlan() {
+	n.seq = nil
 	if n.plan == nil {
 		return
 	}
@@ -293,13 +337,15 @@ func (n *Network) planAssignment(k int) []int {
 // planner's assignment; the fuzz suite feeds it arbitrary ones —
 // correctness must not depend on how rings are grouped.
 func (n *Network) buildPlan(assign []int, k int) *tickPlan {
+	n.bindGates() // fresh wake table: a new plan starts with everything awake
 	for len(n.shards) < k {
 		n.shards = append(n.shards, new(shard))
 	}
-	plan := &tickPlan{parts: make([]*partition, k)}
+	plan := &tickPlan{parts: make([]*partition, k), tail: &partition{net: n, shard: n.shards[0]}}
 	for i := range plan.parts {
-		plan.parts[i] = &partition{shard: n.shards[i]}
+		plan.parts[i] = &partition{net: n, shard: n.shards[i]}
 	}
+	plan.groups = append(append(plan.groups, plan.parts...), plan.tail)
 	for i, r := range n.rings {
 		r.shard = n.shards[assign[i]]
 		p := plan.parts[assign[i]]
@@ -331,23 +377,16 @@ func (n *Network) buildPlan(assign []int, k int) *tickPlan {
 		}
 	}
 
-	addDev := func(p *partition, d Device, unit int32) {
-		p.devices = append(p.devices, d)
-		p.devUnit = append(p.devUnit, unit)
-	}
-	addSerial := func(d Device, unit int32) {
-		plan.serial = append(plan.serial, d)
-		plan.serialUnit = append(plan.serialUnit, unit)
-	}
 	for regIdx, d := range n.devices {
+		gate := n.seq.devs[regIdx]
 		owner, ok := d.(NodeOwner)
 		if !ok {
-			addSerial(d, int32(regIdx*2))
+			plan.tail.devs = append(plan.tail.devs, gate)
 			continue
 		}
 		p := nodePart[owner.Node()]
 		if p >= 0 {
-			addDev(plan.parts[p], d, int32(regIdx*2))
+			plan.parts[p].devs = append(plan.parts[p].devs, gate)
 			continue
 		}
 		if b, isL2 := d.(*RBRGL2); isL2 {
@@ -355,15 +394,23 @@ func (n *Network) buildPlan(assign []int, k int) *tickPlan {
 			// ticks inside the partition owning its ring, at the bridge's
 			// registration slot (side 0 before side 1, matching the
 			// monolithic Tick's internal order), and the halves' staged
-			// link traffic merges at the epoch barrier.
+			// link traffic merges at the epoch barrier. The bridge's two
+			// wake words (one per interface, in side order) split the same
+			// way; a half without a word of its own is polled.
 			for side := 0; side < 2; side++ {
 				pi := assign[b.half[side].iface.station.ring.id]
-				addDev(plan.parts[pi], l2HalfTicker{b: b, side: side}, int32(regIdx*2+side))
+				half := l2HalfTicker{b: b, side: side}
+				hg := devGate{dev: half, idle: half, unit: gate.unit + int32(side)}
+				if gate.hi-gate.lo == 2 {
+					hg.lo = gate.lo + int32(side)
+					hg.hi = hg.lo + 1
+				}
+				plan.parts[pi].devs = append(plan.parts[pi].devs, hg)
 			}
 			plan.splits = append(plan.splits, b)
 			continue
 		}
-		addSerial(d, int32(regIdx*2))
+		plan.tail.devs = append(plan.tail.devs, gate)
 	}
 
 	plan.structural = superstepMaxHorizon
@@ -376,11 +423,12 @@ func (n *Network) buildPlan(assign []int, k int) *tickPlan {
 			plan.structural = l
 		}
 	}
-	for _, d := range plan.serial {
-		if _, ok := d.(IdleUntiler); !ok {
-			// An opaque serial device may interact with partition state
-			// every cycle (an L1 bridge cut by ring-LPT): epochs collapse
-			// to the per-cycle schedule.
+	for i := range plan.tail.devs {
+		if _, ok := plan.tail.devs[i].dev.(ScheduleIdler); !ok {
+			// A serial device without a fixed schedule may interact with
+			// partition state every cycle (an L1 bridge cut by ring-LPT,
+			// the serving orchestrator collecting engine completions):
+			// epochs collapse to the per-cycle schedule.
 			plan.structural = 1
 			break
 		}
@@ -406,18 +454,16 @@ func (n *Network) Run(cycles int) {
 	if !n.finalized {
 		panic("noc: Run before Finalize")
 	}
-	if n.Partitions() <= 1 {
-		for i := 0; i < cycles; i++ {
-			n.Tick(sim.Cycle(n.ticks))
+	defer n.noteRun(n.engineStats())
+	if n.Partitions() > 1 {
+		if plan := n.ensurePlan(); len(plan.parts) > 1 {
+			n.runPartitioned(plan, cycles)
+			return
 		}
-		return
 	}
-	plan := n.ensurePlan()
-	if len(plan.parts) <= 1 {
-		for i := 0; i < cycles; i++ {
-			n.Tick(sim.Cycle(n.ticks))
-		}
-		return
+	for done := 0; done < cycles; {
+		n.Tick(sim.Cycle(n.ticks))
+		done++
+		done += n.skipQuiescent(cycles-done, n.seq)
 	}
-	n.runPartitioned(plan, cycles)
 }

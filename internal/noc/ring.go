@@ -74,6 +74,24 @@ func (l *loop) rotateLow() {
 	}
 }
 
+// rotateHighBy is k single rotateHigh steps in one head update; k is
+// already reduced modulo the loop length.
+func (l *loop) rotateHighBy(k int) {
+	l.head -= k
+	if l.head < 0 {
+		l.head += len(l.slots)
+	}
+}
+
+// rotateLowBy is k single rotateLow steps in one head update; k is
+// already reduced modulo the loop length.
+func (l *loop) rotateLowBy(k int) {
+	l.head += k
+	if n := len(l.slots); l.head >= n {
+		l.head -= n
+	}
+}
+
 // Ring is one slotted loop (or pair of loops for a full ring). Positions
 // include pure repeater positions between stations: the paper's
 // distance-per-cycle metric appears here as "how many positions a span
@@ -91,8 +109,20 @@ type Ring struct {
 	// network clock under the sequential engine, but inside a superstep
 	// epoch each partition advances its rings' clocks locally — all
 	// ring-local timestamps (flit Created/boarded, latency math) read
-	// r.now, never n.now, so free-running partitions stay coherent.
+	// r.now, never n.now, so free-running partitions stay coherent. It is
+	// stamped every cycle even when the ring's tick is skipped as idle: a
+	// device sending into an idle ring reads it for Flit.Created.
 	now sim.Cycle
+	// queued counts the inject and bypass entries waiting at this ring's
+	// interfaces, kept exact by every site that adds or removes one. With
+	// the loops' occ counters it is the ring's idle predicate: nothing on
+	// a slot and nothing queued means advance and every station tick are
+	// no-ops, so the tick engine skips the ring (see gate.go).
+	queued int
+	// turned is how many advances the loops' head offsets reflect. A
+	// skipped ring falls behind the network's tick count; sync rotates it
+	// forward in one head update before anything looks at slot positions.
+	turned uint64
 	// delivBuf parks delivery side effects (latency samples and OnDeliver
 	// notifications, one record per delivered flit) emitted during an
 	// epoch free-run; the epoch-tail replay drains every ring's buffer in
@@ -176,11 +206,35 @@ func (r *Ring) loopFor(d Direction) *loop {
 // counters here, and folded into each flit's Hops lazily (see settleHops)
 // from the cycle it boarded its slot.
 func (r *Ring) advance() {
+	r.turned++
 	r.cw.rotateHigh()
 	r.shard.counts[cHops] += uint64(r.cw.occ)
 	if r.full {
 		r.ccw.rotateLow()
 		r.shard.counts[cHops] += uint64(r.ccw.occ)
+	}
+}
+
+// idle reports whether this cycle's advance and station ticks would all
+// be no-ops: no occupied slot to move, eject or defeat an injection, and
+// no queued flit to inject or transfer locally.
+func (r *Ring) idle() bool { return r.occupancy()+r.queued == 0 }
+
+// sync brings the head offsets up to turn advances. The ring was idle on
+// every cycle it missed, so the missed advances moved no flit and
+// accrued no hop: one head update by the distance modulo the loop length
+// is the whole catch-up. Everything that reads slot positions outside the
+// ring's own tick (LiveFlits, the fault injector's victim scan, reroutes,
+// the watchdog, the snapshot encoder) goes through Network.syncRings.
+func (r *Ring) sync(turn uint64) {
+	if turn <= r.turned {
+		return
+	}
+	k := int((turn - r.turned) % uint64(r.positions))
+	r.turned = turn
+	r.cw.rotateHighBy(k)
+	if r.full {
+		r.ccw.rotateLowBy(k)
 	}
 }
 
@@ -248,6 +302,7 @@ func (r *Ring) tick(now sim.Cycle) {
 // then CCW loop, position ascending. Observation settles each flit's
 // lazily-accounted hops.
 func (r *Ring) LiveFlits() []*Flit {
+	r.sync(r.net.ticks)
 	var out []*Flit
 	for p := 0; p < r.positions; p++ {
 		if f := r.cw.at(p).flit; f != nil {
@@ -264,6 +319,20 @@ func (r *Ring) LiveFlits() []*Flit {
 		}
 	}
 	return out
+}
+
+// countQueued recounts the inject and bypass entries at the ring's
+// interfaces — what queued must always equal.
+func (r *Ring) countQueued() int {
+	n := 0
+	for _, st := range r.stations {
+		for _, ni := range st.ifaces {
+			if ni != nil {
+				n += ni.inject.len() + ni.bypass.len()
+			}
+		}
+	}
+	return n
 }
 
 // occupancy returns the number of occupied slots across both loops.

@@ -27,6 +27,8 @@ const (
 	cUnroutable
 	cFault
 	cCorrupt
+	cRingSkips // ring ticks the activity gate skipped (diagnostic)
+	cDevSkips  // device ticks the activity gate skipped (diagnostic)
 	numCounters
 )
 
@@ -89,6 +91,8 @@ func (n *Network) foldShards() {
 		n.UnroutableDrops += c[cUnroutable]
 		n.FaultDrops += c[cFault]
 		n.CorruptDrops += c[cCorrupt]
+		n.RingTicksSkipped += c[cRingSkips]
+		n.DeviceTicksSkipped += c[cDevSkips]
 		*c = [numCounters]uint64{}
 	}
 }

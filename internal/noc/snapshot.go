@@ -310,6 +310,9 @@ func (n *Network) SnapshotState(e *sim.Encoder) error {
 	if !n.finalized {
 		return fmt.Errorf("noc: snapshot of non-finalized network")
 	}
+	// Slots are written in logical position order: rings the gate skipped
+	// catch up first, so the bytes do not depend on what was skipped.
+	n.syncRings()
 	se := NewSnapEncoder(e)
 	e.PutString(n.name)
 	e.PutU32(uint32(len(n.rings)))
@@ -400,10 +403,15 @@ func (n *Network) RestoreState(d *sim.Decoder) error {
 	n.ticks = d.U64()
 	// Ring-local clocks track the network clock at every run boundary;
 	// re-sync them so ring-local timestamps are correct from the first
-	// restored cycle.
+	// restored cycle. Restored loops are written at head 0 in logical
+	// order, i.e. fully caught up.
 	for _, r := range n.rings {
 		r.now = n.now
+		r.turned = n.ticks
 	}
+	// Wake state is derived, never serialized: everything ticks once and
+	// reports its own idleness from the restored state.
+	n.wakeAll()
 	if c := d.Count(1 << 20); d.Err() == nil {
 		if c != len(n.flitSeq) {
 			d.Fail("flit sequence count %d does not match %d nodes", c, len(n.flitSeq))
@@ -578,6 +586,7 @@ func (r *Ring) restore(sd *SnapDecoder) error {
 			return err
 		}
 	}
+	r.queued = r.countQueued()
 	return nil
 }
 

@@ -13,11 +13,18 @@ func (s *source) SnapshotState(se *SnapEncoder) error {
 	if err := se.PutFlitSlice(s.pending); err != nil {
 		return err
 	}
+	for _, at := range s.release {
+		se.E.PutU64(uint64(at))
+	}
 	return se.PutFlitSlice(s.got)
 }
 
 func (s *source) RestoreState(sd *SnapDecoder) error {
 	s.pending = sd.GetFlitSlice(s.pending, 1<<16)
+	s.release = s.release[:0]
+	for range s.pending {
+		s.release = append(s.release, sim.Cycle(sd.D.U64()))
+	}
 	s.got = sd.GetFlitSlice(s.got, 1<<16)
 	return sd.D.Err()
 }

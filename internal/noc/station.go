@@ -110,6 +110,14 @@ type NodeInterface struct {
 	// list — the row key into the node's precomputed forwarding table.
 	nodeSlot int
 
+	// wake points at this interface's word in the network's wake table
+	// (see gate.go): the owning device is skipped while every word of its
+	// node's interfaces lies in the future. An ejection into this
+	// interface, or Wake, zeroes the word. Until the table is bound it
+	// points at unbound, so it is never nil.
+	wake    *sim.Cycle
+	unbound sim.Cycle
+
 	inject flitRing
 	eject  flitRing
 	// bypass is the deadlock-escape injection lane: flits rescued by a
@@ -189,6 +197,7 @@ func (ni *NodeInterface) Send(f *Flit) bool {
 		return true // unroutable: counted and dropped, nothing queued
 	}
 	ni.inject.push(f)
+	ni.station.ring.queued++
 	return true
 }
 
@@ -204,6 +213,7 @@ func (ni *NodeInterface) SendPriority(f *Flit) bool {
 		return true
 	}
 	ni.bypass.push(f)
+	ni.station.ring.queued++
 	return true
 }
 
@@ -238,6 +248,25 @@ func (ni *NodeInterface) route(f *Flit) bool {
 	f.localIface = iface
 	f.dir = ni.station.ring.shortestDir(ni.station.pos, pos)
 	return true
+}
+
+// Wake makes the device owning this interface tick at its next slot even
+// if it reported itself idle. The network calls it on every ejection;
+// a device that hands another device work outside the fabric (the
+// serving orchestrator queueing a command on an engine) calls it on the
+// receiver's interface. The word is only written when it changes, so
+// busy devices ticking in different partitions never share a dirty line.
+func (ni *NodeInterface) Wake() {
+	if *ni.wake != 0 {
+		*ni.wake = 0
+	}
+}
+
+// wakeBy makes the owning device tick no later than cycle t.
+func (ni *NodeInterface) wakeBy(t sim.Cycle) {
+	if t < *ni.wake {
+		*ni.wake = t
+	}
 }
 
 // Recv dequeues the oldest ejected flit, or nil. Draining the eject queue
@@ -317,16 +346,12 @@ func (ni *NodeInterface) wantsEject(id uint64) bool {
 // unreserved entry. On failure the flit is registered for a future
 // reservation and the caller deflects it.
 func (ni *NodeInterface) tryEject(f *Flit) bool {
-	if ni.dropReservation(f.ID) {
+	if ni.dropReservation(f.ID) || ni.freeEjectEntries() > 0 {
 		ni.eject.push(f)
 		ni.EjectedFlits++
 		ni.EjectedPayload += uint64(f.PayloadBytes)
-		return true
-	}
-	if ni.freeEjectEntries() > 0 {
-		ni.eject.push(f)
-		ni.EjectedFlits++
-		ni.EjectedPayload += uint64(f.PayloadBytes)
+		// Ring ticks precede device ticks, so the owner runs this cycle.
+		ni.Wake()
 		return true
 	}
 	if !ni.wantsEject(f.ID) {
@@ -350,6 +375,7 @@ func (ni *NodeInterface) head() *Flit {
 // popHead removes the current head after a successful injection or local
 // transfer.
 func (ni *NodeInterface) popHead() {
+	ni.station.ring.queued--
 	if ni.bypass.n > 0 {
 		ni.bypass.pop()
 		return
@@ -432,6 +458,7 @@ func (st *CrossStation) attach(node NodeID, injectDepth, ejectDepth int) *NodeIn
 				eject:   newFlitRing(ejectDepth),
 				bypass:  newFlitRing(bypassDepth),
 			}
+			ni.wake = &ni.unbound
 			st.ifaces[i] = ni
 			return ni
 		}

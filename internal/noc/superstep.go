@@ -13,7 +13,12 @@
 //   - the cycles remaining in this Run call (checkpoint/run boundary);
 //   - the next watchdog sweep and metrics sample boundaries (both run in
 //     the serial epoch tail, so the epoch must end exactly on them);
-//   - the next cycle any serial device does real work (IdleUntil).
+//   - the next cycle any serial device does real work (IdleUntil of a
+//     ScheduleIdler; any other serial device pins the horizon to one).
+//
+// The run/sweep/sample clamps are clampStretch, which the quiescent jump
+// of gate.go shares: a jump is a stretch of cycles in which nothing at
+// all ticks, bounded the same way.
 //
 // Side effects that the sequential engine emits mid-cycle — latency
 // samples, OnDeliver notifications, trace events — buffer per partition
@@ -34,24 +39,13 @@ func (n *Network) horizon(plan *tickPlan, t0 sim.Cycle, remaining int) int {
 	if n.lookahead > 0 && n.lookahead < k {
 		k = n.lookahead
 	}
-	if remaining < k {
-		k = remaining
-	}
-	// The watchdog sweeps after cycle t when (t+1) % period == 0, in the
-	// serial tail; the epoch may end on a sweep cycle but not contain one.
-	if n.watchdogBudget > 0 && n.watchdogPeriod > 0 {
-		k = clampToBoundary(k, t0, n.watchdogPeriod)
-	}
-	// Metrics sample on the same post-cycle schedule at their interval.
-	if iv := n.metrics.Interval(); iv > 0 {
-		k = clampToBoundary(k, t0, iv)
-	}
+	k = n.clampStretch(k, t0, remaining)
 	// Serial devices tick once, at the epoch's last cycle; the epoch must
 	// therefore end no later than the first cycle any of them acts on.
-	for _, d := range plan.serial {
-		iu, ok := d.(IdleUntiler)
+	for i := range plan.tail.devs {
+		iu, ok := plan.tail.devs[i].dev.(ScheduleIdler)
 		if !ok {
-			return 1 // opaque serial device: per-cycle (structural is 1 too)
+			return 1 // no fixed schedule: per-cycle (structural is 1 too)
 		}
 		e := iu.IdleUntil(t0)
 		if e < t0 {
@@ -66,6 +60,26 @@ func (n *Network) horizon(plan *tickPlan, t0 sim.Cycle, remaining int) int {
 	}
 	if k < 1 {
 		k = 1
+	}
+	return k
+}
+
+// clampStretch limits a stretch of k cycles starting at t0 — an epoch, or
+// a quiescent jump — to what the serial cycle tail allows: it ends with
+// this Run call at the latest, and a watchdog sweep or metrics sample may
+// fall on its last cycle but never inside it.
+func (n *Network) clampStretch(k int, t0 sim.Cycle, remaining int) int {
+	if remaining < k {
+		k = remaining
+	}
+	// The watchdog sweeps after cycle t when (t+1) % period == 0, in the
+	// serial tail; the stretch may end on a sweep cycle but not contain one.
+	if n.watchdogBudget > 0 && n.watchdogPeriod > 0 {
+		k = clampToBoundary(k, t0, n.watchdogPeriod)
+	}
+	// Metrics sample on the same post-cycle schedule at their interval.
+	if iv := n.metrics.Interval(); iv > 0 {
+		k = clampToBoundary(k, t0, iv)
 	}
 	return k
 }
@@ -86,20 +100,12 @@ func clampToBoundary(k int, t0 sim.Cycle, period uint64) int {
 // every ring and device tick keys any events they buffer, so the epoch
 // tail can merge all partitions' buffers back into sequential order.
 func (p *partition) runEpoch(t0 sim.Cycle, k int) {
-	sh := p.shard
 	for c := 0; c < k; c++ {
 		now := t0 + sim.Cycle(c)
-		for _, r := range p.rings {
-			r.advance()
-		}
-		for _, r := range p.rings {
-			sh.tctx = traceCtx{at: now, phase: 0, unit: int32(r.id)}
-			r.tick(now)
-		}
-		for i, d := range p.devices {
-			sh.tctx = traceCtx{at: now, phase: 1, unit: p.devUnit[i]}
-			d.Tick(now)
-		}
+		// The coordinator publishes t0 as the network's tick count, so
+		// cycle t0+c is the ring loops' advance number t0+c+1.
+		p.tickRings(now, uint64(now)+1)
+		p.tickDevices(now)
 	}
 }
 
@@ -232,10 +238,7 @@ func (n *Network) runPartitioned(plan *tickPlan, cycles int) {
 		// engine would have recorded them.
 		n.replayDeliveries(t0, k)
 		n.serialTail = true
-		for i, d := range plan.serial {
-			n.shards[0].tctx = traceCtx{at: te, phase: 1, unit: plan.serialUnit[i]}
-			d.Tick(te)
-		}
+		plan.tail.tickDevices(te)
 		n.serialTail = false
 		n.bufferEvents = false
 		n.replayTraces()
@@ -243,6 +246,7 @@ func (n *Network) runPartitioned(plan *tickPlan, cycles int) {
 		n.EpochsRun++
 		n.BarrierSyncs += 2
 		done += k
+		done += n.skipQuiescent(cycles-done, plan.groups...)
 	}
 	quit = true
 	barrier.Wait(&sense)

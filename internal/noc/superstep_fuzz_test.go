@@ -3,48 +3,73 @@ package noc
 import (
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"testing"
 
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/trace"
 )
 
-// FuzzSuperstepEquivalence drives the superstep engine across arbitrary
-// (partition assignment, lookahead, link latency, fault timing) inputs
-// and requires bit-identity with the sequential engine every time. Two
-// parallel legs run per input: the planner's own assignment through the
-// public Run path, and a fuzzer-chosen arbitrary ring assignment pushed
-// straight into buildPlan — correctness must not depend on how rings
-// are grouped, only on the conservative horizon math.
+// FuzzSuperstepEquivalence drives the tick engines across arbitrary
+// (partition assignment, lookahead, link latency, idle gaps, fault
+// timing) inputs and requires bit-identity with the reference engine
+// every time. The reference is the sequential engine with the activity
+// gate forced open — every ring and device ticked every cycle, no jumps.
+// Three legs run against it per input: the gated sequential engine, the
+// planner's own assignment through the public Run path, and a
+// fuzzer-chosen arbitrary ring assignment pushed straight into buildPlan
+// — correctness must not depend on what was skipped or on how rings are
+// grouped, only on honest idle bounds and the conservative horizon math.
+// The traffic arrives in bursts with fuzzed gaps, so whole stretches are
+// jumped, and the fault script (bridge kill and repair, station stall,
+// flit drop) lands wherever the fuzzer puts it — inside those stretches
+// included.
 func FuzzSuperstepEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(8), uint16(0), uint8(0))
 	f.Add(uint8(3), uint8(1), uint8(1), uint16(120), uint8(0b10110))
 	f.Add(uint8(2), uint8(8), uint8(4), uint16(77), uint8(0b01001))
 	f.Add(uint8(4), uint8(3), uint8(2), uint16(300), uint8(0xff))
+	f.Add(uint8(17), uint8(0), uint8(8), uint16(0), uint8(0b0110))       // 25-cycle gaps, no faults
+	f.Add(uint8(21), uint8(5), uint8(3), uint16(1031), uint8(0b1011))    // 49-cycle gaps, kill + stall + drop
+	f.Add(uint8(13), uint8(2), uint8(6), uint16(2*300+250), uint8(0x55)) // 16-cycle gaps, late kill + drop
 	f.Fuzz(func(t *testing.T, parts, la, linkLat uint8, faultAt uint16, assignBits uint8) {
-		k := 2 + int(parts%3)      // 2..4 partitions
-		lookahead := int(la % 12)  // 0 (auto) .. 11
-		lat := 1 + int(linkLat%10) // 1..10 cycle link pipelines
-		const cycles = 500
-
-		seq := fuzzRun(t, 1, 0, lat, faultAt, nil)
-		planned := fuzzRun(t, k, lookahead, lat, faultAt, nil)
-		if planned != seq {
-			t.Fatalf("planner assignment diverged (k=%d la=%d lat=%d fault=%d)\n got: %+v\nwant: %+v",
-				k, lookahead, lat, faultAt, planned, seq)
+		c := fuzzCase{
+			parts:     1,
+			linkLat:   1 + int(linkLat%10), // 1..10 cycle link pipelines
+			faultAt:   faultAt,
+			gap:       int(parts/3%8) * int(parts/3%8), // 0..49 cycles between bursts
+			forceWake: true,
 		}
-		arbitrary := fuzzRun(t, k, lookahead, lat, faultAt, func(n int) []int {
-			assign := make([]int, n)
-			for i := range assign {
-				assign[i] = int(assignBits>>(uint(i)%7)) % k
-			}
-			return assign
-		})
-		if arbitrary != seq {
-			t.Fatalf("arbitrary assignment %#b diverged (k=%d la=%d lat=%d fault=%d)\n got: %+v\nwant: %+v",
-				assignBits, k, lookahead, lat, faultAt, arbitrary, seq)
+		k := 2 + int(parts%3)     // 2..4 partitions
+		lookahead := int(la % 12) // 0 (auto) .. 11
+
+		ref := fuzzRun(t, c)
+		c.forceWake = false
+		if seq := fuzzRun(t, c); seq != ref {
+			t.Fatalf("gated sequential engine diverged from forced-awake (%+v)\n got: %+v\nwant: %+v", c, seq, ref)
+		}
+		c.parts, c.lookahead = k, lookahead
+		if planned := fuzzRun(t, c); planned != ref {
+			t.Fatalf("planner assignment diverged (%+v)\n got: %+v\nwant: %+v", c, planned, ref)
+		}
+		c.assign = make([]int, 3)
+		for i := range c.assign {
+			c.assign[i] = int(assignBits>>(uint(i)%7)) % k
+		}
+		if arbitrary := fuzzRun(t, c); arbitrary != ref {
+			t.Fatalf("arbitrary assignment %#b diverged (%+v)\n got: %+v\nwant: %+v", assignBits, c, arbitrary, ref)
 		}
 	})
+}
+
+// fuzzCase selects the engine and the input of one fuzzRun.
+type fuzzCase struct {
+	parts, lookahead int
+	assign           []int // non-nil: bypass the planner with this ring assignment
+	forceWake        bool  // the reference engine: nothing gated, nothing jumped
+	linkLat          int
+	faultAt          uint16 // 0: no fault script
+	gap              int    // idle cycles between traffic bursts
 }
 
 // fuzzDigest is everything a run must reproduce bit for bit.
@@ -56,58 +81,87 @@ type fuzzDigest struct {
 }
 
 // fuzzFaulter is an in-package stand-in for the fault injector: a serial
-// IdleUntiler device that kills a bridge at one cycle and repairs it at
-// another, exercising the epoch clamp to event cycles and the failed-set
-// fallback to per-cycle sequential ticks.
+// ScheduleIdler device replaying a fixed script of fault operations —
+// bridge kill and repair, station stall, live-flit drop — exercising the
+// epoch clamp to event cycles, the failed-set fallback to per-cycle
+// sequential ticks, and fault operations that find rings and devices
+// skipped (their rotation behind, their wakes in the future).
 type fuzzFaulter struct {
-	net    *Network
-	node   NodeID
-	kill   sim.Cycle
-	repair sim.Cycle
-	stage  int
+	net   *Network
+	node  NodeID
+	steps []faultStep // sorted by at
+	next  int
 }
+
+type faultStep struct {
+	at   sim.Cycle
+	kind int // faultKill, faultRepair, faultStall, faultDrop
+	arg  int
+}
+
+const (
+	faultKill = iota
+	faultRepair
+	faultStall
+	faultDrop
+)
 
 func (ff *fuzzFaulter) Name() string { return "fuzz-faulter" }
 
 func (ff *fuzzFaulter) IdleUntil(now sim.Cycle) sim.Cycle {
-	switch ff.stage {
-	case 0:
-		if ff.kill >= now {
-			return ff.kill
-		}
-	case 1:
-		if ff.repair >= now {
-			return ff.repair
-		}
-	default:
-		return sim.Cycle(^uint64(0))
+	if ff.next == len(ff.steps) {
+		return Never
+	}
+	if at := ff.steps[ff.next].at; at > now {
+		return at
 	}
 	return now
 }
 
+func (ff *fuzzFaulter) FixedSchedule() {}
+
 func (ff *fuzzFaulter) Tick(now sim.Cycle) {
-	if ff.stage == 0 && now >= ff.kill {
-		if err := ff.net.FailBridge(ff.node); err == nil {
-			ff.stage = 1
-		} else {
-			ff.stage = 2
-		}
-		return
-	}
-	if ff.stage == 1 && now >= ff.repair {
-		if ff.net.RepairBridge(ff.node) == nil {
-			ff.stage = 2
+	for ff.next < len(ff.steps) && ff.steps[ff.next].at <= now {
+		st := ff.steps[ff.next]
+		ff.next++
+		switch st.kind {
+		case faultKill:
+			ff.net.FailBridge(ff.node)
+		case faultRepair:
+			ff.net.RepairBridge(ff.node)
+		case faultStall:
+			stations := ff.net.rings[1].stations
+			ff.net.StallStation(1, stations[st.arg%len(stations)].pos, 5+st.arg)
+		case faultDrop:
+			ff.net.DropLiveFlit(st.arg) // no victim when the fabric is empty: a no-op
 		}
 	}
 }
 
+// newFuzzFaulter derives the script from the fuzz input: always a kill at
+// 20 + faultAt%300 with a repair 60 cycles later, plus — keyed off the
+// bits above — a station stall and a flit drop some cycles after the
+// kill.
+func newFuzzFaulter(net *Network, node NodeID, faultAt uint16) *fuzzFaulter {
+	kill := sim.Cycle(20 + faultAt%300)
+	sel := int(faultAt / 300)
+	steps := []faultStep{{kill, faultKill, 0}, {kill + 60, faultRepair, 0}}
+	if sel&1 != 0 {
+		steps = append(steps, faultStep{kill + sim.Cycle(13*(sel>>2&7)), faultStall, sel >> 5})
+	}
+	if sel&2 != 0 {
+		steps = append(steps, faultStep{kill + sim.Cycle(9*(sel>>2&7)+3), faultDrop, sel >> 6})
+	}
+	sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
+	return &fuzzFaulter{net: net, node: node, steps: steps}
+}
+
 // fuzzRun builds a three-die chain (full ring — full ring — half ring,
 // two RBRG-L2 bridges at the fuzzed link latency), drives fixed cross-
-// and intra-die traffic for cycles, and digests the result. parts/la
-// select the engine; assignFn, when non-nil, bypasses the planner and
-// feeds buildPlan an arbitrary ring assignment. faultAt > 0 schedules a
-// transient bridge kill through a serial IdleUntiler device.
-func fuzzRun(t *testing.T, parts, la, linkLat int, faultAt uint16, assignFn func(rings int) []int) fuzzDigest {
+// and intra-die traffic in bursts c.gap cycles apart, and digests the
+// result. faultAt > 0 schedules the fault script through a serial
+// ScheduleIdler device.
+func fuzzRun(t *testing.T, c fuzzCase) fuzzDigest {
 	t.Helper()
 	net := NewNetwork("fuzz")
 	r0 := net.AddRing(8, true)
@@ -120,19 +174,19 @@ func fuzzRun(t *testing.T, parts, la, linkLat int, faultAt uint16, assignFn func
 	src2 := newSource(t, net, r2.AddStation(2), "src2")
 	snk2 := newSink(t, net, r2.AddStation(4), "snk2", 2)
 	cfg := DefaultRBRGL2Config()
-	cfg.LinkLatency = linkLat
+	cfg.LinkLatency = c.linkLat
 	NewRBRGL2(net, "br01", cfg, r0.AddStation(5), r1.AddStation(0))
 	NewRBRGL2(net, "br12", cfg, r1.AddStation(5), r2.AddStation(0))
-	if faultAt > 0 {
+	if c.faultAt > 0 {
 		node, ok := net.NodeByName("br12")
 		if !ok {
 			t.Fatal("bridge node missing")
 		}
-		kill := sim.Cycle(20 + faultAt%300)
-		net.AddDevice(&fuzzFaulter{net: net, node: node, kill: kill, repair: kill + 60})
+		net.AddDevice(newFuzzFaulter(net, node, c.faultAt))
 		net.SetWatchdog(150, 0)
 	}
 	net.MustFinalize()
+	net.forceAwake = c.forceWake
 
 	tr := trace.New(1 << 14)
 	net.Tracer = tr
@@ -141,23 +195,30 @@ func fuzzRun(t *testing.T, parts, la, linkLat int, faultAt uint16, assignFn func
 		fmt.Fprintf(latHash, "%d|%d\n", f.ID, cycles)
 	})
 
-	// Fixed traffic: cross-die in both directions plus local pairs.
+	// Fixed traffic: cross-die in both directions plus local pairs, one
+	// burst every c.gap cycles.
 	for i := 0; i < 30; i++ {
-		src0.queue(net.NewFlit(src0.Node(), snk2.Node(), KindData, LineBytes))
-		src2.queue(net.NewFlit(src2.Node(), snk0.Node(), KindData, LineBytes))
-		src1.queue(net.NewFlit(src1.Node(), snk1.Node(), KindData, LineBytes))
-		src0.queue(net.NewFlit(src0.Node(), snk1.Node(), KindData, LineBytes))
+		at := sim.Cycle(i * c.gap)
+		src0.queueAt(net.NewFlit(src0.Node(), snk2.Node(), KindData, LineBytes), at)
+		src2.queueAt(net.NewFlit(src2.Node(), snk0.Node(), KindData, LineBytes), at)
+		src1.queueAt(net.NewFlit(src1.Node(), snk1.Node(), KindData, LineBytes), at)
+		src0.queueAt(net.NewFlit(src0.Node(), snk1.Node(), KindData, LineBytes), at)
 	}
 
 	const cycles = 500
-	net.SetLookahead(la)
-	if assignFn == nil {
-		net.SetPartitions(parts)
+	net.SetLookahead(c.lookahead)
+	net.SetPartitions(c.parts)
+	if c.assign == nil {
 		net.Run(cycles)
 	} else {
-		net.SetPartitions(parts)
-		plan := net.buildPlan(assignFn(3), parts)
-		net.runPartitioned(plan, cycles)
+		net.runPartitioned(net.buildPlan(c.assign, c.parts), cycles)
+	}
+	if err := net.CheckConservation(); err != nil {
+		t.Fatalf("%+v: %v", c, err)
+	}
+	if c.forceWake && net.SkippedCycles+net.RingTicksSkipped+net.DeviceTicksSkipped != 0 {
+		t.Fatalf("forced-awake reference skipped something: %d cycles, %d ring ticks, %d device ticks",
+			net.SkippedCycles, net.RingTicksSkipped, net.DeviceTicksSkipped)
 	}
 
 	traceHash := fnv.New64a()

@@ -47,6 +47,7 @@ type throttleState struct {
 
 // SetThrottle installs (or disables) the congestion controller.
 func (n *Network) SetThrottle(cfg ThrottleConfig) {
+	n.wakeAll()
 	if !cfg.Enabled {
 		n.throttle = nil
 		return

@@ -638,3 +638,52 @@ func TestWarmHitLatency(t *testing.T) {
 	}
 	t.Logf("cold %v, best warm %v (%.0fx)", coldDur, warmBest, float64(coldDur)/float64(warmBest))
 }
+
+// TestCoalesceOntoRunningFlight: submissions that coalesce onto a flight
+// a worker is already executing append to the flight's member list under
+// s.mu while the runner is past its locked prologue. The runners used to
+// re-read the lead from that list without the lock; they now receive the
+// *Job the dispatcher read under it. The run hook reports the flight as
+// running and then dawdles, so the late members attach after the runner
+// would have read the list with no happens-before edge between the two —
+// the ordering the race detector needs to see (CI runs this under -race),
+// for each of the three runners.
+func TestCoalesceOntoRunningFlight(t *testing.T) {
+	defer func() { testRunHook = nil }()
+	for _, body := range []string{
+		`{"kind":"sim","sim":{"topology":"ai-processor","cycles":1500}}`,
+		`{"experiment":"area","scale":"quick"}`,
+		servingBody,
+	} {
+		s, ts := testServer(t, Config{Cache: testStore(t), Workers: 1})
+		running := make(chan struct{}, 1)
+		testRunHook = func() {
+			running <- struct{}{}
+			time.Sleep(50 * time.Millisecond)
+		}
+		first, disp := submitJob(t, ts.URL, []byte(body))
+		if disp != "miss" {
+			t.Fatalf("%s: first submission disposition %q, want miss", body, disp)
+		}
+		<-running
+		ids := []string{first.ID}
+		for i := 0; i < 3; i++ {
+			v, disp := submitJob(t, ts.URL, []byte(body))
+			if disp != "coalesced" {
+				t.Fatalf("%s: submission onto the running flight was %q, want coalesced", body, disp)
+			}
+			ids = append(ids, v.ID)
+		}
+		var want string
+		for i, id := range ids {
+			waitFor(t, ts.URL, id, func(st JobStatus) bool { return st == StatusDone })
+			got := fetchText(t, ts.URL+"/jobs/"+id+"/result?format=text", 200)
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: member %s got a different result than the lead", body, id)
+			}
+		}
+		s.Shutdown()
+	}
+}

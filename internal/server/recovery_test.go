@@ -328,14 +328,19 @@ func TestHealthAndReady(t *testing.T) {
 // job on restart.
 func TestSubmitPersistsRecordAtAdmission(t *testing.T) {
 	dir := t.TempDir()
+	// Plug the single worker so the submitted job stays queued. The hook
+	// goes in before the worker exists and comes out after it is gone, so
+	// the worker never reads it while the test writes it.
+	testPanicHook = func(job *Job) { time.Sleep(50 * time.Millisecond) }
 	s, err := New(Config{StateDir: dir, Workers: 1})
 	if err != nil {
+		testPanicHook = nil
 		t.Fatal(err)
 	}
-	defer s.Shutdown()
-	// Plug the single worker so the submitted job stays queued.
-	testPanicHook = func(job *Job) { time.Sleep(50 * time.Millisecond) }
-	defer func() { testPanicHook = nil }()
+	defer func() {
+		s.Shutdown()
+		testPanicHook = nil
+	}()
 
 	job, err := s.Submit(quickSimSpec(t))
 	if err != nil {

@@ -376,11 +376,11 @@ func (s *Server) runFlight(fl *flight) {
 	started := time.Now()
 	switch lead.Spec.Kind {
 	case "experiment":
-		s.runExperimentFlight(fl, started)
+		s.runExperimentFlight(fl, lead, started)
 	case "serving":
-		s.runServingFlight(fl, started)
+		s.runServingFlight(fl, lead, started)
 	default:
-		s.runSimFlight(fl, started)
+		s.runSimFlight(fl, lead, started)
 	}
 }
 
@@ -441,8 +441,7 @@ func (s *Server) deadlineError(started time.Time) string {
 // runExperimentFlight runs a catalog artifact. Experiments are
 // coarse-grained (internally parallel, no checkpoint), so cancellation,
 // shutdown and the wall-clock deadline take effect at job granularity.
-func (s *Server) runExperimentFlight(fl *flight, started time.Time) {
-	lead := fl.lead()
+func (s *Server) runExperimentFlight(fl *flight, lead *Job, started time.Time) {
 	scale, err := experiments.ParseScale(lead.Spec.Scale)
 	if err != nil {
 		s.finishFlight(fl, nil, func(job *Job) {
@@ -475,8 +474,7 @@ func (s *Server) runExperimentFlight(fl *flight, started time.Time) {
 // the wall-clock deadline take effect at job granularity. The spec
 // document is already canonical, so rerunning it through the
 // normalizing runner is a no-op on identity.
-func (s *Server) runServingFlight(fl *flight, started time.Time) {
-	lead := fl.lead()
+func (s *Server) runServingFlight(fl *flight, lead *Job, started time.Time) {
 	scale, err := experiments.ParseScale(lead.Spec.Scale)
 	var res *experiments.ServingResult
 	if err == nil {
@@ -509,8 +507,7 @@ func (s *Server) runServingFlight(fl *flight, started time.Time) {
 // periodically and a state directory is configured, every checkpoint is
 // persisted for every attached member as it is taken, so even a
 // SIGKILLed daemon resumes each of them from the last completed interval.
-func (s *Server) runSimFlight(fl *flight, started time.Time) {
-	lead := fl.lead()
+func (s *Server) runSimFlight(fl *flight, lead *Job, started time.Time) {
 	var deadlineHit atomic.Bool
 	ctl := &experiments.SimControl{Interrupt: func() experiments.InterruptKind {
 		if fl.cancel.Load() {

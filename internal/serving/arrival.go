@@ -6,6 +6,7 @@ package serving
 
 import (
 	"chipletnoc/internal/config"
+	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 )
 
@@ -28,6 +29,15 @@ type arrivalProcess struct {
 	on        bool
 	pLeaveOn  float64
 	pLeaveOff float64
+
+	// Draw-ahead, so the orchestrator can say when the next arrival is
+	// due instead of being ticked to find out: cycle is the next cycle
+	// whose draws have not been taken; n > 0 arrivals drawn for cycle at
+	// wait to be admitted. The stream is private to the process, so
+	// drawing early takes the same draws in the same order as one step
+	// per cycle.
+	cycle, at sim.Cycle
+	n         int
 }
 
 // newArrivalProcess builds the process for one offered load (requests
@@ -47,6 +57,35 @@ func newArrivalProcess(spec *config.ServingSpec, load float64, rng *sim.RNG) *ar
 	a.base = int(lambda)
 	a.frac = lambda - float64(a.base)
 	return a
+}
+
+// nextAt returns the first cycle whose arrivals have not been admitted,
+// stepping the process ahead to it; a process that can never produce an
+// arrival (zero load) answers noc.Never instead of stepping forever.
+func (a *arrivalProcess) nextAt() sim.Cycle {
+	if a.n == 0 {
+		if a.base == 0 && a.frac <= 0 {
+			return noc.Never
+		}
+		for a.n == 0 {
+			a.at = a.cycle
+			a.cycle++
+			a.n = a.step()
+		}
+	}
+	return a.at
+}
+
+// take returns how many requests arrive at cycle now. The orchestrator
+// ticks at every cycle nextAt names, so arrivals are never due earlier
+// than now.
+func (a *arrivalProcess) take(now sim.Cycle) int {
+	if a.nextAt() > now {
+		return 0
+	}
+	n := a.n
+	a.n = 0
+	return n
 }
 
 // step advances one cycle and returns how many requests arrive.

@@ -6,7 +6,9 @@
 // consumes its input queue (written by the orchestrator in the serial
 // phase of the previous cycle) and appends finished commands to its own
 // done list (drained by the orchestrator at the end of this cycle), so
-// engines on different partitions share no mutable state.
+// engines on different partitions share no mutable state. Almost every
+// cycle it has nothing to receive, send or issue; IdleUntil says so and
+// the tick engine skips it until an ejection or enqueue wakes it.
 package serving
 
 import (
@@ -74,8 +76,10 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) Node() noc.NodeID { return e.iface.Node() }
 
 // enqueue hands the engine a command whose dependencies are met. Called
-// only from the orchestrator's serial tick.
+// only from the orchestrator's serial tick. The command does not arrive
+// through the fabric, so the engine is woken by hand.
 func (e *Engine) enqueue(c *command) {
+	e.iface.Wake()
 	e.queue = append(e.queue, c)
 	if len(e.queue) > e.PeakQueue {
 		e.PeakQueue = len(e.queue)
@@ -153,6 +157,18 @@ func (e *Engine) Tick(now sim.Cycle) {
 			sim.PopFront(&e.sendq)
 		}
 	}
+}
+
+// IdleUntil implements noc.IdleUntiler. The engine has no timers: it is
+// idle when there is nothing to receive, nothing to send, and nothing it
+// could issue — the command queue empty, or the transaction table full
+// (only a completion, which arrives as an ejection, frees a slot). It
+// then sleeps until an ejection or enqueue wakes it.
+func (e *Engine) IdleUntil(now sim.Cycle) sim.Cycle {
+	if e.iface.EjectLen() > 0 || len(e.sendq) > 0 || (len(e.queue) > 0 && !e.tracker.Full()) {
+		return now
+	}
+	return noc.Never
 }
 
 // RegisterMetrics exposes the engine's counters and queue depths under

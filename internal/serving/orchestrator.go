@@ -7,12 +7,22 @@
 // orchestrator deliberately does NOT implement noc.NodeOwner, so the
 // partition planner classifies it as a serial device — ticked at the
 // barrier after every partition's devices, exactly where it falls in
-// the sequential engine (it is registered last). Because it also has no
-// idle horizon, the planner pins the structural lookahead to one cycle,
-// which makes any (partitions, lookahead) setting execute the identical
-// cycle-by-cycle schedule. Engines only communicate with it through
-// their own queues (written serially) and done lists (drained
-// serially), so no cross-partition state is ever shared.
+// the sequential engine (it is registered last). Engines only
+// communicate with it through their own queues (written serially) and
+// done lists (drained serially), so no cross-partition state is ever
+// shared.
+//
+// It does implement noc.IdleUntiler, and having no node it is asked at
+// its slot every cycle rather than woken: between arrivals, completions
+// and compute retirements its Tick changes nothing, and the tick engine
+// skips it. The bound it returns is good at its own slot, after every
+// engine has run this cycle, and across a quiescent stretch, when no
+// engine can run at all — but not across a multi-cycle epoch, in which
+// an engine may complete a transfer the orchestrator must collect that
+// same cycle. So it is not a noc.ScheduleIdler, the planner pins the
+// structural lookahead to one cycle as it does for any serial device
+// without a fixed schedule, and every (partitions, lookahead) setting
+// executes the identical cycle-by-cycle schedule.
 package serving
 
 import (
@@ -76,6 +86,33 @@ func newOrchestrator(spec *config.ServingSpec, net *noc.Network, engines []*Engi
 // noc.NodeOwner is what parks the orchestrator in the serial tail.
 func (o *Orchestrator) Name() string { return o.name }
 
+// IdleUntil implements noc.IdleUntiler: Tick(now) changes nothing unless
+// an engine finished a transfer, a compute phase retires, a request
+// arrives, or requests are waiting (StallCycles counts every cycle they
+// do). Otherwise the next thing to happen is the earlier of the next
+// arrival and the earliest compute retirement. See the file comment for
+// how far the bound can be trusted.
+func (o *Orchestrator) IdleUntil(now sim.Cycle) sim.Cycle {
+	if len(o.pending) > 0 || o.stalled || (o.active <= o.spec.LowWatermark && !o.filling) {
+		return now
+	}
+	for _, e := range o.engines {
+		if len(e.done) > 0 {
+			return now
+		}
+	}
+	w := o.arr.nextAt()
+	for _, c := range o.computing {
+		if c.readyAt < w {
+			w = c.readyAt
+		}
+	}
+	if w < now {
+		return now
+	}
+	return w
+}
+
 // Tick implements noc.Device. Order within a cycle: finish transfers
 // engines completed this cycle, retire compute, admit arrivals, stream
 // batches, release newly-ready commands. Every step iterates fixed
@@ -105,7 +142,7 @@ func (o *Orchestrator) Tick(now sim.Cycle) {
 	}
 	o.computing = live
 	// 3. Open-loop arrivals: admitted by cycle, never by completion.
-	for n := o.arr.step(); n > 0; n-- {
+	for n := o.arr.take(now); n > 0; n-- {
 		o.pending = append(o.pending, request{arrival: now})
 		o.Admitted++
 	}
