@@ -1,15 +1,15 @@
-// Checkpoint support for the CHI layer: the *Message codec the NoC
-// snapshot machinery uses for flit payloads, plus serialization of the
+// Checkpoint support for the CHI layer: the *Message walk the NoC
+// snapshot machinery uses for flit payloads, plus the state walks of the
 // transaction tracker and retry engine.
 //
 // The same *Message is typically referenced from the tracker's open
 // table, a flit in flight, and a memory controller's queue. All three
-// encode through the shared identity pool (noc.SnapEncoder), so the
-// sharing graph survives checkpoint/resume exactly.
+// walk it through the shared identity pool (noc.Snap), so the sharing
+// graph survives checkpoint/resume exactly.
 package chi
 
 import (
-	"sort"
+	"cmp"
 
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
@@ -23,129 +23,83 @@ func init() {
 	noc.RegisterMsgCodec(noc.MsgCodec{
 		ID:      msgCodecID,
 		Matches: func(m interface{}) bool { _, ok := m.(*Message); return ok },
-		Encode: func(se *noc.SnapEncoder, m interface{}) {
-			msg := m.(*Message)
-			e := se.E
-			e.PutU32(msg.TxnID)
-			e.PutI64(int64(msg.Op))
-			e.PutU64(msg.Addr)
-			e.PutI64(int64(msg.Requester))
-			e.PutI64(int64(msg.Size))
-			e.PutU64(msg.IssuedAt)
-			e.PutI64(int64(msg.BeatsLeft))
-			e.PutI64(int64(msg.RetryDst))
-		},
-		Decode: func(sd *noc.SnapDecoder) interface{} {
-			d := sd.D
-			m := &Message{}
-			m.TxnID = d.U32()
-			m.Op = Opcode(d.I64())
-			m.Addr = d.U64()
-			m.Requester = noc.NodeID(d.I64())
-			m.Size = int(d.I64())
-			m.IssuedAt = d.U64()
-			m.BeatsLeft = int(d.I64())
-			m.RetryDst = noc.NodeID(d.I64())
-			return m
-		},
+		New:     func() interface{} { return &Message{} },
+		Walk:    func(s *noc.Snap, m interface{}) { m.(*Message).snapState(s.Codec) },
 	})
 }
 
-// Snapshot serializes the tracker's open-transaction table through the
-// shared message pool (TxnID order keeps the encoding deterministic).
-func (t *Tracker) Snapshot(se *noc.SnapEncoder) error {
-	se.E.PutI64(int64(t.capacity))
-	se.E.PutU32(t.nextID)
-	ids := make([]uint32, 0, len(t.open))
-	for id := range t.open {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	se.E.PutU32(uint32(len(ids)))
-	for _, id := range ids {
-		se.E.PutU32(id)
-		if err := se.PutMsg(t.open[id]); err != nil {
-			return err
-		}
-	}
-	return nil
+// snapState walks one message's contents.
+func (m *Message) snapState(c *sim.Codec) {
+	c.U32(&m.TxnID)
+	sim.Int(c, &m.Op)
+	c.U64(&m.Addr)
+	sim.Int(c, &m.Requester)
+	sim.Int(c, &m.Size)
+	c.U64(&m.IssuedAt)
+	sim.Int(c, &m.BeatsLeft)
+	sim.Int(c, &m.RetryDst)
 }
 
-// Restore loads a tracker snapshot; the capacity must match the build.
-func (t *Tracker) Restore(sd *noc.SnapDecoder) error {
-	d := sd.D
-	if c := int(d.I64()); c != t.capacity && d.Err() == nil {
-		d.Fail("tracker capacity %d does not match %d", c, t.capacity)
+// SnapMessage walks a pooled reference that must be a live CHI message;
+// what names the holder in the failure.
+func SnapMessage(s *noc.Snap, mp **Message, what string) {
+	var m interface{}
+	if *mp != nil {
+		m = *mp
 	}
-	t.nextID = d.U32()
-	n := d.Count(t.capacity)
-	if err := d.Err(); err != nil {
-		return err
+	s.Msg(&m)
+	if *mp, _ = m.(*Message); *mp == nil {
+		s.Fail("%s is not a CHI message", what)
 	}
-	t.open = make(map[uint32]*Message, t.capacity)
-	for i := 0; i < n; i++ {
-		id := d.U32()
-		m, ok := sd.GetMsg().(*Message)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if !ok || m == nil {
-			d.Fail("tracker entry %d is not a CHI message", i)
-			return d.Err()
-		}
-		t.open[id] = m
-	}
-	return d.Err()
 }
 
-// Snapshot serializes the retry engine's live armed transactions in arm
-// order (dead entries are compaction debris and are skipped; rebuilt
+// SnapState walks the tracker's open-transaction table through the
+// shared message pool (TxnID order keeps the bytes deterministic); the
+// capacity must match the build.
+func (t *Tracker) SnapState(s *noc.Snap) {
+	c := s.Codec
+	capacity := t.capacity
+	sim.Int(c, &capacity)
+	if capacity != t.capacity {
+		c.Fail("tracker capacity %d does not match %d", capacity, t.capacity)
+	}
+	c.U32(&t.nextID)
+	sim.Map(c, &t.open, t.capacity, cmp.Less[uint32], func(id *uint32, m **Message) {
+		c.U32(id)
+		SnapMessage(s, m, "tracker entry")
+	})
+}
+
+// SnapState walks the retry engine's live armed transactions in arm
+// order (dead entries are compaction debris and do not travel; rebuilt
 // state behaves identically because Expired ignores them anyway).
-func (r *Retrier) Snapshot(e *sim.Encoder) {
-	e.PutU64(r.RetriedTxns)
-	e.PutU64(r.AbortedTxns)
-	live := 0
+func (r *Retrier) SnapState(c *sim.Codec) {
+	c.U64(&r.RetriedTxns)
+	c.U64(&r.AbortedTxns)
+	var live []*armedTxn
 	for _, a := range r.order {
 		if !a.dead {
-			live++
+			live = append(live, a)
 		}
 	}
-	e.PutU32(uint32(live))
-	for _, a := range r.order {
-		if a.dead {
-			continue
-		}
-		e.PutU32(a.id)
-		e.PutU64(uint64(a.deadline))
-		e.PutI64(int64(a.attempts))
+	sim.Slice(c, &live, 1<<20)
+	if c.Loading() {
+		r.byID = make(map[uint32]*armedTxn, len(live))
+		r.order = live
 	}
-}
-
-// Restore loads a retrier snapshot written by Snapshot.
-func (r *Retrier) Restore(d *sim.Decoder) error {
-	r.RetriedTxns = d.U64()
-	r.AbortedTxns = d.U64()
-	n := d.Count(1 << 20)
-	if err := d.Err(); err != nil {
-		return err
+	for i := range live {
+		if live[i] == nil {
+			live[i] = &armedTxn{}
+		}
+		a := live[i]
+		c.U32(&a.id)
+		sim.Uint(c, &a.deadline)
+		sim.Int(c, &a.attempts)
+		if c.Loading() {
+			if _, dup := r.byID[a.id]; dup {
+				c.Fail("duplicate armed transaction %d", a.id)
+			}
+			r.byID[a.id] = a
+		}
 	}
-	r.byID = make(map[uint32]*armedTxn, n)
-	r.order = r.order[:0]
-	for i := 0; i < n; i++ {
-		a := &armedTxn{
-			id:       d.U32(),
-			deadline: sim.Cycle(d.U64()),
-			attempts: int(d.I64()),
-		}
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if _, dup := r.byID[a.id]; dup {
-			d.Fail("duplicate armed transaction %d", a.id)
-			return d.Err()
-		}
-		r.byID[a.id] = a
-		r.order = append(r.order, a)
-	}
-	return d.Err()
 }

@@ -5,198 +5,67 @@
 package coherence
 
 import (
-	"sort"
+	"cmp"
 
 	"chipletnoc/internal/chi"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 )
 
-// putJobs serializes a deferred-work queue in order.
-func putJobs(se *noc.SnapEncoder, jobs []job) error {
-	se.E.PutU32(uint32(len(jobs)))
-	for _, j := range jobs {
-		se.E.PutU64(uint64(j.ready))
-		if err := se.PutFlitSlice(j.send); err != nil {
-			return err
-		}
+// snapJobs walks a deferred-work queue in order.
+func snapJobs(s *noc.Snap, jobs *[]job) {
+	sim.Slice(s.Codec, jobs, 1<<20)
+	for i := range *jobs {
+		j := &(*jobs)[i]
+		sim.Uint(s.Codec, &j.ready)
+		s.Flits(&j.send, 1<<16)
 	}
-	return nil
 }
 
-// getJobs restores a deferred-work queue written by putJobs.
-func getJobs(sd *noc.SnapDecoder, jobs []job) ([]job, error) {
-	d := sd.D
-	n := d.Count(1 << 20)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	jobs = jobs[:0]
-	for i := 0; i < n; i++ {
-		ready := sim.Cycle(d.U64())
-		send := sd.GetFlitSlice(nil, 1<<16)
-		if err := d.Err(); err != nil {
-			return nil, err
+// SnapState implements noc.StateSnapshotter.
+func (dir *Directory) SnapState(s *noc.Snap) {
+	c := s.Codec
+	sim.Map(c, &dir.lines, 1<<24, cmp.Less[uint64], func(addr *uint64, lp **line) {
+		if *lp == nil {
+			*lp = &line{}
 		}
-		jobs = append(jobs, job{ready: ready, send: send})
-	}
-	return jobs, nil
+		l := *lp
+		c.U64(addr)
+		sim.Int(c, &l.state)
+		sim.Int(c, &l.owner)
+		if l.state < Invalid || l.state > Modified {
+			c.Fail("directory line state %d out of range", l.state)
+		}
+	})
+	snapJobs(s, &dir.jobs)
+	s.Flits(&dir.outbx, 1<<20)
+	c.U64(&dir.Hits)
+	c.U64(&dir.Misses)
+	c.U64(&dir.Snoops)
 }
 
-// SnapshotState implements noc.StateSnapshotter.
-func (dir *Directory) SnapshotState(se *noc.SnapEncoder) error {
-	e := se.E
-	addrs := make([]uint64, 0, len(dir.lines))
-	for a := range dir.lines {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.PutU32(uint32(len(addrs)))
-	for _, a := range addrs {
-		l := dir.lines[a]
-		e.PutU64(a)
-		e.PutI64(int64(l.state))
-		e.PutI64(int64(l.owner))
-	}
-	if err := putJobs(se, dir.jobs); err != nil {
-		return err
-	}
-	if err := se.PutFlitSlice(dir.outbx); err != nil {
-		return err
-	}
-	e.PutU64(dir.Hits)
-	e.PutU64(dir.Misses)
-	e.PutU64(dir.Snoops)
-	return nil
+// SnapState implements noc.StateSnapshotter.
+func (ds *DataSlice) SnapState(s *noc.Snap) {
+	snapJobs(s, &ds.jobs)
+	s.Flits(&ds.outbx, 1<<20)
+	s.U64(&ds.Reads)
+	s.U64(&ds.Fills)
 }
 
-// RestoreState implements noc.StateSnapshotter.
-func (dir *Directory) RestoreState(sd *noc.SnapDecoder) error {
-	d := sd.D
-	n := d.Count(1 << 24)
-	if err := d.Err(); err != nil {
-		return err
+// SnapState implements noc.StateSnapshotter.
+func (a *CoreAgent) SnapState(s *noc.Snap) {
+	c := s.Codec
+	a.tracker.SnapState(s)
+	sim.Slice(c, &a.queue, 1<<20)
+	for i := range a.queue {
+		chi.SnapMessage(s, &a.queue[i], "queued request")
 	}
-	dir.lines = make(map[uint64]*line, n)
-	for i := 0; i < n; i++ {
-		a := d.U64()
-		state := State(d.I64())
-		owner := noc.NodeID(d.I64())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if state < Invalid || state > Modified {
-			d.Fail("directory line state %d out of range", state)
-			return d.Err()
-		}
-		dir.lines[a] = &line{state: state, owner: owner}
-	}
-	var err error
-	if dir.jobs, err = getJobs(sd, dir.jobs); err != nil {
-		return err
-	}
-	dir.outbx = sd.GetFlitSlice(dir.outbx, 1<<20)
-	dir.Hits = d.U64()
-	dir.Misses = d.U64()
-	dir.Snoops = d.U64()
-	return d.Err()
-}
-
-// SnapshotState implements noc.StateSnapshotter.
-func (s *DataSlice) SnapshotState(se *noc.SnapEncoder) error {
-	if err := putJobs(se, s.jobs); err != nil {
-		return err
-	}
-	if err := se.PutFlitSlice(s.outbx); err != nil {
-		return err
-	}
-	se.E.PutU64(s.Reads)
-	se.E.PutU64(s.Fills)
-	return nil
-}
-
-// RestoreState implements noc.StateSnapshotter.
-func (s *DataSlice) RestoreState(sd *noc.SnapDecoder) error {
-	var err error
-	if s.jobs, err = getJobs(sd, s.jobs); err != nil {
-		return err
-	}
-	s.outbx = sd.GetFlitSlice(s.outbx, 1<<20)
-	s.Reads = sd.D.U64()
-	s.Fills = sd.D.U64()
-	return sd.D.Err()
-}
-
-// SnapshotState implements noc.StateSnapshotter.
-func (c *CoreAgent) SnapshotState(se *noc.SnapEncoder) error {
-	e := se.E
-	if err := c.tracker.Snapshot(se); err != nil {
-		return err
-	}
-	e.PutU32(uint32(len(c.queue)))
-	for _, m := range c.queue {
-		if err := se.PutMsg(m); err != nil {
-			return err
-		}
-	}
-	ids := make([]uint32, 0, len(c.issued))
-	for id := range c.issued {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.PutU32(uint32(len(ids)))
-	for _, id := range ids {
-		e.PutU32(id)
-		e.PutU64(uint64(c.issued[id]))
-	}
-	if err := putJobs(se, c.jobs); err != nil {
-		return err
-	}
-	if err := se.PutFlitSlice(c.outbx); err != nil {
-		return err
-	}
-	e.PutU64(c.Completed)
-	e.PutU64(c.SnoopsServed)
-	return nil
-}
-
-// RestoreState implements noc.StateSnapshotter.
-func (c *CoreAgent) RestoreState(sd *noc.SnapDecoder) error {
-	d := sd.D
-	if err := c.tracker.Restore(sd); err != nil {
-		return err
-	}
-	nQ := d.Count(1 << 20)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.queue = c.queue[:0]
-	for i := 0; i < nQ; i++ {
-		m, ok := sd.GetMsg().(*chi.Message)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if !ok || m == nil {
-			d.Fail("queued request %d is not a CHI message", i)
-			return d.Err()
-		}
-		c.queue = append(c.queue, m)
-	}
-	nIss := d.Count(1 << 20)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.issued = make(map[uint32]sim.Cycle, nIss)
-	for i := 0; i < nIss; i++ {
-		id := d.U32()
-		c.issued[id] = sim.Cycle(d.U64())
-	}
-	var err error
-	if c.jobs, err = getJobs(sd, c.jobs); err != nil {
-		return err
-	}
-	c.outbx = sd.GetFlitSlice(c.outbx, 1<<20)
-	c.Completed = d.U64()
-	c.SnoopsServed = d.U64()
-	return d.Err()
+	sim.Map(c, &a.issued, 1<<20, cmp.Less[uint32], func(id *uint32, at *sim.Cycle) {
+		c.U32(id)
+		sim.Uint(c, at)
+	})
+	snapJobs(s, &a.jobs)
+	s.Flits(&a.outbx, 1<<20)
+	c.U64(&a.Completed)
+	c.U64(&a.SnoopsServed)
 }

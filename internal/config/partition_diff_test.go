@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"chipletnoc/internal/noc"
+	"chipletnoc/internal/sim"
 )
 
 // The config-level partition differential suite extends the soc suite to
@@ -153,5 +154,61 @@ func TestPartitionSpecKnobRejectsNegative(t *testing.T) {
 	spec.Lookahead = -1
 	if _, err := spec.Build(); err == nil {
 		t.Fatal("negative lookahead must not build")
+	}
+}
+
+// TestCheckpointBytesGolden pins the checkpoint wire format of the
+// declarative fabrics across commits (the suites above compare two runs
+// of one build). multiring covers RBRG-L2 halves with credits in flight;
+// mesh-failed is the fault fabric with its schedule applied by hand —
+// injectors do not checkpoint — so the bytes carry a failed-bridge set,
+// an armed watchdog and live retry timers. Values captured before the
+// snapshot code became one walk per struct; they move only with
+// sim.SnapshotVersion.
+func TestCheckpointBytesGolden(t *testing.T) {
+	cases := []struct {
+		name, spec string
+		failBridge string
+		length     int
+		fnv        uint64
+	}{
+		{"multiring", multiringSpec, "", 12853, 0xca0396c5846a3f14},
+		{"mesh", meshSpec, "", 12850, 0x185e2333d75e233f},
+		{"hub", hubSpec, "", 7566, 0xc858e7912c5cc3cf},
+		{"mesh-failed", meshFaultSpec, "x00", 12770, 0x140fb61ae6bd0116},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := Parse([]byte(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Faults = nil
+			sys, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Run(400)
+			if tc.failBridge != "" {
+				id, ok := sys.Net.NodeByName(tc.failBridge)
+				if !ok {
+					t.Fatalf("no bridge %q", tc.failBridge)
+				}
+				sys.Net.SetWatchdog(600, 0)
+				if err := sys.Net.FailBridge(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Run(1100)
+			var buf bytes.Buffer
+			if err := sys.WriteCheckpoint(&buf, []byte("extra")); err != nil {
+				t.Fatalf("WriteCheckpoint: %v", err)
+			}
+			if got := sim.FNV1a(buf.Bytes()); buf.Len() != tc.length || got != tc.fnv {
+				t.Fatalf("checkpoint bytes moved: %d bytes, FNV %#x; want %d bytes, FNV %#x\n"+
+					"If intentional, bump sim.SnapshotVersion and update the constants.",
+					buf.Len(), got, tc.length, tc.fnv)
+			}
+		})
 	}
 }

@@ -343,6 +343,16 @@ type simProgress struct {
 	carried  *metrics.Snapshot
 }
 
+// snapExtra walks a checkpoint's extra blob — the spec and the carried
+// metrics as JSON documents around the latency digest — in its one field
+// order, either direction.
+func snapExtra(c *sim.Codec, specJSON *[]byte, p *simProgress, metJSON *[]byte) {
+	c.Bytes(specJSON, maxExtraField)
+	c.U64(&p.latCount)
+	c.U64(&p.latHash)
+	c.Bytes(metJSON, maxExtraField)
+}
+
 // encodeExtra packs the spec and progress into a checkpoint's extra
 // blob.
 func encodeExtra(spec SimSpec, p *simProgress) ([]byte, error) {
@@ -357,22 +367,18 @@ func encodeExtra(spec SimSpec, p *simProgress) ([]byte, error) {
 		}
 	}
 	e := sim.NewEncoder()
-	e.PutBytes(specJSON)
-	e.PutU64(p.latCount)
-	e.PutU64(p.latHash)
-	e.PutBytes(metJSON)
-	return append([]byte(nil), e.Data()...), nil
+	snapExtra(sim.Saving(e), &specJSON, p, &metJSON)
+	return e.Data(), nil
 }
 
 // decodeExtra unpacks a checkpoint's extra blob and verifies it belongs
 // to spec.
 func decodeExtra(extra []byte, spec SimSpec) (*simProgress, error) {
-	d := sim.NewDecoder(extra)
-	specJSON := d.Bytes(maxExtraField)
-	latCount := d.U64()
-	latHash := d.U64()
-	metJSON := d.Bytes(maxExtraField)
-	if err := d.Err(); err != nil {
+	var specJSON, metJSON []byte
+	p := &simProgress{}
+	c := sim.Loading(sim.NewDecoder(extra))
+	snapExtra(c, &specJSON, p, &metJSON)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("checkpoint progress blob: %w", err)
 	}
 	var ckptSpec SimSpec
@@ -390,7 +396,6 @@ func decodeExtra(extra []byte, spec SimSpec) (*simProgress, error) {
 	if ckptSpec != spec {
 		return nil, fmt.Errorf("checkpoint was taken for spec %+v, not %+v", ckptSpec, spec)
 	}
-	p := &simProgress{latCount: latCount, latHash: latHash}
 	if len(metJSON) > 0 {
 		p.carried = &metrics.Snapshot{}
 		if err := json.Unmarshal(metJSON, p.carried); err != nil {

@@ -15,7 +15,9 @@ import (
 func controllerState(t *testing.T, c *Controller) string {
 	t.Helper()
 	e := sim.NewEncoder()
-	if err := c.SnapshotState(noc.NewSnapEncoder(e)); err != nil {
+	s := noc.NewSnap(sim.Saving(e))
+	c.SnapState(s)
+	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 	ni := c.iface

@@ -6,139 +6,51 @@
 package mem
 
 import (
-	"sort"
-
 	"chipletnoc/internal/chi"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 )
 
-// sortedWrKeys returns the map keys in deterministic order.
-func sortedWrKeys[V any](m map[wrKey]V) []wrKey {
-	keys := make([]wrKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// lessWrKey orders write-burst keys so the tables travel in
+// deterministic order.
+func lessWrKey(a, b wrKey) bool {
+	if a.requester != b.requester {
+		return a.requester < b.requester
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].requester != keys[j].requester {
-			return keys[i].requester < keys[j].requester
-		}
-		return keys[i].txn < keys[j].txn
+	return a.txn < b.txn
+}
+
+func (k *wrKey) snapState(c *sim.Codec) {
+	sim.Int(c, &k.requester)
+	c.U32(&k.txn)
+}
+
+// SnapState implements noc.StateSnapshotter.
+func (c *Controller) SnapState(s *noc.Snap) {
+	k := s.Codec
+	sim.Slice(k, &c.queue, c.cfg.QueueDepth)
+	for i := range c.queue {
+		chi.SnapMessage(s, &c.queue[i], "queued request")
+	}
+	sim.Slice(k, &c.inSvc, 1<<16)
+	for i := range c.inSvc {
+		p := &c.inSvc[i]
+		chi.SnapMessage(s, &p.m, "in-service request")
+		sim.Uint(k, &p.ready)
+	}
+	s.Flits(&c.replies, 1<<20)
+	k.F64(&c.tokens)
+	sim.Map(k, &c.wrOpen, 1<<16, lessWrKey, func(key *wrKey, m **chi.Message) {
+		key.snapState(k)
+		chi.SnapMessage(s, m, "open write")
 	})
-	return keys
-}
-
-// SnapshotState implements noc.StateSnapshotter.
-func (c *Controller) SnapshotState(se *noc.SnapEncoder) error {
-	e := se.E
-	e.PutU32(uint32(len(c.queue)))
-	for _, m := range c.queue {
-		if err := se.PutMsg(m); err != nil {
-			return err
-		}
-	}
-	e.PutU32(uint32(len(c.inSvc)))
-	for _, p := range c.inSvc {
-		if err := se.PutMsg(p.m); err != nil {
-			return err
-		}
-		e.PutU64(uint64(p.ready))
-	}
-	if err := se.PutFlitSlice(c.replies); err != nil {
-		return err
-	}
-	e.PutF64(c.tokens)
-	e.PutU32(uint32(len(c.wrOpen)))
-	for _, k := range sortedWrKeys(c.wrOpen) {
-		e.PutI64(int64(k.requester))
-		e.PutU32(k.txn)
-		if err := se.PutMsg(c.wrOpen[k]); err != nil {
-			return err
-		}
-	}
-	e.PutU32(uint32(len(c.wrBeats)))
-	for _, k := range sortedWrKeys(c.wrBeats) {
-		e.PutI64(int64(k.requester))
-		e.PutU32(k.txn)
-		e.PutI64(int64(c.wrBeats[k]))
-	}
-	e.PutU64(c.Reads)
-	e.PutU64(c.Writes)
-	e.PutU64(c.BytesServed)
-	e.PutU64(c.QueueFullDrops)
-	e.PutU64(c.StrayWrData)
-	return nil
-}
-
-// getMessage decodes a pooled reference that must be a live CHI message.
-func getMessage(sd *noc.SnapDecoder, what string) *chi.Message {
-	m, ok := sd.GetMsg().(*chi.Message)
-	if sd.D.Err() != nil {
-		return nil
-	}
-	if !ok || m == nil {
-		sd.D.Fail("%s is not a CHI message", what)
-		return nil
-	}
-	return m
-}
-
-// RestoreState implements noc.StateSnapshotter.
-func (c *Controller) RestoreState(sd *noc.SnapDecoder) error {
-	d := sd.D
-	nQueue := d.Count(c.cfg.QueueDepth)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.queue = c.queue[:0]
-	for i := 0; i < nQueue; i++ {
-		m := getMessage(sd, "queued request")
-		if err := d.Err(); err != nil {
-			return err
-		}
-		c.queue = append(c.queue, m)
-	}
-	nSvc := d.Count(1 << 16)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.inSvc = c.inSvc[:0]
-	for i := 0; i < nSvc; i++ {
-		m := getMessage(sd, "in-service request")
-		ready := sim.Cycle(d.U64())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		c.inSvc = append(c.inSvc, pendingReq{m: m, ready: ready})
-	}
-	c.replies = sd.GetFlitSlice(c.replies, 1<<20)
-	c.tokens = d.F64()
-	nOpen := d.Count(1 << 16)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.wrOpen = make(map[wrKey]*chi.Message, nOpen)
-	for i := 0; i < nOpen; i++ {
-		k := wrKey{requester: noc.NodeID(d.I64()), txn: d.U32()}
-		m := getMessage(sd, "open write")
-		if err := d.Err(); err != nil {
-			return err
-		}
-		c.wrOpen[k] = m
-	}
-	nBeats := d.Count(1 << 16)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.wrBeats = make(map[wrKey]int, nBeats)
-	for i := 0; i < nBeats; i++ {
-		k := wrKey{requester: noc.NodeID(d.I64()), txn: d.U32()}
-		c.wrBeats[k] = int(d.I64())
-	}
-	c.Reads = d.U64()
-	c.Writes = d.U64()
-	c.BytesServed = d.U64()
-	c.QueueFullDrops = d.U64()
-	c.StrayWrData = d.U64()
-	return d.Err()
+	sim.Map(k, &c.wrBeats, 1<<16, lessWrKey, func(key *wrKey, beats *int) {
+		key.snapState(k)
+		sim.Int(k, beats)
+	})
+	k.U64(&c.Reads)
+	k.U64(&c.Writes)
+	k.U64(&c.BytesServed)
+	k.U64(&c.QueueFullDrops)
+	k.U64(&c.StrayWrData)
 }

@@ -10,7 +10,7 @@ import (
 // accessor, a busy station tick, and flit pool recycling. They exist so
 // the virtual-rotation and pooling optimisations stay measurable in
 // isolation — `go test -bench . ./internal/noc` — instead of only
-// through the end-to-end BENCH_noc.json suite.
+// through the end-to-end benchmark (bench/).
 
 // benchRing builds a finalized bidirectional ring with a source/sink
 // pair on opposite sides and returns it mid-traffic, so the benchmarked

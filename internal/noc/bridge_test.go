@@ -73,7 +73,7 @@ func TestRBRGL1BulkBothDirections(t *testing.T) {
 
 // buildTwoDie builds two full rings (dies) joined by one RBRG-L2, with a
 // source+sink pair on each die.
-func buildTwoDie(t *testing.T, cfg RBRGL2Config) (*Network, [2]*source, [2]*sink, *RBRGL2) {
+func buildTwoDie(t testing.TB, cfg RBRGL2Config) (*Network, [2]*source, [2]*sink, *RBRGL2) {
 	t.Helper()
 	net := NewNetwork("t")
 	r0 := net.AddRing(10, true)

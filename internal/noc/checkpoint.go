@@ -10,7 +10,7 @@
 // The reader proves the file complete and untampered (trailer length +
 // whole-file CRC) before decoding a single field, so a truncated, torn
 // or bit-rotted checkpoint surfaces as sim.ErrCorruptSnapshot and never
-// reaches RestoreState. The per-section seals then localize which part
+// reaches the state walk. The per-section seals then localize which part
 // was damaged for diagnostics.
 package noc
 
@@ -44,7 +44,7 @@ func WriteCheckpoint(w io.Writer, net *Network, extra []byte) error {
 	e.PutBytes(extra)
 	e.SealSection(exStart)
 	stStart := e.Mark()
-	if err := net.SnapshotState(e); err != nil {
+	if err := net.SnapState(sim.Saving(e)); err != nil {
 		return err
 	}
 	e.SealSection(stStart)
@@ -91,7 +91,7 @@ func ReadCheckpoint(r io.Reader, net *Network) ([]byte, error) {
 		return nil, err
 	}
 	stStart := d.Mark()
-	if err := net.RestoreState(d); err != nil {
+	if err := net.SnapState(sim.Loading(d)); err != nil {
 		return nil, err
 	}
 	d.VerifySection(stStart, "state")

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -151,5 +152,140 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if !bytes.Equal(rt.Bytes(), data) {
 			t.Fatalf("accepted checkpoint does not round-trip: %d in, %d out", len(data), rt.Len())
 		}
+	})
+}
+
+// stateSection locates the network-state section of a sealed checkpoint
+// (after the 30-byte header and the length-prefixed, sealed extra blob,
+// before the state seal and the 20-byte trailer).
+func stateSection(tb testing.TB, ckpt []byte) (start, end int) {
+	tb.Helper()
+	const header, trailer = 30, 20
+	if len(ckpt) < header+8+4+trailer {
+		tb.Fatalf("checkpoint of %d bytes has no state section", len(ckpt))
+	}
+	extraLen := int(binary.LittleEndian.Uint32(ckpt[header:]))
+	return header + 4 + extraLen + 4, len(ckpt) - trailer - 4
+}
+
+// reseal makes a checkpoint whose state section was edited well-sealed
+// again — state-section CRC, then the length/CRC trailer — so the edit
+// reaches the field decoder instead of dying at the frame check. It is
+// what an attacker who can write a resume file does.
+func reseal(tb testing.TB, ckpt []byte) []byte {
+	tb.Helper()
+	start, end := stateSection(tb, ckpt)
+	out := append([]byte(nil), ckpt...)
+	binary.LittleEndian.PutUint32(out[end:], sim.CRC32C(out[start:end]))
+	payload := end + 4
+	binary.LittleEndian.PutUint64(out[payload:], uint64(payload))
+	binary.LittleEndian.PutUint32(out[payload+8:], sim.CRC32C(out[:payload]))
+	return out
+}
+
+// TestRestoreRejectsWatchdogWithoutPeriod: a well-sealed checkpoint that
+// arms the watchdog (budget > 0) with scan period 0 — a pair SetWatchdog
+// never produces — used to restore cleanly and then divide by zero in
+// the first cycleTail. It must be rejected as corrupt.
+func TestRestoreRejectsWatchdogWithoutPeriod(t *testing.T) {
+	const budget, period = 1000003, 777
+	net, _, _ := buildSnapNet(t, 20)
+	net.SetWatchdog(budget, period)
+	runCycles(net, 30)
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, net, nil); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := buf.Bytes()
+	var pair [16]byte
+	binary.LittleEndian.PutUint64(pair[:], budget)
+	binary.LittleEndian.PutUint64(pair[8:], period)
+	at := bytes.Index(ckpt, pair[:])
+	if start, end := stateSection(t, ckpt); at < start || at+16 > end {
+		t.Fatalf("watchdog fields not found in the state section (index %d)", at)
+	}
+	binary.LittleEndian.PutUint64(ckpt[at+8:], 0)
+
+	twin, _, _ := buildSnapNet(t, 0)
+	_, err := ReadCheckpoint(bytes.NewReader(reseal(t, ckpt)), twin)
+	if err == nil {
+		twin.Run(64) // integer divide by zero before the fix
+		t.Fatal("checkpoint with watchdog budget > 0 and period 0 was accepted")
+	}
+	if !errors.Is(err, sim.ErrCorruptSnapshot) {
+		t.Fatalf("err %v does not wrap ErrCorruptSnapshot", err)
+	}
+}
+
+// restoreSeeds are the networks FuzzRestoreState mutates checkpoints of:
+// the two-ring L1 crossing, and two dies over an RBRG-L2 with flits and
+// credits on the link and the watchdog armed.
+var restoreSeeds = []func(tb testing.TB, traffic int) *Network{
+	func(tb testing.TB, traffic int) *Network {
+		net, a, b := buildFuzzNet(tb)
+		for i := 0; i < traffic; i++ {
+			a.queue(net.NewFlit(a.Node(), b.Node(), KindData, LineBytes))
+			b.queue(net.NewFlit(b.Node(), a.Node(), KindData, LineBytes))
+		}
+		return net
+	},
+	func(tb testing.TB, traffic int) *Network {
+		net, srcs, dsts, _ := buildTwoDie(tb, DefaultRBRGL2Config())
+		net.SetWatchdog(400, 0)
+		for i := 0; i < traffic; i++ {
+			srcs[0].queue(net.NewFlit(srcs[0].Node(), dsts[1].Node(), KindData, LineBytes))
+			srcs[1].queue(net.NewFlit(srcs[1].Node(), dsts[0].Node(), KindData, LineBytes))
+		}
+		return net
+	},
+}
+
+// FuzzRestoreState fuzzes the field decoder rather than the seal:
+// FuzzReadCheckpoint's inputs die at the trailer CRC almost always, so
+// this one patches bytes inside the state section of a real checkpoint
+// and reseals it. Whatever ReadCheckpoint then accepts must re-encode to
+// exactly the bytes it was given — one walk makes that the natural
+// round-trip property — and must run: a restored network that panics
+// (or fails an index) 64 cycles later was not validated enough.
+func FuzzRestoreState(f *testing.F) {
+	var seeds [][]byte
+	for _, build := range restoreSeeds {
+		net := build(f, 20)
+		runCycles(net, 30)
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, net, []byte("seed extra")); err != nil {
+			f.Fatalf("seed checkpoint: %v", err)
+		}
+		seeds = append(seeds, buf.Bytes())
+	}
+	f.Add(uint8(0), uint32(0), []byte{})
+	f.Add(uint8(1), uint32(70), []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(0), uint32(200), []byte{2, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(uint8(1), uint32(900), []byte{1})
+
+	f.Fuzz(func(t *testing.T, which uint8, off uint32, patch []byte) {
+		k := int(which) % len(seeds)
+		data := append([]byte(nil), seeds[k]...)
+		start, end := stateSection(t, data)
+		copy(data[start+int(off)%(end-start):end], patch)
+		data = reseal(t, data)
+
+		net := restoreSeeds[k](t, 0)
+		extra, err := ReadCheckpoint(bytes.NewReader(data), net)
+		if err != nil {
+			if !errors.Is(err, sim.ErrCorruptSnapshot) {
+				t.Fatalf("rejection %v does not wrap ErrCorruptSnapshot", err)
+			}
+			return
+		}
+		var rt bytes.Buffer
+		if werr := WriteCheckpoint(&rt, net, extra); werr != nil {
+			t.Fatalf("re-encode of accepted checkpoint failed: %v", werr)
+		}
+		if !bytes.Equal(rt.Bytes(), data) {
+			t.Fatalf("accepted checkpoint does not round-trip: %d in, %d out", len(data), rt.Len())
+		}
+		net.Run(64)
+		_ = net.CheckConservation() // patched counters may not balance; it must not panic
 	})
 }

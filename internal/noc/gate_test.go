@@ -366,7 +366,7 @@ func TestIdleUntilHonest(t *testing.T) {
 	}
 	state := func(net *Network) netState {
 		e := sim.NewEncoder()
-		if err := net.SnapshotState(e); err != nil {
+		if err := net.SnapState(sim.Saving(e)); err != nil {
 			t.Fatal(err)
 		}
 		free := 0

@@ -9,34 +9,18 @@ import (
 // The test endpoints participate in checkpointing so whole-network
 // round-trips can be exercised inside this package.
 
-func (s *source) SnapshotState(se *SnapEncoder) error {
-	if err := se.PutFlitSlice(s.pending); err != nil {
-		return err
+func (s *source) SnapState(sn *Snap) {
+	sn.Flits(&s.pending, 1<<16)
+	if sn.Loading() {
+		s.release = make([]sim.Cycle, len(s.pending))
 	}
-	for _, at := range s.release {
-		se.E.PutU64(uint64(at))
+	for i := range s.release {
+		sim.Uint(sn.Codec, &s.release[i])
 	}
-	return se.PutFlitSlice(s.got)
+	sn.Flits(&s.got, 1<<16)
 }
 
-func (s *source) RestoreState(sd *SnapDecoder) error {
-	s.pending = sd.GetFlitSlice(s.pending, 1<<16)
-	s.release = s.release[:0]
-	for range s.pending {
-		s.release = append(s.release, sim.Cycle(sd.D.U64()))
-	}
-	s.got = sd.GetFlitSlice(s.got, 1<<16)
-	return sd.D.Err()
-}
-
-func (s *sink) SnapshotState(se *SnapEncoder) error {
-	return se.PutFlitSlice(s.got)
-}
-
-func (s *sink) RestoreState(sd *SnapDecoder) error {
-	s.got = sd.GetFlitSlice(s.got, 1<<16)
-	return sd.D.Err()
-}
+func (s *sink) SnapState(sn *Snap) { sn.Flits(&s.got, 1<<16) }
 
 // buildSnapNet builds the two-ring crossing with bulk bidirectional
 // traffic queued; identical calls build identical networks.
@@ -117,8 +101,8 @@ func TestNetworkSnapshotResume(t *testing.T) {
 		t.Fatal("test needs in-flight traffic at snapshot time")
 	}
 	e := sim.NewEncoder()
-	if err := netA.SnapshotState(e); err != nil {
-		t.Fatalf("SnapshotState: %v", err)
+	if err := netA.SnapState(sim.Saving(e)); err != nil {
+		t.Fatalf("SnapState (saving): %v", err)
 	}
 	snap := append([]byte(nil), e.Data()...)
 	runCycles(netA, 3000)
@@ -133,8 +117,8 @@ func TestNetworkSnapshotResume(t *testing.T) {
 	if netA.TopoHash() != netB.TopoHash() {
 		t.Fatal("identical builds disagree on TopoHash")
 	}
-	if err := netB.RestoreState(sim.NewDecoder(snap)); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	if err := netB.SnapState(sim.Loading(sim.NewDecoder(snap))); err != nil {
+		t.Fatalf("SnapState (loading): %v", err)
 	}
 	runCycles(netB, 3000)
 	got := digestOf(netB, aB, bB)
@@ -147,19 +131,19 @@ func TestNetworkSnapshotResume(t *testing.T) {
 }
 
 // TestNetworkSnapshotRobustness feeds truncated and corrupted snapshots
-// to RestoreState: every one must error, none may panic.
+// to the loading walk: every one must error, none may panic.
 func TestNetworkSnapshotRobustness(t *testing.T) {
 	netA, _, _ := buildSnapNet(t, 50)
 	runCycles(netA, 40)
 	e := sim.NewEncoder()
-	if err := netA.SnapshotState(e); err != nil {
-		t.Fatalf("SnapshotState: %v", err)
+	if err := netA.SnapState(sim.Saving(e)); err != nil {
+		t.Fatalf("SnapState (saving): %v", err)
 	}
 	snap := e.Data()
 
 	for n := 0; n < len(snap); n += 7 {
 		netB, _, _ := buildSnapNet(t, 0)
-		if err := netB.RestoreState(sim.NewDecoder(snap[:n])); err == nil {
+		if err := netB.SnapState(sim.Loading(sim.NewDecoder(snap[:n]))); err == nil {
 			t.Fatalf("truncation to %d bytes restored without error", n)
 		}
 	}
@@ -169,7 +153,7 @@ func TestNetworkSnapshotRobustness(t *testing.T) {
 		netB, _, _ := buildSnapNet(t, 0)
 		// A flipped byte may land in a counter and decode "successfully";
 		// the requirement is no panic and no index out of range.
-		_ = netB.RestoreState(sim.NewDecoder(mut))
+		_ = netB.SnapState(sim.Loading(sim.NewDecoder(mut)))
 	}
 }
 
@@ -202,8 +186,8 @@ func TestSnapshotPreservesMsgIdentity(t *testing.T) {
 	RegisterMsgCodec(MsgCodec{
 		ID:      200,
 		Matches: func(m interface{}) bool { _, ok := m.(*payload); return ok },
-		Encode:  func(se *SnapEncoder, m interface{}) { se.E.PutU64(m.(*payload).v) },
-		Decode:  func(sd *SnapDecoder) interface{} { return &payload{v: sd.D.U64()} },
+		New:     func() interface{} { return &payload{} },
+		Walk:    func(s *Snap, m interface{}) { s.U64(&m.(*payload).v) },
 	})
 
 	shared := &payload{v: 42}
@@ -211,23 +195,23 @@ func TestSnapshotPreservesMsgIdentity(t *testing.T) {
 	f2 := &Flit{ID: 2, Msg: shared}
 
 	e := sim.NewEncoder()
-	se := NewSnapEncoder(e)
-	if err := se.PutFlit(f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := se.PutFlit(f2); err != nil {
-		t.Fatal(err)
-	}
-	// Encoding the message again directly must be a back-reference.
-	if err := se.PutMsg(shared); err != nil {
+	save := NewSnap(sim.Saving(e))
+	save.Flit(&f1)
+	save.Flit(&f2)
+	// Walking the message again directly must be a back-reference.
+	var m interface{} = shared
+	save.Msg(&m)
+	if err := save.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	sd := NewSnapDecoder(sim.NewDecoder(e.Data()))
-	g1 := sd.GetFlit()
-	g2 := sd.GetFlit()
-	g3 := sd.GetMsg()
-	if err := sd.D.Err(); err != nil {
+	load := NewSnap(sim.Loading(sim.NewDecoder(e.Data())))
+	var g1, g2 *Flit
+	var g3 interface{}
+	load.Flit(&g1)
+	load.Flit(&g2)
+	load.Msg(&g3)
+	if err := load.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if g1.Msg == nil || g1.Msg != g2.Msg || g1.Msg != g3 {

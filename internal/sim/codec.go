@@ -1,0 +1,232 @@
+package sim
+
+import (
+	"fmt"
+	"sort"
+)
+
+// Codec is one direction of a state walk: it either saves into an
+// Encoder or loads from a Decoder, and every field method takes a
+// pointer so the same line of a walk does both — the encode order cannot
+// drift from the restore order because there is only one order. Errors
+// are sticky in both directions: after the first failure loads yield
+// zero values, so a walk runs to its end and the caller checks Err once.
+// Loaded values are untrusted; a walk range-checks them (Fail) before it
+// indexes or allocates with them, exactly as it would after a Decoder
+// read. The methods are kept small enough to inline: no closures, no
+// interface dispatch per field.
+type Codec struct {
+	e   *Encoder
+	d   *Decoder
+	err error // first save-side failure; load-side failures live in d
+}
+
+// Saving returns a codec that writes the walked state into e.
+func Saving(e *Encoder) *Codec { return &Codec{e: e} }
+
+// Loading returns a codec that overwrites the walked state from d.
+func Loading(d *Decoder) *Codec { return &Codec{d: d} }
+
+// Loading reports the direction. A walk branches on it only where the
+// two directions genuinely differ (pointer ↔ position, sorted keys ↔ map
+// construction, rebuilding derived state after a load).
+func (c *Codec) Loading() bool { return c.d != nil }
+
+// Err returns the first failure of the walk, or nil.
+func (c *Codec) Err() error {
+	if c.d != nil {
+		return c.d.Err()
+	}
+	return c.err
+}
+
+// Fail records a failure (the first one wins). While loading it is a
+// decode failure and wraps ErrCorruptSnapshot; while saving it means the
+// live state cannot be checkpointed.
+func (c *Codec) Fail(format string, args ...interface{}) {
+	if c.d != nil {
+		c.d.Fail(format, args...)
+	} else if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+// U8 walks one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.d != nil {
+		*v = c.d.U8()
+	} else {
+		c.e.PutU8(*v)
+	}
+}
+
+// U32 walks a little-endian uint32.
+func (c *Codec) U32(v *uint32) {
+	if c.d != nil {
+		*v = c.d.U32()
+	} else {
+		c.e.PutU32(*v)
+	}
+}
+
+// U64 walks a little-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	if c.d != nil {
+		*v = c.d.U64()
+	} else {
+		c.e.PutU64(*v)
+	}
+}
+
+// Bool walks a bool as one strict 0/1 byte.
+func (c *Codec) Bool(v *bool) {
+	if c.d != nil {
+		*v = c.d.Bool()
+	} else {
+		c.e.PutBool(*v)
+	}
+}
+
+// F64 walks a float64 as its IEEE-754 bit pattern.
+func (c *Codec) F64(v *float64) {
+	if c.d != nil {
+		*v = c.d.F64()
+	} else {
+		c.e.PutF64(*v)
+	}
+}
+
+// Bytes walks a length-prefixed byte string of at most max bytes; a
+// loaded slice is a copy, not an alias of the decoder's buffer.
+func (c *Codec) Bytes(v *[]byte, max int) {
+	if c.d != nil {
+		*v = append([]byte(nil), c.d.Bytes(max)...)
+	} else {
+		c.e.PutBytes(*v)
+	}
+}
+
+// Int walks any signed integer type as a two's-complement int64 — node
+// IDs, opcodes, counters declared as int.
+func Int[T ~int | ~int32 | ~int64](c *Codec, v *T) {
+	if c.d != nil {
+		*v = T(c.d.I64())
+	} else {
+		c.e.PutI64(int64(*v))
+	}
+}
+
+// Uint walks any uint64-based type (Cycle) as a uint64.
+func Uint[T ~uint64](c *Codec, v *T) {
+	if c.d != nil {
+		*v = T(c.d.U64())
+	} else {
+		c.e.PutU64(uint64(*v))
+	}
+}
+
+// Len walks a u32 element count: saving writes n; loading reads a count
+// bounded by max and by the bytes left (Decoder.Count), so loops over
+// the result are O(input), never O(claimed).
+func (c *Codec) Len(n, max int) int {
+	if c.d != nil {
+		return c.d.Count(max)
+	}
+	c.e.PutU32(uint32(n))
+	return n
+}
+
+// Slice walks a slice's length: loading resizes *s to the bounded count
+// with zeroed elements, keeping its backing array when it is large
+// enough. The caller then walks the elements in place.
+func Slice[T any](c *Codec, s *[]T, max int) {
+	n := c.Len(len(*s), max)
+	if c.d != nil {
+		*s = append((*s)[:0], make([]T, n)...)
+	}
+}
+
+// F64s walks a length-prefixed []float64 in one call — sample arrays are
+// most of a checkpoint's bytes, so they skip the per-field dispatch. A
+// loaded count is bounded by the bytes left at eight per element.
+func (c *Codec) F64s(s *[]float64) {
+	if c.d == nil {
+		c.e.PutU32(uint32(len(*s)))
+		for _, v := range *s {
+			c.e.PutF64(v)
+		}
+		return
+	}
+	*s = append((*s)[:0], make([]float64, c.d.Count(c.d.Remaining()/8))...)
+	for i := range *s {
+		(*s)[i] = c.d.F64()
+	}
+}
+
+// Map walks a map as its size and then one walk(&key, &value) per entry.
+// Saving visits the entries in less order, which makes the bytes
+// independent of map iteration order, and hands walk copies of the stored
+// key and value. Loading replaces *m with a new map, hands walk a zero
+// key and a zero value to fill (a pointer value arrives nil: walk
+// allocates it) and inserts the pair afterwards, so no entry can alias
+// another; keys must arrive strictly ascending, as saving writes them.
+// Map walks are off the per-flit path, so the closure costs nothing that
+// matters.
+func Map[K comparable, V any](c *Codec, m *map[K]V, max int, less func(a, b K) bool, walk func(k *K, v *V)) {
+	n := c.Len(len(*m), max)
+	if c.d == nil {
+		keys := make([]K, 0, n)
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+		for _, k := range keys {
+			v := (*m)[k]
+			walk(&k, &v)
+		}
+		return
+	}
+	*m = make(map[K]V, n)
+	var prev K
+	for i := 0; i < n; i++ {
+		var k K
+		var v V
+		walk(&k, &v)
+		if i > 0 && !less(prev, k) {
+			c.Fail("map key %v out of order (after %v)", k, prev)
+		}
+		if c.Err() != nil {
+			return
+		}
+		(*m)[k], prev = v, k
+	}
+}
+
+// Match walks a u32 build-shape value — a count, position or capacity
+// the snapshot records so it can only restore into an identically built
+// system — and fails the load when the recorded value differs from v.
+func (c *Codec) Match(v int, what string) {
+	got := uint32(v)
+	c.U32(&got)
+	if int(got) != v {
+		c.Fail("%s %d does not match %d", what, got, v)
+	}
+}
+
+// MatchBool is Match for a presence or mode flag.
+func (c *Codec) MatchBool(v bool, what string) {
+	got := v
+	c.Bool(&got)
+	if got != v {
+		c.Fail("%s %v does not match build (%v)", what, got, v)
+	}
+}
+
+// MatchString is Match for a name of at most max bytes.
+func (c *Codec) MatchString(v string, max int, what string) {
+	if c.d == nil {
+		c.e.PutString(v)
+	} else if got := c.d.String(max); got != v {
+		c.Fail("%s %q does not match %q", what, got, v)
+	}
+}

@@ -146,15 +146,17 @@ func (d *Decoder) Fail(format string, args ...interface{}) {
 }
 
 // need reserves n bytes, failing the decoder when they are not there.
+// The success path is small enough to inline into every read.
 func (d *Decoder) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.Remaining() < n {
-		d.Fail("truncated: need %d bytes, have %d", n, d.Remaining())
-		return false
-	}
-	return true
+	return d.err == nil && (len(d.buf)-d.off >= n || d.short(n))
+}
+
+// short records a truncation, out of line so need stays inlinable.
+//
+//go:noinline
+func (d *Decoder) short(n int) bool {
+	d.Fail("truncated: need %d bytes, have %d", n, d.Remaining())
+	return false
 }
 
 // U8 reads one byte.
@@ -382,12 +384,9 @@ func ReadSnapshotHeader(d *Decoder) (SnapshotHeader, error) {
 	return h, d.Err()
 }
 
-// State exposes the RNG's internal state for checkpointing.
-func (r *RNG) State() uint64 { return r.state }
+// SnapState walks the RNG's internal state for checkpointing.
+func (r *RNG) SnapState(c *Codec) { c.U64(&r.state) }
 
-// SetState restores a checkpointed RNG state.
-func (r *RNG) SetState(s uint64) { r.state = s }
-
-// RNG exposes the sampler's generator for checkpointing (the zeta tables
-// are pure functions of n and theta, rebuilt at construction).
-func (z *Zipf) RNG() *RNG { return z.rng }
+// SnapState walks the sampler's generator for checkpointing (the zeta
+// tables are pure functions of n and theta, rebuilt at construction).
+func (z *Zipf) SnapState(c *Codec) { z.rng.SnapState(c) }

@@ -348,14 +348,55 @@ func TestRNGStateRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Uint64()
 	}
-	saved := r.State()
+	e := NewEncoder()
+	r.SnapState(Saving(e))
 	want := []uint64{r.Uint64(), r.Uint64(), r.Uint64()}
 
 	var r2 RNG
-	r2.SetState(saved)
+	r2.SnapState(Loading(NewDecoder(e.Data())))
 	for i, w := range want {
 		if got := r2.Uint64(); got != w {
-			t.Fatalf("draw %d after SetState: %#x want %#x", i, got, w)
+			t.Fatalf("draw %d after loading: %#x want %#x", i, got, w)
 		}
+	}
+}
+
+// TestCodecMapRoundTrip walks a map of pointers, the zero key included:
+// the bytes do not depend on insertion order, every loaded entry is its
+// own object, and keys that arrive out of order are refused.
+func TestCodecMapRoundTrip(t *testing.T) {
+	type cell struct{ v uint64 }
+	walk := func(c *Codec, m *map[uint64]*cell) {
+		Map(c, m, 16, func(a, b uint64) bool { return a < b }, func(k *uint64, p **cell) {
+			if *p == nil {
+				*p = &cell{}
+			}
+			c.U64(k)
+			c.U64(&(*p).v)
+		})
+	}
+	m := map[uint64]*cell{64: {2}, 0: {1}, 128: {3}}
+	e := NewEncoder()
+	walk(Saving(e), &m)
+
+	var got map[uint64]*cell
+	c := Loading(NewDecoder(e.Data()))
+	if walk(c, &got); c.Err() != nil {
+		t.Fatalf("load: %v", c.Err())
+	}
+	if len(got) != 3 || got[0].v != 1 || got[64].v != 2 || got[128].v != 3 || got[0] == got[64] {
+		t.Fatalf("loaded %v", got)
+	}
+	e2 := NewEncoder()
+	if walk(Saving(e2), &got); string(e2.Data()) != string(e.Data()) {
+		t.Fatal("loaded map re-encodes differently")
+	}
+
+	swapped := append([]byte(nil), e.Data()...)
+	copy(swapped[4:20], e.Data()[20:36]) // entries 0 and 1 trade places
+	copy(swapped[20:36], e.Data()[4:20])
+	c = Loading(NewDecoder(swapped))
+	if walk(c, &got); !errors.Is(c.Err(), ErrCorruptSnapshot) {
+		t.Fatalf("out-of-order keys: err = %v", c.Err())
 	}
 }

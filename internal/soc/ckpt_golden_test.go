@@ -1,0 +1,58 @@
+package soc
+
+import (
+	"bytes"
+	"testing"
+
+	"chipletnoc/internal/noc"
+	"chipletnoc/internal/sim"
+)
+
+// TestCheckpointBytesGolden pins the checkpoint wire format across
+// commits: the differential suites compare two runs of one build, so
+// they cannot see a layout change that both runs share. Each system is
+// checkpointed mid-run with traffic in every queue; the length and
+// FNV-1a of the bytes were captured before the snapshot code became one
+// walk per struct and must not move unless sim.SnapshotVersion does.
+// The same bytes are then restored into a second build and written out
+// again: a walk that loads what it saved gives the identical file.
+func TestCheckpointBytesGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		build  func() (*noc.Network, func(int))
+		cycles int
+		length int
+		fnv    uint64
+	}{
+		{"server-cpu", func() (*noc.Network, func(int)) { s := goldenServerBuild(); return s.Net, s.Run }, 1500, 11144, 0x63320924d6e2f5db},
+		{"ai-processor", func() (*noc.Network, func(int)) { a := goldenAIBuild(); return a.Net, a.Run }, 1100, 301970, 0x6ed023a5c98ac109},
+		{"quad-die", quadDieBuild, 1500, 84035, 0x468d2dfbe2037e31},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net, run := tc.build()
+			run(tc.cycles)
+			var buf bytes.Buffer
+			if err := noc.WriteCheckpoint(&buf, net, []byte("extra")); err != nil {
+				t.Fatalf("WriteCheckpoint: %v", err)
+			}
+			if got := sim.FNV1a(buf.Bytes()); buf.Len() != tc.length || got != tc.fnv {
+				t.Fatalf("checkpoint bytes moved: %d bytes, FNV %#x; want %d bytes, FNV %#x\n"+
+					"If intentional, bump sim.SnapshotVersion and update the constants.",
+					buf.Len(), got, tc.length, tc.fnv)
+			}
+			fresh, _ := tc.build()
+			if _, err := noc.ReadCheckpoint(bytes.NewReader(buf.Bytes()), fresh); err != nil {
+				t.Fatalf("ReadCheckpoint: %v", err)
+			}
+			var again bytes.Buffer
+			if err := noc.WriteCheckpoint(&again, fresh, []byte("extra")); err != nil {
+				t.Fatalf("WriteCheckpoint after restore: %v", err)
+			}
+			if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+				t.Fatalf("restored state re-encodes differently: %d bytes, FNV %#x; wrote %d bytes, FNV %#x",
+					again.Len(), sim.FNV1a(again.Bytes()), buf.Len(), tc.fnv)
+			}
+		})
+	}
+}

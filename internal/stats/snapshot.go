@@ -2,31 +2,13 @@ package stats
 
 import "chipletnoc/internal/sim"
 
-// Snapshot serializes the histogram's exact state — sample order, the
+// SnapState walks the histogram's exact state — sample order, the
 // running sum and the sorted flag — so a resumed run reports statistics
 // bit-identical to an uninterrupted one (the sum is order-sensitive in
-// floating point, so it is carried rather than recomputed).
-func (h *Histogram) Snapshot(e *sim.Encoder) {
-	e.PutU32(uint32(len(h.samples)))
-	for _, v := range h.samples {
-		e.PutF64(v)
-	}
-	e.PutF64(h.sum)
-	e.PutBool(h.sorted)
-}
-
-// Restore loads a snapshot written by Snapshot, replacing the
-// histogram's contents.
-func (h *Histogram) Restore(d *sim.Decoder) error {
-	n := d.Count(d.Remaining() / 8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	h.samples = h.samples[:0]
-	for i := 0; i < n; i++ {
-		h.samples = append(h.samples, d.F64())
-	}
-	h.sum = d.F64()
-	h.sorted = d.Bool()
-	return d.Err()
+// floating point, so it is carried rather than recomputed). Loading
+// replaces the histogram's contents.
+func (h *Histogram) SnapState(c *sim.Codec) {
+	c.F64s(&h.samples)
+	c.F64(&h.sum)
+	c.Bool(&h.sorted)
 }

@@ -1,14 +1,13 @@
-// Checkpoint support for traffic generators: the requester serializes
-// its CHI tracker, in-flight accounting, pending beat flits, retry
-// state, latency histograms and — critically for determinism — its RNG
-// and address-stream positions, so a resumed generator issues the exact
+// Checkpoint support for traffic generators: the requester walks its CHI
+// tracker, in-flight accounting, pending beat flits, retry state,
+// latency histograms and — critically for determinism — its RNG and
+// address-stream positions, so a resumed generator issues the exact
 // request sequence the uninterrupted run would have.
 package traffic
 
 import (
-	"fmt"
-
 	"chipletnoc/internal/noc"
+	"chipletnoc/internal/sim"
 )
 
 // Address-stream wire tags. Stream parameters (base, stride, footprint,
@@ -20,109 +19,47 @@ const (
 	streamZipf = 3
 )
 
-// SnapshotState implements noc.StateSnapshotter.
-func (r *Requester) SnapshotState(se *noc.SnapEncoder) error {
-	e := se.E
-	if err := r.tracker.Snapshot(se); err != nil {
-		return err
+// matchStream walks the wire tag of the built stream's kind.
+func matchStream(c *sim.Codec, want uint8, kind string) {
+	tag := want
+	c.U8(&tag)
+	if tag != want {
+		c.Fail("stream tag %d does not match %s stream", tag, kind)
 	}
-	e.PutI64(int64(r.readsInFlight))
-	e.PutI64(int64(r.writesInFlight))
-	if err := se.PutFlitSlice(r.sendq); err != nil {
-		return err
-	}
-	e.PutBool(r.retrier != nil)
-	if r.retrier != nil {
-		r.retrier.Snapshot(e)
-	}
-	r.Latency.Snapshot(e)
-	r.ReadLatency.Snapshot(e)
-	r.WriteLatency.Snapshot(e)
-	e.PutU64(r.Issued)
-	e.PutU64(r.Completed)
-	e.PutU64(r.ReadsDone)
-	e.PutU64(r.WritesDone)
-	e.PutU64(r.BytesMoved)
-	e.PutU64(r.Aborted)
-	e.PutU64(r.rng.State())
-	switch s := r.cfg.Stream.(type) {
-	case *SeqStream:
-		e.PutU8(streamSeq)
-		e.PutU64(s.next)
-	case *RandStream:
-		e.PutU8(streamRand)
-		e.PutU64(s.rng.State())
-	case *ZipfStream:
-		e.PutU8(streamZipf)
-		e.PutU64(s.z.RNG().State())
-	default:
-		return fmt.Errorf("traffic: address stream %T is not checkpointable", r.cfg.Stream)
-	}
-	return nil
 }
 
-// RestoreState implements noc.StateSnapshotter.
-func (r *Requester) RestoreState(sd *noc.SnapDecoder) error {
-	d := sd.D
-	if err := r.tracker.Restore(sd); err != nil {
-		return err
+// SnapState implements noc.StateSnapshotter.
+func (r *Requester) SnapState(s *noc.Snap) {
+	c := s.Codec
+	r.tracker.SnapState(s)
+	sim.Int(c, &r.readsInFlight)
+	sim.Int(c, &r.writesInFlight)
+	s.Flits(&r.sendq, 1<<20)
+	c.MatchBool(r.retrier != nil, "retrier presence")
+	if r.retrier != nil && c.Err() == nil {
+		r.retrier.SnapState(c)
 	}
-	r.readsInFlight = int(d.I64())
-	r.writesInFlight = int(d.I64())
-	r.sendq = sd.GetFlitSlice(r.sendq, 1<<20)
-	hasRetrier := d.Bool()
-	if d.Err() == nil && hasRetrier != (r.retrier != nil) {
-		d.Fail("retrier presence %v does not match build (%v)", hasRetrier, r.retrier != nil)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if hasRetrier {
-		if err := r.retrier.Restore(d); err != nil {
-			return err
-		}
-	}
-	if err := r.Latency.Restore(d); err != nil {
-		return err
-	}
-	if err := r.ReadLatency.Restore(d); err != nil {
-		return err
-	}
-	if err := r.WriteLatency.Restore(d); err != nil {
-		return err
-	}
-	r.Issued = d.U64()
-	r.Completed = d.U64()
-	r.ReadsDone = d.U64()
-	r.WritesDone = d.U64()
-	r.BytesMoved = d.U64()
-	r.Aborted = d.U64()
-	r.rng.SetState(d.U64())
-	tag := d.U8()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	switch s := r.cfg.Stream.(type) {
+	r.Latency.SnapState(c)
+	r.ReadLatency.SnapState(c)
+	r.WriteLatency.SnapState(c)
+	c.U64(&r.Issued)
+	c.U64(&r.Completed)
+	c.U64(&r.ReadsDone)
+	c.U64(&r.WritesDone)
+	c.U64(&r.BytesMoved)
+	c.U64(&r.Aborted)
+	r.rng.SnapState(c)
+	switch st := r.cfg.Stream.(type) {
 	case *SeqStream:
-		if tag != streamSeq {
-			d.Fail("stream tag %d does not match sequential stream", tag)
-			return d.Err()
-		}
-		s.next = d.U64()
+		matchStream(c, streamSeq, "sequential")
+		c.U64(&st.next)
 	case *RandStream:
-		if tag != streamRand {
-			d.Fail("stream tag %d does not match random stream", tag)
-			return d.Err()
-		}
-		s.rng.SetState(d.U64())
+		matchStream(c, streamRand, "random")
+		st.rng.SnapState(c)
 	case *ZipfStream:
-		if tag != streamZipf {
-			d.Fail("stream tag %d does not match Zipf stream", tag)
-			return d.Err()
-		}
-		s.z.RNG().SetState(d.U64())
+		matchStream(c, streamZipf, "Zipf")
+		st.z.SnapState(c)
 	default:
-		return fmt.Errorf("traffic: address stream %T is not checkpointable", r.cfg.Stream)
+		c.Fail("traffic: address stream %T is not checkpointable", r.cfg.Stream)
 	}
-	return d.Err()
 }
