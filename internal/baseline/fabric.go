@@ -3,7 +3,7 @@
 // identical traffic through every organisation:
 //
 //   - BufferedMesh — an Intel-style monolithic mesh with input-buffered
-//     wormhole routers and credit flow control (Ice Lake-SP class);
+//     X-Y routers and credit flow control (Ice Lake-SP class);
 //   - BufferedRing — a bidirectional buffered ring bus (AMD CCX class);
 //   - SwitchedHub — chiplets whose inter-die traffic funnels through a
 //     central IO-die switch (AMD Rome/Milan class);

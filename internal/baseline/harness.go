@@ -30,35 +30,27 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 	var lat stats.Histogram
 	type queued struct{ dst int }
 	backlog := make([][]queued, n)
-	var offered, deliveredInWindow uint64
-	measuring := false
+	var deliveredInWindow uint64
+	// One closure for the whole run, passed only with packets injected
+	// inside the window: those are the ones the latency figures cover.
+	record := func(l uint64) {
+		lat.Add(float64(l))
+		deliveredInWindow++
+	}
+	var done DeliverFunc // nil during warm-up
 
 	for cyc := uint64(0); cyc < warmup+window; cyc++ {
 		if cyc == warmup {
-			measuring = true
+			done = record
 		}
 		for src := 0; src < n; src++ {
 			if rng.Bernoulli(rate) {
-				dst := rng.Intn(n - 1)
-				if dst >= src {
-					dst++
-				}
-				backlog[src] = append(backlog[src], queued{dst: dst})
-				if measuring {
-					offered++
-				}
+				backlog[src] = append(backlog[src], queued{dst: uniformDst(rng, n, src)})
 			}
 			// Drain backlog head if the fabric accepts it.
 			if len(backlog[src]) > 0 {
 				head := backlog[src][0]
-				count := measuring
-				ok := f.TrySend(src, head.dst, payload, func(l uint64) {
-					if count {
-						lat.Add(float64(l))
-						deliveredInWindow++
-					}
-				})
-				if ok {
+				if f.TrySend(src, head.dst, payload, done) {
 					backlog[src] = backlog[src][1:]
 				}
 			}
@@ -68,7 +60,6 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 	// Drain phase: let packets injected during the window finish (no new
 	// sends are counted), so saturated fabrics report their sustainable
 	// rate rather than zero.
-	measuring = false
 	for cyc := uint64(0); cyc < window; cyc++ {
 		for src := 0; src < n; src++ {
 			if len(backlog[src]) > 0 {
@@ -92,6 +83,15 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 		P99:         lat.Percentile(99),
 		Saturated:   uint64(stuck) > uint64(n)*4,
 	}
+}
+
+// uniformDst draws a destination other than src, uniformly over n nodes.
+func uniformDst(rng *sim.RNG, n, src int) int {
+	dst := rng.Intn(n - 1)
+	if dst >= src {
+		dst++
+	}
+	return dst
 }
 
 // Sweep measures a fabric across rates, rebuilding it for each point via

@@ -23,7 +23,8 @@ type MeshConfig struct {
 	// QueueDepth is the per-input-port buffer (credit pool).
 	QueueDepth int
 	// RouterDelay is the pipeline latency of one router traversal
-	// (buffer write + route + VC/switch allocation + traversal).
+	// (buffer write + route + switch allocation + traversal), charged as
+	// one delay: the model has no virtual channels.
 	RouterDelay uint64
 }
 
@@ -33,9 +34,12 @@ func DefaultMeshConfig(w, h int) MeshConfig {
 	return MeshConfig{Width: w, Height: h, QueueDepth: 8, RouterDelay: 3}
 }
 
-// BufferedMesh is a dimension-order (X-Y) wormhole mesh with
-// input-buffered routers and credit flow control — the monolithic-die
-// organisation of the Intel baselines in Table 9.
+// BufferedMesh is a dimension-order (X-Y) mesh of input-buffered routers
+// with credit flow control — the monolithic-die organisation of the
+// Intel baselines in Table 9. Packets are single flits; each router has
+// five input FIFOs (N, S, E, W, local), arbitrates each output port
+// round-robin over the inputs whose head wants it, and forwards only
+// when the downstream input FIFO has space (the credit).
 type BufferedMesh struct {
 	cfg   MeshConfig
 	now   uint64
@@ -44,9 +48,21 @@ type BufferedMesh struct {
 	stats deliveryStats
 	pool  packetPool
 
+	// Derived tables, built once: route[r*n+dst] is the X-Y output port
+	// at router r towards dst, nbr[r*numPorts+out] the (router, input
+	// port) on the other side of that output (unset for portL and for
+	// outputs off the edge of the grid, which X-Y routing never picks).
+	route []uint8
+	nbr   []meshPort
+	// occ counts the packets queued at each router, over all five input
+	// ports, so Tick skips empty routers. TrySend and Tick's apply phase
+	// keep it exact.
+	occ []int
+
 	// Per-Tick scratch, reused across cycles to keep the hot loop
 	// allocation-free: claimed counts downstream (router,port) claims
-	// this cycle, moves records the decided transfers.
+	// this cycle (all zero between Ticks), moves records the decided
+	// transfers.
 	claimed []int
 	moves   []meshMove
 
@@ -54,6 +70,9 @@ type BufferedMesh struct {
 	// model.
 	RouterTraversals uint64
 }
+
+// meshPort names one input port of one router.
+type meshPort struct{ r, p int }
 
 // meshMove is one decided packet transfer within a Tick.
 type meshMove struct {
@@ -68,12 +87,26 @@ func NewBufferedMesh(cfg MeshConfig) *BufferedMesh {
 		panic("baseline: mesh needs positive dimensions")
 	}
 	n := cfg.Width * cfg.Height
-	return &BufferedMesh{
+	m := &BufferedMesh{
 		cfg:     cfg,
 		inq:     make([][numPorts][]*packet, n),
 		rr:      make([][numPorts]int, n),
+		route:   make([]uint8, n*n),
+		nbr:     make([]meshPort, n*numPorts),
+		occ:     make([]int, n),
 		claimed: make([]int, n*numPorts),
 	}
+	for r := 0; r < n; r++ {
+		for dst := 0; dst < n; dst++ {
+			out := m.outPort(r, dst)
+			m.route[r*n+dst] = uint8(out)
+			if out != portL {
+				nr, np := m.neighbor(r, out)
+				m.nbr[r*numPorts+out] = meshPort{nr, np}
+			}
+		}
+	}
+	return m
 }
 
 // Name implements Fabric.
@@ -149,48 +182,66 @@ func (m *BufferedMesh) TrySend(src, dst, payloadBytes int, done DeliverFunc) boo
 		injected: m.now, readyAt: m.now + m.cfg.RouterDelay,
 	}
 	m.inq[src][portL] = append(m.inq[src][portL], p)
+	m.occ[src]++
 	return true
 }
 
 // Tick implements Fabric: every router moves at most one packet per
 // output port per cycle, chosen round-robin across its input ports, with
-// credit (queue space) checks at the downstream router.
+// credit (queue space) checks at the downstream router. The work is
+// proportional to the occupied input ports: empty routers are skipped,
+// each occupied input's head is looked up once, and only the outputs
+// some head wants are arbitrated.
 func (m *BufferedMesh) Tick() {
 	n := m.Nodes()
 	moves := m.moves[:0]
 	// Phase 1: decide all moves against the pre-cycle state so routers
 	// evaluate simultaneously (downstream space is checked against the
 	// snapshot, which keeps credits conservative). claimed counts this
-	// cycle's downstream (router,port) claims, dense-indexed.
+	// cycle's downstream (router,port) claims, dense-indexed. Moves are
+	// emitted router-major, output-minor: delivery callbacks run in that
+	// order and feed float sums, so the order is observable.
 	claimed := m.claimed
-	for i := range claimed {
-		claimed[i] = 0
-	}
 	for r := 0; r < n; r++ {
-		for out := 0; out < numPorts; out++ {
+		if m.occ[r] == 0 {
+			continue
+		}
+		// want[in] is the output the head of input in is ready to take
+		// this cycle (numPorts: none); wanted is the set of such outputs.
+		want := [numPorts]uint8{numPorts, numPorts, numPorts, numPorts, numPorts}
+		wanted := uint(0)
+		for in, q := range &m.inq[r] {
+			if len(q) == 0 || q[0].readyAt > m.now {
+				continue
+			}
+			out := m.route[r*n+q[0].dst]
+			want[in] = out
+			wanted |= 1 << out
+		}
+		for out := 0; wanted>>out != 0; out++ {
+			if wanted>>out&1 == 0 {
+				continue
+			}
 			// Round-robin over input ports for this output.
-			for i := 0; i < numPorts; i++ {
-				in := (m.rr[r][out] + i) % numPorts
-				q := m.inq[r][in]
-				if len(q) == 0 {
-					continue
+			in := m.rr[r][out]
+			for i := 0; i < numPorts; i, in = i+1, in+1 {
+				if in == numPorts {
+					in = 0
 				}
-				p := q[0]
-				if p.readyAt > m.now || m.outPort(r, p.dst) != out {
+				if int(want[in]) != out {
 					continue
 				}
 				if out == portL {
 					moves = append(moves, meshMove{fromR: r, fromP: in, deliver: true})
-					m.rr[r][out] = (in + 1) % numPorts
-					break
+				} else {
+					to := m.nbr[r*numPorts+out]
+					key := to.r*numPorts + to.p
+					if len(m.inq[to.r][to.p])+claimed[key] >= m.cfg.QueueDepth {
+						continue // no credit downstream
+					}
+					claimed[key]++
+					moves = append(moves, meshMove{fromR: r, fromP: in, toR: to.r, toP: to.p})
 				}
-				nr, np := m.neighbor(r, out)
-				key := nr*numPorts + np
-				if len(m.inq[nr][np])+claimed[key] >= m.cfg.QueueDepth {
-					continue // no credit downstream
-				}
-				claimed[key]++
-				moves = append(moves, meshMove{fromR: r, fromP: in, toR: nr, toP: np})
 				m.rr[r][out] = (in + 1) % numPorts
 				break
 			}
@@ -199,6 +250,7 @@ func (m *BufferedMesh) Tick() {
 	// Phase 2: apply.
 	for _, mv := range moves {
 		p := sim.PopFront(&m.inq[mv.fromR][mv.fromP])
+		m.occ[mv.fromR]--
 		m.RouterTraversals++
 		if mv.deliver {
 			m.stats.deliver(p, m.now)
@@ -207,6 +259,8 @@ func (m *BufferedMesh) Tick() {
 		}
 		p.readyAt = m.now + 1 + m.cfg.RouterDelay // link + next router pipeline
 		m.inq[mv.toR][mv.toP] = append(m.inq[mv.toR][mv.toP], p)
+		m.occ[mv.toR]++
+		claimed[mv.toR*numPorts+mv.toP] = 0
 	}
 	m.moves = moves[:0]
 	m.now++

@@ -122,11 +122,9 @@ func (m *MultiRing) finish() {
 	m.net.OnDeliver = func(f *noc.Flit, now sim.Cycle) {
 		m.stats.packets++
 		m.stats.bytes += uint64(f.PayloadBytes)
-		if done, ok := m.pending[f.ID]; ok {
+		if done := m.pending[f.ID]; done != nil {
 			delete(m.pending, f.ID)
-			if done != nil {
-				done(uint64(now - f.Created))
-			}
+			done(uint64(now - f.Created))
 		}
 	}
 }
@@ -163,11 +161,21 @@ func (m *MultiRing) TrySend(src, dst, payloadBytes int, done DeliverFunc) bool {
 		panic("baseline: multiring send to self")
 	}
 	sp, dp := m.ports[src], m.ports[dst]
+	// The flit is minted before the capacity test, and a refused one is
+	// recycled rather than not minted: bridge load-balancing keys on the
+	// per-source sequence number in the flit ID, so every attempt must
+	// consume one.
 	f := m.net.NewFlit(sp.iface.Node(), dp.iface.Node(), noc.KindData, payloadBytes)
+	queued := sp.iface.InjectLen()
 	if !sp.iface.Send(f) {
+		m.net.RecycleRefused(f)
 		return false
 	}
-	m.pending[f.ID] = done
+	// Send also accepts a flit it cannot route, counts it dropped and
+	// queues nothing; that flit never arrives, so its callback is not kept.
+	if done != nil && sp.iface.InjectLen() > queued {
+		m.pending[f.ID] = done
+	}
 	return true
 }
 

@@ -352,7 +352,9 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 		if !a.tracker.Open(m) {
 			break
 		}
-		if !a.iface.Send(m.NewFlit(a.net, a.Node(), a.homeOf(m.Addr))) {
+		f := m.NewFlit(a.net, a.Node(), a.homeOf(m.Addr))
+		if !a.iface.Send(f) {
+			a.net.RecycleRefused(f)
 			a.tracker.Complete(m.TxnID)
 			break
 		}

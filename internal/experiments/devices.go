@@ -7,6 +7,20 @@ import (
 	"chipletnoc/internal/sim"
 )
 
+// flood fills iface's inject queue with cache-line flits towards dst. A
+// flit is minted for the attempt that finds the queue full as well —
+// bridge load-balancing keys on the per-source sequence number, so the
+// refused attempt must keep consuming one — and handed straight back.
+func flood(net *noc.Network, iface *noc.NodeInterface, dst noc.NodeID) {
+	for {
+		f := net.NewFlit(iface.Node(), dst, noc.KindData, 64)
+		if !iface.Send(f) {
+			net.RecycleRefused(f)
+			return
+		}
+	}
+}
+
 // floodNode saturates the network with raw data flits towards one
 // destination, draining anything it receives.
 type floodNode struct {
@@ -30,8 +44,7 @@ func newFloodNode(net *noc.Network, st *noc.CrossStation, dst noc.NodeID) *flood
 
 func (f *floodNode) Name() string { return f.name }
 func (f *floodNode) Tick(now sim.Cycle) {
-	for f.iface.Send(f.net.NewFlit(f.node, f.dst, noc.KindData, 64)) {
-	}
+	flood(f.net, f.iface, f.dst)
 	for {
 		r := f.iface.Recv()
 		if r == nil {
@@ -89,8 +102,7 @@ func newCrossNode(net *noc.Network, st *noc.CrossStation) *crossNode {
 
 func (c *crossNode) Name() string { return c.name }
 func (c *crossNode) Tick(now sim.Cycle) {
-	for c.iface.Send(c.net.NewFlit(c.node, c.partner, noc.KindData, 64)) {
-	}
+	flood(c.net, c.iface, c.partner)
 	for {
 		r := c.iface.Recv()
 		if r == nil {

@@ -323,12 +323,34 @@ func (n *Network) ReleaseFlit(f *Flit) {
 	if f == nil {
 		return
 	}
+	n.recycle(f, f.Dst)
+}
+
+// RecycleRefused hands back a flit that Send or SendPriority refused
+// (returned false for) and that the caller will not retry: a device that
+// mints a fresh flit per attempt calls it instead of dropping the struct
+// for the garbage collector. The flit goes onto its *source* node's
+// free-list — the one NewFlit drew it from — because the refusing device
+// is the source and ticks in the source's partition; ReleaseFlit's
+// f.Dst keying would be a cross-partition write there. The sequence
+// number the flit consumed stays consumed (see NewFlit), so recycling
+// changes no flit ID. A flit the network ever accepted must go through
+// ReleaseFlit instead; handing one here panics.
+func (n *Network) RecycleRefused(f *Flit) {
+	if f.counted {
+		panic(fmt.Sprintf("noc: flit %d recycled as refused after the network accepted it", f.ID))
+	}
+	n.recycle(f, f.Src)
+}
+
+// recycle pushes f onto the free-list of the shard owning node owner.
+func (n *Network) recycle(f *Flit, owner NodeID) {
 	if f.freed {
 		panic(fmt.Sprintf("noc: flit %d released twice", f.ID))
 	}
 	f.freed = true
 	f.Msg = nil
-	sh := n.shardFor(f.Dst)
+	sh := n.shardFor(owner)
 	sh.freeFlits = append(sh.freeFlits, f)
 }
 
