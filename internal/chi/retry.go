@@ -2,6 +2,7 @@ package chi
 
 import (
 	"chipletnoc/internal/metrics"
+	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 )
 
@@ -110,6 +111,23 @@ func (r *Retrier) RegisterMetrics(reg *metrics.Registry, name string) {
 		return r.AbortedTxns
 	})
 	reg.Gauge("chi."+name+".armed", func() float64 { return float64(r.Armed()) })
+}
+
+// NextDeadline returns the earliest cycle at which Expired would report a
+// transaction — the first live deadline — or noc.Never with nothing under
+// watch. Backoff re-arms break arm order, so it scans; callers ask only
+// once everything cheaper says they could sleep.
+func (r *Retrier) NextDeadline() sim.Cycle {
+	next := noc.Never
+	if r == nil {
+		return next
+	}
+	for _, t := range r.order {
+		if !t.dead && t.deadline < next {
+			next = t.deadline
+		}
+	}
+	return next
 }
 
 // backoffShift caps the exponential backoff exponent so deadlines never

@@ -42,6 +42,23 @@ type job struct {
 	send  []*noc.Flit
 }
 
+// jobsIdleUntil is the idle contract the three coherence devices share:
+// with nothing ejected at iface and nothing in the outbox, a Tick only
+// releases the front job once it is due, so the device sleeps until then,
+// and forever with none.
+func jobsIdleUntil(iface *noc.NodeInterface, jobs []job, outbx []*noc.Flit, now sim.Cycle) sim.Cycle {
+	if iface.EjectLen() > 0 || len(outbx) > 0 {
+		return now
+	}
+	if len(jobs) == 0 {
+		return noc.Never
+	}
+	if r := jobs[0].ready; r > now {
+		return r
+	}
+	return now
+}
+
 // Directory is an L3 tag cache + home agent for the addresses it homes.
 // Four cores share one in the Server-CPU; its tag store answers "where is
 // the line" without touching data (that is why the split design lowers
@@ -121,11 +138,16 @@ func (d *Directory) Tick(now sim.Cycle) {
 	// Release jobs whose tag lookup has completed.
 	for len(d.jobs) > 0 && d.jobs[0].ready <= now {
 		d.outbx = append(d.outbx, d.jobs[0].send...)
-		d.jobs = d.jobs[1:]
+		sim.PopFront(&d.jobs)
 	}
 	for len(d.outbx) > 0 && d.iface.Send(d.outbx[0]) {
-		d.outbx = d.outbx[1:]
+		sim.PopFront(&d.outbx)
 	}
+}
+
+// IdleUntil implements noc.IdleUntiler.
+func (d *Directory) IdleUntil(now sim.Cycle) sim.Cycle {
+	return jobsIdleUntil(d.iface, d.jobs, d.outbx, now)
 }
 
 func (d *Directory) handle(f *noc.Flit, now sim.Cycle) {
@@ -262,11 +284,16 @@ func (s *DataSlice) Tick(now sim.Cycle) {
 	}
 	for len(s.jobs) > 0 && s.jobs[0].ready <= now {
 		s.outbx = append(s.outbx, s.jobs[0].send...)
-		s.jobs = s.jobs[1:]
+		sim.PopFront(&s.jobs)
 	}
 	for len(s.outbx) > 0 && s.iface.Send(s.outbx[0]) {
-		s.outbx = s.outbx[1:]
+		sim.PopFront(&s.outbx)
 	}
+}
+
+// IdleUntil implements noc.IdleUntiler.
+func (s *DataSlice) IdleUntil(now sim.Cycle) sim.Cycle {
+	return jobsIdleUntil(s.iface, s.jobs, s.outbx, now)
 }
 
 // CoreAgent is a CPU core's coherence port: it issues ReadShared /
@@ -323,25 +350,34 @@ func (a *CoreAgent) Node() noc.NodeID { return a.iface.Node() }
 // Queued returns requests waiting to issue plus outstanding transactions.
 func (a *CoreAgent) Queued() int { return len(a.queue) + a.tracker.Outstanding() }
 
-// Read enqueues a coherent read of addr.
-func (a *CoreAgent) Read(addr uint64) {
-	a.queue = append(a.queue, &chi.Message{Op: chi.ReadShared, Addr: addr, Requester: a.Node()})
+// request queues one coherent request and wakes the agent, which may be
+// asleep with an empty queue (see IdleUntil).
+func (a *CoreAgent) request(op chi.Opcode, addr uint64) {
+	a.queue = append(a.queue, &chi.Message{Op: op, Addr: addr, Requester: a.Node()})
+	a.iface.Wake()
 }
+
+// Read enqueues a coherent read of addr.
+func (a *CoreAgent) Read(addr uint64) { a.request(chi.ReadShared, addr) }
 
 // ReadOwned enqueues a read-for-ownership of addr.
-func (a *CoreAgent) ReadOwned(addr uint64) {
-	a.queue = append(a.queue, &chi.Message{Op: chi.ReadUnique, Addr: addr, Requester: a.Node()})
-}
+func (a *CoreAgent) ReadOwned(addr uint64) { a.request(chi.ReadUnique, addr) }
 
 // Write enqueues a coherent full-line write of addr.
-func (a *CoreAgent) Write(addr uint64) {
-	a.queue = append(a.queue, &chi.Message{Op: chi.WriteUnique, Addr: addr, Requester: a.Node()})
-}
+func (a *CoreAgent) Write(addr uint64) { a.request(chi.WriteUnique, addr) }
 
 // WriteBack enqueues a dirty-line eviction of addr: the line's data
 // returns to the L3 data slice and the directory demotes it to Shared.
-func (a *CoreAgent) WriteBack(addr uint64) {
-	a.queue = append(a.queue, &chi.Message{Op: chi.WriteBackFull, Addr: addr, Requester: a.Node()})
+func (a *CoreAgent) WriteBack(addr uint64) { a.request(chi.WriteBackFull, addr) }
+
+// IdleUntil implements noc.IdleUntiler: besides the shared conditions the
+// agent must have no request it could issue — an empty queue, or a full
+// transaction table, which only a completion (an ejection) can open.
+func (a *CoreAgent) IdleUntil(now sim.Cycle) sim.Cycle {
+	if len(a.queue) > 0 && !a.tracker.Full() {
+		return now
+	}
+	return jobsIdleUntil(a.iface, a.jobs, a.outbx, now)
 }
 
 // Tick implements noc.Device.
@@ -359,7 +395,7 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 			break
 		}
 		a.issued[m.TxnID] = now
-		a.queue = a.queue[1:]
+		sim.PopFront(&a.queue)
 	}
 	// Handle arrivals: completions and snoops.
 	for {
@@ -396,9 +432,9 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 	}
 	for len(a.jobs) > 0 && a.jobs[0].ready <= now {
 		a.outbx = append(a.outbx, a.jobs[0].send...)
-		a.jobs = a.jobs[1:]
+		sim.PopFront(&a.jobs)
 	}
 	for len(a.outbx) > 0 && a.iface.Send(a.outbx[0]) {
-		a.outbx = a.outbx[1:]
+		sim.PopFront(&a.outbx)
 	}
 }

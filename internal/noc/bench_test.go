@@ -1,13 +1,15 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"chipletnoc/internal/sim"
 )
 
 // The hot-path micro-benchmarks: ring advance, the offset-mapped slot
-// accessor, a busy station tick, and flit pool recycling. They exist so
+// accessor, a busy station tick, a whole ring-cycle at four loads, and
+// flit pool recycling. They exist so
 // the virtual-rotation and pooling optimisations stay measurable in
 // isolation — `go test -bench . ./internal/noc` — instead of only
 // through the end-to-end benchmark (bench/).
@@ -83,5 +85,77 @@ func BenchmarkFlitAllocFree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := net.NewFlit(a, z, KindData, 64)
 		net.ReleaseFlit(f)
+	}
+}
+
+// BenchmarkRingTick times one ring-cycle (advance plus every station's
+// tick, no devices) on a 48-position full ring with a station at every
+// position but the last, at four loads. The circulating flits are
+// addressed to the station-less position, so they pass every station
+// forever and the load never drains:
+//
+//   - idle: no flit anywhere — the empty-station test alone;
+//   - quarter: every fourth slot of both loops occupied;
+//   - saturated: every slot occupied, no interface has a head — what a
+//     flit that is only passing costs;
+//   - saturated-blocked-heads: every slot occupied and every interface
+//     has a head that loses to the on-the-fly flit each cycle.
+func BenchmarkRingTick(b *testing.B) {
+	const positions = 48
+	cases := []struct {
+		name   string
+		stride int // occupy every stride-th slot; 0 = none
+		heads  bool
+	}{
+		{"idle", 0, false},
+		{"quarter", 4, false},
+		{"saturated", 1, false},
+		{"saturated-blocked-heads", 1, true},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			net := NewNetwork("bench")
+			r := net.AddRing(positions, true)
+			nodes := make([]NodeID, positions-1)
+			ifaces := make([]*NodeInterface, positions-1)
+			for p := range nodes {
+				nodes[p] = net.NewNode(fmt.Sprintf("n%d", p))
+				ifaces[p] = net.Attach(nodes[p], r.AddStation(p))
+			}
+			net.MustFinalize()
+			if c.stride > 0 {
+				for p := 0; p < positions; p += c.stride {
+					placeFlit(r, &r.cw, p, &Flit{localDst: positions - 1})
+					placeFlit(r, &r.ccw, p, &Flit{localDst: positions - 1})
+				}
+			}
+			if c.heads {
+				// Alternate near targets either side so both loops are asked for.
+				for p, ni := range ifaces {
+					to := (p + 5) % len(nodes)
+					if p%2 == 1 {
+						to = (p + len(nodes) - 5) % len(nodes)
+					}
+					if !ni.Send(net.NewFlit(nodes[p], nodes[to], KindData, 64)) {
+						b.Fatal("inject queue refused the head")
+					}
+				}
+			}
+			now := sim.Cycle(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.now = now
+				r.advance()
+				r.tick(now)
+				now++
+			}
+			b.StopTimer()
+			if c.stride > 0 && r.occupancy() != 2*positions/c.stride {
+				b.Fatalf("load drained: %d flits left on the ring", r.occupancy())
+			}
+			if c.heads && r.queued != len(ifaces) {
+				b.Fatalf("%d heads left of %d: a blocked head injected", r.queued, len(ifaces))
+			}
+		})
 	}
 }

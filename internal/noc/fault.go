@@ -257,6 +257,7 @@ func (n *Network) watchdogSweep(now sim.Cycle) {
 					ni.injectFails = 0
 					ni.releaseTags()
 				}
+				ni.refreshHead()
 			}
 		}
 	}
@@ -332,6 +333,7 @@ func (n *Network) dropInterfaceQueues(ni *NodeInterface) {
 		ni.releaseTags()
 	}
 	ni.promoteReservations()
+	ni.refreshHead()
 }
 
 // purgeTagState removes a dropped flit's pending eject registrations and
@@ -407,6 +409,7 @@ func (n *Network) rerouteLiveFlits() {
 				for i := 0; i < ni.bypass.len(); i++ {
 					reroute(ni.bypass.at(i), nil, st.pos, true)
 				}
+				ni.refreshHead()
 			}
 		}
 	}
@@ -456,12 +459,25 @@ func (n *Network) AccountedFlits() uint64 {
 // flit. It also recounts every ring's inject and bypass queues against
 // the ring's running queued count — the number the idle-ring gate trusts
 // — so a site that forgot to keep it exact fails here, not as a ring that
-// never wakes.
+// never wakes. Every station's head summary is recomputed from its
+// interfaces' heads the same way: a refresh site that went missing would
+// otherwise show up as a head that never injects.
 func (n *Network) CheckConservation() error {
 	n.syncRings()
 	for _, r := range n.rings {
 		if queued := r.countQueued(); queued != r.queued {
 			return fmt.Errorf("noc: ring %d counts %d queued flits, its interfaces hold %d", r.id, r.queued, queued)
+		}
+		for _, st := range r.stations {
+			for i, ni := range st.ifaces {
+				want := wantNone
+				if ni != nil {
+					want = ni.headWant()
+				}
+				if st.want[i] != want {
+					return fmt.Errorf("noc: ring %d pos %d interface %d head summary is %d, its head says %d", r.id, st.pos, i, st.want[i], want)
+				}
+			}
 		}
 	}
 	accounted := n.AccountedFlits()

@@ -133,9 +133,10 @@ func serverSystem(s *soc.ServerCPU) system {
 // TestGateDiffServerCPU: the coherent-read scenario of the soc golden
 // test — M/E/S lines primed in die-0 directories, read from both compute
 // dies. A handful of transactions on a large fabric: most rings and
-// devices idle most cycles.
+// devices idle most cycles, and once the reads are answered the coherence
+// agents' idle contracts let the clock jump the rest of the run.
 func TestGateDiffServerCPU(t *testing.T) {
-	diffGated(t, 4000, func(parts int) system {
+	seq := diffGated(t, 4000, func(parts int) system {
 		cfg := soc.DefaultServerConfig()
 		cfg.ClustersPerDie = 3
 		cfg.Partitions = parts
@@ -161,12 +162,16 @@ func TestGateDiffServerCPU(t *testing.T) {
 		}
 		return serverSystem(s)
 	})
+	if seq.DeviceTicksSkipped == 0 || seq.SkippedCycles == 0 {
+		t.Errorf("server CPU skipped %d device ticks and jumped %d cycles; cores, directories and data slices sleep once the reads are done",
+			seq.DeviceTicksSkipped, seq.SkippedCycles)
+	}
 }
 
 // TestGateDiffAIProcessor: the golden AI die, a mesh of rings woven from
 // RBRG-L1 intersections under saturating traffic.
 func TestGateDiffAIProcessor(t *testing.T) {
-	diffGated(t, 3000, func(parts int) system {
+	seq := diffGated(t, 3000, func(parts int) system {
 		cfg := soc.DefaultAIConfig()
 		cfg.VRings, cfg.HRings = 4, 2
 		cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
@@ -182,6 +187,9 @@ func TestGateDiffAIProcessor(t *testing.T) {
 			},
 		}
 	})
+	if seq.DeviceTicksSkipped == 0 {
+		t.Error("AI processor skipped no device tick; a closed-loop requester sleeps on a full transaction table")
+	}
 }
 
 // quadDie is the four-die Server-CPU of the benchmark's quad-die
@@ -204,17 +212,20 @@ func quadDie(parts int, rate float64) *soc.ServerCPU {
 	})
 }
 
-// TestGateDiffQuadDie runs the quad-die package saturated (every
-// requester issuing every cycle: the gate finds little to close and must
-// cost nothing) and at a trickle (one request per core per thousand
-// cycles: rings and bridges sleep, the requesters — which have no idle
-// contract — tick on). Either way the requesters keep the clock from
-// ever jumping.
+// TestGateDiffQuadDie runs the quad-die package saturated (closed-loop
+// requesters: each sleeps while its transaction table is full, but some
+// flit is always in flight) and at a trickle (one request per core per
+// thousand cycles: rings and bridges sleep, while the requesters draw
+// their issue coin every cycle and so never do). Either way the clock
+// never jumps.
 func TestGateDiffQuadDie(t *testing.T) {
 	for _, rate := range []float64{1, 0.001} {
 		seq := diffGated(t, 3000, func(parts int) system { return serverSystem(quadDie(parts, rate)) })
 		if seq.SkippedCycles != 0 {
-			t.Errorf("rate %v: quad-die jumped %d cycles; its requesters tick every cycle", rate, seq.SkippedCycles)
+			t.Errorf("rate %v: quad-die jumped %d cycles", rate, seq.SkippedCycles)
+		}
+		if seq.DeviceTicksSkipped == 0 {
+			t.Errorf("rate %v: no device tick skipped", rate)
 		}
 		if rate < 1 && seq.RingTicksSkipped == 0 {
 			t.Errorf("rate %v: no ring tick skipped on a nearly empty fabric", rate)

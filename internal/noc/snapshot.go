@@ -585,6 +585,9 @@ func (ni *NodeInterface) snapState(s *Snap) {
 	c.U64(&ni.EjectedPayload)
 	c.U64(&ni.Starved)
 	c.U64(&ni.Deflected)
+	if c.Loading() {
+		ni.refreshHead()
+	}
 }
 
 // SnapState walks the L1 bridge: DRM/escape state per half plus the

@@ -198,6 +198,9 @@ func (ni *NodeInterface) Send(f *Flit) bool {
 	}
 	ni.inject.push(f)
 	ni.station.ring.queued++
+	if ni.inject.n == 1 {
+		ni.refreshHead()
+	}
 	return true
 }
 
@@ -214,6 +217,9 @@ func (ni *NodeInterface) SendPriority(f *Flit) bool {
 	}
 	ni.bypass.push(f)
 	ni.station.ring.queued++
+	if ni.bypass.n == 1 {
+		ni.refreshHead()
+	}
 	return true
 }
 
@@ -372,16 +378,51 @@ func (ni *NodeInterface) head() *Flit {
 	return ni.inject.buf[ni.inject.head]
 }
 
+// Head-summary codes (CrossStation.want): what an interface's head flit
+// asks of its station. A ring-bound head's code is wantDir of its
+// direction, so the codes of two interfaces OR to zero exactly when
+// neither has a head.
+const (
+	wantNone  uint8 = 0
+	wantLocal uint8 = 3 // addressed to this very station: a local transfer
+)
+
+// wantDir is the code of a head that wants a slot travelling in d.
+func wantDir(d Direction) uint8 { return uint8(d) + 1 }
+
+// headWant derives this interface's head-summary code from its queues.
+func (ni *NodeInterface) headWant() uint8 {
+	f := ni.head()
+	switch {
+	case f == nil:
+		return wantNone
+	case f.localDst == ni.station.pos:
+		return wantLocal
+	}
+	return wantDir(f.dir)
+}
+
+// refreshHead re-derives the station's summary of this interface's head.
+// Every site that can change which flit is the head, or where the head is
+// going, calls it: Send and SendPriority when the push lands on an empty
+// lane, popHead, and the four wholesale rewrites (live reroute, watchdog
+// sweep, dead-bridge queue drop, checkpoint load).
+// Network.CheckConservation recounts it.
+func (ni *NodeInterface) refreshHead() {
+	ni.station.want[ni.index] = ni.headWant()
+}
+
 // popHead removes the current head after a successful injection or local
 // transfer.
 func (ni *NodeInterface) popHead() {
 	ni.station.ring.queued--
 	if ni.bypass.n > 0 {
 		ni.bypass.pop()
-		return
+	} else {
+		ni.inject.pop()
+		ni.injectFails = 0
 	}
-	ni.inject.pop()
-	ni.injectFails = 0
+	ni.refreshHead()
 }
 
 // noteDefeat records an injection defeat for the head flit and arms an
@@ -427,6 +468,12 @@ type CrossStation struct {
 	pos    int
 	ifaces [2]*NodeInterface
 	rr     int // round-robin pointer for injection arbitration
+	// want summarises each interface's head flit (wantNone, wantDir of its
+	// direction, or wantLocal), so a tick decides what there is to do from
+	// this struct and the two slots without touching an interface, a queue
+	// or a flit. Derived state: kept exact by NodeInterface.refreshHead,
+	// never serialized, recomputed on load.
+	want [2]uint8
 
 	// stalledUntil freezes the station logic (fault injection): while
 	// now < stalledUntil nothing ejects, injects or transfers locally —
@@ -469,34 +516,41 @@ func (st *CrossStation) attach(node NodeID, injectDepth, ejectDepth int) *NodeIn
 // tick processes the cycle for this station: local same-station
 // transfers, then for each direction arrival handling (eject/deflect)
 // followed by injection arbitration into the (possibly just freed) slot.
+//
+// Every test it makes reads this struct (the head summary) and the two
+// slots at this position, resolved once; an interface, a queue or a flit
+// is touched only by the handler a test lets through. So a station with
+// no head and no flit in front of it costs the first test, a flit only
+// passing costs no call, and a head is paid for only in the direction it
+// wants.
 func (st *CrossStation) tick(now sim.Cycle) {
 	if now < st.stalledUntil {
 		return
 	}
-	// Resolve this position's slots once; the handlers below reuse them
-	// so the offset mapping is paid once per direction, not once per
-	// handler. With nothing queued at either interface and no flit at
-	// this position in either direction, every handler is a no-op — no
-	// arrival to eject, no candidate to arbitrate, nothing to transfer.
-	// Most stations are idle most cycles, so this check is where ring
-	// ticking spends its time.
-	ni0, ni1 := st.ifaces[0], st.ifaces[1]
-	queued := (ni0 != nil && ni0.inject.n+ni0.bypass.n > 0) ||
-		(ni1 != nil && ni1.inject.n+ni1.bypass.n > 0)
 	cw := st.ring.cw.at(st.pos)
 	var ccw *slot
 	if st.ring.full {
 		ccw = st.ring.ccw.at(st.pos)
 	}
-	if !queued && cw.flit == nil && (ccw == nil || ccw.flit == nil) {
+	if st.want[0]|st.want[1] == wantNone && cw.flit == nil && (ccw == nil || ccw.flit == nil) {
 		return
 	}
-	if queued {
+	if st.want[0] == wantLocal || st.want[1] == wantLocal {
 		st.localTransfers(now)
 	}
-	st.handleDirection(CW, cw, now)
+	if cw.flit != nil && int(cw.dst) == st.pos {
+		st.arrive(CW, cw, now)
+	}
+	if st.want[0] == wantDir(CW) || st.want[1] == wantDir(CW) {
+		st.arbitrateInject(CW, cw)
+	}
 	if ccw != nil {
-		st.handleDirection(CCW, ccw, now)
+		if ccw.flit != nil && int(ccw.dst) == st.pos {
+			st.arrive(CCW, ccw, now)
+		}
+		if st.want[0] == wantDir(CCW) || st.want[1] == wantDir(CCW) {
+			st.arbitrateInject(CCW, ccw)
+		}
 	}
 }
 
@@ -505,14 +559,11 @@ func (st *CrossStation) tick(now sim.Cycle) {
 // the ring: co-located devices exchange traffic through the station's
 // internal crossbar.
 func (st *CrossStation) localTransfers(now sim.Cycle) {
-	for _, ni := range st.ifaces {
-		if ni == nil {
+	for i, ni := range st.ifaces {
+		if st.want[i] != wantLocal {
 			continue
 		}
 		f := ni.head()
-		if f == nil || f.localDst != st.pos {
-			continue
-		}
 		dst := st.ifaces[f.localIface]
 		if dst == nil {
 			panic(fmt.Sprintf("noc: flit %d addressed to missing interface %d at ring %d pos %d",
@@ -525,34 +576,30 @@ func (st *CrossStation) localTransfers(now sim.Cycle) {
 	}
 }
 
-// handleDirection processes one direction's slot (already resolved by
-// tick) at this station.
-func (st *CrossStation) handleDirection(d Direction, s *slot, now sim.Cycle) {
-	if f := s.flit; f != nil && int(s.dst) == st.pos {
-		dst := st.ifaces[f.localIface]
-		if dst == nil {
-			panic(fmt.Sprintf("noc: flit %d addressed to missing interface %d at ring %d pos %d",
-				f.ID, f.localIface, st.ring.id, st.pos))
-		}
-		if dst.tryEject(f) {
-			s.flit = nil
-			st.ring.loopFor(d).occ--
-			st.ring.settleHops(f)
-			st.ring.net.flitEjected(dst, f, now)
-			if dst.swapMode {
-				if h := dst.head(); h != nil && h.localDst != st.pos && h.dir == d {
-					st.inject(dst, s, d)
-					st.ring.net.traceShard(st.ring.shard, traceSwap, h.ID, st.ring.net.nodes[dst.node].name, "")
-				}
-			}
-		} else {
-			f.Deflections++
-			dst.Deflected++
-			st.ring.shard.counts[cDeflections]++
-			st.ring.net.traceShard(st.ring.shard, traceDeflect, f.ID, st.ring.net.nodes[dst.node].name, "")
-		}
+// arrive takes the flit in s, which gets off at this station, into its
+// interface's eject queue, or deflects it for another lap.
+func (st *CrossStation) arrive(d Direction, s *slot, now sim.Cycle) {
+	f := s.flit
+	dst := st.ifaces[f.localIface]
+	if dst == nil {
+		panic(fmt.Sprintf("noc: flit %d addressed to missing interface %d at ring %d pos %d",
+			f.ID, f.localIface, st.ring.id, st.pos))
 	}
-	st.arbitrateInject(d, s)
+	if !dst.tryEject(f) {
+		f.Deflections++
+		dst.Deflected++
+		st.ring.shard.counts[cDeflections]++
+		st.ring.net.traceShard(st.ring.shard, traceDeflect, f.ID, st.ring.net.nodes[dst.node].name, "")
+		return
+	}
+	s.flit = nil
+	st.ring.loopFor(d).occ--
+	st.ring.settleHops(f)
+	st.ring.net.flitEjected(dst, f, now)
+	if dst.swapMode && st.want[dst.index] == wantDir(d) {
+		st.inject(dst, s, d) // the slot now carries dst's former head
+		st.ring.net.traceShard(st.ring.shard, traceSwap, s.flit.ID, st.ring.net.nodes[dst.node].name, "")
+	}
 }
 
 // arbitrateInject implements the priority rules of Section 4.1.1: the
@@ -560,23 +607,16 @@ func (st *CrossStation) handleDirection(d Direction, s *slot, now sim.Cycle) {
 // admits its owner; otherwise the two interfaces' new flits are selected
 // round-robin.
 func (st *CrossStation) arbitrateInject(d Direction, s *slot) {
-	// Collect interfaces whose head flit wants this direction.
+	// Collect interfaces whose head flit wants this direction; the caller
+	// has checked there is at least one.
 	var cand [2]*NodeInterface
 	n := 0
 	for i := 0; i < 2; i++ {
-		ni := st.ifaces[st.rr^i] // rr is 0 or 1, so ^i is the round-robin order
-		if ni == nil {
-			continue
+		k := st.rr ^ i // rr is 0 or 1, so ^i is the round-robin order
+		if st.want[k] == wantDir(d) {
+			cand[n] = st.ifaces[k]
+			n++
 		}
-		f := ni.head()
-		if f == nil || f.localDst == st.pos || f.dir != d {
-			continue
-		}
-		cand[n] = ni
-		n++
-	}
-	if n == 0 {
-		return
 	}
 	if s.flit != nil {
 		// Occupied slot: everyone loses to the on-the-fly flit.

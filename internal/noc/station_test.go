@@ -348,4 +348,115 @@ func TestOnTheFlyPriority(t *testing.T) {
 	}
 }
 
+// TestHeadSummaryTracksHeads drives the four wholesale rewrites of
+// interface queues — live reroute, watchdog sweep, dead-bridge queue drop,
+// checkpoint load — on a loaded two-ring network and has
+// CheckConservation recount every station's head summary after each one.
+// Each step first proves it rewrote something, so a refresh site that
+// went missing cannot hide behind a step that happened to change no head.
+func TestHeadSummaryTracksHeads(t *testing.T) {
+	load := func(net *Network, a, b *source) {
+		for i := 0; i < 400; i++ {
+			a.queue(net.NewFlit(a.Node(), b.Node(), KindData, LineBytes))
+			b.queue(net.NewFlit(b.Node(), a.Node(), KindData, LineBytes))
+		}
+		runCycles(net, 150)
+	}
+	recount := func(net *Network, after string) {
+		t.Helper()
+		if err := net.CheckConservation(); err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+	}
+	heads := func(net *Network) (n int) {
+		for _, r := range net.Rings() {
+			for _, st := range r.stations {
+				for _, w := range st.want {
+					if w != wantNone {
+						n++
+					}
+				}
+			}
+		}
+		return n
+	}
+
+	net, a, b := buildParallelBridgeRig(t)
+	load(net, a, b)
+	if heads(net) < 4 {
+		t.Fatalf("only %d interfaces have a head; the rig is not loaded", heads(net))
+	}
+	recount(net, "load")
+
+	// Checkpoint restore into a fresh build: the twin's summary comes
+	// from the decoded queues alone.
+	e := sim.NewEncoder()
+	if err := net.SnapState(sim.Saving(e)); err != nil {
+		t.Fatal(err)
+	}
+	twin, _, _ := buildParallelBridgeRig(t)
+	if err := twin.SnapState(sim.Loading(sim.NewDecoder(e.Data()))); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := heads(twin), heads(net); got != want {
+		t.Fatalf("restored network summarises %d heads, the original %d", got, want)
+	}
+	recount(twin, "checkpoint restore")
+
+	// Bridge kill: queued flits bound for br0 turn round towards br1.
+	// br0's stations are frozen across the kill so the heads its
+	// interfaces hold are still there for the drop below.
+	br0, _ := net.NodeByName("br0")
+	for _, ni := range net.nodes[br0].ifaces {
+		if err := net.StallStation(ni.Ring().ID(), ni.station.pos, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runCycles(net, 1)
+	rerouted := net.ReroutedFlits
+	if err := net.FailBridge(br0); err != nil {
+		t.Fatal(err)
+	}
+	if net.ReroutedFlits == rerouted {
+		t.Fatal("the kill rerouted nothing")
+	}
+	recount(net, "reroute on bridge kill")
+
+	// The dead bridge's next tick drops what its interfaces queue.
+	for _, ni := range net.nodes[br0].ifaces {
+		if ni.head() == nil {
+			t.Fatal("a dead bridge interface has no head to drop")
+		}
+	}
+	runCycles(net, 1)
+	for _, ni := range net.nodes[br0].ifaces {
+		if ni.head() != nil {
+			t.Fatal("the dead bridge kept a queued head")
+		}
+	}
+	recount(net, "dead-bridge queue drop")
+
+	runCycles(net, 50)
+	rerouted = net.ReroutedFlits
+	if err := net.RepairBridge(br0); err != nil {
+		t.Fatal(err)
+	}
+	if net.ReroutedFlits == rerouted {
+		t.Fatal("the repair rerouted nothing")
+	}
+	recount(net, "reroute on bridge repair")
+
+	// A one-cycle age budget reaps every queue, heads included.
+	load(net, a, b)
+	net.SetWatchdog(1, 1)
+	reaped := net.WatchdogDrops
+	runCycles(net, 1)
+	if net.WatchdogDrops == reaped {
+		t.Fatal("the watchdog reaped nothing")
+	}
+	recount(net, "watchdog sweep")
+	runCycles(net, 200)
+	recount(net, "running on")
+}
+
 var _ sim.Component = (*Network)(nil)

@@ -51,6 +51,7 @@ var notSerialized = map[string]map[string]string{
 	"noc.slot": {"dst": "derived: mirrors flit.localDst"},
 	"noc.CrossStation": {
 		"ring": "wiring", "pos": "build shape: matched", "ifaces": "wiring: presence matched",
+		"want": "derived: head summary, recomputed on load",
 	},
 	"noc.flitRing": {"head": "entries travel in FIFO order and load at head 0"},
 	"noc.NodeInterface": {

@@ -196,6 +196,23 @@ func (r *Replayer) Tick(now sim.Cycle) {
 	}
 }
 
+// IdleUntil implements noc.IdleUntiler: with nothing ejected and no beat
+// to send, Tick does nothing until the next recorded operation's cycle
+// (never again once the trace is exhausted). From that cycle on it is
+// awake — a full table counts SlipCycles every tick.
+func (r *Replayer) IdleUntil(now sim.Cycle) sim.Cycle {
+	if r.iface.EjectLen() > 0 || len(r.sendq) > 0 {
+		return now
+	}
+	if r.next >= len(r.ops) {
+		return noc.Never
+	}
+	if at := sim.Cycle(r.ops[r.next].Cycle); at > now {
+		return at
+	}
+	return now
+}
+
 func (r *Replayer) finish(req *chi.Message) {
 	r.tracker.Complete(req.TxnID)
 	r.Completed++

@@ -387,9 +387,31 @@ func (r *Requester) Tick(now sim.Cycle) {
 		}
 		r.Issued++
 		for len(r.sendq) > 0 && r.iface.Send(r.sendq[0]) {
-			r.sendq = r.sendq[1:]
+			sim.PopFront(&r.sendq)
 		}
 	}
+}
+
+// IdleUntil implements noc.IdleUntiler. The requester is idle when Tick
+// would touch nothing: no arrival to take, no beat to send, and an issue
+// loop that returns at its first test — the request budget is spent, or
+// the generator is a closed loop (Rate >= 1) on a full transaction table.
+// Below rate 1 the Bernoulli draw comes before the table test, so every
+// tick advances the RNG and such a requester never sleeps on a full
+// table. It sleeps until the earliest retry deadline; a completion
+// arriving sooner wakes it through its interface.
+func (r *Requester) IdleUntil(now sim.Cycle) sim.Cycle {
+	if r.iface.EjectLen() > 0 || len(r.sendq) > 0 {
+		return now
+	}
+	spent := r.cfg.MaxRequests != 0 && r.Issued >= r.cfg.MaxRequests
+	if !spent && !(r.cfg.Rate >= 1 && r.tracker.Full()) {
+		return now
+	}
+	if d := r.retrier.NextDeadline(); d > now {
+		return d
+	}
+	return now
 }
 
 // FixedTarget returns a TargetOf that always answers node.
