@@ -78,8 +78,7 @@ func main() {
 	}
 
 	// reportEngine says why a run cost what it did: what the activity
-	// gate skipped and how the partitioned engine batched, summed over
-	// every Network.Run call in between.
+	// gate skipped, summed over every Network.Run call in between.
 	reportEngine := func(engine noc.EngineStats) {
 		pct := func(part, whole uint64) float64 {
 			if whole == 0 {
@@ -87,10 +86,9 @@ func main() {
 			}
 			return 100 * float64(part) / float64(whole)
 		}
-		fmt.Printf("[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, device ticks skipped %.1f%%; %d epochs, %d barrier syncs\n",
+		fmt.Printf("[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, device ticks skipped %.1f%%\n",
 			engine.Cycles, engine.SkippedCycles, pct(engine.SkippedCycles, engine.Cycles),
-			pct(engine.RingTicksSkipped, engine.RingTicks), pct(engine.DeviceTicksSkipped, engine.DeviceTicks),
-			engine.EpochsRun, engine.BarrierSyncs)
+			pct(engine.RingTicksSkipped, engine.RingTicks), pct(engine.DeviceTicksSkipped, engine.DeviceTicks))
 	}
 
 	// invoke runs one artifact and reports where its wall clock went:
@@ -281,7 +279,7 @@ func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, 
 // runServing executes one open-loop serving sweep, mirroring exactly
 // the normalization the daemon applies so CLI and service CSVs are
 // byte-identical. With -cache-dir it shares the daemon's
-// content-addressed store: same keys (partitions/lookahead excluded),
+// content-addressed store: same keys,
 // same payloads. Cache chatter goes to stderr; stdout carries exactly
 // the bytes a cold run would print.
 func runServing(scale experiments.Scale, specFile, cacheDir string, writeCSV func(name, data string)) error {

@@ -13,13 +13,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"syscall"
 	"time"
 
 	"chipletnoc/internal/artifact"
 	"chipletnoc/internal/experiments"
-	"chipletnoc/internal/noc"
 	"chipletnoc/internal/server"
 )
 
@@ -30,8 +28,8 @@ func main() {
 	stateDir := flag.String("state", "", "directory for job records and checkpoints (empty = no persistence)")
 	retryAfter := flag.Int("retry-after", 1, "Retry-After seconds advertised on 429")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines inside one experiment job")
-	partitions := flag.String("partitions", "auto", "ring partitions inside one simulation job: an integer (0 = sequential engine) or \"auto\" to size from the machine and topology; results are bit-identical at every setting")
-	lookahead := flag.Int("lookahead", 0, "superstep horizon cap in cycles for partitioned simulation jobs (0 = derive from the topology; behaviour-neutral)")
+	flag.String("partitions", "", "accepted and ignored: the partitioned tick engine it sized was deleted, every job runs the one engine")
+	flag.Int("lookahead", 0, "accepted and ignored, like -partitions")
 	jobDeadline := flag.Duration("job-deadline", 0, "wall-clock budget per job, e.g. 10m (0 = unlimited)")
 	cacheDir := flag.String("cache-dir", "", "directory for the content-addressed result cache (empty = caching off); resubmissions of completed jobs are served from it byte-identically")
 	cacheMem := flag.Int64("cache-mem", 64, "result cache memory tier budget in MiB")
@@ -39,16 +37,6 @@ func main() {
 	flag.Parse()
 
 	experiments.SetParallelism(*parallel)
-	p := noc.PartitionsAuto
-	if *partitions != "auto" {
-		var err error
-		if p, err = strconv.Atoi(*partitions); err != nil || p < 0 {
-			fmt.Fprintf(os.Stderr, "nocd: -partitions wants a non-negative integer or \"auto\", got %q\n", *partitions)
-			os.Exit(2)
-		}
-	}
-	experiments.SetSimPartitions(p)
-	experiments.SetSimLookahead(*lookahead)
 
 	// The cache is strictly opt-in: a daemon without -cache-dir behaves
 	// exactly as before. A broken cache directory degrades to no caching

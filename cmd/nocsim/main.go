@@ -20,13 +20,11 @@ import (
 	_ "net/http/pprof" // -pprof serves /debug/pprof (profiles + runtime/trace)
 	"os"
 	"sort"
-	"strconv"
 
 	"chipletnoc/internal/baseline"
 	"chipletnoc/internal/config"
 	"chipletnoc/internal/fault"
 	"chipletnoc/internal/metrics"
-	"chipletnoc/internal/noc"
 	"chipletnoc/internal/stats"
 	"chipletnoc/internal/trace"
 )
@@ -39,8 +37,8 @@ func main() {
 	faultsPath := flag.String("faults", "", "JSON fault-schedule file applied to a -config run (see internal/fault)")
 	retryCycles := flag.Int("retry", 0, "arm CHI timeout/retry on every -config requester with this timeout (cycles); 0 disables")
 	retryMax := flag.Int("retries", 3, "retry budget per transaction when -retry is set")
-	partitions := flag.String("partitions", "", "override the -config system's ring partition count: an integer (0/1 = sequential engine) or \"auto\"; results are bit-identical at every setting; empty keeps the config's own setting")
-	lookahead := flag.Int("lookahead", -1, "override the -config system's superstep horizon cap in cycles (0 = derive from the topology; behaviour-neutral; -1 keeps the config's own setting)")
+	flag.String("partitions", "", "accepted and ignored: the partitioned tick engine it sized was deleted, every run uses the one engine")
+	flag.Int("lookahead", 0, "accepted and ignored, like -partitions")
 	metricsOn := flag.Bool("metrics", false, "attach the metrics registry to a -config run")
 	metricsOut := flag.String("metrics-out", "metrics.json", "metrics snapshot output file (JSON) when -metrics is set")
 	metricsInterval := flag.Uint64("metrics-interval", 100, "cycles between series samples when -metrics is set")
@@ -74,7 +72,7 @@ func main() {
 		if !*metricsOn {
 			obs.metricsOut = ""
 		}
-		if err := runConfig(*configPath, *faultsPath, *cycles, *describe, *retryCycles, *retryMax, *partitions, *lookahead, obs); err != nil {
+		if err := runConfig(*configPath, *faultsPath, *cycles, *describe, *retryCycles, *retryMax, obs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -131,7 +129,7 @@ const traceCap = 1 << 17
 
 // runConfig builds and runs a JSON-defined system, reporting per-device
 // statistics.
-func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, retryMax int, partitions string, lookahead int, obs observeOpts) error {
+func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, retryMax int, obs observeOpts) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -159,16 +157,6 @@ func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, 
 				d.RetryTimeout, d.RetryMax = retryCycles, retryMax
 			}
 		}
-	}
-	if partitions != "" {
-		p, err := parsePartitions(partitions)
-		if err != nil {
-			return err
-		}
-		spec.Partitions = p
-	}
-	if lookahead >= 0 {
-		spec.Lookahead = lookahead
 	}
 	sys, err := spec.Build()
 	if err != nil {
@@ -264,20 +252,6 @@ func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, 
 		fmt.Printf("chi:     retried=%d aborted=%d\n", retried, aborted)
 	}
 	return nil
-}
-
-// parsePartitions turns the -partitions flag value into the spec knob:
-// "auto" is the automatic-sizing sentinel, anything else must be a
-// non-negative integer.
-func parsePartitions(s string) (int, error) {
-	if s == "auto" {
-		return noc.PartitionsAuto, nil
-	}
-	p, err := strconv.Atoi(s)
-	if err != nil || p < 0 {
-		return 0, fmt.Errorf("nocsim: -partitions wants a non-negative integer or \"auto\", got %q", s)
-	}
-	return p, nil
 }
 
 func fabricFactory(name string, nodes, dies int) (func() baseline.Fabric, error) {

@@ -1,7 +1,6 @@
 package coherence_test
 
 import (
-	"bytes"
 	"testing"
 
 	"chipletnoc/internal/noc"
@@ -13,7 +12,7 @@ import (
 // buffers over an 8-deep inject queue, CoreAgent.Tick has its Send
 // refused on every core from the first cycle on, and hands the refused
 // flit back to the network.
-func refusalBuild(partitions int) *soc.ServerCPU {
+func refusalBuild() *soc.ServerCPU {
 	cfg := soc.DefaultServerConfig()
 	cfg.ClustersPerDie = 3
 	s := soc.BuildServerCPU(cfg, soc.CoherentCores, nil)
@@ -24,46 +23,33 @@ func refusalBuild(partitions int) *soc.ServerCPU {
 			core.Read(uint64(i/2)*64 + uint64(k)*4096)
 		}
 	}
-	s.Net.SetPartitions(partitions)
 	return s
 }
 
-// TestRefusedSendsUnderPartitions runs CoreAgent's refused-send path on
-// the partitioned engine, where cores tick concurrently in their own
-// partitions. The refused flit must go back to the refusing core's own
-// shard; a hand-back keyed by destination would write another
-// partition's free-list, which the race detector (CI runs this package
-// under -race) reports. The run must also stay bit-identical to the
-// sequential engine's: same checkpoint bytes at the same cycle.
-func TestRefusedSendsUnderPartitions(t *testing.T) {
+// TestRefusedSendsRecycle runs CoreAgent's refused-send path: every core
+// is refused from the first cycle on and hands each refused flit back
+// through RecycleRefused, which panics on a flit the network had accepted
+// and on a double release. The run must keep every flit accounted for and
+// complete reads.
+func TestRefusedSendsRecycle(t *testing.T) {
 	const cycles = 3000
-	run := func(partitions int) []byte {
-		s := refusalBuild(partitions)
-		s.Run(1)
-		// Every core had 48 reads and 16 free transaction buffers, yet
-		// injected only what its inject queue holds: the rest of the
-		// first cycle's attempts were refused.
-		if got, want := s.Net.InjectedFlits, uint64(len(s.Cores)*noc.DefaultInjectDepth); got != want {
-			t.Fatalf("partitions=%d: %d flits injected in the first cycle, want %d (no send was refused?)", partitions, got, want)
-		}
-		s.Run(cycles - 1)
-		var done uint64
-		for _, c := range s.Cores {
-			done += c.Completed
-		}
-		if done == 0 {
-			t.Fatalf("partitions=%d: no read completed in %d cycles", partitions, cycles)
-		}
-		var ckpt bytes.Buffer
-		if err := s.WriteCheckpoint(&ckpt, nil); err != nil {
-			t.Fatalf("partitions=%d: checkpoint: %v", partitions, err)
-		}
-		return ckpt.Bytes()
+	s := refusalBuild()
+	s.Run(1)
+	// Every core had 48 reads and 16 free transaction buffers, yet
+	// injected only what its inject queue holds: the rest of the first
+	// cycle's attempts were refused.
+	if got, want := s.Net.InjectedFlits, uint64(len(s.Cores)*noc.DefaultInjectDepth); got != want {
+		t.Fatalf("%d flits injected in the first cycle, want %d (no send was refused?)", got, want)
 	}
-	seq := run(1)
-	for _, partitions := range []int{2, 4} {
-		if got := run(partitions); !bytes.Equal(got, seq) {
-			t.Errorf("partitions=%d: checkpoint differs from the sequential engine's (%d vs %d bytes)", partitions, len(got), len(seq))
-		}
+	s.Run(cycles - 1)
+	var done uint64
+	for _, c := range s.Cores {
+		done += c.Completed
+	}
+	if done == 0 {
+		t.Fatalf("no read completed in %d cycles", cycles)
+	}
+	if err := s.Net.CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -94,18 +94,13 @@ type Spec struct {
 	// internal/fault): bridge kills, station stalls, flit drops. An
 	// absent or empty schedule changes nothing.
 	Faults *fault.Schedule `json:"faults,omitempty"`
-	// Partitions selects the tick engine: 0 or 1 is sequential, higher
-	// counts advance ring groups concurrently, and -1 sizes the pool
-	// automatically from the machine and the topology. Results are
-	// bit-identical at every setting, so this is a speed knob, not a
-	// semantic one — checkpoints taken at either setting resume at the
-	// other.
+	// Partitions and Lookahead tuned the deleted partitioned tick engine
+	// and do nothing. Specs that nocd persisted or cached, and specs users
+	// kept, still carry the keys, so they are parsed, range-checked and
+	// echoed as before, and stay excluded from job identity
+	// (internal/server/hash.go).
 	Partitions int `json:"partitions,omitempty"`
-	// Lookahead caps the partitioned engine's superstep horizon in
-	// cycles; 0 (the default) lets the engine derive it from the
-	// topology's bridge pipeline depths. Behaviour-neutral like
-	// Partitions.
-	Lookahead int `json:"lookahead,omitempty"`
+	Lookahead  int `json:"lookahead,omitempty"`
 }
 
 // Parse decodes a JSON spec.
@@ -126,8 +121,7 @@ type System struct {
 	Injector *fault.Injector
 }
 
-// Run advances the system n cycles on the configured engine
-// (sequential, or partitioned when the spec set Partitions > 1).
+// Run advances the system n cycles.
 func (s *System) Run(n int) {
 	s.Net.Run(n)
 }
@@ -380,8 +374,6 @@ func (s *Spec) Build() (*System, error) {
 	if err := net.Finalize(); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
-	net.SetPartitions(s.Partitions)
-	net.SetLookahead(s.Lookahead)
 	if !s.Faults.Empty() {
 		inj, err := fault.NewInjector(net, s.Faults, s.Seed)
 		if err != nil {

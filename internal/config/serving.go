@@ -88,9 +88,10 @@ type ServingSpec struct {
 	LowWatermark  int `json:"lowWatermark,omitempty"`
 	HighWatermark int `json:"highWatermark,omitempty"`
 
-	// Partitions / Lookahead tune the parallel tick engine. Both are
-	// proven behaviour-neutral, excluded from cache identity like their
-	// topology-config counterparts.
+	// Partitions / Lookahead are accepted (this decoder rejects unknown
+	// fields, and persisted specs carry them), range-checked and ignored,
+	// and stay excluded from cache identity, like Spec's keys of the same
+	// name.
 	Partitions int `json:"partitions,omitempty"`
 	Lookahead  int `json:"lookahead,omitempty"`
 }

@@ -43,58 +43,8 @@ func Parallelism() int {
 	return parallelism.n
 }
 
-var simPartitions = struct {
-	sync.RWMutex
-	n int
-}{}
-
-// SetSimPartitions sets the process-wide default partition count RunSim
-// applies when a spec does not request one itself (the nocd daemon's
-// -partitions flag lands here). 0 — the initial state — means
-// sequential; -1 (noc.PartitionsAuto) sizes the pool from the machine
-// and the topology. Orthogonal to SetParallelism: that bounds concurrent
-// jobs, this parallelises the interior of one simulation. Results are
-// bit-identical at every setting.
-func SetSimPartitions(n int) {
-	if n < -1 {
-		n = 0
-	}
-	simPartitions.Lock()
-	simPartitions.n = n
-	simPartitions.Unlock()
-}
-
-// SimPartitions returns the process-wide default partition count.
-func SimPartitions() int {
-	simPartitions.RLock()
-	defer simPartitions.RUnlock()
-	return simPartitions.n
-}
-
-var simLookahead = struct {
-	sync.RWMutex
-	n int
-}{}
-
-// SetSimLookahead sets the process-wide default superstep-horizon cap
-// RunSim applies when a spec does not request one itself. 0 — the
-// initial state — lets the partitioned engine derive the horizon from
-// the topology. Behaviour-neutral like SetSimPartitions.
-func SetSimLookahead(n int) {
-	if n < 0 {
-		n = 0
-	}
-	simLookahead.Lock()
-	simLookahead.n = n
-	simLookahead.Unlock()
-}
-
-// SimLookahead returns the process-wide default horizon cap.
-func SimLookahead() int {
-	simLookahead.RLock()
-	defer simLookahead.RUnlock()
-	return simLookahead.n
-}
+// SetSimPartitions does nothing; kept only because bench/ compiles against it.
+func SetSimPartitions(int) {}
 
 // JobTiming is one job's measured wall clock.
 type JobTiming struct {

@@ -90,7 +90,7 @@ func RunServingDoc(doc string, scale Scale) (*ServingResult, error) {
 // RunServing executes the sweep for a defaulted spec: one job per load
 // point on the worker pool. Each point builds its own network seeded
 // from (spec.Seed, point), so results are a pure function of the spec —
-// bit-identical at any worker, partition or lookahead setting.
+// bit-identical at any worker count.
 func RunServing(spec *config.ServingSpec) *ServingResult {
 	points := RunIndexed("serving", len(spec.Loads),
 		func(i int) string { return fmt.Sprintf("serving/load-%s", csvFloat(spec.Loads[i])) },
@@ -100,26 +100,13 @@ func RunServing(spec *config.ServingSpec) *ServingResult {
 	return res
 }
 
-// runServingPoint runs one load point. Partitions and lookahead come
-// from the spec when set, else from the process-wide defaults (the
-// daemon's -partitions / -lookahead flags) — behaviour-neutral either
-// way, like every other run path.
+// runServingPoint runs one load point.
 func runServingPoint(spec *config.ServingSpec, point int) ServingPoint {
 	sys, err := serving.Build(spec, point)
 	if err != nil {
 		// RunServing's callers normalized the spec; a build failure here
 		// is a programming error, not an input error.
 		panic(fmt.Sprintf("serving: build failed for normalized spec: %v", err))
-	}
-	if spec.Partitions == 0 {
-		if p := SimPartitions(); p != 0 {
-			sys.Net.SetPartitions(p)
-		}
-	}
-	if spec.Lookahead == 0 {
-		if k := SimLookahead(); k > 0 {
-			sys.Net.SetLookahead(k)
-		}
 	}
 	sys.Run()
 	o := sys.Orch

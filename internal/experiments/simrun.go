@@ -52,20 +52,6 @@ type SimSpec struct {
 	// topology (stored as a string so specs stay comparable — checkpoint
 	// resume compares specs for identity).
 	Config string `json:"config,omitempty"`
-	// Partitions selects the tick engine for this run: 0 inherits the
-	// process-wide default (SetSimPartitions), 1 forces sequential,
-	// higher counts advance ring groups concurrently, and
-	// noc.PartitionsAuto (-1) sizes the pool from the machine and the
-	// topology. Results are bit-identical at every setting, so the field
-	// is deliberately NOT part of the job's identity: it does not travel
-	// in job JSON or in checkpoints, and a checkpoint taken at one
-	// partition count resumes at any other.
-	Partitions int `json:"-"`
-	// Lookahead caps the partitioned engine's superstep horizon; 0
-	// inherits the process-wide default (SetSimLookahead), which itself
-	// defaults to "derive from the topology". Behaviour-neutral like
-	// Partitions and equally excluded from job identity.
-	Lookahead int `json:"-"`
 }
 
 // Normalize fills defaults and validates; it is idempotent, and both the
@@ -385,13 +371,10 @@ func decodeExtra(extra []byte, spec SimSpec) (*simProgress, error) {
 	if err := json.Unmarshal(specJSON, &ckptSpec); err != nil {
 		return nil, fmt.Errorf("checkpoint spec: %w", err)
 	}
-	// Identity-excluded knobs are neutralized before comparison: the
-	// partition count is a speed knob (a checkpoint resumes under any
-	// engine) and the checkpoint cadence only decides when snapshots are
-	// taken, never what the simulation computes — so a checkpoint taken
-	// under one cadence may resume a submission that asked for another.
-	ckptSpec.Partitions, spec.Partitions = 0, 0
-	ckptSpec.Lookahead, spec.Lookahead = 0, 0
+	// The checkpoint cadence is excluded from identity and neutralized
+	// before comparison: it only decides when snapshots are taken, never
+	// what the simulation computes — so a checkpoint taken under one
+	// cadence may resume a submission that asked for another.
 	ckptSpec.CheckpointEvery, spec.CheckpointEvery = 0, 0
 	if ckptSpec != spec {
 		return nil, fmt.Errorf("checkpoint was taken for spec %+v, not %+v", ckptSpec, spec)
@@ -420,16 +403,6 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 	sys, err := buildSimSystem(spec)
 	if err != nil {
 		return nil, err
-	}
-	if p := spec.Partitions; p != 0 {
-		sys.net.SetPartitions(p)
-	} else if p := SimPartitions(); p != 0 {
-		sys.net.SetPartitions(p)
-	}
-	if k := spec.Lookahead; k > 0 {
-		sys.net.SetLookahead(k)
-	} else if k := SimLookahead(); k > 0 {
-		sys.net.SetLookahead(k)
 	}
 	progress := &simProgress{latHash: sim.FNVOffset}
 	if resume != nil && !sys.checkpointable {

@@ -85,9 +85,7 @@ func (inj *Injector) Name() string { return inj.name }
 // IdleUntil implements noc.IdleUntiler: the first cycle >= now at which
 // Tick does real work — the earlier of the next unapplied schedule event
 // and the next pending repair. Between due cycles Tick is a pure no-op
-// (both queues are sorted and head-gated on the current cycle), so the
-// superstep scheduler may batch every cycle up to and including the
-// returned one into a single epoch.
+// (both queues are sorted and head-gated on the current cycle).
 func (inj *Injector) IdleUntil(now sim.Cycle) sim.Cycle {
 	const farFuture = ^uint64(0)
 	next := farFuture
@@ -102,11 +100,6 @@ func (inj *Injector) IdleUntil(now sim.Cycle) sim.Cycle {
 	}
 	return sim.Cycle(next)
 }
-
-// FixedSchedule implements noc.ScheduleIdler: nothing another device
-// does can move the injector's next due cycle, so a superstep epoch may
-// run up to it.
-func (inj *Injector) FixedSchedule() {}
 
 // Pending returns how many schedule events have not fired yet.
 func (inj *Injector) Pending() int { return len(inj.events) - inj.next + len(inj.repairs) }

@@ -142,7 +142,7 @@ func (b *RBRGL1) Tick(now sim.Cycle) {
 				} else {
 					in.iface.Recv()
 				}
-				b.net.dropFlit(f, in.iface.station.ring.shard, cUnroutable, in.iface.station.ring, trace.Reroute, b.name, "no forward route")
+				b.net.dropFlit(f, &b.net.UnroutableDrops, in.iface.station.ring, trace.Reroute, b.name, "no forward route")
 				continue
 			}
 			if !out.Send(f) {
@@ -150,7 +150,7 @@ func (b *RBRGL1) Tick(now sim.Cycle) {
 			}
 			f.RingChanges++
 			b.Forwarded++
-			b.net.traceShard(in.iface.station.ring.shard, trace.BridgeHop, f.ID, b.name, "")
+			b.net.Trace(trace.BridgeHop, f.ID, b.name, "")
 			if fromEscape {
 				popFlit(&in.escape)
 			} else {
@@ -192,7 +192,7 @@ func (b *RBRGL1) IdleUntil(now sim.Cycle) sim.Cycle {
 func (b *RBRGL1) dropBuffers() {
 	for _, h := range b.halves {
 		for _, f := range h.escape {
-			b.net.dropFlit(f, h.iface.station.ring.shard, cFault, h.iface.station.ring, trace.Fault, b.name, "lost in dead bridge")
+			b.net.dropFlit(f, &b.net.FaultDrops, h.iface.station.ring, trace.Fault, b.name, "lost in dead bridge")
 		}
 		clearFlits(h.escape)
 		h.escape = h.escape[:0]
@@ -243,7 +243,7 @@ func (b *RBRGL1) runDRM(h *l1half) {
 		if stuck || blocked {
 			h.drm = true
 			b.SwapEntries++
-			b.net.traceShard(ni.station.ring.shard, trace.DRMEnter, 0, b.name, "l1")
+			b.net.Trace(trace.DRMEnter, 0, b.name, "l1")
 		}
 		if !h.drm {
 			return
@@ -257,7 +257,7 @@ func (b *RBRGL1) runDRM(h *l1half) {
 	}
 	if len(h.escape) == 0 && h.stalledCycles == 0 && h.blockedCycles == 0 {
 		h.drm = false
-		b.net.traceShard(ni.station.ring.shard, trace.DRMExit, 0, b.name, "l1")
+		b.net.Trace(trace.DRMExit, 0, b.name, "l1")
 	}
 	ni.swapMode = h.drm
 }
@@ -377,13 +377,11 @@ func popCred(q *[]credPulse) credPulse {
 	return c
 }
 
-// l2half is one side of an inter-die bridge. Each half owns only its own
-// buffers plus the link traffic already committed towards it (pipe,
-// credIn); everything it launches goes into staging (out, credOut) that
-// mergeLink publishes to the far half. The two halves therefore never
-// read each other's state inside a cycle — that independence is what
-// lets the superstep engine tick them in different partitions and merge
-// the link only at epoch barriers.
+// l2half is one side of an inter-die bridge. Each half owns its own
+// buffers plus the link traffic committed towards it (pipe, credIn); what
+// it launches is appended to the far half's pipe and credIn, stamped with
+// an arrival at least one cycle away, so within a cycle neither half
+// consumes what the other has just put on the wire.
 type l2half struct {
 	iface *NodeInterface
 	tx    []*Flit
@@ -391,7 +389,6 @@ type l2half struct {
 	// mode; it drains ahead of tx.
 	reserve []*Flit
 	pipe    []pipeFlit // in flight towards THIS half
-	out     []pipeFlit // staged launches towards the far half
 	rx      []*Flit
 
 	// Launch windows (credit-based flow control). txCred covers the
@@ -401,19 +398,16 @@ type l2half struct {
 	// bypass queue plus wire slack).
 	txCred, escCred int
 	credIn          []credPulse // credit returns in flight towards this half
-	credOut         []credPulse // staged returns owed to the far half
 
 	// dead latches the one-time buffer purge after FailBridge kills the
-	// bridge; cleared per half on the first healthy tick so both engines
-	// clear it on the same cycle.
+	// bridge; cleared on the first healthy tick.
 	dead bool
 
 	drm            bool
 	stalledCycles  int
 	lastInjectSeen uint64
 
-	// per-half statistics, summed by the bridge accessors; kept per half
-	// so concurrently ticking halves never write the same word.
+	// per-half statistics, summed by the bridge accessors
 	transferred uint64 // link arrivals landed at this half
 	swapEntries uint64
 	swapRescues uint64
@@ -435,11 +429,7 @@ type RBRGL2 struct {
 // buffer plus twice the link's bandwidth-delay product (flit trip out,
 // credit trip back), so an uncongested link never stalls on credits.
 func (cfg *RBRGL2Config) txWindow() int {
-	l := cfg.LinkLatency
-	if l < 1 {
-		l = 1
-	}
-	return cfg.RxDepth + 2*cfg.LinkWidth*l
+	return cfg.RxDepth + 2*cfg.LinkWidth*cfg.LinkLatency
 }
 
 // escWindow is the escape-lane credit pool per direction: the far
@@ -447,18 +437,20 @@ func (cfg *RBRGL2Config) txWindow() int {
 // arrive to a full bypass queue wait at the pipe head, so the window
 // bounds outstanding escapes without ever overrunning the queue.
 func (cfg *RBRGL2Config) escWindow() int {
-	l := cfg.LinkLatency
-	if l < 1 {
-		l = 1
-	}
-	return bypassDepth + 2*cfg.LinkWidth*l
+	return bypassDepth + 2*cfg.LinkWidth*cfg.LinkLatency
 }
 
 // NewRBRGL2 creates an inter-die bridge spanning the two stations (which
-// must be on different rings, conventionally on different dies).
+// must be on different rings, conventionally on different dies). The wire
+// is at least one cycle long: a LinkLatency below 1 is taken as 1, the
+// shortest trip on which the half that ticks second cannot consume what
+// the first launched in the same cycle.
 func NewRBRGL2(net *Network, name string, cfg RBRGL2Config, a, b *CrossStation) *RBRGL2 {
 	if a.ring == b.ring {
 		panic("noc: RBRGL2 must span two rings")
+	}
+	if cfg.LinkLatency < 1 {
+		cfg.LinkLatency = 1
 	}
 	br := &RBRGL2{name: name, net: net, cfg: cfg}
 	br.node = net.NewNode(name)
@@ -501,29 +493,24 @@ func (b *RBRGL2) Node() NodeID { return b.node }
 // mode.
 func (b *RBRGL2) InDRM() bool { return b.half[0].drm || b.half[1].drm }
 
-// dropBuffers discards everything the bridge holds — tx/reserve/pipe/
-// out/rx on both sides plus its interface queues — when the node is
-// killed. DRM state and the credit windows reset so a later repair
-// starts clean. Only the monolithic Tick calls this (a failed bridge
-// forces the sequential engine), so touching both halves is safe.
+// dropBuffers discards everything the bridge holds — tx/reserve/pipe/rx
+// on both sides plus its interface queues — when the node is killed. DRM
+// state and the credit windows reset so a later repair starts clean.
 func (b *RBRGL2) dropBuffers() {
 	for side := 0; side < 2; side++ {
 		h := &b.half[side]
 		r := h.iface.station.ring
 		for _, f := range h.tx {
-			b.net.dropFlit(f, r.shard, cFault, r, trace.Fault, b.name, "lost in dead bridge")
+			b.net.dropFlit(f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
 		}
 		for _, f := range h.reserve {
-			b.net.dropFlit(f, r.shard, cFault, r, trace.Fault, b.name, "lost in dead bridge")
+			b.net.dropFlit(f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
 		}
 		for _, pf := range h.pipe {
-			b.net.dropFlit(pf.f, r.shard, cFault, r, trace.Fault, b.name, "lost on dead link")
-		}
-		for _, pf := range h.out {
-			b.net.dropFlit(pf.f, r.shard, cFault, r, trace.Fault, b.name, "lost on dead link")
+			b.net.dropFlit(pf.f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost on dead link")
 		}
 		for _, f := range h.rx {
-			b.net.dropFlit(f, r.shard, cFault, r, trace.Fault, b.name, "lost in dead bridge")
+			b.net.dropFlit(f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
 		}
 		clearFlits(h.tx)
 		clearFlits(h.reserve)
@@ -531,11 +518,8 @@ func (b *RBRGL2) dropBuffers() {
 		for i := range h.pipe {
 			h.pipe[i] = pipeFlit{}
 		}
-		for i := range h.out {
-			h.out[i] = pipeFlit{}
-		}
-		h.tx, h.reserve, h.pipe, h.out, h.rx = h.tx[:0], h.reserve[:0], h.pipe[:0], h.out[:0], h.rx[:0]
-		h.credIn, h.credOut = h.credIn[:0], h.credOut[:0]
+		h.tx, h.reserve, h.pipe, h.rx = h.tx[:0], h.reserve[:0], h.pipe[:0], h.rx[:0]
+		h.credIn = h.credIn[:0]
 		h.txCred = b.cfg.txWindow()
 		h.escCred = b.cfg.escWindow()
 		h.drm = false
@@ -545,22 +529,19 @@ func (b *RBRGL2) dropBuffers() {
 	}
 }
 
-// BufferedFlits implements FlitBufferer: flits in tx/reserve/pipe/out/rx
-// on both sides (the interface queues are counted by the network itself).
+// BufferedFlits implements FlitBufferer: flits in tx/reserve/pipe/rx on
+// both sides (the interface queues are counted by the network itself).
 func (b *RBRGL2) BufferedFlits() int {
 	total := 0
 	for side := 0; side < 2; side++ {
 		h := &b.half[side]
-		total += len(h.tx) + len(h.reserve) + len(h.pipe) + len(h.out) + len(h.rx)
+		total += len(h.tx) + len(h.reserve) + len(h.pipe) + len(h.rx)
 	}
 	return total
 }
 
-// Tick advances both directions of the bridge by one cycle: each half
-// runs its local pipeline, then mergeLink publishes the staged link
-// traffic. The superstep engine instead ticks the halves from their
-// owning partitions and merges at the epoch barrier — equivalent,
-// because nothing staged can arrive before the next merge point.
+// Tick advances both directions of the bridge by one cycle, side 0 then
+// side 1.
 func (b *RBRGL2) Tick(now sim.Cycle) {
 	if b.net.NodeFailed(b.node) {
 		if !b.half[0].dead {
@@ -571,52 +552,35 @@ func (b *RBRGL2) Tick(now sim.Cycle) {
 	}
 	b.tickHalf(0, now)
 	b.tickHalf(1, now)
-	b.mergeLink()
 }
 
-// IdleUntil implements IdleUntiler for the monolithic bridge: the earlier
-// of its halves' bounds, with nothing staged for the link merge that ends
-// its Tick. A failed bridge is never idle — its Tick is the one that
-// purges the buffers, and FailBridge wakes it for that.
+// IdleUntil implements IdleUntiler. A failed bridge is never idle — its
+// Tick is the one that purges the buffers, and FailBridge wakes it for
+// that. A half is idle when tickHalf would change nothing: every buffer it
+// drains and all three interface queues empty, the dead latch clear, and
+// runDRM at rest (not in DRM, no stall count, inject watermark current,
+// eject space free so DRM cannot be entered). The bridge then sleeps
+// until the first flit or credit pulse on the wire towards either half
+// lands.
 func (b *RBRGL2) IdleUntil(now sim.Cycle) sim.Cycle {
 	if b.net.NodeFailed(b.node) {
 		return now
 	}
+	w := Never
 	for side := range b.half {
-		if h := &b.half[side]; len(h.out)+len(h.credOut) > 0 {
+		h := &b.half[side]
+		ni := h.iface
+		if h.dead || h.drm || h.stalledCycles != 0 || h.lastInjectSeen != ni.Injected ||
+			len(h.tx)+len(h.reserve)+len(h.rx) > 0 ||
+			ni.eject.n+ni.inject.n+ni.bypass.n > 0 || ni.freeEjectEntries() <= 0 {
 			return now
 		}
-	}
-	w := b.halfIdleUntil(0, now)
-	if o := b.halfIdleUntil(1, now); o < w {
-		w = o
-	}
-	return w
-}
-
-// halfIdleUntil is IdleUntil for one side (what a split half's ticker
-// reports). The half is idle when tickHalf would change nothing: every
-// buffer it drains and all three interface queues empty, the dead latch
-// clear, and runDRM at rest (not in DRM, no stall count, inject watermark
-// current, eject space free so DRM cannot be entered). What it staged
-// for the next link merge does not keep it awake: tickHalf only ever
-// appends there. It then sleeps until the first flit or credit pulse
-// already on the wire towards it lands; mergeLink lowers the wake when
-// the far half launches more.
-func (b *RBRGL2) halfIdleUntil(side int, now sim.Cycle) sim.Cycle {
-	h := &b.half[side]
-	ni := h.iface
-	if h.dead || h.drm || h.stalledCycles != 0 || h.lastInjectSeen != ni.Injected ||
-		len(h.tx)+len(h.reserve)+len(h.rx) > 0 ||
-		ni.eject.n+ni.inject.n+ni.bypass.n > 0 || ni.freeEjectEntries() <= 0 {
-		return now
-	}
-	w := Never
-	if len(h.pipe) > 0 {
-		w = h.pipe[0].arrives
-	}
-	if len(h.credIn) > 0 && h.credIn[0].arrives < w {
-		w = h.credIn[0].arrives
+		if len(h.pipe) > 0 && h.pipe[0].arrives < w {
+			w = h.pipe[0].arrives
+		}
+		if len(h.credIn) > 0 && h.credIn[0].arrives < w {
+			w = h.credIn[0].arrives
+		}
 	}
 	if w < now {
 		return now
@@ -624,13 +588,10 @@ func (b *RBRGL2) halfIdleUntil(side int, now sim.Cycle) sim.Cycle {
 	return w
 }
 
-// tickHalf advances one side of the bridge by one cycle, touching only
-// that side's state. The partitioned engine calls it from the partition
-// owning the side's ring; a failed bridge never reaches here (a
-// non-empty failed set forces the sequential engine, whose monolithic
-// Tick handles the purge).
+// tickHalf advances one side of the bridge by one cycle. It touches the
+// far side only to append what it launches to that side's pipe and credIn.
 func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
-	h := &b.half[side]
+	h, far := &b.half[side], &b.half[1-side]
 	h.dead = false
 	// 0. Credit pulses arriving this cycle restore the launch windows.
 	for len(h.credIn) > 0 && h.credIn[0].arrives <= now {
@@ -647,7 +608,7 @@ func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
 			if !h.iface.SendPriority(pf.f) {
 				break // bypass full: retry next cycle
 			}
-			b.stageCredit(h, now, 0, 1)
+			b.returnCredit(far, now, 0, 1)
 		} else {
 			if len(h.rx) >= b.cfg.RxDepth {
 				break
@@ -658,16 +619,16 @@ func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
 		h.transferred++
 	}
 	// 2. Launch onto the link against the credit windows, escape lane
-	//    first. Launches stage in h.out until the next link merge.
+	//    first.
 	lat := sim.Cycle(b.cfg.LinkLatency)
 	for launched := 0; launched < b.cfg.LinkWidth; launched++ {
 		if len(h.reserve) > 0 && h.escCred > 0 {
 			f := popFlit(&h.reserve)
-			h.out = append(h.out, pipeFlit{f: f, arrives: now + lat, escape: true})
+			far.pipe = append(far.pipe, pipeFlit{f: f, arrives: now + lat, escape: true})
 			h.escCred--
 		} else if len(h.tx) > 0 && h.txCred > 0 {
 			f := popFlit(&h.tx)
-			h.out = append(h.out, pipeFlit{f: f, arrives: now + lat})
+			far.pipe = append(far.pipe, pipeFlit{f: f, arrives: now + lat})
 			h.txCred--
 		} else {
 			break
@@ -689,48 +650,23 @@ func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
 			break
 		}
 		popFlit(&h.rx)
-		b.stageCredit(h, now, 1, 0)
+		b.returnCredit(far, now, 1, 0)
 	}
 	// 5. Deadlock detection & SWAP resolution.
 	b.runDRM(h)
 }
 
-// stageCredit queues a credit return from half h towards the far side,
-// arriving after the wire trip. Same-cycle returns coalesce.
-func (b *RBRGL2) stageCredit(h *l2half, now sim.Cycle, norm, esc int32) {
+// returnCredit puts a credit return on the wire towards half to, arriving
+// after the wire trip. Same-cycle returns coalesce: only the opposite half
+// appends to to.credIn and its arrival stamp is unique per cycle.
+func (b *RBRGL2) returnCredit(to *l2half, now sim.Cycle, norm, esc int32) {
 	at := now + sim.Cycle(b.cfg.LinkLatency)
-	if k := len(h.credOut); k > 0 && h.credOut[k-1].arrives == at {
-		h.credOut[k-1].norm += norm
-		h.credOut[k-1].esc += esc
+	if k := len(to.credIn); k > 0 && to.credIn[k-1].arrives == at {
+		to.credIn[k-1].norm += norm
+		to.credIn[k-1].esc += esc
 		return
 	}
-	h.credOut = append(h.credOut, credPulse{arrives: at, norm: norm, esc: esc})
-}
-
-// mergeLink publishes both halves' staged link traffic: flits and credit
-// pulses launched since the last merge become visible to the far half.
-// The sequential engine merges every cycle (end of Tick); the superstep
-// engine merges at epoch barriers — identical behaviour, because the
-// epoch horizon never exceeds the link latency, so nothing staged inside
-// an epoch could have arrived before the barrier anyway. A receiving half
-// that went to sleep with an empty wire is woken for the first arrival.
-func (b *RBRGL2) mergeLink() {
-	for side := 0; side < 2; side++ {
-		src, dst := &b.half[side], &b.half[1-side]
-		if len(src.out) > 0 {
-			dst.iface.wakeBy(src.out[0].arrives)
-			dst.pipe = append(dst.pipe, src.out...)
-			for i := range src.out {
-				src.out[i] = pipeFlit{}
-			}
-			src.out = src.out[:0]
-		}
-		if len(src.credOut) > 0 {
-			dst.iface.wakeBy(src.credOut[0].arrives)
-			dst.credIn = append(dst.credIn, src.credOut...)
-			src.credOut = src.credOut[:0]
-		}
-	}
+	to.credIn = append(to.credIn, credPulse{arrives: at, norm: norm, esc: esc})
 }
 
 // runDRM implements Section 4.4. A side is considered deadlocked when its
@@ -759,7 +695,7 @@ func (b *RBRGL2) runDRM(h *l2half) {
 			len(h.tx) >= b.cfg.TxDepth {
 			h.drm = true
 			h.swapEntries++
-			b.net.traceShard(ni.station.ring.shard, trace.DRMEnter, 0, b.name, "l2")
+			b.net.Trace(trace.DRMEnter, 0, b.name, "l2")
 		}
 		if !h.drm {
 			return
@@ -778,7 +714,7 @@ func (b *RBRGL2) runDRM(h *l2half) {
 	// moving again.
 	if len(h.reserve) == 0 && h.stalledCycles == 0 {
 		h.drm = false
-		b.net.traceShard(ni.station.ring.shard, trace.DRMExit, 0, b.name, "l2")
+		b.net.Trace(trace.DRMExit, 0, b.name, "l2")
 	}
 	// While in DRM the cross station swaps: every ejection immediately
 	// hands its freed slot to the inject-queue head.
@@ -803,8 +739,8 @@ func (b *RBRGL2) DebugState() string {
 	for side := 0; side < 2; side++ {
 		h := &b.half[side]
 		ni := h.iface
-		s += fmt.Sprintf(" s%d[tx=%d rsv=%d pipe=%d out=%d rx=%d cred=%d/%d inj=%d ej=%d resv=%d want=%d drm=%v stall=%d]",
-			side, len(h.tx), len(h.reserve), len(h.pipe), len(h.out), len(h.rx),
+		s += fmt.Sprintf(" s%d[tx=%d rsv=%d pipe=%d rx=%d cred=%d/%d inj=%d ej=%d resv=%d want=%d drm=%v stall=%d]",
+			side, len(h.tx), len(h.reserve), len(h.pipe), len(h.rx),
 			h.txCred, h.escCred,
 			ni.InjectLen(), ni.EjectLen(), len(ni.reserved), len(ni.wantEject), h.drm, h.stalledCycles)
 	}

@@ -132,6 +132,45 @@ func TestRBRGL2LinkLatencyIsVisible(t *testing.T) {
 	}
 }
 
+// TestRBRGL2ZeroLinkLatencyIsOneCycle: the wire is never shorter than one
+// cycle. A launch goes straight onto the far half's pipe, and side 1 ticks
+// after side 0 in the same cycle, so an arrival stamp of "now" would let
+// side 1 consume a side-0 launch the cycle it was made while the reverse
+// direction waited a cycle. NewRBRGL2 takes a LinkLatency below 1 as 1:
+// both directions then behave exactly like a one-cycle link.
+func TestRBRGL2ZeroLinkLatencyIsOneCycle(t *testing.T) {
+	run := func(linkLatency int) (lats []uint64, br *RBRGL2) {
+		cfg := DefaultRBRGL2Config()
+		cfg.LinkLatency = linkLatency
+		net, srcs, dsts, br := buildTwoDie(t, cfg)
+		net.RecordLatency(func(f *Flit, cycles uint64) { lats = append(lats, f.ID, cycles) })
+		for i := 0; i < 40; i++ {
+			srcs[0].queue(net.NewFlit(srcs[0].Node(), dsts[1].Node(), KindData, LineBytes))
+			srcs[1].queue(net.NewFlit(srcs[1].Node(), dsts[0].Node(), KindData, LineBytes))
+		}
+		runCycles(net, 1500)
+		if len(dsts[0].got) != 40 || len(dsts[1].got) != 40 {
+			t.Fatalf("LinkLatency %d: delivered %d and %d of 40", linkLatency, len(dsts[0].got), len(dsts[1].got))
+		}
+		return lats, br
+	}
+	want, _ := run(1)
+	for _, l := range []int{0, -3} {
+		got, br := run(l)
+		if br.cfg.LinkLatency != 1 {
+			t.Fatalf("LinkLatency %d built a %d-cycle link, want 1", l, br.cfg.LinkLatency)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("LinkLatency %d: %d latency samples, a one-cycle link gives %d", l, len(got)/2, len(want)/2)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("LinkLatency %d: delivery %d is (flit, cycles) %d, a one-cycle link gives %d", l, i/2, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestRBRGL2BidirectionalBulk(t *testing.T) {
 	net, srcs, dsts, _ := buildTwoDie(t, DefaultRBRGL2Config())
 	const N = 150

@@ -86,7 +86,7 @@ func (n *Network) FailBridge(node NodeID) error {
 		n.failed = make(map[NodeID]bool)
 	}
 	n.failed[node] = true
-	n.trace(trace.Fault, 0, info.name, "bridge killed")
+	n.Trace(trace.Fault, 0, info.name, "bridge killed")
 	n.rebuildRoutes()
 	n.rerouteLiveFlits()
 	n.wakeAll()
@@ -104,7 +104,7 @@ func (n *Network) RepairBridge(node NodeID) error {
 		return nil
 	}
 	delete(n.failed, node)
-	n.trace(trace.Fault, 0, n.nodes[node].name, "bridge repaired")
+	n.Trace(trace.Fault, 0, n.nodes[node].name, "bridge repaired")
 	n.rebuildRoutes()
 	n.rerouteLiveFlits()
 	n.wakeAll()
@@ -127,7 +127,7 @@ func (n *Network) StallStation(ring RingID, pos int, cycles int) error {
 	if until > st.stalledUntil {
 		st.stalledUntil = until
 	}
-	n.trace(trace.Fault, 0, fmt.Sprintf("r%d.p%d", ring, pos), fmt.Sprintf("stalled %d cycles", cycles))
+	n.Trace(trace.Fault, 0, fmt.Sprintf("r%d.p%d", ring, pos), fmt.Sprintf("stalled %d cycles", cycles))
 	n.wakeAll()
 	return nil
 }
@@ -186,7 +186,7 @@ func (n *Network) DropLiveFlit(nth int) bool {
 	s.flit = nil
 	l.occ--
 	r.settleHops(f)
-	n.dropFlit(f, r.shard, cFault, r, trace.Fault, "injector", "flit dropped")
+	n.dropFlit(f, &n.FaultDrops, r, trace.Fault, "injector", "flit dropped")
 	return true
 }
 
@@ -200,7 +200,7 @@ func (n *Network) CorruptLiveFlit(nth int) bool {
 		return false
 	}
 	s.flit.Corrupted = true
-	n.trace(trace.Fault, s.flit.ID, "injector", "flit corrupted")
+	n.Trace(trace.Fault, s.flit.ID, "injector", "flit corrupted")
 	return true
 }
 
@@ -276,7 +276,7 @@ func (n *Network) sweepLoop(r *Ring, l *loop, expired func(*Flit) bool) {
 		s.flit = nil
 		l.occ--
 		r.settleHops(f)
-		n.dropFlit(f, r.shard, cWatchdogDrops, r, trace.WatchdogDrop, "ring", "aged out on ring")
+		n.dropFlit(f, &n.WatchdogDrops, r, trace.WatchdogDrop, "ring", "aged out on ring")
 	}
 }
 
@@ -290,7 +290,7 @@ func (n *Network) sweepQueue(r *Ring, ni *NodeInterface, q *flitRing, expired fu
 	for count := q.len(); count > 0; count-- {
 		f := q.pop()
 		if expired(f) && !(ejectQueue && f.Dst == ni.node) {
-			n.dropFlit(f, r.shard, cWatchdogDrops, r, trace.WatchdogDrop, n.nodes[ni.node].name, "aged out in queue")
+			n.dropFlit(f, &n.WatchdogDrops, r, trace.WatchdogDrop, n.nodes[ni.node].name, "aged out in queue")
 			if !ejectQueue {
 				r.queued--
 			}
@@ -301,18 +301,17 @@ func (n *Network) sweepQueue(r *Ring, ni *NodeInterface, q *flitRing, expired fu
 }
 
 // dropFlit accounts one removed flit: the aggregate dropped counter
-// (part of the conservation invariant), the per-cause counter — both on
-// the shard sh owning the context the drop happened in — a purge of any
-// E-tag state the flit left on its current ring, and a trace event. The
-// flit is returned to the free-list — callers must not reference it
+// (part of the conservation invariant), the per-cause counter, a purge of
+// any E-tag state the flit left on its current ring, and a trace event.
+// The flit is returned to the free-list — callers must not reference it
 // after this call.
-func (n *Network) dropFlit(f *Flit, sh *shard, cause counterIdx, r *Ring, kind trace.Kind, where, detail string) {
-	sh.counts[cDropped]++
-	sh.counts[cause]++
+func (n *Network) dropFlit(f *Flit, cause *uint64, r *Ring, kind trace.Kind, where, detail string) {
+	n.DroppedFlits++
+	*cause++
 	if r != nil {
 		purgeTagState(r, f.ID)
 	}
-	n.traceShard(sh, kind, f.ID, where, detail)
+	n.Trace(kind, f.ID, where, detail)
 	n.ReleaseFlit(f)
 }
 
@@ -324,7 +323,7 @@ func (n *Network) dropInterfaceQueues(ni *NodeInterface) {
 	r.queued -= ni.inject.len() + ni.bypass.len()
 	for _, q := range []*flitRing{&ni.inject, &ni.bypass, &ni.eject} {
 		for q.len() > 0 {
-			n.dropFlit(q.pop(), r.shard, cFault, r, trace.Fault, where, "lost in dead bridge")
+			n.dropFlit(q.pop(), &n.FaultDrops, r, trace.Fault, where, "lost in dead bridge")
 		}
 	}
 	if ni.itagArmed {
@@ -369,7 +368,7 @@ func (n *Network) rerouteLiveFlits() {
 		reroute := func(f *Flit, s *slot, pos int, redirect bool) {
 			tpos, tiface, err := n.localTarget(r, f)
 			if err != nil {
-				n.trace(trace.Reroute, f.ID, "ring", "unroutable; left to watchdog")
+				n.Trace(trace.Reroute, f.ID, "ring", "unroutable; left to watchdog")
 				return
 			}
 			if tpos == f.localDst && tiface == f.localIface {
@@ -384,7 +383,7 @@ func (n *Network) rerouteLiveFlits() {
 				f.dir = r.shortestDir(pos, tpos)
 			}
 			n.ReroutedFlits++
-			n.trace(trace.Reroute, f.ID, "ring", "")
+			n.Trace(trace.Reroute, f.ID, "ring", "")
 		}
 		for p := 0; p < r.positions; p++ {
 			if s := r.cw.at(p); s.flit != nil {

@@ -2,7 +2,7 @@
 //
 // Below saturation most rings carry nothing and most devices wait for a
 // reply most cycles. The two loops here — the only ring loop and the only
-// device loop the tick engines have — skip them:
+// device loop the tick engine has — skip them:
 //
 //   - A ring whose loops hold no flit and whose interfaces queue none is
 //     idle (Ring.idle): advancing it moves nothing and every station tick
@@ -12,15 +12,18 @@
 //   - A device that implements IdleUntiler is skipped while it says so.
 //     Devices anchored at a node sleep on wake words, one per interface of
 //     their node; the loop stores IdleUntil(now+1) after each Tick, and an
-//     ejection into an interface, NodeInterface.Wake, a link merge towards
-//     a bridge half or any fault operation lowers the word again.
-//     Node-less devices are asked IdleUntil(now) every cycle.
+//     ejection into an interface, NodeInterface.Wake or any fault operation
+//     lowers the word again. Node-less devices are asked IdleUntil(now)
+//     every cycle.
 //   - When every ring is idle and every device sleeps, Run jumps the
-//     clock to the earliest wake (skipQuiescent), clamped like an epoch.
+//     clock to the earliest wake (skipQuiescent), clamped so that a
+//     watchdog sweep or metrics sample falls on the landing cycle, never
+//     inside the jump (clampStretch).
 //
 // Nothing simulated changes: the words and counts are derived state, never
 // serialized, and Network.forceAwake (tests only) turns all of it off to
-// give the differential suites their reference engine.
+// give the differential suites their reference engine. There is no other
+// engine: DESIGN.md §4 records why the partitioned one was deleted.
 package noc
 
 import (
@@ -29,21 +32,46 @@ import (
 	"chipletnoc/internal/sim"
 )
 
+// NodeOwner is implemented by devices anchored at a single network node
+// (requesters, memory and coherence controllers, ring bridges). The wake
+// table is built from it: such a device sleeps on its node's interfaces.
+type NodeOwner interface {
+	Node() NodeID
+}
+
+// IdleUntiler is implemented by devices that can tell when their Tick is
+// a no-op. IdleUntil(now) > now promises that Tick(now) would change
+// nothing — no field of the device, no flit sent, received or released,
+// no trace event — and that the same holds for every later cycle before
+// the returned one unless the device is handed work first: a flit ejected
+// into one of its interfaces, NodeInterface.Wake from a device that
+// queued work on it directly, or a fault operation. A device with
+// nothing to wait for returns the far future; one with work returns now.
+//
+// The tick engine uses the promise in two ways. A device that is also a
+// NodeOwner gets a wake cycle per interface: it is skipped while every
+// one lies in the future, the network stores IdleUntil(now+1) after each
+// Tick and zeroes the wake on ejection or Wake. A device with no node
+// (the fault injector, the serving orchestrator) cannot be woken that
+// way, so it is asked IdleUntil(now) at its registration slot every
+// cycle instead. When every ring is idle and every device's answer lies
+// in the future, Run jumps the clock to the earliest one.
+type IdleUntiler interface {
+	IdleUntil(now sim.Cycle) sim.Cycle
+}
+
 // Never is what IdleUntil returns when the device has nothing to wait
 // for: it stays idle until it is handed work.
 const Never = sim.Cycle(^uint64(0))
 
-// devGate is one device of a group and how it is gated. idle == nil: it
-// ticks every cycle. lo < hi: it sleeps on wake words [lo, hi) and is
-// awake when any of them has come. lo == hi: it has no node to be woken
-// through and is asked every cycle. unit is its trace-ordering unit:
-// 2*registration index, +1 for the side-1 half of a split bridge, so
-// buffered device events sort back into registration order.
+// devGate is one device and how it is gated. idle == nil: it ticks every
+// cycle. lo < hi: it sleeps on wake words [lo, hi) and is awake when any
+// of them has come. lo == hi: it has no node to be woken through and is
+// asked every cycle.
 type devGate struct {
 	dev    Device
 	idle   IdleUntiler
 	lo, hi int32
-	unit   int32
 }
 
 // wakeAt returns the cycle a device with an idle contract next wants to
@@ -70,12 +98,12 @@ func (g *devGate) wakeAtSlow(words []sim.Cycle, now sim.Cycle) sim.Cycle {
 }
 
 // bindGates lays out the wake table for the current device list and
-// builds the sequential engine's group over it. Words are handed out in
-// registration order, a NodeOwner device taking one per interface of its
-// node, so a device's words are adjacent; interfaces no device owns keep
-// a word of their own so NodeInterface.wake is never nil. A node claimed
-// by an earlier device is not shared: the later device is polled.
-// Everything starts awake.
+// gates every device over it. Words are handed out in registration
+// order, a NodeOwner device taking one per interface of its node, so a
+// device's words are adjacent; interfaces no device owns keep a word of
+// their own so NodeInterface.wake is never nil. A node claimed by an
+// earlier device is not shared: the later device is polled. Everything
+// starts awake.
 func (n *Network) bindGates() {
 	for _, info := range n.nodes {
 		for _, ni := range info.ifaces {
@@ -87,9 +115,9 @@ func (n *Network) bindGates() {
 		ni.wake = &ni.unbound // claimed; pointed into the table below
 		order = append(order, ni)
 	}
-	seq := &partition{net: n, rings: n.rings, shard: n.shards[0]}
-	for i, d := range n.devices {
-		g := devGate{dev: d, unit: int32(i * 2)}
+	n.devs = n.devs[:0]
+	for _, d := range n.devices {
+		g := devGate{dev: d}
 		g.idle, _ = d.(IdleUntiler)
 		if o, ok := d.(NodeOwner); ok {
 			if ifaces := n.nodes[o.Node()].ifaces; len(ifaces) > 0 && ifaces[0].wake == nil {
@@ -100,7 +128,7 @@ func (n *Network) bindGates() {
 				g.hi = int32(len(order))
 			}
 		}
-		seq.devs = append(seq.devs, g)
+		n.devs = append(n.devs, g)
 	}
 	for _, info := range n.nodes {
 		for _, ni := range info.ifaces {
@@ -113,7 +141,6 @@ func (n *Network) bindGates() {
 	for w, ni := range order {
 		ni.wake = &n.wake[w]
 	}
-	n.seq = seq
 }
 
 // wakeAll makes every device tick at its next slot: fault operations,
@@ -134,17 +161,15 @@ func (n *Network) syncRings() {
 	}
 }
 
-// tickRings runs one cycle of the group's rings: advance then stations,
-// ring by ring (a ring's tick touches only its own slots and interfaces,
-// so per-ring order equals the phase order), skipping idle rings. turn is
-// the cycle's advance number — the network's tick count once this cycle
-// is counted.
-func (p *partition) tickRings(now sim.Cycle, turn uint64) {
-	sh := p.shard
-	force := p.net.forceAwake
-	tracing := p.net.Tracer != nil // the trace context is only read when events are recorded
+// tickRings runs one cycle of the rings: advance then stations, ring by
+// ring (a ring's tick touches only its own slots and interfaces, so
+// per-ring order equals the phase order), skipping idle rings. The
+// cycle's advance number is the network's tick count, this cycle counted.
+func (n *Network) tickRings(now sim.Cycle) {
+	force := n.forceAwake
+	turn := n.ticks
 	skipped := uint64(0)
-	for _, r := range p.rings {
+	for _, r := range n.rings {
 		r.now = now
 		if r.idle() && !force {
 			skipped++
@@ -152,29 +177,21 @@ func (p *partition) tickRings(now sim.Cycle, turn uint64) {
 		}
 		r.sync(turn - 1)
 		r.advance()
-		if tracing {
-			sh.tctx = traceCtx{at: now, phase: 0, unit: int32(r.id)}
-		}
 		r.tick(now)
 	}
-	sh.counts[cRingSkips] += skipped
+	n.RingTicksSkipped += skipped
 }
 
-// tickDevices runs one cycle of the group's devices in registration
-// order, skipping those asleep, and leaves in nextWake the earliest cycle
-// any of them asked for.
-func (p *partition) tickDevices(now sim.Cycle) {
-	sh := p.shard
-	words := p.net.wake
-	force := p.net.forceAwake
-	tracing := p.net.Tracer != nil
+// tickDevices runs one cycle of the devices in registration order,
+// skipping those asleep, and leaves in nextWake the earliest cycle any of
+// them asked for.
+func (n *Network) tickDevices(now sim.Cycle) {
+	words := n.wake
+	force := n.forceAwake
 	next := Never
 	skipped := uint64(0)
-	for i := range p.devs {
-		g := &p.devs[i]
-		if tracing {
-			sh.tctx = traceCtx{at: now, phase: 1, unit: g.unit}
-		}
+	for i := range n.devs {
+		g := &n.devs[i]
 		if g.idle == nil || force {
 			g.dev.Tick(now)
 			next = now + 1
@@ -191,8 +208,7 @@ func (p *partition) tickDevices(now sim.Cycle) {
 		w := now + 1
 		if g.lo < g.hi {
 			// Going to sleep is the only store: a device that stays awake
-			// leaves its (already past) words alone, so busy devices in
-			// different partitions never dirty a shared line.
+			// leaves its (already past) words alone.
 			if w = g.idle.IdleUntil(now + 1); w > now+1 {
 				for j := g.lo; j < g.hi; j++ {
 					words[j] = w
@@ -203,29 +219,26 @@ func (p *partition) tickDevices(now sim.Cycle) {
 			next = w
 		}
 	}
-	p.nextWake = next
-	sh.counts[cDevSkips] += skipped
+	n.nextWake = next
+	n.DeviceTicksSkipped += skipped
 }
 
 // skipQuiescent jumps the clock over the cycles in which nothing at all
 // would tick and returns how many it skipped (0 when anything is busy).
-// groups is everything that ticks: the sequential group, or a plan's
-// partitions and tail. The test is cheap when the network is busy — some
-// group's loop saw a device that wants the next cycle — and otherwise
-// O(rings + devices): every ring idle, every wake word and every polled
-// device in the future. The landing cycle runs the cycle tail, so a
-// watchdog sweep or metrics sample due on it fires; clampStretch keeps
-// such a boundary from falling inside the jump. A throttle controller
-// samples its window every cycle, so its presence rules jumps out.
-func (n *Network) skipQuiescent(remaining int, groups ...*partition) int {
+// The test is cheap when the network is busy — the device loop saw a
+// device that wants the next cycle — and otherwise O(rings + devices):
+// every ring idle, every wake word and every polled device in the future.
+// The landing cycle runs the cycle tail, so a watchdog sweep or metrics
+// sample due on it fires; clampStretch keeps such a boundary from falling
+// inside the jump. A throttle controller samples its window every cycle,
+// so its presence rules jumps out.
+func (n *Network) skipQuiescent(remaining int) int {
 	if remaining <= 0 || n.throttle != nil || n.forceAwake {
 		return 0
 	}
 	t0 := sim.Cycle(n.ticks)
-	for _, g := range groups {
-		if g.nextWake <= t0 {
-			return 0
-		}
+	if n.nextWake <= t0 {
+		return 0
 	}
 	for _, r := range n.rings {
 		if !r.idle() {
@@ -233,28 +246,24 @@ func (n *Network) skipQuiescent(remaining int, groups ...*partition) int {
 		}
 	}
 	wake := Never
-	devices := 0
-	for _, g := range groups {
-		for i := range g.devs {
-			d := &g.devs[i]
-			if d.idle == nil {
-				return 0
-			}
-			w := d.wakeAt(n.wake, t0)
-			if w <= t0 {
-				return 0
-			}
-			if w < wake {
-				wake = w
-			}
+	for i := range n.devs {
+		d := &n.devs[i]
+		if d.idle == nil {
+			return 0
 		}
-		devices += len(g.devs)
+		w := d.wakeAt(n.wake, t0)
+		if w <= t0 {
+			return 0
+		}
+		if w < wake {
+			wake = w
+		}
 	}
 	k := remaining
 	if d := uint64(wake - t0); d < uint64(k) {
 		k = int(d)
 	}
-	k = n.clampStretch(k, t0, remaining)
+	k = n.clampStretch(k, t0)
 	n.ticks += uint64(k)
 	n.now = t0 + sim.Cycle(k) - 1
 	for _, r := range n.rings {
@@ -262,28 +271,70 @@ func (n *Network) skipQuiescent(remaining int, groups ...*partition) int {
 	}
 	n.SkippedCycles += uint64(k)
 	n.RingTicksSkipped += uint64(k * len(n.rings))
-	n.DeviceTicksSkipped += uint64(k * devices)
+	n.DeviceTicksSkipped += uint64(k * len(n.devs))
 	n.cycleTail(n.now)
 	return k
 }
 
-// EngineStats says how the tick engines spent a stretch of simulated
+// clampStretch limits a quiescent jump of k cycles starting at t0 to what
+// the cycle tail allows: a watchdog sweep or metrics sample may fall on
+// its last cycle but never inside it.
+func (n *Network) clampStretch(k int, t0 sim.Cycle) int {
+	// The watchdog sweeps after cycle t when (t+1) % period == 0.
+	if n.watchdogBudget > 0 && n.watchdogPeriod > 0 {
+		k = clampToBoundary(k, t0, n.watchdogPeriod)
+	}
+	// Metrics sample on the same post-cycle schedule at their interval.
+	if iv := n.metrics.Interval(); iv > 0 {
+		k = clampToBoundary(k, t0, iv)
+	}
+	return k
+}
+
+// clampToBoundary limits a stretch starting at t0 so that no cycle before
+// its last satisfies (t+1) % period == 0: the first such cycle is at
+// offset period-1-t0%period, and the stretch may include it only as its
+// final cycle.
+func clampToBoundary(k int, t0 sim.Cycle, period uint64) int {
+	if off := period - 1 - uint64(t0)%period; off+1 < uint64(k) {
+		return int(off + 1)
+	}
+	return k
+}
+
+// Run advances the network the given number of cycles: Tick, then a jump
+// over whatever quiescent stretch follows. Results are bit-identical to
+// calling Tick in a loop.
+func (n *Network) Run(cycles int) {
+	if cycles <= 0 {
+		return
+	}
+	if !n.finalized {
+		panic("noc: Run before Finalize")
+	}
+	defer n.noteRun(n.engineStats())
+	for done := 0; done < cycles; {
+		n.Tick(sim.Cycle(n.ticks))
+		done++
+		done += n.skipQuiescent(cycles - done)
+	}
+}
+
+// EngineStats says how the tick engine spent a stretch of simulated
 // time: of Cycles cycles, SkippedCycles were jumped as quiescent; of the
 // RingTicks ring-cycles and DeviceTicks device-cycles they contained,
-// the *Skipped ones were not executed (jumped cycles included); and the
-// partitioned engine ran EpochsRun epochs over BarrierSyncs barrier
-// crossings. Host-side diagnostics: nothing here is simulated state.
+// the *Skipped ones were not executed (jumped cycles included).
+// Host-side diagnostics: nothing here is simulated state.
 type EngineStats struct {
 	Cycles, SkippedCycles           uint64
 	RingTicks, RingTicksSkipped     uint64
 	DeviceTicks, DeviceTicksSkipped uint64
-	EpochsRun, BarrierSyncs         uint64
 }
 
 // fields lists the counters once, for the arithmetic below.
-func (s *EngineStats) fields() [8]*uint64 {
-	return [8]*uint64{&s.Cycles, &s.SkippedCycles, &s.RingTicks, &s.RingTicksSkipped,
-		&s.DeviceTicks, &s.DeviceTicksSkipped, &s.EpochsRun, &s.BarrierSyncs}
+func (s *EngineStats) fields() [6]*uint64 {
+	return [6]*uint64{&s.Cycles, &s.SkippedCycles, &s.RingTicks, &s.RingTicksSkipped,
+		&s.DeviceTicks, &s.DeviceTicksSkipped}
 }
 
 // Sub returns the stretch between an earlier reading b and s.
@@ -302,7 +353,6 @@ func (n *Network) engineStats() EngineStats {
 		Cycles: n.ticks, SkippedCycles: n.SkippedCycles,
 		RingTicks: n.ticks * uint64(len(n.rings)), RingTicksSkipped: n.RingTicksSkipped,
 		DeviceTicks: n.ticks * uint64(len(n.devices)), DeviceTicksSkipped: n.DeviceTicksSkipped,
-		EpochsRun: n.EpochsRun, BarrierSyncs: n.BarrierSyncs,
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"chipletnoc/internal/coherence"
 	"chipletnoc/internal/config"
+	"chipletnoc/internal/fault"
 	"chipletnoc/internal/metrics"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/serving"
@@ -20,10 +21,10 @@ import (
 
 // The gated-vs-forced-awake differential suite. Every reference system —
 // the two paper SoCs, the quad-die package, the four declarative fabrics
-// of internal/config's partition suite, the serving fabric — runs under
-// the activity-gated engines at partitions 1, 2 and auto, and must equal
-// the forced-awake sequential engine (noc.Network.ForceAwake, test builds
-// only) in flit counters, latency stream, metrics export, trace event
+// of internal/config's testdata, the serving fabric, healthy and under
+// fault schedules — runs under the activity-gated engine and must equal
+// the forced-awake engine (noc.Network.ForceAwake, test builds only) in
+// flit counters, latency stream, metrics export, trace event
 // stream and checkpoint bytes. The golden digests themselves stay pinned
 // where they always were (internal/soc, internal/experiments); this
 // suite proves the gate cannot be what moves them.
@@ -95,28 +96,21 @@ func (o outcome) String() string {
 		o.counters, o.extra, o.latFNV, o.traceFNV, h(o.metrics), h(o.ckpt), len(o.ckpt))
 }
 
-// diffGated runs build() forced awake and then gated at partitions 1, 2
-// and auto, and returns the gated sequential network for callers that
-// assert on what was skipped.
-func diffGated(t *testing.T, cycles int, build func(partitions int) system) *noc.Network {
+// diffGated runs build() forced awake and then gated, and returns the
+// gated network for callers that assert on what was skipped.
+func diffGated(t *testing.T, cycles int, build func() system) *noc.Network {
 	t.Helper()
-	ref := build(1)
+	ref := build()
 	ref.net.ForceAwake()
 	want := observe(t, ref, cycles)
 	if n := ref.net; n.SkippedCycles+n.RingTicksSkipped+n.DeviceTicksSkipped != 0 {
 		t.Fatal("forced-awake reference skipped work")
 	}
-	var seq *noc.Network
-	for _, parts := range []int{1, 2, noc.PartitionsAuto} {
-		s := build(parts)
-		if got := observe(t, s, cycles); got != want {
-			t.Errorf("partitions=%d: gated engine diverged from forced-awake\n got: %v\nwant: %v", parts, got, want)
-		}
-		if parts == 1 {
-			seq = s.net
-		}
+	s := build()
+	if got := observe(t, s, cycles); got != want {
+		t.Errorf("gated engine diverged from forced-awake\n got: %v\nwant: %v", got, want)
 	}
-	return seq
+	return s.net
 }
 
 func serverSystem(s *soc.ServerCPU) system {
@@ -136,10 +130,9 @@ func serverSystem(s *soc.ServerCPU) system {
 // devices idle most cycles, and once the reads are answered the coherence
 // agents' idle contracts let the clock jump the rest of the run.
 func TestGateDiffServerCPU(t *testing.T) {
-	seq := diffGated(t, 4000, func(parts int) system {
+	seq := diffGated(t, 4000, func() system {
 		cfg := soc.DefaultServerConfig()
 		cfg.ClustersPerDie = 3
-		cfg.Partitions = parts
 		s := soc.BuildServerCPU(cfg, soc.CoherentCores, nil)
 		perDie := cfg.ClustersPerDie * cfg.CoresPerCluster
 		states := []coherence.State{coherence.Modified, coherence.Exclusive, coherence.Shared}
@@ -168,37 +161,68 @@ func TestGateDiffServerCPU(t *testing.T) {
 	}
 }
 
-// TestGateDiffAIProcessor: the golden AI die, a mesh of rings woven from
+// aiSystem is the AI die of this suite: a mesh of rings woven from
 // RBRG-L1 intersections under saturating traffic.
+func aiSystem() system {
+	cfg := soc.DefaultAIConfig()
+	cfg.VRings, cfg.HRings = 4, 2
+	cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
+	cfg.HBMStacks, cfg.DMAEngines = 2, 2
+	a := soc.BuildAIProcessor(cfg)
+	return system{
+		net: a.Net, run: a.Run, metrics: a.EnableMetrics,
+		checkpoint: func() ([]byte, error) {
+			var b bytes.Buffer
+			err := a.WriteCheckpoint(&b, nil)
+			return b.Bytes(), err
+		},
+	}
+}
+
+// faulted attaches a fault injector replaying sched to s, which rules its
+// checkpoint out (injectors do not checkpoint).
+func faulted(t *testing.T, s system, sched *fault.Schedule, seed uint64) system {
+	t.Helper()
+	if _, err := fault.NewInjector(s.net, sched, seed); err != nil {
+		t.Fatalf("NewInjector: %v", err)
+	}
+	s.checkpoint = nil
+	return s
+}
+
+// TestGateDiffAIProcessor: the AI die, healthy.
 func TestGateDiffAIProcessor(t *testing.T) {
-	seq := diffGated(t, 3000, func(parts int) system {
-		cfg := soc.DefaultAIConfig()
-		cfg.VRings, cfg.HRings = 4, 2
-		cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
-		cfg.HBMStacks, cfg.DMAEngines = 2, 2
-		cfg.Partitions = parts
-		a := soc.BuildAIProcessor(cfg)
-		return system{
-			net: a.Net, run: a.Run, metrics: a.EnableMetrics,
-			checkpoint: func() ([]byte, error) {
-				var b bytes.Buffer
-				err := a.WriteCheckpoint(&b, nil)
-				return b.Bytes(), err
-			},
-		}
-	})
+	seq := diffGated(t, 3000, aiSystem)
 	if seq.DeviceTicksSkipped == 0 {
 		t.Error("AI processor skipped no device tick; a closed-loop requester sleeps on a full transaction table")
 	}
 }
 
+// TestGateDiffAIProcessorFaulted runs the AI die under the fault script of
+// the soc golden fault run: an RBRG-L1 killed and repaired, a flit
+// dropped, a flit corrupted, the watchdog sweeping. The injector is a
+// node-less device polled at its slot; every fault operation finds some
+// rings behind on rotation and some devices asleep.
+func TestGateDiffAIProcessorFaulted(t *testing.T) {
+	diffGated(t, 3000, func() system {
+		s := aiSystem()
+		return faulted(t, s, &fault.Schedule{
+			WatchdogCycles: 1200,
+			Events: []fault.Event{
+				{At: 500, Kind: fault.KillBridge, Bridge: s.net.BridgeNames()[0], RepairAt: 1800},
+				{At: 900, Kind: fault.DropFlit},
+				{At: 1000, Kind: fault.CorruptFlit},
+			},
+		}, 0x5e5)
+	})
+}
+
 // quadDie is the four-die Server-CPU of the benchmark's quad-die
 // workloads at the given request rate.
-func quadDie(parts int, rate float64) *soc.ServerCPU {
+func quadDie(rate float64) *soc.ServerCPU {
 	cfg := soc.DefaultServerConfig()
 	cfg.Packages = 2
 	cfg.ClustersPerDie = 2
-	cfg.Partitions = parts
 	return soc.BuildServerCPU(cfg, soc.MemoryCores, func(core int, s *soc.ServerCPU) traffic.RequesterConfig {
 		const line = 64
 		return traffic.RequesterConfig{
@@ -220,7 +244,7 @@ func quadDie(parts int, rate float64) *soc.ServerCPU {
 // never jumps.
 func TestGateDiffQuadDie(t *testing.T) {
 	for _, rate := range []float64{1, 0.001} {
-		seq := diffGated(t, 3000, func(parts int) system { return serverSystem(quadDie(parts, rate)) })
+		seq := diffGated(t, 3000, func() system { return serverSystem(quadDie(rate)) })
 		if seq.SkippedCycles != 0 {
 			t.Errorf("rate %v: quad-die jumped %d cycles", rate, seq.SkippedCycles)
 		}
@@ -233,8 +257,25 @@ func TestGateDiffQuadDie(t *testing.T) {
 	}
 }
 
+// TestGateDiffQuadDieFaulted kills and repairs an inter-package PA link
+// (an RBRG-L2 with flits and credit pulses on its wire) mid-run on the
+// saturated quad-die package, with the watchdog reaping what the dead
+// bridge strands.
+func TestGateDiffQuadDieFaulted(t *testing.T) {
+	diffGated(t, 2500, func() system {
+		s := serverSystem(quadDie(1))
+		names := s.net.BridgeNames()
+		return faulted(t, s, &fault.Schedule{
+			WatchdogCycles: 900,
+			Events: []fault.Event{
+				{At: 700, Kind: fault.KillBridge, Bridge: names[len(names)-1], RepairAt: 1600},
+			},
+		}, 0x77)
+	})
+}
+
 // TestGateDiffConfigFabrics runs the four declarative reference fabrics
-// of internal/config's partition suite — bridged multi-ring chain,
+// of internal/config's testdata — bridged multi-ring chain,
 // mesh-of-rings, hub-and-spoke, and the mesh with a fault schedule
 // (bridge kill and repair, flit drop and corruption, watchdog) — at
 // their own request rates and throttled down to a trickle, where the
@@ -247,12 +288,11 @@ func TestGateDiffConfigFabrics(t *testing.T) {
 		}
 		for _, trickle := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/trickle=%v", name, trickle), func(t *testing.T) {
-				diffGated(t, 2500, func(parts int) system {
+				diffGated(t, 2500, func() system {
 					spec, err := config.Parse(doc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					spec.Partitions = parts
 					if trickle {
 						for i := range spec.Devices {
 							if spec.Devices[i].Type == "requester" {
@@ -280,7 +320,7 @@ func TestGateDiffConfigFabrics(t *testing.T) {
 }
 
 // servingSystem builds the default serving spec at one offered load.
-func servingSystem(t *testing.T, load float64, parts int) (system, *serving.System) {
+func servingSystem(t *testing.T, load float64) (system, *serving.System) {
 	t.Helper()
 	spec, err := config.ParseServingSpec([]byte(`{}`))
 	if err != nil {
@@ -289,7 +329,6 @@ func servingSystem(t *testing.T, load float64, parts int) (system, *serving.Syst
 	spec.ApplyDefaults(true)
 	spec.Loads = []float64{load}
 	spec.Cycles = 20000
-	spec.Partitions = parts
 	sys, err := serving.Build(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -313,11 +352,11 @@ func servingSystem(t *testing.T, load float64, parts int) (system, *serving.Syst
 // (load 1: the fabric is empty most cycles and most of the run is
 // jumped) and at the top of the benchmark's sweep (load 24). The
 // orchestrator's arrival draw-ahead, the engines' hand-delivered wakes
-// and the polled serial tail are all on this path.
+// and the polled node-less orchestrator are all on this path.
 func TestGateDiffServing(t *testing.T) {
 	for _, load := range []float64{1, 24} {
-		diffGated(t, 20000, func(parts int) system {
-			s, _ := servingSystem(t, load, parts)
+		diffGated(t, 20000, func() system {
+			s, _ := servingSystem(t, load)
 			return s
 		})
 	}
@@ -325,28 +364,26 @@ func TestGateDiffServing(t *testing.T) {
 
 // TestGateSaysWhatItSkipped pins the diagnostics on the two ends of the
 // benchmark: the default serving spec at load 1 spends at least 30 % of
-// its cycles in quiescent jumps under either engine (a jumped cycle
-// counts every ring and every device as skipped, so those counters are
-// bounded below by it), the saturated quad-die package none at all.
+// its cycles in quiescent jumps (a jumped cycle counts every ring and
+// every device as skipped, so those counters are bounded below by it),
+// the saturated quad-die package none at all.
 func TestGateSaysWhatItSkipped(t *testing.T) {
-	for _, parts := range []int{1, 2} {
-		s, sys := servingSystem(t, 1, parts)
-		s.run(0)
-		n := sys.Net
-		if float64(n.SkippedCycles) < 0.30*float64(n.Ticks()) {
-			t.Errorf("partitions=%d: serving at load 1 jumped %d of %d cycles, want at least 30%%", parts, n.SkippedCycles, n.Ticks())
-		}
-		rings := uint64(len(n.Rings()))
-		devices := uint64(3*len(sys.Engines) + 1) // engine, memory, bridge per die; the orchestrator
-		if n.RingTicksSkipped < n.SkippedCycles*rings || n.RingTicksSkipped > n.Ticks()*rings {
-			t.Errorf("partitions=%d: %d ring ticks skipped over %d cycles (%d jumped) of %d rings", parts, n.RingTicksSkipped, n.Ticks(), n.SkippedCycles, rings)
-		}
-		if n.DeviceTicksSkipped < n.SkippedCycles*devices {
-			t.Errorf("partitions=%d: %d device ticks skipped over %d jumped cycles of %d devices", parts, n.DeviceTicksSkipped, n.SkippedCycles, devices)
-		}
+	s, sys := servingSystem(t, 1)
+	s.run(0)
+	n := sys.Net
+	if float64(n.SkippedCycles) < 0.30*float64(n.Ticks()) {
+		t.Errorf("serving at load 1 jumped %d of %d cycles, want at least 30%%", n.SkippedCycles, n.Ticks())
+	}
+	rings := uint64(len(n.Rings()))
+	devices := uint64(3*len(sys.Engines) + 1) // engine, memory, bridge per die; the orchestrator
+	if n.RingTicksSkipped < n.SkippedCycles*rings || n.RingTicksSkipped > n.Ticks()*rings {
+		t.Errorf("%d ring ticks skipped over %d cycles (%d jumped) of %d rings", n.RingTicksSkipped, n.Ticks(), n.SkippedCycles, rings)
+	}
+	if n.DeviceTicksSkipped < n.SkippedCycles*devices {
+		t.Errorf("%d device ticks skipped over %d jumped cycles of %d devices", n.DeviceTicksSkipped, n.SkippedCycles, devices)
 	}
 
-	q := quadDie(1, 1)
+	q := quadDie(1)
 	q.Run(3000)
 	if q.Net.SkippedCycles != 0 {
 		t.Errorf("saturated quad-die jumped %d cycles", q.Net.SkippedCycles)

@@ -10,66 +10,44 @@ import (
 	"chipletnoc/internal/trace"
 )
 
-// FuzzSuperstepEquivalence drives the tick engines across arbitrary
-// (partition assignment, lookahead, link latency, idle gaps, fault
-// timing) inputs and requires bit-identity with the reference engine
-// every time. The reference is the sequential engine with the activity
-// gate forced open — every ring and device ticked every cycle, no jumps.
-// Three legs run against it per input: the gated sequential engine, the
-// planner's own assignment through the public Run path, and a
-// fuzzer-chosen arbitrary ring assignment pushed straight into buildPlan
-// — correctness must not depend on what was skipped or on how rings are
-// grouped, only on honest idle bounds and the conservative horizon math.
-// The traffic arrives in bursts with fuzzed gaps, so whole stretches are
-// jumped, and the fault script (bridge kill and repair, station stall,
-// flit drop) lands wherever the fuzzer puts it — inside those stretches
-// included.
-func FuzzSuperstepEquivalence(f *testing.F) {
-	f.Add(uint8(2), uint8(0), uint8(8), uint16(0), uint8(0))
-	f.Add(uint8(3), uint8(1), uint8(1), uint16(120), uint8(0b10110))
-	f.Add(uint8(2), uint8(8), uint8(4), uint16(77), uint8(0b01001))
-	f.Add(uint8(4), uint8(3), uint8(2), uint16(300), uint8(0xff))
-	f.Add(uint8(17), uint8(0), uint8(8), uint16(0), uint8(0b0110))       // 25-cycle gaps, no faults
-	f.Add(uint8(21), uint8(5), uint8(3), uint16(1031), uint8(0b1011))    // 49-cycle gaps, kill + stall + drop
-	f.Add(uint8(13), uint8(2), uint8(6), uint16(2*300+250), uint8(0x55)) // 16-cycle gaps, late kill + drop
-	f.Fuzz(func(t *testing.T, parts, la, linkLat uint8, faultAt uint16, assignBits uint8) {
+// FuzzGateEquivalence drives the tick engine across arbitrary (link
+// latency, idle gaps, fault timing) inputs and requires bit-identity with
+// the reference engine every time. The reference is the same engine with
+// the activity gate forced open — every ring and device ticked every
+// cycle, no jumps: correctness must not depend on what was skipped, only
+// on honest idle bounds. The traffic arrives in bursts with fuzzed gaps,
+// so whole stretches are jumped, and the fault script (bridge kill and
+// repair, station stall, flit drop) lands wherever the fuzzer puts it —
+// inside those stretches included.
+func FuzzGateEquivalence(f *testing.F) {
+	f.Add(uint8(0), uint8(8), uint16(0))
+	f.Add(uint8(1), uint8(1), uint16(120))
+	f.Add(uint8(0), uint8(4), uint16(77))
+	f.Add(uint8(1), uint8(2), uint16(300))
+	f.Add(uint8(5), uint8(8), uint16(0))         // 25-cycle gaps, no faults
+	f.Add(uint8(7), uint8(3), uint16(1031))      // 49-cycle gaps, kill + stall + drop
+	f.Add(uint8(4), uint8(6), uint16(2*300+250)) // 16-cycle gaps, late kill + drop
+	f.Fuzz(func(t *testing.T, gapRoot, linkLat uint8, faultAt uint16) {
 		c := fuzzCase{
-			parts:     1,
 			linkLat:   1 + int(linkLat%10), // 1..10 cycle link pipelines
 			faultAt:   faultAt,
-			gap:       int(parts/3%8) * int(parts/3%8), // 0..49 cycles between bursts
+			gap:       int(gapRoot%8) * int(gapRoot%8), // 0..49 cycles between bursts
 			forceWake: true,
 		}
-		k := 2 + int(parts%3)     // 2..4 partitions
-		lookahead := int(la % 12) // 0 (auto) .. 11
-
 		ref := fuzzRun(t, c)
 		c.forceWake = false
-		if seq := fuzzRun(t, c); seq != ref {
-			t.Fatalf("gated sequential engine diverged from forced-awake (%+v)\n got: %+v\nwant: %+v", c, seq, ref)
-		}
-		c.parts, c.lookahead = k, lookahead
-		if planned := fuzzRun(t, c); planned != ref {
-			t.Fatalf("planner assignment diverged (%+v)\n got: %+v\nwant: %+v", c, planned, ref)
-		}
-		c.assign = make([]int, 3)
-		for i := range c.assign {
-			c.assign[i] = int(assignBits>>(uint(i)%7)) % k
-		}
-		if arbitrary := fuzzRun(t, c); arbitrary != ref {
-			t.Fatalf("arbitrary assignment %#b diverged (%+v)\n got: %+v\nwant: %+v", assignBits, c, arbitrary, ref)
+		if gated := fuzzRun(t, c); gated != ref {
+			t.Fatalf("gated engine diverged from forced-awake (%+v)\n got: %+v\nwant: %+v", c, gated, ref)
 		}
 	})
 }
 
 // fuzzCase selects the engine and the input of one fuzzRun.
 type fuzzCase struct {
-	parts, lookahead int
-	assign           []int // non-nil: bypass the planner with this ring assignment
-	forceWake        bool  // the reference engine: nothing gated, nothing jumped
-	linkLat          int
-	faultAt          uint16 // 0: no fault script
-	gap              int    // idle cycles between traffic bursts
+	forceWake bool // the reference engine: nothing gated, nothing jumped
+	linkLat   int
+	faultAt   uint16 // 0: no fault script
+	gap       int    // idle cycles between traffic bursts
 }
 
 // fuzzDigest is everything a run must reproduce bit for bit.
@@ -80,12 +58,12 @@ type fuzzDigest struct {
 	delivered0, delivered2       int
 }
 
-// fuzzFaulter is an in-package stand-in for the fault injector: a serial
-// ScheduleIdler device replaying a fixed script of fault operations —
-// bridge kill and repair, station stall, live-flit drop — exercising the
-// epoch clamp to event cycles, the failed-set fallback to per-cycle
-// sequential ticks, and fault operations that find rings and devices
-// skipped (their rotation behind, their wakes in the future).
+// fuzzFaulter is an in-package stand-in for the fault injector: a
+// node-less IdleUntiler device replaying a fixed script of fault
+// operations — bridge kill and repair, station stall, live-flit drop —
+// exercising jumps that must land on event cycles and fault operations
+// that find rings and devices skipped (their rotation behind, their wakes
+// in the future).
 type fuzzFaulter struct {
 	net   *Network
 	node  NodeID
@@ -117,8 +95,6 @@ func (ff *fuzzFaulter) IdleUntil(now sim.Cycle) sim.Cycle {
 	}
 	return now
 }
-
-func (ff *fuzzFaulter) FixedSchedule() {}
 
 func (ff *fuzzFaulter) Tick(now sim.Cycle) {
 	for ff.next < len(ff.steps) && ff.steps[ff.next].at <= now {
@@ -159,8 +135,7 @@ func newFuzzFaulter(net *Network, node NodeID, faultAt uint16) *fuzzFaulter {
 // fuzzRun builds a three-die chain (full ring — full ring — half ring,
 // two RBRG-L2 bridges at the fuzzed link latency), drives fixed cross-
 // and intra-die traffic in bursts c.gap cycles apart, and digests the
-// result. faultAt > 0 schedules the fault script through a serial
-// ScheduleIdler device.
+// result. faultAt > 0 schedules the fault script through a fuzzFaulter.
 func fuzzRun(t *testing.T, c fuzzCase) fuzzDigest {
 	t.Helper()
 	net := NewNetwork("fuzz")
@@ -205,14 +180,7 @@ func fuzzRun(t *testing.T, c fuzzCase) fuzzDigest {
 		src0.queueAt(net.NewFlit(src0.Node(), snk1.Node(), KindData, LineBytes), at)
 	}
 
-	const cycles = 500
-	net.SetLookahead(c.lookahead)
-	net.SetPartitions(c.parts)
-	if c.assign == nil {
-		net.Run(cycles)
-	} else {
-		net.runPartitioned(net.buildPlan(c.assign, c.parts), cycles)
-	}
+	net.Run(500)
 	if err := net.CheckConservation(); err != nil {
 		t.Fatalf("%+v: %v", c, err)
 	}

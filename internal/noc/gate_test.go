@@ -114,13 +114,11 @@ func observeRig(t testing.TB, g *gateRig, run func()) gateOutcome {
 }
 
 // TestGatedEnginesMatchForcedAwake is the in-package differential: the
-// rig under the gated sequential engine, the planner's two partitions
-// (cut at the L2) and an assignment that cuts the L1 bridge (which then
-// sleeps on its wake words in the serial tail) must equal the
-// forced-awake reference in counters, delivery order, latency stream,
-// trace event stream, metrics export and checkpoint bytes — over dense
-// traffic, sparse traffic that leaves single components idle, and
-// traffic so sparse that whole stretches are jumped.
+// rig under the gated engine, in one Run call and sliced into several,
+// must equal the forced-awake reference in counters, delivery order,
+// latency stream, trace event stream, metrics export and checkpoint bytes
+// — over dense traffic, sparse traffic that leaves single components
+// idle, and traffic so sparse that whole stretches are jumped.
 func TestGatedEnginesMatchForcedAwake(t *testing.T) {
 	const cycles = 1500
 	for _, maxGap := range []int{0, 30, 200} {
@@ -136,17 +134,11 @@ func TestGatedEnginesMatchForcedAwake(t *testing.T) {
 				name string
 				run  func(*Network)
 			}{
-				{"sequential", func(n *Network) { n.Run(cycles) }},
-				{"sequential-sliced", func(n *Network) {
+				{"gated", func(n *Network) { n.Run(cycles) }},
+				{"gated-sliced", func(n *Network) {
 					for done := 0; done < cycles; done += 250 {
 						n.Run(250)
 					}
-				}},
-				{"partitions=2", func(n *Network) { n.SetPartitions(2); n.Run(cycles) }},
-				{"partitions=auto", func(n *Network) { n.SetPartitions(PartitionsAuto); n.Run(cycles) }},
-				{"l1-cut", func(n *Network) {
-					n.SetPartitions(2)
-					n.runPartitioned(n.buildPlan([]int{0, 0, 1}, 2), cycles)
 				}},
 			}
 			for _, e := range engines {
@@ -181,8 +173,8 @@ func (o gateOutcome) brief() string {
 // a jumped stretch (Run's remaining-cycles clamp ends the jump there),
 // checkpoints with rings behind on rotation and every device asleep, and
 // requires: the bytes equal the forced-awake engine's at the same cycle;
-// a twin restored from them — gated or forced awake, sequential or
-// partitioned — finishes exactly like the uninterrupted run. Wake state
+// a twin restored from them — gated or forced awake — finishes exactly
+// like the uninterrupted run. Wake state
 // and rotation lag are derived, so nothing of them may be in the file.
 func TestResumeFromCheckpointInsideIdleStretch(t *testing.T) {
 	const seed, maxGap, full = 2, 200, 1500
@@ -192,7 +184,7 @@ func TestResumeFromCheckpointInsideIdleStretch(t *testing.T) {
 	for c := 0; c < full; c++ {
 		before := probe.net.SkippedCycles
 		probe.net.Run(1)
-		if probe.net.SkippedCycles > before || probe.net.seq.nextWake > sim.Cycle(c)+40 {
+		if probe.net.SkippedCycles > before || probe.net.nextWake > sim.Cycle(c)+40 {
 			// Run(1) can never jump (nothing remains); a far nextWake with
 			// idle rings is what a longer Run would have jumped over.
 			idle := true
@@ -234,8 +226,7 @@ func TestResumeFromCheckpointInsideIdleStretch(t *testing.T) {
 	for _, resume := range []struct {
 		name  string
 		force bool
-		parts int
-	}{{"gated", false, 1}, {"forced-awake", true, 1}, {"partitions=2", false, 2}} {
+	}{{"gated", false}, {"forced-awake", true}} {
 		g := buildGateRig(t, seed, maxGap)
 		for _, s := range g.srcs {
 			s.pending, s.release = nil, nil // everything comes from the file
@@ -245,7 +236,6 @@ func TestResumeFromCheckpointInsideIdleStretch(t *testing.T) {
 				t.Fatal(err)
 			}
 			g.net.forceAwake = resume.force
-			g.net.SetPartitions(resume.parts)
 			g.net.Run(full - stop)
 		})
 		// The resumed run's observers attach at the checkpoint, so only
@@ -257,8 +247,8 @@ func TestResumeFromCheckpointInsideIdleStretch(t *testing.T) {
 	}
 }
 
-// TestJumpStopsAtBoundaries pins the clamps the jump shares with the
-// epoch horizon: a jumped stretch never swallows a watchdog sweep or a
+// TestJumpStopsAtBoundaries pins the jump's clamps: a jumped stretch
+// never swallows a watchdog sweep or a
 // metrics sample (both still fire on their exact cycles — the sample
 // series and the sweep-driven drops are compared with the forced-awake
 // engine by TestGatedEnginesMatchForcedAwake; here the cycle arithmetic
@@ -355,9 +345,9 @@ func TestRingSyncEqualsMissedAdvances(t *testing.T) {
 // fuzzed traffic: whenever a device says IdleUntil(now) > now, ticking it
 // anyway must change nothing — the whole network's snapshot bytes (every
 // queue, buffer, counter and the device's own codec), the flit
-// free-lists and the trace stream stay identical. The cycle loop below is
-// sequentialCycle with the gate open and the check spliced in before
-// each device tick. A field added to a device later that an "idle" tick
+// free-list and the trace stream stay identical. The cycle loop below is
+// Network.Tick with the gate open and the check spliced in before each
+// device tick. A field added to a device later that an "idle" tick
 // moves fails here as soon as it is serialized.
 func TestIdleUntilHonest(t *testing.T) {
 	type netState struct {
@@ -369,11 +359,7 @@ func TestIdleUntilHonest(t *testing.T) {
 		if err := net.SnapState(sim.Saving(e)); err != nil {
 			t.Fatal(err)
 		}
-		free := 0
-		for _, sh := range net.shards {
-			free += len(sh.freeFlits)
-		}
-		return netState{string(e.Data()), free, net.Tracer.Len()}
+		return netState{string(e.Data()), len(net.freeFlits), net.Tracer.Len()}
 	}
 	for _, maxGap := range []int{0, 25, 120} {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -398,14 +384,14 @@ func TestIdleUntilHonest(t *testing.T) {
 				}
 				net.now = now
 				net.ticks++
-				if net.seq == nil {
+				if net.wake == nil {
 					net.bindGates()
 				}
-				net.seq.tickRings(now, net.ticks)
+				net.tickRings(now)
 				var before netState
 				fresh := false // before describes the state right now
-				for i := range net.seq.devs {
-					d := &net.seq.devs[i]
+				for i := range net.devs {
+					d := &net.devs[i]
 					if d.idle == nil || d.idle.IdleUntil(now) <= now {
 						d.dev.Tick(now)
 						fresh = false

@@ -50,9 +50,9 @@ type Network struct {
 	// flit identity: per-source-node sequence streams. A flit's ID is
 	// (stream sequence << flitIDShift) | source node, so IDs are globally
 	// unique, never zero (sequences start at 1; zero is the trace
-	// sentinel), and — crucially for the partitioned engine — depend only
-	// on the minting node's own history, not on any global order across
-	// nodes. flitIDShift is fixed at Finalize from the node count.
+	// sentinel), and depend only on the minting node's own history, not on
+	// any global order across nodes (the goldens pin them). flitIDShift is
+	// fixed at Finalize from the node count.
 	flitSeq     []uint64
 	flitIDShift uint
 
@@ -66,66 +66,38 @@ type Network struct {
 	// walks in routeFrom/localTarget. Rebuilt with the BFS tables.
 	routeTbl [][]routeEntry
 
-	// Counter/free-list shards and the partitioned tick engine (see
-	// shard.go and partition.go). shards always holds at least one shard;
-	// in sequential mode everything routes through shards[0], so the flit
-	// free-list stays a plain deterministic LIFO, never a sync.Pool —
-	// recycling order is reproducible and race-free even when the
-	// parallel harness runs many networks at once. nodeShard keys a
-	// node's flit pool to the partition its device ticks in.
-	shards     []*shard
-	nodeShard  []*shard
-	partitions int // requested partition count (<=1: sequential; PartitionsAuto resolves at plan time)
-	// lookahead caps the superstep horizon: 0 = auto (the structural
-	// inter-partition pipeline depth), k>0 clamps epochs to k cycles.
-	lookahead int
-	plan      *tickPlan // lazily built; nil or invalid after topology edits
+	// freeFlits is the flit free-list: a plain deterministic LIFO, never a
+	// sync.Pool — recycling order is reproducible and race-free even when
+	// the parallel harness runs many networks at once.
+	freeFlits []*Flit
 
-	// Activity gating (gate.go). seq is the sequential engine's one group
-	// — every ring, every device — built lazily with the wake table: one
-	// word per node interface, laid out so a device's words are adjacent.
-	// forceAwake is the test-only reference engine: every ring and device
-	// ticks every cycle and the clock never jumps.
-	seq        *partition
+	// Activity gating (gate.go). devs is every device with its gate, in
+	// registration order, over the wake table: one word per node
+	// interface, laid out so a device's words are adjacent. Both are built
+	// lazily (wake == nil: not laid out for the current device list).
+	// nextWake is, after tickDevices, a lower bound on the next cycle any
+	// device wants to tick, as far as the loop could see; the quiescent
+	// jump uses it as its cheap first test. forceAwake is the test-only
+	// reference engine: every ring and device ticks every cycle and the
+	// clock never jumps.
+	devs       []devGate
 	wake       []sim.Cycle
+	nextWake   sim.Cycle
 	forceAwake bool
 
-	// bufferEvents is set while partitions free-run inside an epoch:
-	// deliveries park latency samples and OnDeliver notifications on the
-	// delivering ring and trace events on the recording shard, each
-	// stamped with its emission cycle, and the serial replay at the epoch
-	// barrier re-emits everything in (cycle, ring/unit, slot) order —
-	// exactly the sequential engine's emission order.
-	bufferEvents bool
-	// serialTail is set while the epoch tail ticks serial devices with
-	// buffering still on: trace emissions from any shard redirect to
-	// shard 0, whose context the coordinator stamps per serial device,
-	// so a device that traces through several rings' shards keeps its
-	// emission order in one buffer.
-	serialTail bool
-
-	// EpochsRun / BarrierSyncs count the superstep engine's work: epochs
-	// executed and barrier crossings paid. A per-cycle engine pays
-	// ~2 crossings per cycle; the superstep engine pays 2 per epoch, so
-	// BarrierSyncs ≈ 2·cycles/k proves barriers are actually elided.
-	// Diagnostics only — never serialized, excluded from digests.
-	EpochsRun    uint64
-	BarrierSyncs uint64
+	// Always 0; kept only because bench/ compiles against them.
+	EpochsRun, BarrierSyncs uint64
 
 	// SkippedCycles / RingTicksSkipped / DeviceTicksSkipped count what the
 	// activity gate saved: cycles Run jumped over because the whole
 	// network was quiescent, ring ticks (advance plus every station) not
 	// executed because the ring carried and queued nothing, and device
 	// ticks not executed because the device reported itself idle — both
-	// including the rings and devices of jumped cycles. Diagnostics only,
-	// like the two above.
+	// including the rings and devices of jumped cycles. Diagnostics only:
+	// never serialized, excluded from digests.
 	SkippedCycles      uint64
 	RingTicksSkipped   uint64
 	DeviceTicksSkipped uint64
-
-	// traceScratch is the reusable merge buffer the epoch-tail trace
-	// replay sorts shard buffers into.
-	traceScratch []tracedEvent
 
 	// ITagEnabled / ETagEnabled toggle the starvation and deflection
 	// control tags (on by default; the tag ablation turns them off).
@@ -178,7 +150,6 @@ func NewNetwork(name string) *Network {
 	return &Network{
 		name:        name,
 		bridges:     make(map[[2]RingID][]NodeID),
-		shards:      []*shard{new(shard)},
 		ITagEnabled: true,
 		ETagEnabled: true,
 	}
@@ -208,7 +179,6 @@ func (n *Network) AddRing(positions int, full bool) *Ring {
 	r := &Ring{
 		id:        RingID(len(n.rings)),
 		net:       n,
-		shard:     n.shards[0],
 		positions: positions,
 		full:      full,
 		stationAt: make([]*CrossStation, positions),
@@ -267,22 +237,23 @@ func (n *Network) AttachQueued(node NodeID, st *CrossStation, injectDepth, eject
 }
 
 // AddDevice registers a device for per-cycle ticking (after ring logic).
+// The wake table is laid out again, all-awake, on the next Tick.
 func (n *Network) AddDevice(d Device) {
 	n.devices = append(n.devices, d)
-	n.invalidatePlan()
+	n.wake = nil
 }
 
+// Partitions always returns 1; kept only because bench/ compiles against it.
+func (n *Network) Partitions() int { return 1 }
+
 // NewFlit mints a flit with a network-unique ID, reusing storage from the
-// minting node's free-list when available. IDs are strictly monotonic
-// per source node whether or not the struct is recycled, so everything
-// keyed by flit ID (E-tag state, bridge load-balancing, traces) is
-// unaffected by pooling — and because each node draws from its own
-// sequence stream, the IDs a run produces are identical at any partition
-// count.
+// free-list when available. IDs are strictly monotonic per source node
+// whether or not the struct is recycled, so everything keyed by flit ID
+// (E-tag state, bridge load-balancing, traces) is unaffected by pooling.
 func (n *Network) NewFlit(src, dst NodeID, kind Kind, payloadBytes int) *Flit {
 	for int(src) >= len(n.flitSeq) {
 		// Pre-Finalize minting only (tests): Finalize sizes the vector to
-		// the node count, and partitioned runs start after Finalize.
+		// the node count.
 		n.flitSeq = append(n.flitSeq, 0)
 	}
 	n.flitSeq[src]++
@@ -291,11 +262,10 @@ func (n *Network) NewFlit(src, dst NodeID, kind Kind, payloadBytes int) *Flit {
 		shift = preFinalizeIDShift
 	}
 	id := n.flitSeq[src]<<shift | uint64(src)
-	sh := n.shardFor(src)
-	if k := len(sh.freeFlits); k > 0 {
-		f := sh.freeFlits[k-1]
-		sh.freeFlits[k-1] = nil
-		sh.freeFlits = sh.freeFlits[:k-1]
+	if k := len(n.freeFlits); k > 0 {
+		f := n.freeFlits[k-1]
+		n.freeFlits[k-1] = nil
+		n.freeFlits = n.freeFlits[:k-1]
 		*f = Flit{ID: id, Src: src, Dst: dst, Kind: kind, PayloadBytes: payloadBytes}
 		return f
 	}
@@ -307,51 +277,40 @@ func (n *Network) NewFlit(src, dst NodeID, kind Kind, payloadBytes int) *Flit {
 // production systems mint only after Finalize).
 const preFinalizeIDShift = 32
 
-// ReleaseFlit returns a flit to its destination node's free-list for
-// reuse by a later NewFlit. Callers hand back delivered flits after
-// consuming them (the network itself recycles dropped ones in dropFlit);
-// the flit must not be referenced afterwards. Each free-list is a plain
-// LIFO — deliberately not a sync.Pool, whose scheduler-dependent
-// recycling would make allocation behaviour (and any accidental
-// use-after-release) nondeterministic across runs and racy across the
-// parallel harness's concurrent networks. Keying the list by f.Dst keeps
-// releases partition-local under the partitioned engine: the releasing
-// device is always the flit's destination. Releasing nil is a no-op;
-// releasing twice panics, because the second owner's writes would
-// silently corrupt an unrelated future flit.
+// ReleaseFlit returns a flit to the free-list for reuse by a later
+// NewFlit. Callers hand back delivered flits after consuming them (the
+// network itself recycles dropped ones in dropFlit); the flit must not be
+// referenced afterwards. The free-list is a plain LIFO — deliberately not
+// a sync.Pool, whose scheduler-dependent recycling would make allocation
+// behaviour (and any accidental use-after-release) nondeterministic
+// across runs and racy across the parallel harness's concurrent networks.
+// Releasing nil is a no-op; releasing twice panics, because the second
+// owner's writes would silently corrupt an unrelated future flit.
 func (n *Network) ReleaseFlit(f *Flit) {
 	if f == nil {
 		return
 	}
-	n.recycle(f, f.Dst)
-}
-
-// RecycleRefused hands back a flit that Send or SendPriority refused
-// (returned false for) and that the caller will not retry: a device that
-// mints a fresh flit per attempt calls it instead of dropping the struct
-// for the garbage collector. The flit goes onto its *source* node's
-// free-list — the one NewFlit drew it from — because the refusing device
-// is the source and ticks in the source's partition; ReleaseFlit's
-// f.Dst keying would be a cross-partition write there. The sequence
-// number the flit consumed stays consumed (see NewFlit), so recycling
-// changes no flit ID. A flit the network ever accepted must go through
-// ReleaseFlit instead; handing one here panics.
-func (n *Network) RecycleRefused(f *Flit) {
-	if f.counted {
-		panic(fmt.Sprintf("noc: flit %d recycled as refused after the network accepted it", f.ID))
-	}
-	n.recycle(f, f.Src)
-}
-
-// recycle pushes f onto the free-list of the shard owning node owner.
-func (n *Network) recycle(f *Flit, owner NodeID) {
 	if f.freed {
 		panic(fmt.Sprintf("noc: flit %d released twice", f.ID))
 	}
 	f.freed = true
 	f.Msg = nil
-	sh := n.shardFor(owner)
-	sh.freeFlits = append(sh.freeFlits, f)
+	n.freeFlits = append(n.freeFlits, f)
+}
+
+// RecycleRefused hands back a flit that Send or SendPriority refused
+// (returned false for) and that the caller will not retry: a device that
+// mints a fresh flit per attempt calls it instead of dropping the struct
+// for the garbage collector. The sequence number the flit consumed stays
+// consumed (see NewFlit), so recycling changes no flit ID. It differs
+// from ReleaseFlit only in what it checks: a flit the network ever
+// accepted is still queued or in flight somewhere, so handing one here
+// panics.
+func (n *Network) RecycleRefused(f *Flit) {
+	if f.counted {
+		panic(fmt.Sprintf("noc: flit %d recycled as refused after the network accepted it", f.ID))
+	}
+	n.ReleaseFlit(f)
 }
 
 // Finalize freezes the topology and builds the ring-graph routing tables.
@@ -608,76 +567,23 @@ func (n *Network) localTarget(r *Ring, f *Flit) (pos, iface int, err error) {
 	return c.pos, c.iface, nil
 }
 
-// trace records an event when a tracer is attached. Serial contexts only
-// (epoch tails, the sequential engine, construction-time code): it stamps
-// n.now and writes the tracer directly. Anything that can run inside a
-// partition's free-run phase must go through traceShard instead.
-func (n *Network) trace(kind trace.Kind, flitID uint64, where, detail string) {
-	if n.Tracer == nil {
-		return
-	}
-	if n.bufferEvents {
-		// Only the epoch tail's serial device ticks reach here with
-		// buffering on (workers never call trace); key under the serial
-		// context stamped on shard 0 so the event merges at the device's
-		// registration slot.
-		sh := n.shards[0]
-		sh.tbuf = append(sh.tbuf, tracedEvent{
-			ctx: sh.tctx,
-			ev:  trace.Event{Cycle: sh.tctx.at, Kind: kind, FlitID: flitID, Where: where, Detail: detail},
-		})
-		return
-	}
-	n.Tracer.Record(trace.Event{Cycle: n.now, Kind: kind, FlitID: flitID, Where: where, Detail: detail})
-}
-
-// traceShard records an event from code that may execute inside a
-// partition worker. While an epoch is free-running (bufferEvents), the
-// event parks on the recording shard under the shard's current trace
-// context — the (cycle, phase, unit) key the partition loop stamps
-// before every ring and device tick — and the epoch-barrier replay
-// merge-sorts all shards' buffers back into sequential emission order.
-// Outside an epoch it is a plain trace.
-func (n *Network) traceShard(sh *shard, kind trace.Kind, flitID uint64, where, detail string) {
-	if n.Tracer == nil {
-		return
-	}
-	if n.bufferEvents {
-		if n.serialTail {
-			sh = n.shards[0]
-		}
-		sh.tbuf = append(sh.tbuf, tracedEvent{
-			ctx: sh.tctx,
-			ev:  trace.Event{Cycle: sh.tctx.at, Kind: kind, FlitID: flitID, Where: where, Detail: detail},
-		})
-		return
-	}
-	n.Tracer.Record(trace.Event{Cycle: n.now, Kind: kind, FlitID: flitID, Where: where, Detail: detail})
-}
-
-// TraceNode records a structured event on behalf of the device owning
-// node — safe from any device Tick, including inside a partition
-// free-run. Devices that tick in partitions (the traffic requesters' CHI
-// retry layer) must use this rather than Trace.
-func (n *Network) TraceNode(node NodeID, kind trace.Kind, flitID uint64, where, detail string) {
-	n.traceShard(n.shardFor(node), kind, flitID, where, detail)
-}
-
-// Trace records a structured event when a tracer is attached (no-op
-// otherwise). Serial contexts only — the fault injector uses it for
-// Fault events the core NoC cannot see; partition-resident devices use
-// TraceNode.
+// Trace records a structured event at the current cycle when a tracer is
+// attached (no-op otherwise). The core NoC records through it, and so do
+// devices for events the fabric cannot see (fault injections, CHI
+// retries, serving stalls).
 func (n *Network) Trace(kind trace.Kind, flitID uint64, where, detail string) {
-	n.trace(kind, flitID, where, detail)
+	if n.Tracer == nil {
+		return
+	}
+	n.Tracer.Record(trace.Event{Cycle: n.now, Kind: kind, FlitID: flitID, Where: where, Detail: detail})
 }
 
 // flitEjected is called by stations when a flit leaves a ring into an
 // eject queue. Bridges receive transit flits; anything else is a final
 // delivery.
 func (n *Network) flitEjected(ni *NodeInterface, f *Flit, now sim.Cycle) {
-	r := ni.station.ring
 	if ni.node != f.Dst {
-		n.traceShard(r.shard, trace.Eject, f.ID, n.nodes[ni.node].name, "")
+		n.Trace(trace.Eject, f.ID, n.nodes[ni.node].name, "")
 		return // transit stop at a bridge; the bridge forwards it
 	}
 	if f.Corrupted {
@@ -686,26 +592,13 @@ func (n *Network) flitEjected(ni *NodeInterface, f *Flit, now sim.Cycle) {
 		// it is the tail entry; remove it and count the drop instead of
 		// a delivery.
 		ni.eject.popTail()
-		n.dropFlit(f, r.shard, cCorrupt, r, trace.Fault, n.nodes[ni.node].name, "corrupt payload discarded")
+		n.dropFlit(f, &n.CorruptDrops, ni.station.ring, trace.Fault, n.nodes[ni.node].name, "corrupt payload discarded")
 		ni.promoteReservations()
 		return
 	}
-	n.traceShard(r.shard, trace.Deliver, f.ID, n.nodes[ni.node].name, "")
-	r.shard.counts[cDelivered]++
-	r.shard.counts[cDeliveredBytes] += uint64(f.PayloadBytes)
-	if n.latency == nil && n.OnDeliver == nil {
-		return
-	}
-	if n.bufferEvents {
-		// Epoch free-run: park a value copy of the flit on the delivering
-		// ring (the flit itself may be consumed, released and reminted
-		// before the barrier); the epoch-tail replay re-emits every
-		// ring's records in (cycle, ring) order, each record firing the
-		// latency sample then the OnDeliver hook exactly as this branch's
-		// else arm would have.
-		r.delivBuf = append(r.delivBuf, delivSample{fl: *f, at: now, cycles: uint64(now - f.Created)})
-		return
-	}
+	n.Trace(trace.Deliver, f.ID, n.nodes[ni.node].name, "")
+	n.DeliveredFlits++
+	n.DeliveredBytes += uint64(f.PayloadBytes)
 	if n.latency != nil {
 		n.latency(f, uint64(now-f.Created))
 	}
@@ -720,9 +613,10 @@ func (n *Network) flitEjected(ni *NodeInterface, f *Flit, now sim.Cycle) {
 // conservation accounting.
 func (n *Network) InFlight() uint64 { return n.InjectedFlits - n.DeliveredFlits - n.DroppedFlits }
 
-// Tick implements sim.Component: rings advance, stations work, devices
-// (including bridges and generators) run. Tick is always a sequential
-// cycle; Run uses the partitioned engine when partitions are configured.
+// Tick implements sim.Component, one cycle on the calling goroutine:
+// rings advance and stations work, then devices (including bridges and
+// generators) run — the gated ring and device loops of gate.go — then the
+// cycle tail.
 func (n *Network) Tick(now sim.Cycle) {
 	if !n.finalized {
 		panic("noc: Tick before Finalize")
@@ -730,33 +624,20 @@ func (n *Network) Tick(now sim.Cycle) {
 	n.now = now
 	n.ticks++
 	n.throttleTick()
-	n.sequentialCycle(now)
-}
-
-// sequentialCycle runs one cycle's ring, device and bookkeeping phases on
-// the calling goroutine: the gated ring and device loops of gate.go over
-// the one group that holds the whole network. Counters still flow
-// through the shards (keyed by ring/node, not by goroutine), so this body
-// is also the per-cycle fallback the partitioned engine drops to whenever
-// a cycle is not eligible for concurrency.
-func (n *Network) sequentialCycle(now sim.Cycle) {
-	if n.seq == nil {
+	if n.wake == nil {
 		n.bindGates()
 	}
-	n.seq.tickRings(now, n.ticks)
-	n.seq.tickDevices(now)
+	n.tickRings(now)
+	n.tickDevices(now)
 	n.cycleTail(now)
 }
 
-// cycleTail is the serial end of every cycle regardless of engine: the
-// watchdog sweep when due, the shard fold that makes the exported
-// counters exact at the cycle boundary, and the metrics sample (which
-// must observe folded counters).
+// cycleTail ends every cycle, ticked or landed on by a quiescent jump:
+// the watchdog sweep when due, then the metrics sample.
 func (n *Network) cycleTail(now sim.Cycle) {
 	if n.watchdogBudget > 0 && n.ticks%n.watchdogPeriod == 0 {
 		n.watchdogSweep(now)
 	}
-	n.foldShards()
 	if n.metrics != nil {
 		n.metrics.TickSample(n.ticks)
 	}

@@ -101,17 +101,11 @@ type Ring struct {
 	net       *Network
 	positions int
 	full      bool
-	// shard receives this ring's counter increments — shards[0] under the
-	// sequential engine, the owning partition's shard under the
-	// partitioned one (see partition.go).
-	shard *shard
-	// now is the cycle this ring is currently executing. It tracks the
-	// network clock under the sequential engine, but inside a superstep
-	// epoch each partition advances its rings' clocks locally — all
-	// ring-local timestamps (flit Created/boarded, latency math) read
-	// r.now, never n.now, so free-running partitions stay coherent. It is
-	// stamped every cycle even when the ring's tick is skipped as idle: a
-	// device sending into an idle ring reads it for Flit.Created.
+	// now is the cycle this ring is currently executing: the network clock,
+	// kept on the ring so ring-local timestamps (flit Created/boarded,
+	// latency math) read one struct. It is stamped every cycle even when
+	// the ring's tick is skipped as idle: a device sending into an idle
+	// ring reads it for Flit.Created.
 	now sim.Cycle
 	// queued counts the inject and bypass entries waiting at this ring's
 	// interfaces, kept exact by every site that adds or removes one. With
@@ -123,29 +117,11 @@ type Ring struct {
 	// skipped ring falls behind the network's tick count; sync rotates it
 	// forward in one head update before anything looks at slot positions.
 	turned uint64
-	// delivBuf parks delivery side effects (latency samples and OnDeliver
-	// notifications, one record per delivered flit) emitted during an
-	// epoch free-run; the epoch-tail replay drains every ring's buffer in
-	// (cycle, ring) order. delivPos is the replay cursor.
-	delivBuf []delivSample
-	delivPos int
 	// cw holds the clockwise loop; ccw the counter-clockwise one
 	// (ccw.slots is nil for half rings).
 	cw, ccw   loop
 	stations  []*CrossStation // ordered by position
 	stationAt []*CrossStation // dense position index (nil = no station)
-}
-
-// delivSample is one buffered delivery observation: the latency sample
-// and the OnDeliver notification the sequential engine would have issued
-// back-to-back at delivery time. It carries a value copy of the flit:
-// the real one is consumed by its destination device later in the same
-// epoch and may be released and reminted before the barrier replays the
-// sample.
-type delivSample struct {
-	fl     Flit
-	at     sim.Cycle
-	cycles uint64
 }
 
 // ID returns the ring identifier.
@@ -208,10 +184,10 @@ func (r *Ring) loopFor(d Direction) *loop {
 func (r *Ring) advance() {
 	r.turned++
 	r.cw.rotateHigh()
-	r.shard.counts[cHops] += uint64(r.cw.occ)
+	r.net.TotalHops += uint64(r.cw.occ)
 	if r.full {
 		r.ccw.rotateLow()
-		r.shard.counts[cHops] += uint64(r.ccw.occ)
+		r.net.TotalHops += uint64(r.ccw.occ)
 	}
 }
 
@@ -288,9 +264,8 @@ func (r *Ring) shortestDir(from, to int) Direction {
 }
 
 // tick runs all station logic for this cycle, position order, CW before
-// CCW at each station. It stamps the ring-local clock first, so every
-// timestamp taken on this ring's stations reads the cycle actually being
-// executed even when the network clock lags (epoch free-run).
+// CCW at each station. It stamps the ring's clock first, so a caller that
+// drives one ring by hand (tests, benchmarks) gets current timestamps too.
 func (r *Ring) tick(now sim.Cycle) {
 	r.now = now
 	for _, st := range r.stations {

@@ -108,7 +108,6 @@ func TestOffsetWraparoundDeepIntoRun(t *testing.T) {
 	if f.Hops != 7 || g.Hops != 7 {
 		t.Fatalf("hops = %d,%d want 7,7 (lazy accounting across the 2^31 boundary)", f.Hops, g.Hops)
 	}
-	net.foldShards()
 	if want := uint64(14); net.TotalHops != want {
 		t.Fatalf("TotalHops = %d, want %d", net.TotalHops, want)
 	}

@@ -65,10 +65,9 @@ func TestRingAdvanceRotation(t *testing.T) {
 	if r.ccw.at(2).flit != f2 {
 		t.Fatal("CCW slot did not move 3 -> 2")
 	}
-	// Hop accounting: the ring's shard accumulates at advance time from
-	// the occupancy counters and folds into the network-wide counter at
-	// the cycle boundary; per-flit hops materialise on demand.
-	net.foldShards()
+	// Hop accounting: the network-wide counter accumulates at advance
+	// time from the occupancy counters; per-flit hops materialise on
+	// demand.
 	if net.TotalHops != 2 {
 		t.Fatalf("TotalHops = %d, want 2", net.TotalHops)
 	}

@@ -359,12 +359,10 @@ func (n *Network) SnapState(c *sim.Codec) error {
 		// Wake state is derived, never serialized: everything ticks once
 		// and reports its own idleness from the restored state.
 		n.wakeAll()
-		// The free-lists are derived scratch state: a resumed process
-		// starts with empty pools, exactly like the fresh run did at
+		// The free-list is derived scratch state: a resumed process
+		// starts with an empty pool, exactly like the fresh run did at
 		// cycle 0.
-		for _, sh := range n.shards {
-			sh.freeFlits = nil
-		}
+		n.freeFlits = nil
 		// Routing tables are pure functions of topology + failure set;
 		// rebuild rather than deserialize. Live flits already carry their
 		// (snapshotted) routes, so no reroute pass runs here.
@@ -611,9 +609,7 @@ func (b *RBRGL1) SnapState(s *Snap) {
 
 // SnapState walks the L2 bridge: tx/reserve/pipe/rx buffers, credit
 // windows and in-flight credit pulses, DRM state and counters, all per
-// half. Snapshots are taken between Run calls, where every epoch's link
-// merge has already published the staging buffers (out, credOut) — both
-// are empty by construction and not serialized.
+// half.
 func (b *RBRGL2) SnapState(s *Snap) {
 	c := s.Codec
 	window := b.cfg.txWindow() + b.cfg.escWindow()
@@ -644,10 +640,6 @@ func (b *RBRGL2) SnapState(s *Snap) {
 			sim.Uint(c, &p.arrives)
 			sim.Int(c, &p.norm)
 			sim.Int(c, &p.esc)
-		}
-		if c.Loading() {
-			h.out = h.out[:0]
-			h.credOut = h.credOut[:0]
 		}
 		c.Bool(&h.drm)
 		sim.Int(c, &h.stalledCycles)

@@ -243,11 +243,11 @@ func (ni *NodeInterface) route(f *Flit) bool {
 	if !f.counted {
 		f.counted = true
 		f.Created = r.now
-		r.shard.counts[cInjected]++
+		net.InjectedFlits++
 	}
 	pos, iface, err := net.localTarget(r, f)
 	if err != nil {
-		net.dropFlit(f, r.shard, cUnroutable, nil, trace.Reroute, net.nodes[ni.node].name, err.Error())
+		net.dropFlit(f, &net.UnroutableDrops, nil, trace.Reroute, net.nodes[ni.node].name, err.Error())
 		return false
 	}
 	f.localDst = pos
@@ -260,20 +260,8 @@ func (ni *NodeInterface) route(f *Flit) bool {
 // if it reported itself idle. The network calls it on every ejection;
 // a device that hands another device work outside the fabric (the
 // serving orchestrator queueing a command on an engine) calls it on the
-// receiver's interface. The word is only written when it changes, so
-// busy devices ticking in different partitions never share a dirty line.
-func (ni *NodeInterface) Wake() {
-	if *ni.wake != 0 {
-		*ni.wake = 0
-	}
-}
-
-// wakeBy makes the owning device tick no later than cycle t.
-func (ni *NodeInterface) wakeBy(t sim.Cycle) {
-	if t < *ni.wake {
-		*ni.wake = t
-	}
-}
+// receiver's interface.
+func (ni *NodeInterface) Wake() { *ni.wake = 0 }
 
 // Recv dequeues the oldest ejected flit, or nil. Draining the eject queue
 // is what frees buffer entries for E-tag reservations.
@@ -588,8 +576,8 @@ func (st *CrossStation) arrive(d Direction, s *slot, now sim.Cycle) {
 	if !dst.tryEject(f) {
 		f.Deflections++
 		dst.Deflected++
-		st.ring.shard.counts[cDeflections]++
-		st.ring.net.traceShard(st.ring.shard, traceDeflect, f.ID, st.ring.net.nodes[dst.node].name, "")
+		st.ring.net.Deflections++
+		st.ring.net.Trace(traceDeflect, f.ID, st.ring.net.nodes[dst.node].name, "")
 		return
 	}
 	s.flit = nil
@@ -598,7 +586,7 @@ func (st *CrossStation) arrive(d Direction, s *slot, now sim.Cycle) {
 	st.ring.net.flitEjected(dst, f, now)
 	if dst.swapMode && st.want[dst.index] == wantDir(d) {
 		st.inject(dst, s, d) // the slot now carries dst's former head
-		st.ring.net.traceShard(st.ring.shard, traceSwap, s.flit.ID, st.ring.net.nodes[dst.node].name, "")
+		st.ring.net.Trace(traceSwap, s.flit.ID, st.ring.net.nodes[dst.node].name, "")
 	}
 }
 
@@ -674,5 +662,5 @@ func (st *CrossStation) inject(ni *NodeInterface, s *slot, d Direction) {
 	ni.popHead()
 	ni.Injected++
 	st.rr = (ni.index + 1) % 2
-	st.ring.net.traceShard(st.ring.shard, traceInject, f.ID, st.ring.net.nodes[ni.node].name, "")
+	st.ring.net.Trace(traceInject, f.ID, st.ring.net.nodes[ni.node].name, "")
 }

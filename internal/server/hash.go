@@ -2,9 +2,9 @@
 // of its normalized spec (PR 5–7 pinned this byte-for-byte), so a
 // completed job's output can be stored and served under a stable hash of
 // everything that determines it — and ONLY that. Knobs that change how a
-// result is computed but not what it is (the partition count, the
-// checkpoint cadence) are excluded, so resubmissions that differ only in
-// those knobs hit the cache; the spec echoed inside a served result is
+// result is computed but not what it is (the checkpoint cadence) and the
+// accepted, inert "partitions"/"lookahead" keys are excluded, so
+// resubmissions that differ only in those hit the cache; the spec echoed inside a served result is
 // patched back to the submission's own, keeping every body byte-identical
 // to a fresh run of exactly that submission.
 package server
@@ -33,9 +33,8 @@ type jobIdentity struct {
 	Format   int    `json:"format"`
 	Snapshot int    `json:"snapshot_version"`
 	Kind     string `json:"kind"`
-	// Sim-job identity. CheckpointEvery, Partitions and Lookahead are
-	// deliberately absent: all three are proven behaviour-neutral (the
-	// differential suites of PR 5–7 and the superstep suite), so they
+	// Sim-job identity. CheckpointEvery is deliberately absent: it is
+	// proven behaviour-neutral (the differential suites of PR 5–7), so it
 	// must not split the cache.
 	Topology        string `json:"topology,omitempty"`
 	Scale           string `json:"scale,omitempty"`
@@ -46,7 +45,7 @@ type jobIdentity struct {
 	// Experiment-job identity.
 	Experiment string `json:"experiment,omitempty"`
 	// Serving-job identity: the canonical serving document minus the
-	// behaviour-neutral partitions/lookahead knobs. Scale is absent on
+	// inert partitions/lookahead keys. Scale is absent on
 	// purpose — the document arrives fully defaulted, so scale no longer
 	// influences the result.
 	Serving string `json:"serving,omitempty"`
@@ -93,13 +92,14 @@ func JobKey(spec JobSpec) (string, error) {
 	return fmt.Sprintf("%x", sha256.Sum256(doc)), nil
 }
 
-// hashableConfig strips the identity-excluded "partitions" and
-// "lookahead" knobs from a canonical JSON document — a custom-topology
-// config or a serving spec, which spell those knobs identically —
-// before hashing. The document arrives already canonical (Normalize
-// rendered it), so this only has to drop the behaviour-neutral fields;
-// numeric literals ride through as json.Number and are re-rendered
-// verbatim.
+// hashableConfig strips the "partitions" and "lookahead" keys from a
+// canonical JSON document — a custom-topology config or a serving spec,
+// which spell them identically — before hashing. Both are accepted and
+// do nothing (the engine they tuned is gone), and they were always
+// excluded from identity, so keys minted before and after agree. The
+// document arrives already canonical (Normalize rendered it), so this
+// only has to drop the two fields; numeric literals ride through as
+// json.Number and are re-rendered verbatim.
 func hashableConfig(doc string) (string, error) {
 	if doc == "" {
 		return "", nil
@@ -170,7 +170,7 @@ func DecodeCachedResult(payload []byte) (*CachedResult, error) {
 // CachedSimResult decodes a sim-job payload and patches the spec echo to
 // the (normalized) submission being served: the cached run and the
 // submission agree on every identity field, so only identity-excluded
-// knobs (checkpoint cadence, the config partitions hint) differ — and
+// knobs (checkpoint cadence, the config's inert partitions key) differ — and
 // those must reflect the submission for the body to be byte-identical to
 // a fresh run of it. Shared by the daemon's admission path and the CLI's
 // -cache-dir.
@@ -190,7 +190,7 @@ func CachedSimResult(payload []byte, spec experiments.SimSpec) (*experiments.Sim
 // CachedServingResult decodes a serving-job payload and patches the doc
 // echo to the submission's own canonical document. The cached sweep and
 // the submission agree on every identity field; only the excluded
-// partitions/lookahead knobs can differ, and the echo must reflect the
+// partitions/lookahead keys can differ, and the echo must reflect the
 // submission for the body to be byte-identical to a fresh run of it.
 // Shared by the daemon's admission path and the CLI's -cache-dir.
 func CachedServingResult(payload []byte, doc string) (*experiments.ServingResult, error) {

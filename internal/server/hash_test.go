@@ -28,8 +28,8 @@ func simJob(mut func(*experiments.SimSpec)) JobSpec {
 }
 
 // TestJobKeyIdentityFields is the identity contract, field by field:
-// everything that changes a result changes the key, and the two
-// behaviour-neutral knobs (partition count, checkpoint cadence) do not.
+// everything that changes a result changes the key, and the
+// behaviour-neutral checkpoint cadence does not.
 func TestJobKeyIdentityFields(t *testing.T) {
 	base := mustKey(t, simJob(nil))
 
@@ -41,11 +41,6 @@ func TestJobKeyIdentityFields(t *testing.T) {
 		"kind defaulted":     {Sim: &experiments.SimSpec{Topology: "ai-processor"}},
 		"topology defaulted": {},
 		"checkpoint cadence": simJob(func(s *experiments.SimSpec) { s.CheckpointEvery = 512 }),
-		"partition count":    simJob(func(s *experiments.SimSpec) { s.Partitions = 4 }),
-		"both excluded knobs": simJob(func(s *experiments.SimSpec) {
-			s.CheckpointEvery = 64
-			s.Partitions = 2
-		}),
 	}
 	for name, spec := range sameKey {
 		if got := mustKey(t, spec); got != base {
@@ -150,7 +145,6 @@ func TestCachedResultCodec(t *testing.T) {
 	// Round trip, with the spec echo patched to the submission's own.
 	patched := spec
 	patched.CheckpointEvery = 999
-	patched.Partitions = 4
 	got, err := CachedSimResult(payload, patched)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -353,5 +354,75 @@ func TestSubmitPersistsRecordAtAdmission(t *testing.T) {
 	var p persistedJob
 	if err := json.Unmarshal(payload, &p); err != nil || p.ID != job.ID {
 		t.Fatalf("admission record %q: %v", payload, err)
+	}
+}
+
+// TestRecoveryRunsSpecsWithInertEngineKeys: a daemon that still had the
+// partitioned tick engine persisted job records whose custom-config and
+// serving documents carry "partitions" and "lookahead". The keys are still
+// accepted and do nothing: such a record recovers after a restart, runs,
+// and returns the bytes of the same spec without the keys, under the same
+// JobKey.
+func TestRecoveryRunsSpecsWithInertEngineKeys(t *testing.T) {
+	const keys = `"partitions":4,"lookahead":16`
+	config := func(extra string) string {
+		doc := strings.Replace(strings.TrimSpace(cacheMultiringSpec), "{", "{"+extra, 1)
+		body, err := json.Marshal(map[string]interface{}{
+			"kind": "sim", "sim": map[string]interface{}{"topology": "custom", "cycles": 1500, "config": doc},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	serving := func(extra string) string {
+		return `{"kind":"serving","serving":{` + extra + `"seed":9,"loads":[4,64],"cycles":4000}}`
+	}
+	dir := t.TempDir()
+	var plain []JobSpec
+	for i, submission := range []func(string) string{config, serving} {
+		keyed, err := ParseJobSpec([]byte(submission(keys + ",")))
+		if err != nil {
+			t.Fatalf("spec with the keys rejected: %v", err)
+		}
+		doc := string(keyed.Serving)
+		if keyed.Sim != nil {
+			doc = keyed.Sim.Config
+		}
+		if !strings.Contains(doc, `"partitions":4`) || !strings.Contains(doc, `"lookahead":16`) {
+			t.Fatalf("normalized %s document lost the keys: %s", keyed.Kind, doc)
+		}
+		bare, err := ParseJobSpec([]byte(submission("")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mustKey(t, keyed) != mustKey(t, bare) {
+			t.Errorf("%s job: the keys changed the JobKey", keyed.Kind)
+		}
+		plain = append(plain, bare)
+		writeRecord(t, dir, fmt.Sprintf("job-%d", i), keyed)
+	}
+
+	s, ts := testServer(t, Config{StateDir: dir})
+	defer s.Shutdown()
+	if rec := s.Recovery(); rec.Requeued != 2 || rec.Quarantined != 0 {
+		t.Fatalf("recovery = %+v, want both records requeued", rec)
+	}
+	waitFor(t, ts.URL, "job-0", func(st JobStatus) bool { return st == StatusDone })
+	waitFor(t, ts.URL, "job-1", func(st JobStatus) bool { return st == StatusDone })
+
+	wantSim, err := experiments.RunSim(*plain[0].Sim, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchText(t, ts.URL+"/jobs/job-0/result?format=csv", http.StatusOK); got != wantSim.CSV() {
+		t.Errorf("recovered custom-config job's CSV differs from the spec without the keys:\n%s\nwant:\n%s", got, wantSim.CSV())
+	}
+	wantServing, err := experiments.RunServingDoc(string(plain[1].Serving), experiments.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchText(t, ts.URL+"/jobs/job-1/result?format=csv", http.StatusOK); got != wantServing.CSV() {
+		t.Errorf("recovered serving job's CSV differs from the spec without the keys:\n%s\nwant:\n%s", got, wantServing.CSV())
 	}
 }

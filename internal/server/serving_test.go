@@ -1,7 +1,7 @@
 // Serving-job coverage: the daemon must serve an open-loop sweep
 // byte-identically to the CLI's direct run path, memoize it under a
-// content address that ignores the behaviour-neutral partitions and
-// lookahead knobs, and echo each submission's own canonical document.
+// content address that ignores the accepted, inert partitions and
+// lookahead keys, and echo each submission's own canonical document.
 package server
 
 import (
@@ -75,8 +75,8 @@ func TestServingJobsAreCached(t *testing.T) {
 		t.Fatal("cached serving bodies differ from the cold run")
 	}
 
-	// Partitions and lookahead are behaviour-neutral (the serving
-	// determinism suite proves it), so they must not split the cache.
+	// Partitions and lookahead are accepted and do nothing, so they must
+	// not split the cache.
 	knobs := `{"kind":"serving","serving":{"seed":9,"loads":[4,64],"cycles":4000,"partitions":2,"lookahead":8}}`
 	tuned, disp := submitJob(t, ts.URL, []byte(knobs))
 	if disp != "hit" {
@@ -120,7 +120,7 @@ func TestJobKeyServing(t *testing.T) {
 		t.Error("JSON field order split the serving cache key")
 	}
 	if key(`{"seed":9,"loads":[4,64],"partitions":4,"lookahead":16}`) != base {
-		t.Error("behaviour-neutral partitions/lookahead split the serving cache key")
+		t.Error("inert partitions/lookahead keys split the serving cache key")
 	}
 	if key(`{"seed":10,"loads":[4,64]}`) == base {
 		t.Error("different seed produced the same serving cache key")

@@ -1,13 +1,11 @@
 // Per-die serving engine: the device that turns a command's transfer
-// into CHI traffic. It owns a node on its die's ring (so the partition
-// planner co-locates it with the die), keeps an outstanding-transaction
-// table, and follows the same completion-first tick discipline as
-// traffic.Requester. The engine never touches the orchestrator: it
-// consumes its input queue (written by the orchestrator in the serial
-// phase of the previous cycle) and appends finished commands to its own
-// done list (drained by the orchestrator at the end of this cycle), so
-// engines on different partitions share no mutable state. Almost every
-// cycle it has nothing to receive, send or issue; IdleUntil says so and
+// into CHI traffic. It owns a node on its die's ring, keeps an
+// outstanding-transaction table, and follows the same completion-first
+// tick discipline as traffic.Requester. The engine never touches the
+// orchestrator: it consumes its input queue (written by the orchestrator
+// at the end of the previous cycle) and appends finished commands to its
+// own done list (drained by the orchestrator at the end of this cycle).
+// Almost every cycle it has nothing to receive, send or issue; IdleUntil says so and
 // the tick engine skips it until an ejection or enqueue wakes it.
 package serving
 
@@ -71,12 +69,12 @@ func newEngine(net *noc.Network, die int, st *noc.CrossStation) *Engine {
 // Name implements noc.Device.
 func (e *Engine) Name() string { return e.name }
 
-// Node implements noc.NodeOwner, anchoring the engine to its die's
-// partition.
+// Node implements noc.NodeOwner: the engine sleeps on its interface's
+// wake word.
 func (e *Engine) Node() noc.NodeID { return e.iface.Node() }
 
 // enqueue hands the engine a command whose dependencies are met. Called
-// only from the orchestrator's serial tick. The command does not arrive
+// only from the orchestrator's tick. The command does not arrive
 // through the fabric, so the engine is woken by hand.
 func (e *Engine) enqueue(c *command) {
 	e.iface.Wake()

@@ -1,28 +1,19 @@
-// The host orchestrator: a deterministic, serially-ticked device that
-// admits open-loop arrivals, streams batches under low/high watermarks,
-// walks each batch's command DAG, and records per-request end-to-end
-// latency into a streaming quantile sketch.
+// The host orchestrator: a deterministic device that admits open-loop
+// arrivals, streams batches under low/high watermarks, walks each
+// batch's command DAG, and records per-request end-to-end latency into a
+// streaming quantile sketch.
 //
-// Determinism contract with the partitioned tick engine: the
-// orchestrator deliberately does NOT implement noc.NodeOwner, so the
-// partition planner classifies it as a serial device — ticked at the
-// barrier after every partition's devices, exactly where it falls in
-// the sequential engine (it is registered last). Engines only
-// communicate with it through their own queues (written serially) and
-// done lists (drained serially), so no cross-partition state is ever
-// shared.
+// It is registered last, so each cycle it ticks after every engine.
+// Engines communicate with it only through their own input queues (which
+// it writes) and done lists (which it drains), never the other way round.
 //
-// It does implement noc.IdleUntiler, and having no node it is asked at
-// its slot every cycle rather than woken: between arrivals, completions
-// and compute retirements its Tick changes nothing, and the tick engine
-// skips it. The bound it returns is good at its own slot, after every
-// engine has run this cycle, and across a quiescent stretch, when no
-// engine can run at all — but not across a multi-cycle epoch, in which
-// an engine may complete a transfer the orchestrator must collect that
-// same cycle. So it is not a noc.ScheduleIdler, the planner pins the
-// structural lookahead to one cycle as it does for any serial device
-// without a fixed schedule, and every (partitions, lookahead) setting
-// executes the identical cycle-by-cycle schedule.
+// It owns no network node, so it is not a noc.NodeOwner and cannot be
+// woken through an interface; it implements noc.IdleUntiler and is asked
+// at its slot every cycle instead: between arrivals, completions and
+// compute retirements its Tick changes nothing, and the tick engine skips
+// it. The bound it returns is good at its own slot, after every engine
+// has run this cycle, and across a quiescent stretch, when no engine can
+// run at all.
 package serving
 
 import (
@@ -69,7 +60,7 @@ type Orchestrator struct {
 }
 
 // newOrchestrator wires the orchestrator; the caller registers it as
-// the network's LAST device so serial and sequential tick orders agree.
+// the network's LAST device so it ticks after every engine.
 func newOrchestrator(spec *config.ServingSpec, net *noc.Network, engines []*Engine, load float64, rng *sim.RNG) *Orchestrator {
 	return &Orchestrator{
 		name:         "host.orch",
@@ -82,8 +73,7 @@ func newOrchestrator(spec *config.ServingSpec, net *noc.Network, engines []*Engi
 	}
 }
 
-// Name implements noc.Device. No Node method: staying out of
-// noc.NodeOwner is what parks the orchestrator in the serial tail.
+// Name implements noc.Device.
 func (o *Orchestrator) Name() string { return o.name }
 
 // IdleUntil implements noc.IdleUntiler: Tick(now) changes nothing unless
@@ -177,7 +167,7 @@ func (o *Orchestrator) noteStall(now sim.Cycle, stalled bool) {
 		if stalled {
 			kind = "begins"
 		}
-		o.net.TraceNode(o.engines[0].Node(), trace.Stall, 0, o.name,
+		o.net.Trace(trace.Stall, 0, o.name,
 			fmt.Sprintf("watermark stall %s: %d pending, %d batches in flight", kind, len(o.pending), o.active))
 	}
 }

@@ -71,20 +71,13 @@ func Build(spec *config.ServingSpec, point int) (*System, error) {
 		e.memNodes = memNodes
 	}
 
-	// The orchestrator registers last: in the sequential engine it then
-	// ticks after every engine each cycle, which is exactly where the
-	// partitioned engine's serial tail puts it.
+	// The orchestrator registers last, so each cycle it ticks after every
+	// engine and collects that cycle's completions.
 	sys.Orch = newOrchestrator(spec, net, sys.Engines, load, rng)
 	net.AddDevice(sys.Orch)
 
 	if err := net.Finalize(); err != nil {
 		return nil, err
-	}
-	if spec.Partitions != 0 {
-		net.SetPartitions(spec.Partitions)
-	}
-	if spec.Lookahead != 0 {
-		net.SetLookahead(spec.Lookahead)
 	}
 	return sys, nil
 }

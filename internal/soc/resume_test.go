@@ -243,3 +243,38 @@ func TestSeedPerturbsStreams(t *testing.T) {
 		t.Fatal("seed 7 did not perturb the run")
 	}
 }
+
+// TestQuadDieMidRunCheckpointResume checkpoints the saturated four-die
+// Server-CPU at a cycle that is no multiple of anything in the system
+// (1500: the RBRG-L2 links are 8 and 60 cycles deep), with flits and
+// credit pulses on every inter-die wire, restores into a fresh build and
+// requires the final checkpoint bytes to equal the uninterrupted run's.
+// The two golden resume tests above stop lightly loaded fabrics through
+// Tick; this one stops loaded link pipelines through Run.
+func TestQuadDieMidRunCheckpointResume(t *testing.T) {
+	const half, full = 1500, 3000
+	checkpoint := func(net *noc.Network) []byte {
+		var b bytes.Buffer
+		if err := noc.WriteCheckpoint(&b, net, nil); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	refNet, refRun := quadDieBuild()
+	refRun(full)
+	want := checkpoint(refNet)
+
+	midNet, midRun := quadDieBuild()
+	midRun(half)
+	mid := checkpoint(midNet)
+
+	net, run := quadDieBuild()
+	if _, err := noc.ReadCheckpoint(bytes.NewReader(mid), net); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	run(full - half)
+	if got := checkpoint(net); !bytes.Equal(got, want) {
+		t.Errorf("run resumed from cycle %d diverged from the uninterrupted run (%d vs %d checkpoint bytes)", half, len(got), len(want))
+	}
+}

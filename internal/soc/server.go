@@ -50,15 +50,8 @@ type ServerConfig struct {
 	// statistically independent replicas of the same system.
 	Seed uint64
 
-	// Partitions selects the tick engine for Run: 0 or 1 is sequential,
-	// higher counts advance ring groups concurrently, -1 sizes the pool
-	// automatically. Results are bit-identical at every setting (see
-	// noc.SetPartitions).
+	// Partitions is ignored; kept only because bench/ compiles against it.
 	Partitions int
-
-	// Lookahead caps the partitioned engine's superstep horizon; 0
-	// derives it from the topology (see noc.SetLookahead).
-	Lookahead int
 }
 
 // DefaultServerConfig returns the paper-scale system: 96 cores over two
@@ -300,8 +293,6 @@ func BuildServerCPU(cfg ServerConfig, kind CoreKind, memCoreCfg func(core int, s
 	}
 
 	net.MustFinalize()
-	net.SetPartitions(cfg.Partitions)
-	net.SetLookahead(cfg.Lookahead)
 	return s
 }
 
@@ -323,8 +314,7 @@ func (s *ServerCPU) AllDDRNodes() []noc.NodeID {
 	return out
 }
 
-// Run advances the whole package n cycles on the configured engine
-// (sequential, or partitioned when Cfg.Partitions > 1).
+// Run advances the whole package n cycles.
 func (s *ServerCPU) Run(n int) {
 	s.Net.Run(n)
 }

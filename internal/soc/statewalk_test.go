@@ -29,19 +29,17 @@ var notSerialized = map[string]map[string]string{
 		"flitIDShift": "derived from the node count at Finalize", "finalized": "build state",
 		"ringDist": "derived: route tables, rebuilt from topology + failed set",
 		"ringNext": "derived: route tables", "bridges": "derived: bridge inventory", "routeTbl": "derived: route tables",
-		"shards":    "engine scratch: counters are folded at run boundaries, free lists reset on load",
-		"nodeShard": "engine wiring", "partitions": "engine config, behaviour-neutral", "lookahead": "engine config, behaviour-neutral",
-		"plan": "derived: tick plan", "seq": "derived: gate group", "wake": "derived: wake words, zeroed on load",
-		"forceAwake": "test-only engine switch", "bufferEvents": "transient inside Run", "serialTail": "transient inside Run",
-		"EpochsRun": "diagnostic", "BarrierSyncs": "diagnostic", "SkippedCycles": "diagnostic",
-		"RingTicksSkipped": "diagnostic", "DeviceTicksSkipped": "diagnostic", "traceScratch": "scratch buffer",
+		"freeFlits": "engine scratch: free list, reset on load",
+		"devs":      "derived: device gates", "wake": "derived: wake words, zeroed on load",
+		"nextWake": "derived: left by the last device loop", "forceAwake": "test-only engine switch",
+		"EpochsRun": "always 0", "BarrierSyncs": "always 0", "SkippedCycles": "diagnostic",
+		"RingTicksSkipped": "diagnostic", "DeviceTicksSkipped": "diagnostic",
 		"Tracer": "hook", "metrics": "hook", "OnDeliver": "hook", "latency": "hook",
 	},
 	"noc.Ring": {
 		"id": "wiring", "net": "wiring", "positions": "build shape: matched", "full": "build shape: matched",
-		"shard": "engine wiring", "now": "derived: re-synced from Network.now on load",
+		"now":    "derived: re-synced from Network.now on load",
 		"queued": "derived: recounted on load", "turned": "derived: re-synced from Network.ticks on load",
-		"delivBuf": "transient inside an epoch", "delivPos": "transient inside an epoch",
 		"stations": "build shape: count matched", "stationAt": "derived: dense station index",
 	},
 	"noc.loop": {
@@ -61,11 +59,9 @@ var notSerialized = map[string]map[string]string{
 	"noc.RBRGL1": {
 		"name": "wiring", "net": "wiring", "node": "wiring", "cfg": "config", "halves": "build shape: count matched",
 	},
-	"noc.l1half": {"iface": "wiring"},
-	"noc.RBRGL2": {"name": "wiring", "net": "wiring", "node": "wiring", "cfg": "config"},
-	"noc.l2half": {
-		"iface": "wiring", "out": "staging: empty between Run calls", "credOut": "staging: empty between Run calls",
-	},
+	"noc.l1half":        {"iface": "wiring"},
+	"noc.RBRGL2":        {"name": "wiring", "net": "wiring", "node": "wiring", "cfg": "config"},
+	"noc.l2half":        {"iface": "wiring"},
 	"noc.pipeFlit":      {},
 	"noc.credPulse":     {},
 	"noc.throttleState": {"cfg": "config"},

@@ -104,7 +104,7 @@ func (s *QuantileSketch) Max() uint64 { return s.max }
 // Merge folds another sketch's population into s (o is unchanged).
 // Every field is a sum, min or max of integers, so merging shards in any
 // grouping or order yields a bit-identical sketch — the property that
-// lets per-partition latency shards collapse into one answer no matter
+// lets per-worker latency shards collapse into one answer no matter
 // how many workers produced them.
 func (s *QuantileSketch) Merge(o *QuantileSketch) {
 	if o.count == 0 {

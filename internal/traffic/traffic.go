@@ -272,7 +272,7 @@ func (r *Requester) runRetries(now sim.Cycle) {
 			req.BeatsLeft = req.Beats()
 		}
 		r.sendq = append(r.sendq, req.NewFlit(r.net, r.Node(), req.RetryDst))
-		r.net.TraceNode(r.Node(), trace.Retry, 0, r.name, fmt.Sprintf("txn %d re-issued", id))
+		r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d re-issued", id))
 	}
 	for _, id := range abort {
 		req := r.tracker.Lookup(id)
@@ -280,7 +280,7 @@ func (r *Requester) runRetries(now sim.Cycle) {
 			continue
 		}
 		r.abort(req)
-		r.net.TraceNode(r.Node(), trace.Retry, 0, r.name, fmt.Sprintf("txn %d aborted", id))
+		r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d aborted", id))
 	}
 }
 
