@@ -181,13 +181,28 @@ func main() {
 	}
 }
 
-// runSim executes one parameterized simulation, mirroring exactly the
-// spec defaults the daemon applies so CLI and service results are
-// byte-identical. With -cache-dir it checks the same content-addressed
-// store the daemon uses (same keys, same payloads, so the two can share
-// a directory): a hit replays the stored result without simulating, a
-// completed run is stored for next time. All cache chatter goes to
-// stderr; stdout carries exactly the bytes a cold run would print.
+// runCached runs one simrun or serving job through the job kinds the
+// daemon uses, so CLI and service results are byte-identical. With
+// -cache-dir it goes through the same content-addressed store (same
+// keys, same payloads, so the two can share a directory): a hit replays
+// the stored result without simulating, a completed run is stored for
+// next time. All cache chatter goes to stderr; stdout carries exactly
+// the bytes a cold run would print.
+func runCached(cacheDir string, spec server.JobSpec, resume []byte, ctl *experiments.SimControl) (*server.Result, error) {
+	var store *artifact.Store
+	if cacheDir != "" {
+		var err error
+		if store, err = artifact.Open(artifact.Config{Dir: cacheDir}); err != nil {
+			fmt.Fprintf(os.Stderr, "cache: disabled: %v\n", err)
+		}
+	}
+	return server.RunCached(store, spec, resume, ctl, func(format string, args ...interface{}) {
+		fmt.Fprintf(os.Stderr, "cache: "+format+"\n", args...)
+	})
+}
+
+// runSim executes one parameterized simulation, with optional rolling
+// checkpoints to a file and resume from one.
 func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, checkpointEvery uint64,
 	checkpointFile, resumeFile, cacheDir string, writeCSV func(name, data string)) error {
 	spec := experiments.SimSpec{
@@ -212,39 +227,6 @@ func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, 
 		}
 		resume = data
 	}
-
-	var cache *artifact.Store
-	var cacheKey string
-	var normalized experiments.SimSpec
-	if cacheDir != "" {
-		store, err := artifact.Open(artifact.Config{Dir: cacheDir})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cache: disabled: %v\n", err)
-		} else if js, err := (server.JobSpec{Kind: "sim", Sim: &spec}).Normalize(); err == nil {
-			// An invalid spec falls through to RunSim for its real error.
-			if key, err := server.JobKey(js); err == nil {
-				cache, cacheKey, normalized = store, key, *js.Sim
-			}
-		}
-	}
-	if cache != nil {
-		if payload, ok := cache.Get(cacheKey); ok {
-			res, err := server.CachedSimResult(payload, normalized)
-			if err != nil {
-				// The envelope was intact but the payload shape is not
-				// ours: evict it and run for real.
-				cache.Delete(cacheKey)
-				fmt.Fprintf(os.Stderr, "cache: evicted undecodable entry %s: %v\n", cacheKey[:12], err)
-			} else {
-				fmt.Fprintf(os.Stderr, "cache: hit %s — serving stored result\n", cacheKey[:12])
-				fmt.Println(res.Render())
-				writeCSV("simrun.csv", res.CSV())
-				return nil
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "cache: miss %s\n", cacheKey[:12])
-		}
-	}
 	var ctl *experiments.SimControl
 	if checkpointFile != "" && checkpointEvery > 0 {
 		ctl = &experiments.SimControl{OnCheckpoint: func(data []byte, cycle uint64) error {
@@ -258,88 +240,30 @@ func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, 
 			return nil
 		}}
 	}
-	r, err := experiments.RunSim(spec, resume, ctl)
+	res, err := runCached(cacheDir, server.JobSpec{Kind: "sim", Sim: &spec}, resume, ctl)
 	if err != nil {
 		return err
 	}
-	fmt.Println(r.Render())
-	writeCSV("simrun.csv", r.CSV())
-	if cache != nil {
-		if payload, err := (&server.CachedResult{Kind: "sim", Sim: r}).Encode(); err != nil {
-			fmt.Fprintf(os.Stderr, "cache: not stored: %v\n", err)
-		} else if err := cache.Put(cacheKey, payload); err != nil {
-			fmt.Fprintf(os.Stderr, "cache: not stored: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "cache: stored %s (%d bytes)\n", cacheKey[:12], len(payload))
-		}
-	}
+	fmt.Println(res.Sim.Render())
+	writeCSV("simrun.csv", res.Sim.CSV())
 	return nil
 }
 
-// runServing executes one open-loop serving sweep, mirroring exactly
-// the normalization the daemon applies so CLI and service CSVs are
-// byte-identical. With -cache-dir it shares the daemon's
-// content-addressed store: same keys,
-// same payloads. Cache chatter goes to stderr; stdout carries exactly
-// the bytes a cold run would print.
+// runServing executes one open-loop serving sweep.
 func runServing(scale experiments.Scale, specFile, cacheDir string, writeCSV func(name, data string)) error {
-	doc := ""
+	var doc []byte
 	if specFile != "" {
-		data, err := os.ReadFile(specFile)
-		if err != nil {
+		var err error
+		if doc, err = os.ReadFile(specFile); err != nil {
 			return err
 		}
-		doc = string(data)
 	}
-
-	var cache *artifact.Store
-	var cacheKey, canonical string
-	if cacheDir != "" {
-		store, err := artifact.Open(artifact.Config{Dir: cacheDir})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cache: disabled: %v\n", err)
-		} else if js, err := (server.JobSpec{
-			Kind:    "serving",
-			Scale:   experiments.ScaleName(scale),
-			Serving: []byte(doc),
-		}).Normalize(); err == nil {
-			// An invalid spec falls through to RunServingDoc for its real error.
-			if key, err := server.JobKey(js); err == nil {
-				cache, cacheKey, canonical = store, key, string(js.Serving)
-			}
-		}
-	}
-	if cache != nil {
-		if payload, ok := cache.Get(cacheKey); ok {
-			res, err := server.CachedServingResult(payload, canonical)
-			if err != nil {
-				cache.Delete(cacheKey)
-				fmt.Fprintf(os.Stderr, "cache: evicted undecodable entry %s: %v\n", cacheKey[:12], err)
-			} else {
-				fmt.Fprintf(os.Stderr, "cache: hit %s — serving stored result\n", cacheKey[:12])
-				fmt.Println(res.Render())
-				writeCSV("serving.csv", res.CSV())
-				return nil
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "cache: miss %s\n", cacheKey[:12])
-		}
-	}
-	res, err := experiments.RunServingDoc(doc, scale)
+	res, err := runCached(cacheDir, server.JobSpec{Kind: "serving", Scale: experiments.ScaleName(scale), Serving: doc}, nil, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Println(res.Render())
-	writeCSV("serving.csv", res.CSV())
-	if cache != nil {
-		if payload, err := (&server.CachedResult{Kind: "serving", Serving: res}).Encode(); err != nil {
-			fmt.Fprintf(os.Stderr, "cache: not stored: %v\n", err)
-		} else if err := cache.Put(cacheKey, payload); err != nil {
-			fmt.Fprintf(os.Stderr, "cache: not stored: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "cache: stored %s (%d bytes)\n", cacheKey[:12], len(payload))
-		}
-	}
+	fmt.Println(res.Serving.Render())
+	writeCSV("serving.csv", res.Serving.CSV())
 	return nil
 }
 

@@ -1,89 +1,12 @@
-// Package cache models the on-die cache hierarchy around the NoC. The
-// multi-level hierarchy's role in the paper is to *filter* traffic: only
-// L3 hit/miss events invoke NoC transactions (Section 3.2.1), so L1/L2
-// are modelled as hit-rate filters, while the split L3 (tag cache per
-// 4-core cluster + separate data slices) and the AI die's interleaved L2
-// get explicit address mapping here. The protocol engines that sit behind
-// these maps live in internal/coherence.
+// Package cache holds the address-to-home mapping of the on-die caches
+// that sit on the NoC: the Server-CPU's split L3 (tag cache per 4-core
+// cluster + separate data slices) and the AI die's interleaved L2. Only
+// L3 hit/miss events invoke NoC transactions (Section 3.2.1), so the
+// private L1/L2 levels are not modelled; the protocol engines that sit
+// behind these maps live in internal/coherence.
 package cache
 
-import (
-	"chipletnoc/internal/chi"
-	"chipletnoc/internal/sim"
-)
-
-// FilterCache is a private cache level modelled by hit rate: hits cost
-// Latency cycles and stay core-local; misses fall through to the next
-// level. The NoC latency experiments "disable all L1/L2 cache", which is
-// simply HitRate 0.
-type FilterCache struct {
-	// SizeBytes is documentation (64 KB L1, 512 KB L2, ...); the filter
-	// behaviour is governed by HitRate.
-	SizeBytes int
-	HitRate   float64
-	// Latency is the hit service time in cycles.
-	Latency int
-
-	rng *sim.RNG
-
-	Hits, Misses uint64
-}
-
-// NewFilterCache builds a filter level with its own random stream.
-func NewFilterCache(sizeBytes int, hitRate float64, latency int, rng *sim.RNG) *FilterCache {
-	if hitRate < 0 || hitRate > 1 {
-		panic("cache: hit rate outside [0,1]")
-	}
-	return &FilterCache{SizeBytes: sizeBytes, HitRate: hitRate, Latency: latency, rng: rng}
-}
-
-// Access returns whether the reference hit and the cycles it consumed at
-// this level (hit latency on hits, lookup cost of 1 cycle on misses).
-func (c *FilterCache) Access() (hit bool, cycles int) {
-	if c.rng.Bernoulli(c.HitRate) {
-		c.Hits++
-		return true, c.Latency
-	}
-	c.Misses++
-	return false, 1
-}
-
-// Disabled reports whether the level never hits.
-func (c *FilterCache) Disabled() bool { return c.HitRate == 0 }
-
-// Hierarchy is a core's private stack: L1I/L1D/L2 per Section 3.2.1
-// (64 KB + 64 KB + 512 KB).
-type Hierarchy struct {
-	L1D *FilterCache
-	L2  *FilterCache
-}
-
-// NewHierarchy builds the Server-CPU private stack; disabled=true zeroes
-// every hit rate (the paper's latency-test configuration).
-func NewHierarchy(rng *sim.RNG, disabled bool) *Hierarchy {
-	l1Rate, l2Rate := 0.90, 0.60
-	if disabled {
-		l1Rate, l2Rate = 0, 0
-	}
-	return &Hierarchy{
-		L1D: NewFilterCache(64<<10, l1Rate, 2, rng.Derive(1)),
-		L2:  NewFilterCache(512<<10, l2Rate, 8, rng.Derive(2)),
-	}
-}
-
-// Access walks the private levels; missed=true means the reference
-// escapes to the NoC (an L3 transaction), cycles is the time burned in
-// the private levels first.
-func (h *Hierarchy) Access() (missed bool, cycles int) {
-	hit, c := h.L1D.Access()
-	cycles += c
-	if hit {
-		return false, cycles
-	}
-	hit, c = h.L2.Access()
-	cycles += c
-	return !hit, cycles
-}
+import "chipletnoc/internal/chi"
 
 // HomeMap distributes line addresses over n home nodes. The Server-CPU
 // homes lines on L3-tag clusters; the AI die interleaves them over L2

@@ -5,86 +5,7 @@ import (
 	"testing/quick"
 
 	"chipletnoc/internal/chi"
-	"chipletnoc/internal/sim"
 )
-
-func TestFilterCacheRates(t *testing.T) {
-	rng := sim.NewRNG(1)
-	c := NewFilterCache(64<<10, 0.9, 2, rng)
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if hit, cyc := c.Access(); hit {
-			hits++
-			if cyc != 2 {
-				t.Fatalf("hit cost %d", cyc)
-			}
-		} else if cyc != 1 {
-			t.Fatalf("miss cost %d", cyc)
-		}
-	}
-	rate := float64(hits) / n
-	if rate < 0.88 || rate > 0.92 {
-		t.Fatalf("hit rate %v, want ~0.9", rate)
-	}
-	if c.Hits+c.Misses != n {
-		t.Fatalf("counters: %d + %d != %d", c.Hits, c.Misses, n)
-	}
-}
-
-func TestFilterCacheDisabled(t *testing.T) {
-	c := NewFilterCache(64<<10, 0, 2, sim.NewRNG(1))
-	if !c.Disabled() {
-		t.Fatal("Disabled() false at rate 0")
-	}
-	for i := 0; i < 100; i++ {
-		if hit, _ := c.Access(); hit {
-			t.Fatal("disabled cache hit")
-		}
-	}
-}
-
-func TestFilterCacheRejectsBadRate(t *testing.T) {
-	for _, r := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("rate %v accepted", r)
-				}
-			}()
-			NewFilterCache(1, r, 1, sim.NewRNG(1))
-		}()
-	}
-}
-
-func TestHierarchyDisabledAlwaysMisses(t *testing.T) {
-	h := NewHierarchy(sim.NewRNG(2), true)
-	for i := 0; i < 100; i++ {
-		missed, cycles := h.Access()
-		if !missed {
-			t.Fatal("disabled hierarchy absorbed a reference")
-		}
-		if cycles != 2 { // 1 for each disabled level's lookup
-			t.Fatalf("cycles = %d", cycles)
-		}
-	}
-}
-
-func TestHierarchyFiltersMostTraffic(t *testing.T) {
-	h := NewHierarchy(sim.NewRNG(3), false)
-	escaped := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if missed, _ := h.Access(); missed {
-			escaped++
-		}
-	}
-	// L1 90% + L2 60% of the remainder → ~4% escape rate.
-	rate := float64(escaped) / n
-	if rate < 0.02 || rate > 0.07 {
-		t.Fatalf("escape rate %v, want ~0.04", rate)
-	}
-}
 
 func TestHomeMapCoversAllHomes(t *testing.T) {
 	m := NewHomeMap(24)

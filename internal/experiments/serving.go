@@ -13,6 +13,7 @@ import (
 
 	"chipletnoc/internal/config"
 	"chipletnoc/internal/serving"
+	"chipletnoc/internal/sim"
 	"chipletnoc/internal/stats"
 )
 
@@ -129,16 +130,8 @@ func runServingPoint(spec *config.ServingSpec, point int) ServingPoint {
 // pointDigest folds the completion-stream digest and the latency-sketch
 // digest into one hex fingerprint.
 func pointDigest(o *serving.Orchestrator) string {
-	const fnvPrime = 1099511628211
-	h := o.StreamDigest()
-	for _, v := range [2]uint64{o.Sketch.Digest(), o.Admitted} {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime
-			v >>= 8
-		}
-	}
-	return fmt.Sprintf("%016x", h)
+	h := sim.FNV1aFoldU64(o.StreamDigest(), o.Sketch.Digest())
+	return fmt.Sprintf("%016x", sim.FNV1aFoldU64(h, o.Admitted))
 }
 
 // detectKnee finds the saturation knee: the first load where the system

@@ -217,12 +217,10 @@ func (e *Interrupted) Error() string {
 // off.
 const interruptPollStride = 1024
 
-// simSystem abstracts the two buildable topologies for the run loop.
+// simSystem abstracts the buildable topologies for the run loop: the
+// network runs and checkpoints the same way whatever was built on it.
 type simSystem struct {
 	net        *noc.Network
-	run        func(cycles int)
-	write      func(buf *bytes.Buffer, extra []byte) error
-	read       func(data []byte) ([]byte, error)
 	enableMet  func(reg *metrics.Registry)
 	requesters []*traffic.Requester
 	// checkpointable is false when the system carries live state outside
@@ -253,9 +251,6 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 		}
 		return &simSystem{
 			net:            a.Net,
-			run:            a.Run,
-			write:          func(buf *bytes.Buffer, extra []byte) error { return a.WriteCheckpoint(buf, extra) },
-			read:           func(data []byte) ([]byte, error) { return a.ReadCheckpoint(bytes.NewReader(data)) },
 			enableMet:      a.EnableMetrics,
 			requesters:     reqs,
 			checkpointable: true,
@@ -280,9 +275,6 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 		})
 		return &simSystem{
 			net:            s.Net,
-			run:            s.Run,
-			write:          func(buf *bytes.Buffer, extra []byte) error { return s.WriteCheckpoint(buf, extra) },
-			read:           func(data []byte) ([]byte, error) { return s.ReadCheckpoint(bytes.NewReader(data)) },
 			enableMet:      s.EnableMetrics,
 			requesters:     s.MemCores,
 			checkpointable: true,
@@ -307,9 +299,6 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 		}
 		return &simSystem{
 			net:            sys.Net,
-			run:            sys.Run,
-			write:          func(buf *bytes.Buffer, extra []byte) error { return sys.WriteCheckpoint(buf, extra) },
-			read:           func(data []byte) ([]byte, error) { return sys.ReadCheckpoint(bytes.NewReader(data)) },
 			enableMet:      sys.EnableMetrics,
 			requesters:     reqs,
 			checkpointable: sys.Injector == nil,
@@ -409,7 +398,7 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 		return nil, fmt.Errorf("this spec carries a fault schedule and cannot resume from a checkpoint")
 	}
 	if resume != nil {
-		extra, err := sys.read(resume)
+		extra, err := noc.ReadCheckpoint(bytes.NewReader(resume), sys.net)
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +430,7 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 			return nil, err
 		}
 		var buf bytes.Buffer
-		if err := sys.write(&buf, extra); err != nil {
+		if err := noc.WriteCheckpoint(&buf, sys.net, extra); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
@@ -456,7 +445,7 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 		if n > stride {
 			n = stride
 		}
-		sys.run(int(n))
+		sys.net.Run(int(n))
 
 		if ctl.Interrupt != nil {
 			switch ctl.Interrupt() {

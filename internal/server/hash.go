@@ -15,12 +15,13 @@ import (
 	"fmt"
 	"strings"
 
+	"chipletnoc/internal/artifact"
 	"chipletnoc/internal/experiments"
 	"chipletnoc/internal/sim"
 )
 
 // cacheFormatVersion is folded into every job key. Bump it whenever the
-// CachedResult encoding or the rendered result formats change shape, so
+// Result encoding or the rendered result formats change shape, so
 // a new daemon never deserializes (or byte-compares against) artifacts
 // written by an incompatible one — old entries simply age out as misses.
 const cacheFormatVersion = 1
@@ -56,34 +57,23 @@ type jobIdentity struct {
 // first, so semantically equal submissions — different JSON key orders,
 // defaulted vs explicit fields, identity-excluded knobs — share one key.
 func JobKey(spec JobSpec) (string, error) {
-	spec, err := spec.Normalize()
+	spec, k, err := normalizeSpec(spec)
 	if err != nil {
 		return "", err
 	}
+	return keyOf(k, &spec)
+}
+
+// keyOf is JobKey for a spec that is already normalized — Submit and
+// recovery normalize once and key that value.
+func keyOf(k *jobKind, spec *JobSpec) (string, error) {
 	id := jobIdentity{
 		Format:   cacheFormatVersion,
 		Snapshot: sim.SnapshotVersion,
-		Kind:     spec.Kind,
+		Kind:     k.name,
 	}
-	switch spec.Kind {
-	case "sim":
-		id.Topology = spec.Sim.Topology
-		id.Scale = spec.Sim.Scale
-		id.Cycles = spec.Sim.Cycles
-		id.Seed = spec.Sim.Seed
-		id.MetricsInterval = spec.Sim.MetricsInterval
-		if id.Config, err = hashableConfig(spec.Sim.Config); err != nil {
-			return "", err
-		}
-	case "experiment":
-		id.Experiment = spec.Experiment
-		id.Scale = spec.Scale
-	case "serving":
-		if id.Serving, err = hashableConfig(string(spec.Serving)); err != nil {
-			return "", err
-		}
-	default:
-		return "", fmt.Errorf("job kind %q has no content address", spec.Kind)
+	if err := k.identify(spec, &id); err != nil {
+		return "", err
 	}
 	doc, err := json.Marshal(id)
 	if err != nil {
@@ -119,89 +109,114 @@ func hashableConfig(doc string) (string, error) {
 	return string(out), nil
 }
 
-// CachedResult is the payload stored under a job key: one completed
-// job's full output, from which every response format (JSON, CSV, text)
-// re-renders byte-identically. The structure round-trips exactly through
+// Result is one completed job's full output, in the shape the store
+// keeps under a job key: the kind's name and exactly that kind's slot
+// filled. Every response format (JSON, CSV, text) re-renders from it
+// byte-identically, because the structure round-trips exactly through
 // encoding/json — shortest-form floats, sorted map keys — which is what
 // lets a decoded copy serve the same bytes a fresh run would.
-type CachedResult struct {
+type Result struct {
 	Kind     string                     `json:"kind"`
 	Sim      *experiments.SimResult     `json:"sim,omitempty"`
 	Artifact *experiments.Artifact      `json:"artifact,omitempty"`
 	Serving  *experiments.ServingResult `json:"serving,omitempty"`
 }
 
-// shapeOK checks that exactly the kind-matching payload field is set.
-func (c *CachedResult) shapeOK() bool {
-	switch c.Kind {
-	case "sim":
-		return c.Sim != nil && c.Artifact == nil && c.Serving == nil
-	case "experiment":
-		return c.Artifact != nil && c.Sim == nil && c.Serving == nil
-	case "serving":
-		return c.Serving != nil && c.Sim == nil && c.Artifact == nil
+// kind checks the envelope's shape — a known kind, and exactly that
+// kind's slot filled — and returns the kind.
+func (r *Result) kind() (*jobKind, error) {
+	filled := 0
+	for _, set := range [...]bool{r.Sim != nil, r.Artifact != nil, r.Serving != nil} {
+		if set {
+			filled++
+		}
 	}
-	return false
+	if k := kinds[r.Kind]; k != nil && filled == 1 {
+		if _, ok := k.slot(r); ok {
+			return k, nil
+		}
+	}
+	return nil, fmt.Errorf("cached result shape does not match kind %q", r.Kind)
 }
 
-// Encode renders the payload for the artifact store.
-func (c *CachedResult) Encode() ([]byte, error) {
-	if !c.shapeOK() {
-		return nil, fmt.Errorf("cached result shape does not match kind %q", c.Kind)
+// encode renders the result for the artifact store.
+func (r *Result) encode() ([]byte, error) {
+	if _, err := r.kind(); err != nil {
+		return nil, err
 	}
-	return json.Marshal(c)
+	return json.Marshal(r)
 }
 
 // DecodeCachedResult parses a stored payload. The artifact store already
 // CRC-verified the bytes; this guards the layer above it — a payload
 // whose JSON or shape is wrong (format drift, a foreign writer) is an
 // error, and callers evict the entry rather than serve it.
-func DecodeCachedResult(payload []byte) (*CachedResult, error) {
-	var c CachedResult
-	if err := json.Unmarshal(payload, &c); err != nil {
+func DecodeCachedResult(payload []byte) (*Result, error) {
+	var r Result
+	if err := json.Unmarshal(payload, &r); err != nil {
 		return nil, fmt.Errorf("cached result: %w", err)
 	}
-	if !c.shapeOK() {
-		return nil, fmt.Errorf("cached result shape does not match kind %q", c.Kind)
-	}
-	return &c, nil
-}
-
-// CachedSimResult decodes a sim-job payload and patches the spec echo to
-// the (normalized) submission being served: the cached run and the
-// submission agree on every identity field, so only identity-excluded
-// knobs (checkpoint cadence, the config's inert partitions key) differ — and
-// those must reflect the submission for the body to be byte-identical to
-// a fresh run of it. Shared by the daemon's admission path and the CLI's
-// -cache-dir.
-func CachedSimResult(payload []byte, spec experiments.SimSpec) (*experiments.SimResult, error) {
-	c, err := DecodeCachedResult(payload)
-	if err != nil {
+	if _, err := r.kind(); err != nil {
 		return nil, err
 	}
-	if c.Kind != "sim" {
-		return nil, fmt.Errorf("cached result is a %s job, not a sim", c.Kind)
-	}
-	res := *c.Sim
-	res.Spec = spec
-	return &res, nil
+	return &r, nil
 }
 
-// CachedServingResult decodes a serving-job payload and patches the doc
-// echo to the submission's own canonical document. The cached sweep and
-// the submission agree on every identity field; only the excluded
-// partitions/lookahead keys can differ, and the echo must reflect the
-// submission for the body to be byte-identical to a fresh run of it.
-// Shared by the daemon's admission path and the CLI's -cache-dir.
-func CachedServingResult(payload []byte, doc string) (*experiments.ServingResult, error) {
-	c, err := DecodeCachedResult(payload)
-	if err != nil {
-		return nil, err
+// decodeAs is DecodeCachedResult for a caller that knows which kind the
+// key it looked up belongs to: a well-formed payload of another kind is
+// as unusable as a malformed one.
+func decodeAs(k *jobKind, payload []byte) (*Result, error) {
+	r, err := DecodeCachedResult(payload)
+	if err == nil && kinds[r.Kind] != k {
+		return nil, fmt.Errorf("cached result is a %s job, not a %s job", r.Kind, k.name)
 	}
-	if c.Kind != "serving" {
-		return nil, fmt.Errorf("cached result is a %s job, not a serving sweep", c.Kind)
+	return r, err
+}
+
+// RunCached runs one job outside the daemon — cmd/experiments' simrun
+// and serving modes — through the same kinds, keys and payloads, so the
+// CLI and a daemon can share a cache directory. With a store, a stored
+// result is returned without running (echoing the caller's own spec) and
+// a completed run is stored for next time; an entry that does not decode
+// is evicted and the job runs for real. logf gets the cache chatter, one
+// line per call; resume and ctl go to the run as they are.
+func RunCached(store *artifact.Store, spec JobSpec, resume []byte, ctl *experiments.SimControl,
+	logf func(format string, args ...interface{})) (*Result, error) {
+	k := kinds[spec.Kind]
+	if k == nil {
+		return nil, fmt.Errorf("unknown job kind %q", spec.Kind)
 	}
-	res := *c.Serving
-	res.Doc = doc
-	return &res, nil
+	var key string
+	if store != nil {
+		// An invalid spec stays as it is and falls through to the run
+		// for its real error; a spec without a key just isn't cached.
+		if normalized, _, err := normalizeSpec(spec); err == nil {
+			spec = normalized
+			key, _ = keyOf(k, &spec)
+		}
+	}
+	if key != "" {
+		if payload, ok := store.Get(key); !ok {
+			logf("miss %s", key[:12])
+		} else if res, err := decodeAs(k, payload); err != nil {
+			// The envelope was intact but the payload shape is not ours.
+			store.Delete(key)
+			logf("evicted undecodable entry %s: %v", key[:12], err)
+		} else {
+			logf("hit %s — serving stored result", key[:12])
+			return k.echo(res, &spec), nil
+		}
+	}
+	res, err := k.exec(&spec, resume, ctl)
+	if err != nil || key == "" {
+		return res, err
+	}
+	if payload, err := res.encode(); err != nil {
+		logf("not stored: %v", err)
+	} else if err := store.Put(key, payload); err != nil {
+		logf("not stored: %v", err)
+	} else {
+		logf("stored %s (%d bytes)", key[:12], len(payload))
+	}
+	return res, nil
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -137,46 +139,153 @@ func TestCachedResultCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &experiments.SimResult{Spec: spec, LatencyFNV: "deadbeef", Delivered: 42}
-	payload, err := (&CachedResult{Kind: "sim", Sim: res}).Encode()
+	payload, err := (&Result{Kind: "sim", Sim: res}).encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Round trip, with the spec echo patched to the submission's own.
+	// Round trip, with the spec echo patched to the submission's own —
+	// in a copy: the decoded result is shared by every job it serves.
+	simKind := kinds["sim"]
+	decoded, err := decodeAs(simKind, payload)
+	if err != nil {
+		t.Fatalf("valid payload rejected: %v", err)
+	}
 	patched := spec
 	patched.CheckpointEvery = 999
-	got, err := CachedSimResult(payload, patched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := simKind.echo(decoded, &JobSpec{Kind: "sim", Sim: &patched}).Sim
 	if got.Spec != patched {
 		t.Fatalf("spec echo not patched: %+v", got.Spec)
 	}
 	if got.LatencyFNV != res.LatencyFNV || got.Delivered != res.Delivered {
 		t.Fatalf("payload mangled in round trip: %+v", got)
 	}
+	if decoded.Sim.Spec != spec {
+		t.Fatalf("echo wrote through to the shared decoded result: %+v", decoded.Sim.Spec)
+	}
 
 	// Shape violations are errors at both ends, never silent.
-	if _, err := (&CachedResult{Kind: "sim"}).Encode(); err == nil {
+	if _, err := (&Result{Kind: "sim"}).encode(); err == nil {
 		t.Error("encoded a sim payload with no result")
 	}
-	if _, err := (&CachedResult{Kind: "experiment", Sim: res}).Encode(); err == nil {
+	if _, err := (&Result{Kind: "experiment", Sim: res}).encode(); err == nil {
 		t.Error("encoded an experiment payload carrying a sim result")
 	}
-	for _, bad := range []string{"", "{", `{"kind":"sim"}`, `{"kind":"mystery"}`, `[1,2]`} {
+	if _, err := (&Result{Kind: "sim", Sim: res, Artifact: &experiments.Artifact{Name: "x"}}).encode(); err == nil {
+		t.Error("encoded a sim payload with a second slot filled")
+	}
+	for _, bad := range []string{"", "{", `{"kind":"sim"}`, `{"kind":"mystery"}`, `[1,2]`,
+		`{"kind":"sim","sim":{},"artifact":{}}`} {
 		if _, err := DecodeCachedResult([]byte(bad)); err == nil {
 			t.Errorf("decoded malformed payload %q", bad)
 		}
 	}
-	if _, err := CachedSimResult(payload, spec); err != nil {
-		t.Errorf("valid payload rejected: %v", err)
-	}
-	expPayload, err := (&CachedResult{Kind: "experiment", Artifact: &experiments.Artifact{Name: "x"}}).Encode()
+	// A well-formed payload of another kind is no use to this one.
+	expPayload, err := (&Result{Kind: "experiment", Artifact: &experiments.Artifact{Name: "x"}}).encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CachedSimResult(expPayload, spec); err == nil {
+	if _, err := DecodeCachedResult(expPayload); err != nil {
+		t.Errorf("valid experiment payload rejected: %v", err)
+	}
+	if _, err := decodeAs(simKind, expPayload); err == nil {
 		t.Error("experiment payload served as a sim result")
+	}
+}
+
+// TestRunCached drives the CLI's way into the seam: same keys and
+// payloads as the daemon (so the two share a directory), the caller's
+// own spec echoed on a hit, an undecodable entry evicted and rerun, and
+// an invalid spec reported with the run's own error.
+func TestRunCached(t *testing.T) {
+	store := testStore(t)
+	var lines []string
+	logf := func(format string, args ...interface{}) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	took := func() string {
+		out := strings.Join(lines, " | ")
+		lines = nil
+		return out
+	}
+	sim := func(mut func(*experiments.SimSpec)) JobSpec {
+		s := &experiments.SimSpec{Cycles: 1500}
+		if mut != nil {
+			mut(s)
+		}
+		return JobSpec{Kind: "sim", Sim: s}
+	}
+	key := mustKey(t, sim(nil))
+
+	cold, err := RunCached(store, sim(nil), nil, nil, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := took(); !strings.HasPrefix(got, "miss "+key[:12]+" | stored "+key[:12]+" (") {
+		t.Errorf("cold run logged %q, want a miss then a store of %s", got, key[:12])
+	}
+
+	warm, err := RunCached(store, sim(func(s *experiments.SimSpec) { s.CheckpointEvery = 256 }), nil, nil, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := took(); got != "hit "+key[:12]+" — serving stored result" {
+		t.Errorf("warm run logged %q, want a hit", got)
+	}
+	if warm.Sim.Spec.CheckpointEvery != 256 || warm.Sim.CSV() != cold.Sim.CSV() {
+		t.Errorf("hit does not echo the caller's spec over the stored rows: %+v", warm.Sim)
+	}
+
+	// The daemon answers the same spec from the entry the CLI stored.
+	s, ts := testServer(t, Config{Cache: store})
+	defer s.Shutdown()
+	v, disp := submitJob(t, ts.URL, []byte(`{"sim":{"cycles":1500}}`))
+	if disp != "hit" {
+		t.Fatalf("daemon dispositioned the CLI-stored spec %q, want hit", disp)
+	}
+	if got := fetchText(t, ts.URL+"/jobs/"+v.ID+"/result?format=csv", http.StatusOK); got != cold.Sim.CSV() {
+		t.Error("daemon served different rows than the CLI stored")
+	}
+
+	// A well-formed payload of the wrong kind under the key: evicted,
+	// rerun, stored again — by the CLI and by the daemon alike.
+	foreign, err := (&Result{Kind: "experiment", Artifact: &experiments.Artifact{Name: "x"}}).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, viaDaemon := range []bool{false, true} {
+		if err := store.Put(key, foreign); err != nil {
+			t.Fatal(err)
+		}
+		if viaDaemon {
+			v, disp := submitJob(t, ts.URL, []byte(`{"sim":{"cycles":1500}}`))
+			if disp != "miss" {
+				t.Fatalf("daemon dispositioned a foreign payload %q, want miss", disp)
+			}
+			waitFor(t, ts.URL, v.ID, func(st JobStatus) bool { return st == StatusDone })
+		} else {
+			if _, err := RunCached(store, sim(nil), nil, nil, logf); err != nil {
+				t.Fatal(err)
+			}
+			if got := took(); !strings.HasPrefix(got, "evicted undecodable entry "+key[:12]+": ") || !strings.Contains(got, " | stored ") {
+				t.Errorf("foreign payload logged %q, want an eviction then a store", got)
+			}
+		}
+		payload, ok := store.Get(key)
+		if !ok {
+			t.Fatalf("viaDaemon=%v: nothing stored after the rerun", viaDaemon)
+		}
+		if _, err := decodeAs(kinds["sim"], payload); err != nil {
+			t.Errorf("viaDaemon=%v: rerun stored an unusable payload: %v", viaDaemon, err)
+		}
+	}
+
+	// An invalid spec runs anyway and fails with RunSim's own words;
+	// without a store nothing is looked up or logged.
+	_, err = RunCached(store, sim(func(s *experiments.SimSpec) { s.Topology = "mesh" }), nil, nil, logf)
+	if err == nil || !strings.HasPrefix(err.Error(), "unknown topology") || took() != "" {
+		t.Errorf("invalid spec: err %v, log %q; want the run's unwrapped error and no cache chatter", err, lines)
+	}
+	if _, err := RunCached(nil, sim(nil), nil, nil, logf); err != nil || took() != "" {
+		t.Errorf("no store: err %v, log %q", err, lines)
 	}
 }
 

@@ -119,7 +119,14 @@ func (s *Server) recoverJob(id string) (*Job, error) {
 	if p.ID != id {
 		return nil, fmt.Errorf("job record names %q but the file names %q", p.ID, id)
 	}
-	job := &Job{ID: p.ID, Spec: p.Spec, Status: StatusQueued, Cycle: p.Cycle}
+	// The record is input like any other: normalizing it resolves the
+	// kind and guarantees the spec is in the one canonical form identity,
+	// the run and the spec echo all assume — whoever wrote the file.
+	spec, k, err := normalizeSpec(p.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("job record: spec: %w", err)
+	}
+	job := &Job{ID: p.ID, Spec: spec, kind: k, Status: StatusQueued, Cycle: p.Cycle}
 	ckptName := id + checkpointSuffix
 	ckpt, err := durable.ReadFile(filepath.Join(s.cfg.StateDir, ckptName))
 	switch {

@@ -426,3 +426,72 @@ func TestRecoveryRunsSpecsWithInertEngineKeys(t *testing.T) {
 		t.Errorf("recovered serving job's CSV differs from the spec without the keys:\n%s\nwant:\n%s", got, wantServing.CSV())
 	}
 }
+
+// TestRecoveryNormalizesRecordSpecs: a sealed record is input like a
+// submission, so recovery passes its spec through the same normalization.
+// A record whose spec is {} — which POST /jobs accepts and defaults to
+// the quick AI sim — used to recover with its kind unresolved: its flight
+// hashed to the default sim's key, the kind check against the valid
+// cache entry failed, the entry was deleted, and the worker then
+// dereferenced the record's nil sim spec.
+func TestRecoveryNormalizesRecordSpecs(t *testing.T) {
+	store := testStore(t)
+	warm, ts := testServer(t, Config{Cache: store})
+	v, _ := submitJob(t, ts.URL, []byte(`{}`))
+	waitFor(t, ts.URL, v.ID, func(st JobStatus) bool { return st == StatusDone })
+	wantCSV := fetchText(t, ts.URL+"/jobs/"+v.ID+"/result?format=csv", http.StatusOK)
+	warm.Shutdown()
+
+	t.Run("served from the cache", func(t *testing.T) {
+		dir := t.TempDir()
+		writeRecord(t, dir, "job-0", JobSpec{})
+		s, ts := testServer(t, Config{StateDir: dir, Cache: store})
+		defer s.Shutdown()
+		got := waitFor(t, ts.URL, "job-0", func(st JobStatus) bool { return st == StatusDone || st == StatusFailed })
+		if got.Status != StatusDone || !got.Cached || got.Kind != "sim" {
+			t.Fatalf("recovered job = %+v, want a done, cached sim job", got)
+		}
+		if csv := fetchText(t, ts.URL+"/jobs/job-0/result?format=csv", http.StatusOK); csv != wantCSV {
+			t.Errorf("recovered job's CSV differs from the default sim's:\n%s\nwant:\n%s", csv, wantCSV)
+		}
+		if n := store.Stats().DiskEntries; n != 1 {
+			t.Errorf("cache holds %d entries after recovery, want the 1 it had", n)
+		}
+		for _, note := range s.Recovery().Notes {
+			if strings.Contains(note, "undecodable") {
+				t.Errorf("recovery evicted a valid cache entry: %s", note)
+			}
+		}
+	})
+
+	t.Run("runs without a cache", func(t *testing.T) {
+		dir := t.TempDir()
+		writeRecord(t, dir, "job-0", JobSpec{})
+		s, ts := testServer(t, Config{StateDir: dir})
+		defer s.Shutdown()
+		got := waitFor(t, ts.URL, "job-0", func(st JobStatus) bool { return st == StatusDone || st == StatusFailed })
+		if got.Status != StatusDone {
+			t.Fatalf("recovered job = %+v, want done", got)
+		}
+		if csv := fetchText(t, ts.URL+"/jobs/job-0/result?format=csv", http.StatusOK); csv != wantCSV {
+			t.Errorf("recovered job's CSV differs from the default sim's:\n%s\nwant:\n%s", csv, wantCSV)
+		}
+	})
+
+	t.Run("an invalid spec is quarantined", func(t *testing.T) {
+		dir := t.TempDir()
+		writeRecord(t, dir, "job-0", JobSpec{Kind: "nope"})
+		s, err := New(Config{StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Shutdown()
+		if rec := s.Recovery(); rec.Quarantined != 1 || rec.Requeued != 0 || rec.Resumed != 0 {
+			t.Fatalf("recovery = %+v, want exactly 1 quarantined", rec)
+		}
+		reason, err := os.ReadFile(filepath.Join(dir, quarantineDirName, "job-0.job.reason"))
+		if err != nil || !strings.Contains(string(reason), `unknown job kind "nope"`) {
+			t.Errorf("quarantine reason %q (%v) does not name the bad kind", reason, err)
+		}
+	})
+}

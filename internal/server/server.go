@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,16 +44,19 @@ type Job struct {
 	Status JobStatus
 	Error  string
 	// Cycle is the simulated cycle reached when the job was suspended.
-	Cycle         uint64
-	SimResult     *experiments.SimResult
-	Artifact      *experiments.Artifact
-	ServingResult *experiments.ServingResult
+	Cycle uint64
+	// Result is the job's output once it is done: the run's (or the
+	// cache's) result with this job's own spec echoed in.
+	Result *Result
 	// Cached marks a job served from the content-addressed result cache
 	// (no simulation ran for it).
 	Cached bool
 	// Coalesced marks a job that attached to another job's in-flight run
 	// instead of starting its own.
 	Coalesced bool
+	// kind is Spec.Kind resolved at admission or recovery — the one
+	// handle through which anything kind-specific is reached.
+	kind *jobKind
 	// resume is the checkpoint to continue from (reloaded or suspended).
 	resume []byte
 	// flight is the execution this job is attached to; jobs submitted
@@ -219,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) coalesceRecovered(jobs []*Job) []*flight {
 	var flights []*flight
 	for _, job := range jobs {
-		key := s.jobKey(job.Spec)
+		key := s.jobKey(job)
 		if fl, ok := s.flights[key]; ok {
 			fl.jobs = append(fl.jobs, job)
 			job.flight = fl
@@ -240,14 +242,14 @@ func (s *Server) coalesceRecovered(jobs []*Job) []*flight {
 	return flights
 }
 
-// jobKey computes a spec's content address, or "" when memoization is
-// off or the spec has none — an uncacheable job still runs, it just
-// never coalesces or populates the store.
-func (s *Server) jobKey(spec JobSpec) string {
+// jobKey computes a job's content address from its (normalized) spec, or
+// "" when memoization is off or the spec has none — an uncacheable job
+// still runs, it just never coalesces or populates the store.
+func (s *Server) jobKey(job *Job) string {
 	if s.cfg.Cache == nil {
 		return ""
 	}
-	key, err := JobKey(spec)
+	key, err := keyOf(job.kind, &job.Spec)
 	if err != nil {
 		return ""
 	}
@@ -367,162 +369,25 @@ func (s *Server) runFlight(fl *flight) {
 	// populated the cache) while this one waited in the queue — most
 	// importantly for recovered jobs, which re-enter the queue without
 	// passing through Submit's cache probe.
-	if payload, ok := s.cfg.Cache.Get(fl.key); ok && s.finishFromCache(fl, payload) {
+	if res := s.cached(fl.key, lead.kind); res != nil {
+		s.finishFlight(fl, verdict{status: StatusDone, result: res, cached: true})
 		return
 	}
 	if testRunHook != nil {
 		testRunHook()
 	}
+
+	// One run with cooperative interruption, whatever the kind: a DELETE
+	// of the last member cancels at the next interrupt poll, a Shutdown
+	// suspends with a checkpoint that the restarted daemon resumes, and a
+	// wall-clock deadline fails it (a kind that cannot stop mid-run is
+	// polled once when it is over: jobKind.exec). With a state directory,
+	// every periodic checkpoint the run takes is persisted for every
+	// attached member as it is taken, so even a SIGKILLed daemon resumes
+	// each of them from the last completed interval.
 	started := time.Now()
-	switch lead.Spec.Kind {
-	case "experiment":
-		s.runExperimentFlight(fl, lead, started)
-	case "serving":
-		s.runServingFlight(fl, lead, started)
-	default:
-		s.runSimFlight(fl, lead, started)
-	}
-}
-
-// finishFromCache tries to settle every member of fl from a cached
-// payload. A payload that fails to decode is deleted from the store (it
-// passed the CRC but not the codec — format drift or a foreign writer)
-// and the flight runs normally.
-func (s *Server) finishFromCache(fl *flight, payload []byte) bool {
-	c, err := DecodeCachedResult(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err != nil || c.Kind != fl.lead().Spec.Kind {
-		s.cfg.Cache.Delete(fl.key)
-		s.note("cache entry %.12s… undecodable (%v); evicted, running fresh", fl.key, err)
-		return false
-	}
-	for _, job := range fl.jobs {
-		s.applyCachedLocked(job, c)
-	}
-	s.unregisterFlightLocked(fl)
-	return true
-}
-
-// applyCachedLocked settles one job from a decoded cache payload: done,
-// marked cached, spec echo patched to the job's own normalized spec (the
-// cached run agrees on every identity field, so only identity-excluded
-// knobs differ — and those must echo the submission for the body to be
-// byte-identical to a fresh run of it). Callers hold s.mu.
-func (s *Server) applyCachedLocked(job *Job, c *CachedResult) {
-	job.Status, job.Cached, job.resume = StatusDone, true, nil
-	switch c.Kind {
-	case "sim":
-		res := *c.Sim
-		res.Spec = *job.Spec.Sim
-		job.SimResult = &res
-	case "experiment":
-		job.Artifact = c.Artifact
-	case "serving":
-		res := *c.Serving
-		res.Doc = string(job.Spec.Serving)
-		job.ServingResult = &res
-	}
-	s.dropPersisted(job.ID)
-}
-
-// pastDeadline reports whether a job that started at started has used
-// up the configured wall-clock budget.
-func (s *Server) pastDeadline(started time.Time) bool {
-	return s.cfg.JobDeadline > 0 && time.Since(started) > s.cfg.JobDeadline
-}
-
-// deadlineError renders the uniform deadline failure message.
-func (s *Server) deadlineError(started time.Time) string {
-	return fmt.Sprintf("job exceeded its %v wall-clock deadline (ran %v)",
-		s.cfg.JobDeadline, time.Since(started).Round(time.Millisecond))
-}
-
-// runExperimentFlight runs a catalog artifact. Experiments are
-// coarse-grained (internally parallel, no checkpoint), so cancellation,
-// shutdown and the wall-clock deadline take effect at job granularity.
-func (s *Server) runExperimentFlight(fl *flight, lead *Job, started time.Time) {
-	scale, err := experiments.ParseScale(lead.Spec.Scale)
-	if err != nil {
-		s.finishFlight(fl, nil, func(job *Job) {
-			job.Status, job.Error = StatusFailed, err.Error()
-		})
-		return
-	}
-	art, err := experiments.RunExperiment(lead.Spec.Experiment, scale)
-	var payload []byte
-	if err == nil && !fl.cancel.Load() && !s.pastDeadline(started) {
-		payload = s.encodeForCache(fl, &CachedResult{Kind: "experiment", Artifact: art})
-	}
-	s.finishFlight(fl, payload, func(job *Job) {
-		switch {
-		case err != nil:
-			job.Status, job.Error = StatusFailed, err.Error()
-		case fl.cancel.Load():
-			job.Status = StatusCanceled
-		case s.pastDeadline(started):
-			job.Status, job.Error = StatusFailed, s.deadlineError(started)
-		default:
-			job.Status, job.Artifact = StatusDone, art
-		}
-	})
-}
-
-// runServingFlight runs an open-loop serving sweep. Like experiments,
-// serving sweeps are coarse-grained (the load points fan out over the
-// experiment worker pool, no checkpoint), so cancellation, shutdown and
-// the wall-clock deadline take effect at job granularity. The spec
-// document is already canonical, so rerunning it through the
-// normalizing runner is a no-op on identity.
-func (s *Server) runServingFlight(fl *flight, lead *Job, started time.Time) {
-	scale, err := experiments.ParseScale(lead.Spec.Scale)
-	var res *experiments.ServingResult
-	if err == nil {
-		res, err = experiments.RunServingDoc(string(lead.Spec.Serving), scale)
-	}
-	var payload []byte
-	if err == nil && !fl.cancel.Load() && !s.pastDeadline(started) {
-		payload = s.encodeForCache(fl, &CachedResult{Kind: "serving", Serving: res})
-	}
-	s.finishFlight(fl, payload, func(job *Job) {
-		switch {
-		case err != nil:
-			job.Status, job.Error = StatusFailed, err.Error()
-		case fl.cancel.Load():
-			job.Status = StatusCanceled
-		case s.pastDeadline(started):
-			job.Status, job.Error = StatusFailed, s.deadlineError(started)
-		default:
-			r := *res
-			r.Doc = string(job.Spec.Serving)
-			job.Status, job.ServingResult = StatusDone, &r
-		}
-	})
-}
-
-// runSimFlight runs one simulation with cooperative interruption: a
-// DELETE of the last member cancels at the next checkpoint boundary, a
-// Shutdown suspends with a checkpoint that the restarted daemon resumes,
-// and a wall-clock deadline fails it. When the lead spec checkpoints
-// periodically and a state directory is configured, every checkpoint is
-// persisted for every attached member as it is taken, so even a
-// SIGKILLed daemon resumes each of them from the last completed interval.
-func (s *Server) runSimFlight(fl *flight, lead *Job, started time.Time) {
-	var deadlineHit atomic.Bool
-	ctl := &experiments.SimControl{Interrupt: func() experiments.InterruptKind {
-		if fl.cancel.Load() {
-			return experiments.CancelRun
-		}
-		if s.pastDeadline(started) {
-			deadlineHit.Store(true)
-			return experiments.CancelRun
-		}
-		if s.draining.Load() {
-			return experiments.SuspendRun
-		}
-		return experiments.KeepRunning
-	}}
-	if s.cfg.StateDir != "" && lead.Spec.Sim.CheckpointEvery > 0 {
+	ctl := &experiments.SimControl{Interrupt: s.interruptPoll(fl, started)}
+	if s.cfg.StateDir != "" {
 		ctl.OnCheckpoint = func(data []byte, cycle uint64) error {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -542,7 +407,7 @@ func (s *Server) runSimFlight(fl *flight, lead *Job, started time.Time) {
 			return nil
 		}
 	}
-	res, err := experiments.RunSim(*lead.Spec.Sim, fl.resume, ctl)
+	res, err := lead.kind.exec(&lead.Spec, fl.resume, ctl)
 	if err != nil && fl.resume != nil && errors.Is(err, sim.ErrCorruptSnapshot) {
 		// The resume blob was damaged in memory-to-run handoff or the
 		// recovery scan's frame check missed deeper rot. Quarantine the
@@ -552,74 +417,139 @@ func (s *Server) runSimFlight(fl *flight, lead *Job, started time.Time) {
 		fl.resume, fl.cycle = nil, 0
 		s.note("job %s: resume checkpoint rejected (%v); rerunning from cycle 0", lead.ID, err)
 		s.mu.Unlock()
-		res, err = experiments.RunSim(*lead.Spec.Sim, nil, ctl)
+		res, err = lead.kind.exec(&lead.Spec, nil, ctl)
 	}
-
-	var payload []byte
-	if err == nil {
-		payload = s.encodeForCache(fl, &CachedResult{Kind: "sim", Sim: res})
-	}
-	var intr *experiments.Interrupted
-	s.finishFlight(fl, payload, func(job *Job) {
-		switch {
-		case err == nil:
-			r := *res
-			r.Spec = *job.Spec.Sim
-			job.Status, job.SimResult, job.resume = StatusDone, &r, nil
-		case errors.Is(err, experiments.ErrCanceled):
-			if deadlineHit.Load() {
-				job.Status, job.Error, job.resume = StatusFailed, s.deadlineError(started), nil
-				return
-			}
-			job.Status, job.resume = StatusCanceled, nil
-		case errors.As(err, &intr):
-			job.Status, job.Cycle, job.resume = StatusSuspended, intr.Cycle, intr.Checkpoint
-			if perr := s.persistJob(job); perr != nil {
-				job.Status, job.Error = StatusFailed, fmt.Sprintf("suspend: %v", perr)
-			}
-		default:
-			job.Status, job.Error = StatusFailed, err.Error()
-		}
-	})
+	s.finishFlight(fl, s.verdictOf(fl, res, err, started))
 }
 
-// encodeForCache renders a completed result for the store, or nil when
-// this flight's result is uncacheable. Encoding failures are advisory:
-// the members still get their results, the store just isn't populated.
-func (s *Server) encodeForCache(fl *flight, c *CachedResult) []byte {
-	if fl.key == "" {
+// cached is cachedLocked for a caller that does not hold s.mu.
+func (s *Server) cached(key string, k *jobKind) *Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cachedLocked(key, k)
+}
+
+// cachedLocked returns the stored result for a content address, decoded
+// as kind k, or nil. An entry that fails to decode is deleted from the
+// store (it passed the CRC but not the codec — format drift or a foreign
+// writer) and reported as absent, so the job runs normally. Callers hold
+// s.mu. (Get touches the disk tier on a memory miss; that IO rides under
+// s.mu, which is fine at this service's scale and is what makes Submit's
+// probe atomic with finishFlight's populate-then-unregister.)
+func (s *Server) cachedLocked(key string, k *jobKind) *Result {
+	payload, ok := s.cfg.Cache.Get(key)
+	if !ok {
 		return nil
 	}
-	payload, err := c.Encode()
+	res, err := decodeAs(k, payload)
 	if err != nil {
+		s.cfg.Cache.Delete(key)
+		s.note("cache entry %.12s… undecodable (%v); evicted, running fresh", key, err)
 		return nil
 	}
-	return payload
+	return res
+}
+
+// interruptPoll builds the poll a flight's run consults between slices:
+// the last member's DELETE and the wall-clock deadline both stop it, a
+// draining daemon suspends it.
+func (s *Server) interruptPoll(fl *flight, started time.Time) func() experiments.InterruptKind {
+	return func() experiments.InterruptKind {
+		switch {
+		case fl.cancel.Load():
+			return experiments.CancelRun
+		case s.cfg.JobDeadline > 0 && time.Since(started) > s.cfg.JobDeadline:
+			return experiments.CancelRun
+		case s.draining.Load():
+			return experiments.SuspendRun
+		}
+		return experiments.KeepRunning
+	}
+}
+
+// verdict is how a flight ended: decided once, from what the run
+// returned (or the store held), and applied unchanged to every member —
+// two members of one flight never settle differently, and what is cached
+// is what is served.
+type verdict struct {
+	status JobStatus
+	err    string
+	// result is the output, set exactly when status is done. A run's
+	// result populates the cache; cached marks one that came from it.
+	result *Result
+	cached bool
+	// cycle and resume carry a suspended run's checkpoint.
+	cycle  uint64
+	resume []byte
+}
+
+// verdictOf maps a run's return to the flight's verdict. A run that
+// returned a result is done, whatever was requested after its last
+// interrupt poll. ErrCanceled is a stop the poll asked for: the last
+// member's DELETE if the flight is flagged (canceled), else the deadline
+// (failed, with the uniform message). *Interrupted is a suspend with its
+// checkpoint. Anything else failed the job with the error's own text.
+func (s *Server) verdictOf(fl *flight, res *Result, err error, started time.Time) verdict {
+	var intr *experiments.Interrupted
+	switch {
+	case err == nil:
+		return verdict{status: StatusDone, result: res}
+	case errors.Is(err, experiments.ErrCanceled) && fl.cancel.Load():
+		return verdict{status: StatusCanceled}
+	case errors.Is(err, experiments.ErrCanceled):
+		return verdict{status: StatusFailed, err: fmt.Sprintf("job exceeded its %v wall-clock deadline (ran %v)",
+			s.cfg.JobDeadline, time.Since(started).Round(time.Millisecond))}
+	case errors.As(err, &intr):
+		return verdict{status: StatusSuspended, cycle: intr.Cycle, resume: intr.Checkpoint}
+	default:
+		return verdict{status: StatusFailed, err: err.Error()}
+	}
 }
 
 // finishFlight settles every still-attached member under one lock hold:
-// the cache is populated first, then each member's terminal transition
-// applies, then the flight unregisters. Submit holds the same lock for
+// the cache is populated first, then each member takes the flight's
+// verdict, then the flight unregisters. Submit holds the same lock for
 // its cache-then-flights probe, so there is no window where a new
 // identical submission sees neither the open flight nor the cached
-// result. Jobs reaching a terminal state shed their on-disk record and
-// checkpoint.
-func (s *Server) finishFlight(fl *flight, cachePayload []byte, apply func(*Job)) {
+// result.
+func (s *Server) finishFlight(fl *flight, v verdict) {
+	var payload []byte
+	if v.result != nil && !v.cached && fl.key != "" {
+		// Encoding failures are advisory: the members still get their
+		// results, the store just isn't populated.
+		payload, _ = v.result.encode()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cachePayload != nil {
-		if err := s.cfg.Cache.Put(fl.key, cachePayload); err != nil {
+	if payload != nil {
+		if err := s.cfg.Cache.Put(fl.key, payload); err != nil {
 			s.note("cache entry %.12s… not persisted: %v", fl.key, err)
 		}
 	}
 	for _, job := range fl.jobs {
-		apply(job)
-		switch job.Status {
-		case StatusDone, StatusFailed, StatusCanceled:
-			s.dropPersisted(job.ID)
-		}
+		s.settleLocked(job, v)
 	}
 	s.unregisterFlightLocked(fl)
+}
+
+// settleLocked applies a verdict to one job. A done job gets the result
+// with its own spec echoed in; a suspended one keeps the checkpoint and
+// re-persists; every other ending sheds the on-disk record and
+// checkpoint. Callers hold s.mu.
+func (s *Server) settleLocked(job *Job, v verdict) {
+	job.Status, job.Error, job.resume = v.status, v.err, nil
+	switch v.status {
+	case StatusDone:
+		job.Result, job.Cached = job.kind.echo(v.result, &job.Spec), v.cached
+	case StatusSuspended:
+		job.Cycle, job.resume = v.cycle, v.resume
+		if perr := s.persistJob(job); perr != nil {
+			job.Status, job.Error = StatusFailed, fmt.Sprintf("suspend: %v", perr)
+		}
+	}
+	if job.Status != StatusSuspended {
+		s.dropPersisted(job.ID)
+	}
 }
 
 // unregisterFlightLocked removes fl from the open-flight index so later
@@ -647,7 +577,7 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-// Submit admits a job spec. The spec is normalized here — EVERY
+// Submit admits a job spec. The spec is normalized here, once — EVERY
 // admission path, HTTP and programmatic alike, goes through Submit, so
 // a job's identity, its persisted record and its log lines always agree
 // on the canonical spelling. With a cache configured, admission is
@@ -656,7 +586,7 @@ func (s *Server) Shutdown() {
 // the job as a coalesced member, and only a genuinely new address takes
 // a queue slot. Returns ErrQueueFull / ErrDraining for the two refusals.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	spec, err := spec.Normalize()
+	spec, k, err := normalizeSpec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -665,46 +595,36 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
-	key := s.jobKey(spec)
-	job := &Job{ID: fmt.Sprintf("job-%d", s.nextID), Spec: spec, Status: StatusQueued}
+	job := &Job{ID: fmt.Sprintf("job-%d", s.nextID), Spec: spec, kind: k, Status: StatusQueued}
+	key := s.jobKey(job)
 
-	// Memoized admission, probe one: the store. (Get touches the disk
-	// tier on a memory miss; that IO rides under s.mu, which is fine at
-	// this service's scale and is what makes the probe atomic with
-	// finishFlight's populate-then-unregister.)
-	if payload, ok := s.cfg.Cache.Get(key); ok {
-		if c, derr := DecodeCachedResult(payload); derr == nil && c.Kind == spec.Kind {
-			s.register(job)
-			s.applyCachedLocked(job, c)
-			return job, nil
-		}
-		s.cfg.Cache.Delete(key)
-		s.note("cache entry %.12s… undecodable; evicted, running fresh", key)
+	// Memoized admission, probe one: the store.
+	if res := s.cachedLocked(key, k); res != nil {
+		s.register(job)
+		s.settleLocked(job, verdict{status: StatusDone, result: res, cached: true})
+		return job, nil
 	}
-	// Probe two: an open flight for the same address absorbs the job.
-	if fl, ok := s.flights[key]; ok {
-		job.flight, job.Coalesced = fl, true
+	// Probe two: an open flight for the same address absorbs the job;
+	// only a new address takes a queue slot.
+	fl, open := s.flights[key]
+	if open {
+		job.Coalesced = true
 		if fl.running {
 			job.Status = StatusRunning
 		}
 		fl.jobs = append(fl.jobs, job)
-		s.register(job)
-		if err := s.persistJob(job); err != nil {
-			s.note("job %s: admission record not persisted: %v", job.ID, err)
+	} else {
+		fl = &flight{key: key, jobs: []*Job{job}}
+		select {
+		case s.queue <- fl:
+		default:
+			return nil, ErrQueueFull
 		}
-		return job, nil
-	}
-	// A new address: take a queue slot.
-	fl := &flight{key: key, jobs: []*Job{job}}
-	select {
-	case s.queue <- fl:
-	default:
-		return nil, ErrQueueFull
+		if key != "" {
+			s.flights[key] = fl
+		}
 	}
 	job.flight = fl
-	if key != "" {
-		s.flights[key] = fl
-	}
 	s.register(job)
 	// Persist the record at admission so even a SIGKILLed daemon requeues
 	// every accepted job on restart. Best-effort: a full disk degrades
@@ -747,17 +667,13 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 			break
 		}
 		fl.detach(job)
-		job.Status = StatusCanceled
-		job.resume = nil
-		s.dropPersisted(id)
+		s.settleLocked(job, verdict{status: StatusCanceled})
 		if len(fl.jobs) == 0 {
 			// Emptied while still queued: the worker will skip the husk.
 			s.unregisterFlightLocked(fl)
 		}
 	case StatusSuspended:
-		job.Status = StatusCanceled
-		job.resume = nil
-		s.dropPersisted(id)
+		s.settleLocked(job, verdict{status: StatusCanceled})
 	}
 	return job, true
 }
@@ -872,16 +788,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	rec := s.recovery
-	rec.Notes = append([]string(nil), s.recovery.Notes...)
-	s.mu.Unlock()
 	v := readyView{
 		Status:        "ready",
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.cfg.QueueDepth,
 		Workers:       s.cfg.Workers,
-		Recovery:      rec,
+		Recovery:      s.Recovery(),
 	}
 	if s.cfg.Cache != nil {
 		st := s.cfg.Cache.Stats()
@@ -923,7 +835,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec, err := ParseJobSpec(body)
+	spec, err := decodeJobSpec(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1004,9 +916,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	status := job.Status
-	res, art, srv := job.SimResult, job.Artifact, job.ServingResult
-	cached := job.Cached
+	status, res, k, cached := job.Status, job.Result, job.kind, job.Cached
 	s.mu.Unlock()
 	if status != StatusDone {
 		httpError(w, http.StatusConflict, "job is %s, not done", status)
@@ -1020,67 +930,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Nocd-Cache", disposition)
 	}
 
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	switch {
-	case res != nil:
-		switch format {
-		case "json":
-			writeJSON(w, http.StatusOK, res)
-		case "csv":
-			w.Header().Set("Content-Type", "text/csv")
-			fmt.Fprint(w, res.CSV())
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, res.Render())
-		default:
-			httpError(w, http.StatusBadRequest, "unknown format %q (want json, csv or text)", format)
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "json":
+		body, _ := k.slot(res)
+		writeJSON(w, http.StatusOK, body)
+	case "csv":
+		body, err := k.csv(res, r.URL.Query().Get("file"))
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-	case srv != nil:
-		switch format {
-		case "json":
-			writeJSON(w, http.StatusOK, srv)
-		case "csv":
-			w.Header().Set("Content-Type", "text/csv")
-			fmt.Fprint(w, srv.CSV())
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, srv.Render())
-		default:
-			httpError(w, http.StatusBadRequest, "unknown format %q (want json, csv or text)", format)
-		}
-	case art != nil:
-		switch format {
-		case "json":
-			writeJSON(w, http.StatusOK, art)
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, art.Text)
-		case "csv":
-			file := r.URL.Query().Get("file")
-			if file == "" && len(art.CSVs) == 1 {
-				for f := range art.CSVs {
-					file = f
-				}
-			}
-			data, ok := art.CSVs[file]
-			if !ok {
-				files := make([]string, 0, len(art.CSVs))
-				for f := range art.CSVs {
-					files = append(files, f)
-				}
-				sort.Strings(files)
-				httpError(w, http.StatusBadRequest, "pick a CSV with ?file=; this artifact has: %s", strings.Join(files, ", "))
-				return
-			}
-			w.Header().Set("Content-Type", "text/csv")
-			fmt.Fprint(w, data)
-		default:
-			httpError(w, http.StatusBadRequest, "unknown format %q (want json, csv or text)", format)
-		}
+		w.Header().Set("Content-Type", "text/csv")
+		fmt.Fprint(w, body)
+	case "text":
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprint(w, k.text(res))
 	default:
-		httpError(w, http.StatusInternalServerError, "done job has no result")
+		httpError(w, http.StatusBadRequest, "unknown format %q (want json, csv or text)", format)
 	}
 }

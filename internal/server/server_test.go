@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,5 +303,110 @@ func TestServerQueueSurvivesManyJobs(t *testing.T) {
 		} else if csv != first {
 			t.Fatalf("job %s produced different bytes than its identical twin:\n%s\nvs\n%s", id, csv, first)
 		}
+	}
+}
+
+// TestFlightVerdict writes the finish rules down once: what the poll
+// says for each request (cancel, deadline, drain), what a run makes of
+// it — an interruptible kind honours all three between slices, a coarse
+// one is polled once by exec when its run is over — and what verdict
+// every member of the flight then gets. Only a done verdict carries a
+// result, and only that is cached.
+func TestFlightVerdict(t *testing.T) {
+	ckpt := []byte("checkpoint")
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name                       string
+		cancel, deadline, draining bool
+		runErr                     error
+		coarse                     bool
+		status                     JobStatus
+		errHas                     string
+	}{
+		{name: "sim completes", status: StatusDone},
+		{name: "coarse completes", coarse: true, status: StatusDone},
+		{name: "sim canceled", cancel: true, status: StatusCanceled},
+		{name: "coarse canceled", cancel: true, coarse: true, status: StatusCanceled},
+		{name: "sim past deadline", deadline: true, status: StatusFailed, errHas: "wall-clock deadline"},
+		{name: "coarse past deadline", deadline: true, coarse: true, status: StatusFailed, errHas: "wall-clock deadline"},
+		{name: "cancel outranks deadline", cancel: true, deadline: true, coarse: true, status: StatusCanceled},
+		{name: "deadline outranks drain", deadline: true, draining: true, status: StatusFailed, errHas: "wall-clock deadline"},
+		{name: "sim suspends on drain", draining: true, status: StatusSuspended},
+		{name: "coarse finishes through drain", draining: true, coarse: true, status: StatusDone},
+		{name: "sim run error", runErr: boom, status: StatusFailed, errHas: "boom"},
+		{name: "coarse run error outranks cancel", runErr: boom, cancel: true, coarse: true, status: StatusFailed, errHas: "boom"},
+	} {
+		s := &Server{cfg: Config{JobDeadline: time.Minute}}
+		s.draining.Store(tc.draining)
+		fl := &flight{}
+		fl.cancel.Store(tc.cancel)
+		started := time.Now()
+		if tc.deadline {
+			started = started.Add(-time.Hour)
+		}
+		ctl := &experiments.SimControl{Interrupt: s.interruptPoll(fl, started)}
+
+		// The interruptible stand-in keeps RunSim's contract for one poll;
+		// the coarse one never looks at ctl.
+		k := &jobKind{name: "fake", interruptible: !tc.coarse}
+		k.run = func(_ *JobSpec, _ []byte, ctl *experiments.SimControl) (Result, error) {
+			if tc.runErr != nil {
+				return Result{}, tc.runErr
+			}
+			if k.interruptible {
+				switch ctl.Interrupt() {
+				case experiments.CancelRun:
+					return Result{}, experiments.ErrCanceled
+				case experiments.SuspendRun:
+					return Result{}, &experiments.Interrupted{Cycle: 512, Checkpoint: ckpt}
+				}
+			}
+			return Result{Sim: &experiments.SimResult{}}, nil
+		}
+		res, err := k.exec(&JobSpec{}, nil, ctl)
+		v := s.verdictOf(fl, res, err, started)
+
+		if v.status != tc.status || !strings.Contains(v.err, tc.errHas) || (tc.errHas == "" && v.err != "") {
+			t.Errorf("%s: verdict %s %q, want %s with error containing %q", tc.name, v.status, v.err, tc.status, tc.errHas)
+		}
+		if cached := v.result != nil; cached != (tc.status == StatusDone) {
+			t.Errorf("%s: result set = %v on a %s verdict (only done is cached)", tc.name, cached, v.status)
+		}
+		if tc.status == StatusSuspended && (v.cycle != 512 || !bytes.Equal(v.resume, ckpt)) {
+			t.Errorf("%s: suspended at cycle %d with checkpoint %q, want the run's", tc.name, v.cycle, v.resume)
+		}
+	}
+}
+
+// TestCoarseKindsHonourCancelAndDeadline: an experiment or serving run
+// cannot stop midway, but a DELETE of its last member or the deadline
+// landing during it still decides the verdict — canceled or failed, and
+// in neither case cached — through the same finish path a sim takes.
+func TestCoarseKindsHonourCancelAndDeadline(t *testing.T) {
+	for _, body := range []string{`{"experiment":"area","scale":"quick"}`, servingBody} {
+		store := testStore(t)
+		s, ts := testServer(t, Config{Cache: store, Workers: 1})
+		release := gateFlights(t, s)
+		v, _ := submitJob(t, ts.URL, []byte(body))
+		waitFor(t, ts.URL, v.ID, func(st JobStatus) bool { return st == StatusRunning })
+		doJSON(t, "DELETE", ts.URL+"/jobs/"+v.ID, nil, nil)
+		release()
+		waitFor(t, ts.URL, v.ID, func(st JobStatus) bool { return st == StatusCanceled })
+		if puts := store.Stats().Puts; puts != 0 {
+			t.Errorf("%s: a canceled run populated the cache (%d puts)", body, puts)
+		}
+		s.Shutdown()
+
+		store = testStore(t)
+		s, ts = testServer(t, Config{Cache: store, JobDeadline: time.Nanosecond})
+		v, _ = submitJob(t, ts.URL, []byte(body))
+		got := waitFor(t, ts.URL, v.ID, func(st JobStatus) bool { return st == StatusFailed })
+		if !strings.Contains(got.Error, "wall-clock deadline") {
+			t.Errorf("%s: job error %q does not mention the deadline", body, got.Error)
+		}
+		if puts := store.Stats().Puts; puts != 0 {
+			t.Errorf("%s: a run past its deadline populated the cache (%d puts)", body, puts)
+		}
+		s.Shutdown()
 	}
 }

@@ -4,6 +4,11 @@
 // cancellation, checkpoint-based suspend on shutdown, and resume on
 // restart. Because both ends dispatch through the same normalized specs,
 // a job's results are byte-identical to the CLI's.
+//
+// A job is one of a fixed set of kinds (one simulation, one paper
+// artifact, one serving sweep). What a kind is — its fields of a JobSpec,
+// its identity, its run, its result — is defined once, in kind.go; every
+// other file in this package is kind-agnostic.
 package server
 
 import (
@@ -47,6 +52,17 @@ type JobSpec struct {
 // normalized: running it needs no further defaulting, so the daemon and
 // the CLI agree on what a spec means.
 func ParseJobSpec(data []byte) (JobSpec, error) {
+	js, err := decodeJobSpec(data)
+	if err != nil {
+		return js, err
+	}
+	return js.Normalize()
+}
+
+// decodeJobSpec is ParseJobSpec's strict JSON half. The HTTP handler
+// stops here and lets Submit normalize, so a submission is validated and
+// canonicalized exactly once on its way in.
+func decodeJobSpec(data []byte) (JobSpec, error) {
 	var js JobSpec
 	if len(data) > maxJobSpecBytes {
 		return js, fmt.Errorf("job spec of %d bytes exceeds the %d-byte limit", len(data), maxJobSpecBytes)
@@ -59,73 +75,17 @@ func ParseJobSpec(data []byte) (JobSpec, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return js, fmt.Errorf("job spec: trailing data after JSON document")
 	}
-	return js.Normalize()
+	return js, nil
 }
 
 // Normalize defaults the kind, validates the per-kind fields and
 // canonicalizes the embedded spec (including the custom-topology config
 // document, whose JSON is re-rendered with sorted keys). It is
-// idempotent, and EVERY admission path — HTTP parse and programmatic
-// Submit alike — normalizes before anything persists or hashes, so a
-// job's on-disk record, its log lines and its content hash always
-// describe the same canonical spec.
+// idempotent, and EVERY way in — Submit, a recovered record, the CLI —
+// normalizes before anything persists, hashes or runs, so a job's
+// on-disk record, its log lines and its content hash always describe the
+// same canonical spec. The per-kind rules live with the kind (kind.go).
 func (js JobSpec) Normalize() (JobSpec, error) {
-	if js.Kind == "" {
-		switch {
-		case js.Experiment != "":
-			js.Kind = "experiment"
-		case len(js.Serving) > 0:
-			js.Kind = "serving"
-		default:
-			js.Kind = "sim"
-		}
-	}
-	switch js.Kind {
-	case "sim":
-		if js.Experiment != "" || js.Scale != "" {
-			return js, fmt.Errorf("sim job must not set experiment or scale (scale lives in sim.scale)")
-		}
-		if len(js.Serving) > 0 {
-			return js, fmt.Errorf("sim job must not set a serving spec")
-		}
-		if js.Sim == nil {
-			js.Sim = &experiments.SimSpec{}
-		}
-		normalized, err := js.Sim.Normalize()
-		if err != nil {
-			return js, fmt.Errorf("sim spec: %w", err)
-		}
-		js.Sim = &normalized
-	case "experiment":
-		if js.Sim != nil || len(js.Serving) > 0 {
-			return js, fmt.Errorf("experiment job must not set a sim or serving spec")
-		}
-		name, err := experiments.CanonicalExperiment(js.Experiment)
-		if err != nil {
-			return js, err
-		}
-		js.Experiment = name
-		scale, err := experiments.ParseScale(js.Scale)
-		if err != nil {
-			return js, err
-		}
-		js.Scale = experiments.ScaleName(scale)
-	case "serving":
-		if js.Sim != nil || js.Experiment != "" {
-			return js, fmt.Errorf("serving job must not set a sim spec or experiment name")
-		}
-		scale, err := experiments.ParseScale(js.Scale)
-		if err != nil {
-			return js, err
-		}
-		js.Scale = experiments.ScaleName(scale)
-		canonical, _, err := experiments.NormalizeServingDoc(string(js.Serving), scale)
-		if err != nil {
-			return js, err
-		}
-		js.Serving = json.RawMessage(canonical)
-	default:
-		return js, fmt.Errorf("unknown job kind %q (want sim, experiment or serving)", js.Kind)
-	}
-	return js, nil
+	js, _, err := normalizeSpec(js)
+	return js, err
 }

@@ -69,7 +69,7 @@ func newOrchestrator(spec *config.ServingSpec, net *noc.Network, engines []*Engi
 		engines:      engines,
 		arr:          newArrivalProcess(spec, load, rng.Derive(0xA221)),
 		routeRNG:     rng.Derive(0x40E),
-		streamDigest: 14695981039346656037, // FNV-1a offset basis
+		streamDigest: sim.FNVOffset,
 	}
 }
 
@@ -212,17 +212,10 @@ func (o *Orchestrator) finish(c *command, now sim.Cycle) {
 // completeBatch records every rider's end-to-end latency and folds the
 // completion stream into the golden digest.
 func (o *Orchestrator) completeBatch(b *batch, now sim.Cycle) {
-	const fnvPrime = 1099511628211
 	for _, r := range b.reqs {
 		lat := uint64(now - r.arrival)
 		o.Sketch.Observe(lat)
-		for _, v := range [2]uint64{o.Completed, lat} {
-			for i := 0; i < 8; i++ {
-				o.streamDigest ^= v & 0xff
-				o.streamDigest *= fnvPrime
-				v >>= 8
-			}
-		}
+		o.streamDigest = sim.FNV1aFoldU64(sim.FNV1aFoldU64(o.streamDigest, o.Completed), lat)
 		o.Completed++
 	}
 	o.active--

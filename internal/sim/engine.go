@@ -1,125 +1,21 @@
-// Package sim provides the deterministic cycle-accurate simulation engine
-// that every other subsystem plugs into.
-//
-// The engine is deliberately simple: a Component is anything that does work
-// once per clock cycle, and an Engine owns an ordered list of components
-// and a cycle counter. All simulated hardware (rings, bridges, caches,
-// memory controllers, traffic generators) registers with one Engine and is
-// ticked in registration order, so a run is fully deterministic: the same
-// seed and the same construction order always yield the same
-// cycle-by-cycle state.
+// Package sim holds the deterministic building blocks every simulated
+// subsystem shares: the cycle type and per-cycle Component contract, the
+// seeded RNG streams, the snapshot codec and the FNV digest folds. The
+// tick loop itself is noc.Network — it owns the rings and the devices
+// attached to them and steps them in a fixed order, so the same seed and
+// the same construction order always yield the same cycle-by-cycle
+// state.
 package sim
-
-import (
-	"errors"
-	"fmt"
-)
 
 // Cycle is a point in simulated time, measured in NoC clock cycles.
 type Cycle uint64
 
-// Component is a piece of simulated hardware. Tick is called exactly once
-// per simulated cycle, in the order components were registered.
+// Component is a piece of simulated hardware: Tick advances it by exactly
+// one simulated cycle.
 type Component interface {
 	// Name returns a stable human-readable identifier used in traces,
 	// error messages and statistics.
 	Name() string
 	// Tick advances the component by one clock cycle.
 	Tick(now Cycle)
-}
-
-// Finisher is an optional interface a Component may implement to veto the
-// end of a run: Engine.RunUntilQuiesced keeps ticking until every Finisher
-// reports Done.
-type Finisher interface {
-	// Done reports whether the component has no outstanding work.
-	Done() bool
-}
-
-// Engine drives a set of components through simulated time.
-type Engine struct {
-	now        Cycle
-	components []Component
-	names      map[string]struct{}
-}
-
-// NewEngine returns an empty engine at cycle zero.
-func NewEngine() *Engine {
-	return &Engine{names: make(map[string]struct{})}
-}
-
-// ErrDuplicateComponent is returned by Register when two components share
-// a name; unique names keep traces and stats unambiguous.
-var ErrDuplicateComponent = errors.New("sim: duplicate component name")
-
-// Register adds a component to the tick order. Registration order defines
-// intra-cycle evaluation order and therefore must be deterministic.
-func (e *Engine) Register(c Component) error {
-	if c == nil {
-		return errors.New("sim: nil component")
-	}
-	if _, dup := e.names[c.Name()]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateComponent, c.Name())
-	}
-	e.names[c.Name()] = struct{}{}
-	e.components = append(e.components, c)
-	return nil
-}
-
-// MustRegister is Register that panics on error; construction-time wiring
-// errors are programming bugs, not runtime conditions.
-func (e *Engine) MustRegister(c Component) {
-	if err := e.Register(c); err != nil {
-		panic(err)
-	}
-}
-
-// Now returns the current cycle. Components may consult it during
-// construction; during Tick the engine passes the cycle explicitly.
-func (e *Engine) Now() Cycle { return e.now }
-
-// Components returns the number of registered components.
-func (e *Engine) Components() int { return len(e.components) }
-
-// Step advances simulated time by one cycle, ticking every component.
-func (e *Engine) Step() {
-	for _, c := range e.components {
-		c.Tick(e.now)
-	}
-	e.now++
-}
-
-// Run advances the simulation by n cycles.
-func (e *Engine) Run(n Cycle) {
-	for i := Cycle(0); i < n; i++ {
-		e.Step()
-	}
-}
-
-// RunUntil advances the simulation until stop returns true (checked before
-// each cycle) or the budget is exhausted. It returns the number of cycles
-// actually executed and whether stop was satisfied.
-func (e *Engine) RunUntil(stop func() bool, budget Cycle) (ran Cycle, stopped bool) {
-	for ran = 0; ran < budget; ran++ {
-		if stop() {
-			return ran, true
-		}
-		e.Step()
-	}
-	return ran, stop()
-}
-
-// RunUntilQuiesced ticks until every component that implements Finisher
-// reports Done, or the budget is exhausted. It returns the cycles executed
-// and whether quiescence was reached.
-func (e *Engine) RunUntilQuiesced(budget Cycle) (ran Cycle, quiesced bool) {
-	done := func() bool {
-		for _, c := range e.components {
-			if f, ok := c.(Finisher); ok && !f.Done() {
-				return false
-			}
-		}
-		return true
-	}
-	return e.RunUntil(done, budget)
 }

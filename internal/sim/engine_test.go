@@ -1,110 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 )
-
-type counter struct {
-	name  string
-	ticks int
-	seen  []Cycle
-	work  int // outstanding work units; drains one per tick
-}
-
-func (c *counter) Name() string { return c.name }
-func (c *counter) Tick(now Cycle) {
-	c.ticks++
-	c.seen = append(c.seen, now)
-	if c.work > 0 {
-		c.work--
-	}
-}
-func (c *counter) Done() bool { return c.work == 0 }
-
-func TestEngineStepAdvancesTime(t *testing.T) {
-	e := NewEngine()
-	c := &counter{name: "c"}
-	e.MustRegister(c)
-	e.Run(5)
-	if e.Now() != 5 {
-		t.Fatalf("Now = %d, want 5", e.Now())
-	}
-	if c.ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", c.ticks)
-	}
-	for i, got := range c.seen {
-		if got != Cycle(i) {
-			t.Fatalf("tick %d saw cycle %d", i, got)
-		}
-	}
-}
-
-func TestEngineTickOrderIsRegistrationOrder(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	for _, n := range []string{"a", "b", "c"} {
-		n := n
-		e.MustRegister(fnComponent{n, func(Cycle) { order = append(order, n) }})
-	}
-	e.Step()
-	if fmt.Sprint(order) != "[a b c]" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-type fnComponent struct {
-	name string
-	fn   func(Cycle)
-}
-
-func (f fnComponent) Name() string   { return f.name }
-func (f fnComponent) Tick(now Cycle) { f.fn(now) }
-
-func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
-	e := NewEngine()
-	if err := e.Register(&counter{name: "x"}); err != nil {
-		t.Fatalf("first register: %v", err)
-	}
-	if err := e.Register(&counter{name: "x"}); err == nil {
-		t.Fatal("duplicate register succeeded")
-	}
-	if err := e.Register(nil); err == nil {
-		t.Fatal("nil register succeeded")
-	}
-}
-
-func TestRunUntilStopsEarly(t *testing.T) {
-	e := NewEngine()
-	c := &counter{name: "c"}
-	e.MustRegister(c)
-	ran, stopped := e.RunUntil(func() bool { return c.ticks >= 3 }, 100)
-	if !stopped || ran != 3 {
-		t.Fatalf("ran=%d stopped=%v, want 3,true", ran, stopped)
-	}
-}
-
-func TestRunUntilBudgetExhausted(t *testing.T) {
-	e := NewEngine()
-	ran, stopped := e.RunUntil(func() bool { return false }, 7)
-	if stopped || ran != 7 {
-		t.Fatalf("ran=%d stopped=%v, want 7,false", ran, stopped)
-	}
-}
-
-func TestRunUntilQuiesced(t *testing.T) {
-	e := NewEngine()
-	c := &counter{name: "c", work: 4}
-	e.MustRegister(c)
-	ran, ok := e.RunUntilQuiesced(100)
-	if !ok {
-		t.Fatal("never quiesced")
-	}
-	if ran != 4 {
-		t.Fatalf("ran = %d, want 4", ran)
-	}
-}
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)

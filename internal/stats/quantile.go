@@ -13,6 +13,8 @@ package stats
 import (
 	"math/bits"
 	"sort"
+
+	"chipletnoc/internal/sim"
 )
 
 // sketchSubBits fixes the sketch resolution: each power-of-two octave
@@ -187,18 +189,8 @@ func (s *QuantileSketch) sortedIndices() []int32 {
 // sorted (bucket, count) pairs plus the exact aggregates — pinning the
 // entire latency population for golden determinism tests.
 func (s *QuantileSketch) Digest() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
+	h := sim.FNVOffset
+	mix := func(v uint64) { h = sim.FNV1aFoldU64(h, v) }
 	mix(s.count)
 	mix(s.sum)
 	mix(s.min)
