@@ -86,9 +86,10 @@ func main() {
 			}
 			return 100 * float64(part) / float64(whole)
 		}
-		fmt.Printf("[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, device ticks skipped %.1f%%\n",
+		fmt.Printf("[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, station ticks skipped %.1f%%, device ticks skipped %.1f%%\n",
 			engine.Cycles, engine.SkippedCycles, pct(engine.SkippedCycles, engine.Cycles),
-			pct(engine.RingTicksSkipped, engine.RingTicks), pct(engine.DeviceTicksSkipped, engine.DeviceTicks))
+			pct(engine.RingTicksSkipped, engine.RingTicks), pct(engine.StationTicksSkipped, engine.StationTicks),
+			pct(engine.DeviceTicksSkipped, engine.DeviceTicks))
 	}
 
 	// invoke runs one artifact and reports where its wall clock went:

@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -398,7 +397,7 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 		return nil, fmt.Errorf("this spec carries a fault schedule and cannot resume from a checkpoint")
 	}
 	if resume != nil {
-		extra, err := noc.ReadCheckpoint(bytes.NewReader(resume), sys.net)
+		extra, err := noc.DecodeCheckpoint(resume, sys.net)
 		if err != nil {
 			return nil, err
 		}
@@ -429,11 +428,7 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := noc.WriteCheckpoint(&buf, sys.net, extra); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return noc.EncodeCheckpoint(sys.net, extra)
 	}
 
 	stride := spec.CheckpointEvery

@@ -88,32 +88,41 @@ func BenchmarkFlitAllocFree(b *testing.B) {
 	}
 }
 
-// BenchmarkRingTick times one ring-cycle (advance plus every station's
-// tick, no devices) on a 48-position full ring with a station at every
-// position but the last, at four loads. The circulating flits are
-// addressed to the station-less position, so they pass every station
-// forever and the load never drains:
+// BenchmarkRingTick times one ring-cycle (advance plus the station phase,
+// no devices) on a full ring with a station at every position but the
+// last — 48 positions, one mask word, or 130, three — at several loads.
+// The circulating flits are addressed to the station-less position, so
+// they pass every station forever and the load never drains:
 //
-//   - idle: no flit anywhere — the empty-station test alone;
+//   - idle: no flit anywhere — an empty visit set;
 //   - quarter: every fourth slot of both loops occupied;
 //   - saturated: every slot occupied, no interface has a head — what a
 //     flit that is only passing costs;
-//   - saturated-blocked-heads: every slot occupied and every interface
-//     has a head that loses to the on-the-fly flit each cycle.
+//   - saturated-blocked-heads: every slot occupied and reserved for
+//     someone else, and every interface has a head: it loses to the
+//     on-the-fly flit each cycle and cannot arm its I-tag, so every
+//     station is seen every cycle — the visit set's worst case;
+//   - saturated-armed-heads: the same with unreserved slots: every head
+//     arms on its first defeat and its station is parked from then on.
 func BenchmarkRingTick(b *testing.B) {
-	const positions = 48
 	cases := []struct {
-		name   string
-		stride int // occupy every stride-th slot; 0 = none
-		heads  bool
+		name      string
+		positions int
+		stride    int // occupy every stride-th slot; 0 = none
+		heads     bool
+		reserved  bool // every slot carries someone else's I-tag
 	}{
-		{"idle", 0, false},
-		{"quarter", 4, false},
-		{"saturated", 1, false},
-		{"saturated-blocked-heads", 1, true},
+		{"idle", 48, 0, false, false},
+		{"quarter", 48, 4, false, false},
+		{"saturated", 48, 1, false, false},
+		{"saturated-blocked-heads", 48, 1, true, true},
+		{"saturated-armed-heads", 48, 1, true, false},
+		{"quarter-130", 130, 4, false, false},
+		{"saturated-armed-heads-130", 130, 1, true, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			positions := c.positions
 			net := NewNetwork("bench")
 			r := net.AddRing(positions, true)
 			nodes := make([]NodeID, positions-1)
@@ -123,10 +132,19 @@ func BenchmarkRingTick(b *testing.B) {
 				ifaces[p] = net.Attach(nodes[p], r.AddStation(p))
 			}
 			net.MustFinalize()
+			occupied := 0
 			if c.stride > 0 {
 				for p := 0; p < positions; p += c.stride {
 					placeFlit(r, &r.cw, p, &Flit{localDst: positions - 1})
 					placeFlit(r, &r.ccw, p, &Flit{localDst: positions - 1})
+					occupied += 2
+				}
+			}
+			if c.reserved {
+				// The key of an interface at the station-less position: nobody's.
+				for i := range r.cw.slots {
+					r.cw.slots[i].itagOwner = 2 * (positions - 1)
+					r.ccw.slots[i].itagOwner = 2 * (positions - 1)
 				}
 			}
 			if c.heads {
@@ -145,16 +163,28 @@ func BenchmarkRingTick(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net.now = now
+				net.ticks++
 				r.advance()
 				r.tick(now)
 				now++
 			}
 			b.StopTimer()
-			if c.stride > 0 && r.occupancy() != 2*positions/c.stride {
-				b.Fatalf("load drained: %d flits left on the ring", r.occupancy())
+			if r.occupancy() != occupied {
+				b.Fatalf("load drained: %d flits left on the ring of %d", r.occupancy(), occupied)
 			}
-			if c.heads && r.queued != len(ifaces) {
-				b.Fatalf("%d heads left of %d: a blocked head injected", r.queued, len(ifaces))
+			if c.heads {
+				if r.queued != len(ifaces) {
+					b.Fatalf("%d heads left of %d: a blocked head injected", r.queued, len(ifaces))
+				}
+				// Lazily or one by one, every head lost every cycle.
+				for _, ni := range ifaces {
+					if ni.Starved() != net.ticks {
+						b.Fatalf("a head counts %d defeats over %d cycles", ni.Starved(), net.ticks)
+					}
+					if ni.itagArmed == c.reserved {
+						b.Fatalf("head armed: %v, slots reserved for others: %v", ni.itagArmed, c.reserved)
+					}
+				}
 			}
 		})
 	}

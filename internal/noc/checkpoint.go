@@ -31,10 +31,24 @@ const MaxCheckpointBytes = 1 << 30
 // WriteCheckpoint serializes sealed header + extra + network state to w,
 // closed by the length+checksum trailer.
 func WriteCheckpoint(w io.Writer, net *Network, extra []byte) error {
-	if len(extra) > MaxCheckpointExtra {
-		return fmt.Errorf("noc: checkpoint extra blob of %d bytes exceeds limit", len(extra))
+	data, err := EncodeCheckpoint(net, extra)
+	if err != nil {
+		return err
 	}
-	e := sim.NewEncoder()
+	_, err = w.Write(data)
+	return err
+}
+
+// EncodeCheckpoint is WriteCheckpoint for callers that want the bytes:
+// the checkpoint is built once, in a buffer sized from the network's
+// previous one, and handed over — the result is the caller's to keep.
+func EncodeCheckpoint(net *Network, extra []byte) ([]byte, error) {
+	if len(extra) > MaxCheckpointExtra {
+		return nil, fmt.Errorf("noc: checkpoint extra blob of %d bytes exceeds limit", len(extra))
+	}
+	// A run's checkpoints grow slowly (latency samples); an eighth of
+	// slack holds the next few, and a first one grows from 64 KiB.
+	e := sim.NewEncoderSize(len(extra) + max(net.lastCheckpoint+net.lastCheckpoint/8, 64<<10))
 	sim.WriteSnapshotHeader(e, sim.SnapshotHeader{
 		Version:  sim.SnapshotVersion,
 		TopoHash: net.TopoHash(),
@@ -45,12 +59,12 @@ func WriteCheckpoint(w io.Writer, net *Network, extra []byte) error {
 	e.SealSection(exStart)
 	stStart := e.Mark()
 	if err := net.SnapState(sim.Saving(e)); err != nil {
-		return err
+		return nil, err
 	}
 	e.SealSection(stStart)
 	sim.WriteSnapshotTrailer(e)
-	_, err := w.Write(e.Data())
-	return err
+	net.lastCheckpoint = e.Len() - len(extra)
+	return e.Data(), nil
 }
 
 // ReadCheckpoint restores a checkpoint into the freshly built net and
@@ -63,6 +77,12 @@ func ReadCheckpoint(r io.Reader, net *Network) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DecodeCheckpoint(data, net)
+}
+
+// DecodeCheckpoint is ReadCheckpoint for callers that already hold the
+// bytes; data is only read.
+func DecodeCheckpoint(data []byte, net *Network) ([]byte, error) {
 	if len(data) > MaxCheckpointBytes {
 		return nil, fmt.Errorf("noc: checkpoint exceeds %d bytes", MaxCheckpointBytes)
 	}
@@ -104,5 +124,6 @@ func ReadCheckpoint(r io.Reader, net *Network) ([]byte, error) {
 	if got := net.Ticks(); got != h.Cycle {
 		return nil, fmt.Errorf("noc: restored cycle %d does not match header %d: %w", got, h.Cycle, sim.ErrCorruptSnapshot)
 	}
+	net.lastCheckpoint = len(data) - len(extra)
 	return extra, nil
 }

@@ -123,10 +123,14 @@ func (n *Network) StallStation(ring RingID, pos int, cycles int) error {
 	if st == nil {
 		return fmt.Errorf("noc: StallStation: no station at ring %d pos %d", ring, pos)
 	}
+	// A stalled station counts no defeat, so it is never parked: what it
+	// is owed for the cycles it was parked through is settled first.
+	st.settleNow()
 	until := n.now + sim.Cycle(cycles)
 	if until > st.stalledUntil {
 		st.stalledUntil = until
 	}
+	st.classify()
 	n.Trace(trace.Fault, 0, fmt.Sprintf("r%d.p%d", ring, pos), fmt.Sprintf("stalled %d cycles", cycles))
 	n.wakeAll()
 	return nil
@@ -142,19 +146,19 @@ func (n *Network) LiveSlotCount() int {
 	return total
 }
 
-// nthLiveSlot returns the nth occupied slot (with its ring and loop) in
-// deterministic scan order: ring, then CW loop, then CCW loop, position
-// ascending. Positions are logical — the scan goes through the rotation
-// offset, so the order matches what the eager-rotation implementation
-// produced, not physical storage order. Returns nil when fewer than
-// nth+1 slots are occupied.
-func (n *Network) nthLiveSlot(nth int) (*slot, *Ring, *loop) {
+// nthLiveSlot returns the nth occupied slot (with its ring, loop and
+// position) in deterministic scan order: ring, then CW loop, then CCW
+// loop, position ascending. Positions are logical — the scan goes through
+// the rotation offset, so the order matches what the eager-rotation
+// implementation produced, not physical storage order. Returns nil when
+// fewer than nth+1 slots are occupied.
+func (n *Network) nthLiveSlot(nth int) (*slot, *Ring, *loop, int) {
 	n.syncRings()
 	for _, r := range n.rings {
 		for p := 0; p < r.positions; p++ {
 			if s := r.cw.at(p); s.flit != nil {
 				if nth == 0 {
-					return s, r, &r.cw
+					return s, r, &r.cw, p
 				}
 				nth--
 			}
@@ -165,26 +169,24 @@ func (n *Network) nthLiveSlot(nth int) (*slot, *Ring, *loop) {
 		for p := 0; p < r.positions; p++ {
 			if s := r.ccw.at(p); s.flit != nil {
 				if nth == 0 {
-					return s, r, &r.ccw
+					return s, r, &r.ccw, p
 				}
 				nth--
 			}
 		}
 	}
-	return nil, nil, nil
+	return nil, nil, nil, 0
 }
 
 // DropLiveFlit removes the nth occupied slot's flit from the network
 // (deterministic scan order), counting it as a fault drop. It reports
 // whether a victim existed.
 func (n *Network) DropLiveFlit(nth int) bool {
-	s, r, l := n.nthLiveSlot(nth)
+	s, r, l, pos := n.nthLiveSlot(nth)
 	if s == nil {
 		return false
 	}
-	f := s.flit
-	s.flit = nil
-	l.occ--
+	f := l.vacate(s, pos)
 	r.settleHops(f)
 	n.dropFlit(f, &n.FaultDrops, r, trace.Fault, "injector", "flit dropped")
 	return true
@@ -195,7 +197,7 @@ func (n *Network) DropLiveFlit(nth int) bool {
 // its destination, as a link-level CRC failure would be. It reports
 // whether a victim existed.
 func (n *Network) CorruptLiveFlit(nth int) bool {
-	s, _, _ := n.nthLiveSlot(nth)
+	s, _, _, _ := n.nthLiveSlot(nth)
 	if s == nil {
 		return false
 	}
@@ -239,6 +241,7 @@ func (n *Network) watchdogSweep(now sim.Cycle) {
 			n.sweepLoop(r, &r.ccw, expired)
 		}
 		for _, st := range r.stations {
+			st.settleNow() // before any defeat count below is reset
 			for _, ni := range st.ifaces {
 				if ni == nil {
 					continue
@@ -269,12 +272,10 @@ func (n *Network) watchdogSweep(now sim.Cycle) {
 func (n *Network) sweepLoop(r *Ring, l *loop, expired func(*Flit) bool) {
 	for p := 0; p < r.positions; p++ {
 		s := l.at(p)
-		f := s.flit
-		if f == nil || !expired(f) {
+		if s.flit == nil || !expired(s.flit) {
 			continue
 		}
-		s.flit = nil
-		l.occ--
+		f := l.vacate(s, p)
 		r.settleHops(f)
 		n.dropFlit(f, &n.WatchdogDrops, r, trace.WatchdogDrop, "ring", "aged out on ring")
 	}
@@ -320,6 +321,7 @@ func (n *Network) dropFlit(f *Flit, cause *uint64, r *Ring, kind trace.Kind, whe
 func (n *Network) dropInterfaceQueues(ni *NodeInterface) {
 	r := ni.station.ring
 	where := n.nodes[ni.node].name
+	ni.station.settleNow() // before the defeat count below is reset
 	r.queued -= ni.inject.len() + ni.bypass.len()
 	for _, q := range []*flitRing{&ni.inject, &ni.bypass, &ni.eject} {
 		for q.len() > 0 {
@@ -363,9 +365,10 @@ func purgeTagState(r *Ring, id uint64) {
 func (n *Network) rerouteLiveFlits() {
 	n.syncRings()
 	for _, r := range n.rings {
-		// s is the occupied ring slot holding f (nil for queued flits);
-		// its cached exit position must track the reroute.
-		reroute := func(f *Flit, s *slot, pos int, redirect bool) {
+		// s is the occupied ring slot holding f, and l its loop (both nil
+		// for queued flits): the slot's cached exit position and the
+		// loop's arrival calendar must track the reroute.
+		reroute := func(f *Flit, l *loop, s *slot, pos int, redirect bool) {
 			tpos, tiface, err := n.localTarget(r, f)
 			if err != nil {
 				n.Trace(trace.Reroute, f.ID, "ring", "unroutable; left to watchdog")
@@ -377,7 +380,7 @@ func (n *Network) rerouteLiveFlits() {
 			f.localDst = tpos
 			f.localIface = tiface
 			if s != nil {
-				s.dst = int32(tpos)
+				l.expect(s, pos, tpos)
 			}
 			if redirect {
 				f.dir = r.shortestDir(pos, tpos)
@@ -387,13 +390,13 @@ func (n *Network) rerouteLiveFlits() {
 		}
 		for p := 0; p < r.positions; p++ {
 			if s := r.cw.at(p); s.flit != nil {
-				reroute(s.flit, s, p, false)
+				reroute(s.flit, &r.cw, s, p, false)
 			}
 		}
 		if r.full {
 			for p := 0; p < r.positions; p++ {
 				if s := r.ccw.at(p); s.flit != nil {
-					reroute(s.flit, s, p, false)
+					reroute(s.flit, &r.ccw, s, p, false)
 				}
 			}
 		}
@@ -403,10 +406,10 @@ func (n *Network) rerouteLiveFlits() {
 					continue
 				}
 				for i := 0; i < ni.inject.len(); i++ {
-					reroute(ni.inject.at(i), nil, st.pos, true)
+					reroute(ni.inject.at(i), nil, nil, st.pos, true)
 				}
 				for i := 0; i < ni.bypass.len(); i++ {
-					reroute(ni.bypass.at(i), nil, st.pos, true)
+					reroute(ni.bypass.at(i), nil, nil, st.pos, true)
 				}
 				ni.refreshHead()
 			}
@@ -455,14 +458,15 @@ func (n *Network) AccountedFlits() uint64 {
 
 // CheckConservation verifies the flit conservation invariant, returning
 // a descriptive error when accounting has leaked or double-counted a
-// flit. It also recounts every ring's inject and bypass queues against
-// the ring's running queued count — the number the idle-ring gate trusts
-// — so a site that forgot to keep it exact fails here, not as a ring that
-// never wakes. Every station's head summary is recomputed from its
-// interfaces' heads the same way: a refresh site that went missing would
-// otherwise show up as a head that never injects.
+// flit. It also recounts the derived state the tick engine trusts, so a
+// site that forgot to keep it exact fails here and not as a ring that
+// never wakes, a head that never injects or a flit that never gets off:
+// every ring's inject and bypass queues against its running queued count
+// (the idle-ring gate), every station's head summary against its
+// interfaces' heads, and the visit set (Ring.checkVisitSet).
 func (n *Network) CheckConservation() error {
 	n.syncRings()
+	n.settleStations()
 	for _, r := range n.rings {
 		if queued := r.countQueued(); queued != r.queued {
 			return fmt.Errorf("noc: ring %d counts %d queued flits, its interfaces hold %d", r.id, r.queued, queued)
@@ -478,11 +482,86 @@ func (n *Network) CheckConservation() error {
 				}
 			}
 		}
+		if err := r.checkVisitSet(); err != nil {
+			return err
+		}
 	}
 	accounted := n.AccountedFlits()
 	if n.InjectedFlits != n.DeliveredFlits+n.DroppedFlits+accounted {
 		return fmt.Errorf("noc: conservation violated: injected %d != delivered %d + dropped %d + accounted %d",
 			n.InjectedFlits, n.DeliveredFlits, n.DroppedFlits, accounted)
+	}
+	return nil
+}
+
+// checkVisitSet recounts what Ring.tick decides from. Each loop's free
+// mask and occupancy must equal its slots, and every occupied slot's exit
+// must be in the arrival calendar (a superset is allowed, a subset is a
+// flit that never gets off; tests place flits that have no station to get
+// off at, which the calendar has no business with). Each station's busy
+// and parked bits must be what classify derives now, no bit may sit where
+// there is no station, and no station may be accounted for beyond the
+// current tick.
+func (r *Ring) checkVisitSet() error {
+	loops := []*loop{&r.cw}
+	if r.full {
+		loops = append(loops, &r.ccw)
+	}
+	for d, l := range loops {
+		occ := 0
+		var freeWord uint64
+		for p := 0; p < r.positions; p++ {
+			if p&63 == 0 {
+				freeWord = l.freeAt(p >> 6)
+			}
+			s := l.at(p)
+			if free := freeWord>>(uint(p)&63)&1 != 0; free != (s.flit == nil) {
+				return fmt.Errorf("noc: ring %d %v position %d: free mask says %v, the slot says %v", r.id, Direction(d), p, free, s.flit == nil)
+			}
+			if s.flit == nil {
+				continue
+			}
+			occ++
+			if word, bit := l.expected(p, int(s.dst)); r.stationAt[s.dst] != nil && *word&bit == 0 {
+				return fmt.Errorf("noc: ring %d %v position %d: flit %d gets off at %d, which the arrival calendar does not expect", r.id, Direction(d), p, s.flit.ID, s.dst)
+			}
+		}
+		if occ != l.occ {
+			return fmt.Errorf("noc: ring %d %v counts %d occupied slots, holds %d", r.id, Direction(d), l.occ, occ)
+		}
+		if last := r.positions >> 6; last < len(l.free) && l.freeAt(last)>>(uint(r.positions)&63) != 0 {
+			return fmt.Errorf("noc: ring %d %v free mask has bits beyond position %d", r.id, Direction(d), r.positions-1)
+		}
+	}
+	read := func(pos int) (bits [3]bool) {
+		set := r.stationSet[pos>>6]
+		for i, m := range [3]uint64{set.busy, set.parked[CW], set.parked[CCW]} {
+			bits[i] = m>>(uint(pos)&63)&1 != 0
+		}
+		return bits
+	}
+	for p := 0; p < r.positions; p++ {
+		st := r.stationAt[p]
+		was := read(p)
+		if st == nil {
+			if was != [3]bool{} {
+				return fmt.Errorf("noc: ring %d position %d has no station but visit-set bits %v", r.id, p, was)
+			}
+			continue
+		}
+		if st.lastVisit > r.net.ticks {
+			return fmt.Errorf("noc: ring %d pos %d accounted through tick %d, the network is at %d", r.id, p, st.lastVisit, r.net.ticks)
+		}
+		st.classify()
+		is := read(p)
+		// A stall that ran out while the ring was being skipped leaves its
+		// busy bit behind for the next visit to clear.
+		if lapsed := st.stalledUntil > 0 && r.now >= st.stalledUntil; was[0] && lapsed {
+			was[0] = is[0]
+		}
+		if was != is {
+			return fmt.Errorf("noc: ring %d pos %d visit-set bits (busy, parked cw, parked ccw) are %v, the station says %v", r.id, p, was, is)
+		}
 	}
 	return nil
 }

@@ -9,6 +9,12 @@
 //     returns at its first test. It is skipped, its clock is still
 //     stamped, and its rotation catches up in one head update (Ring.sync)
 //     the next cycle it is busy or observed.
+//   - A station of a busy ring is visited only on a cycle in which
+//     something can happen there — a flit gets off, a head can board or
+//     arm its I-tag, the station is stalled (Ring.tick); a flit only
+//     passing costs nothing, and the defeats a blocked head would have
+//     counted meanwhile are credited at the next visit
+//     (CrossStation.settle).
 //   - A device that implements IdleUntiler is skipped while it says so.
 //     Devices anchored at a node sleep on wake words, one per interface of
 //     their node; the loop stores IdleUntil(now+1) after each Tick, and an
@@ -168,18 +174,45 @@ func (n *Network) syncRings() {
 func (n *Network) tickRings(now sim.Cycle) {
 	force := n.forceAwake
 	turn := n.ticks
-	skipped := uint64(0)
+	rings, stations := uint64(0), 0
+	n.sweeping = true
 	for _, r := range n.rings {
 		r.now = now
 		if r.idle() && !force {
-			skipped++
+			rings++
+			stations += len(r.stations)
 			continue
 		}
 		r.sync(turn - 1)
 		r.advance()
 		r.tick(now)
 	}
-	n.RingTicksSkipped += skipped
+	n.sweeping = false
+	n.RingTicksSkipped += rings
+	n.StationTicksSkipped += uint64(stations)
+}
+
+// sweptThrough returns the last tick whose station phase is over for st:
+// the current one, unless tickRings is running and has not yet come past
+// st. Ring.tick names its ring and Ring.visit moves sweepPos to each
+// station it sees, so a station between two visits counts as passed once
+// the later one has begun, and a ring skipped as idle once a later ring's
+// tick has.
+func (n *Network) sweptThrough(st *CrossStation) uint64 {
+	if n.sweeping && (st.ring.id > n.sweepRing || st.ring.id == n.sweepRing && st.pos >= n.sweepPos) {
+		return n.ticks - 1
+	}
+	return n.ticks
+}
+
+// settleStations brings every interface's lazily counted defeats up to
+// date, for readers of all of them at once (checkpoint, reports, checks).
+func (n *Network) settleStations() {
+	for _, r := range n.rings {
+		for _, st := range r.stations {
+			st.settleNow()
+		}
+	}
 }
 
 // tickDevices runs one cycle of the devices in registration order,
@@ -271,6 +304,7 @@ func (n *Network) skipQuiescent(remaining int) int {
 	}
 	n.SkippedCycles += uint64(k)
 	n.RingTicksSkipped += uint64(k * len(n.rings))
+	n.StationTicksSkipped += uint64(k) * n.stationCount()
 	n.DeviceTicksSkipped += uint64(k * len(n.devs))
 	n.cycleTail(n.now)
 	return k
@@ -322,19 +356,21 @@ func (n *Network) Run(cycles int) {
 
 // EngineStats says how the tick engine spent a stretch of simulated
 // time: of Cycles cycles, SkippedCycles were jumped as quiescent; of the
-// RingTicks ring-cycles and DeviceTicks device-cycles they contained,
-// the *Skipped ones were not executed (jumped cycles included).
-// Host-side diagnostics: nothing here is simulated state.
+// RingTicks ring-cycles, StationTicks station-cycles and DeviceTicks
+// device-cycles they contained, the *Skipped ones were not executed
+// (jumped cycles included; a skipped ring's stations count as skipped
+// station ticks). Host-side diagnostics: nothing here is simulated state.
 type EngineStats struct {
-	Cycles, SkippedCycles           uint64
-	RingTicks, RingTicksSkipped     uint64
-	DeviceTicks, DeviceTicksSkipped uint64
+	Cycles, SkippedCycles             uint64
+	RingTicks, RingTicksSkipped       uint64
+	StationTicks, StationTicksSkipped uint64
+	DeviceTicks, DeviceTicksSkipped   uint64
 }
 
 // fields lists the counters once, for the arithmetic below.
-func (s *EngineStats) fields() [6]*uint64 {
-	return [6]*uint64{&s.Cycles, &s.SkippedCycles, &s.RingTicks, &s.RingTicksSkipped,
-		&s.DeviceTicks, &s.DeviceTicksSkipped}
+func (s *EngineStats) fields() [8]*uint64 {
+	return [8]*uint64{&s.Cycles, &s.SkippedCycles, &s.RingTicks, &s.RingTicksSkipped,
+		&s.StationTicks, &s.StationTicksSkipped, &s.DeviceTicks, &s.DeviceTicksSkipped}
 }
 
 // Sub returns the stretch between an earlier reading b and s.
@@ -345,13 +381,23 @@ func (s EngineStats) Sub(b EngineStats) EngineStats {
 	return s
 }
 
-// engineStats reads this network's counters. Ring and device totals use
-// the current ring and device counts, which do not change once a
-// network is running.
+// stationCount returns the number of cross stations network-wide.
+func (n *Network) stationCount() uint64 {
+	total := 0
+	for _, r := range n.rings {
+		total += len(r.stations)
+	}
+	return uint64(total)
+}
+
+// engineStats reads this network's counters. Ring, station and device
+// totals use the current counts, which do not change once a network is
+// running.
 func (n *Network) engineStats() EngineStats {
 	return EngineStats{
 		Cycles: n.ticks, SkippedCycles: n.SkippedCycles,
 		RingTicks: n.ticks * uint64(len(n.rings)), RingTicksSkipped: n.RingTicksSkipped,
+		StationTicks: n.ticks * n.stationCount(), StationTicksSkipped: n.StationTicksSkipped,
 		DeviceTicks: n.ticks * uint64(len(n.devices)), DeviceTicksSkipped: n.DeviceTicksSkipped,
 	}
 }

@@ -126,7 +126,7 @@ func TestGatedEnginesMatchForcedAwake(t *testing.T) {
 			ref := buildGateRig(t, seed, maxGap)
 			ref.net.forceAwake = true
 			want := observeRig(t, ref, func() { ref.net.Run(cycles) })
-			if n := ref.net; n.SkippedCycles+n.RingTicksSkipped+n.DeviceTicksSkipped != 0 {
+			if n := ref.net; n.SkippedCycles+n.RingTicksSkipped+n.StationTicksSkipped+n.DeviceTicksSkipped != 0 {
 				t.Fatalf("forced-awake reference skipped work")
 			}
 
@@ -417,6 +417,216 @@ func TestIdleUntilHonest(t *testing.T) {
 					t.Errorf("maxGap=%d seed=%d: %s never reported idle; the property was not exercised", maxGap, seed, name)
 				}
 			}
+		}
+	}
+}
+
+// TestParkedHeadCountsDefeatsLazily shows the station-level gate on its
+// smallest case: a ring whose every slot carries a flit that only passes,
+// and one interface with a head. The head loses once, arms its I-tag, and
+// from then on its station is parked — not visited, since no slot in
+// front of it is ever free — while the defeats it would have counted are
+// credited when someone looks. The forced-awake twin counts them one by
+// one and must agree at every look.
+func TestParkedHeadCountsDefeatsLazily(t *testing.T) {
+	build := func(force bool) (*Network, *NodeInterface) {
+		net := NewNetwork("t")
+		net.forceAwake = force
+		r := net.AddRing(12, true)
+		a := net.NewNode("a")
+		ni := net.Attach(a, r.AddStation(3))
+		b := net.NewNode("b")
+		net.Attach(b, r.AddStation(8))
+		net.MustFinalize()
+		for p := 0; p < r.positions; p++ {
+			placeFlit(r, &r.cw, p, &Flit{ID: uint64(100 + p), localDst: 11, counted: true})
+			placeFlit(r, &r.ccw, p, &Flit{ID: uint64(200 + p), localDst: 11, counted: true})
+		}
+		net.InjectedFlits = uint64(2 * r.positions) // what placeFlit put on the ring
+		if !ni.Send(net.NewFlit(a, b, KindData, LineBytes)) {
+			t.Fatal("inject queue refused the head")
+		}
+		return net, ni
+	}
+	gated, head := build(false)
+	ref, refHead := build(true)
+	for _, k := range []int{1, 1, 5, 40, 1, 300} {
+		runCycles(gated, k)
+		runCycles(ref, k)
+		if got, want := head.Starved(), refHead.Starved(); got != want || want != ref.ticks {
+			t.Fatalf("after %d cycles: starved %d, forced-awake %d", ref.ticks, got, want)
+		}
+		if head.injectFails != refHead.injectFails {
+			t.Fatalf("after %d cycles: %d consecutive defeats, forced-awake %d", ref.ticks, head.injectFails, refHead.injectFails)
+		}
+		if err := gated.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !head.itagArmed || !parkedOnly(head.station) {
+		t.Fatal("the blocked head did not arm its I-tag and park its station")
+	}
+	// Two stations, 348 cycles: the head's station is seen on the cycle it
+	// loses for the first time and arms, the other one never.
+	if want := 2*gated.ticks - 1; gated.StationTicksSkipped != want {
+		t.Fatalf("%d station ticks skipped, want %d", gated.StationTicksSkipped, want)
+	}
+	if ref.StationTicksSkipped != 0 {
+		t.Fatalf("forced-awake reference skipped %d station ticks", ref.StationTicksSkipped)
+	}
+}
+
+// TestFreeMaskTurnsWithTheSlots rotates loops of one, two, three and four
+// mask words, partly occupied, through more than a lap each way and
+// recounts the free mask (and the calendar) against the slots after every
+// advance: the word-boundary carries and the wrap at position n-1.
+func TestFreeMaskTurnsWithTheSlots(t *testing.T) {
+	for _, n := range []int{2, 3, 63, 64, 65, 127, 128, 129, 130, 200} {
+		net := NewNetwork("t")
+		r := net.AddRing(n, true)
+		r.AddStation(n - 1)
+		rng := sim.NewRNG(uint64(n))
+		for p := 0; p < n; p++ {
+			if rng.Intn(3) == 0 {
+				placeFlit(r, &r.cw, p, &Flit{localDst: n - 1})
+			}
+			if rng.Intn(3) == 0 {
+				placeFlit(r, &r.ccw, p, &Flit{localDst: rng.Intn(n)})
+			}
+		}
+		for turn := 0; turn < n+70; turn++ {
+			if err := r.checkVisitSet(); err != nil {
+				t.Fatalf("%d positions, %d advances: %v", n, turn, err)
+			}
+			r.advance()
+		}
+	}
+}
+
+// TestSendFromDeliveryCallback: a head that appears while the rings are
+// being ticked. Nothing in the tree sends from OnDeliver, but the network
+// allows it, and the every-station scan would see such a head the same
+// cycle if its station is still ahead and the next cycle if it has been
+// passed — on the same ring or another. Here floods towards one sink per
+// ring keep its clockwise loop busy — a flooder downstream loses to the
+// flits of those upstream for cycles on end — and the flits that sink
+// takes make the two bystanders of one ring or another send the other way
+// round, where the loop is empty: one at a station the sweep has passed,
+// one at a station still ahead. Each bystander shares its station with a
+// flooder whose head is blocked and armed, so the station it wakes is
+// parked and is owed defeats up to a cycle that depends on which side of
+// the sweep it lies (Network.sweptThrough). The gated engine must match
+// the forced-awake one in every counter and in the checkpoint bytes, with
+// I-tags on and off.
+func TestSendFromDeliveryCallback(t *testing.T) {
+	type outcome struct{ counters, ckpt string }
+	run := func(force, itags bool) (outcome, [2]int) {
+		net := NewNetwork("cb")
+		net.forceAwake = force
+		net.ITagEnabled = itags
+		type bystander struct {
+			ni *NodeInterface
+			to NodeID
+		}
+		var slow []*sink
+		var echoes []bystander
+		for ring := 0; ring < 3; ring++ {
+			r := net.AddRing(16, true)
+			if ring > 0 {
+				// Finalize wants every node reachable; nothing crosses.
+				NewRBRGL2(net, fmt.Sprintf("br%d", ring), DefaultRBRGL2Config(), net.rings[ring-1].AddStation(15), r.AddStation(14))
+			}
+			name := func(what string, pos int) string { return fmt.Sprintf("%s%d@%d", what, ring, pos) }
+			st := map[int]*CrossStation{}
+			for _, pos := range []int{1, 2, 3, 5, 6, 8, 11, 13} {
+				st[pos] = r.AddStation(pos)
+			}
+			snk := newSink(t, net, st[8], name("slow", 8), 1)
+			slow = append(slow, snk)
+			fast := newSink(t, net, st[2], name("fast", 2), 2)
+			flood := func(pos int, to *sink) {
+				fl := newSource(t, net, st[pos], name("flood", pos))
+				for k := 0; k < 60; k++ {
+					fl.queue(net.NewFlit(fl.Node(), to.Node(), KindData, LineBytes))
+				}
+			}
+			// All clockwise: four floods into the slow sink and one across
+			// them from position 13.
+			for _, pos := range []int{1, 3, 5, 6} {
+				flood(pos, snk)
+			}
+			flood(13, fast)
+			// The bystanders at 3 and 13 send two positions counter-clockwise.
+			for _, pos := range []int{3, 13} {
+				to := newSink(t, net, st[pos-2], name("echoed", pos-2), 2)
+				echoes = append(echoes, bystander{net.Attach(net.NewNode(name("echo", pos)), st[pos]), to.Node()})
+			}
+		}
+		net.MustFinalize()
+		isSlow := map[NodeID]bool{}
+		for _, s := range slow {
+			isSlow[s.Node()] = true
+		}
+		// wokeParked counts the sends that put a head on an empty lane of a
+		// parked station, by side of the sweep: [0] already passed this
+		// cycle, [1] still ahead.
+		var wokeParked [2]int
+		taken := 0
+		net.OnDeliver = func(f *Flit, _ sim.Cycle) {
+			if !isSlow[f.Dst] {
+				return
+			}
+			at := net.nodes[f.Dst].ifaces[0].station
+			// Every other flit the slow sinks take, on one ring in turn: a
+			// bystander is asked less often than it can inject, so its lane
+			// is empty most times.
+			taken++
+			if taken%2 != 0 {
+				return
+			}
+			for _, e := range echoes {
+				if int(e.ni.station.ring.id) != taken/2%3 {
+					continue
+				}
+				if st := e.ni.station; parkedOnly(st) && e.ni.inject.n == 0 {
+					if st.ring.id > at.ring.id || st.ring.id == at.ring.id && st.pos > at.pos {
+						wokeParked[1]++
+					} else {
+						wokeParked[0]++
+					}
+				}
+				if echo := net.NewFlit(e.ni.node, e.to, KindAck, 0); !e.ni.Send(echo) {
+					net.RecycleRefused(echo)
+				}
+			}
+		}
+		net.Run(500)
+		if err := net.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		o.counters = fmt.Sprintf("inj=%d del=%d defl=%d hops=%d", net.InjectedFlits, net.DeliveredFlits, net.Deflections, net.TotalHops)
+		for _, s := range net.InterfaceReport() {
+			o.counters += fmt.Sprintf(" %s:%d/%d/%d/%d", s.Name, s.Injected, s.EjectedFlits, s.Deflected, s.Starved)
+		}
+		var b bytes.Buffer
+		if err := WriteCheckpoint(&b, net, nil); err != nil {
+			t.Fatal(err)
+		}
+		o.ckpt = b.String()
+		return o, wokeParked
+	}
+	for _, itags := range []bool{true, false} {
+		want, _ := run(true, itags)
+		got, woke := run(false, itags)
+		if got.counters != want.counters {
+			t.Errorf("I-tags %v: counters diverged\n got: %s\nwant: %s", itags, got.counters, want.counters)
+		}
+		if got.ckpt != want.ckpt {
+			t.Errorf("I-tags %v: checkpoint bytes diverged", itags)
+		}
+		if woke[0] < 20 || woke[1] < 20 {
+			t.Errorf("I-tags %v: callbacks woke %d parked stations behind the sweep and %d ahead of it; the test needs plenty of both", itags, woke[0], woke[1])
 		}
 	}
 }

@@ -12,7 +12,10 @@ type sink struct {
 	name     string
 	iface    *NodeInterface
 	drainPer int // flits drained per cycle; 0 = never drain
-	got      []*Flit
+	// Nothing is drained in [pauseFrom, pauseUntil): the eject queue fills,
+	// arrivals deflect and the ring behind them saturates.
+	pauseFrom, pauseUntil sim.Cycle
+	got                   []*Flit
 	// discard releases drained flits instead of remembering them, for
 	// tests that snapshot the network often and want the snapshots small.
 	discard bool
@@ -31,15 +34,24 @@ func (s *sink) Name() string { return s.name }
 func (s *sink) Node() NodeID { return s.iface.Node() }
 
 // IdleUntil implements IdleUntiler: nothing ejected (or never draining)
-// means Tick does nothing until an arrival wakes the sink.
+// means Tick does nothing until an arrival wakes the sink; what is ejected
+// during a pause waits for its end.
 func (s *sink) IdleUntil(now sim.Cycle) sim.Cycle {
-	if s.drainPer > 0 && s.iface.EjectLen() > 0 {
-		return now
+	if s.drainPer == 0 || s.iface.EjectLen() == 0 {
+		return Never
 	}
-	return Never
+	if s.paused(now) {
+		return s.pauseUntil
+	}
+	return now
 }
 
+func (s *sink) paused(now sim.Cycle) bool { return s.pauseFrom <= now && now < s.pauseUntil }
+
 func (s *sink) Tick(now sim.Cycle) {
+	if s.paused(now) {
+		return
+	}
 	for i := 0; i < s.drainPer; i++ {
 		f := s.iface.Recv()
 		if f == nil {

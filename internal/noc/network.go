@@ -66,6 +66,14 @@ type Network struct {
 	// walks in routeFrom/localTarget. Rebuilt with the BFS tables.
 	routeTbl [][]routeEntry
 
+	// snap holds the identity pools of a state walk between walks, emptied
+	// but with their storage kept (tens of thousands of map entries per
+	// checkpoint of a loaded system); lastCheckpoint is the size of the
+	// previous checkpoint without its caller blob, which sizes the next
+	// one's buffer. Host-side scratch, like the free-list below.
+	snap           Snap
+	lastCheckpoint int
+
 	// freeFlits is the flit free-list: a plain deterministic LIFO, never a
 	// sync.Pool — recycling order is reproducible and race-free even when
 	// the parallel harness runs many networks at once.
@@ -78,29 +86,46 @@ type Network struct {
 	// nextWake is, after tickDevices, a lower bound on the next cycle any
 	// device wants to tick, as far as the loop could see; the quiescent
 	// jump uses it as its cheap first test. forceAwake is the test-only
-	// reference engine: every ring and device ticks every cycle and the
-	// clock never jumps.
+	// reference engine: every ring, station and device ticks every cycle
+	// and the clock never jumps. Tests switch it on before the first Tick
+	// or straight after a restore, when no station is owed anything:
+	// CrossStation.settle credits nothing under it.
 	devs       []devGate
 	wake       []sim.Cycle
 	nextWake   sim.Cycle
 	forceAwake bool
+	// sweeping, sweepRing and sweepPos say how far the station phase of the
+	// current cycle has come while a visit made by tickRings runs: every
+	// ring before sweepRing, and every position of sweepRing before
+	// sweepPos, has had its turn. A parked station is owed a defeat for a
+	// cycle only once its turn in that cycle has passed (sweptThrough).
+	sweeping  bool
+	sweepRing RingID
+	sweepPos  int
 
 	// Always 0; kept only because bench/ compiles against them.
 	EpochsRun, BarrierSyncs uint64
 
-	// SkippedCycles / RingTicksSkipped / DeviceTicksSkipped count what the
-	// activity gate saved: cycles Run jumped over because the whole
-	// network was quiescent, ring ticks (advance plus every station) not
-	// executed because the ring carried and queued nothing, and device
-	// ticks not executed because the device reported itself idle — both
-	// including the rings and devices of jumped cycles. Diagnostics only:
-	// never serialized, excluded from digests.
-	SkippedCycles      uint64
-	RingTicksSkipped   uint64
-	DeviceTicksSkipped uint64
+	// SkippedCycles / RingTicksSkipped / StationTicksSkipped /
+	// DeviceTicksSkipped count what the activity gate saved: cycles Run
+	// jumped over because the whole network was quiescent, ring ticks
+	// (advance plus the station phase) not executed because the ring
+	// carried and queued nothing, station ticks not executed because
+	// nothing could happen at the station that cycle (the stations of
+	// skipped rings included), and device ticks not executed because the
+	// device reported itself idle — all including the rings, stations and
+	// devices of jumped cycles. Diagnostics only: never serialized,
+	// excluded from digests.
+	SkippedCycles       uint64
+	RingTicksSkipped    uint64
+	StationTicksSkipped uint64
+	DeviceTicksSkipped  uint64
 
 	// ITagEnabled / ETagEnabled toggle the starvation and deflection
-	// control tags (on by default; the tag ablation turns them off).
+	// control tags (on by default; the tag ablation turns them off). Set
+	// them before the first Tick: a station's place in the visit set is
+	// derived from ITagEnabled when its heads change and when it is
+	// visited, not every cycle.
 	ITagEnabled, ETagEnabled bool
 
 	// Tracer, when set, records structured NoC events (injections,
@@ -186,7 +211,10 @@ func (n *Network) AddRing(positions int, full bool) *Ring {
 	r.cw.init(positions)
 	if full {
 		r.ccw.init(positions)
+	} else {
+		r.ccw.initAbsent(positions)
 	}
+	r.stationSet = make([]stationWord, maskWords(positions))
 	n.rings = append(n.rings, r)
 	return r
 }

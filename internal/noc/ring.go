@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chipletnoc/internal/sim"
 )
@@ -34,8 +35,26 @@ type slot struct {
 type loop struct {
 	slots []slot
 	head  int // physical index of logical position 0
-	occ   int // occupied slots (flit != nil), kept by inject/eject/drop
+	occ   int // occupied slots (flit != nil), kept by board/vacate
+	// free has bit i set while slots[i] carries no flit (tagged or not).
+	// Like the slots it never moves: board and vacate flip one bit, and
+	// freeAt turns a word of it into position space, through head, when a
+	// parked station asks.
+	free []uint64
+	// arrivals is the arrival calendar, one row of maskWords(positions)
+	// words per head value: row h has bit p set when a flit gets off at
+	// position p on the cycle head == h. A flit's exit is fixed when it
+	// boards and rotation is deterministic, so board sets the one bit and
+	// nothing that rotates (advance, sync) touches the calendar; a
+	// deflected flit is back at its exit at the same head value a lap
+	// later. The calendar is a superset: an ejected, dropped or rerouted
+	// flit leaves its bit behind, and the visit it causes clears it
+	// (clearStale). A missing bit would be a flit that never gets off.
+	arrivals []uint64
 }
+
+// maskWords is the length of a one-bit-per-position mask.
+func maskWords(positions int) int { return (positions + 63) / 64 }
 
 // init allocates the loop's storage with every slot free and untagged.
 func (l *loop) init(positions int) {
@@ -43,17 +62,42 @@ func (l *loop) init(positions int) {
 	for i := range l.slots {
 		l.slots[i].itagOwner = noTag
 	}
+	words := maskWords(positions)
+	l.free = make([]uint64, words)
+	l.arrivals = make([]uint64, positions*words)
+	l.reset()
+}
+
+// initAbsent gives a half ring's missing counter-clockwise loop one empty
+// calendar row and an empty free mask, so the ring tick reads both
+// directions the same way and finds nothing in this one.
+func (l *loop) initAbsent(positions int) {
+	l.free = make([]uint64, maskWords(positions))
+	l.arrivals = make([]uint64, maskWords(positions))
+}
+
+// reset empties the loop for a wholesale reload: head at zero, nothing on
+// board, every position free, no arrival expected (I-tags are the
+// caller's). The caller then boards what it loads.
+func (l *loop) reset() {
+	l.head, l.occ = 0, 0
+	for i := range l.slots {
+		l.slots[i].flit = nil
+	}
+	for i := range l.free {
+		l.free[i] = ^uint64(0)
+	}
+	if top := uint(len(l.slots)) & 63; top != 0 {
+		l.free[len(l.free)-1] = 1<<top - 1
+	}
+	for i := range l.arrivals {
+		l.arrivals[i] = 0
+	}
 }
 
 // at returns the slot currently at logical position pos. Both head and
 // pos are in [0, n), so one conditional subtraction replaces a modulo.
-func (l *loop) at(pos int) *slot {
-	i := l.head + pos
-	if n := len(l.slots); i >= n {
-		i -= n
-	}
-	return &l.slots[i]
-}
+func (l *loop) at(pos int) *slot { return &l.slots[l.index(pos)] }
 
 // rotateHigh virtually moves every slot towards higher positions (the
 // clockwise travel direction): the slot that was at position p is now at
@@ -92,6 +136,104 @@ func (l *loop) rotateLowBy(k int) {
 	}
 }
 
+// index returns the physical index of the slot at logical position pos.
+func (l *loop) index(pos int) int {
+	i := l.head + pos
+	if n := len(l.slots); i >= n {
+		i -= n
+	}
+	return i
+}
+
+// board puts f into s, the free slot currently at position pos, and
+// enters its exit in the calendar.
+func (l *loop) board(s *slot, pos int, f *Flit) {
+	s.flit = f
+	l.occ++
+	i := l.index(pos)
+	l.free[i>>6] &^= 1 << (uint(i) & 63)
+	l.expect(s, pos, f.localDst)
+}
+
+// expect records that the flit in s, now at position pos, gets off at
+// dst. Boarding and a live reroute call it; the bit of a former exit stays
+// behind as a harmless stale entry.
+func (l *loop) expect(s *slot, pos, dst int) {
+	s.dst = int32(dst)
+	word, bit := l.expected(pos, dst)
+	*word |= bit
+}
+
+// expected returns the calendar word and bit that stand for "the slot now
+// at position pos gets off at dst": it sits there on the cycle
+// head == (head + pos - dst) mod n, so that is the row, and dst the bit.
+func (l *loop) expected(pos, dst int) (word *uint64, bit uint64) {
+	n := len(l.slots)
+	h := l.head + pos - dst
+	if h < 0 {
+		h += n
+	} else if h >= n {
+		h -= n
+	}
+	return &l.arrivals[h*len(l.free)+dst>>6], 1 << (uint(dst) & 63)
+}
+
+// vacate empties s, the occupied slot currently at position pos, and
+// returns what it carried.
+func (l *loop) vacate(s *slot, pos int) *Flit {
+	f := s.flit
+	s.flit = nil
+	l.occ--
+	i := l.index(pos)
+	l.free[i>>6] |= 1 << (uint(i) & 63)
+	return f
+}
+
+// freeAt returns word w of the free mask in position space: bit b says
+// the slot now at position 64w+b is free. Position p is slot (head+p) mod
+// n, so the word is a window of the stored mask starting at head+64w, in
+// two pieces when it runs over the end of the loop.
+func (l *loop) freeAt(w int) uint64 {
+	n := len(l.slots)
+	k := n - w<<6 // positions in this word
+	if k > 64 {
+		k = 64
+	}
+	start := l.index(w << 6)
+	if first := n - start; first < k {
+		return maskBits(l.free, start, first) | maskBits(l.free, 0, k-first)<<uint(first)
+	}
+	return maskBits(l.free, start, k)
+}
+
+// maskBits returns bits [i, i+k) of m, 1 <= k <= 64, in the low bits of
+// the result.
+func maskBits(m []uint64, i, k int) uint64 {
+	off := uint(i) & 63
+	v := m[i>>6] >> off
+	if int(off)+k > 64 {
+		v |= m[i>>6+1] << (64 - off)
+	}
+	return v & (^uint64(0) >> uint(64-k))
+}
+
+// arriving returns word w of the calendar row of the current head value:
+// the positions 64w.. at which a flit may get off this cycle.
+func (l *loop) arriving(w int) *uint64 { return &l.arrivals[l.head*len(l.free)+w] }
+
+// clearStale drops position pos from word, its word of the current
+// calendar row, when no flit is getting off there any more — the lazy
+// half of the superset rule, run after every station visit.
+func (l *loop) clearStale(word *uint64, pos int) {
+	bit := uint64(1) << (uint(pos) & 63)
+	if *word&bit == 0 {
+		return
+	}
+	if s := l.at(pos); s.flit == nil || int(s.dst) != pos {
+		*word &^= bit
+	}
+}
+
 // Ring is one slotted loop (or pair of loops for a full ring). Positions
 // include pure repeater positions between stations: the paper's
 // distance-per-cycle metric appears here as "how many positions a span
@@ -122,6 +264,21 @@ type Ring struct {
 	cw, ccw   loop
 	stations  []*CrossStation // ordered by position
 	stationAt []*CrossStation // dense position index (nil = no station)
+	// stationSet is the station half of the visit set (tick), one word per
+	// 64 positions, written only by CrossStation.classify.
+	stationSet []stationWord
+}
+
+// stationWord holds 64 positions' bits of a ring's stationSet. A busy
+// station is seen every cycle: it is stalled, has a head for its own
+// station, or has a ring-bound head that may still arm an I-tag. A station
+// is parked in a direction when every head it has for that direction can
+// only be defeated by an occupied slot — its interface's I-tag is armed,
+// or I-tags are off — so it is seen only when the slot in front is free;
+// the defeats in between are credited by CrossStation.settle.
+type stationWord struct {
+	busy   uint64
+	parked [2]uint64
 }
 
 // ID returns the ring identifier.
@@ -263,14 +420,74 @@ func (r *Ring) shortestDir(from, to int) Direction {
 	return CCW
 }
 
-// tick runs all station logic for this cycle, position order, CW before
-// CCW at each station. It stamps the ring's clock first, so a caller that
-// drives one ring by hand (tests, benchmarks) gets current timestamps too.
+// tick runs this cycle's station logic, position order, CW before CCW at
+// each station — at the stations where something can happen. A flit only
+// passing a station changes nothing there, so the visit set is
+//
+//	busy | arriving(cw) | arriving(ccw) | parked[CW]&free(cw) | parked[CCW]&free(ccw)
+//
+// read word by word from the live masks: a visit can change them (a
+// delivery callback may queue a flit further along the ring), and what it
+// adds at a later position is seen this cycle, as a scan of every station
+// would. The forced-awake reference visits every station, so nothing is
+// ever parked through a cycle there. tick stamps the ring's clock first,
+// so a caller that drives one ring by hand (tests, benchmarks) gets
+// current timestamps too.
 func (r *Ring) tick(now sim.Cycle) {
 	r.now = now
-	for _, st := range r.stations {
-		st.tick(now)
+	n := r.net
+	n.sweepRing = r.id
+	if n.forceAwake {
+		for _, st := range r.stations {
+			r.visit(st, now, r.cw.arriving(st.pos>>6), r.ccw.arriving(st.pos>>6))
+		}
+		return
 	}
+	visited := 0
+	for w := range r.stationSet {
+		// The words do not move during a tick; their bits may.
+		set, cw, ccw := &r.stationSet[w], r.cw.arriving(w), r.ccw.arriving(w)
+		var done uint64 // this word's positions up to the last one visited
+		for {
+			v := set.busy | *cw | *ccw
+			if p := set.parked[CW]; p != 0 {
+				v |= p & r.cw.freeAt(w)
+			}
+			if p := set.parked[CCW]; p != 0 {
+				v |= p & r.ccw.freeAt(w)
+			}
+			if v &^= done; v == 0 {
+				break
+			}
+			b := uint(bits.TrailingZeros64(v))
+			done |= 2<<(b&63) - 1 // b < 64: v is not zero
+			r.visit(r.stationAt[w<<6|int(b)], now, cw, ccw)
+			visited++
+		}
+	}
+	n.StationTicksSkipped += uint64(len(r.stations) - visited)
+}
+
+// visit is one station's turn in a ring tick, shared by the masked loop
+// and the forced-awake one: credit the defeats of the cycles the station
+// was parked through, run the cycle, and drop calendar entries that
+// brought the visit for nothing (cw and ccw are the station's words of
+// this cycle's rows). What the cycle changes of the station's place in
+// the visit set is re-derived where it changes (classify); only a stall
+// ends by the clock alone.
+func (r *Ring) visit(st *CrossStation, now sim.Cycle, cw, ccw *uint64) {
+	n := r.net
+	n.sweepPos = st.pos
+	if t := n.ticks; t > st.lastVisit {
+		st.settle(t - 1)
+		st.lastVisit = t
+	}
+	st.tick(now)
+	if st.stalledUntil != 0 {
+		st.classify() // stalled, or stalled once: cheap to ask, rare to be
+	}
+	r.cw.clearStale(cw, st.pos)
+	r.ccw.clearStale(ccw, st.pos) // a half ring's row is empty
 }
 
 // LiveFlits returns the flits currently circulating on the ring, CW loop

@@ -38,17 +38,23 @@ func TestHalfRingAlwaysCW(t *testing.T) {
 }
 
 // placeFlit puts a flit directly into a loop slot at a logical position,
-// maintaining the occupancy counter and boarding stamp the way a real
-// injection would — the test-side stand-in for CrossStation.inject.
+// maintaining the occupancy counter, the visit-set masks and the boarding
+// stamp the way a real injection would — the test-side stand-in for
+// CrossStation.inject. Unlike a real injection it may address a position
+// without a station (a flit that passes every station forever); the
+// calendar must not send the ring tick there, so that entry is taken out
+// again.
 func placeFlit(r *Ring, l *loop, pos int, f *Flit) {
 	s := l.at(pos)
 	if s.flit != nil {
 		panic("placeFlit: slot occupied")
 	}
-	s.flit = f
-	s.dst = int32(f.localDst)
+	l.board(s, pos, f)
 	f.boarded = r.now
-	l.occ++
+	if r.stationAt[f.localDst] == nil {
+		word, bit := l.expected(pos, f.localDst)
+		*word &^= bit
+	}
 }
 
 func TestRingAdvanceRotation(t *testing.T) {

@@ -86,12 +86,29 @@ type Snap struct {
 
 // NewSnap wraps c with empty pools.
 func NewSnap(c *sim.Codec) *Snap {
-	s := &Snap{Codec: c}
-	if !c.Loading() {
+	s := &Snap{}
+	s.begin(c)
+	return s
+}
+
+// begin readies s, whose pools are empty, for a walk through c.
+func (s *Snap) begin(c *sim.Codec) {
+	s.Codec = c
+	if !c.Loading() && s.flitIdx == nil {
 		s.flitIdx = make(map[*Flit]uint32)
 		s.msgIdx = make(map[interface{}]uint32)
 	}
-	return s
+}
+
+// end empties the pools after a walk, keeping their storage for the next
+// one: no flit or message stays referenced from here.
+func (s *Snap) end() {
+	s.Codec = nil
+	clear(s.flitIdx)
+	clear(s.msgIdx)
+	clear(s.flits)
+	clear(s.msgs)
+	s.flits, s.msgs = s.flits[:0], s.msgs[:0]
 }
 
 // ref walks a pooled reference's tag and back-reference index. Saving,
@@ -296,10 +313,16 @@ func (n *Network) SnapState(c *sim.Codec) error {
 	if !n.finalized {
 		return fmt.Errorf("noc: snapshot of non-finalized network")
 	}
-	// Slots travel in logical position order: rings the gate skipped
-	// catch up first, so the bytes do not depend on what was skipped.
+	// Slots travel in logical position order and defeat counts complete:
+	// rings the gate skipped catch up first, stations it parked are
+	// settled, so the bytes do not depend on what was skipped.
 	n.syncRings()
-	s := NewSnap(c)
+	if !c.Loading() {
+		n.settleStations()
+	}
+	s := &n.snap
+	s.begin(c)
+	defer s.end()
 	c.MatchString(n.name, maxSnapName, "network name")
 	c.Match(len(n.rings), "ring count")
 	c.Match(len(n.nodes), "node count")
@@ -437,22 +460,22 @@ func (r *Ring) snapState(s *Snap) {
 	}
 	for _, l := range loops {
 		if c.Loading() {
-			l.head, l.occ = 0, 0
+			l.reset()
 		}
 		for p := 0; p < r.positions; p++ {
 			sl := l.at(p)
-			s.Flit(&sl.flit)
+			f := sl.flit
+			s.Flit(&f)
 			sim.Int(c, &sl.itagOwner)
 			if sl.itagOwner != noTag && (sl.itagOwner < 0 || sl.itagOwner >= r.positions*2) {
 				c.Fail("slot %d I-tag owner %d out of range", p, sl.itagOwner)
 			}
-			r.checkExit(s, sl.flit, "slot", p)
+			r.checkExit(s, f, "slot", p)
 			if c.Err() != nil {
 				return
 			}
-			if c.Loading() && sl.flit != nil {
-				l.occ++
-				sl.dst = int32(sl.flit.localDst)
+			if c.Loading() && f != nil {
+				l.board(sl, p, f)
 			}
 		}
 	}
@@ -486,6 +509,10 @@ func (r *Ring) slotRef(s *slot) (uint8, int, bool) {
 func (st *CrossStation) snapState(s *Snap) {
 	c := s.Codec
 	c.Match(st.pos, "station position")
+	if c.Loading() {
+		// Nothing is owed for cycles that ran in another process.
+		st.lastVisit = st.ring.net.ticks
+	}
 	rr := uint8(st.rr)
 	c.U8(&rr)
 	if rr > 1 {
@@ -498,6 +525,9 @@ func (st *CrossStation) snapState(s *Snap) {
 		if ni != nil && c.Err() == nil {
 			ni.snapState(s)
 		}
+	}
+	if c.Loading() {
+		st.classify() // the stall, and a station without interfaces
 	}
 }
 
@@ -532,6 +562,9 @@ func (ni *NodeInterface) snapState(s *Snap) {
 			// time; ejected flits' local fields are dead.
 			if q != &ni.eject {
 				r.checkExit(s, *fp, "queue entry", i)
+				if *fp != nil && (*fp).dir == CCW && !r.full {
+					c.Fail("queue entry %d flit wants the missing CCW loop", i)
+				}
 			}
 		}
 	}
@@ -581,7 +614,7 @@ func (ni *NodeInterface) snapState(s *Snap) {
 	c.U64(&ni.Injected)
 	c.U64(&ni.EjectedFlits)
 	c.U64(&ni.EjectedPayload)
-	c.U64(&ni.Starved)
+	c.U64(&ni.starved)
 	c.U64(&ni.Deflected)
 	if c.Loading() {
 		ni.refreshHead()

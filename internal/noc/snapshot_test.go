@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"testing"
 
 	"chipletnoc/internal/sim"
@@ -220,4 +221,64 @@ func TestSnapshotPreservesMsgIdentity(t *testing.T) {
 	if got := g1.Msg.(*payload).v; got != 42 {
 		t.Fatalf("payload = %d", got)
 	}
+}
+
+// TestCheckpointBytesAreBuiltOnce: EncodeCheckpoint and DecodeCheckpoint
+// are WriteCheckpoint and ReadCheckpoint without the copies — the same
+// bytes, built in one buffer that the network sizes from its previous
+// checkpoint, and read where they lie. The identity pools the walks fill
+// live on the network between checkpoints and must come back empty, or
+// every flit a checkpoint saw would stay reachable from it.
+func TestCheckpointBytesAreBuiltOnce(t *testing.T) {
+	net, _, _ := buildSnapNet(t, 1500) // a few hundred KiB of queued flits
+	runCycles(net, 60)
+	poolsEmpty := func(n *Network, when string) {
+		t.Helper()
+		s := &n.snap
+		if len(s.flitIdx)+len(s.msgIdx)+len(s.flits)+len(s.msgs) != 0 || s.Codec != nil {
+			t.Fatalf("%s: the walk left %d+%d saved and %d+%d loaded identities behind",
+				when, len(s.flitIdx), len(s.msgIdx), len(s.flits), len(s.msgs))
+		}
+	}
+	first, err := EncodeCheckpoint(net, []byte("extra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolsEmpty(net, "after encoding")
+	var written bytes.Buffer
+	if err := WriteCheckpoint(&written, net, []byte("extra")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, written.Bytes()) {
+		t.Fatal("EncodeCheckpoint and WriteCheckpoint disagree")
+	}
+	if len(first) < 128<<10 {
+		t.Fatalf("checkpoint of %d bytes is too small to show a regrown buffer", len(first))
+	}
+	second, err := EncodeCheckpoint(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := len(first) - len("extra"); cap(second) != last+last/8 {
+		t.Fatalf("second checkpoint of %d bytes sits in a buffer of %d, want the %d its predecessor asked for", len(second), cap(second), last+last/8)
+	}
+
+	twin, _, _ := buildSnapNet(t, 0)
+	extra, err := DecodeCheckpoint(first, twin)
+	if err != nil || string(extra) != "extra" {
+		t.Fatalf("DecodeCheckpoint: %q, %v", extra, err)
+	}
+	poolsEmpty(twin, "after decoding")
+	again, err := EncodeCheckpoint(twin, []byte("extra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatal("a checkpoint decoded from bytes re-encodes differently")
+	}
+	// A refused load must not leave half a pool behind either.
+	if _, err := DecodeCheckpoint(first[:len(first)/2], twin); err == nil {
+		t.Fatal("half a checkpoint was accepted")
+	}
+	poolsEmpty(twin, "after a refused load")
 }

@@ -137,6 +137,8 @@ type NodeInterface struct {
 
 	// I-tag state: consecutive injection defeats of the head flit, and
 	// whether this interface currently owns a circulating I-tag.
+	// injectFails and starved lag behind while the station is parked;
+	// CrossStation.settle brings them up to date.
 	injectFails int
 	itagArmed   bool
 	// tagSlot is the slot carrying this interface's armed I-tag, so
@@ -155,8 +157,15 @@ type NodeInterface struct {
 	Injected       uint64 // flits this interface put on a ring
 	EjectedFlits   uint64
 	EjectedPayload uint64 // payload bytes ejected here
-	Starved        uint64 // cycles with a blocked inject head
+	starved        uint64 // cycles with a blocked inject head (see Starved)
 	Deflected      uint64 // arrivals bounced for lack of eject space
+}
+
+// Starved returns the number of cycles this interface's head was refused
+// a slot, the cycles its station was parked through included.
+func (ni *NodeInterface) Starved() uint64 {
+	ni.station.settleNow()
+	return ni.starved
 }
 
 // Node returns the attached device's node ID.
@@ -390,14 +399,19 @@ func (ni *NodeInterface) headWant() uint8 {
 	return wantDir(f.dir)
 }
 
-// refreshHead re-derives the station's summary of this interface's head.
-// Every site that can change which flit is the head, or where the head is
-// going, calls it: Send and SendPriority when the push lands on an empty
-// lane, popHead, and the four wholesale rewrites (live reroute, watchdog
-// sweep, dead-bridge queue drop, checkpoint load).
-// Network.CheckConservation recounts it.
+// refreshHead re-derives the station's summary of this interface's head,
+// and with it the station's place in the visit set. Every site that can
+// change which flit is the head, or where the head is going, calls it:
+// Send and SendPriority when the push lands on an empty lane, popHead,
+// and the four wholesale rewrites (live reroute, watchdog sweep,
+// dead-bridge queue drop, checkpoint load). The station is settled first:
+// the cycles it was parked through are owed to the heads as they were.
+// Network.CheckConservation recounts all of it.
 func (ni *NodeInterface) refreshHead() {
-	ni.station.want[ni.index] = ni.headWant()
+	st := ni.station
+	st.settleNow()
+	st.want[ni.index] = ni.headWant()
+	st.classify()
 }
 
 // popHead removes the current head after a successful injection or local
@@ -419,18 +433,22 @@ func (ni *NodeInterface) popHead() {
 // waits for the next one.
 func (ni *NodeInterface) noteDefeat(s *slot) {
 	ni.injectFails++
-	ni.Starved++
+	ni.starved++
+	if s.itagOwner == noTag && !ni.itagArmed && ni.injectFails >= ITagThreshold {
+		ni.arm(s)
+	}
+}
+
+// arm reserves s for this interface, if I-tags are on. Out of line: it
+// happens once per starvation episode, a defeat every cycle.
+func (ni *NodeInterface) arm(s *slot) {
 	if !ni.station.ring.net.ITagEnabled {
 		return
 	}
-	if ni.itagArmed || ni.injectFails < ITagThreshold {
-		return
-	}
-	if s.itagOwner == noTag {
-		s.itagOwner = ni.key()
-		ni.itagArmed = true
-		ni.tagSlot = s
-	}
+	s.itagOwner = ni.key()
+	ni.itagArmed = true
+	ni.tagSlot = s
+	ni.station.classify() // nothing left to arm: the station may park
 }
 
 // releaseTags clears the circulating I-tag owned by this interface. The
@@ -467,6 +485,77 @@ type CrossStation struct {
 	// now < stalledUntil nothing ejects, injects or transfers locally —
 	// flits fly past on the ring.
 	stalledUntil sim.Cycle
+
+	// lastVisit is the network tick (Network.ticks, not the ring's own
+	// turn count: an idle-skipped ring's is stale) through which this
+	// station's cycles are accounted for — visited, or credited by settle.
+	// Derived state, never serialized: a load sets it to the loaded tick.
+	lastVisit uint64
+}
+
+// settle credits the defeats of the cycles after lastVisit up to and
+// including tick through, none of which visited the station. It was not
+// in the visit set on any of them, so (classify) every head it has is
+// ring-bound and could only lose to the occupied slot in front of it:
+// one injectFails and one starved each per cycle, exactly what
+// arbitrateInject would have counted, the way Ring.settleHops accounts
+// hops. want is read as it is — callers that are about to change a head
+// settle first. The forced-awake reference visits every station every
+// cycle, so it never owes anything, and it does not take this
+// arithmetic's word for that: there settle credits nothing.
+func (st *CrossStation) settle(through uint64) {
+	if through <= st.lastVisit || st.ring.net.forceAwake {
+		return
+	}
+	missed := through - st.lastVisit
+	st.lastVisit = through
+	for i, w := range st.want {
+		if w == wantDir(CW) || w == wantDir(CCW) {
+			st.ifaces[i].injectFails += int(missed)
+			st.ifaces[i].starved += missed
+		}
+	}
+}
+
+// settleNow settles the station through the last cycle whose station
+// phase has passed it. Everything outside a ring tick that reads the lazy
+// counters, or changes what settle reads, goes through it first.
+func (st *CrossStation) settleNow() {
+	if n := st.ring.net; st.lastVisit != n.ticks { // else settled, or being visited
+		st.settle(n.sweptThrough(st))
+	}
+}
+
+// classify re-derives the station's bits in its ring's stationSet (see
+// stationWord) from the head summary, the interfaces' I-tag state and
+// the stall. It runs wherever one of them changes: refreshHead (every
+// disarming is followed by one), the arming in noteDefeat, StallStation,
+// a checkpoint load, and — a stall ends by the clock — after every visit
+// to a station that was ever stalled. Network.CheckConservation recounts
+// it, so a site that went missing fails the fuzzers.
+func (st *CrossStation) classify() {
+	r := st.ring
+	bit := uint64(1) << (uint(st.pos) & 63)
+	var busy uint64
+	var parked [2]uint64
+	if r.now < st.stalledUntil {
+		busy = bit
+	}
+	for i, w := range st.want {
+		switch {
+		case w == wantNone:
+		case w == wantLocal:
+			busy = bit
+		case r.net.ITagEnabled && !st.ifaces[i].itagArmed:
+			busy = bit // the next occupied slot may take this head's I-tag
+		default:
+			parked[w-wantDir(CW)] = bit
+		}
+	}
+	set := &r.stationSet[st.pos>>6]
+	set.busy = set.busy&^bit | busy
+	set.parked[CW] = set.parked[CW]&^bit | parked[CW]
+	set.parked[CCW] = set.parked[CCW]&^bit | parked[CCW]
 }
 
 // Ring returns the owning ring.
@@ -580,8 +669,7 @@ func (st *CrossStation) arrive(d Direction, s *slot, now sim.Cycle) {
 		st.ring.net.Trace(traceDeflect, f.ID, st.ring.net.nodes[dst.node].name, "")
 		return
 	}
-	s.flit = nil
-	st.ring.loopFor(d).occ--
+	st.ring.loopFor(d).vacate(s, st.pos)
 	st.ring.settleHops(f)
 	st.ring.net.flitEjected(dst, f, now)
 	if dst.swapMode && st.want[dst.index] == wantDir(d) {
@@ -642,9 +730,7 @@ func (st *CrossStation) arbitrateInject(d Direction, s *slot) {
 // the I-tag if this injection consumed the interface's reservation.
 func (st *CrossStation) inject(ni *NodeInterface, s *slot, d Direction) {
 	f := ni.head()
-	s.flit = f
-	s.dst = int32(f.localDst)
-	st.ring.loopFor(d).occ++
+	st.ring.loopFor(d).board(s, st.pos, f)
 	f.boarded = st.ring.now
 	if s.itagOwner == ni.key() {
 		s.itagOwner = noTag

@@ -210,9 +210,9 @@ func TestITagBreaksStarvation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("victim flit starved (delivered %d flood flits, victim starved %d cycles)",
-			len(dst.got), victim.iface.Starved)
+			len(dst.got), victim.iface.Starved())
 	}
-	if victim.iface.Starved == 0 {
+	if victim.iface.Starved() == 0 {
 		t.Fatal("test did not create contention; flood too weak to exercise I-tag")
 	}
 }

@@ -23,6 +23,7 @@ type InterfaceStats struct {
 // InterfaceReport collects per-interface counters, sorted by ejected
 // flits descending — the hotspot view of the network.
 func (n *Network) InterfaceReport() []InterfaceStats {
+	n.settleStations()
 	var out []InterfaceStats
 	for _, r := range n.rings {
 		for _, st := range r.stations {
@@ -39,7 +40,7 @@ func (n *Network) InterfaceReport() []InterfaceStats {
 					EjectedFlits:   ni.EjectedFlits,
 					EjectedPayload: ni.EjectedPayload,
 					Deflected:      ni.Deflected,
-					Starved:        ni.Starved,
+					Starved:        ni.starved,
 				})
 			}
 		}

@@ -62,6 +62,12 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// NewEncoderSize returns an empty encoder with room for size bytes, for
+// callers that know roughly what they are about to encode: append grows a
+// large slice by a quarter at a time, so a multi-megabyte snapshot built
+// from nothing is allocated about five times over and copied four.
+func NewEncoderSize(size int) *Encoder { return &Encoder{buf: make([]byte, 0, size)} }
+
 // Data returns the accumulated bytes (aliased, valid until the next Put).
 func (e *Encoder) Data() []byte { return e.buf }
 

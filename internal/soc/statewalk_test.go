@@ -30,10 +30,13 @@ var notSerialized = map[string]map[string]string{
 		"ringDist": "derived: route tables, rebuilt from topology + failed set",
 		"ringNext": "derived: route tables", "bridges": "derived: bridge inventory", "routeTbl": "derived: route tables",
 		"freeFlits": "engine scratch: free list, reset on load",
-		"devs":      "derived: device gates", "wake": "derived: wake words, zeroed on load",
+		"snap":      "engine scratch: a walk's identity pools, empty between walks", "lastCheckpoint": "engine scratch: sizes the next checkpoint's buffer",
+		"devs": "derived: device gates", "wake": "derived: wake words, zeroed on load",
 		"nextWake": "derived: left by the last device loop", "forceAwake": "test-only engine switch",
+		"sweeping": "engine scratch: true only inside a ring phase", "sweepRing": "engine scratch: ring phase progress",
+		"sweepPos":  "engine scratch: ring phase progress",
 		"EpochsRun": "always 0", "BarrierSyncs": "always 0", "SkippedCycles": "diagnostic",
-		"RingTicksSkipped": "diagnostic", "DeviceTicksSkipped": "diagnostic",
+		"RingTicksSkipped": "diagnostic", "StationTicksSkipped": "diagnostic", "DeviceTicksSkipped": "diagnostic",
 		"Tracer": "hook", "metrics": "hook", "OnDeliver": "hook", "latency": "hook",
 	},
 	"noc.Ring": {
@@ -41,15 +44,19 @@ var notSerialized = map[string]map[string]string{
 		"now":    "derived: re-synced from Network.now on load",
 		"queued": "derived: recounted on load", "turned": "derived: re-synced from Network.ticks on load",
 		"stations": "build shape: count matched", "stationAt": "derived: dense station index",
+		"stationSet": "derived: visit set, re-classified from every station on load",
 	},
 	"noc.loop": {
-		"head": "rotation is virtual: slots travel in logical order and load at head 0",
-		"occ":  "derived: recounted on load",
+		"head":     "rotation is virtual: slots travel in logical order and load at head 0",
+		"occ":      "derived: recounted on load",
+		"free":     "derived: visit set, one bit per empty slot, rebuilt from the slots on load",
+		"arrivals": "derived: visit set, arrival calendar, rebuilt from the slots on load",
 	},
 	"noc.slot": {"dst": "derived: mirrors flit.localDst"},
 	"noc.CrossStation": {
 		"ring": "wiring", "pos": "build shape: matched", "ifaces": "wiring: presence matched",
-		"want": "derived: head summary, recomputed on load",
+		"want":      "derived: head summary, recomputed on load",
+		"lastVisit": "derived: the defeats it stands for are settled into injectFails/starved before a save; set to the loaded tick on load",
 	},
 	"noc.flitRing": {"head": "entries travel in FIFO order and load at head 0"},
 	"noc.NodeInterface": {
