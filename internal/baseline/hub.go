@@ -39,7 +39,7 @@ type SwitchedHub struct {
 	now uint64
 	// egress[d] holds packets leaving die d for the hub; ingress[d]
 	// holds packets the hub has routed towards die d.
-	egress, ingress [][]*packet
+	egress, ingress []sim.FIFO[*packet]
 	// local carries intra-die packets as (readyAt, packet) pairs.
 	local []*packet
 	stats deliveryStats
@@ -56,8 +56,8 @@ func NewSwitchedHub(cfg HubConfig) *SwitchedHub {
 	}
 	return &SwitchedHub{
 		cfg:     cfg,
-		egress:  make([][]*packet, cfg.Dies),
-		ingress: make([][]*packet, cfg.Dies),
+		egress:  make([]sim.FIFO[*packet], cfg.Dies),
+		ingress: make([]sim.FIFO[*packet], cfg.Dies),
 	}
 }
 
@@ -99,13 +99,13 @@ func (h *SwitchedHub) TrySend(src, dst, payloadBytes int, done DeliverFunc) bool
 		return true
 	}
 	d := h.dieOf(src)
-	if len(h.egress[d]) >= h.cfg.QueueDepth {
+	if h.egress[d].Len() >= h.cfg.QueueDepth {
 		return false
 	}
 	p := h.pool.get()
 	*p = packet{dst: dst, payload: payloadBytes, done: done, injected: h.now}
 	p.readyAt = h.now + h.cfg.IntraDelay // reach the die edge first
-	h.egress[d] = append(h.egress[d], p)
+	h.egress[d].Push(p)
 	return true
 }
 
@@ -130,27 +130,27 @@ func (h *SwitchedHub) Tick() {
 	budget := h.cfg.HubPorts
 	for scan := 0; scan < h.cfg.Dies && budget > 0; scan++ {
 		d := (int(h.now) + scan) % h.cfg.Dies // rotate priority for fairness
-		q := h.egress[d]
-		if len(q) == 0 || q[0].readyAt > h.now {
+		q := &h.egress[d]
+		if q.Len() == 0 || q.Peek().readyAt > h.now {
 			continue
 		}
-		dd := h.dieOf(q[0].dst)
-		if len(h.ingress[dd]) >= h.cfg.QueueDepth {
+		dd := h.dieOf(q.Peek().dst)
+		if h.ingress[dd].Len() >= h.cfg.QueueDepth {
 			continue
 		}
-		p := sim.PopFront(&h.egress[d])
+		p := q.Pop()
 		p.readyAt = h.now + h.cfg.HubDelay
-		h.ingress[dd] = append(h.ingress[dd], p)
+		h.ingress[dd].Push(p)
 		h.HubTraversals++
 		budget--
 	}
 	// Ingress queues drain onto their die and deliver after IntraDelay.
 	for d := range h.ingress {
-		q := h.ingress[d]
-		if len(q) == 0 || q[0].readyAt > h.now {
+		q := &h.ingress[d]
+		if q.Len() == 0 || q.Peek().readyAt > h.now {
 			continue
 		}
-		p := sim.PopFront(&h.ingress[d])
+		p := q.Pop()
 		p.readyAt = h.now + h.cfg.IntraDelay
 		h.local = append(h.local, p)
 	}

@@ -43,8 +43,8 @@ func DefaultMeshConfig(w, h int) MeshConfig {
 type BufferedMesh struct {
 	cfg   MeshConfig
 	now   uint64
-	inq   [][numPorts][]*packet // [router][port]queue
-	rr    [][numPorts]int       // round-robin pointers per output port
+	inq   [][numPorts]sim.FIFO[*packet] // [router][port]queue
+	rr    [][numPorts]int               // round-robin pointers per output port
 	stats deliveryStats
 	pool  packetPool
 
@@ -89,7 +89,7 @@ func NewBufferedMesh(cfg MeshConfig) *BufferedMesh {
 	n := cfg.Width * cfg.Height
 	m := &BufferedMesh{
 		cfg:     cfg,
-		inq:     make([][numPorts][]*packet, n),
+		inq:     make([][numPorts]sim.FIFO[*packet], n),
 		rr:      make([][numPorts]int, n),
 		route:   make([]uint8, n*n),
 		nbr:     make([]meshPort, n*numPorts),
@@ -173,7 +173,7 @@ func (m *BufferedMesh) TrySend(src, dst, payloadBytes int, done DeliverFunc) boo
 	if src == dst {
 		panic("baseline: mesh send to self")
 	}
-	if len(m.inq[src][portL]) >= m.cfg.QueueDepth {
+	if m.inq[src][portL].Len() >= m.cfg.QueueDepth {
 		return false
 	}
 	p := m.pool.get()
@@ -181,7 +181,7 @@ func (m *BufferedMesh) TrySend(src, dst, payloadBytes int, done DeliverFunc) boo
 		dst: dst, payload: payloadBytes, done: done,
 		injected: m.now, readyAt: m.now + m.cfg.RouterDelay,
 	}
-	m.inq[src][portL] = append(m.inq[src][portL], p)
+	m.inq[src][portL].Push(p)
 	m.occ[src]++
 	return true
 }
@@ -210,11 +210,12 @@ func (m *BufferedMesh) Tick() {
 		// this cycle (numPorts: none); wanted is the set of such outputs.
 		want := [numPorts]uint8{numPorts, numPorts, numPorts, numPorts, numPorts}
 		wanted := uint(0)
-		for in, q := range &m.inq[r] {
-			if len(q) == 0 || q[0].readyAt > m.now {
+		for in := range &m.inq[r] {
+			q := &m.inq[r][in]
+			if q.Len() == 0 || q.Peek().readyAt > m.now {
 				continue
 			}
-			out := m.route[r*n+q[0].dst]
+			out := m.route[r*n+q.Peek().dst]
 			want[in] = out
 			wanted |= 1 << out
 		}
@@ -236,7 +237,7 @@ func (m *BufferedMesh) Tick() {
 				} else {
 					to := m.nbr[r*numPorts+out]
 					key := to.r*numPorts + to.p
-					if len(m.inq[to.r][to.p])+claimed[key] >= m.cfg.QueueDepth {
+					if m.inq[to.r][to.p].Len()+claimed[key] >= m.cfg.QueueDepth {
 						continue // no credit downstream
 					}
 					claimed[key]++
@@ -249,7 +250,7 @@ func (m *BufferedMesh) Tick() {
 	}
 	// Phase 2: apply.
 	for _, mv := range moves {
-		p := sim.PopFront(&m.inq[mv.fromR][mv.fromP])
+		p := m.inq[mv.fromR][mv.fromP].Pop()
 		m.occ[mv.fromR]--
 		m.RouterTraversals++
 		if mv.deliver {
@@ -258,7 +259,7 @@ func (m *BufferedMesh) Tick() {
 			continue
 		}
 		p.readyAt = m.now + 1 + m.cfg.RouterDelay // link + next router pipeline
-		m.inq[mv.toR][mv.toP] = append(m.inq[mv.toR][mv.toP], p)
+		m.inq[mv.toR][mv.toP].Push(p)
 		m.occ[mv.toR]++
 		claimed[mv.toR*numPorts+mv.toP] = 0
 	}

@@ -30,11 +30,11 @@ func (m *BufferedMesh) refTick() {
 			// Round-robin over input ports for this output.
 			for i := 0; i < numPorts; i++ {
 				in := (m.rr[r][out] + i) % numPorts
-				q := m.inq[r][in]
-				if len(q) == 0 {
+				q := &m.inq[r][in]
+				if q.Len() == 0 {
 					continue
 				}
-				p := q[0]
+				p := q.Peek()
 				if p.readyAt > m.now || m.outPort(r, p.dst) != out {
 					continue
 				}
@@ -45,7 +45,7 @@ func (m *BufferedMesh) refTick() {
 				}
 				nr, np := m.neighbor(r, out)
 				key := nr*numPorts + np
-				if len(m.inq[nr][np])+claimed[key] >= m.cfg.QueueDepth {
+				if m.inq[nr][np].Len()+claimed[key] >= m.cfg.QueueDepth {
 					continue // no credit downstream
 				}
 				claimed[key]++
@@ -57,7 +57,7 @@ func (m *BufferedMesh) refTick() {
 	}
 	// Phase 2: apply.
 	for _, mv := range moves {
-		p := sim.PopFront(&m.inq[mv.fromR][mv.fromP])
+		p := m.inq[mv.fromR][mv.fromP].Pop()
 		m.RouterTraversals++
 		if mv.deliver {
 			m.stats.deliver(p, m.now)
@@ -65,7 +65,7 @@ func (m *BufferedMesh) refTick() {
 			continue
 		}
 		p.readyAt = m.now + 1 + m.cfg.RouterDelay // link + next router pipeline
-		m.inq[mv.toR][mv.toP] = append(m.inq[mv.toR][mv.toP], p)
+		m.inq[mv.toR][mv.toP].Push(p)
 	}
 	m.moves = moves[:0]
 	m.now++
@@ -182,10 +182,10 @@ func checkMeshAgainstReference(t *testing.T, cfg MeshConfig, tr meshTraffic, see
 			}
 			queued := 0
 			for p := 0; p < numPorts; p++ {
-				if len(got.inq[r][p]) != len(ref.inq[r][p]) {
-					t.Fatalf("cycle %d: router %d port %d holds %d, reference %d", cyc, r, p, len(got.inq[r][p]), len(ref.inq[r][p]))
+				if got.inq[r][p].Len() != ref.inq[r][p].Len() {
+					t.Fatalf("cycle %d: router %d port %d holds %d, reference %d", cyc, r, p, got.inq[r][p].Len(), ref.inq[r][p].Len())
 				}
-				queued += len(got.inq[r][p])
+				queued += got.inq[r][p].Len()
 			}
 			if got.occ[r] != queued {
 				t.Fatalf("cycle %d: router %d occupancy count %d, queues hold %d", cyc, r, got.occ[r], queued)

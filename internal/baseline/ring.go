@@ -30,7 +30,7 @@ type BufferedRing struct {
 	// cwq[i] holds packets waiting at router i to move clockwise;
 	// ccwq the other direction. local injections join the chosen
 	// direction's queue directly.
-	cwq, ccwq [][]*packet
+	cwq, ccwq []sim.FIFO[*packet]
 	// cwCount/ccwCount track total occupancy per directional loop for
 	// the global-bubble invariant.
 	cwCount, ccwCount int
@@ -59,8 +59,8 @@ func NewBufferedRing(cfg RingConfig) *BufferedRing {
 	}
 	return &BufferedRing{
 		cfg:     cfg,
-		cwq:     make([][]*packet, cfg.Nodes),
-		ccwq:    make([][]*packet, cfg.Nodes),
+		cwq:     make([]sim.FIFO[*packet], cfg.Nodes),
+		ccwq:    make([]sim.FIFO[*packet], cfg.Nodes),
 		claimed: make([]int, 2*cfg.Nodes),
 	}
 }
@@ -102,7 +102,7 @@ func (r *BufferedRing) TrySend(src, dst, payloadBytes int, done DeliverFunc) boo
 	// Local room plus the global bubble: the directional loop must never
 	// fill completely or a cycle of full queues with no deliverable head
 	// deadlocks.
-	if len(*q) >= r.cfg.QueueDepth-1 || *count >= r.cfg.Nodes*r.cfg.QueueDepth-1 {
+	if q.Len() >= r.cfg.QueueDepth-1 || *count >= r.cfg.Nodes*r.cfg.QueueDepth-1 {
 		return false
 	}
 	*count++
@@ -111,7 +111,7 @@ func (r *BufferedRing) TrySend(src, dst, payloadBytes int, done DeliverFunc) boo
 		dst: dst, payload: payloadBytes, done: done,
 		injected: r.now, readyAt: r.now + r.cfg.HopDelay,
 	}
-	*q = append(*q, p)
+	q.Push(p)
 	return true
 }
 
@@ -127,26 +127,26 @@ func (r *BufferedRing) Tick() {
 	}
 	for i := 0; i < n; i++ {
 		for dir := 0; dir < 2; dir++ {
-			var q []*packet
+			var q *sim.FIFO[*packet]
 			var next int
 			if dir == 0 {
-				q, next = r.cwq[i], (i+1)%n
+				q, next = &r.cwq[i], (i+1)%n
 			} else {
-				q, next = r.ccwq[i], (i-1+n)%n
+				q, next = &r.ccwq[i], (i-1+n)%n
 			}
-			if len(q) == 0 || q[0].readyAt > r.now {
+			if q.Len() == 0 || q.Peek().readyAt > r.now {
 				continue
 			}
-			if q[0].dst == next {
+			if q.Peek().dst == next {
 				moves = append(moves, ringMove{dir: dir, from: i, to: next, final: true})
 				continue
 			}
 			key := dir*n + next
 			var depth int
 			if dir == 0 {
-				depth = len(r.cwq[next])
+				depth = r.cwq[next].Len()
 			} else {
-				depth = len(r.ccwq[next])
+				depth = r.ccwq[next].Len()
 			}
 			if depth+claimed[key] >= r.cfg.QueueDepth {
 				continue
@@ -156,13 +156,11 @@ func (r *BufferedRing) Tick() {
 		}
 	}
 	for _, mv := range moves {
-		var q *[]*packet
-		if mv.dir == 0 {
-			q = &r.cwq[mv.from]
-		} else {
+		q := &r.cwq[mv.from]
+		if mv.dir == 1 {
 			q = &r.ccwq[mv.from]
 		}
-		p := sim.PopFront(q)
+		p := q.Pop()
 		r.RouterTraversals++
 		if mv.final {
 			if mv.dir == 0 {
@@ -176,9 +174,9 @@ func (r *BufferedRing) Tick() {
 		}
 		p.readyAt = r.now + 1 + r.cfg.HopDelay
 		if mv.dir == 0 {
-			r.cwq[mv.to] = append(r.cwq[mv.to], p)
+			r.cwq[mv.to].Push(p)
 		} else {
-			r.ccwq[mv.to] = append(r.ccwq[mv.to], p)
+			r.ccwq[mv.to].Push(p)
 		}
 	}
 	r.moves = moves[:0]

@@ -210,9 +210,6 @@ func NewTracker(capacity int) *Tracker {
 // Outstanding returns the number of open transactions.
 func (t *Tracker) Outstanding() int { return len(t.open) }
 
-// Capacity returns the table size.
-func (t *Tracker) Capacity() int { return t.capacity }
-
 // Full reports whether a new transaction can be opened.
 func (t *Tracker) Full() bool { return len(t.open) >= t.capacity }
 

@@ -36,24 +36,44 @@ type line struct {
 	owner noc.NodeID
 }
 
-// job is deferred directory/slice work (models lookup latency).
+// job is one flit held back for a lookup or array latency.
 type job struct {
 	ready sim.Cycle
-	send  []*noc.Flit
+	f     *noc.Flit
 }
 
-// jobsIdleUntil is the idle contract the three coherence devices share:
-// with nothing ejected at iface and nothing in the outbox, a Tick only
-// releases the front job once it is due, so the device sleeps until then,
-// and forever with none.
-func jobsIdleUntil(iface *noc.NodeInterface, jobs []job, outbx []*noc.Flit, now sim.Cycle) sim.Cycle {
-	if iface.EjectLen() > 0 || len(outbx) > 0 {
+// pump is the deferred-send path the three coherence devices share: a
+// flit waits out its latency in jobs (in ready order — each device has
+// one constant latency), moves to the outbox when due, and the outbox
+// drains into the interface until it refuses.
+type pump struct {
+	jobs  sim.FIFO[job]
+	outbx sim.FIFO[*noc.Flit]
+}
+
+// send queues f for injection at iface from cycle ready on.
+func (p *pump) send(ready sim.Cycle, f *noc.Flit) { p.jobs.Push(job{ready: ready, f: f}) }
+
+// tick releases the due jobs and injects what iface accepts.
+func (p *pump) tick(iface *noc.NodeInterface, now sim.Cycle) {
+	for p.jobs.Len() > 0 && p.jobs.Peek().ready <= now {
+		p.outbx.Push(p.jobs.Pop().f)
+	}
+	iface.SendAll(&p.outbx)
+}
+
+// idleUntil is the idle contract the three devices share: with nothing
+// ejected at iface and nothing in the outbox, a tick only releases the
+// front job once it is due, so the device sleeps until then, and forever
+// with none.
+func (p *pump) idleUntil(iface *noc.NodeInterface, now sim.Cycle) sim.Cycle {
+	if iface.EjectLen() > 0 || p.outbx.Len() > 0 {
 		return now
 	}
-	if len(jobs) == 0 {
+	if p.jobs.Len() == 0 {
 		return noc.Never
 	}
-	if r := jobs[0].ready; r > now {
+	if r := p.jobs.Peek().ready; r > now {
 		return r
 	}
 	return now
@@ -76,8 +96,7 @@ type Directory struct {
 	memory noc.NodeID
 
 	lines map[uint64]*line
-	jobs  []job
-	outbx []*noc.Flit
+	out   pump
 
 	// Statistics
 	Hits, Misses, Snoops uint64
@@ -135,19 +154,12 @@ func (d *Directory) Tick(now sim.Cycle) {
 		d.handle(f, now)
 		d.net.ReleaseFlit(f)
 	}
-	// Release jobs whose tag lookup has completed.
-	for len(d.jobs) > 0 && d.jobs[0].ready <= now {
-		d.outbx = append(d.outbx, d.jobs[0].send...)
-		sim.PopFront(&d.jobs)
-	}
-	for len(d.outbx) > 0 && d.iface.Send(d.outbx[0]) {
-		sim.PopFront(&d.outbx)
-	}
+	d.out.tick(d.iface, now) // releases the sends whose tag lookup has completed
 }
 
 // IdleUntil implements noc.IdleUntiler.
 func (d *Directory) IdleUntil(now sim.Cycle) sim.Cycle {
-	return jobsIdleUntil(d.iface, d.jobs, d.outbx, now)
+	return d.out.idleUntil(d.iface, now)
 }
 
 func (d *Directory) handle(f *noc.Flit, now sim.Cycle) {
@@ -183,7 +195,7 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 			op = chi.SnpUnique
 		}
 		snp := &chi.Message{TxnID: m.TxnID, Op: op, Addr: m.Addr, Requester: m.Requester}
-		d.push(ready, snp.NewFlit(d.net, d.Node(), l.owner))
+		d.out.send(ready, snp.NewFlit(d.net, d.Node(), l.owner))
 		if exclusive {
 			l.state, l.owner = Exclusive, m.Requester
 		} else {
@@ -194,7 +206,7 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 		// L3 data slice.
 		d.Hits++
 		get := &chi.Message{TxnID: m.TxnID, Op: chi.ReadNoSnp, Addr: m.Addr, Requester: m.Requester}
-		d.push(ready, get.NewFlit(d.net, d.Node(), d.dataSlice))
+		d.out.send(ready, get.NewFlit(d.net, d.Node(), d.dataSlice))
 		if exclusive {
 			l.state, l.owner = Exclusive, m.Requester
 		}
@@ -202,7 +214,7 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 		// Miss: fill from DDR; install as E at the requester.
 		d.Misses++
 		get := &chi.Message{TxnID: m.TxnID, Op: chi.ReadNoSnp, Addr: m.Addr, Requester: m.Requester}
-		d.push(ready, get.NewFlit(d.net, d.Node(), d.memory))
+		d.out.send(ready, get.NewFlit(d.net, d.Node(), d.memory))
 		d.lines[m.Addr] = &line{state: Exclusive, owner: m.Requester}
 	}
 }
@@ -212,19 +224,15 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 // updates.
 func (d *Directory) write(m *chi.Message, ready sim.Cycle) {
 	put := &chi.Message{TxnID: m.TxnID, Op: chi.WriteNoSnp, Addr: m.Addr, Requester: d.Node()}
-	d.push(ready, put.NewFlit(d.net, d.Node(), d.dataSlice))
+	d.out.send(ready, put.NewFlit(d.net, d.Node(), d.dataSlice))
 	comp := &chi.Message{TxnID: m.TxnID, Op: chi.Comp, Addr: m.Addr, Requester: m.Requester}
-	d.push(ready, comp.NewFlit(d.net, d.Node(), m.Requester))
+	d.out.send(ready, comp.NewFlit(d.net, d.Node(), m.Requester))
 	if m.Op == chi.WriteBackFull {
 		d.lines[m.Addr] = &line{state: Shared}
 	} else {
 		d.lines[m.Addr] = &line{state: Modified, owner: m.Requester}
 	}
 	d.Hits++
-}
-
-func (d *Directory) push(ready sim.Cycle, flits ...*noc.Flit) {
-	d.jobs = append(d.jobs, job{ready: ready, send: flits})
 }
 
 // DataSlice is an L3 data slice: high-capacity storage that answers the
@@ -238,8 +246,7 @@ type DataSlice struct {
 	// AccessCycles is the SRAM array latency.
 	AccessCycles int
 
-	jobs  []job
-	outbx []*noc.Flit
+	out pump
 
 	Reads, Fills uint64
 }
@@ -272,7 +279,7 @@ func (s *DataSlice) Tick(now sim.Cycle) {
 		case chi.ReadNoSnp:
 			s.Reads++
 			rsp := &chi.Message{TxnID: m.TxnID, Op: chi.CompData, Addr: m.Addr, Requester: m.Requester}
-			s.jobs = append(s.jobs, job{ready: ready, send: []*noc.Flit{rsp.NewFlit(s.net, s.Node(), m.Requester)}})
+			s.out.send(ready, rsp.NewFlit(s.net, s.Node(), m.Requester))
 		case chi.WriteNoSnp:
 			// Fill from a writeback; no reply needed (directory already
 			// acknowledged the requester).
@@ -282,18 +289,12 @@ func (s *DataSlice) Tick(now sim.Cycle) {
 		}
 		s.net.ReleaseFlit(f)
 	}
-	for len(s.jobs) > 0 && s.jobs[0].ready <= now {
-		s.outbx = append(s.outbx, s.jobs[0].send...)
-		sim.PopFront(&s.jobs)
-	}
-	for len(s.outbx) > 0 && s.iface.Send(s.outbx[0]) {
-		sim.PopFront(&s.outbx)
-	}
+	s.out.tick(s.iface, now)
 }
 
 // IdleUntil implements noc.IdleUntiler.
 func (s *DataSlice) IdleUntil(now sim.Cycle) sim.Cycle {
-	return jobsIdleUntil(s.iface, s.jobs, s.outbx, now)
+	return s.out.idleUntil(s.iface, now)
 }
 
 // CoreAgent is a CPU core's coherence port: it issues ReadShared /
@@ -311,10 +312,9 @@ type CoreAgent struct {
 	tracker *chi.Tracker
 	homeOf  func(addr uint64) noc.NodeID
 
-	queue  []*chi.Message // requests not yet issued
+	queue  sim.FIFO[*chi.Message] // requests not yet issued
 	issued map[uint32]sim.Cycle
-	jobs   []job
-	outbx  []*noc.Flit
+	out    pump
 
 	// OnComplete is called with each finished transaction's round-trip
 	// latency in cycles.
@@ -347,13 +347,10 @@ func (a *CoreAgent) Name() string { return a.name }
 // Node returns the agent's NoC address.
 func (a *CoreAgent) Node() noc.NodeID { return a.iface.Node() }
 
-// Queued returns requests waiting to issue plus outstanding transactions.
-func (a *CoreAgent) Queued() int { return len(a.queue) + a.tracker.Outstanding() }
-
 // request queues one coherent request and wakes the agent, which may be
 // asleep with an empty queue (see IdleUntil).
 func (a *CoreAgent) request(op chi.Opcode, addr uint64) {
-	a.queue = append(a.queue, &chi.Message{Op: op, Addr: addr, Requester: a.Node()})
+	a.queue.Push(&chi.Message{Op: op, Addr: addr, Requester: a.Node()})
 	a.iface.Wake()
 }
 
@@ -374,17 +371,17 @@ func (a *CoreAgent) WriteBack(addr uint64) { a.request(chi.WriteBackFull, addr) 
 // agent must have no request it could issue — an empty queue, or a full
 // transaction table, which only a completion (an ejection) can open.
 func (a *CoreAgent) IdleUntil(now sim.Cycle) sim.Cycle {
-	if len(a.queue) > 0 && !a.tracker.Full() {
+	if a.queue.Len() > 0 && !a.tracker.Full() {
 		return now
 	}
-	return jobsIdleUntil(a.iface, a.jobs, a.outbx, now)
+	return a.out.idleUntil(a.iface, now)
 }
 
 // Tick implements noc.Device.
 func (a *CoreAgent) Tick(now sim.Cycle) {
 	// Issue queued requests while transaction buffers allow.
-	for len(a.queue) > 0 && !a.tracker.Full() {
-		m := a.queue[0]
+	for a.queue.Len() > 0 && !a.tracker.Full() {
+		m := a.queue.Peek()
 		if !a.tracker.Open(m) {
 			break
 		}
@@ -395,7 +392,7 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 			break
 		}
 		a.issued[m.TxnID] = now
-		sim.PopFront(&a.queue)
+		a.queue.Pop()
 	}
 	// Handle arrivals: completions and snoops.
 	for {
@@ -421,20 +418,11 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 			// local array access.
 			a.SnoopsServed++
 			rsp := &chi.Message{TxnID: m.TxnID, Op: chi.SnpRespData, Addr: m.Addr, Requester: m.Requester}
-			a.jobs = append(a.jobs, job{
-				ready: now + sim.Cycle(a.SnoopCycles),
-				send:  []*noc.Flit{rsp.NewFlit(a.net, a.Node(), m.Requester)},
-			})
+			a.out.send(now+sim.Cycle(a.SnoopCycles), rsp.NewFlit(a.net, a.Node(), m.Requester))
 		default:
 			panic(fmt.Sprintf("coherence: %s cannot handle %v", a.name, m.Op))
 		}
 		a.net.ReleaseFlit(f)
 	}
-	for len(a.jobs) > 0 && a.jobs[0].ready <= now {
-		a.outbx = append(a.outbx, a.jobs[0].send...)
-		sim.PopFront(&a.jobs)
-	}
-	for len(a.outbx) > 0 && a.iface.Send(a.outbx[0]) {
-		sim.PopFront(&a.outbx)
-	}
+	a.out.tick(a.iface, now)
 }

@@ -1,10 +1,4 @@
-// Package cache holds the address-to-home mapping of the on-die caches
-// that sit on the NoC: the Server-CPU's split L3 (tag cache per 4-core
-// cluster + separate data slices) and the AI die's interleaved L2. Only
-// L3 hit/miss events invoke NoC transactions (Section 3.2.1), so the
-// private L1/L2 levels are not modelled; the protocol engines that sit
-// behind these maps live in internal/coherence.
-package cache
+package coherence
 
 import "chipletnoc/internal/chi"
 
@@ -19,7 +13,7 @@ type HomeMap struct {
 // NewHomeMap creates a map over n homes.
 func NewHomeMap(n int) HomeMap {
 	if n <= 0 {
-		panic("cache: home map over zero nodes")
+		panic("coherence: home map over zero nodes")
 	}
 	return HomeMap{n: n}
 }

@@ -101,7 +101,7 @@ func TestIdleUntilHonest(t *testing.T) {
 				if until != noc.Never {
 					w.slept++
 				}
-				if a, ok := w.dev.(*CoreAgent); ok && len(a.queue) > 0 {
+				if a, ok := w.dev.(*CoreAgent); ok && a.queue.Len() > 0 {
 					blocked++ // asleep on a full table with requests waiting
 				}
 				before := deviceState(t, w.dev, w.iface)

@@ -12,14 +12,19 @@ import (
 	"chipletnoc/internal/sim"
 )
 
-// snapJobs walks a deferred-work queue in order.
-func snapJobs(s *noc.Snap, jobs *[]job) {
-	sim.Slice(s.Codec, jobs, 1<<20)
-	for i := range *jobs {
-		j := &(*jobs)[i]
+// snapState walks the deferred jobs in order, then the outbox. A job
+// travels as its ready cycle and a flit list whose length is always 1:
+// the checkpoint format has room for several, no device defers more.
+func (p *pump) snapState(s *noc.Snap) {
+	sim.WalkFIFO(s.Codec, &p.jobs, 1<<20, func(j *job) {
 		sim.Uint(s.Codec, &j.ready)
-		s.Flits(&j.send, 1<<16)
-	}
+		s.Match(1, "flits in a deferred job")
+		s.Flit(&j.f)
+		if j.f == nil {
+			s.Fail("nil flit in a deferred job")
+		}
+	})
+	s.Flits(&p.outbx, 1<<20)
 }
 
 // SnapState implements noc.StateSnapshotter.
@@ -37,8 +42,7 @@ func (dir *Directory) SnapState(s *noc.Snap) {
 			c.Fail("directory line state %d out of range", l.state)
 		}
 	})
-	snapJobs(s, &dir.jobs)
-	s.Flits(&dir.outbx, 1<<20)
+	dir.out.snapState(s)
 	c.U64(&dir.Hits)
 	c.U64(&dir.Misses)
 	c.U64(&dir.Snoops)
@@ -46,8 +50,7 @@ func (dir *Directory) SnapState(s *noc.Snap) {
 
 // SnapState implements noc.StateSnapshotter.
 func (ds *DataSlice) SnapState(s *noc.Snap) {
-	snapJobs(s, &ds.jobs)
-	s.Flits(&ds.outbx, 1<<20)
+	ds.out.snapState(s)
 	s.U64(&ds.Reads)
 	s.U64(&ds.Fills)
 }
@@ -56,16 +59,14 @@ func (ds *DataSlice) SnapState(s *noc.Snap) {
 func (a *CoreAgent) SnapState(s *noc.Snap) {
 	c := s.Codec
 	a.tracker.SnapState(s)
-	sim.Slice(c, &a.queue, 1<<20)
-	for i := range a.queue {
-		chi.SnapMessage(s, &a.queue[i], "queued request")
-	}
+	sim.WalkFIFO(c, &a.queue, 1<<20, func(m **chi.Message) {
+		chi.SnapMessage(s, m, "queued request")
+	})
 	sim.Map(c, &a.issued, 1<<20, cmp.Less[uint32], func(id *uint32, at *sim.Cycle) {
 		c.U32(id)
 		sim.Uint(c, at)
 	})
-	snapJobs(s, &a.jobs)
-	s.Flits(&a.outbx, 1<<20)
+	a.out.snapState(s)
 	c.U64(&a.Completed)
 	c.U64(&a.SnoopsServed)
 }

@@ -64,9 +64,11 @@ func TestPartitionSpecKnobRejectsNegative(t *testing.T) {
 // TestCheckpointBytesGolden pins the checkpoint wire format of the
 // declarative fabrics across commits (differential suites compare two
 // runs of one build and cannot see a change both share). multiring covers
-// RBRG-L2 halves with credits in flight; mesh-failed is the fault fabric with its schedule applied by hand —
-// injectors do not checkpoint — so the bytes carry a failed-bridge set,
-// an armed watchdog and live retry timers. Values captured before the
+// RBRG-L2 halves with credits in flight; mesh-failed is the fault fabric
+// with its kill applied by hand and no injector attached — the bytes were
+// captured before injectors could checkpoint, and one would add its
+// section — so they carry a failed-bridge set, an armed watchdog and live
+// retry timers. Values captured before the
 // snapshot code became one walk per struct; they move only with
 // sim.SnapshotVersion.
 func TestCheckpointBytesGolden(t *testing.T) {

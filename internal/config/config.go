@@ -172,8 +172,18 @@ const (
 // unknown references, unreachable nodes — always return an error; Build
 // never panics on untrusted input.
 func (s *Spec) Build() (*System, error) {
-	if s.Name == "" {
-		return nil, fmt.Errorf("config: system needs a name")
+	// The system, device and bridge names travel in checkpoints.
+	checkName := func(what, name string) error {
+		if name == "" {
+			return fmt.Errorf("config: %s needs a name", what)
+		}
+		if len(name) > noc.MaxNameBytes {
+			return fmt.Errorf("config: %s name of %d bytes exceeds the limit of %d", what, len(name), noc.MaxNameBytes)
+		}
+		return nil
+	}
+	if err := checkName("system", s.Name); err != nil {
+		return nil, err
 	}
 	if len(s.Rings) == 0 {
 		return nil, fmt.Errorf("config: at least one ring required")
@@ -250,8 +260,8 @@ func (s *Spec) Build() (*System, error) {
 	var pending []pendingRequester
 	seen := map[string]bool{}
 	for _, d := range s.Devices {
-		if d.Name == "" {
-			return nil, fmt.Errorf("config: device needs a name")
+		if err := checkName("device", d.Name); err != nil {
+			return nil, err
 		}
 		if seen[d.Name] {
 			return nil, fmt.Errorf("config: duplicate device %q", d.Name)
@@ -331,8 +341,8 @@ func (s *Spec) Build() (*System, error) {
 	}
 
 	for _, b := range s.Bridges {
-		if b.Name == "" {
-			return nil, fmt.Errorf("config: bridge needs a name")
+		if err := checkName("bridge", b.Name); err != nil {
+			return nil, err
 		}
 		if seen[b.Name] {
 			return nil, fmt.Errorf("config: duplicate name %q", b.Name)

@@ -1,8 +1,11 @@
 package config
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"chipletnoc/internal/noc"
 )
 
 const validSpec = `{
@@ -110,6 +113,47 @@ func TestBuildValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestNameLimitRoundTrips: a system, device or bridge name at the limit a
+// checkpoint carries (noc.MaxNameBytes) builds, checkpoints and restores;
+// one byte longer is a spec error — it used to build, run and write a
+// checkpoint every restore then refused as corrupt.
+func TestNameLimitRoundTrips(t *testing.T) {
+	for _, old := range []string{`"test-soc"`, `"core1"`, `"br0"`} {
+		for _, tc := range []struct {
+			length int
+			ok     bool
+		}{{noc.MaxNameBytes, true}, {noc.MaxNameBytes + 1, false}} {
+			doc := strings.Replace(validSpec, old, `"`+strings.Repeat("n", tc.length)+`"`, 1)
+			spec, err := Parse([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := spec.Build()
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+					t.Errorf("%s at %d bytes: Build error %v, want a name-limit error", old, tc.length, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s at %d bytes: %v", old, tc.length, err)
+			}
+			sys.Run(300)
+			var blob bytes.Buffer
+			if err := sys.WriteCheckpoint(&blob, nil); err != nil {
+				t.Fatalf("%s at %d bytes: checkpoint: %v", old, tc.length, err)
+			}
+			twin, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.ReadCheckpoint(&blob); err != nil {
+				t.Errorf("%s at %d bytes: the checkpoint it wrote does not restore: %v", old, tc.length, err)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -19,6 +20,9 @@ type Artifact struct {
 	Text  string            `json:"text"`
 	CSVs  map[string]string `json:"csvs,omitempty"`
 }
+
+// say appends one rendered block to the artifact's text.
+func (a *Artifact) say(s string) { a.Text += s + "\n" }
 
 // ScaleName renders a Scale the way specs spell it.
 func ScaleName(s Scale) string {
@@ -39,92 +43,96 @@ func ParseScale(name string) (Scale, error) {
 	return Quick, fmt.Errorf("unknown scale %q (want quick or full)", name)
 }
 
-// experimentOrder is the canonical catalog order — the CLI's "all" run
-// and the daemon's catalog listing both use it.
-var experimentOrder = []string{
-	"table5", "fig10", "fig11", "fig12", "fig13", "table6",
-	"table7+fig14+table8", "scaleup", "area", "fabrics", "replay",
-	"ablations", "resilience",
+// catalog is every experiment in canonical order — the CLI's "all" run
+// and the daemon's catalog listing both use it. run fills in the
+// artifact's text (say) and CSVs.
+var catalog = []struct {
+	name    string
+	aliases []string
+	run     func(s Scale, a *Artifact)
+}{
+	{name: "table5", run: func(s Scale, a *Artifact) { a.say(RunTable5(s).Render()) }},
+	{name: "fig10", run: func(s Scale, a *Artifact) { a.say(RunFig10(s).Render()) }},
+	{name: "fig11", run: func(s Scale, a *Artifact) {
+		r := RunFig11(s)
+		a.say(r.Render())
+		a.CSVs["fig11.csv"] = r.CSV()
+	}},
+	{name: "fig12", run: func(s Scale, a *Artifact) { a.say(RunSpecInt(s, true).Render()) }},
+	{name: "fig13", run: func(s Scale, a *Artifact) { a.say(RunSpecInt(s, false).Render()) }},
+	{name: "table6", run: func(s Scale, a *Artifact) { a.say(RunTable6(s).Render()) }},
+	{name: "table7+fig14+table8", aliases: []string{"table7", "fig14", "table8"},
+		run: func(s Scale, a *Artifact) {
+			t7 := RunTable7(s)
+			a.say(t7.Render())
+			a.say(RunFig14(s, &t7).Render())
+			a.say(RunTable8(s, &t7).Render())
+			a.CSVs["table7.csv"] = t7.CSV()
+			a.CSVs["fig14_probes.csv"] = t7.ProbeCSV()
+		}},
+	{name: "scaleup", run: func(s Scale, a *Artifact) { a.say(RunScaleUp(s).Render()) }},
+	{name: "area", run: func(s Scale, a *Artifact) { a.say(RunAreaReport(s).Render()) }},
+	{name: "fabrics", run: func(s Scale, a *Artifact) {
+		r := RunFabricComparison(s)
+		a.say(r.Render())
+		a.CSVs["fabrics.csv"] = r.CSV()
+	}},
+	{name: "replay", run: func(s Scale, a *Artifact) { a.say(RunLayerReplay(s).Render()) }},
+	{name: "ablations", run: func(s Scale, a *Artifact) {
+		a.say(RunAblationBufferless(s).Render())
+		a.say(RunAblationHalfFull(s).Render())
+		a.say(RunAblationWireFabric(s).Render())
+		a.say(RunAblationSwap(s).Render())
+		a.say(RunAblationTags(s).Render())
+		a.say(RunAblationThrottle(s).Render())
+	}},
+	{name: "resilience", run: func(s Scale, a *Artifact) {
+		r := RunResilience(s)
+		a.say(r.Render())
+		a.CSVs["resilience.csv"] = r.CSV()
+	}},
 }
 
 // ExperimentNames returns the catalog in canonical order.
 func ExperimentNames() []string {
-	return append([]string(nil), experimentOrder...)
+	names := make([]string, len(catalog))
+	for i := range catalog {
+		names[i] = catalog[i].name
+	}
+	return names
 }
 
 // CanonicalExperiment validates an experiment name without running it,
 // resolving the table7/fig14/table8 aliases to their combined artifact.
 func CanonicalExperiment(name string) (string, error) {
-	switch name {
-	case "table7", "fig14", "table8":
-		return "table7+fig14+table8", nil
+	i, err := lookupExperiment(name)
+	if err != nil {
+		return "", err
 	}
-	for _, n := range experimentOrder {
-		if n == name {
-			return n, nil
+	return catalog[i].name, nil
+}
+
+// lookupExperiment finds name, or one of its aliases, in the catalog.
+func lookupExperiment(name string) (int, error) {
+	for i := range catalog {
+		if catalog[i].name == name || slices.Contains(catalog[i].aliases, name) {
+			return i, nil
 		}
 	}
-	return "", fmt.Errorf("unknown experiment %q; choose from %s",
-		name, strings.Join(experimentOrder, ", "))
+	return 0, fmt.Errorf("unknown experiment %q; choose from %s",
+		name, strings.Join(ExperimentNames(), ", "))
 }
 
 // RunExperiment runs one named experiment from the catalog. The aliases
 // table7, fig14 and table8 resolve to their combined artifact, exactly
 // as the CLI treats them.
 func RunExperiment(name string, scale Scale) (*Artifact, error) {
-	a := &Artifact{Name: name, Scale: ScaleName(scale), CSVs: map[string]string{}}
-	var text strings.Builder
-	say := func(s string) { text.WriteString(s); text.WriteByte('\n') }
-
-	switch name {
-	case "table5":
-		say(RunTable5(scale).Render())
-	case "fig10":
-		say(RunFig10(scale).Render())
-	case "fig11":
-		r := RunFig11(scale)
-		say(r.Render())
-		a.CSVs["fig11.csv"] = r.CSV()
-	case "fig12":
-		say(RunSpecInt(scale, true).Render())
-	case "fig13":
-		say(RunSpecInt(scale, false).Render())
-	case "table6":
-		say(RunTable6(scale).Render())
-	case "table7+fig14+table8", "table7", "fig14", "table8":
-		a.Name = "table7+fig14+table8"
-		t7 := RunTable7(scale)
-		say(t7.Render())
-		say(RunFig14(scale, &t7).Render())
-		say(RunTable8(scale, &t7).Render())
-		a.CSVs["table7.csv"] = t7.CSV()
-		a.CSVs["fig14_probes.csv"] = t7.ProbeCSV()
-	case "scaleup":
-		say(RunScaleUp(scale).Render())
-	case "area":
-		say(RunAreaReport(scale).Render())
-	case "fabrics":
-		r := RunFabricComparison(scale)
-		say(r.Render())
-		a.CSVs["fabrics.csv"] = r.CSV()
-	case "replay":
-		say(RunLayerReplay(scale).Render())
-	case "resilience":
-		r := RunResilience(scale)
-		say(r.Render())
-		a.CSVs["resilience.csv"] = r.CSV()
-	case "ablations":
-		say(RunAblationBufferless(scale).Render())
-		say(RunAblationHalfFull(scale).Render())
-		say(RunAblationWireFabric(scale).Render())
-		say(RunAblationSwap(scale).Render())
-		say(RunAblationTags(scale).Render())
-		say(RunAblationThrottle(scale).Render())
-	default:
-		return nil, fmt.Errorf("unknown experiment %q; choose from %s",
-			name, strings.Join(experimentOrder, ", "))
+	i, err := lookupExperiment(name)
+	if err != nil {
+		return nil, err
 	}
-	a.Text = text.String()
+	a := &Artifact{Name: catalog[i].name, Scale: ScaleName(scale), CSVs: map[string]string{}}
+	catalog[i].run(scale, a)
 	for file, data := range a.CSVs {
 		if data == "" {
 			delete(a.CSVs, file)

@@ -32,8 +32,8 @@ func RunFig10(scale Scale) Fig10Result {
 			shrinkSpec(&specs[i])
 		}
 	}
-	// Every (system, kernel) pair is an independent closed-loop run — the
-	// same enumeration LMBenchSuite performs, fanned out as jobs.
+	// Every (system, kernel) pair is an independent closed-loop run,
+	// fanned out as jobs.
 	kernels := workloads.LMBenchKernels()
 	type pair struct {
 		spec   workloads.SystemSpec

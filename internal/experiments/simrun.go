@@ -75,16 +75,14 @@ func (s SimSpec) Normalize() (SimSpec, error) {
 		if s.Seed != 0 {
 			return s, fmt.Errorf("custom topology seeds live inside the config document")
 		}
-		cfg, err := config.Parse([]byte(s.Config))
-		if err != nil {
+		if _, err := config.Parse([]byte(s.Config)); err != nil {
 			return s, err
 		}
-		if cfg.Faults != nil && !cfg.Faults.Empty() && s.CheckpointEvery > 0 {
-			return s, fmt.Errorf("checkpointing is not supported with a fault schedule (injector state is not checkpointed)")
-		}
-		if s.Config, err = canonicalJSON(s.Config); err != nil {
+		canon, err := canonicalJSON(s.Config)
+		if err != nil {
 			return s, fmt.Errorf("config document: %w", err)
 		}
+		s.Config = canon
 	default:
 		return s, fmt.Errorf("unknown topology %q (want ai-processor, server-cpu or custom)", s.Topology)
 	}
@@ -222,11 +220,6 @@ type simSystem struct {
 	net        *noc.Network
 	enableMet  func(reg *metrics.Registry)
 	requesters []*traffic.Requester
-	// checkpointable is false when the system carries live state outside
-	// the snapshot codec (a fault injector): such a run can be canceled
-	// but never suspended-with-state — a suspend restarts it from cycle
-	// 0, which determinism makes equivalent.
-	checkpointable bool
 }
 
 // buildSimSystem constructs the spec's topology. Quick AI is exactly the
@@ -249,10 +242,9 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 			reqs = append(reqs, a.HostDMA)
 		}
 		return &simSystem{
-			net:            a.Net,
-			enableMet:      a.EnableMetrics,
-			requesters:     reqs,
-			checkpointable: true,
+			net:        a.Net,
+			enableMet:  a.EnableMetrics,
+			requesters: reqs,
 		}, nil
 	case "server-cpu":
 		cores := 32
@@ -273,10 +265,9 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 			}
 		})
 		return &simSystem{
-			net:            s.Net,
-			enableMet:      s.EnableMetrics,
-			requesters:     s.MemCores,
-			checkpointable: true,
+			net:        s.Net,
+			enableMet:  s.EnableMetrics,
+			requesters: s.MemCores,
 		}, nil
 	case "custom":
 		cfgSpec, err := config.Parse([]byte(spec.Config))
@@ -297,10 +288,9 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 			reqs = append(reqs, sys.Requesters[n])
 		}
 		return &simSystem{
-			net:            sys.Net,
-			enableMet:      sys.EnableMetrics,
-			requesters:     reqs,
-			checkpointable: sys.Injector == nil,
+			net:        sys.Net,
+			enableMet:  sys.EnableMetrics,
+			requesters: reqs,
 		}, nil
 	}
 	panic("experiments: buildSimSystem on unnormalized spec")
@@ -393,9 +383,6 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 		return nil, err
 	}
 	progress := &simProgress{latHash: sim.FNVOffset}
-	if resume != nil && !sys.checkpointable {
-		return nil, fmt.Errorf("this spec carries a fault schedule and cannot resume from a checkpoint")
-	}
 	if resume != nil {
 		extra, err := noc.DecodeCheckpoint(resume, sys.net)
 		if err != nil {
@@ -447,13 +434,6 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 			case CancelRun:
 				return nil, ErrCanceled
 			case SuspendRun:
-				if !sys.checkpointable {
-					// A fault-schedule run has injector state no snapshot
-					// captures. Suspending it means abandoning progress:
-					// the empty checkpoint restarts it from cycle 0, and
-					// determinism makes the rerun byte-identical.
-					return nil, &Interrupted{Cycle: 0, Checkpoint: nil}
-				}
 				data, err := checkpoint()
 				if err != nil {
 					return nil, err

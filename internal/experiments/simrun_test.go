@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -57,6 +59,50 @@ func TestSimRunSuspendResume(t *testing.T) {
 		if got.CSV() != want.CSV() {
 			t.Fatalf("%s: resumed CSV differs from uninterrupted:\nwant: %s\ngot:  %s", topo, want.CSV(), got.CSV())
 		}
+	}
+}
+
+// TestSimRunFaultScheduleSuspendResume: a spec with a fault schedule and a
+// checkpoint cadence is admitted, suspends with state (not back to cycle
+// 0) while its bridge is dead and again between the flit faults and the
+// repair, and resumes to the uninterrupted run's CSV.
+func TestSimRunFaultScheduleSuspendResume(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "config", "testdata", "diff-mesh-faults.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SimSpec{Topology: "custom", Cycles: 1500, Config: string(doc)}
+	want, err := RunSim(spec, nil, nil)
+	if err != nil {
+		t.Fatalf("uninterrupted: %v", err)
+	}
+	if want.Dropped == 0 {
+		t.Fatal("the fault schedule dropped nothing")
+	}
+	suspend := &SimControl{Interrupt: func() InterruptKind { return SuspendRun }}
+	var resume []byte
+	for _, leg := range []struct{ every, stopsAt uint64 }{{600, 600}, {400, 1000}} {
+		spec.CheckpointEvery = leg.every
+		if _, err := spec.Normalize(); err != nil {
+			t.Fatalf("fault schedule with checkpoint_every %d not admitted: %v", leg.every, err)
+		}
+		_, err := RunSim(spec, resume, suspend)
+		var intr *Interrupted
+		if !errors.As(err, &intr) {
+			t.Fatalf("expected *Interrupted, got %v", err)
+		}
+		if intr.Cycle != leg.stopsAt || len(intr.Checkpoint) == 0 {
+			t.Fatalf("suspended at cycle %d with a %d-byte checkpoint, want cycle %d with state",
+				intr.Cycle, len(intr.Checkpoint), leg.stopsAt)
+		}
+		resume = intr.Checkpoint
+	}
+	got, err := RunSim(spec, resume, nil)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got.CSV() != want.CSV() {
+		t.Fatalf("resumed CSV differs from uninterrupted:\nwant: %s\ngot:  %s", want.CSV(), got.CSV())
 	}
 }
 

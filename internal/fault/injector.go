@@ -119,6 +119,31 @@ func (inj *Injector) Tick(now sim.Cycle) {
 	}
 }
 
+// SnapState implements noc.StateSnapshotter. The schedule is build shape
+// — a checkpoint restores into an injector built from the same one — so
+// what travels is the cursor into it, the victim-selection RNG, the
+// repairs still owed and the counters. A loaded repair's node is checked
+// where it is used (Network.RepairBridge).
+func (inj *Injector) SnapState(s *noc.Snap) {
+	c := s.Codec
+	c.Match(len(inj.events), "fault event count")
+	sim.Int(c, &inj.next)
+	if inj.next < 0 || inj.next > len(inj.events) {
+		c.Fail("fault event cursor %d out of range (%d events)", inj.next, len(inj.events))
+	}
+	inj.rng.SnapState(c)
+	sim.Slice(c, &inj.repairs, len(inj.events))
+	for i := range inj.repairs {
+		r := &inj.repairs[i]
+		c.U64(&r.at)
+		sim.Int(c, &r.node)
+		sim.Int(c, &r.seq)
+	}
+	c.U64(&inj.FaultsApplied)
+	c.U64(&inj.FaultsSkipped)
+	c.U64(&inj.RepairsApplied)
+}
+
 // apply executes one due event.
 func (inj *Injector) apply(e *Event, seq int) {
 	switch e.Kind {

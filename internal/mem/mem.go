@@ -53,9 +53,9 @@ type Controller struct {
 	iface *noc.NodeInterface
 	cfg   Config
 
-	queue   []*chi.Message // accepted, waiting for a bandwidth grant
-	inSvc   []pendingReq   // granted, waiting for AccessCycles
-	replies []*noc.Flit    // ready to inject (retrying on backpressure)
+	queue   sim.FIFO[*chi.Message] // accepted, waiting for a bandwidth grant
+	inSvc   sim.FIFO[pendingReq]   // granted, waiting for AccessCycles
+	replies sim.FIFO[*noc.Flit]    // ready to inject (retrying on backpressure)
 	tokens  float64
 	// wrBeats counts write-burst beats received per transaction; the
 	// write enters the queue when its last beat lands. wrOpen holds the
@@ -101,7 +101,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 	// the CHI flow: the request gets a DBIDResp buffer grant, the data
 	// beats arrive as self-contained (possibly out-of-order) flits, and
 	// the write is serviced once its last beat lands.
-	for len(c.queue) < c.cfg.QueueDepth {
+	for c.queue.Len() < c.cfg.QueueDepth {
 		f := c.iface.Recv()
 		if f == nil {
 			break
@@ -115,7 +115,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 		case m.IsWrite():
 			c.wrOpen[k] = m
 			grant := &chi.Message{TxnID: m.TxnID, Op: chi.DBIDResp, Addr: m.Addr, Requester: m.Requester, Size: m.Size}
-			c.replies = append(c.replies, grant.NewFlit(c.net, c.Node(), m.Requester))
+			c.replies.Push(grant.NewFlit(c.net, c.Node(), m.Requester))
 		case m.Op == chi.NonCopyBackWrData:
 			req, open := c.wrOpen[k]
 			if !open {
@@ -134,14 +134,14 @@ func (c *Controller) Tick(now sim.Cycle) {
 			}
 			delete(c.wrBeats, k)
 			delete(c.wrOpen, k)
-			c.queue = append(c.queue, req)
+			c.queue.Push(req)
 		default:
-			c.queue = append(c.queue, m)
+			c.queue.Push(m)
 		}
 		// The message (retained above where needed) outlives its carrier.
 		c.net.ReleaseFlit(f)
 	}
-	if len(c.queue) == c.cfg.QueueDepth && c.iface.EjectLen() > 0 {
+	if c.queue.Len() == c.cfg.QueueDepth && c.iface.EjectLen() > 0 {
 		c.QueueFullDrops++
 	}
 	// 2. Bandwidth grants: every request moves a full line. The bucket's
@@ -149,26 +149,25 @@ func (c *Controller) Tick(now sim.Cycle) {
 	// transfer through a narrow channel would starve forever.
 	c.tokens += c.cfg.BytesPerCycle
 	max := c.cfg.BytesPerCycle * float64(c.cfg.QueueDepth)
-	if len(c.queue) > 0 {
-		if need := float64(c.queue[0].Bytes()); need > max {
+	if c.queue.Len() > 0 {
+		if need := float64(c.queue.Peek().Bytes()); need > max {
 			max = need
 		}
 	}
 	if c.tokens > max {
 		c.tokens = max
 	}
-	for len(c.queue) > 0 {
-		size := float64(c.queue[0].Bytes())
+	for c.queue.Len() > 0 {
+		size := float64(c.queue.Peek().Bytes())
 		if c.tokens < size {
 			break
 		}
 		c.tokens -= size
-		m := sim.PopFront(&c.queue)
-		c.inSvc = append(c.inSvc, pendingReq{m: m, ready: now + sim.Cycle(c.cfg.AccessCycles)})
+		c.inSvc.Push(pendingReq{m: c.queue.Pop(), ready: now + sim.Cycle(c.cfg.AccessCycles)})
 	}
 	// 3. Completions.
-	for len(c.inSvc) > 0 && c.inSvc[0].ready <= now {
-		req := sim.PopFront(&c.inSvc).m
+	for c.inSvc.Len() > 0 && c.inSvc.Peek().ready <= now {
+		req := c.inSvc.Pop().m
 		dst := req.Requester
 		if dst == c.Node() {
 			panic(fmt.Sprintf("mem: %s asked to reply to itself", c.name))
@@ -177,20 +176,18 @@ func (c *Controller) Tick(now sim.Cycle) {
 		if req.IsWrite() {
 			c.Writes++
 			rsp := &chi.Message{TxnID: req.TxnID, Op: chi.Comp, Addr: req.Addr, Requester: req.Requester, Size: req.Size}
-			c.replies = append(c.replies, rsp.NewFlit(c.net, c.Node(), dst))
+			c.replies.Push(rsp.NewFlit(c.net, c.Node(), dst))
 		} else {
 			c.Reads++
 			// One data flit per beat; each is independent on the wire.
 			for b := 0; b < req.Beats(); b++ {
 				rsp := &chi.Message{TxnID: req.TxnID, Op: chi.CompData, Addr: req.Addr, Requester: req.Requester, Size: req.Size}
-				c.replies = append(c.replies, rsp.NewFlit(c.net, c.Node(), dst))
+				c.replies.Push(rsp.NewFlit(c.net, c.Node(), dst))
 			}
 		}
 	}
 	// 4. Inject replies, retrying under NoC backpressure.
-	for len(c.replies) > 0 && c.iface.Send(c.replies[0]) {
-		sim.PopFront(&c.replies)
-	}
+	c.iface.SendAll(&c.replies)
 }
 
 // IdleUntil implements noc.IdleUntiler. The controller is idle when Tick
@@ -202,14 +199,14 @@ func (c *Controller) Tick(now sim.Cycle) {
 // requests in service it sleeps until the oldest completes (inSvc is in
 // ready order: grants are FIFO and the access time is one constant).
 func (c *Controller) IdleUntil(now sim.Cycle) sim.Cycle {
-	if len(c.queue)+len(c.replies) > 0 || c.iface.EjectLen() > 0 ||
+	if c.queue.Len()+c.replies.Len() > 0 || c.iface.EjectLen() > 0 ||
 		c.tokens != c.cfg.BytesPerCycle*float64(c.cfg.QueueDepth) {
 		return now
 	}
-	if len(c.inSvc) == 0 {
+	if c.inSvc.Len() == 0 {
 		return noc.Never
 	}
-	if r := c.inSvc[0].ready; r > now {
+	if r := c.inSvc.Peek().ready; r > now {
 		return r
 	}
 	return now
@@ -228,29 +225,14 @@ func (c *Controller) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter(p+".bytes_served", func() uint64 { return c.BytesServed })
 	reg.Counter(p+".queue_full_cycles", func() uint64 { return c.QueueFullDrops })
 	reg.Counter(p+".stray_write_beats", func() uint64 { return c.StrayWrData })
-	reg.Series(p+".queue", func() float64 { return float64(len(c.queue) + len(c.inSvc)) })
-	reg.Series(p+".reply_backlog", func() float64 { return float64(len(c.replies)) })
+	reg.Series(p+".queue", func() float64 { return float64(c.queue.Len() + c.inSvc.Len()) })
+	reg.Series(p+".reply_backlog", func() float64 { return float64(c.replies.Len()) })
 }
 
 // Pending returns requests inside the controller (queued or in service).
 func (c *Controller) Pending() int {
-	return len(c.queue) + len(c.inSvc) + len(c.replies)
-}
-
-// QueueState reports the controller's internal occupancy for diagnostics.
-func (c *Controller) QueueState() (queued, inService, replies int) {
-	return len(c.queue), len(c.inSvc), len(c.replies)
+	return c.queue.Len() + c.inSvc.Len() + c.replies.Len()
 }
 
 // Interface exposes the controller's NoC interface for probes.
 func (c *Controller) Interface() *noc.NodeInterface { return c.iface }
-
-// Interleave maps a line address across n controllers: the AI die's L2
-// and HBM interleaving (Section 3.2.2) that spreads sequential traffic
-// evenly over the NoC.
-func Interleave(addr uint64, n int) int {
-	if n <= 0 {
-		panic("mem: interleave over zero controllers")
-	}
-	return int((addr / chi.LineSize) % uint64(n))
-}

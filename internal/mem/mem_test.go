@@ -194,27 +194,6 @@ func TestHBMIsFasterThanDDR(t *testing.T) {
 	}
 }
 
-func TestInterleaveUniformity(t *testing.T) {
-	counts := make([]int, 6)
-	for addr := uint64(0); addr < 6*64*100; addr += 64 {
-		counts[Interleave(addr, 6)]++
-	}
-	for i, c := range counts {
-		if c != 100 {
-			t.Fatalf("controller %d got %d/100 sequential lines", i, c)
-		}
-	}
-}
-
-func TestInterleavePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Interleave(0x1000, 0)
-}
-
 func TestControllerPendingAccounting(t *testing.T) {
 	net, req, ctl := buildMemRig(t, DDR4Channel())
 	for i := 0; i < 8; i++ {

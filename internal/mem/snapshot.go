@@ -28,16 +28,13 @@ func (k *wrKey) snapState(c *sim.Codec) {
 // SnapState implements noc.StateSnapshotter.
 func (c *Controller) SnapState(s *noc.Snap) {
 	k := s.Codec
-	sim.Slice(k, &c.queue, c.cfg.QueueDepth)
-	for i := range c.queue {
-		chi.SnapMessage(s, &c.queue[i], "queued request")
-	}
-	sim.Slice(k, &c.inSvc, 1<<16)
-	for i := range c.inSvc {
-		p := &c.inSvc[i]
+	sim.WalkFIFO(k, &c.queue, c.cfg.QueueDepth, func(m **chi.Message) {
+		chi.SnapMessage(s, m, "queued request")
+	})
+	sim.WalkFIFO(k, &c.inSvc, 1<<16, func(p *pendingReq) {
 		chi.SnapMessage(s, &p.m, "in-service request")
 		sim.Uint(k, &p.ready)
-	}
+	})
 	s.Flits(&c.replies, 1<<20)
 	k.F64(&c.tokens)
 	sim.Map(k, &c.wrOpen, 1<<16, lessWrKey, func(key *wrKey, m **chi.Message) {

@@ -45,7 +45,7 @@ type l1half struct {
 	iface *NodeInterface
 	// escape holds flits pulled out of the eject queue during DRM; it
 	// drains ahead of the eject queue.
-	escape          []*Flit
+	escape          sim.FIFO[*Flit]
 	drm             bool
 	stalledCycles   int
 	blockedCycles   int // eject full while arrivals keep deflecting
@@ -123,9 +123,9 @@ func (b *RBRGL1) Tick(now sim.Cycle) {
 	for _, in := range b.halves {
 		for moved := 0; moved < b.cfg.ForwardPerCycle; moved++ {
 			var f *Flit
-			fromEscape := len(in.escape) > 0
+			fromEscape := in.escape.Len() > 0
 			if fromEscape {
-				f = in.escape[0]
+				f = in.escape.Peek()
 			} else {
 				f = in.iface.Peek()
 			}
@@ -138,7 +138,7 @@ func (b *RBRGL1) Tick(now sim.Cycle) {
 				// discard rather than wedge the whole forward pipeline
 				// behind an undeliverable head.
 				if fromEscape {
-					popFlit(&in.escape)
+					in.escape.Pop()
 				} else {
 					in.iface.Recv()
 				}
@@ -152,7 +152,7 @@ func (b *RBRGL1) Tick(now sim.Cycle) {
 			b.Forwarded++
 			b.net.Trace(trace.BridgeHop, f.ID, b.name, "")
 			if fromEscape {
-				popFlit(&in.escape)
+				in.escape.Pop()
 			} else {
 				in.iface.Recv()
 			}
@@ -176,7 +176,7 @@ func (b *RBRGL1) IdleUntil(now sim.Cycle) sim.Cycle {
 	}
 	for _, h := range b.halves {
 		ni := h.iface
-		if len(h.escape) > 0 || ni.eject.n+ni.inject.n+ni.bypass.n > 0 ||
+		if h.escape.Len()+ni.eject.Len()+ni.inject.Len()+ni.bypass.Len() > 0 ||
 			h.drm || h.stalledCycles != 0 || h.blockedCycles != 0 ||
 			h.lastInjectSeen != ni.Injected || h.lastDeflectSeen != ni.Deflected ||
 			ni.freeEjectEntries() <= 0 {
@@ -191,11 +191,9 @@ func (b *RBRGL1) IdleUntil(now sim.Cycle) sim.Cycle {
 // later repair starts clean.
 func (b *RBRGL1) dropBuffers() {
 	for _, h := range b.halves {
-		for _, f := range h.escape {
-			b.net.dropFlit(f, &b.net.FaultDrops, h.iface.station.ring, trace.Fault, b.name, "lost in dead bridge")
+		for h.escape.Len() > 0 {
+			b.net.dropFlit(h.escape.Pop(), &b.net.FaultDrops, h.iface.station.ring, trace.Fault, b.name, "lost in dead bridge")
 		}
-		clearFlits(h.escape)
-		h.escape = h.escape[:0]
 		h.drm = false
 		h.stalledCycles = 0
 		h.blockedCycles = 0
@@ -209,7 +207,7 @@ func (b *RBRGL1) dropBuffers() {
 func (b *RBRGL1) BufferedFlits() int {
 	total := 0
 	for _, h := range b.halves {
-		total += len(h.escape)
+		total += h.escape.Len()
 	}
 	return total
 }
@@ -249,13 +247,13 @@ func (b *RBRGL1) runDRM(h *l1half) {
 			return
 		}
 	}
-	if len(h.escape) < b.cfg.EscapeDepth {
+	if h.escape.Len() < b.cfg.EscapeDepth {
 		if f := ni.Recv(); f != nil {
-			h.escape = append(h.escape, f)
+			h.escape.Push(f)
 			b.SwapRescues++
 		}
 	}
-	if len(h.escape) == 0 && h.stalledCycles == 0 && h.blockedCycles == 0 {
+	if h.escape.Len() == 0 && h.stalledCycles == 0 && h.blockedCycles == 0 {
 		h.drm = false
 		b.net.Trace(trace.DRMExit, 0, b.name, "l1")
 	}
@@ -330,23 +328,6 @@ func DefaultRBRGL2Config() RBRGL2Config {
 	}
 }
 
-// popPipe removes the front link-pipeline entry by shifting in place,
-// preserving the backing array so the pipeline never reallocates.
-func popPipe(q *[]pipeFlit) {
-	s := *q
-	copy(s, s[1:])
-	s[len(s)-1] = pipeFlit{}
-	*q = s[: len(s)-1 : cap(s)]
-}
-
-// clearFlits nils every entry of a drained buffer so dead flits are not
-// pinned by the retained backing array.
-func clearFlits(q []*Flit) {
-	for i := range q {
-		q[i] = nil
-	}
-}
-
 // pipeFlit is a flit in flight on the die-to-die link. Escape flits
 // travel against the reserved escape-lane credit and land on the far
 // side's priority-inject lane, so the deadlock-resolution path never
@@ -367,16 +348,6 @@ type credPulse struct {
 	norm, esc int32
 }
 
-// popCred removes the front credit pulse by shifting in place, preserving
-// the backing array.
-func popCred(q *[]credPulse) credPulse {
-	s := *q
-	c := s[0]
-	copy(s, s[1:])
-	*q = s[: len(s)-1 : cap(s)]
-	return c
-}
-
 // l2half is one side of an inter-die bridge. Each half owns its own
 // buffers plus the link traffic committed towards it (pipe, credIn); what
 // it launches is appended to the far half's pipe and credIn, stamped with
@@ -384,12 +355,12 @@ func popCred(q *[]credPulse) credPulse {
 // consumes what the other has just put on the wire.
 type l2half struct {
 	iface *NodeInterface
-	tx    []*Flit
+	tx    sim.FIFO[*Flit]
 	// reserve is the escape buffer activated in deadlock-resolution
 	// mode; it drains ahead of tx.
-	reserve []*Flit
-	pipe    []pipeFlit // in flight towards THIS half
-	rx      []*Flit
+	reserve sim.FIFO[*Flit]
+	pipe    sim.FIFO[pipeFlit] // in flight towards THIS half
+	rx      sim.FIFO[*Flit]
 
 	// Launch windows (credit-based flow control). txCred covers the
 	// normal lane: sized to the far rx buffer plus the bandwidth-delay
@@ -397,7 +368,7 @@ type l2half struct {
 	// across the round trip. escCred covers the escape lane (the far
 	// bypass queue plus wire slack).
 	txCred, escCred int
-	credIn          []credPulse // credit returns in flight towards this half
+	credIn          sim.FIFO[credPulse] // credit returns in flight towards this half
 
 	// dead latches the one-time buffer purge after FailBridge kills the
 	// bridge; cleared on the first healthy tick.
@@ -458,9 +429,9 @@ func NewRBRGL2(net *Network, name string, cfg RBRGL2Config, a, b *CrossStation) 
 	br.half[1].iface = net.AttachQueued(br.node, b, cfg.InjectDepth, cfg.EjectDepth)
 	for side := 0; side < 2; side++ {
 		h := &br.half[side]
-		h.tx = make([]*Flit, 0, cfg.TxDepth)
-		h.rx = make([]*Flit, 0, cfg.RxDepth)
-		h.pipe = make([]pipeFlit, 0, cfg.txWindow()+cfg.escWindow())
+		h.tx = sim.NewFIFO[*Flit](cfg.TxDepth)
+		h.rx = sim.NewFIFO[*Flit](cfg.RxDepth)
+		h.pipe = sim.NewFIFO[pipeFlit](cfg.txWindow() + cfg.escWindow())
 		h.txCred = cfg.txWindow()
 		h.escCred = cfg.escWindow()
 	}
@@ -500,26 +471,18 @@ func (b *RBRGL2) dropBuffers() {
 	for side := 0; side < 2; side++ {
 		h := &b.half[side]
 		r := h.iface.station.ring
-		for _, f := range h.tx {
-			b.net.dropFlit(f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
+		for _, q := range []*sim.FIFO[*Flit]{&h.tx, &h.reserve} {
+			for q.Len() > 0 {
+				b.net.dropFlit(q.Pop(), &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
+			}
 		}
-		for _, f := range h.reserve {
-			b.net.dropFlit(f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
+		for h.pipe.Len() > 0 {
+			b.net.dropFlit(h.pipe.Pop().f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost on dead link")
 		}
-		for _, pf := range h.pipe {
-			b.net.dropFlit(pf.f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost on dead link")
+		for h.rx.Len() > 0 {
+			b.net.dropFlit(h.rx.Pop(), &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
 		}
-		for _, f := range h.rx {
-			b.net.dropFlit(f, &b.net.FaultDrops, r, trace.Fault, b.name, "lost in dead bridge")
-		}
-		clearFlits(h.tx)
-		clearFlits(h.reserve)
-		clearFlits(h.rx)
-		for i := range h.pipe {
-			h.pipe[i] = pipeFlit{}
-		}
-		h.tx, h.reserve, h.pipe, h.rx = h.tx[:0], h.reserve[:0], h.pipe[:0], h.rx[:0]
-		h.credIn = h.credIn[:0]
+		h.credIn.Clear()
 		h.txCred = b.cfg.txWindow()
 		h.escCred = b.cfg.escWindow()
 		h.drm = false
@@ -535,7 +498,7 @@ func (b *RBRGL2) BufferedFlits() int {
 	total := 0
 	for side := 0; side < 2; side++ {
 		h := &b.half[side]
-		total += len(h.tx) + len(h.reserve) + len(h.pipe) + len(h.rx)
+		total += h.tx.Len() + h.reserve.Len() + h.pipe.Len() + h.rx.Len()
 	}
 	return total
 }
@@ -571,15 +534,15 @@ func (b *RBRGL2) IdleUntil(now sim.Cycle) sim.Cycle {
 		h := &b.half[side]
 		ni := h.iface
 		if h.dead || h.drm || h.stalledCycles != 0 || h.lastInjectSeen != ni.Injected ||
-			len(h.tx)+len(h.reserve)+len(h.rx) > 0 ||
-			ni.eject.n+ni.inject.n+ni.bypass.n > 0 || ni.freeEjectEntries() <= 0 {
+			h.tx.Len()+h.reserve.Len()+h.rx.Len() > 0 ||
+			ni.eject.Len()+ni.inject.Len()+ni.bypass.Len() > 0 || ni.freeEjectEntries() <= 0 {
 			return now
 		}
-		if len(h.pipe) > 0 && h.pipe[0].arrives < w {
-			w = h.pipe[0].arrives
+		if h.pipe.Len() > 0 && h.pipe.Peek().arrives < w {
+			w = h.pipe.Peek().arrives
 		}
-		if len(h.credIn) > 0 && h.credIn[0].arrives < w {
-			w = h.credIn[0].arrives
+		if h.credIn.Len() > 0 && h.credIn.Peek().arrives < w {
+			w = h.credIn.Peek().arrives
 		}
 	}
 	if w < now {
@@ -594,62 +557,57 @@ func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
 	h, far := &b.half[side], &b.half[1-side]
 	h.dead = false
 	// 0. Credit pulses arriving this cycle restore the launch windows.
-	for len(h.credIn) > 0 && h.credIn[0].arrives <= now {
-		c := popCred(&h.credIn)
+	for h.credIn.Len() > 0 && h.credIn.Peek().arrives <= now {
+		c := h.credIn.Pop()
 		h.txCred += int(c.norm)
 		h.escCred += int(c.esc)
 	}
 	// 1. Link arrivals: normal flits land in this side's rx buffer;
 	//    escape flits land straight on this interface's priority lane,
 	//    returning their escape credit the moment they leave the wire.
-	for len(h.pipe) > 0 && h.pipe[0].arrives <= now {
-		pf := h.pipe[0]
+	for h.pipe.Len() > 0 && h.pipe.Peek().arrives <= now {
+		pf := h.pipe.Peek()
 		if pf.escape {
 			if !h.iface.SendPriority(pf.f) {
 				break // bypass full: retry next cycle
 			}
 			b.returnCredit(far, now, 0, 1)
 		} else {
-			if len(h.rx) >= b.cfg.RxDepth {
+			if h.rx.Len() >= b.cfg.RxDepth {
 				break
 			}
-			h.rx = append(h.rx, pf.f)
+			h.rx.Push(pf.f)
 		}
-		popPipe(&h.pipe)
+		h.pipe.Pop()
 		h.transferred++
 	}
 	// 2. Launch onto the link against the credit windows, escape lane
 	//    first.
 	lat := sim.Cycle(b.cfg.LinkLatency)
 	for launched := 0; launched < b.cfg.LinkWidth; launched++ {
-		if len(h.reserve) > 0 && h.escCred > 0 {
-			f := popFlit(&h.reserve)
-			far.pipe = append(far.pipe, pipeFlit{f: f, arrives: now + lat, escape: true})
+		if h.reserve.Len() > 0 && h.escCred > 0 {
+			far.pipe.Push(pipeFlit{f: h.reserve.Pop(), arrives: now + lat, escape: true})
 			h.escCred--
-		} else if len(h.tx) > 0 && h.txCred > 0 {
-			f := popFlit(&h.tx)
-			far.pipe = append(far.pipe, pipeFlit{f: f, arrives: now + lat})
+		} else if h.tx.Len() > 0 && h.txCred > 0 {
+			far.pipe.Push(pipeFlit{f: h.tx.Pop(), arrives: now + lat})
 			h.txCred--
 		} else {
 			break
 		}
 	}
 	// 3. Drain ring ejections into tx.
-	for len(h.tx) < b.cfg.TxDepth {
+	for h.tx.Len() < b.cfg.TxDepth {
 		f := h.iface.Recv()
 		if f == nil {
 			break
 		}
 		f.RingChanges++
-		h.tx = append(h.tx, f)
+		h.tx.Push(f)
 	}
 	// 4. Re-inject rx arrivals into the local ring; each freed entry
 	//    returns a normal-lane credit to the sender.
-	for len(h.rx) > 0 {
-		if !h.iface.Send(h.rx[0]) {
-			break
-		}
-		popFlit(&h.rx)
+	for h.rx.Len() > 0 && h.iface.Send(h.rx.Peek()) {
+		h.rx.Pop()
 		b.returnCredit(far, now, 1, 0)
 	}
 	// 5. Deadlock detection & SWAP resolution.
@@ -660,13 +618,13 @@ func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
 // after the wire trip. Same-cycle returns coalesce: only the opposite half
 // appends to to.credIn and its arrival stamp is unique per cycle.
 func (b *RBRGL2) returnCredit(to *l2half, now sim.Cycle, norm, esc int32) {
-	at := now + sim.Cycle(b.cfg.LinkLatency)
-	if k := len(to.credIn); k > 0 && to.credIn[k-1].arrives == at {
-		to.credIn[k-1].norm += norm
-		to.credIn[k-1].esc += esc
-		return
+	c := credPulse{arrives: now + sim.Cycle(b.cfg.LinkLatency), norm: norm, esc: esc}
+	if k := to.credIn.Len(); k > 0 && to.credIn.At(k-1).arrives == c.arrives {
+		last := to.credIn.PopTail()
+		c.norm += last.norm
+		c.esc += last.esc
 	}
-	to.credIn = append(to.credIn, credPulse{arrives: at, norm: norm, esc: esc})
+	to.credIn.Push(c)
 }
 
 // runDRM implements Section 4.4. A side is considered deadlocked when its
@@ -691,8 +649,8 @@ func (b *RBRGL2) runDRM(h *l2half) {
 	}
 	if !h.drm {
 		if h.stalledCycles >= b.cfg.DeadlockThreshold &&
-			ni.EjectLen() == ni.eject.cap()-len(ni.reserved) &&
-			len(h.tx) >= b.cfg.TxDepth {
+			ni.EjectLen() == ni.eject.Cap()-len(ni.reserved) &&
+			h.tx.Len() >= b.cfg.TxDepth {
 			h.drm = true
 			h.swapEntries++
 			b.net.Trace(trace.DRMEnter, 0, b.name, "l2")
@@ -703,16 +661,16 @@ func (b *RBRGL2) runDRM(h *l2half) {
 	}
 	// Resolution: move one eject-queue flit per cycle into the escape
 	// buffer while capacity lasts.
-	if len(h.reserve) < b.cfg.ReserveDepth {
+	if h.reserve.Len() < b.cfg.ReserveDepth {
 		if f := ni.Recv(); f != nil {
 			f.RingChanges++
-			h.reserve = append(h.reserve, f)
+			h.reserve.Push(f)
 			h.swapRescues++
 		}
 	}
 	// Recovery: escape buffer drained below threshold and injection
 	// moving again.
-	if len(h.reserve) == 0 && h.stalledCycles == 0 {
+	if h.reserve.Len() == 0 && h.stalledCycles == 0 {
 		h.drm = false
 		b.net.Trace(trace.DRMExit, 0, b.name, "l2")
 	}
@@ -728,7 +686,7 @@ func (b *RBRGL1) DebugState() string {
 		ni := h.iface
 		s += fmt.Sprintf(" if%d[ring=%d inj=%d ej=%d resv=%d want=%d esc=%d drm=%v stall=%d]",
 			i, ni.station.ring.id, ni.InjectLen(), ni.EjectLen(), len(ni.reserved),
-			len(ni.wantEject), len(h.escape), h.drm, h.stalledCycles)
+			ni.wantEject.Len(), h.escape.Len(), h.drm, h.stalledCycles)
 	}
 	return s
 }
@@ -740,9 +698,9 @@ func (b *RBRGL2) DebugState() string {
 		h := &b.half[side]
 		ni := h.iface
 		s += fmt.Sprintf(" s%d[tx=%d rsv=%d pipe=%d rx=%d cred=%d/%d inj=%d ej=%d resv=%d want=%d drm=%v stall=%d]",
-			side, len(h.tx), len(h.reserve), len(h.pipe), len(h.rx),
+			side, h.tx.Len(), h.reserve.Len(), h.pipe.Len(), h.rx.Len(),
 			h.txCred, h.escCred,
-			ni.InjectLen(), ni.EjectLen(), len(ni.reserved), len(ni.wantEject), h.drm, h.stalledCycles)
+			ni.InjectLen(), ni.EjectLen(), len(ni.reserved), ni.wantEject.Len(), h.drm, h.stalledCycles)
 	}
 	return s
 }

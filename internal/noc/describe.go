@@ -129,8 +129,8 @@ func (n *Network) Inventory() Inventory {
 					continue
 				}
 				inv.Interfaces++
-				inv.QueueEntries += ni.inject.cap() + ni.eject.cap()
-				inv.BypassEntries += ni.bypass.cap()
+				inv.QueueEntries += ni.inject.Cap() + ni.eject.Cap()
+				inv.BypassEntries += ni.bypass.Cap()
 			}
 		}
 	}

@@ -248,14 +248,14 @@ func (n *Network) watchdogSweep(now sim.Cycle) {
 				}
 				n.sweepQueue(r, ni, &ni.inject, expired, false)
 				n.sweepQueue(r, ni, &ni.bypass, expired, false)
-				before := ni.eject.len()
+				before := ni.eject.Len()
 				n.sweepQueue(r, ni, &ni.eject, expired, true)
-				if ni.eject.len() < before {
+				if ni.eject.Len() < before {
 					ni.promoteReservations()
 				}
 				// A drained-dry inject path must not leave an armed I-tag
 				// circulating reserved forever.
-				if ni.itagArmed && ni.inject.len() == 0 && ni.bypass.len() == 0 {
+				if ni.itagArmed && ni.inject.Len()+ni.bypass.Len() == 0 {
 					ni.itagArmed = false
 					ni.injectFails = 0
 					ni.releaseTags()
@@ -287,9 +287,9 @@ func (n *Network) sweepLoop(r *Ring, l *loop, expired func(*Flit) bool) {
 // popped and re-pushed exactly once, which restores the original FIFO
 // order after len(q) iterations. Flits dropped from the inject and bypass
 // queues leave the ring's queued count with them.
-func (n *Network) sweepQueue(r *Ring, ni *NodeInterface, q *flitRing, expired func(*Flit) bool, ejectQueue bool) {
-	for count := q.len(); count > 0; count-- {
-		f := q.pop()
+func (n *Network) sweepQueue(r *Ring, ni *NodeInterface, q *sim.FIFO[*Flit], expired func(*Flit) bool, ejectQueue bool) {
+	for count := q.Len(); count > 0; count-- {
+		f := q.Pop()
 		if expired(f) && !(ejectQueue && f.Dst == ni.node) {
 			n.dropFlit(f, &n.WatchdogDrops, r, trace.WatchdogDrop, n.nodes[ni.node].name, "aged out in queue")
 			if !ejectQueue {
@@ -297,7 +297,7 @@ func (n *Network) sweepQueue(r *Ring, ni *NodeInterface, q *flitRing, expired fu
 			}
 			continue
 		}
-		q.push(f)
+		q.Push(f)
 	}
 }
 
@@ -322,10 +322,10 @@ func (n *Network) dropInterfaceQueues(ni *NodeInterface) {
 	r := ni.station.ring
 	where := n.nodes[ni.node].name
 	ni.station.settleNow() // before the defeat count below is reset
-	r.queued -= ni.inject.len() + ni.bypass.len()
-	for _, q := range []*flitRing{&ni.inject, &ni.bypass, &ni.eject} {
-		for q.len() > 0 {
-			n.dropFlit(q.pop(), &n.FaultDrops, r, trace.Fault, where, "lost in dead bridge")
+	r.queued -= ni.inject.Len() + ni.bypass.Len()
+	for _, q := range []*sim.FIFO[*Flit]{&ni.inject, &ni.bypass, &ni.eject} {
+		for q.Len() > 0 {
+			n.dropFlit(q.Pop(), &n.FaultDrops, r, trace.Fault, where, "lost in dead bridge")
 		}
 	}
 	if ni.itagArmed {
@@ -346,10 +346,9 @@ func purgeTagState(r *Ring, id uint64) {
 			if ni == nil {
 				continue
 			}
-			for i, w := range ni.wantEject {
-				if w == id {
-					ni.wantEject = append(ni.wantEject[:i], ni.wantEject[i+1:]...)
-					break
+			for k := ni.wantEject.Len(); k > 0; k-- { // one turn of the queue, minus id
+				if w := ni.wantEject.Pop(); w != id {
+					ni.wantEject.Push(w)
 				}
 			}
 			ni.dropReservation(id)
@@ -405,11 +404,11 @@ func (n *Network) rerouteLiveFlits() {
 				if ni == nil {
 					continue
 				}
-				for i := 0; i < ni.inject.len(); i++ {
-					reroute(ni.inject.at(i), nil, nil, st.pos, true)
+				for i := 0; i < ni.inject.Len(); i++ {
+					reroute(ni.inject.At(i), nil, nil, st.pos, true)
 				}
-				for i := 0; i < ni.bypass.len(); i++ {
-					reroute(ni.bypass.at(i), nil, nil, st.pos, true)
+				for i := 0; i < ni.bypass.Len(); i++ {
+					reroute(ni.bypass.At(i), nil, nil, st.pos, true)
 				}
 				ni.refreshHead()
 			}
@@ -440,8 +439,8 @@ func (n *Network) AccountedFlits() uint64 {
 				if ni == nil {
 					continue
 				}
-				for i := 0; i < ni.eject.len(); i++ {
-					if ni.eject.at(i).Dst != ni.node {
+				for i := 0; i < ni.eject.Len(); i++ {
+					if ni.eject.At(i).Dst != ni.node {
 						total++
 					}
 				}

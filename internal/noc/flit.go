@@ -131,9 +131,6 @@ const HeaderBytes = 16
 // LineBytes is the payload of one cache-line data flit.
 const LineBytes = 64
 
-// WireBytes returns the total wire footprint of the flit.
-func (f *Flit) WireBytes() int { return HeaderBytes + f.PayloadBytes }
-
 // trace kind aliases keep the hot-path call sites terse.
 const (
 	traceInject  = trace.Inject

@@ -38,8 +38,8 @@ type system struct {
 	// extra is state the network's counters do not cover (the serving
 	// orchestrator's completion stream); may be nil.
 	extra func() string
-	// checkpoint is nil for systems that cannot checkpoint (a fault
-	// injector or the serving devices are attached).
+	// checkpoint is nil for systems that cannot checkpoint (the serving
+	// devices are attached).
 	checkpoint func() ([]byte, error)
 }
 
@@ -179,14 +179,12 @@ func aiSystem() system {
 	}
 }
 
-// faulted attaches a fault injector replaying sched to s, which rules its
-// checkpoint out (injectors do not checkpoint).
+// faulted attaches a fault injector replaying sched to s.
 func faulted(t *testing.T, s system, sched *fault.Schedule, seed uint64) system {
 	t.Helper()
 	if _, err := fault.NewInjector(s.net, sched, seed); err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
-	s.checkpoint = nil
 	return s
 }
 
@@ -326,17 +324,77 @@ func TestGateDiffConfigFabrics(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s := system{net: sys.Net, run: sys.Run, metrics: sys.EnableMetrics}
-					if sys.Injector == nil {
-						s.checkpoint = func() ([]byte, error) {
+					return system{
+						net: sys.Net, run: sys.Run, metrics: sys.EnableMetrics,
+						checkpoint: func() ([]byte, error) {
 							var b bytes.Buffer
 							err := sys.WriteCheckpoint(&b, nil)
 							return b.Bytes(), err
-						}
+						},
 					}
-					return s
 				})
 			})
+		}
+	}
+}
+
+// TestFaultRunResumes crosses checkpoint ↔ resume with fail ↔ repair: the
+// fault fabric (x00 killed at 400, a flit dropped at 700, one corrupted at
+// 900, x00 repaired at 1200) is checkpointed at cycle 600 — bridge dead,
+// drop, corruption and repair still owed — restored into a fresh build,
+// again at 800 (the victim RNG has drawn once) and at 1000, and must end
+// on the checkpoint bytes of the run nobody interrupted. Gated and forced
+// awake.
+func TestFaultRunResumes(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "config", "testdata", "diff-mesh-faults.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, awake := range []bool{false, true} {
+		build := func() *config.System {
+			spec, err := config.Parse(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if awake {
+				sys.Net.ForceAwake()
+			}
+			return sys
+		}
+		checkpoint := func(sys *config.System) []byte {
+			var b bytes.Buffer
+			if err := sys.WriteCheckpoint(&b, nil); err != nil {
+				t.Fatalf("awake=%v: checkpoint at cycle %d: %v", awake, sys.Net.Ticks(), err)
+			}
+			return b.Bytes()
+		}
+		ref := build()
+		ref.Run(1500)
+		want := checkpoint(ref)
+
+		sys := build()
+		for _, at := range []int{600, 800, 1000} {
+			sys.Run(at - int(sys.Net.Ticks()))
+			blob := checkpoint(sys)
+			sys = build()
+			if _, err := sys.ReadCheckpoint(bytes.NewReader(blob)); err != nil {
+				t.Fatalf("awake=%v: restore at cycle %d: %v", awake, at, err)
+			}
+			if at == 600 && (len(sys.Net.FailedBridges()) != 1 || sys.Injector.Pending() != 3) {
+				t.Fatalf("awake=%v: restored at 600 with %d failed bridges and %d events pending, want 1 and 3",
+					awake, len(sys.Net.FailedBridges()), sys.Injector.Pending())
+			}
+		}
+		sys.Run(1500 - int(sys.Net.Ticks()))
+		if err := sys.Net.CheckConservation(); err != nil {
+			t.Fatalf("awake=%v: %v", awake, err)
+		}
+		if got := checkpoint(sys); !bytes.Equal(got, want) {
+			t.Errorf("awake=%v: resumed fault run ended on different checkpoint bytes (%d vs %d)", awake, len(got), len(want))
 		}
 	}
 }

@@ -588,7 +588,7 @@ func TestSendFromDeliveryCallback(t *testing.T) {
 				if int(e.ni.station.ring.id) != taken/2%3 {
 					continue
 				}
-				if st := e.ni.station; parkedOnly(st) && e.ni.inject.n == 0 {
+				if st := e.ni.station; parkedOnly(st) && e.ni.inject.Len() == 0 {
 					if st.ring.id > at.ring.id || st.ring.id == at.ring.id && st.pos > at.pos {
 						wokeParked[1]++
 					} else {

@@ -57,9 +57,6 @@ func (r *Ring) itagSlots() int {
 	return n
 }
 
-// Occupancy returns the number of occupied slots across both loops.
-func (r *Ring) Occupancy() int { return r.occupancy() }
-
 // EnableMetrics attaches a metrics registry to the network and registers
 // the standard NoC probes on it. Call it once, after the topology is
 // fully constructed (all rings, bridges and devices exist), so every

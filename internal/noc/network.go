@@ -37,8 +37,7 @@ type nodeInfo struct {
 }
 
 // Network is a complete multi-ring NoC: rings, bridges, attached devices
-// and the inter-ring routing tables. It implements sim.Component; one
-// Tick is one NoC clock cycle.
+// and the inter-ring routing tables. One Tick is one NoC clock cycle.
 type Network struct {
 	name    string
 	rings   []*Ring
@@ -180,7 +179,7 @@ func NewNetwork(name string) *Network {
 	}
 }
 
-// Name implements sim.Component.
+// Name returns the name the network was built with.
 func (n *Network) Name() string { return n.name }
 
 // Now returns the network's current cycle.
@@ -619,7 +618,7 @@ func (n *Network) flitEjected(ni *NodeInterface, f *Flit, now sim.Cycle) {
 		// flit was appended to the eject queue by this very ejection, so
 		// it is the tail entry; remove it and count the drop instead of
 		// a delivery.
-		ni.eject.popTail()
+		ni.eject.PopTail()
 		n.dropFlit(f, &n.CorruptDrops, ni.station.ring, trace.Fault, n.nodes[ni.node].name, "corrupt payload discarded")
 		ni.promoteReservations()
 		return
@@ -641,7 +640,7 @@ func (n *Network) flitEjected(ni *NodeInterface, f *Flit, now sim.Cycle) {
 // conservation accounting.
 func (n *Network) InFlight() uint64 { return n.InjectedFlits - n.DeliveredFlits - n.DroppedFlits }
 
-// Tick implements sim.Component, one cycle on the calling goroutine:
+// Tick runs one cycle on the calling goroutine:
 // rings advance and stations work, then devices (including bridges and
 // generators) run — the gated ring and device loops of gate.go — then the
 // cycle tail.

@@ -520,7 +520,7 @@ func (r *Ring) countQueued() int {
 	for _, st := range r.stations {
 		for _, ni := range st.ifaces {
 			if ni != nil {
-				n += ni.inject.len() + ni.bypass.len()
+				n += ni.inject.Len() + ni.bypass.Len()
 			}
 		}
 	}

@@ -36,8 +36,9 @@ const (
 	snapRef = 2 // back-reference: pool index follows
 )
 
-// maxSnapName bounds device/network name strings in snapshots.
-const maxSnapName = 256
+// MaxNameBytes bounds the network and device names a snapshot carries,
+// saving and loading; a builder of untrusted specs holds names to it.
+const MaxNameBytes = 256
 
 // StateSnapshotter is implemented by devices that support checkpointing.
 // A network with any device that does not implement it cannot be
@@ -253,15 +254,14 @@ func (f *Flit) snapState(s *Snap) {
 	s.Msg(&f.Msg)
 }
 
-// Flits walks an ordered flit buffer of at most max entries, none nil.
-func (s *Snap) Flits(fs *[]*Flit, max int) {
-	sim.Slice(s.Codec, fs, max)
-	for i := range *fs {
-		s.Flit(&(*fs)[i])
-		if (*fs)[i] == nil {
-			s.Fail("nil flit in buffer entry %d", i)
+// Flits walks a flit queue of at most max entries, none nil.
+func (s *Snap) Flits(q *sim.FIFO[*Flit], max int) {
+	sim.WalkFIFO(s.Codec, q, max, func(fp **Flit) {
+		s.Flit(fp)
+		if *fp == nil {
+			s.Fail("nil flit in a buffer")
 		}
-	}
+	})
 }
 
 // TopoHash fingerprints the network's structure — rings, positions,
@@ -286,9 +286,9 @@ func (n *Network) TopoHash() uint64 {
 				}
 				e.PutBool(true)
 				e.PutI64(int64(ni.node))
-				e.PutU32(uint32(ni.inject.cap()))
-				e.PutU32(uint32(ni.eject.cap()))
-				e.PutU32(uint32(ni.bypass.cap()))
+				e.PutU32(uint32(ni.inject.Cap()))
+				e.PutU32(uint32(ni.eject.Cap()))
+				e.PutU32(uint32(ni.bypass.Cap()))
 			}
 		}
 	}
@@ -323,7 +323,7 @@ func (n *Network) SnapState(c *sim.Codec) error {
 	s := &n.snap
 	s.begin(c)
 	defer s.end()
-	c.MatchString(n.name, maxSnapName, "network name")
+	c.MatchString(n.name, MaxNameBytes, "network name")
 	c.Match(len(n.rings), "ring count")
 	c.Match(len(n.nodes), "node count")
 	c.Match(len(n.devices), "device count")
@@ -402,7 +402,7 @@ func (n *Network) SnapState(c *sim.Codec) error {
 	}
 
 	for _, dev := range n.devices {
-		c.MatchString(dev.Name(), maxSnapName, "device name")
+		c.MatchString(dev.Name(), MaxNameBytes, "device name")
 		ss, ok := dev.(StateSnapshotter)
 		if !ok {
 			return fmt.Errorf("noc: device %q (%T) does not support checkpointing", dev.Name(), dev)
@@ -531,47 +531,25 @@ func (st *CrossStation) snapState(s *Snap) {
 	}
 }
 
-// ref returns the address of the i-th entry in FIFO order (0 = head).
-func (q *flitRing) ref(i int) **Flit {
-	j := q.head + i
-	if j >= len(q.buf) {
-		j -= len(q.buf)
-	}
-	return &q.buf[j]
-}
-
 // snapState walks one node interface: the three queues, E-tag and I-tag
 // state, swap mode and per-interface counters.
 func (ni *NodeInterface) snapState(s *Snap) {
 	c := s.Codec
 	r := ni.station.ring
-	for _, q := range []*flitRing{&ni.inject, &ni.eject, &ni.bypass} {
-		c.Match(q.cap(), "queue capacity")
-		n := c.Len(q.len(), q.cap())
-		if c.Loading() {
-			clearFlits(q.buf)
-			q.head, q.n = 0, n
-		}
-		for i := 0; i < n; i++ {
-			fp := q.ref(i)
-			s.Flit(fp)
-			if *fp == nil {
-				c.Fail("nil flit in interface queue entry %d", i)
-			}
-			// Queued-for-injection flits carry routes computed at Send
-			// time; ejected flits' local fields are dead.
-			if q != &ni.eject {
-				r.checkExit(s, *fp, "queue entry", i)
-				if *fp != nil && (*fp).dir == CCW && !r.full {
-					c.Fail("queue entry %d flit wants the missing CCW loop", i)
-				}
+	for _, q := range []*sim.FIFO[*Flit]{&ni.inject, &ni.eject, &ni.bypass} {
+		c.Match(q.Cap(), "queue capacity")
+		s.Flits(q, q.Cap())
+		// Queued-for-injection flits carry routes computed at Send time;
+		// ejected flits' local fields are dead.
+		for i := 0; q != &ni.eject && i < q.Len(); i++ {
+			f := q.At(i)
+			r.checkExit(s, f, "queue entry", i)
+			if f != nil && f.dir == CCW && !r.full {
+				c.Fail("queue entry %d flit wants the missing CCW loop", i)
 			}
 		}
 	}
-	sim.Slice(c, &ni.wantEject, 1<<20)
-	for i := range ni.wantEject {
-		c.U64(&ni.wantEject[i])
-	}
+	sim.WalkFIFO(c, &ni.wantEject, 1<<20, func(id *uint64) { c.U64(id) })
 	sim.Slice(c, &ni.reserved, 1<<20)
 	for i := range ni.reserved {
 		c.U64(&ni.reserved[i])
@@ -655,25 +633,21 @@ func (b *RBRGL2) SnapState(s *Snap) {
 		s.Flits(&h.tx, b.cfg.TxDepth)
 		s.Flits(&h.reserve, 1<<16)
 		s.Flits(&h.rx, b.cfg.RxDepth)
-		sim.Slice(c, &h.pipe, window)
-		for i := range h.pipe {
-			p := &h.pipe[i]
+		sim.WalkFIFO(c, &h.pipe, window, func(p *pipeFlit) {
 			s.Flit(&p.f)
 			sim.Uint(c, &p.arrives)
 			c.Bool(&p.escape)
 			if p.f == nil {
-				c.Fail("nil flit in bridge pipe entry %d", i)
+				c.Fail("nil flit in the bridge pipe")
 			}
-		}
+		})
 		sim.Int(c, &h.txCred)
 		sim.Int(c, &h.escCred)
-		sim.Slice(c, &h.credIn, window)
-		for i := range h.credIn {
-			p := &h.credIn[i]
+		sim.WalkFIFO(c, &h.credIn, window, func(p *credPulse) {
 			sim.Uint(c, &p.arrives)
 			sim.Int(c, &p.norm)
 			sim.Int(c, &p.esc)
-		}
+		})
 		c.Bool(&h.drm)
 		sim.Int(c, &h.stalledCycles)
 		c.U64(&h.lastInjectSeen)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"chipletnoc/internal/sim"
@@ -10,18 +11,26 @@ import (
 // The test endpoints participate in checkpointing so whole-network
 // round-trips can be exercised inside this package.
 
+// snapFlitSlice walks an endpoint's plain slice of flits.
+func snapFlitSlice(sn *Snap, fs *[]*Flit) {
+	sim.Slice(sn.Codec, fs, 1<<16)
+	for i := range *fs {
+		sn.Flit(&(*fs)[i])
+	}
+}
+
 func (s *source) SnapState(sn *Snap) {
-	sn.Flits(&s.pending, 1<<16)
+	snapFlitSlice(sn, &s.pending)
 	if sn.Loading() {
 		s.release = make([]sim.Cycle, len(s.pending))
 	}
 	for i := range s.release {
 		sim.Uint(sn.Codec, &s.release[i])
 	}
-	sn.Flits(&s.got, 1<<16)
+	snapFlitSlice(sn, &s.got)
 }
 
-func (s *sink) SnapState(sn *Snap) { sn.Flits(&s.got, 1<<16) }
+func (s *sink) SnapState(sn *Snap) { snapFlitSlice(sn, &s.got) }
 
 // buildSnapNet builds the two-ring crossing with bulk bidirectional
 // traffic queued; identical calls build identical networks.
@@ -87,6 +96,26 @@ func equalDigest(x, y netDigest) bool {
 		}
 	}
 	return true
+}
+
+// TestCheckpointRefusesOverlongName: a network built in code, past any
+// spec check, with a name no load accepts must fail to checkpoint rather
+// than write a blob that can never be read back.
+func TestCheckpointRefusesOverlongName(t *testing.T) {
+	for _, tc := range []struct{ net, dev string }{
+		{strings.Repeat("n", MaxNameBytes+1), "a"},
+		{"snap", strings.Repeat("d", MaxNameBytes+1)},
+	} {
+		net := NewNetwork(tc.net)
+		ring := net.AddRing(8, true)
+		newSource(t, net, ring.AddStation(0), tc.dev)
+		newSource(t, net, ring.AddStation(4), "b")
+		net.MustFinalize()
+		runCycles(net, 10)
+		if _, err := EncodeCheckpoint(net, nil); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("network %.8q device %.8q: checkpoint error %v, want a name-limit refusal", tc.net, tc.dev, err)
+		}
+	}
 }
 
 // TestNetworkSnapshotResume proves the core invariant: snapshot a

@@ -28,78 +28,6 @@ const bypassDepth = 4
 // cycle"); we keep it configurable for the ablation bench.
 const ITagThreshold = 1
 
-// popFlit removes and returns the front of a flit queue by shifting in
-// place, keeping the backing array alive so fixed-capacity queues never
-// reallocate. The vacated tail is nilled so dead flits are not pinned.
-func popFlit(q *[]*Flit) *Flit {
-	s := *q
-	f := s[0]
-	copy(s, s[1:])
-	s[len(s)-1] = nil
-	*q = s[: len(s)-1 : cap(s)]
-	return f
-}
-
-// flitRing is a fixed-capacity circular flit queue: the backing array is
-// allocated once and pops move a head index instead of shifting
-// pointers, so the hot enqueue/dequeue path writes exactly one pointer
-// per operation (shifting a []*Flit costs a bulk GC write barrier per
-// pop, which profiles as a top-five cost at simulation rates).
-type flitRing struct {
-	buf  []*Flit
-	head int
-	n    int
-}
-
-func newFlitRing(capacity int) flitRing { return flitRing{buf: make([]*Flit, capacity)} }
-
-func (q *flitRing) len() int { return q.n }
-func (q *flitRing) cap() int { return len(q.buf) }
-
-// push appends at the tail; the caller has already checked capacity.
-func (q *flitRing) push(f *Flit) {
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = f
-	q.n++
-}
-
-// pop removes and returns the head; the caller has already checked len.
-func (q *flitRing) pop() *Flit {
-	f := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
-	return f
-}
-
-// popTail removes and returns the most recently pushed entry (used to
-// back out a just-completed ejection when fault injection corrupts it).
-func (q *flitRing) popTail() *Flit {
-	q.n--
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	f := q.buf[i]
-	q.buf[i] = nil
-	return f
-}
-
-// at returns the i-th entry in FIFO order (0 = head); i < len.
-func (q *flitRing) at(i int) *Flit {
-	j := q.head + i
-	if j >= len(q.buf) {
-		j -= len(q.buf)
-	}
-	return q.buf[j]
-}
-
 // NodeInterface connects one device to a cross station. It owns the
 // bounded Inject Queue and Eject Queue of Figure 7(A).
 type NodeInterface struct {
@@ -118,13 +46,13 @@ type NodeInterface struct {
 	wake    *sim.Cycle
 	unbound sim.Cycle
 
-	inject flitRing
-	eject  flitRing
+	inject sim.FIFO[*Flit]
+	eject  sim.FIFO[*Flit]
 	// bypass is the deadlock-escape injection lane: flits rescued by a
 	// bridge's SWAP machinery queue here and take priority over the
 	// normal inject queue, so the escape path has reserved resources end
 	// to end (Section 4.4's "reserved Tx buffers are activated").
-	bypass flitRing
+	bypass sim.FIFO[*Flit]
 
 	// E-tag state: IDs of deflected flits waiting for an eject
 	// reservation (FIFO order) and the currently reserved IDs, for which
@@ -132,7 +60,7 @@ type NodeInterface struct {
 	// (bounded by the eject pressure at one interface), so membership is
 	// a linear scan over a few words — cheaper and allocation-free
 	// compared to the map[uint64]struct{} they replace.
-	wantEject []uint64
+	wantEject sim.FIFO[uint64]
 	reserved  []uint64
 
 	// I-tag state: consecutive injection defeats of the head flit, and
@@ -181,13 +109,13 @@ func (ni *NodeInterface) Ring() *Ring { return ni.station.ring }
 func (ni *NodeInterface) key() int { return ni.station.pos*2 + ni.index }
 
 // InjectSpace returns how many more flits the inject queue accepts.
-func (ni *NodeInterface) InjectSpace() int { return ni.inject.cap() - ni.inject.len() }
+func (ni *NodeInterface) InjectSpace() int { return ni.inject.Cap() - ni.inject.Len() }
 
 // InjectLen returns the current inject-queue depth.
-func (ni *NodeInterface) InjectLen() int { return ni.inject.len() }
+func (ni *NodeInterface) InjectLen() int { return ni.inject.Len() }
 
 // EjectLen returns the current eject-queue depth.
-func (ni *NodeInterface) EjectLen() int { return ni.eject.len() }
+func (ni *NodeInterface) EjectLen() int { return ni.eject.Len() }
 
 // Send enqueues a flit for injection onto this interface's ring. It
 // returns false when the inject queue is full; the caller retries next
@@ -199,18 +127,27 @@ func (ni *NodeInterface) EjectLen() int { return ni.eject.len() }
 // false would make the sender spin retrying a flit no topology change
 // short of a repair can route.
 func (ni *NodeInterface) Send(f *Flit) bool {
-	if ni.inject.n >= len(ni.inject.buf) {
+	if ni.inject.Len() >= ni.inject.Cap() {
 		return false
 	}
 	if !ni.route(f) {
 		return true // unroutable: counted and dropped, nothing queued
 	}
-	ni.inject.push(f)
+	ni.inject.Push(f)
 	ni.station.ring.queued++
-	if ni.inject.n == 1 {
+	if ni.inject.Len() == 1 {
 		ni.refreshHead()
 	}
 	return true
+}
+
+// SendAll sends q's flits in order until q is empty or Send refuses one,
+// which stays at q's head for the next cycle: the way every device hands
+// the fabric a backlog.
+func (ni *NodeInterface) SendAll(q *sim.FIFO[*Flit]) {
+	for q.Len() > 0 && ni.Send(q.Peek()) {
+		q.Pop()
+	}
 }
 
 // SendPriority enqueues a flit on the escape lane, ahead of the normal
@@ -218,15 +155,15 @@ func (ni *NodeInterface) Send(f *Flit) bool {
 // the reserved escape-lane depth. Unroutable flits are swallowed and
 // counted as in Send.
 func (ni *NodeInterface) SendPriority(f *Flit) bool {
-	if ni.bypass.n >= len(ni.bypass.buf) {
+	if ni.bypass.Len() >= ni.bypass.Cap() {
 		return false
 	}
 	if !ni.route(f) {
 		return true
 	}
-	ni.bypass.push(f)
+	ni.bypass.Push(f)
 	ni.station.ring.queued++
-	if ni.bypass.n == 1 {
+	if ni.bypass.Len() == 1 {
 		ni.refreshHead()
 	}
 	return true
@@ -234,7 +171,7 @@ func (ni *NodeInterface) SendPriority(f *Flit) bool {
 
 // BypassSpace returns free escape-lane entries (the credit pool for
 // escape transfers towards this interface).
-func (ni *NodeInterface) BypassSpace() int { return ni.bypass.cap() - ni.bypass.len() }
+func (ni *NodeInterface) BypassSpace() int { return ni.bypass.Cap() - ni.bypass.Len() }
 
 // route validates and computes a flit's path on this interface's ring.
 // It returns false when the destination is unreachable: the flit has
@@ -275,25 +212,25 @@ func (ni *NodeInterface) Wake() { *ni.wake = 0 }
 // Recv dequeues the oldest ejected flit, or nil. Draining the eject queue
 // is what frees buffer entries for E-tag reservations.
 func (ni *NodeInterface) Recv() *Flit {
-	if ni.eject.n == 0 {
+	if ni.eject.Len() == 0 {
 		return nil
 	}
-	f := ni.eject.pop()
+	f := ni.eject.Pop()
 	ni.promoteReservations()
 	return f
 }
 
 // Peek returns the oldest ejected flit without removing it.
 func (ni *NodeInterface) Peek() *Flit {
-	if ni.eject.n == 0 {
+	if ni.eject.Len() == 0 {
 		return nil
 	}
-	return ni.eject.buf[ni.eject.head]
+	return ni.eject.Peek()
 }
 
 // freeEjectEntries is the number of unreserved free eject entries.
 func (ni *NodeInterface) freeEjectEntries() int {
-	return ni.eject.cap() - ni.eject.n - len(ni.reserved)
+	return ni.eject.Cap() - ni.eject.Len() - len(ni.reserved)
 }
 
 // promoteReservations converts freed eject capacity into reservations for
@@ -302,22 +239,9 @@ func (ni *NodeInterface) promoteReservations() {
 	if !ni.station.ring.net.ETagEnabled {
 		return
 	}
-	for len(ni.wantEject) > 0 && ni.freeEjectEntries() > 0 {
-		id := ni.wantEject[0]
-		copy(ni.wantEject, ni.wantEject[1:])
-		ni.wantEject = ni.wantEject[:len(ni.wantEject)-1]
-		ni.reserved = append(ni.reserved, id)
+	for ni.wantEject.Len() > 0 && ni.freeEjectEntries() > 0 {
+		ni.reserved = append(ni.reserved, ni.wantEject.Pop())
 	}
-}
-
-// hasReservation reports whether the flit ID holds an eject reservation.
-func (ni *NodeInterface) hasReservation(id uint64) bool {
-	for _, r := range ni.reserved {
-		if r == id {
-			return true
-		}
-	}
-	return false
 }
 
 // dropReservation removes the flit ID's eject reservation if present.
@@ -336,8 +260,8 @@ func (ni *NodeInterface) dropReservation(id uint64) bool {
 // wantsEject reports whether the flit ID is already registered for a
 // future reservation.
 func (ni *NodeInterface) wantsEject(id uint64) bool {
-	for _, w := range ni.wantEject {
-		if w == id {
+	for i := 0; i < ni.wantEject.Len(); i++ {
+		if ni.wantEject.At(i) == id {
 			return true
 		}
 	}
@@ -350,7 +274,7 @@ func (ni *NodeInterface) wantsEject(id uint64) bool {
 // reservation and the caller deflects it.
 func (ni *NodeInterface) tryEject(f *Flit) bool {
 	if ni.dropReservation(f.ID) || ni.freeEjectEntries() > 0 {
-		ni.eject.push(f)
+		ni.eject.Push(f)
 		ni.EjectedFlits++
 		ni.EjectedPayload += uint64(f.PayloadBytes)
 		// Ring ticks precede device ticks, so the owner runs this cycle.
@@ -358,7 +282,7 @@ func (ni *NodeInterface) tryEject(f *Flit) bool {
 		return true
 	}
 	if !ni.wantsEject(f.ID) {
-		ni.wantEject = append(ni.wantEject, f.ID)
+		ni.wantEject.Push(f.ID)
 	}
 	return false
 }
@@ -366,13 +290,13 @@ func (ni *NodeInterface) tryEject(f *Flit) bool {
 // head returns the next flit to inject: escape-lane flits first, then
 // the normal inject queue.
 func (ni *NodeInterface) head() *Flit {
-	if ni.bypass.n > 0 {
-		return ni.bypass.buf[ni.bypass.head]
+	if ni.bypass.Len() > 0 {
+		return ni.bypass.Peek()
 	}
-	if ni.inject.n == 0 {
+	if ni.inject.Len() == 0 {
 		return nil
 	}
-	return ni.inject.buf[ni.inject.head]
+	return ni.inject.Peek()
 }
 
 // Head-summary codes (CrossStation.want): what an interface's head flit
@@ -418,10 +342,10 @@ func (ni *NodeInterface) refreshHead() {
 // transfer.
 func (ni *NodeInterface) popHead() {
 	ni.station.ring.queued--
-	if ni.bypass.n > 0 {
-		ni.bypass.pop()
+	if ni.bypass.Len() > 0 {
+		ni.bypass.Pop()
 	} else {
-		ni.inject.pop()
+		ni.inject.Pop()
 		ni.injectFails = 0
 	}
 	ni.refreshHead()
@@ -568,9 +492,8 @@ func (st *CrossStation) Pos() int { return st.pos }
 func (st *CrossStation) Interface(i int) *NodeInterface { return st.ifaces[i] }
 
 // attach connects a device to the first free interface; stations carry at
-// most two devices (Figure 7(A)). The queues get their full backing
-// storage up front: combined with shift-in-place pops they never
-// reallocate for the life of the simulation.
+// most two devices (Figure 7(A)). The queues get their full storage up
+// front and Send checks depth first, so they never reallocate.
 func (st *CrossStation) attach(node NodeID, injectDepth, ejectDepth int) *NodeInterface {
 	for i := range st.ifaces {
 		if st.ifaces[i] == nil {
@@ -578,9 +501,9 @@ func (st *CrossStation) attach(node NodeID, injectDepth, ejectDepth int) *NodeIn
 				node:    node,
 				station: st,
 				index:   i,
-				inject:  newFlitRing(injectDepth),
-				eject:   newFlitRing(ejectDepth),
-				bypass:  newFlitRing(bypassDepth),
+				inject:  sim.NewFIFO[*Flit](injectDepth),
+				eject:   sim.NewFIFO[*Flit](ejectDepth),
+				bypass:  sim.NewFIFO[*Flit](bypassDepth),
 			}
 			ni.wake = &ni.unbound
 			st.ifaces[i] = ni

@@ -458,5 +458,3 @@ func TestHeadSummaryTracksHeads(t *testing.T) {
 	runCycles(net, 200)
 	recount(net, "running on")
 }
-
-var _ sim.Component = (*Network)(nil)

@@ -89,7 +89,7 @@ func (n *Network) throttleSkip(ni *NodeInterface) bool {
 	if t == nil || !t.congested {
 		return false
 	}
-	if ni.bypass.n > 0 {
+	if ni.bypass.Len() > 0 {
 		return false
 	}
 	t.opportunitySeq++

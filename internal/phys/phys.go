@@ -74,9 +74,6 @@ func (s FabricSpec) PositionsForSpan(spanUm float64) int {
 	return int(math.Ceil(spanUm / s.JumpUm))
 }
 
-// DistancePerCycleUm returns the co-design metric directly.
-func (s FabricSpec) DistancePerCycleUm() float64 { return s.JumpUm }
-
 // WireAreaMm2 estimates the metal footprint of a loop of the given length
 // and flit width. Bus tracks scale with pitch and flit bits; the
 // high-dense fabric's footprint is "dead" area (nothing beneath it) while

@@ -37,9 +37,9 @@ type Engine struct {
 
 	tracker  *chi.Tracker
 	inflight map[uint32]*command
-	sendq    []*noc.Flit
-	queue    []*command // issued by the orchestrator, FIFO
-	done     []*command // finished transfers, drained by the orchestrator
+	sendq    sim.FIFO[*noc.Flit]
+	queue    sim.FIFO[*command] // issued by the orchestrator
+	done     []*command         // finished transfers, drained by the orchestrator
 	addrSeq  uint64
 
 	// Counters, exposed as metrics.
@@ -78,9 +78,9 @@ func (e *Engine) Node() noc.NodeID { return e.iface.Node() }
 // through the fabric, so the engine is woken by hand.
 func (e *Engine) enqueue(c *command) {
 	e.iface.Wake()
-	e.queue = append(e.queue, c)
-	if len(e.queue) > e.PeakQueue {
-		e.PeakQueue = len(e.queue)
+	e.queue.Push(c)
+	if e.queue.Len() > e.PeakQueue {
+		e.PeakQueue = e.queue.Len()
 	}
 }
 
@@ -118,21 +118,19 @@ func (e *Engine) Tick(now sim.Cycle) {
 			dst := f.Src
 			for b := 0; b < req.Beats(); b++ {
 				d := &chi.Message{TxnID: req.TxnID, Op: chi.NonCopyBackWrData, Addr: req.Addr, Requester: e.Node(), Size: req.Size}
-				e.sendq = append(e.sendq, d.NewFlit(e.net, e.Node(), dst))
+				e.sendq.Push(d.NewFlit(e.net, e.Node(), dst))
 			}
 		case chi.Comp:
 			e.finish(m.TxnID)
 		}
 		e.net.ReleaseFlit(f)
 	}
-	for len(e.sendq) > 0 && e.iface.Send(e.sendq[0]) {
-		sim.PopFront(&e.sendq)
-	}
+	e.iface.SendAll(&e.sendq)
 	for i := 0; i < engineIssueWidth; i++ {
-		if len(e.queue) == 0 || len(e.sendq) > 0 || e.tracker.Full() {
+		if e.queue.Len() == 0 || e.sendq.Len() > 0 || e.tracker.Full() {
 			return
 		}
-		c := e.queue[0]
+		c := e.queue.Peek()
 		op := chi.ReadNoSnp
 		if c.write {
 			op = chi.WriteNoSnp
@@ -143,17 +141,15 @@ func (e *Engine) Tick(now sim.Cycle) {
 		if !e.tracker.Open(m) {
 			return
 		}
-		sim.PopFront(&e.queue)
+		e.queue.Pop()
 		if !c.write {
 			m.BeatsLeft = m.Beats()
 		}
 		m.IssuedAt = uint64(now)
 		e.inflight[m.TxnID] = c
 		e.Issued++
-		e.sendq = append(e.sendq, m.NewFlit(e.net, e.Node(), e.memNodes[c.target]))
-		for len(e.sendq) > 0 && e.iface.Send(e.sendq[0]) {
-			sim.PopFront(&e.sendq)
-		}
+		e.sendq.Push(m.NewFlit(e.net, e.Node(), e.memNodes[c.target]))
+		e.iface.SendAll(&e.sendq)
 	}
 }
 
@@ -163,7 +159,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 // (only a completion, which arrives as an ejection, frees a slot). It
 // then sleeps until an ejection or enqueue wakes it.
 func (e *Engine) IdleUntil(now sim.Cycle) sim.Cycle {
-	if e.iface.EjectLen() > 0 || len(e.sendq) > 0 || (len(e.queue) > 0 && !e.tracker.Full()) {
+	if e.iface.EjectLen() > 0 || e.sendq.Len() > 0 || (e.queue.Len() > 0 && !e.tracker.Full()) {
 		return now
 	}
 	return noc.Never
@@ -179,6 +175,6 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter(p+".issued", func() uint64 { return e.Issued })
 	reg.Counter(p+".completed", func() uint64 { return e.Completed })
 	reg.Counter(p+".bytes_moved", func() uint64 { return e.BytesMoved })
-	reg.Series(p+".queue_depth", func() float64 { return float64(len(e.queue)) })
+	reg.Series(p+".queue_depth", func() float64 { return float64(e.queue.Len()) })
 	reg.Series(p+".outstanding", func() float64 { return float64(e.tracker.Outstanding()) })
 }

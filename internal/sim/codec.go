@@ -222,9 +222,12 @@ func (c *Codec) MatchBool(v bool, what string) {
 	}
 }
 
-// MatchString is Match for a name of at most max bytes.
+// MatchString is Match for a name of at most max bytes; a longer one
+// fails the save too, or it would write a snapshot no load accepts.
 func (c *Codec) MatchString(v string, max int, what string) {
-	if c.d == nil {
+	if len(v) > max {
+		c.Fail("%s of %d bytes exceeds the limit of %d", what, len(v), max)
+	} else if c.d == nil {
 		c.e.PutString(v)
 	} else if got := c.d.String(max); got != v {
 		c.Fail("%s %q does not match %q", what, got, v)

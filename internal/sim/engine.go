@@ -1,6 +1,6 @@
 // Package sim holds the deterministic building blocks every simulated
-// subsystem shares: the cycle type and per-cycle Component contract, the
-// seeded RNG streams, the snapshot codec and the FNV digest folds. The
+// subsystem shares: the cycle type, the one queue (FIFO), the seeded RNG
+// streams, the snapshot codec and the FNV digest folds. The
 // tick loop itself is noc.Network — it owns the rings and the devices
 // attached to them and steps them in a fixed order, so the same seed and
 // the same construction order always yield the same cycle-by-cycle
@@ -9,13 +9,3 @@ package sim
 
 // Cycle is a point in simulated time, measured in NoC clock cycles.
 type Cycle uint64
-
-// Component is a piece of simulated hardware: Tick advances it by exactly
-// one simulated cycle.
-type Component interface {
-	// Name returns a stable human-readable identifier used in traces,
-	// error messages and statistics.
-	Name() string
-	// Tick advances the component by one clock cycle.
-	Tick(now Cycle)
-}

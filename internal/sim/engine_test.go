@@ -92,45 +92,3 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		t.Fatalf("permutation misses values: %v", p)
 	}
 }
-
-func TestZipfSkew(t *testing.T) {
-	r := NewRNG(13)
-	z := NewZipf(r, 1000, 0.99)
-	counts := make([]int, 1000)
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := z.Next()
-		if v < 0 || v >= 1000 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	// Rank 0 must dominate and the head must carry a large share.
-	if counts[0] <= counts[1] {
-		t.Fatalf("rank0=%d rank1=%d; want strictly decreasing head", counts[0], counts[1])
-	}
-	head := 0
-	for i := 0; i < 100; i++ {
-		head += counts[i]
-	}
-	if share := float64(head) / n; share < 0.5 {
-		t.Fatalf("top-10%% share = %v, want Zipfian concentration > 0.5", share)
-	}
-}
-
-func TestZipfPanicsOnBadArgs(t *testing.T) {
-	r := NewRNG(1)
-	for _, tc := range []struct {
-		n     int
-		theta float64
-	}{{0, 0.5}, {10, 0}, {10, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewZipf(%d,%v) did not panic", tc.n, tc.theta)
-				}
-			}()
-			NewZipf(r, tc.n, tc.theta)
-		}()
-	}
-}

@@ -65,64 +65,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Zipf draws from a Zipfian distribution over [0, n) with exponent s>0
-// using rejection-free inverse-CDF on a precomputed table is overkill for
-// our generator sizes, so we use the classic two-step approximation from
-// Gray et al. (used widely in YCSB-style generators).
-type Zipf struct {
-	rng   *RNG
-	n     int
-	alpha float64
-	zetan float64
-	eta   float64
-	theta float64
-}
-
-// NewZipf builds a Zipfian sampler over [0, n) with skew theta in (0,1);
-// theta near 1 is highly skewed. Server workloads in the paper follow a
-// Zipfian object popularity, which this feeds.
-func NewZipf(rng *RNG, n int, theta float64) *Zipf {
-	if n <= 0 {
-		panic("sim: Zipf with non-positive n")
-	}
-	if theta <= 0 || theta >= 1 {
-		panic("sim: Zipf theta must be in (0,1)")
-	}
-	z := &Zipf{rng: rng, n: n, theta: theta}
-	z.zetan = zeta(n, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - pow(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
-	return z
-}
-
-func zeta(n int, theta float64) float64 {
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1.0 / pow(float64(i), theta)
-	}
-	return sum
-}
-
-// pow is a minimal x**y for positive x using exp/log from the bit tricks
-// in the stdlib; we simply defer to repeated multiplication via math — but
-// to stay stdlib-only (math is stdlib) this indirection is unnecessary.
-// Kept as a tiny helper so callers read naturally.
-func pow(x, y float64) float64 { return mathPow(x, y) }
-
-// Next draws the next Zipfian sample in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	uz := u * z.zetan
-	if uz < 1.0 {
-		return 0
-	}
-	if uz < 1.0+pow(0.5, z.theta) {
-		return 1
-	}
-	v := int(float64(z.n) * pow(z.eta*u-z.eta+1, z.alpha))
-	if v >= z.n {
-		v = z.n - 1
-	}
-	return v
-}

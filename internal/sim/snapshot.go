@@ -392,7 +392,3 @@ func ReadSnapshotHeader(d *Decoder) (SnapshotHeader, error) {
 
 // SnapState walks the RNG's internal state for checkpointing.
 func (r *RNG) SnapState(c *Codec) { c.U64(&r.state) }
-
-// SnapState walks the sampler's generator for checkpointing (the zeta
-// tables are pure functions of n and theta, rebuilt at construction).
-func (z *Zipf) SnapState(c *Codec) { z.rng.SnapState(c) }

@@ -99,9 +99,6 @@ func DefaultAIConfig() AIConfig {
 // TotalCores returns the AI-core count.
 func (c AIConfig) TotalCores() int { return c.VRings * c.CoresPerVRing }
 
-// TotalL2 returns the L2 slice count.
-func (c AIConfig) TotalL2() int { return c.HRings * c.L2PerHRing }
-
 // AIProcessor is the built AI die (plus its IO die).
 type AIProcessor struct {
 	Cfg AIConfig

@@ -8,7 +8,6 @@ package soc
 import (
 	"fmt"
 
-	"chipletnoc/internal/cache"
 	"chipletnoc/internal/coherence"
 	"chipletnoc/internal/mem"
 	"chipletnoc/internal/noc"
@@ -123,7 +122,7 @@ type ServerCPU struct {
 	Slices []*coherence.DataSlice
 	DDRs   []*mem.Controller
 	IO     []*mem.Controller // PCIe/Ethernet endpoints on the IO dies
-	Homes  cache.HomeMap
+	Homes  coherence.HomeMap
 
 	// DieOfCore[i] is the compute die of core i.
 	DieOfCore []int
@@ -270,7 +269,7 @@ func BuildServerCPU(cfg ServerConfig, kind CoreKind, memCoreCfg func(core int, s
 	}
 
 	// --- populate core sockets ---
-	s.Homes = cache.NewHomeMap(len(s.Dirs))
+	s.Homes = coherence.NewHomeMap(len(s.Dirs))
 	homeOf := func(addr uint64) noc.NodeID {
 		return s.Dirs[s.Homes.HomeOf(addr)].Node()
 	}
@@ -294,15 +293,6 @@ func BuildServerCPU(cfg ServerConfig, kind CoreKind, memCoreCfg func(core int, s
 
 	net.MustFinalize()
 	return s
-}
-
-// DDRNodesOfDie returns the DDR controller nodes on one compute die.
-func (s *ServerCPU) DDRNodesOfDie(die int) []noc.NodeID {
-	out := make([]noc.NodeID, 0, s.Cfg.DDRPerDie)
-	for i := die * s.Cfg.DDRPerDie; i < (die+1)*s.Cfg.DDRPerDie; i++ {
-		out = append(out, s.DDRs[i].Node())
-	}
-	return out
 }
 
 // AllDDRNodes returns every DDR controller node in the package.

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"chipletnoc/internal/chi"
+	"chipletnoc/internal/fault"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/traffic"
@@ -58,7 +60,13 @@ var notSerialized = map[string]map[string]string{
 		"want":      "derived: head summary, recomputed on load",
 		"lastVisit": "derived: the defeats it stands for are settled into injectFails/starved before a save; set to the loaded tick on load",
 	},
-	"noc.flitRing": {"head": "entries travel in FIFO order and load at head 0"},
+	// Every queue of the fabric, whatever it holds (typeName drops the
+	// type argument). What a walk writes is the length and the live
+	// entries; a field that is a FIFO is perturbed through its length.
+	"sim.FIFO": {
+		"head": "entries travel in FIFO order and load at head 0",
+		"buf":  "storage: the live entries travel in FIFO order, the rest are zero; a fixed capacity is matched as build shape",
+	},
 	"noc.NodeInterface": {
 		"node": "wiring", "station": "wiring", "index": "wiring", "nodeSlot": "wiring",
 		"wake": "derived: wake word", "unbound": "derived: wake word before binding",
@@ -81,22 +89,15 @@ var notSerialized = map[string]map[string]string{
 	"mem.pendingReq":    {},
 	"traffic.Requester": {"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config"},
 	"traffic.SeqStream": {"stride": "config", "wrap": "config", "base": "config"},
-	"traffic.RandStream": {
-		"base": "config", "lines": "config",
-	},
-	"traffic.ZipfStream": {"base": "config"},
-	"sim.RNG":            {},
-	"sim.Zipf": {
-		"n": "config", "alpha": "derived from n and theta", "zetan": "derived from n and theta",
-		"eta": "derived from n and theta", "theta": "config",
-	},
-	"stats.Histogram": {},
+	"sim.RNG":           {},
+	"stats.Histogram":   {},
 	"coherence.Directory": {
 		"name": "wiring", "net": "wiring", "iface": "wiring", "LookupCycles": "config",
 		"dataSlice": "wiring", "memory": "wiring",
 	},
 	"coherence.line": {},
 	"coherence.job":  {},
+	"coherence.pump": {},
 	"coherence.DataSlice": {
 		"name": "wiring", "net": "wiring", "iface": "wiring", "AccessCycles": "config",
 	},
@@ -104,6 +105,17 @@ var notSerialized = map[string]map[string]string{
 		"name": "wiring", "net": "wiring", "iface": "wiring", "SnoopCycles": "config",
 		"homeOf": "wiring", "OnComplete": "hook",
 	},
+	"fault.Injector": {
+		"name": "wiring", "net": "wiring", "events": "build shape: the schedule, count matched",
+	},
+	"fault.repair": {},
+}
+
+// typeName is the notSerialized key of t: its printed name without the
+// type arguments, so the one generic queue has one entry.
+func typeName(t reflect.Type) string {
+	name, _, _ := strings.Cut(t.String(), "[")
+	return name
 }
 
 // walkedSystems are the builds whose live state the test perturbs, each
@@ -120,31 +132,30 @@ var walkedSystems = []struct {
 	{30, func() (*noc.Network, func(int)) { s := goldenServerBuild(); return s.Net, s.Run }},
 	// AI die: RBRG-L1 crossings under deflection-heavy traffic.
 	{1100, func() (*noc.Network, func(int)) { a := goldenAIBuild(); return a.Net, a.Run }},
-	// Four dies of memory cores with every stream kind, retry timers,
-	// the throttle and the watchdog armed: requesters, controllers with
-	// open write bursts, RBRG-L2 halves with flits and credits in flight.
+	// Four dies of memory cores with retry timers, the throttle and the
+	// watchdog armed, and a fault injector between a bridge kill and its
+	// repair: requesters, controllers with open write bursts, RBRG-L2
+	// halves with flits and credits in flight.
 	{1500, func() (*noc.Network, func(int)) {
 		cfg := DefaultServerConfig()
 		cfg.Packages, cfg.ClustersPerDie = 2, 2
 		s := BuildServerCPU(cfg, MemoryCores, func(core int, s *ServerCPU) traffic.RequesterConfig {
 			const line = 64
-			rng := sim.NewRNG(uint64(core) + 1)
-			var stream traffic.AddressStream = traffic.NewSeqStream(uint64(core)<<28, line, 1<<22)
-			switch core % 3 {
-			case 1:
-				stream = traffic.NewRandStream(rng, uint64(core)<<28, 1<<12)
-			case 2:
-				stream = traffic.NewZipfStream(rng, uint64(core)<<28, 1<<12, 0.9)
-			}
 			return traffic.RequesterConfig{
 				Outstanding: 8, Rate: 1, ReadFraction: 0.5, LineBytes: line,
-				Stream:   stream,
+				Stream:   traffic.NewSeqStream(uint64(core)<<28, line, 1<<22),
 				TargetOf: traffic.InterleavedTargetsBy(s.AllDDRNodes(), line),
 				Retry:    chi.RetryConfig{TimeoutCycles: 4000, MaxRetries: 4},
 			}
 		})
 		s.Net.SetThrottle(noc.DefaultThrottleConfig())
 		s.Net.SetWatchdog(5000, 0)
+		if _, err := fault.NewInjector(s.Net, &fault.Schedule{Events: []fault.Event{
+			{At: 1000, Kind: fault.KillBridge, Bridge: s.Net.BridgeNames()[0], RepairAt: 2000},
+			{At: 1800, Kind: fault.DropFlit},
+		}}, 7); err != nil {
+			panic(err)
+		}
 		return s.Net, s.Run
 	}},
 }
@@ -179,8 +190,16 @@ func collect(v reflect.Value, seen map[visit]bool, out map[string][]reflect.Valu
 			collect(v.Elem(), seen, out)
 		}
 	case reflect.Struct:
-		if _, ok := notSerialized[v.Type().String()]; ok && v.CanAddr() {
-			out[v.Type().String()] = append(out[v.Type().String()], v)
+		name := typeName(v.Type())
+		if _, ok := notSerialized[name]; ok && v.CanAddr() {
+			out[name] = append(out[name], v)
+		}
+		if name == "sim.FIFO" { // only the live entries are state
+			buf, head := v.FieldByName("buf"), int(v.FieldByName("head").Int())
+			for i := 0; i < int(v.FieldByName("n").Int()); i++ {
+				collect(buf.Index((head+i)%buf.Len()), seen, out)
+			}
+			return
 		}
 		for i := 0; i < v.NumField(); i++ {
 			collect(v.Field(i), seen, out)
@@ -273,7 +292,7 @@ func perturbations(v reflect.Value) []func() (undo func()) {
 	case reflect.Array:
 		return first(v.Index(0))
 	case reflect.Struct:
-		skip := notSerialized[v.Type().String()]
+		skip := notSerialized[typeName(v.Type())]
 		for i := 0; i < v.NumField(); i++ {
 			if _, skipped := skip[v.Type().Field(i).Name]; !skipped {
 				return perturbations(v.Field(i))

@@ -116,7 +116,7 @@ func TestIdleUntilHonest(t *testing.T) {
 // has no snapshot codec, so the fields are listed by hand.
 func replayerState(r *Replayer) string {
 	return fmt.Sprintf("next=%d sendq=%d open=%d issued=%d done=%d bytes=%d slip=%d",
-		r.next, len(r.sendq), r.tracker.Outstanding(), r.Issued, r.Completed, r.BytesMoved, r.SlipCycles) + ifaceState(r.iface)
+		r.next, r.sendq.Len(), r.tracker.Outstanding(), r.Issued, r.Completed, r.BytesMoved, r.SlipCycles) + ifaceState(r.iface)
 }
 
 // replayerIdleHonest holds the replayer to the contract on a trace of

@@ -85,7 +85,7 @@ type Replayer struct {
 	next int
 
 	tracker  *chi.Tracker
-	sendq    []*noc.Flit
+	sendq    sim.FIFO[*noc.Flit]
 	targetOf func(addr uint64) noc.NodeID
 
 	Issued, Completed uint64
@@ -120,7 +120,7 @@ func (r *Replayer) Node() noc.NodeID { return r.iface.Node() }
 
 // Done reports whether the whole trace has issued and completed.
 func (r *Replayer) Done() bool {
-	return r.next >= len(r.ops) && r.tracker.Outstanding() == 0 && len(r.sendq) == 0
+	return r.next >= len(r.ops) && r.tracker.Outstanding() == 0 && r.sendq.Len() == 0
 }
 
 // Tick implements noc.Device.
@@ -147,18 +147,16 @@ func (r *Replayer) Tick(now sim.Cycle) {
 			dst := f.Src
 			for b := 0; b < req.Beats(); b++ {
 				d := &chi.Message{TxnID: req.TxnID, Op: chi.NonCopyBackWrData, Addr: req.Addr, Requester: r.Node(), Size: req.Size}
-				r.sendq = append(r.sendq, d.NewFlit(r.net, r.Node(), dst))
+				r.sendq.Push(d.NewFlit(r.net, r.Node(), dst))
 			}
 		case chi.Comp:
 			r.finish(req)
 		}
 		r.net.ReleaseFlit(f)
 	}
-	for len(r.sendq) > 0 && r.iface.Send(r.sendq[0]) {
-		sim.PopFront(&r.sendq)
-	}
+	r.iface.SendAll(&r.sendq)
 	// Issue trace ops whose recorded time has come.
-	for r.next < len(r.ops) && len(r.sendq) == 0 {
+	for r.next < len(r.ops) && r.sendq.Len() == 0 {
 		op := r.ops[r.next]
 		if uint64(now) < op.Cycle {
 			return
@@ -180,7 +178,7 @@ func (r *Replayer) Tick(now sim.Cycle) {
 		if !r.tracker.Open(m) {
 			return
 		}
-		r.sendq = append(r.sendq, m.NewFlit(r.net, r.Node(), dst))
+		r.sendq.Push(m.NewFlit(r.net, r.Node(), dst))
 		if !op.Write {
 			m.BeatsLeft = m.Beats()
 		}
@@ -190,9 +188,7 @@ func (r *Replayer) Tick(now sim.Cycle) {
 		}
 		r.Issued++
 		r.next++
-		for len(r.sendq) > 0 && r.iface.Send(r.sendq[0]) {
-			sim.PopFront(&r.sendq)
-		}
+		r.iface.SendAll(&r.sendq)
 	}
 }
 
@@ -201,7 +197,7 @@ func (r *Replayer) Tick(now sim.Cycle) {
 // (never again once the trace is exhausted). From that cycle on it is
 // awake — a full table counts SlipCycles every tick.
 func (r *Replayer) IdleUntil(now sim.Cycle) sim.Cycle {
-	if r.iface.EjectLen() > 0 || len(r.sendq) > 0 {
+	if r.iface.EjectLen() > 0 || r.sendq.Len() > 0 {
 		return now
 	}
 	if r.next >= len(r.ops) {

@@ -10,23 +10,11 @@ import (
 	"chipletnoc/internal/sim"
 )
 
-// Address-stream wire tags. Stream parameters (base, stride, footprint,
-// skew) are configuration rebuilt at construction; only the mutable
-// cursor/RNG state is serialized.
-const (
-	streamSeq  = 1
-	streamRand = 2
-	streamZipf = 3
-)
-
-// matchStream walks the wire tag of the built stream's kind.
-func matchStream(c *sim.Codec, want uint8, kind string) {
-	tag := want
-	c.U8(&tag)
-	if tag != want {
-		c.Fail("stream tag %d does not match %s stream", tag, kind)
-	}
-}
+// streamSeq is the wire tag of a sequential address stream, the one kind
+// there is (2 and 3 were a uniform and a Zipfian stream). Its parameters
+// (base, stride, footprint) are configuration rebuilt at construction;
+// only the cursor is serialized.
+const streamSeq = 1
 
 // SnapState implements noc.StateSnapshotter.
 func (r *Requester) SnapState(s *noc.Snap) {
@@ -49,17 +37,15 @@ func (r *Requester) SnapState(s *noc.Snap) {
 	c.U64(&r.BytesMoved)
 	c.U64(&r.Aborted)
 	r.rng.SnapState(c)
-	switch st := r.cfg.Stream.(type) {
-	case *SeqStream:
-		matchStream(c, streamSeq, "sequential")
-		c.U64(&st.next)
-	case *RandStream:
-		matchStream(c, streamRand, "random")
-		st.rng.SnapState(c)
-	case *ZipfStream:
-		matchStream(c, streamZipf, "Zipf")
-		st.z.SnapState(c)
-	default:
+	st, ok := r.cfg.Stream.(*SeqStream)
+	if !ok {
 		c.Fail("traffic: address stream %T is not checkpointable", r.cfg.Stream)
+		return
 	}
+	tag := uint8(streamSeq)
+	c.U8(&tag)
+	if tag != streamSeq {
+		c.Fail("stream tag %d does not match sequential stream", tag)
+	}
+	c.U64(&st.next)
 }

@@ -1,6 +1,6 @@
 // Package traffic provides the workload generators that drive every
-// experiment: address streams (sequential, uniform-random, Zipfian),
-// CHI-level closed- and open-loop requesters, and read/write mixes. The
+// experiment: sequential address streams, CHI-level closed- and
+// open-loop requesters, and read/write mixes. The
 // same Requester models a Server-CPU core doing DDR accesses (Figures 10
 // and 11), an AI core talking to interleaved L2 slices (Table 7), and a
 // DMA engine moving lines between L2 and HBM.
@@ -48,45 +48,6 @@ func (s *SeqStream) Next() uint64 {
 		s.next = s.base
 	}
 	return a
-}
-
-// RandStream draws uniform line addresses from a fixed footprint — the
-// pointer-chasing flavour of server workloads.
-type RandStream struct {
-	rng   *sim.RNG
-	base  uint64
-	lines int
-}
-
-// NewRandStream draws from [base, base+lines*64).
-func NewRandStream(rng *sim.RNG, base uint64, lines int) *RandStream {
-	if lines <= 0 {
-		panic("traffic: RandStream needs a positive footprint")
-	}
-	return &RandStream{rng: rng, base: base, lines: lines}
-}
-
-// Next implements AddressStream.
-func (s *RandStream) Next() uint64 {
-	return s.base + uint64(s.rng.Intn(s.lines))*chi.LineSize
-}
-
-// ZipfStream draws line addresses with Zipfian popularity — the paper's
-// characterisation of server data ("the data follow the Zipfian
-// distribution").
-type ZipfStream struct {
-	z    *sim.Zipf
-	base uint64
-}
-
-// NewZipfStream draws from lines ranked by popularity with skew theta.
-func NewZipfStream(rng *sim.RNG, base uint64, lines int, theta float64) *ZipfStream {
-	return &ZipfStream{z: sim.NewZipf(rng, lines, theta), base: base}
-}
-
-// Next implements AddressStream.
-func (s *ZipfStream) Next() uint64 {
-	return s.base + uint64(s.z.Next())*chi.LineSize
 }
 
 // RequesterConfig shapes one generator.
@@ -140,7 +101,7 @@ type Requester struct {
 	// per-class in-flight counts when WriteOutstanding splits the pool
 	readsInFlight, writesInFlight int
 	// sendq holds beat flits awaiting injection (multi-beat writes).
-	sendq []*noc.Flit
+	sendq sim.FIFO[*noc.Flit]
 	// retrier is the CHI timeout/retry watcher (nil when disabled).
 	// Per-transaction state (issue cycle, read beats left, retry
 	// destination) lives on the tracked chi.Message itself.
@@ -271,7 +232,7 @@ func (r *Requester) runRetries(now sim.Cycle) {
 			// first attempt just complete the transaction sooner.
 			req.BeatsLeft = req.Beats()
 		}
-		r.sendq = append(r.sendq, req.NewFlit(r.net, r.Node(), req.RetryDst))
+		r.sendq.Push(req.NewFlit(r.net, r.Node(), req.RetryDst))
 		r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d re-issued", id))
 	}
 	for _, id := range abort {
@@ -310,7 +271,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 			dst := f.Src
 			for b := 0; b < req.Beats(); b++ {
 				d := &chi.Message{TxnID: req.TxnID, Op: chi.NonCopyBackWrData, Addr: req.Addr, Requester: r.Node(), Size: req.Size}
-				r.sendq = append(r.sendq, d.NewFlit(r.net, r.Node(), dst))
+				r.sendq.Push(d.NewFlit(r.net, r.Node(), dst))
 			}
 		case chi.Comp:
 			r.complete(req, now)
@@ -322,9 +283,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 		r.runRetries(now)
 	}
 	// Drain queued beats before starting new transactions.
-	for len(r.sendq) > 0 && r.iface.Send(r.sendq[0]) {
-		sim.PopFront(&r.sendq)
-	}
+	r.iface.SendAll(&r.sendq)
 	// Issue.
 	issues := r.cfg.IssuePerCycle
 	if issues <= 0 {
@@ -334,7 +293,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 		if r.cfg.MaxRequests != 0 && r.Issued >= r.cfg.MaxRequests {
 			return
 		}
-		if len(r.sendq) > 0 {
+		if r.sendq.Len() > 0 {
 			return // beat backlog first; keeps the backlog bounded
 		}
 		if r.cfg.Rate < 1 && !r.rng.Bernoulli(r.cfg.Rate) {
@@ -373,7 +332,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 		// Both classes start with a header request; reads complete on the
 		// last returned data beat, writes continue with DBIDResp → data
 		// burst → Comp (the full CHI write flow).
-		r.sendq = append(r.sendq, m.NewFlit(r.net, r.Node(), dst))
+		r.sendq.Push(m.NewFlit(r.net, r.Node(), dst))
 		if m.IsWrite() {
 			r.writesInFlight++
 		} else {
@@ -386,9 +345,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 			r.retrier.Arm(m.TxnID, now)
 		}
 		r.Issued++
-		for len(r.sendq) > 0 && r.iface.Send(r.sendq[0]) {
-			sim.PopFront(&r.sendq)
-		}
+		r.iface.SendAll(&r.sendq)
 	}
 }
 
@@ -401,7 +358,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 // table. It sleeps until the earliest retry deadline; a completion
 // arriving sooner wakes it through its interface.
 func (r *Requester) IdleUntil(now sim.Cycle) sim.Cycle {
-	if r.iface.EjectLen() > 0 || len(r.sendq) > 0 {
+	if r.iface.EjectLen() > 0 || r.sendq.Len() > 0 {
 		return now
 	}
 	spent := r.cfg.MaxRequests != 0 && r.Issued >= r.cfg.MaxRequests

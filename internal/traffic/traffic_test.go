@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"testing"
 
 	"chipletnoc/internal/chi"
@@ -26,27 +27,29 @@ func TestSeqStreamDefaultStride(t *testing.T) {
 	}
 }
 
-func TestRandStreamStaysInFootprint(t *testing.T) {
-	s := NewRandStream(sim.NewRNG(1), 0x8000, 128)
-	for i := 0; i < 10000; i++ {
-		a := s.Next()
-		if a < 0x8000 || a >= 0x8000+128*chi.LineSize {
-			t.Fatalf("address %#x outside footprint", a)
-		}
-		if a%chi.LineSize != 0 {
-			t.Fatalf("address %#x not line aligned", a)
-		}
+// TestRetiredStreamTagsRefused: the uniform and Zipfian streams (wire
+// tags 2 and 3) are gone; a requester section carrying one must fail the
+// load as corrupt, not be read as a sequential cursor. The tag is the
+// byte before the trailing u64 cursor.
+func TestRetiredStreamTagsRefused(t *testing.T) {
+	net, req, _ := buildTrafficRig(t, RequesterConfig{
+		Outstanding: 4, Rate: 1, ReadFraction: 1, Stream: NewSeqStream(0, 64, 0),
+	})
+	run(net, 50)
+	e := sim.NewEncoder()
+	req.SnapState(noc.NewSnap(sim.Saving(e)))
+	data := e.Data()
+	tag := len(data) - 9
+	if data[tag] != streamSeq {
+		t.Fatalf("byte %d is %d, not the stream tag", tag, data[tag])
 	}
-}
-
-func TestZipfStreamSkew(t *testing.T) {
-	s := NewZipfStream(sim.NewRNG(2), 0, 1000, 0.9)
-	counts := make(map[uint64]int)
-	for i := 0; i < 50000; i++ {
-		counts[s.Next()]++
-	}
-	if counts[0] < counts[999*chi.LineSize]*5 {
-		t.Fatalf("head %d vs tail %d: insufficient skew", counts[0], counts[999*chi.LineSize])
+	for _, retired := range []byte{streamSeq, 2, 3} {
+		data[tag] = retired
+		c := sim.Loading(sim.NewDecoder(data))
+		req.SnapState(noc.NewSnap(c))
+		if err := c.Err(); (err != nil) != (retired != streamSeq) || (err != nil && !errors.Is(err, sim.ErrCorruptSnapshot)) {
+			t.Errorf("stream tag %d: load error %v", retired, err)
+		}
 	}
 }
 

@@ -68,19 +68,6 @@ func RunLMBench(spec SystemSpec, k LMBenchKernel, seed uint64) LMBenchResult {
 	}
 }
 
-// LMBenchSuite runs every kernel on every system and returns results
-// keyed [system][kernel].
-func LMBenchSuite(specs []SystemSpec, seed uint64) map[string]map[string]LMBenchResult {
-	out := make(map[string]map[string]LMBenchResult)
-	for _, s := range specs {
-		out[s.Name] = make(map[string]LMBenchResult)
-		for _, k := range LMBenchKernels() {
-			out[s.Name][k.Name] = RunLMBench(s, k, seed)
-		}
-	}
-	return out
-}
-
 // GeomeanRatio returns the geometric-mean ratio of metric(a)/metric(b)
 // across kernels — the "x times better on average" figure the paper
 // quotes.

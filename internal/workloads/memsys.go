@@ -64,9 +64,9 @@ type memRequest struct {
 // memChannel is one memory controller on the fabric.
 type memChannel struct {
 	node    int
-	queue   []*memRequest
-	inSvc   []*memRequest
-	replies []*memRequest
+	queue   sim.FIFO[*memRequest]
+	inSvc   sim.FIFO[*memRequest]
+	replies sim.FIFO[*memRequest]
 	tokens  float64
 }
 
@@ -119,7 +119,7 @@ func (m *MemSystem) newRequest() *memRequest {
 		return r
 	}
 	r := &memRequest{}
-	r.enqueue = func(uint64) { r.ch.queue = append(r.ch.queue, r) }
+	r.enqueue = func(uint64) { r.ch.queue.Push(r) }
 	r.complete = func(uint64) {
 		c := m.cores[r.core]
 		c.inFlight--
@@ -155,9 +155,6 @@ func NewMemSystem(cfg MemSystemConfig, loads []CoreLoad, seed uint64) *MemSystem
 
 // Core returns core i's state for measurements.
 func (m *MemSystem) Core(i int) *coreState { return m.cores[i] }
-
-// Completed returns core i's finished transactions.
-func (c *coreState) CompletedCount() uint64 { return c.completed }
 
 // TotalBytes returns all payload bytes moved by all cores.
 func (m *MemSystem) TotalBytes() uint64 {
@@ -206,17 +203,17 @@ func (m *MemSystem) Step() {
 		if max := m.cfg.MemBytesPerCycle * 64; ch.tokens > max {
 			ch.tokens = max
 		}
-		for len(ch.queue) > 0 && ch.tokens >= float64(m.cfg.LineBytes) {
+		for ch.queue.Len() > 0 && ch.tokens >= float64(m.cfg.LineBytes) {
 			ch.tokens -= float64(m.cfg.LineBytes)
-			req := sim.PopFront(&ch.queue)
+			req := ch.queue.Pop()
 			req.readyAt = m.now + m.cfg.MemLatency
-			ch.inSvc = append(ch.inSvc, req)
+			ch.inSvc.Push(req)
 		}
-		for len(ch.inSvc) > 0 && ch.inSvc[0].readyAt <= m.now {
-			ch.replies = append(ch.replies, sim.PopFront(&ch.inSvc))
+		for ch.inSvc.Len() > 0 && ch.inSvc.Peek().readyAt <= m.now {
+			ch.replies.Push(ch.inSvc.Pop())
 		}
-		for len(ch.replies) > 0 {
-			req := ch.replies[0]
+		for ch.replies.Len() > 0 {
+			req := ch.replies.Peek()
 			core := m.cores[req.core]
 			payload := m.cfg.LineBytes // read data comes back
 			if !req.isRead {
@@ -228,7 +225,7 @@ func (m *MemSystem) Step() {
 			if !f.TrySend(ch.node, core.node, payload, req.complete) {
 				break
 			}
-			sim.PopFront(&ch.replies)
+			ch.replies.Pop()
 		}
 	}
 	f.Tick()

@@ -43,7 +43,7 @@ func TestThisWorkScaledGeometry(t *testing.T) {
 		// Must actually build and move traffic.
 		m := s.NewMemSystem(s.SingleCoreLoad(CoreLoad{Rate: 1, Outstanding: 4, ReadFraction: 1}), 1)
 		m.Run(2000)
-		if m.Core(0).CompletedCount() == 0 {
+		if m.Core(0).completed == 0 {
 			t.Fatalf("scaled(%d) system is dead", cores)
 		}
 	}

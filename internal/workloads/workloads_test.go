@@ -38,7 +38,7 @@ func TestMemSystemMaxRequestsStops(t *testing.T) {
 	m := spec.NewMemSystem(loads, 2)
 	m.Run(20000)
 	for i := 0; i < spec.Cores; i++ {
-		if got := m.Core(i).CompletedCount(); got != 10 {
+		if got := m.Core(i).completed; got != 10 {
 			t.Fatalf("core %d completed %d, want 10", i, got)
 		}
 	}
@@ -48,11 +48,11 @@ func TestMemSystemSingleCoreLoad(t *testing.T) {
 	spec := smallSpec()
 	m := spec.NewMemSystem(spec.SingleCoreLoad(CoreLoad{Rate: 1, Outstanding: 4, ReadFraction: 1}), 3)
 	m.Run(3000)
-	if m.Core(0).CompletedCount() == 0 {
+	if m.Core(0).completed == 0 {
 		t.Fatal("probe idle")
 	}
 	for i := 1; i < spec.Cores; i++ {
-		if m.Core(i).CompletedCount() != 0 {
+		if m.Core(i).completed != 0 {
 			t.Fatalf("idle core %d issued traffic", i)
 		}
 	}
