@@ -78,18 +78,31 @@ func main() {
 	}
 
 	// reportEngine says why a run cost what it did: what the activity
-	// gate skipped, summed over every Network.Run call in between.
-	reportEngine := func(engine noc.EngineStats) {
+	// gate skipped, summed over every Network.Run call since the two
+	// readings were taken, and which kinds of device the device loop ticked.
+	reportEngine := func(engine noc.EngineStats, kinds []noc.KindTicks) {
 		pct := func(part, whole uint64) float64 {
 			if whole == 0 {
 				return 0
 			}
 			return 100 * float64(part) / float64(whole)
 		}
+		engine = noc.EngineTotals().Sub(engine)
 		fmt.Printf("[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, station ticks skipped %.1f%%, device ticks skipped %.1f%%\n",
 			engine.Cycles, engine.SkippedCycles, pct(engine.SkippedCycles, engine.Cycles),
 			pct(engine.RingTicksSkipped, engine.RingTicks), pct(engine.StationTicksSkipped, engine.StationTicks),
 			pct(engine.DeviceTicksSkipped, engine.DeviceTicks))
+		before := map[string]noc.KindTicks{}
+		for _, k := range kinds {
+			before[k.Kind] = k
+		}
+		for _, k := range noc.DeviceTickTotals() {
+			b := before[k.Kind]
+			if ticks, skipped := k.Ticks-b.Ticks, k.Skipped-b.Skipped; ticks+skipped > 0 {
+				fmt.Printf("[timing]     %-22s %6d devices: %10d ticks run, %11d skipped (%.1f%%)\n",
+					k.Kind, k.Devices-b.Devices, ticks, skipped, pct(skipped, ticks+skipped))
+			}
+		}
 	}
 
 	// invoke runs one artifact and reports where its wall clock went:
@@ -97,10 +110,9 @@ func main() {
 	// wall vs serial shows the speedup the worker pool delivered.
 	invoke := func(name string, run func()) {
 		start := time.Now()
-		engine := noc.EngineTotals()
+		engine, kinds := noc.EngineTotals(), noc.DeviceTickTotals()
 		run()
 		wall := time.Since(start)
-		engine = noc.EngineTotals().Sub(engine)
 		var jobs int
 		var serial time.Duration
 		var all []experiments.JobTiming
@@ -116,7 +128,7 @@ func main() {
 			name, wall.Round(time.Millisecond), jobs, serial.Round(time.Millisecond),
 			*parallel, float64(serial)/float64(wall))
 		if *timing {
-			reportEngine(engine)
+			reportEngine(engine, kinds)
 			sort.Slice(all, func(i, j int) bool { return all[i].Wall > all[j].Wall })
 			for _, j := range all {
 				fmt.Printf("[timing]   %-40s %v\n", j.Name, j.Wall.Round(time.Millisecond))
@@ -143,7 +155,7 @@ func main() {
 		}
 	}
 
-	engineStart := noc.EngineTotals()
+	engineStart, kindsStart := noc.EngineTotals(), noc.DeviceTickTotals()
 	switch *exp {
 	case "all":
 		for _, k := range experiments.ExperimentNames() {
@@ -157,7 +169,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *timing {
-			reportEngine(noc.EngineTotals().Sub(engineStart))
+			reportEngine(engineStart, kindsStart)
 		}
 	case "serving":
 		if err := runServing(scale, *servingSpec, *cacheDir, writeCSV); err != nil {
@@ -165,7 +177,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *timing {
-			reportEngine(noc.EngineTotals().Sub(engineStart))
+			reportEngine(engineStart, kindsStart)
 		}
 	default:
 		invoke(*exp, func() { catalog(*exp) })

@@ -189,3 +189,111 @@ func BenchmarkRingTick(b *testing.B) {
 		})
 	}
 }
+
+// loopDevice is BenchmarkDeviceLoop's device: busy, it has work every
+// cycle; otherwise it waits for an ejection.
+type loopDevice struct {
+	iface *NodeInterface
+	busy  bool
+	work  int
+}
+
+func (d *loopDevice) Name() string   { return "loop" }
+func (d *loopDevice) Node() NodeID   { return d.iface.Node() }
+func (d *loopDevice) Tick(sim.Cycle) { d.work++ }
+func (d *loopDevice) IdleUntil(now sim.Cycle) sim.Cycle {
+	if d.busy || d.iface.EjectLen() > 0 {
+		return now
+	}
+	return Never
+}
+
+// BenchmarkDeviceLoop times one cycle of the device loop alone
+// (tickDevices, no rings) over the 291 devices of the benchmark's quad-die
+// package, each on a node of its own, and reports how many it ticked:
+//
+//   - all-asleep: every device waits for an ejection — an empty awake set;
+//   - one-in-six-awake: what the saturated quad-die leaves awake;
+//   - all-awake: every device has work every cycle — the loop's worst
+//     case, a Tick and an IdleUntil each;
+//   - all-blocked: every device is a sender with a backlog behind a full
+//     inject queue, on a ring whose every slot is taken by a flit that only
+//     passes, so no Send can succeed: asleep until a pop that never comes.
+func BenchmarkDeviceLoop(b *testing.B) {
+	const devices, positions = 291, 300
+	cases := []struct {
+		name      string
+		busyEvery int // every n-th device has work every cycle; 0 = none
+		blocked   bool
+	}{
+		{"all-asleep", 0, false},
+		{"one-in-six-awake", 6, false},
+		{"all-awake", 1, false},
+		{"all-blocked", 0, true},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			net := NewNetwork("bench")
+			r := net.AddRing(positions, true)
+			var srcs []*source
+			busy := 0
+			for i := 0; i < devices; i++ {
+				if c.blocked {
+					srcs = append(srcs, newSource(b, net, r.AddStation(i), fmt.Sprintf("d%d", i)))
+					continue
+				}
+				d := &loopDevice{busy: c.busyEvery > 0 && i%c.busyEvery == 0}
+				d.iface = net.Attach(net.NewNode(fmt.Sprintf("d%d", i)), r.AddStation(i))
+				net.AddDevice(d)
+				if d.busy {
+					busy++
+				}
+			}
+			net.MustFinalize()
+			if c.blocked {
+				for p := 0; p < positions; p++ {
+					placeFlit(r, &r.cw, p, &Flit{localDst: positions - 1})
+					placeFlit(r, &r.ccw, p, &Flit{localDst: positions - 1})
+				}
+				for i, s := range srcs {
+					for k := 0; k < DefaultInjectDepth+4; k++ {
+						s.queue(net.NewFlit(s.Node(), srcs[(i+7)%devices].Node(), KindData, 64))
+					}
+				}
+			}
+			cycle := func() {
+				now := sim.Cycle(net.ticks)
+				net.now = now
+				net.ticks++
+				net.tickDevices(now)
+			}
+			net.bindGates()
+			cycle() // everything ticks once: sleepers go to sleep, senders fill their queues
+			ran := func() (ticks uint64) {
+				for _, k := range net.DeviceTicksByKind() {
+					ticks += k.Ticks
+				}
+				return ticks
+			}
+			before := ran()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.StopTimer()
+			ticked := ran() - before
+			b.ReportMetric(float64(ticked)/float64(b.N), "ticks/cycle")
+			if want := uint64(busy * b.N); ticked != want {
+				b.Fatalf("%d device ticks in %d cycles, want %d", ticked, b.N, want)
+			}
+			for _, s := range srcs {
+				if s.iface.InjectSpace() != 0 || len(s.pending) != 4 {
+					b.Fatalf("%s holds %d flits behind %d free inject entries, want 4 behind a full queue", s.name, len(s.pending), s.iface.InjectSpace())
+				}
+			}
+			if err := net.checkAwakeSet(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -246,7 +246,11 @@ func (n *Network) watchdogSweep(now sim.Cycle) {
 				if ni == nil {
 					continue
 				}
+				queued := ni.inject.Len()
 				n.sweepQueue(r, ni, &ni.inject, expired, false)
+				if ni.inject.Len() < queued {
+					ni.Wake() // inject space: the owner may be asleep on a refused Send
+				}
 				n.sweepQueue(r, ni, &ni.bypass, expired, false)
 				before := ni.eject.Len()
 				n.sweepQueue(r, ni, &ni.eject, expired, true)
@@ -462,10 +466,14 @@ func (n *Network) AccountedFlits() uint64 {
 // never wakes, a head that never injects or a flit that never gets off:
 // every ring's inject and bypass queues against its running queued count
 // (the idle-ring gate), every station's head summary against its
-// interfaces' heads, and the visit set (Ring.checkVisitSet).
+// interfaces' heads, the visit set (Ring.checkVisitSet) and the devices'
+// awake bits and timed-wake calendar (checkAwakeSet).
 func (n *Network) CheckConservation() error {
 	n.syncRings()
 	n.settleStations()
+	if err := n.checkAwakeSet(); err != nil {
+		return err
+	}
 	for _, r := range n.rings {
 		if queued := r.countQueued(); queued != r.queued {
 			return fmt.Errorf("noc: ring %d counts %d queued flits, its interfaces hold %d", r.id, r.queued, queued)
@@ -489,6 +497,50 @@ func (n *Network) CheckConservation() error {
 	if n.InjectedFlits != n.DeliveredFlits+n.DroppedFlits+accounted {
 		return fmt.Errorf("noc: conservation violated: injected %d != delivered %d + dropped %d + accounted %d",
 			n.InjectedFlits, n.DeliveredFlits, n.DroppedFlits, accounted)
+	}
+	return nil
+}
+
+// checkAwakeSet recounts what tickDevices decides from, at a cycle
+// boundary. A device whose bit is clear and that names a cycle it wants to
+// tick at must have a calendar entry no later than it; if the cycle is
+// now, a wake went missing (an ejection, a freed inject entry). The
+// calendar must be a heap with at most one entry per device, each indexed
+// by slot, none for a device that is out of range or polled.
+func (n *Network) checkAwakeSet() error {
+	if n.awake == nil {
+		return nil // not bound yet
+	}
+	now, c := sim.Cycle(n.ticks), &n.cal
+	isSet := func(mask []uint64, dev int) bool { return mask[dev>>6]>>(uint(dev)&63)&1 != 0 }
+	for i, e := range c.heap {
+		switch {
+		case int(e.dev) >= len(n.devs):
+			return fmt.Errorf("noc: wake calendar entry %d names device %d of %d", i, e.dev, len(n.devs))
+		case c.slot[e.dev] != int32(i):
+			return fmt.Errorf("noc: wake calendar holds a second entry for %s (entry %d, indexed %d)", n.devs[e.dev].dev.Name(), i, c.slot[e.dev])
+		case isSet(n.polled, int(e.dev)):
+			return fmt.Errorf("noc: wake calendar holds polled device %s", n.devs[e.dev].dev.Name())
+		case i > 0 && c.heap[(i-1)/2].at > e.at:
+			return fmt.Errorf("noc: wake calendar out of order at entry %d (cycle %d under %d)", i, e.at, c.heap[(i-1)/2].at)
+		}
+	}
+	for i := range n.devs {
+		g := &n.devs[i]
+		if s := c.slot[i]; s >= 0 && (int(s) >= len(c.heap) || c.heap[s].dev != int32(i)) {
+			return fmt.Errorf("noc: %s is indexed at wake calendar entry %d, which is not its own", g.dev.Name(), s)
+		}
+		if isSet(n.awake, i) || isSet(n.polled, i) {
+			continue
+		}
+		until := g.idle.IdleUntil(now)
+		if s := c.slot[i]; until == Never || s >= 0 && c.heap[s].at <= until {
+			continue // no wish to wake, or the calendar wakes it in time
+		}
+		if until <= now {
+			return fmt.Errorf("noc: %s is asleep at cycle %d but has work: a wake was lost", g.dev.Name(), now)
+		}
+		return fmt.Errorf("noc: %s sleeps until cycle %d with no wake calendar entry at or before it", g.dev.Name(), until)
 	}
 	return nil
 }

@@ -1,8 +1,9 @@
 // Activity gating: a component that would do nothing is not visited.
 //
 // Below saturation most rings carry nothing and most devices wait for a
-// reply most cycles. The two loops here — the only ring loop and the only
-// device loop the tick engine has — skip them:
+// reply most cycles; at saturation most senders wait for a slot. The two
+// loops here — the only ring loop and the only device loop the tick engine
+// has — skip them:
 //
 //   - A ring whose loops hold no flit and whose interfaces queue none is
 //     idle (Ring.idle): advancing it moves nothing and every station tick
@@ -16,31 +17,36 @@
 //     counted meanwhile are credited at the next visit
 //     (CrossStation.settle).
 //   - A device that implements IdleUntiler is skipped while it says so.
-//     Devices anchored at a node sleep on wake words, one per interface of
-//     their node; the loop stores IdleUntil(now+1) after each Tick, and an
-//     ejection into an interface, NodeInterface.Wake or any fault operation
-//     lowers the word again. Node-less devices are asked IdleUntil(now)
-//     every cycle.
+//     Every device has one awake bit, in registration order, and the device
+//     loop visits set bits only. A device anchored at a node clears its bit
+//     when IdleUntil(now+1) lies in the future; a finite answer goes into
+//     the timed-wake calendar (wakeCal), and four things set the bit again:
+//     an ejection into one of its interfaces, NodeInterface.Wake, any fault
+//     operation or restore (wakeAll), and a pop from one of its inject
+//     lanes that was full. A device with no node of its own to be woken
+//     through is asked IdleUntil(now) every cycle instead (the polled mask).
 //   - When every ring is idle and every device sleeps, Run jumps the
 //     clock to the earliest wake (skipQuiescent), clamped so that a
 //     watchdog sweep or metrics sample falls on the landing cycle, never
 //     inside the jump (clampStretch).
 //
-// Nothing simulated changes: the words and counts are derived state, never
-// serialized, and Network.forceAwake (tests only) turns all of it off to
-// give the differential suites their reference engine. There is no other
-// engine: DESIGN.md §4 records why the partitioned one was deleted.
+// Nothing simulated changes: the bits, the calendar and the counts are
+// derived state, never serialized, recounted by Network.CheckConservation,
+// and Network.forceAwake (tests only) turns all of it off to give the
+// differential suites their reference engine. There is no other engine:
+// DESIGN.md §4 records why the partitioned one was deleted.
 package noc
 
 import (
+	"math/bits"
 	"sync"
 
 	"chipletnoc/internal/sim"
 )
 
 // NodeOwner is implemented by devices anchored at a single network node
-// (requesters, memory and coherence controllers, ring bridges). The wake
-// table is built from it: such a device sleeps on its node's interfaces.
+// (requesters, memory and coherence controllers, ring bridges). Such a
+// device can be woken through its node's interfaces, so it may sleep.
 type NodeOwner interface {
 	Node() NodeID
 }
@@ -49,19 +55,22 @@ type NodeOwner interface {
 // a no-op. IdleUntil(now) > now promises that Tick(now) would change
 // nothing — no field of the device, no flit sent, received or released,
 // no trace event — and that the same holds for every later cycle before
-// the returned one unless the device is handed work first: a flit ejected
-// into one of its interfaces, NodeInterface.Wake from a device that
-// queued work on it directly, or a fault operation. A device with
-// nothing to wait for returns the far future; one with work returns now.
+// the returned one unless the device is woken first. There are four wake
+// sources: a flit ejected into one of its interfaces; NodeInterface.Wake
+// from a device that queued work on it directly; a fault operation,
+// throttle change or checkpoint restore; and a flit leaving one of its
+// inject queues that was full — the only state a refused Send can be
+// waiting on. A device with nothing to wait for returns the far future;
+// one with work returns now.
 //
 // The tick engine uses the promise in two ways. A device that is also a
-// NodeOwner gets a wake cycle per interface: it is skipped while every
-// one lies in the future, the network stores IdleUntil(now+1) after each
-// Tick and zeroes the wake on ejection or Wake. A device with no node
-// (the fault injector, the serving orchestrator) cannot be woken that
-// way, so it is asked IdleUntil(now) at its registration slot every
-// cycle instead. When every ring is idle and every device's answer lies
-// in the future, Run jumps the clock to the earliest one.
+// NodeOwner, the first such on its node, sleeps: after each Tick the
+// network asks IdleUntil(now+1) and, if that lies in the future, skips the
+// device until that cycle or a wake, whichever comes first. Any other
+// (the fault injector and the serving orchestrator have no node) cannot be
+// woken that way, so it is asked IdleUntil(now) at its registration slot
+// every cycle instead. When every ring is idle and every device's answer
+// lies in the future, Run jumps the clock to the earliest one.
 type IdleUntiler interface {
 	IdleUntil(now sim.Cycle) sim.Cycle
 }
@@ -71,91 +80,146 @@ type IdleUntiler interface {
 const Never = sim.Cycle(^uint64(0))
 
 // devGate is one device and how it is gated. idle == nil: it ticks every
-// cycle. lo < hi: it sleeps on wake words [lo, hi) and is awake when any
-// of them has come. lo == hi: it has no node to be woken through and is
-// asked every cycle.
+// cycle. kind is where its Tick calls are counted, with those of the
+// network's other devices of its Go type.
 type devGate struct {
-	dev    Device
-	idle   IdleUntiler
-	lo, hi int32
+	dev  Device
+	idle IdleUntiler
+	kind *kindTally
 }
 
-// wakeAt returns the cycle a device with an idle contract next wants to
-// tick: now or earlier when it is awake. Small enough to inline into the
-// device loop; the uncommon shapes go through wakeAtSlow.
-func (g *devGate) wakeAt(words []sim.Cycle, now sim.Cycle) sim.Cycle {
-	if g.hi-g.lo == 1 {
-		return words[g.lo]
-	}
-	return g.wakeAtSlow(words, now)
+// kindTally counts the Tick calls the devices of one Go type got on one
+// network (host-side diagnostics, see DeviceTicksByKind); noteRun has
+// published noted of them to the process-wide entry total.
+type kindTally struct {
+	total        *KindTicks
+	devices      uint64
+	ticks, noted uint64
 }
 
-func (g *devGate) wakeAtSlow(words []sim.Cycle, now sim.Cycle) sim.Cycle {
-	if g.lo == g.hi {
-		return g.idle.IdleUntil(now)
-	}
-	w := words[g.lo]
-	for _, o := range words[g.lo+1 : g.hi] {
-		if o < w {
-			w = o
+// wakeCal is the timed-wake calendar: a binary min-heap of the cycles at
+// which sleeping devices asked to be woken, at most one entry per device.
+// slot[dev] is the index of the device's entry, -1 when it has none, so a
+// device that is woken early and sleeps again re-keys its entry in place:
+// the heap never outgrows the device count and never allocates after
+// bindGates. An entry whose device was woken early stays until the device
+// sleeps again or its cycle comes; firing it sets a bit that is already set.
+type wakeCal struct {
+	heap []wakeEntry
+	slot []int32
+}
+
+type wakeEntry struct {
+	at  sim.Cycle
+	dev int32
+}
+
+// set makes at the cycle dev is woken: it inserts or re-keys dev's entry,
+// and removes it when at is Never.
+func (c *wakeCal) set(dev int32, at sim.Cycle) {
+	i := int(c.slot[dev])
+	if at != Never {
+		if i < 0 {
+			i = len(c.heap)
+			c.heap = append(c.heap, wakeEntry{})
+		}
+		c.place(i, wakeEntry{at, dev})
+	} else if i >= 0 {
+		last := len(c.heap) - 1
+		moved := c.heap[last]
+		c.heap = c.heap[:last]
+		c.slot[dev] = -1
+		if i < last {
+			c.place(i, moved)
 		}
 	}
-	return w
 }
 
-// bindGates lays out the wake table for the current device list and
-// gates every device over it. Words are handed out in registration
-// order, a NodeOwner device taking one per interface of its node, so a
-// device's words are adjacent; interfaces no device owns keep a word of
-// their own so NodeInterface.wake is never nil. A node claimed by an
-// earlier device is not shared: the later device is polled. Everything
-// starts awake.
+// place stores e in the hole at heap index i, sifted up or down to where
+// its cycle belongs.
+func (c *wakeCal) place(i int, e wakeEntry) {
+	h := c.heap
+	for i > 0 {
+		up := (i - 1) / 2
+		if h[up].at <= e.at {
+			break
+		}
+		h[i] = h[up]
+		c.slot[h[i].dev] = int32(i)
+		i = up
+	}
+	for {
+		kid := 2*i + 1
+		if kid+1 < len(h) && h[kid+1].at < h[kid].at {
+			kid++
+		}
+		if kid >= len(h) || e.at <= h[kid].at {
+			break
+		}
+		h[i] = h[kid]
+		c.slot[h[i].dev] = int32(i)
+		i = kid
+	}
+	h[i] = e
+	c.slot[e.dev] = int32(i)
+}
+
+// next returns the earliest cycle in the calendar, Never when it is empty.
+func (c *wakeCal) next() sim.Cycle {
+	if len(c.heap) == 0 {
+		return Never
+	}
+	return c.heap[0].at
+}
+
+// bindGates gates every device of the current list: one awake bit each in
+// registration order, everything awake, the calendar empty. A device that
+// can sleep (an IdleUntiler anchored at a node) claims its node's
+// interfaces — an ejection into any of them sets its bit — unless an
+// earlier sleeper has; every other device goes into the polled mask: it
+// keeps its bit set and is ticked, or asked, every cycle.
 func (n *Network) bindGates() {
 	for _, info := range n.nodes {
 		for _, ni := range info.ifaces {
-			ni.wake = nil
+			ni.wake, ni.wakeBit = nil, 0
 		}
 	}
-	var order []*NodeInterface // order[w] owns word w
-	take := func(ni *NodeInterface) {
-		ni.wake = &ni.unbound // claimed; pointed into the table below
-		order = append(order, ni)
-	}
-	n.devs = n.devs[:0]
-	for _, d := range n.devices {
-		g := devGate{dev: d}
+	words := (len(n.devices) + 63) / 64
+	n.devs = make([]devGate, len(n.devices))
+	n.awake, n.polled = make([]uint64, words), make([]uint64, words)
+	n.cal = wakeCal{heap: make([]wakeEntry, 0, len(n.devices)), slot: make([]int32, len(n.devices))}
+	n.kinds = n.tallyKinds()
+	for i, d := range n.devices {
+		g := &n.devs[i]
+		g.dev = d
 		g.idle, _ = d.(IdleUntiler)
-		if o, ok := d.(NodeOwner); ok {
+		n.cal.slot[i] = -1
+		word, bit := &n.awake[i>>6], uint64(1)<<(uint(i)&63)
+		*word |= bit
+		if o, ok := d.(NodeOwner); ok && g.idle != nil {
 			if ifaces := n.nodes[o.Node()].ifaces; len(ifaces) > 0 && ifaces[0].wake == nil {
-				g.lo = int32(len(order))
 				for _, ni := range ifaces {
-					take(ni)
+					ni.wake, ni.wakeBit = word, bit
 				}
-				g.hi = int32(len(order))
+				continue
 			}
 		}
-		n.devs = append(n.devs, g)
-	}
-	for _, info := range n.nodes {
-		for _, ni := range info.ifaces {
-			if ni.wake == nil {
-				take(ni)
-			}
-		}
-	}
-	n.wake = make([]sim.Cycle, len(order))
-	for w, ni := range order {
-		ni.wake = &n.wake[w]
+		n.polled[i>>6] |= bit
 	}
 }
 
-// wakeAll makes every device tick at its next slot: fault operations,
-// throttle changes and checkpoint restores change what devices would see
-// without going through an interface.
+// wakeAll makes every device tick at its next slot and empties the
+// calendar: fault operations, throttle changes and checkpoint restores
+// change what devices would see without going through an interface.
 func (n *Network) wakeAll() {
-	for i := range n.wake {
-		n.wake[i] = 0
+	for i := range n.devs { // none while unbound: bindGates starts everything awake
+
+		n.awake[i>>6] |= 1 << (uint(i) & 63)
 	}
+	for _, e := range n.cal.heap {
+		n.cal.slot[e.dev] = -1
+	}
+	n.cal.heap = n.cal.heap[:0]
 }
 
 // syncRings catches every ring's rotation up with the network's tick
@@ -215,53 +279,58 @@ func (n *Network) settleStations() {
 	}
 }
 
-// tickDevices runs one cycle of the devices in registration order,
-// skipping those asleep, and leaves in nextWake the earliest cycle any of
-// them asked for.
+// tickDevices runs one cycle of the devices that are awake, in
+// registration order. The calendar's due entries are drained first; then
+// each word of awake bits is read again after every Tick, so a device
+// woken by an earlier slot of this cycle still runs in it and one woken
+// by a later slot runs in the next. A device that owns its node goes to
+// sleep — the only store — when IdleUntil(now+1) lies in the future.
 func (n *Network) tickDevices(now sim.Cycle) {
-	words := n.wake
-	force := n.forceAwake
-	next := Never
-	skipped := uint64(0)
-	for i := range n.devs {
-		g := &n.devs[i]
-		if g.idle == nil || force {
-			g.dev.Tick(now)
-			next = now + 1
-			continue
+	if n.forceAwake {
+		for i := range n.devs {
+			n.devs[i].dev.Tick(now)
+			n.devs[i].kind.ticks++
 		}
-		if w := g.wakeAt(words, now); w > now {
-			if w < next {
-				next = w
-			}
-			skipped++
-			continue
-		}
-		g.dev.Tick(now)
-		w := now + 1
-		if g.lo < g.hi {
-			// Going to sleep is the only store: a device that stays awake
-			// leaves its (already past) words alone.
-			if w = g.idle.IdleUntil(now + 1); w > now+1 {
-				for j := g.lo; j < g.hi; j++ {
-					words[j] = w
+		return
+	}
+	for c := &n.cal; c.next() <= now; {
+		dev := c.heap[0].dev
+		c.set(dev, Never)
+		n.awake[dev>>6] |= 1 << (uint(dev) & 63)
+	}
+	ran := 0
+	for w, polled := range n.polled {
+		n.awake[w] |= polled
+		for rest := ^uint64(0); n.awake[w]&rest != 0; {
+			b := bits.TrailingZeros64(n.awake[w] & rest)
+			bit := uint64(1) << uint(b)
+			rest = ^(bit<<1 - 1) // the slots after this one
+			g := &n.devs[w<<6|b]
+			if polled&bit != 0 {
+				if g.idle != nil && g.idle.IdleUntil(now) > now {
+					continue
+				}
+				g.dev.Tick(now)
+			} else {
+				g.dev.Tick(now)
+				if until := g.idle.IdleUntil(now + 1); until > now+1 {
+					n.awake[w] &^= bit
+					n.cal.set(int32(w<<6|b), until)
 				}
 			}
-		}
-		if w < next {
-			next = w
+			g.kind.ticks++
+			ran++
 		}
 	}
-	n.nextWake = next
-	n.DeviceTicksSkipped += skipped
+	n.DeviceTicksSkipped += uint64(len(n.devs) - ran)
 }
 
 // skipQuiescent jumps the clock over the cycles in which nothing at all
 // would tick and returns how many it skipped (0 when anything is busy).
-// The test is cheap when the network is busy — the device loop saw a
-// device that wants the next cycle — and otherwise O(rings + devices):
-// every ring idle, every wake word and every polled device in the future.
-// The landing cycle runs the cycle tail, so a watchdog sweep or metrics
+// The test is cheap when the network is busy — some sleeper's bit is set —
+// and otherwise O(rings + polled devices): every ring idle, the calendar's
+// earliest entry and every polled device's answer in the future. The
+// landing cycle runs the cycle tail, so a watchdog sweep or metrics
 // sample due on it fires; clampStretch keeps such a boundary from falling
 // inside the jump. A throttle controller samples its window every cycle,
 // so its presence rules jumps out.
@@ -269,27 +338,34 @@ func (n *Network) skipQuiescent(remaining int) int {
 	if remaining <= 0 || n.throttle != nil || n.forceAwake {
 		return 0
 	}
-	t0 := sim.Cycle(n.ticks)
-	if n.nextWake <= t0 {
-		return 0
+	for w, polled := range n.polled {
+		if n.awake[w]&^polled != 0 {
+			return 0
+		}
 	}
 	for _, r := range n.rings {
 		if !r.idle() {
 			return 0
 		}
 	}
-	wake := Never
-	for i := range n.devs {
-		d := &n.devs[i]
-		if d.idle == nil {
-			return 0
-		}
-		w := d.wakeAt(n.wake, t0)
-		if w <= t0 {
-			return 0
-		}
-		if w < wake {
-			wake = w
+	t0 := sim.Cycle(n.ticks)
+	wake := n.cal.next() // a sleeper's: a device woken since its entry went in returned above
+	if wake <= t0 {
+		return 0
+	}
+	for w, polled := range n.polled {
+		for ; polled != 0; polled &= polled - 1 {
+			d := &n.devs[w<<6|bits.TrailingZeros64(polled)]
+			if d.idle == nil {
+				return 0
+			}
+			at := d.idle.IdleUntil(t0)
+			if at <= t0 {
+				return 0
+			}
+			if at < wake {
+				wake = at
+			}
 		}
 	}
 	k := remaining
@@ -405,10 +481,11 @@ func (n *Network) engineStats() EngineStats {
 // engineTotals sums what every Run call of the process did, so a caller
 // that never sees the networks (cmd/experiments -timing, around a whole
 // artifact) can still report why a run cost what it did.
-var engineTotals struct {
+var engineTotals = struct {
 	sync.Mutex
 	EngineStats
-}
+	byKind map[string]*KindTicks
+}{byKind: map[string]*KindTicks{}}
 
 // EngineTotals returns the process-wide sums over all Run calls so far;
 // callers subtract two readings. Cycles driven through Tick directly are
@@ -420,12 +497,21 @@ func EngineTotals() EngineStats {
 }
 
 // noteRun publishes one Run call's share: what the network's counters
-// gained since the reading taken when the call began.
+// gained since the reading taken when the call began, and each kind's
+// device ticks since the last call published them.
 func (n *Network) noteRun(before EngineStats) {
 	gained := n.engineStats().Sub(before)
 	engineTotals.Lock()
 	defer engineTotals.Unlock()
 	for i, f := range engineTotals.fields() {
 		*f += *gained.fields()[i]
+	}
+	cycles := n.ticks - n.notedTicks
+	n.notedTicks = n.ticks
+	for _, k := range n.kinds {
+		ran := k.ticks - k.noted
+		k.noted = k.ticks
+		k.total.Ticks += ran
+		k.total.Skipped += cycles*k.devices - ran
 	}
 }

@@ -188,6 +188,19 @@ func faulted(t *testing.T, s system, sched *fault.Schedule, seed uint64) system 
 	return s
 }
 
+// deviceTicksSkipped returns the share of n's device-cycles so far in
+// which the device was not ticked.
+func deviceTicksSkipped(n *noc.Network) float64 {
+	var ticks, skipped uint64
+	for _, k := range n.DeviceTicksByKind() {
+		ticks, skipped = ticks+k.Ticks, skipped+k.Skipped
+	}
+	if skipped != n.DeviceTicksSkipped {
+		panic(fmt.Sprintf("device tick table counts %d skipped, the network %d", skipped, n.DeviceTicksSkipped))
+	}
+	return float64(skipped) / float64(ticks+skipped)
+}
+
 // stationTicksSkipped returns the share of n's station-cycles so far in
 // which the station was not visited.
 func stationTicksSkipped(n *noc.Network) float64 {
@@ -263,8 +276,13 @@ func TestGateDiffQuadDie(t *testing.T) {
 		if seq.SkippedCycles != 0 {
 			t.Errorf("rate %v: quad-die jumped %d cycles", rate, seq.SkippedCycles)
 		}
-		if seq.DeviceTicksSkipped == 0 {
-			t.Errorf("rate %v: no device tick skipped", rate)
+		// Measured 78.4 % saturated — two clusters a die leave 32 requesters,
+		// asleep on full transaction tables, beside 16 memory controllers
+		// and 11 bridges that mostly are not; TestGateSaysWhatItSkipped has
+		// the benchmark's twelve — and 55.9 % at a trickle, where the
+		// requesters never sleep and everything else nearly always does.
+		if got, floor := deviceTicksSkipped(seq), map[float64]float64{1: 0.75, 0.001: 0.50}[rate]; got < floor {
+			t.Errorf("rate %v: %.1f%% of device ticks skipped, want at least %.0f%%", rate, 100*got, 100*floor)
 		}
 		if rate < 1 && seq.RingTicksSkipped == 0 {
 			t.Errorf("rate %v: no ring tick skipped on a nearly empty fabric", rate)
@@ -478,5 +496,12 @@ func TestGateSaysWhatItSkipped(t *testing.T) {
 	// calendar alone, without parked heads, leaves 69.0 %).
 	if got := stationTicksSkipped(q.Net); got < 0.85 {
 		t.Errorf("saturated quad-die skipped %.1f%% of its station ticks, want at least 85%%", 100*got)
+	}
+	// 192 requesters asleep on a full transaction table or behind a full
+	// inject queue, 64 coherence agents with nothing to do; the memory
+	// controllers and bridges do most of the ticking (measured 93.2 %:
+	// 813 657 of 873 000; 81.3 % before the inject-space wake).
+	if got := deviceTicksSkipped(q.Net); got < 0.90 {
+		t.Errorf("saturated quad-die skipped %.1f%% of its device ticks, want at least 90%%", 100*got)
 	}
 }

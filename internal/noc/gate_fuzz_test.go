@@ -25,8 +25,10 @@ import (
 // blocked for laps, I-tags and E-tags arm, stations park), a ring longer
 // than one mask word, the congestion throttle, I-tags switched off, a
 // second bridge beside the one the script kills (live flits are rerouted
-// instead of stranded), and a checkpoint taken mid-run and resumed in a
-// second network under either engine.
+// instead of stranded), a sender with a backlog deeper than its inject
+// queue and a retry deadline (asleep on a refused Send until the station
+// takes its head or the deadline comes), and a checkpoint taken mid-run
+// and resumed in a second network under either engine.
 func FuzzGateEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(8), uint16(0), uint16(0))
 	f.Add(uint8(1), uint8(1), uint16(120), uint16(0))
@@ -66,6 +68,10 @@ var gateFuzzSeeds = []struct {
 		func(h fuzzHits) bool { return h.reroutedOnSlot }},
 	{"drop takes the flit an armed I-tag rides on", 0, 2, 70*300 + 40, fuzzMode(0, 3, 0, 0),
 		func(h fuzzHits) bool { return h.droppedTagged }},
+	{"a backlog behind a full inject queue sleeps towards its retry deadline", 0, 3, 0, fuzzMode(fuzzBacklog, 5, 1, 0),
+		func(h fuzzHits) bool { return h.blockedTimed }},
+	{"the same with a fault script, checkpointed and resumed", 3, 2, 300 + 50, fuzzMode(fuzzBacklog, 4, 0, 3),
+		func(h fuzzHits) bool { return h.blockedTimed }},
 	{"checkpoint with stations parked, resumed under both engines", 0, 2, 0, fuzzMode(0, 3, 0, 2),
 		func(h fuzzHits) bool { return h.checkpointParked }},
 	{"the same under a fault script and the throttle, on the long ring", 0, 2, 300 + 50, fuzzMode(fuzzLong|fuzzThrottle|fuzzTwin, 3, 0, 2),
@@ -81,6 +87,7 @@ const (
 	fuzzThrottle = 1 << 1  // congestion throttle on
 	fuzzNoITag   = 1 << 2  // I-tags off
 	fuzzTwin     = 1 << 12 // a second bridge beside the one the script kills
+	fuzzBacklog  = 1 << 13 // the middle ring's source has a deep backlog and a retry deadline
 )
 
 // fuzzMode packs a mode word.
@@ -105,6 +112,7 @@ func fuzzEquivalence(t *testing.T, gapRoot, linkLat uint8, faultAt, mode uint16,
 		throttle:  mode&fuzzThrottle != 0,
 		noITag:    mode&fuzzNoITag != 0,
 		twin:      mode&fuzzTwin != 0,
+		backlog:   mode&fuzzBacklog != 0,
 		pauseFor:  sim.Cycle(mode>>3&7) * 40,
 		pauseAt:   10 + sim.Cycle(mode>>6&7)*15,
 		forceWake: true,
@@ -150,6 +158,7 @@ type fuzzCase struct {
 	throttle  bool
 	noITag    bool
 	twin      bool // a second bridge between the middle and the last ring
+	backlog   bool // src1 starts with 40 flits queued and re-issues one every 35 cycles
 	// The sinks drain nothing in [pauseAt, pauseAt+pauseFor).
 	pauseAt, pauseFor sim.Cycle
 	// ckptAt > 0: checkpoint after that many cycles and finish the run in
@@ -182,6 +191,7 @@ type fuzzHits struct {
 	reroutedOnSlot   bool // a bridge kill or repair changed the exit of a flit on a slot
 	droppedTagged    bool // DropLiveFlit emptied a slot carrying an armed I-tag
 	checkpointParked bool // a checkpoint was taken with a station parked
+	blockedTimed     bool // a source slept on a refused Send towards its retry deadline
 }
 
 // fuzzFaulter is an in-package stand-in for the fault injector: a
@@ -298,6 +308,7 @@ func newFuzzFaulter(net *Network, node NodeID, faultAt uint16, hits *fuzzHits) *
 // fuzzRig is one built instance of the fuzz fabric.
 type fuzzRig struct {
 	net        *Network
+	src1       *source
 	snk0, snk2 *sink
 }
 
@@ -361,7 +372,15 @@ func buildFuzzRig(t *testing.T, c fuzzCase, hits *fuzzHits) fuzzRig {
 		src1.queueAt(net.NewFlit(src1.Node(), snk1.Node(), KindData, LineBytes), at)
 		src0.queueAt(net.NewFlit(src0.Node(), snk1.Node(), KindData, LineBytes), at)
 	}
-	return fuzzRig{net, snk0, snk2}
+	if c.backlog {
+		// Deeper than the inject queue, all due at once, and a deadline that
+		// keeps adding: with the sinks paused src1 sits behind a full queue.
+		for i := 0; i < 40; i++ {
+			src1.queue(net.NewFlit(src1.Node(), snk1.Node(), KindData, LineBytes))
+		}
+		src1.retries, src1.retryEvery, src1.deadline, src1.retryDst = 8, 35, 35, snk2.Node()
+	}
+	return fuzzRig{net, src1, snk0, snk2}
 }
 
 // anyParked reports whether some station of n is parked, and whether one
@@ -440,6 +459,7 @@ func fuzzRun(t *testing.T, c fuzzCase) (fuzzDigest, fuzzHits) {
 	if t := net.throttle; t != nil {
 		hits.throttled = t.opportunitySeq > 0
 	}
+	hits.blockedTimed = rig.src1.blockedTimed > 0
 
 	traceHash := fnv.New64a()
 	for _, e := range tr.Events() {

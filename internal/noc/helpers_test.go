@@ -68,13 +68,22 @@ func (s *sink) Tick(now sim.Cycle) {
 // source is a test endpoint that emits a fixed list of flits as fast as
 // the inject queue accepts them — each no earlier than its release cycle,
 // so a test can script bursts with idle gaps between them — and drains
-// anything ejected to it.
+// anything ejected to it. With retries armed it also behaves like a
+// requester's CHI retrier: at every deadline one more flit for retryDst
+// joins the list.
 type source struct {
 	name    string
 	iface   *NodeInterface
 	pending []*Flit
 	release []sim.Cycle // release[i] gates pending[i]
 	got     []*Flit
+
+	retries              int // deadlines still to come
+	deadline, retryEvery sim.Cycle
+	retryDst             NodeID
+	// blockedTimed counts the IdleUntil answers that put the source to sleep
+	// on a refused Send with a deadline to sleep towards (diagnostics).
+	blockedTimed int
 }
 
 func newSource(t testing.TB, net *Network, st *CrossStation, name string) *source {
@@ -100,21 +109,42 @@ func (s *source) queueAt(f *Flit, at sim.Cycle) {
 }
 
 // IdleUntil implements IdleUntiler: idle with nothing to receive and
-// nothing due; the head's release cycle is the only timer.
+// nothing it could send — the head not yet released, or the inject queue
+// full, in which case the Send would be refused and the pop that makes
+// room wakes the source. The head's release cycle and the next retry
+// deadline are the timers.
 func (s *source) IdleUntil(now sim.Cycle) sim.Cycle {
 	if s.iface.EjectLen() > 0 {
 		return now
 	}
-	if len(s.pending) == 0 {
-		return Never
+	wake := Never
+	if s.retries > 0 {
+		wake = s.deadline
 	}
-	if s.release[0] > now {
-		return s.release[0]
+	if len(s.pending) > 0 {
+		switch {
+		case s.release[0] > now:
+			if s.release[0] < wake {
+				wake = s.release[0]
+			}
+		case s.iface.InjectSpace() > 0:
+			return now
+		case wake > now && wake != Never:
+			s.blockedTimed++
+		}
 	}
-	return now
+	if wake < now {
+		return now
+	}
+	return wake
 }
 
 func (s *source) Tick(now sim.Cycle) {
+	if s.retries > 0 && s.deadline <= now {
+		s.retries--
+		s.deadline += s.retryEvery
+		s.queue(s.iface.station.ring.net.NewFlit(s.Node(), s.retryDst, KindData, LineBytes))
+	}
 	for len(s.pending) > 0 && s.release[0] <= now && s.iface.Send(s.pending[0]) {
 		s.pending = s.pending[1:]
 		s.release = s.release[1:]

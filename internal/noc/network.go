@@ -79,20 +79,21 @@ type Network struct {
 	freeFlits []*Flit
 
 	// Activity gating (gate.go). devs is every device with its gate, in
-	// registration order, over the wake table: one word per node
-	// interface, laid out so a device's words are adjacent. Both are built
-	// lazily (wake == nil: not laid out for the current device list).
-	// nextWake is, after tickDevices, a lower bound on the next cycle any
-	// device wants to tick, as far as the loop could see; the quiescent
-	// jump uses it as its cheap first test. forceAwake is the test-only
-	// reference engine: every ring, station and device ticks every cycle
-	// and the clock never jumps. Tests switch it on before the first Tick
-	// or straight after a restore, when no station is owed anything:
-	// CrossStation.settle credits nothing under it.
-	devs       []devGate
-	wake       []sim.Cycle
-	nextWake   sim.Cycle
-	forceAwake bool
+	// registration order; awake holds one bit per device, set while it is to
+	// be ticked, polled the bits of the devices that never clear theirs, cal
+	// the cycles at which the sleepers asked to be woken, and kinds the tick
+	// counts by Go type. All five are built lazily (awake == nil: not bound
+	// to the current device list).
+	// forceAwake is the test-only reference engine: every ring, station and
+	// device ticks every cycle and the clock never jumps. Tests switch it on
+	// before the first Tick or straight after a restore, when no station is
+	// owed anything: CrossStation.settle credits nothing under it.
+	devs          []devGate
+	awake, polled []uint64
+	cal           wakeCal
+	kinds         []*kindTally
+	notedTicks    uint64 // cycles whose device ticks noteRun has published
+	forceAwake    bool
 	// sweeping, sweepRing and sweepPos say how far the station phase of the
 	// current cycle has come while a visit made by tickRings runs: every
 	// ring before sweepRing, and every position of sweepRing before
@@ -264,10 +265,10 @@ func (n *Network) AttachQueued(node NodeID, st *CrossStation, injectDepth, eject
 }
 
 // AddDevice registers a device for per-cycle ticking (after ring logic).
-// The wake table is laid out again, all-awake, on the next Tick.
+// The gates are bound again, all awake, on the next Tick.
 func (n *Network) AddDevice(d Device) {
 	n.devices = append(n.devices, d)
-	n.wake = nil
+	n.devs, n.awake = nil, nil
 }
 
 // Partitions always returns 1; kept only because bench/ compiles against it.
@@ -651,7 +652,7 @@ func (n *Network) Tick(now sim.Cycle) {
 	n.now = now
 	n.ticks++
 	n.throttleTick()
-	if n.wake == nil {
+	if n.awake == nil {
 		n.bindGates()
 	}
 	n.tickRings(now)

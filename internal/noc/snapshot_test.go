@@ -28,6 +28,8 @@ func (s *source) SnapState(sn *Snap) {
 		sim.Uint(sn.Codec, &s.release[i])
 	}
 	snapFlitSlice(sn, &s.got)
+	sim.Int(sn.Codec, &s.retries)
+	sim.Uint(sn.Codec, &s.deadline)
 }
 
 func (s *sink) SnapState(sn *Snap) { snapFlitSlice(sn, &s.got) }

@@ -38,13 +38,11 @@ type NodeInterface struct {
 	// list — the row key into the node's precomputed forwarding table.
 	nodeSlot int
 
-	// wake points at this interface's word in the network's wake table
-	// (see gate.go): the owning device is skipped while every word of its
-	// node's interfaces lies in the future. An ejection into this
-	// interface, or Wake, zeroes the word. Until the table is bound it
-	// points at unbound, so it is never nil.
-	wake    *sim.Cycle
-	unbound sim.Cycle
+	// wake and wakeBit name the awake bit (see gate.go) of the device that
+	// sleeps on this interface: Wake sets it. Nil while the gates are not
+	// bound and for an interface no sleeper owns.
+	wake    *uint64
+	wakeBit uint64
 
 	inject sim.FIFO[*Flit]
 	eject  sim.FIFO[*Flit]
@@ -203,11 +201,15 @@ func (ni *NodeInterface) route(f *Flit) bool {
 }
 
 // Wake makes the device owning this interface tick at its next slot even
-// if it reported itself idle. The network calls it on every ejection;
-// a device that hands another device work outside the fabric (the
-// serving orchestrator queueing a command on an engine) calls it on the
-// receiver's interface.
-func (ni *NodeInterface) Wake() { *ni.wake = 0 }
+// if it reported itself idle. The network calls it on every ejection and
+// when a full inject queue gives up a flit; a device that hands another
+// device work outside the fabric (the serving orchestrator queueing a
+// command on an engine) calls it on the receiver's interface.
+func (ni *NodeInterface) Wake() {
+	if ni.wake != nil {
+		*ni.wake |= ni.wakeBit
+	}
+}
 
 // Recv dequeues the oldest ejected flit, or nil. Draining the eject queue
 // is what frees buffer entries for E-tag reservations.
@@ -339,12 +341,17 @@ func (ni *NodeInterface) refreshHead() {
 }
 
 // popHead removes the current head after a successful injection or local
-// transfer.
+// transfer. A pop from a full inject queue wakes the owner: a refused Send
+// is the one thing it can have been waiting on, and ring ticks precede
+// device ticks, so it sends again this cycle.
 func (ni *NodeInterface) popHead() {
 	ni.station.ring.queued--
 	if ni.bypass.Len() > 0 {
 		ni.bypass.Pop()
 	} else {
+		if ni.inject.Len() == ni.inject.Cap() {
+			ni.Wake()
+		}
 		ni.inject.Pop()
 		ni.injectFails = 0
 	}
@@ -505,7 +512,6 @@ func (st *CrossStation) attach(node NodeID, injectDepth, ejectDepth int) *NodeIn
 				eject:   sim.NewFIFO[*Flit](ejectDepth),
 				bypass:  sim.NewFIFO[*Flit](bypassDepth),
 			}
-			ni.wake = &ni.unbound
 			st.ifaces[i] = ni
 			return ni
 		}

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -91,4 +92,63 @@ func (n *Network) UtilizationString(k int) string {
 			fmt.Sprintf("%s@%d", s.Name, s.Position), s.Ring, s.Injected, s.EjectedFlits, s.Deflected, s.Starved)
 	}
 	return b.String()
+}
+
+// KindTicks is the device loop's account of the devices of one Go type:
+// of the Ticks + Skipped device-cycles they went through, Ticks ran.
+type KindTicks struct {
+	Kind           string // "traffic.Requester"
+	Devices        int
+	Ticks, Skipped uint64
+}
+
+// DeviceTicksByKind says which of this network's devices the gate ticked
+// and which it skipped, by Go type in name order — the table a change to
+// an idle predicate is sized from.
+func (n *Network) DeviceTicksByKind() []KindTicks {
+	out := make([]KindTicks, len(n.kinds))
+	for i, k := range n.kinds {
+		out[i] = KindTicks{Kind: k.total.Kind, Devices: int(k.devices), Ticks: k.ticks, Skipped: n.ticks*k.devices - k.ticks}
+	}
+	return out
+}
+
+// DeviceTickTotals returns the process-wide DeviceTicksByKind: every
+// device gated so far, and the device-cycles published by noteRun.
+func DeviceTickTotals() []KindTicks {
+	engineTotals.Lock()
+	defer engineTotals.Unlock()
+	out := make([]KindTicks, 0, len(engineTotals.byKind))
+	for _, k := range engineTotals.byKind {
+		out = append(out, *k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
+	return out
+}
+
+// tallyKinds gives every device of the current list the tally of its Go
+// type, entered in the process-wide table, and returns the tallies in name
+// order.
+func (n *Network) tallyKinds() []*kindTally {
+	engineTotals.Lock()
+	defer engineTotals.Unlock()
+	byKind := map[reflect.Type]*kindTally{}
+	var kinds []*kindTally
+	for i, d := range n.devices {
+		k := byKind[reflect.TypeOf(d)]
+		if k == nil {
+			name := strings.TrimPrefix(reflect.TypeOf(d).String(), "*")
+			if engineTotals.byKind[name] == nil {
+				engineTotals.byKind[name] = &KindTicks{Kind: name}
+			}
+			k = &kindTally{total: engineTotals.byKind[name]}
+			byKind[reflect.TypeOf(d)] = k
+			kinds = append(kinds, k)
+		}
+		k.devices++
+		k.total.Devices++
+		n.devs[i].kind = k
+	}
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].total.Kind < kinds[j].total.Kind })
+	return kinds
 }

@@ -33,9 +33,11 @@ var notSerialized = map[string]map[string]string{
 		"ringNext": "derived: route tables", "bridges": "derived: bridge inventory", "routeTbl": "derived: route tables",
 		"freeFlits": "engine scratch: free list, reset on load",
 		"snap":      "engine scratch: a walk's identity pools, empty between walks", "lastCheckpoint": "engine scratch: sizes the next checkpoint's buffer",
-		"devs": "derived: device gates", "wake": "derived: wake words, zeroed on load",
-		"nextWake": "derived: left by the last device loop", "forceAwake": "test-only engine switch",
-		"sweeping": "engine scratch: true only inside a ring phase", "sweepRing": "engine scratch: ring phase progress",
+		"devs": "derived: device gates", "kinds": "diagnostic: device ticks by Go type", "awake": "derived: one bit per device, all set on load",
+		"polled": "derived: which devices never clear their awake bit, fixed by the device list",
+		"cal":    "derived: timed-wake calendar, emptied on load", "forceAwake": "test-only engine switch",
+		"notedTicks": "diagnostic: cycles already published to the process-wide device tick totals",
+		"sweeping":   "engine scratch: true only inside a ring phase", "sweepRing": "engine scratch: ring phase progress",
 		"sweepPos":  "engine scratch: ring phase progress",
 		"EpochsRun": "always 0", "BarrierSyncs": "always 0", "SkippedCycles": "diagnostic",
 		"RingTicksSkipped": "diagnostic", "StationTicksSkipped": "diagnostic", "DeviceTicksSkipped": "diagnostic",
@@ -69,7 +71,7 @@ var notSerialized = map[string]map[string]string{
 	},
 	"noc.NodeInterface": {
 		"node": "wiring", "station": "wiring", "index": "wiring", "nodeSlot": "wiring",
-		"wake": "derived: wake word", "unbound": "derived: wake word before binding",
+		"wake": "derived: the owning device's awake word", "wakeBit": "derived: the owning device's awake bit",
 	},
 	"noc.RBRGL1": {
 		"name": "wiring", "net": "wiring", "node": "wiring", "cfg": "config", "halves": "build shape: count matched",

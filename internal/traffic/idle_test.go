@@ -39,13 +39,18 @@ func requesterState(t *testing.T, r *Requester) string {
 // cases cover both ways the issue loop can return before its first draw
 // (a closed loop on a full table, a spent request budget), the split
 // write pool (a full read budget alone still draws the class coin), retry
-// deadlines as the timed sleep, and an open-loop rate, which draws before
-// it looks at the table and so must never sleep on a full one.
+// deadlines as the timed sleep, an open-loop rate, which draws before
+// it looks at the table and so must never sleep on a full one, and — the
+// deep cases, whose transaction table is larger than the inject queue and
+// whose write bursts saturate the ring behind the slow memory — a beat
+// backlog behind a full inject queue, closed- and open-loop, with and
+// without a retry deadline to sleep towards.
 func TestIdleUntilHonest(t *testing.T) {
 	cases := []struct {
-		name  string
-		cfg   RequesterConfig
-		timed bool // retry deadlines give it something to sleep towards
+		name   string
+		cfg    RequesterConfig
+		timed  bool // retry deadlines give it something to sleep towards
+		blocks bool // must be seen asleep on a backlog behind a full inject queue
 	}{
 		{name: "closed-loop", cfg: RequesterConfig{Outstanding: 4, Rate: 1, ReadFraction: 0.7}},
 		{name: "open-loop-bounded", cfg: RequesterConfig{Outstanding: 2, Rate: 0.3, ReadFraction: 0.7, MaxRequests: 40}},
@@ -53,6 +58,10 @@ func TestIdleUntilHonest(t *testing.T) {
 		{name: "retry", timed: true, cfg: RequesterConfig{Outstanding: 4, Rate: 1, ReadFraction: 0.7,
 			Retry: chi.RetryConfig{TimeoutCycles: 60, MaxRetries: 3}}},
 		{name: "closed-loop-bounded", cfg: RequesterConfig{Outstanding: 4, Rate: 1, ReadFraction: 0.7, MaxRequests: 60, IssuePerCycle: 2}},
+		{name: "deep", blocks: true, cfg: RequesterConfig{Outstanding: 24, Rate: 1, ReadFraction: 0.3, IssuePerCycle: 2}},
+		{name: "deep-open-loop", blocks: true, cfg: RequesterConfig{Outstanding: 24, Rate: 0.8, ReadFraction: 0.3, IssuePerCycle: 2}},
+		{name: "deep-retry", blocks: true, timed: true, cfg: RequesterConfig{Outstanding: 24, Rate: 1, ReadFraction: 0.3, IssuePerCycle: 2,
+			Retry: chi.RetryConfig{TimeoutCycles: 900, MaxRetries: 3}}},
 	}
 	t.Run("replayer", replayerIdleHonest)
 	for _, tc := range cases {
@@ -68,7 +77,7 @@ func TestIdleUntilHonest(t *testing.T) {
 				req := NewRequester(net, "gen", cfg, sim.NewRNG(seed), ring.AddStation(0))
 				net.MustFinalize()
 
-				idle, busy, slept, full := 0, 0, 0, 0
+				idle, busy, slept, full, blocked, blockedTimed := 0, 0, 0, 0, 0, 0
 				for c := 0; c < 6000; c++ {
 					now := sim.Cycle(net.Ticks())
 					net.Tick(now)
@@ -77,8 +86,8 @@ func TestIdleUntilHonest(t *testing.T) {
 					spent := cfg.MaxRequests != 0 && req.Issued >= cfg.MaxRequests
 					if req.tracker.Full() && !spent {
 						full++
-						if cfg.Rate < 1 && until > next {
-							t.Fatalf("seed %d: open-loop requester asleep on a full table at cycle %d; its Tick draws", seed, next)
+						if cfg.Rate < 1 && until > next && req.sendq.Len() == 0 {
+							t.Fatalf("seed %d: open-loop requester asleep on a full table at cycle %d with no backlog; its Tick draws", seed, next)
 						}
 					}
 					if until <= next {
@@ -89,6 +98,15 @@ func TestIdleUntilHonest(t *testing.T) {
 					if until != noc.Never {
 						slept++
 					}
+					if req.sendq.Len() > 0 {
+						if req.iface.InjectSpace() != 0 {
+							t.Fatalf("seed %d: requester asleep at cycle %d with a backlog and %d free inject entries", seed, next, req.iface.InjectSpace())
+						}
+						blocked++
+						if until != noc.Never {
+							blockedTimed++
+						}
+					}
 					before := requesterState(t, req)
 					req.Tick(next)
 					if after := requesterState(t, req); after != before {
@@ -97,6 +115,9 @@ func TestIdleUntilHonest(t *testing.T) {
 				}
 				if idle == 0 || busy == 0 || full == 0 || (tc.timed && slept == 0) {
 					t.Fatalf("seed %d: property not exercised (%d idle, %d busy, %d timed sleeps, %d cycles on a full table)", seed, idle, busy, slept, full)
+				}
+				if tc.blocks && (blocked == 0 || tc.timed && blockedTimed == 0) {
+					t.Fatalf("seed %d: never asleep on a backlog behind a full inject queue (%d such cycles, %d with a retry deadline); the blocked-sender clause was not exercised", seed, blocked, blockedTimed)
 				}
 				if retried, _ := req.RetryStats(); tc.timed && retried == 0 {
 					t.Fatalf("seed %d: no retry deadline ever fired", seed)

@@ -350,19 +350,25 @@ func (r *Requester) Tick(now sim.Cycle) {
 }
 
 // IdleUntil implements noc.IdleUntiler. The requester is idle when Tick
-// would touch nothing: no arrival to take, no beat to send, and an issue
-// loop that returns at its first test — the request budget is spent, or
-// the generator is a closed loop (Rate >= 1) on a full transaction table.
-// Below rate 1 the Bernoulli draw comes before the table test, so every
-// tick advances the RNG and such a requester never sleeps on a full
-// table. It sleeps until the earliest retry deadline; a completion
-// arriving sooner wakes it through its interface.
+// would touch nothing: no arrival to take, and either a beat backlog behind
+// a full inject queue — Send refuses before it looks at the flit, and the
+// issue loop returns on the backlog — or no backlog and an issue loop that
+// returns at its first test: the request budget is spent, or the generator
+// is a closed loop (Rate >= 1) on a full transaction table. Below rate 1
+// the Bernoulli draw comes before the table test, so every tick advances
+// the RNG and such a requester never sleeps on a full table. It sleeps
+// until the earliest retry deadline; a completion arriving sooner, or the
+// station taking a flit off the full inject queue, wakes it through its
+// interface.
 func (r *Requester) IdleUntil(now sim.Cycle) sim.Cycle {
-	if r.iface.EjectLen() > 0 || r.sendq.Len() > 0 {
+	if r.iface.EjectLen() > 0 {
 		return now
 	}
-	spent := r.cfg.MaxRequests != 0 && r.Issued >= r.cfg.MaxRequests
-	if !spent && !(r.cfg.Rate >= 1 && r.tracker.Full()) {
+	if r.sendq.Len() > 0 {
+		if r.iface.InjectSpace() > 0 {
+			return now
+		}
+	} else if spent := r.cfg.MaxRequests != 0 && r.Issued >= r.cfg.MaxRequests; !spent && !(r.cfg.Rate >= 1 && r.tracker.Full()) {
 		return now
 	}
 	if d := r.retrier.NextDeadline(); d > now {
