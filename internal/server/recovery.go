@@ -126,7 +126,7 @@ func (s *Server) recoverJob(id string) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("job record: spec: %w", err)
 	}
-	job := &Job{ID: p.ID, Spec: spec, kind: k, Status: StatusQueued, Cycle: p.Cycle}
+	job := &Job{ID: p.ID, Spec: spec, kind: k, Status: StatusQueued, Cycle: p.Cycle, persisted: true}
 	ckptName := id + checkpointSuffix
 	ckpt, err := durable.ReadFile(filepath.Join(s.cfg.StateDir, ckptName))
 	switch {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,6 +61,10 @@ type Job struct {
 	kind *jobKind
 	// resume is the checkpoint to continue from (reloaded or suspended).
 	resume []byte
+	// persisted says the state directory may hold this job's record or
+	// checkpoint: persistJob or recovery set it, dropPersisted clears it.
+	// A job born done from the cache never has either file.
+	persisted bool
 	// flight is the execution this job is attached to; jobs submitted
 	// with identical content addresses share one.
 	flight *flight
@@ -140,6 +146,11 @@ type Server struct {
 	draining atomic.Bool
 	wg       sync.WaitGroup
 	recovery RecoveryReport
+	// admissions and decoded are the warm path's two lookups (memo.go):
+	// request body → admission, and content address → decoded result.
+	admissions *memo[[sha256.Size]byte, admission]
+	decoded    *memo[string, decodedResult]
+	counts     admissionCounters
 }
 
 // Submission errors, distinguished so the HTTP layer can map them to
@@ -178,7 +189,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfterSeconds <= 0 {
 		cfg.RetryAfterSeconds = 1
 	}
-	s := &Server{cfg: cfg, jobs: map[string]*Job{}, flights: map[string]*flight{}}
+	s := &Server{cfg: cfg, jobs: map[string]*Job{}, flights: map[string]*flight{},
+		admissions: newMemo[[sha256.Size]byte, admission](admissionMemoBytes),
+		decoded:    newMemo[string, decodedResult](decodedMemoBytes)}
 
 	var reloaded []*Job
 	if cfg.StateDir != "" {
@@ -215,41 +228,59 @@ func New(cfg Config) (*Server, error) {
 }
 
 // coalesceRecovered groups recovered jobs into flights by content
-// address. The flight resumes from the furthest checkpoint any member
-// carried — every member's spec reaches the same result, so the most
-// progressed checkpoint serves them all.
+// address, exactly as joinFlightLocked would have had they been submitted
+// to a live daemon; it returns the flights to queue. Runs before the
+// worker pool starts.
 func (s *Server) coalesceRecovered(jobs []*Job) []*flight {
 	var flights []*flight
 	for _, job := range jobs {
-		key := s.jobKey(job)
-		if fl, ok := s.flights[key]; ok {
-			fl.jobs = append(fl.jobs, job)
-			job.flight = fl
-			job.Coalesced = true
-			if job.resume != nil && (fl.resume == nil || job.Cycle > fl.cycle) {
-				fl.resume, fl.cycle = job.resume, job.Cycle
-			}
+		fl, opened := s.joinFlightLocked(job, s.keyFor(job.kind, &job.Spec))
+		if opened {
+			flights = append(flights, fl)
+		} else {
 			s.note("job %s coalesced with recovered %s (same content address)", job.ID, fl.lead().ID)
-			continue
 		}
-		fl := &flight{key: key, jobs: []*Job{job}, resume: job.resume, cycle: job.Cycle}
-		job.flight = fl
-		if key != "" {
-			s.flights[key] = fl
-		}
-		flights = append(flights, fl)
 	}
 	return flights
 }
 
-// jobKey computes a job's content address from its (normalized) spec, or
-// "" when memoization is off or the spec has none — an uncacheable job
-// still runs, it just never coalesces or populates the store.
-func (s *Server) jobKey(job *Job) string {
+// joinFlightLocked attaches job to the open flight for its content
+// address, or opens one, and reports which. A joining member is born
+// running if the flight already is, and the flight keeps the furthest
+// checkpoint any member brought — every member's spec reaches the same
+// result, so the most progressed checkpoint serves them all. An opened
+// flight is in the index but not yet queued: that, and what a full queue
+// means, is the caller's business. Callers hold s.mu.
+func (s *Server) joinFlightLocked(job *Job, key string) (fl *flight, opened bool) {
+	fl, open := s.flights[key]
+	if !open {
+		fl = &flight{key: key, jobs: []*Job{job}, resume: job.resume, cycle: job.Cycle}
+		if key != "" {
+			s.flights[key] = fl
+		}
+		job.flight = fl
+		return fl, true
+	}
+	job.Coalesced = true
+	if fl.running {
+		job.Status = StatusRunning
+	}
+	if job.resume != nil && (fl.resume == nil || job.Cycle > fl.cycle) {
+		fl.resume, fl.cycle = job.resume, job.Cycle
+	}
+	fl.jobs = append(fl.jobs, job)
+	job.flight = fl
+	return fl, false
+}
+
+// keyFor computes the content address of a normalized spec, or "" when
+// memoization is off or the spec has none — an uncacheable job still
+// runs, it just never coalesces or populates the store.
+func (s *Server) keyFor(k *jobKind, spec *JobSpec) string {
 	if s.cfg.Cache == nil {
 		return ""
 	}
-	key, err := keyOf(job.kind, &job.Spec)
+	key, err := keyOf(k, spec)
 	if err != nil {
 		return ""
 	}
@@ -280,6 +311,8 @@ func (s *Server) persistJob(job *Job) error {
 	if err != nil {
 		return err
 	}
+	// Set before the writes: a failed one may still have left a file.
+	job.persisted = true
 	if job.resume != nil {
 		if err := durable.WriteFile(filepath.Join(s.cfg.StateDir, job.ID+checkpointSuffix), job.resume, 0o644); err != nil {
 			return err
@@ -288,14 +321,22 @@ func (s *Server) persistJob(job *Job) error {
 	return durable.WriteSealed(filepath.Join(s.cfg.StateDir, job.ID+jobRecordSuffix), rec, 0o644)
 }
 
-// dropPersisted removes a job's on-disk record after it reaches a
-// terminal state.
-func (s *Server) dropPersisted(id string) {
-	if s.cfg.StateDir == "" {
+// testDropHook, when set by a test, runs once per job whose state files
+// dropPersisted actually unlinks.
+var testDropHook func(id string)
+
+// dropPersisted removes a job's on-disk record and checkpoint after it
+// reaches a terminal state — for a job that has them. Callers hold s.mu.
+func (s *Server) dropPersisted(job *Job) {
+	if !job.persisted {
 		return
 	}
-	os.Remove(filepath.Join(s.cfg.StateDir, id+jobRecordSuffix))
-	os.Remove(filepath.Join(s.cfg.StateDir, id+checkpointSuffix))
+	job.persisted = false
+	if testDropHook != nil {
+		testDropHook(job.ID)
+	}
+	os.Remove(filepath.Join(s.cfg.StateDir, job.ID+jobRecordSuffix))
+	os.Remove(filepath.Join(s.cfg.StateDir, job.ID+checkpointSuffix))
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -328,7 +369,7 @@ func (s *Server) runFlight(fl *flight) {
 				if job.Status == StatusRunning {
 					job.Status = StatusFailed
 					job.Error = fmt.Sprintf("worker panic: %v\n\n%s", r, debug.Stack())
-					s.dropPersisted(job.ID)
+					s.dropPersisted(job)
 				}
 			}
 			s.unregisterFlightLocked(fl)
@@ -430,23 +471,33 @@ func (s *Server) cached(key string, k *jobKind) *Result {
 }
 
 // cachedLocked returns the stored result for a content address, decoded
-// as kind k, or nil. An entry that fails to decode is deleted from the
+// as kind k, or nil. The store answers first, every time — presence, tier
+// promotion, the CRC and eviction are its business — and only then is the
+// decoding spared: the Result this daemon last decoded for the address is
+// reused iff the payload the store just returned is byte-equal to the one
+// it was decoded from. An entry that fails to decode is deleted from the
 // store (it passed the CRC but not the codec — format drift or a foreign
 // writer) and reported as absent, so the job runs normally. Callers hold
 // s.mu. (Get touches the disk tier on a memory miss; that IO rides under
-// s.mu, which is fine at this service's scale and is what makes Submit's
+// s.mu, which is fine at this service's scale and is what makes admit's
 // probe atomic with finishFlight's populate-then-unregister.)
 func (s *Server) cachedLocked(key string, k *jobKind) *Result {
 	payload, ok := s.cfg.Cache.Get(key)
 	if !ok {
 		return nil
 	}
+	if d, ok := s.decoded.get(key); ok && bytes.Equal(d.payload, payload) {
+		s.counts.decodedHits.Add(1)
+		return d.res
+	}
+	s.counts.decodedMisses.Add(1)
 	res, err := decodeAs(k, payload)
 	if err != nil {
 		s.cfg.Cache.Delete(key)
 		s.note("cache entry %.12s… undecodable (%v); evicted, running fresh", key, err)
 		return nil
 	}
+	s.decoded.put(key, decodedResult{payload: payload, res: res}, decodedCost(payload))
 	return res
 }
 
@@ -548,7 +599,7 @@ func (s *Server) settleLocked(job *Job, v verdict) {
 		}
 	}
 	if job.Status != StatusSuspended {
-		s.dropPersisted(job.ID)
+		s.dropPersisted(job)
 	}
 }
 
@@ -578,53 +629,83 @@ func (s *Server) Shutdown() {
 }
 
 // Submit admits a job spec. The spec is normalized here, once — EVERY
-// admission path, HTTP and programmatic alike, goes through Submit, so
-// a job's identity, its persisted record and its log lines always agree
-// on the canonical spelling. With a cache configured, admission is
-// memoized: a stored content address answers instantly (the job is born
-// done, no queue slot consumed), an open flight for the address absorbs
-// the job as a coalesced member, and only a genuinely new address takes
-// a queue slot. Returns ErrQueueFull / ErrDraining for the two refusals.
+// admission path, HTTP and programmatic alike, goes through normalized
+// and then admit, so a job's identity, its persisted record and its log
+// lines always agree on the canonical spelling. Returns ErrQueueFull /
+// ErrDraining for the two refusals.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	spec, k, err := normalizeSpec(spec)
+	adm, err := s.normalized(spec)
 	if err != nil {
 		return nil, err
 	}
+	return s.admit(adm)
+}
+
+// normalized validates and canonicalizes a decoded spec, resolves its
+// kind and computes its content address.
+func (s *Server) normalized(spec JobSpec) (admission, error) {
+	spec, k, err := normalizeSpec(spec)
+	if err != nil {
+		return admission{}, err
+	}
+	return admission{spec: spec, kind: k, key: s.keyFor(k, &spec)}, nil
+}
+
+// admissionOf is normalized for a raw request body. Decoding, normalizing
+// and keying are pure functions of the bytes, so a body this daemon has
+// admitted before is answered from the admission memo, keyed by the
+// body's SHA-256; only a body that got all the way through is remembered,
+// so a rejected one is judged afresh, and worded the same, every time. A
+// differently spelled equal spec is a different body: it misses here,
+// meets the first at the store, and echoes its own spelling.
+func (s *Server) admissionOf(body []byte) (admission, error) {
+	sum := sha256.Sum256(body)
+	if adm, ok := s.admissions.get(sum); ok {
+		s.counts.memoHits.Add(1)
+		return adm, nil
+	}
+	s.counts.memoMisses.Add(1)
+	spec, err := decodeJobSpec(body)
+	if err != nil {
+		return admission{}, err
+	}
+	adm, err := s.normalized(spec)
+	if err != nil {
+		return admission{}, err
+	}
+	s.admissions.put(sum, adm, adm.cost())
+	return adm, nil
+}
+
+// admit is the one admission body. With a cache configured, admission is
+// memoized: a stored content address answers instantly (the job is born
+// done, no queue slot consumed, nothing written to the state directory),
+// an open flight for the address absorbs the job as a coalesced member,
+// and only a genuinely new address takes a queue slot.
+func (s *Server) admit(adm admission) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
-	job := &Job{ID: fmt.Sprintf("job-%d", s.nextID), Spec: spec, kind: k, Status: StatusQueued}
-	key := s.jobKey(job)
+	job := &Job{ID: fmt.Sprintf("job-%d", s.nextID), Spec: adm.spec, kind: adm.kind, Status: StatusQueued}
 
 	// Memoized admission, probe one: the store.
-	if res := s.cachedLocked(key, k); res != nil {
+	if res := s.cachedLocked(adm.key, adm.kind); res != nil {
 		s.register(job)
 		s.settleLocked(job, verdict{status: StatusDone, result: res, cached: true})
 		return job, nil
 	}
 	// Probe two: an open flight for the same address absorbs the job;
 	// only a new address takes a queue slot.
-	fl, open := s.flights[key]
-	if open {
-		job.Coalesced = true
-		if fl.running {
-			job.Status = StatusRunning
-		}
-		fl.jobs = append(fl.jobs, job)
-	} else {
-		fl = &flight{key: key, jobs: []*Job{job}}
+	if fl, opened := s.joinFlightLocked(job, adm.key); opened {
 		select {
 		case s.queue <- fl:
 		default:
+			s.unregisterFlightLocked(fl)
 			return nil, ErrQueueFull
 		}
-		if key != "" {
-			s.flights[key] = fl
-		}
 	}
-	job.flight = fl
 	s.register(job)
 	// Persist the record at admission so even a SIGKILLed daemon requeues
 	// every accepted job on restart. Best-effort: a full disk degrades
@@ -780,6 +861,7 @@ type readyView struct {
 	QueueCapacity int             `json:"queue_capacity"`
 	Workers       int             `json:"workers"`
 	Cache         *artifact.Stats `json:"cache,omitempty"`
+	Admission     admissionView   `json:"admission"`
 	Recovery      RecoveryReport  `json:"recovery"`
 }
 
@@ -793,6 +875,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.cfg.QueueDepth,
 		Workers:       s.cfg.Workers,
+		Admission:     s.admissionStats(),
 		Recovery:      s.Recovery(),
 	}
 	if s.cfg.Cache != nil {
@@ -805,6 +888,18 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, v)
+}
+
+// admissionStats reads the warm path's counters and memo occupancy.
+func (s *Server) admissionStats() admissionView {
+	return admissionView{
+		MemoHits:      s.counts.memoHits.Load(),
+		MemoMisses:    s.counts.memoMisses.Load(),
+		MemoBytes:     s.admissions.size(),
+		DecodedHits:   s.counts.decodedHits.Load(),
+		DecodedMisses: s.counts.decodedMisses.Load(),
+		DecodedBytes:  s.decoded.size(),
+	}
 }
 
 // writeJSON writes one JSON response.
@@ -835,12 +930,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec, err := decodeJobSpec(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	var job *Job
+	adm, err := s.admissionOf(body)
+	if err == nil {
+		job, err = s.admit(adm)
 	}
-	job, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))

@@ -59,9 +59,9 @@ func ParseJobSpec(data []byte) (JobSpec, error) {
 	return js.Normalize()
 }
 
-// decodeJobSpec is ParseJobSpec's strict JSON half. The HTTP handler
-// stops here and lets Submit normalize, so a submission is validated and
-// canonicalized exactly once on its way in.
+// decodeJobSpec is ParseJobSpec's strict JSON half. The HTTP handler's
+// admissionOf stops here and normalizes as Submit does, so a submission
+// is validated and canonicalized exactly once on its way in.
 func decodeJobSpec(data []byte) (JobSpec, error) {
 	var js JobSpec
 	if len(data) > maxJobSpecBytes {
