@@ -29,10 +29,11 @@ func saturate(f Fabric, cycles int, done DeliverFunc) {
 
 // TestFabricSteadyStateAllocs: once queues, pools and free-lists have
 // grown to their working size, a saturated cycle — refused sends
-// included — allocates nothing on any fabric. For MultiRing that is the
-// refused-send hand-back at work: every refused TrySend mints a flit.
+// included, a delivery callback on every packet — allocates nothing on
+// any fabric. For MultiRing that is the refused-send hand-back at work
+// (every refused TrySend mints a flit) and the callback riding in the flit.
 func TestFabricSteadyStateAllocs(t *testing.T) {
-	count := func(uint64) {}
+	var done DeliverFunc = func(uint64) {}
 	for _, f := range []Fabric{
 		NewBufferedMesh(DefaultMeshConfig(4, 4)),
 		NewBufferedRing(DefaultRingConfig(16)),
@@ -42,12 +43,6 @@ func TestFabricSteadyStateAllocs(t *testing.T) {
 	} {
 		f := f
 		t.Run(f.Name(), func(t *testing.T) {
-			done := count
-			if _, ok := f.(*MultiRing); ok {
-				// The adapter's callback map allocates as it churns; the
-				// guard here is on flits, so leave the map out of it.
-				done = nil
-			}
 			saturate(f, 2000, done)
 			before, _ := f.Delivered()
 			i := 0

@@ -36,6 +36,24 @@ type Fabric interface {
 	Cycles() uint64
 }
 
+// Compile-time interface checks for all fabrics.
+var (
+	_ Fabric = (*BufferedMesh)(nil)
+	_ Fabric = (*BufferedRing)(nil)
+	_ Fabric = (*SwitchedHub)(nil)
+	_ Fabric = (*MultiRing)(nil)
+)
+
+// PublishEngineStats reports the cycles a harness drove through f.Tick to
+// the process-wide engine totals (noc.EngineTotals) when f wraps a
+// noc.Network; the queueing models have no gate to report on. A harness
+// calls it once when its run is over.
+func PublishEngineStats(f Fabric) {
+	if m, ok := f.(*MultiRing); ok {
+		m.net.PublishEngineStats()
+	}
+}
+
 // packet is the common in-flight unit of the queueing models.
 type packet struct {
 	dst      int

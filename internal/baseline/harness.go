@@ -28,8 +28,7 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 	n := f.Nodes()
 	rng := sim.NewRNG(seed)
 	var lat stats.Histogram
-	type queued struct{ dst int }
-	backlog := make([][]queued, n)
+	backlog := make([]sim.FIFO[int], n) // destinations waiting at each source
 	var deliveredInWindow uint64
 	// One closure for the whole run, passed only with packets injected
 	// inside the window: those are the ones the latency figures cover.
@@ -44,15 +43,13 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 			done = record
 		}
 		for src := 0; src < n; src++ {
+			q := &backlog[src]
 			if rng.Bernoulli(rate) {
-				backlog[src] = append(backlog[src], queued{dst: uniformDst(rng, n, src)})
+				q.Push(uniformDst(rng, n, src))
 			}
 			// Drain backlog head if the fabric accepts it.
-			if len(backlog[src]) > 0 {
-				head := backlog[src][0]
-				if f.TrySend(src, head.dst, payload, done) {
-					backlog[src] = backlog[src][1:]
-				}
+			if q.Len() > 0 && f.TrySend(src, q.Peek(), payload, done) {
+				q.Pop()
 			}
 		}
 		f.Tick()
@@ -62,19 +59,17 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 	// rate rather than zero.
 	for cyc := uint64(0); cyc < window; cyc++ {
 		for src := 0; src < n; src++ {
-			if len(backlog[src]) > 0 {
-				head := backlog[src][0]
-				if f.TrySend(src, head.dst, payload, nil) {
-					backlog[src] = backlog[src][1:]
-				}
+			if q := &backlog[src]; q.Len() > 0 && f.TrySend(src, q.Peek(), payload, nil) {
+				q.Pop()
 			}
 		}
 		f.Tick()
 	}
+	PublishEngineStats(f)
 	// Saturation: backlog kept growing beyond a small slack.
 	stuck := 0
-	for _, b := range backlog {
-		stuck += len(b)
+	for i := range backlog {
+		stuck += backlog[i].Len()
 	}
 	return LoadPoint{
 		OfferedRate: rate,

@@ -14,26 +14,32 @@ type MultiRing struct {
 	net     *noc.Network
 	ports   []*mrPort
 	bridges []*noc.RBRGL2
-	pending map[uint64]DeliverFunc
 	stats   deliveryStats
 }
 
-// mrPort is one endpoint: it drains its eject queue every cycle (the
-// attached device's transaction buffers absorb arrivals) and recycles
-// the consumed flits into the network's free-list.
+// mrPort is one endpoint: it drains its eject queue the cycle something
+// arrives (the attached device's transaction buffers absorb arrivals)
+// and recycles the consumed flits into the network's free-list. Between
+// arrivals it sleeps: an ejection is the only thing that wakes it.
 type mrPort struct {
 	name  string
 	net   *noc.Network
 	iface *noc.NodeInterface
 }
 
-func (p *mrPort) Name() string { return p.name }
+func (p *mrPort) Name() string     { return p.name }
+func (p *mrPort) Node() noc.NodeID { return p.iface.Node() }
+
+// IdleUntil implements noc.IdleUntiler.
+func (p *mrPort) IdleUntil(now sim.Cycle) sim.Cycle {
+	if p.iface.EjectLen() > 0 {
+		return now
+	}
+	return noc.Never
+}
+
 func (p *mrPort) Tick(now sim.Cycle) {
-	for {
-		f := p.iface.Recv()
-		if f == nil {
-			return
-		}
+	for f := p.iface.Recv(); f != nil; f = p.iface.Recv() {
 		p.net.ReleaseFlit(f)
 	}
 }
@@ -46,9 +52,8 @@ func NewMultiRing(nodes int, full bool) *MultiRing {
 		panic("baseline: multiring needs at least 2 nodes")
 	}
 	m := &MultiRing{
-		name:    fmt.Sprintf("bufferless-multiring-%d", nodes),
-		net:     noc.NewNetwork("multiring"),
-		pending: make(map[uint64]DeliverFunc),
+		name: fmt.Sprintf("bufferless-multiring-%d", nodes),
+		net:  noc.NewNetwork("multiring"),
 	}
 	stations := (nodes + 1) / 2
 	ring := m.net.AddRing(stations*2, full)
@@ -71,9 +76,8 @@ func NewMultiRingChiplets(dies, nodesPerDie int) *MultiRing {
 		panic("baseline: chiplet multiring needs positive geometry")
 	}
 	m := &MultiRing{
-		name:    fmt.Sprintf("bufferless-multiring-%dx%d", dies, nodesPerDie),
-		net:     noc.NewNetwork("multiring-chiplets"),
-		pending: make(map[uint64]DeliverFunc),
+		name: fmt.Sprintf("bufferless-multiring-%dx%d", dies, nodesPerDie),
+		net:  noc.NewNetwork("multiring-chiplets"),
 	}
 	stations := (nodesPerDie+1)/2 + 1 // +1 for the bridge station(s)
 	var rings []*noc.Ring
@@ -108,12 +112,16 @@ func NewMultiRingChiplets(dies, nodesPerDie int) *MultiRing {
 	return m
 }
 
+// portDevice is what addPort registers for a port. Tests swap in a wrapper
+// that hides IdleUntil, to get the every-cycle port as their reference.
+var portDevice = func(p *mrPort) noc.Device { return p }
+
 func (m *MultiRing) addPort(st *noc.CrossStation) {
 	idx := len(m.ports)
 	p := &mrPort{name: fmt.Sprintf("port%d", idx), net: m.net}
 	node := m.net.NewNode(p.name)
 	p.iface = m.net.Attach(node, st)
-	m.net.AddDevice(p)
+	m.net.AddDevice(portDevice(p))
 	m.ports = append(m.ports, p)
 }
 
@@ -122,8 +130,7 @@ func (m *MultiRing) finish() {
 	m.net.OnDeliver = func(f *noc.Flit, now sim.Cycle) {
 		m.stats.packets++
 		m.stats.bytes += uint64(f.PayloadBytes)
-		if done := m.pending[f.ID]; done != nil {
-			delete(m.pending, f.ID)
+		if done, _ := f.Msg.(DeliverFunc); done != nil {
 			done(uint64(now - f.Created))
 		}
 	}
@@ -164,17 +171,14 @@ func (m *MultiRing) TrySend(src, dst, payloadBytes int, done DeliverFunc) bool {
 	// The flit is minted before the capacity test, and a refused one is
 	// recycled rather than not minted: bridge load-balancing keys on the
 	// per-source sequence number in the flit ID, so every attempt must
-	// consume one.
+	// consume one. The callback rides in the flit, set before Send: however
+	// the flit ends — delivered, refused here, dropped as unroutable inside
+	// Send, killed with a bridge — ReleaseFlit clears it.
 	f := m.net.NewFlit(sp.iface.Node(), dp.iface.Node(), noc.KindData, payloadBytes)
-	queued := sp.iface.InjectLen()
+	f.Msg = done
 	if !sp.iface.Send(f) {
 		m.net.RecycleRefused(f)
 		return false
-	}
-	// Send also accepts a flit it cannot route, counts it dropped and
-	// queues nothing; that flit never arrives, so its callback is not kept.
-	if done != nil && sp.iface.InjectLen() > queued {
-		m.pending[f.ID] = done
 	}
 	return true
 }
@@ -183,14 +187,6 @@ func (m *MultiRing) TrySend(src, dst, payloadBytes int, done DeliverFunc) bool {
 func (m *MultiRing) Tick() {
 	m.net.Tick(sim.Cycle(m.net.Ticks()))
 }
-
-// Compile-time interface checks for all fabrics.
-var (
-	_ Fabric = (*BufferedMesh)(nil)
-	_ Fabric = (*BufferedRing)(nil)
-	_ Fabric = (*SwitchedHub)(nil)
-	_ Fabric = (*MultiRing)(nil)
-)
 
 // Bridges exposes the inter-die bridges for diagnostics.
 func (m *MultiRing) Bridges() []*noc.RBRGL2 { return m.bridges }

@@ -20,7 +20,22 @@ type Fig10Result struct {
 }
 
 // RunFig10 measures the LMBench suite on the three systems.
-func RunFig10(scale Scale) Fig10Result {
+func RunFig10(scale Scale) Fig10Result { return runFig10(scale, fig10Key) }
+
+// fig10Key is what a (system, kernel) measurement depends on: the system
+// and the kernel's parameters, not its name — wr and bzero, cp and bcopy
+// put the same request mix on the memory path and are simulated once.
+func fig10Key(_ int, spec workloads.SystemSpec, k workloads.LMBenchKernel) any {
+	k.Name = ""
+	return struct {
+		system systemKey
+		kernel workloads.LMBenchKernel
+	}{keyOfSystem(spec), k}
+}
+
+// runFig10 is RunFig10 with the job key as a parameter: the tests pass
+// the job index, which runs every pair.
+func runFig10(scale Scale, key func(i int, spec workloads.SystemSpec, k workloads.LMBenchKernel) any) Fig10Result {
 	specs := []workloads.SystemSpec{
 		workloads.ThisWork96(),
 		workloads.Intel8280(),
@@ -32,8 +47,8 @@ func RunFig10(scale Scale) Fig10Result {
 			shrinkSpec(&specs[i])
 		}
 	}
-	// Every (system, kernel) pair is an independent closed-loop run,
-	// fanned out as jobs.
+	// Every distinct (system, kernel) pair is an independent closed-loop
+	// run, fanned out as jobs.
 	kernels := workloads.LMBenchKernels()
 	type pair struct {
 		spec   workloads.SystemSpec
@@ -45,8 +60,9 @@ func RunFig10(scale Scale) Fig10Result {
 			pairs = append(pairs, pair{s, k})
 		}
 	}
-	measured := RunIndexed("fig10", len(pairs),
+	measured := RunDistinct("fig10", len(pairs),
 		func(i int) string { return "fig10/" + pairs[i].spec.Name + "/" + pairs[i].kernel.Name },
+		func(i int) any { return key(i, pairs[i].spec, pairs[i].kernel) },
 		func(i int) workloads.LMBenchResult {
 			return workloads.RunLMBench(pairs[i].spec, pairs[i].kernel, 0xF16)
 		})
@@ -55,6 +71,7 @@ func RunFig10(scale Scale) Fig10Result {
 		if suite[p.spec.Name] == nil {
 			suite[p.spec.Name] = make(map[string]workloads.LMBenchResult)
 		}
+		measured[i].Kernel = p.kernel.Name // a shared run carries the first kernel's name
 		suite[p.spec.Name][p.kernel.Name] = measured[i]
 	}
 	res := Fig10Result{BySystem: suite}

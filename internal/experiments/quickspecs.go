@@ -47,3 +47,20 @@ func quickHub() workloads.SystemSpec {
 		MemLatency: 90, MemBytesPerCycle: 8.5,
 	}
 }
+
+// systemKey is a SystemSpec reduced to what can be compared: its name and
+// every scalar field. Two specs of one name and equal scalars build the
+// same fabric with the same endpoints — the fabric and node functions
+// are fixed by the name here and in workloads — so a simulation's result
+// depends on the spec through its key alone (RunDistinct).
+type systemKey struct {
+	Name                        string
+	Cores, MemChannels, CoreMLP int
+	MemLatency                  uint64
+	MemBytesPerCycle            float64
+	CorePowerW, CoreIPC         float64
+}
+
+func keyOfSystem(s workloads.SystemSpec) systemKey {
+	return systemKey{s.Name, s.Cores, s.MemChannels, s.CoreMLP, s.MemLatency, s.MemBytesPerCycle, s.CorePowerW, s.CoreIPC}
+}

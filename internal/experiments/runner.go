@@ -153,3 +153,33 @@ func RunIndexed[T any](experiment string, n int, name func(i int) string, fn fun
 	RunJobs(experiment, jobs)
 	return out
 }
+
+// RunDistinct is RunIndexed for a batch in which some jobs simulate the
+// same thing: key(i) names everything fn(i)'s result depends on, only the
+// first index of each key runs (as one job, under its own name), and every
+// index receives the result of its key's run, in index order. The copies
+// are plain assignments, so T must not carry state its readers mutate.
+// With a key no two indices share it is RunIndexed.
+func RunDistinct[K comparable, T any](experiment string, n int, name func(i int) string, key func(i int) K, fn func(i int) T) []T {
+	run := make(map[K]int, n) // key -> its position in first
+	var first []int           // the index that runs for each key, in index order
+	slot := make([]int, n)
+	for i := 0; i < n; i++ {
+		k := key(i)
+		j, seen := run[k]
+		if !seen {
+			j = len(first)
+			run[k] = j
+			first = append(first, i)
+		}
+		slot[i] = j
+	}
+	ran := RunIndexed(experiment, len(first),
+		func(j int) string { return name(first[j]) },
+		func(j int) T { return fn(first[j]) })
+	out := make([]T, n)
+	for i := range out {
+		out[i] = ran[slot[i]]
+	}
+	return out
+}

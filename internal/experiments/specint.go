@@ -24,14 +24,15 @@ type SpecIntResult struct {
 	Panels []SpecIntPanel
 }
 
-// RunSpecInt regenerates Figure 12 (suite2017=true) or Figure 13.
-func RunSpecInt(scale Scale, suite2017 bool) SpecIntResult {
-	suite := workloads.SpecInt2006()
-	name := "SPECint-2006 (Figure 13)"
-	if suite2017 {
-		suite = workloads.SpecInt2017()
-		name = "SPECint-2017 (Figure 12)"
-	}
+// panelSpec names one panel's two systems.
+type panelSpec struct {
+	name   string
+	a, b   workloads.SystemSpec
+	single bool
+}
+
+// specIntPanels returns the four panels at a scale.
+func specIntPanels(scale Scale) []panelSpec {
 	ours := workloads.ThisWork96()
 	intel := workloads.Intel8280()
 	intel8180 := workloads.Intel8180()
@@ -46,26 +47,41 @@ func RunSpecInt(scale Scale, suite2017 bool) SpecIntResult {
 		oursVs8180 = quickMultiRing()
 		oursVsAMD = quickMultiRing()
 	}
-
-	// The memory-profile measurements are the expensive simulations; one
-	// job per panel side, panels assembled from the collected profiles.
-	type panelSpec struct {
-		name   string
-		a, b   workloads.SystemSpec
-		single bool
-	}
-	panels := []panelSpec{
+	return []panelSpec{
 		{"single-core", ours, intel, true},
 		{"package", ours, intel, false},
 		{"scaled-vs-8180", oursVs8180, intel8180, false},
 		{"scaled-vs-7742", oursVsAMD, amd, false},
 	}
+}
+
+// RunSpecInt regenerates Figure 12 (suite2017=true) or Figure 13.
+func RunSpecInt(scale Scale, suite2017 bool) SpecIntResult {
+	return runSpecInt(scale, suite2017, func(_ int, s workloads.SystemSpec) any { return keyOfSystem(s) })
+}
+
+// runSpecInt is RunSpecInt with the job key as a parameter: the tests
+// pass the job index, which measures every panel side.
+func runSpecInt(scale Scale, suite2017 bool, key func(i int, side workloads.SystemSpec) any) SpecIntResult {
+	suite := workloads.SpecInt2006()
+	name := "SPECint-2006 (Figure 13)"
+	if suite2017 {
+		suite = workloads.SpecInt2017()
+		name = "SPECint-2017 (Figure 12)"
+	}
+	// The memory-profile measurements are the expensive simulations: one
+	// job per distinct system among the panel sides (the single-core and
+	// package panels share both of theirs; at Quick every scaled-down
+	// this-work is the same system too), panels assembled from the
+	// collected profiles.
+	panels := specIntPanels(scale)
 	sides := make([]workloads.SystemSpec, 0, 2*len(panels))
 	for _, p := range panels {
 		sides = append(sides, p.a, p.b)
 	}
-	profs := RunIndexed("specint", len(sides),
+	profs := RunDistinct("specint", len(sides),
 		func(i int) string { return "specint/" + panels[i/2].name + "/" + sides[i].Name },
+		func(i int) any { return key(i, sides[i]) },
 		func(i int) workloads.MemProfile { return workloads.MeasureMemProfile(sides[i], 0xF12) })
 
 	panel := func(p panelSpec, profA, profB workloads.MemProfile) SpecIntPanel {

@@ -89,8 +89,9 @@ type devGate struct {
 }
 
 // kindTally counts the Tick calls the devices of one Go type got on one
-// network (host-side diagnostics, see DeviceTicksByKind); noteRun has
-// published noted of them to the process-wide entry total.
+// network (host-side diagnostics, see DeviceTicksByKind);
+// PublishEngineStats has added noted of them to the process-wide entry
+// total.
 type kindTally struct {
 	total        *KindTicks
 	devices      uint64
@@ -422,7 +423,7 @@ func (n *Network) Run(cycles int) {
 	if !n.finalized {
 		panic("noc: Run before Finalize")
 	}
-	defer n.noteRun(n.engineStats())
+	defer n.PublishEngineStats()
 	for done := 0; done < cycles; {
 		n.Tick(sim.Cycle(n.ticks))
 		done++
@@ -478,40 +479,41 @@ func (n *Network) engineStats() EngineStats {
 	}
 }
 
-// engineTotals sums what every Run call of the process did, so a caller
-// that never sees the networks (cmd/experiments -timing, around a whole
-// artifact) can still report why a run cost what it did.
+// engineTotals sums what every network of the process has published, so
+// a caller that never sees the networks (cmd/experiments -timing, around
+// a whole artifact) can still report why a run cost what it did.
 var engineTotals = struct {
 	sync.Mutex
 	EngineStats
 	byKind map[string]*KindTicks
 }{byKind: map[string]*KindTicks{}}
 
-// EngineTotals returns the process-wide sums over all Run calls so far;
-// callers subtract two readings. Cycles driven through Tick directly are
-// not included.
+// EngineTotals returns the process-wide sums published so far; callers
+// subtract two readings. Run publishes as it returns; cycles driven
+// through Tick directly count once their driver calls PublishEngineStats.
 func EngineTotals() EngineStats {
 	engineTotals.Lock()
 	defer engineTotals.Unlock()
 	return engineTotals.EngineStats
 }
 
-// noteRun publishes one Run call's share: what the network's counters
-// gained since the reading taken when the call began, and each kind's
-// device ticks since the last call published them.
-func (n *Network) noteRun(before EngineStats) {
-	gained := n.engineStats().Sub(before)
+// PublishEngineStats adds to the process-wide totals what the network's
+// counters, and each kind's device ticks, gained since it last published.
+// Run calls it as it returns; a harness that drives Tick itself calls it
+// once when its run is over — never per cycle: it takes the process lock.
+func (n *Network) PublishEngineStats() {
+	now := n.engineStats()
+	gained := now.Sub(n.noted)
+	n.noted = now
 	engineTotals.Lock()
 	defer engineTotals.Unlock()
 	for i, f := range engineTotals.fields() {
 		*f += *gained.fields()[i]
 	}
-	cycles := n.ticks - n.notedTicks
-	n.notedTicks = n.ticks
 	for _, k := range n.kinds {
 		ran := k.ticks - k.noted
 		k.noted = k.ticks
 		k.total.Ticks += ran
-		k.total.Skipped += cycles*k.devices - ran
+		k.total.Skipped += gained.Cycles*k.devices - ran
 	}
 }

@@ -92,7 +92,7 @@ type Network struct {
 	awake, polled []uint64
 	cal           wakeCal
 	kinds         []*kindTally
-	notedTicks    uint64 // cycles whose device ticks noteRun has published
+	noted         EngineStats // the reading PublishEngineStats last published
 	forceAwake    bool
 	// sweeping, sweepRing and sweepPos say how far the station phase of the
 	// current cycle has come while a visit made by tickRings runs: every

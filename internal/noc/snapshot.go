@@ -331,6 +331,11 @@ func (n *Network) SnapState(c *sim.Codec) error {
 		return err
 	}
 
+	if c.Loading() {
+		// What this process ran so far is published before the restore
+		// moves the clock; noted is rebased on the restored clock below.
+		n.PublishEngineStats()
+	}
 	sim.Uint(c, &n.now)
 	c.U64(&n.ticks)
 	c.Match(len(n.flitSeq), "flit sequence count")
@@ -382,6 +387,8 @@ func (n *Network) SnapState(c *sim.Codec) error {
 		// Wake state is derived, never serialized: everything ticks once
 		// and reports its own idleness from the restored state.
 		n.wakeAll()
+		// The restored clock is not work this process did.
+		n.noted = n.engineStats()
 		// The free-list is derived scratch state: a resumed process
 		// starts with an empty pool, exactly like the fresh run did at
 		// cycle 0.

@@ -114,7 +114,8 @@ func (n *Network) DeviceTicksByKind() []KindTicks {
 }
 
 // DeviceTickTotals returns the process-wide DeviceTicksByKind: every
-// device gated so far, and the device-cycles published by noteRun.
+// device gated so far, and the device-cycles the networks have published
+// (PublishEngineStats).
 func DeviceTickTotals() []KindTicks {
 	engineTotals.Lock()
 	defer engineTotals.Unlock()

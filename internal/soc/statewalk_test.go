@@ -36,8 +36,8 @@ var notSerialized = map[string]map[string]string{
 		"devs": "derived: device gates", "kinds": "diagnostic: device ticks by Go type", "awake": "derived: one bit per device, all set on load",
 		"polled": "derived: which devices never clear their awake bit, fixed by the device list",
 		"cal":    "derived: timed-wake calendar, emptied on load", "forceAwake": "test-only engine switch",
-		"notedTicks": "diagnostic: cycles already published to the process-wide device tick totals",
-		"sweeping":   "engine scratch: true only inside a ring phase", "sweepRing": "engine scratch: ring phase progress",
+		"noted":    "diagnostic: the engine counters already published to the process-wide totals",
+		"sweeping": "engine scratch: true only inside a ring phase", "sweepRing": "engine scratch: ring phase progress",
 		"sweepPos":  "engine scratch: ring phase progress",
 		"EpochsRun": "always 0", "BarrierSyncs": "always 0", "SkippedCycles": "diagnostic",
 		"RingTicksSkipped": "diagnostic", "StationTicksSkipped": "diagnostic", "DeviceTicksSkipped": "diagnostic",

@@ -237,6 +237,7 @@ func (m *MemSystem) Run(n int) {
 	for i := 0; i < n; i++ {
 		m.Step()
 	}
+	baseline.PublishEngineStats(m.cfg.Fabric)
 }
 
 // BandwidthGBps converts the harness's byte counters to GB/s at 3 GHz.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chipletnoc/internal/baseline"
+	"chipletnoc/internal/noc"
 )
 
 // smallSpec is a fast fixture: a small multiring system.
@@ -29,6 +30,42 @@ func TestMemSystemMovesData(t *testing.T) {
 	}
 	if u := m.Utilization(); u <= 0 || u > 1.01 {
 		t.Fatalf("utilization %v out of range", u)
+	}
+}
+
+// TestMemSystemRunPublishesEngineStats: a MemSystem ticks its fabric
+// itself, so Run tells the process-wide engine report what a wrapped
+// network did — once per call, only what was gained since the last one,
+// ports by kind — and a queueing model, which has no gate, adds nothing.
+func TestMemSystemRunPublishesEngineStats(t *testing.T) {
+	portTicks := func() (ticks, skipped uint64) {
+		for _, k := range noc.DeviceTickTotals() {
+			if k.Kind == "baseline.mrPort" {
+				return k.Ticks, k.Skipped
+			}
+		}
+		return 0, 0
+	}
+	spec := smallSpec()
+	m := spec.NewMemSystem(spec.UniformLoads(CoreLoad{Rate: 1, Outstanding: 4, ReadFraction: 0.5}), 1)
+	for _, cycles := range []int{500, 300} {
+		before := noc.EngineTotals()
+		ticks0, skipped0 := portTicks()
+		m.Run(cycles)
+		got := noc.EngineTotals().Sub(before)
+		if got.Cycles != uint64(cycles) || got.DeviceTicks != uint64(10*cycles) || got.DeviceTicksSkipped == 0 {
+			t.Fatalf("Run(%d) published %+v, want %d cycles of 10 devices with ticks skipped", cycles, got, cycles)
+		}
+		ticks, skipped := portTicks()
+		if ran := ticks - ticks0; ran == 0 || ran+skipped-skipped0 != uint64(10*cycles) {
+			t.Fatalf("Run(%d) published %d port ticks run and %d skipped, want %d in all", cycles, ran, skipped-skipped0, 10*cycles)
+		}
+	}
+	mesh := Intel6148()
+	before := noc.EngineTotals()
+	mesh.NewMemSystem(mesh.UniformLoads(CoreLoad{Rate: 1, Outstanding: 4, ReadFraction: 0.5}), 1).Run(200)
+	if got := noc.EngineTotals().Sub(before); got != (noc.EngineStats{}) {
+		t.Fatalf("a queueing fabric published %+v", got)
 	}
 }
 
