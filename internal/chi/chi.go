@@ -90,6 +90,12 @@ func (o Opcode) IsRequest() bool { return o.Channel() == REQ }
 
 // Message is one CHI-style message. Per Section 3.4.3 each message maps
 // to exactly one flit with full header information.
+//
+// Messages minted with NewMsg go back to their network's free-list with
+// Release (recycle.go states the rule once): a response or write-data
+// beat is released by the device that takes it off the fabric, a request
+// by its issuer when the transaction retires, unless it was ever re-sent.
+// A message built any other way is left to the garbage collector.
 type Message struct {
 	// TxnID identifies the transaction at the requester; responses echo
 	// it so out-of-order completion can be matched.
@@ -111,6 +117,9 @@ type Message struct {
 	IssuedAt  uint64
 	BeatsLeft int
 	RetryDst  noc.NodeID
+
+	// freed guards the free-list against a double release (see Release).
+	freed bool
 }
 
 // LineSize is the default coherence granule in bytes.

@@ -79,15 +79,18 @@ func (r *Retrier) Arm(id uint32, now sim.Cycle) {
 	r.order = append(r.order, t)
 }
 
-// Disarm stops watching a transaction (it completed or aborted).
-func (r *Retrier) Disarm(id uint32) {
+// Disarm stops watching a transaction (it completed or aborted) and
+// reports whether it was ever re-issued.
+func (r *Retrier) Disarm(id uint32) (resent bool) {
 	if r == nil {
-		return
+		return false
 	}
-	if t, ok := r.byID[id]; ok {
+	t, ok := r.byID[id]
+	if ok {
 		t.dead = true
 		delete(r.byID, id)
 	}
+	return ok && t.attempts > 0
 }
 
 // RegisterMetrics exposes the retrier's timeout/retry counters on a

@@ -13,7 +13,9 @@ func TestRetrierDisabled(t *testing.T) {
 	}
 	// All methods must be safe on the nil retrier.
 	r.Arm(1, 0)
-	r.Disarm(1)
+	if r.Disarm(1) {
+		t.Fatal("nil retrier reports a re-sent transaction")
+	}
 	if retry, abort := r.Expired(1000); retry != nil || abort != nil {
 		t.Fatal("nil retrier returned expirations")
 	}
@@ -59,10 +61,15 @@ func TestRetrierDisarmStopsClock(t *testing.T) {
 	r := NewRetrier(RetryConfig{TimeoutCycles: 50, MaxRetries: 1})
 	r.Arm(1, 0)
 	r.Arm(2, 0)
-	r.Disarm(1)
+	if r.Disarm(1) {
+		t.Fatal("Disarm says a transaction never re-issued was re-sent")
+	}
 	retry, abort := r.Expired(sim.Cycle(1000))
 	if len(retry) != 1 || retry[0] != 2 || len(abort) != 0 {
 		t.Fatalf("disarmed txn fired: retry=%v abort=%v", retry, abort)
+	}
+	if !r.Disarm(2) {
+		t.Fatal("Disarm says a re-issued transaction was never re-sent")
 	}
 }
 

@@ -114,9 +114,12 @@ func (c *Controller) Tick(now sim.Cycle) {
 		switch {
 		case m.IsWrite():
 			c.wrOpen[k] = m
-			grant := &chi.Message{TxnID: m.TxnID, Op: chi.DBIDResp, Addr: m.Addr, Requester: m.Requester, Size: m.Size}
+			grant := chi.NewMsg(c.net, chi.Message{TxnID: m.TxnID, Op: chi.DBIDResp, Addr: m.Addr, Requester: m.Requester, Size: m.Size})
 			c.replies.Push(grant.NewFlit(c.net, c.Node(), m.Requester))
 		case m.Op == chi.NonCopyBackWrData:
+			// A write beat ends its trip here, whatever becomes of its write.
+			beats := m.Beats()
+			chi.Release(c.net, m)
 			req, open := c.wrOpen[k]
 			if !open {
 				// With CHI retry active a write can be re-issued while its
@@ -124,13 +127,10 @@ func (c *Controller) Tick(now sim.Cycle) {
 				// was delayed, not lost); beats landing after the write
 				// entered service are surplus, not a protocol error.
 				c.StrayWrData++
-				c.net.ReleaseFlit(f)
-				continue
+				break
 			}
-			c.wrBeats[k]++
-			if c.wrBeats[k] < m.Beats() {
-				c.net.ReleaseFlit(f)
-				continue
+			if c.wrBeats[k]++; c.wrBeats[k] < beats {
+				break
 			}
 			delete(c.wrBeats, k)
 			delete(c.wrOpen, k)
@@ -175,13 +175,13 @@ func (c *Controller) Tick(now sim.Cycle) {
 		c.BytesServed += uint64(req.Bytes())
 		if req.IsWrite() {
 			c.Writes++
-			rsp := &chi.Message{TxnID: req.TxnID, Op: chi.Comp, Addr: req.Addr, Requester: req.Requester, Size: req.Size}
+			rsp := chi.NewMsg(c.net, chi.Message{TxnID: req.TxnID, Op: chi.Comp, Addr: req.Addr, Requester: req.Requester, Size: req.Size})
 			c.replies.Push(rsp.NewFlit(c.net, c.Node(), dst))
 		} else {
 			c.Reads++
 			// One data flit per beat; each is independent on the wire.
 			for b := 0; b < req.Beats(); b++ {
-				rsp := &chi.Message{TxnID: req.TxnID, Op: chi.CompData, Addr: req.Addr, Requester: req.Requester, Size: req.Size}
+				rsp := chi.NewMsg(c.net, chi.Message{TxnID: req.TxnID, Op: chi.CompData, Addr: req.Addr, Requester: req.Requester, Size: req.Size})
 				c.replies.Push(rsp.NewFlit(c.net, c.Node(), dst))
 			}
 		}

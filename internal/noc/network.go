@@ -77,6 +77,12 @@ type Network struct {
 	// sync.Pool — recycling order is reproducible and race-free even when
 	// the parallel harness runs many networks at once.
 	freeFlits []*Flit
+	// freeMsgs is the same for the upper-layer messages flits carry
+	// (TakeMsg/PutMsg): opaque to the network, never serialized, emptied on
+	// restore. msgsMinted and msgsReused count TakeMsg's misses and hits —
+	// host-side diagnostics.
+	freeMsgs               []any
+	msgsMinted, msgsReused uint64
 
 	// Activity gating (gate.go). devs is every device with its gate, in
 	// registration order; awake holds one bit per device, set while it is to
@@ -325,6 +331,27 @@ func (n *Network) ReleaseFlit(f *Flit) {
 	f.Msg = nil
 	n.freeFlits = append(n.freeFlits, f)
 }
+
+// TakeMsg pops the upper-layer message PutMsg handed back last, or returns
+// nil when the free-list is empty and the caller must allocate. The
+// network never looks inside: the protocol layer (chi.NewMsg) owns the
+// type and says who may put a message back.
+func (n *Network) TakeMsg() any {
+	k := len(n.freeMsgs)
+	if k == 0 {
+		n.msgsMinted++
+		return nil
+	}
+	m := n.freeMsgs[k-1]
+	n.freeMsgs[k-1] = nil
+	n.freeMsgs = n.freeMsgs[:k-1]
+	n.msgsReused++
+	return m
+}
+
+// PutMsg pushes a message no flit, queue or table of this network still
+// references onto the free-list for a later TakeMsg.
+func (n *Network) PutMsg(m any) { n.freeMsgs = append(n.freeMsgs, m) }
 
 // RecycleRefused hands back a flit that Send or SendPriority refused
 // (returned false for) and that the caller will not retry: a device that

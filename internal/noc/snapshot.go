@@ -9,9 +9,9 @@
 // field and loads it, so encode order cannot drift from restore order.
 //
 // Derived state (route tables, bridge forwarding tables, the dense
-// stationAt index, the flit free-list) is deliberately NOT serialized:
-// it is a pure function of topology plus the failed-bridge set and is
-// rebuilt on restore. That keeps snapshots small and makes version skew
+// stationAt index, the flit and message free-lists) is deliberately NOT
+// serialized: it is a pure function of topology plus the failed-bridge
+// set and is rebuilt on restore. That keeps snapshots small and makes version skew
 // in routing internals impossible — a resumed run recomputes routes the
 // same way a fresh run does.
 //
@@ -389,10 +389,10 @@ func (n *Network) SnapState(c *sim.Codec) error {
 		n.wakeAll()
 		// The restored clock is not work this process did.
 		n.noted = n.engineStats()
-		// The free-list is derived scratch state: a resumed process
-		// starts with an empty pool, exactly like the fresh run did at
+		// The free-lists are derived host-side state: a resumed process
+		// starts with empty pools, exactly like the fresh run did at
 		// cycle 0.
-		n.freeFlits = nil
+		n.freeFlits, n.freeMsgs = nil, nil
 		// Routing tables are pure functions of topology + failure set;
 		// rebuild rather than deserialize. Live flits already carry their
 		// (snapshotted) routes, so no reroute pass runs here.

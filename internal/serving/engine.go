@@ -84,11 +84,10 @@ func (e *Engine) enqueue(c *command) {
 	}
 }
 
-// finish closes a command's transfer.
-func (e *Engine) finish(txn uint32) {
-	c := e.inflight[txn]
-	delete(e.inflight, txn)
-	req := e.tracker.Complete(txn)
+// finish closes the command of a transfer Settle retired.
+func (e *Engine) finish(req *chi.Message) {
+	c := e.inflight[req.TxnID]
+	delete(e.inflight, req.TxnID)
 	e.done = append(e.done, c)
 	e.Completed++
 	e.BytesMoved += uint64(req.Bytes())
@@ -97,34 +96,7 @@ func (e *Engine) finish(txn uint32) {
 // Tick implements noc.Device: completions first (freeing table slots),
 // then queued beats, then new transfers.
 func (e *Engine) Tick(now sim.Cycle) {
-	for {
-		f := e.iface.Recv()
-		if f == nil {
-			break
-		}
-		m := chi.MsgOf(f)
-		req := e.tracker.Lookup(m.TxnID)
-		if req == nil {
-			e.net.ReleaseFlit(f)
-			continue
-		}
-		switch m.Op {
-		case chi.CompData:
-			req.BeatsLeft--
-			if req.BeatsLeft <= 0 {
-				e.finish(m.TxnID)
-			}
-		case chi.DBIDResp:
-			dst := f.Src
-			for b := 0; b < req.Beats(); b++ {
-				d := &chi.Message{TxnID: req.TxnID, Op: chi.NonCopyBackWrData, Addr: req.Addr, Requester: e.Node(), Size: req.Size}
-				e.sendq.Push(d.NewFlit(e.net, e.Node(), dst))
-			}
-		case chi.Comp:
-			e.finish(m.TxnID)
-		}
-		e.net.ReleaseFlit(f)
-	}
+	e.tracker.Settle(e.net, e.iface, nil, &e.sendq, e.finish)
 	e.iface.SendAll(&e.sendq)
 	for i := 0; i < engineIssueWidth; i++ {
 		if e.queue.Len() == 0 || e.sendq.Len() > 0 || e.tracker.Full() {
@@ -137,7 +109,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 		}
 		addr := uint64(e.die+1)<<32 | (e.addrSeq*chi.LineSize)%engineFootprint
 		e.addrSeq++
-		m := &chi.Message{Op: op, Addr: addr, Requester: e.Node(), Size: c.bytes}
+		m := chi.NewMsg(e.net, chi.Message{Op: op, Addr: addr, Requester: e.Node(), Size: c.bytes})
 		if !e.tracker.Open(m) {
 			return
 		}

@@ -43,6 +43,7 @@ type Orchestrator struct {
 	stalled   bool // watermark backpressure state, for trace edges
 	nextBatch int
 	nextHome  int
+	dag       dag // where batches and their command DAGs come from
 
 	// Aggregates for the sweep row.
 	Admitted  uint64
@@ -181,12 +182,14 @@ func (o *Orchestrator) admitBatch(now sim.Cycle) {
 	if n > len(o.pending) {
 		n = len(o.pending)
 	}
-	b := &batch{id: o.nextBatch, home: o.nextHome, reqs: append([]request(nil), o.pending[:n]...)}
+	b := o.dag.newBatch()
+	b.id, b.home, b.reqs = o.nextBatch, o.nextHome, append(b.reqs, o.pending[:n]...)
 	o.pending = o.pending[n:]
 	o.nextBatch++
 	o.nextHome = (o.nextHome + 1) % len(o.engines)
 	o.active++
-	for _, c := range expandBatch(o.spec, b, o.routeRNG) {
+	o.dag.expandBatch(o.spec, b, o.routeRNG)
+	for _, c := range b.cmds {
 		if c.deps == 0 {
 			o.engines[c.die].enqueue(c)
 		}
@@ -209,8 +212,9 @@ func (o *Orchestrator) finish(c *command, now sim.Cycle) {
 	}
 }
 
-// completeBatch records every rider's end-to-end latency and folds the
-// completion stream into the golden digest.
+// completeBatch records every rider's end-to-end latency, folds the
+// completion stream into the golden digest and recycles the batch: every
+// command of its DAG has finished, so nothing references them any more.
 func (o *Orchestrator) completeBatch(b *batch, now sim.Cycle) {
 	for _, r := range b.reqs {
 		lat := uint64(now - r.arrival)
@@ -219,6 +223,7 @@ func (o *Orchestrator) completeBatch(b *batch, now sim.Cycle) {
 		o.Completed++
 	}
 	o.active--
+	o.dag.release(b)
 }
 
 // Backlog is the open-loop debt at the end of a run: requests admitted

@@ -52,7 +52,8 @@ type batch struct {
 	id        int
 	home      int // die executing the non-expert layers
 	reqs      []request
-	remaining int // unfinished commands
+	cmds      []*command // the batch's whole DAG, recycled with it
+	remaining int        // unfinished commands
 }
 
 // dependOn wires a dependency edge from each of froms to c.
@@ -63,41 +64,91 @@ func (c *command) dependOn(froms []*command) {
 	}
 }
 
-// expandBatch builds the command DAG for one batch homed on die home.
-// MoE expert selection draws from rng (top-FanOut distinct experts,
-// fresh per batch and per layer), so consecutive batches spread across
-// the expert population the way token-dependent routing would. Returns
-// the full command list; entry commands (no deps) are ready to issue.
-func expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) []*command {
-	var all []*command
-	exits := make([][]*command, len(spec.Layers))
-	entries := make([][]*command, len(spec.Layers))
+// dag is the command and batch free-list of one orchestrator, with
+// expandBatch's per-layer work lists: a completed batch gives its commands
+// (keeping their outs capacity) and itself back, and the next batch's
+// DAG is drawn from them. A plain LIFO, like the network's flit and
+// message lists. minted and reused count the commands newCommand made and
+// took back — host-side diagnostics.
+type dag struct {
+	cmds           []*command
+	batches        []*batch
+	entries, exits [][]*command
+	minted, reused uint64
+}
+
+// newCommand returns a command holding c, reusing a released one when
+// there is one.
+func (d *dag) newCommand(c command) *command {
+	k := len(d.cmds)
+	if k == 0 {
+		d.minted++
+		p := new(command)
+		*p = c
+		return p
+	}
+	p := d.cmds[k-1]
+	d.cmds = d.cmds[:k-1]
+	d.reused++
+	c.outs = p.outs[:0]
+	*p = c
+	return p
+}
+
+// newBatch returns an empty batch, reusing a released one when there is
+// one.
+func (d *dag) newBatch() *batch {
+	k := len(d.batches)
+	if k == 0 {
+		return new(batch)
+	}
+	b := d.batches[k-1]
+	d.batches = d.batches[:k-1]
+	return b
+}
+
+// release takes back a completed batch and every command of its DAG;
+// nothing may reference them afterwards.
+func (d *dag) release(b *batch) {
+	d.cmds = append(d.cmds, b.cmds...)
+	b.cmds, b.reqs = b.cmds[:0], b.reqs[:0]
+	d.batches = append(d.batches, b)
+}
+
+// expandBatch builds the command DAG for one batch homed on die home into
+// b.cmds. MoE expert selection draws from rng (top-FanOut distinct
+// experts, fresh per batch and per layer), so consecutive batches spread
+// across the expert population the way token-dependent routing would.
+// Entry commands (no deps) are ready to issue.
+func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) {
+	for len(d.entries) < len(spec.Layers) {
+		d.entries, d.exits = append(d.entries, nil), append(d.exits, nil)
+	}
+	entries, exits := d.entries[:len(spec.Layers)], d.exits[:len(spec.Layers)]
 	for i := range spec.Layers {
 		l := &spec.Layers[i]
+		entries[i], exits[i] = entries[i][:0], exits[i][:0]
 		switch l.Kind {
 		case config.LayerMoE:
-			experts := pickExperts(l, rng)
-			var dispatches, combines []*command
-			for _, e := range experts {
+			for _, e := range pickExperts(l, rng) {
 				die := l.ExpertDies[e]
-				d := &command{kind: cmdDispatch, die: b.home, target: die, write: true, bytes: l.Bytes, b: b}
-				x := &command{kind: cmdExpert, die: die, target: die, bytes: l.ExpertBytes, compute: l.ComputeCycles, b: b}
-				c := &command{kind: cmdCombine, die: die, target: b.home, write: true, bytes: l.Bytes, b: b}
-				x.dependOn([]*command{d})
+				dis := d.newCommand(command{kind: cmdDispatch, die: b.home, target: die, write: true, bytes: l.Bytes, b: b})
+				x := d.newCommand(command{kind: cmdExpert, die: die, target: die, bytes: l.ExpertBytes, compute: l.ComputeCycles, b: b})
+				c := d.newCommand(command{kind: cmdCombine, die: die, target: b.home, write: true, bytes: l.Bytes, b: b})
+				x.dependOn([]*command{dis})
 				c.dependOn([]*command{x})
-				dispatches = append(dispatches, d)
-				combines = append(combines, c)
-				all = append(all, d, x, c)
+				entries[i] = append(entries[i], dis)
+				exits[i] = append(exits[i], c)
+				b.cmds = append(b.cmds, dis, x, c)
 			}
-			entries[i], exits[i] = dispatches, combines
 		default: // attention / ffn: one local weight read + compute
 			kind := cmdAttention
 			if l.Kind == config.LayerFFN {
 				kind = cmdFFN
 			}
-			c := &command{kind: kind, die: b.home, target: b.home, bytes: l.Bytes, compute: l.ComputeCycles, b: b}
-			entries[i], exits[i] = []*command{c}, []*command{c}
-			all = append(all, c)
+			c := d.newCommand(command{kind: kind, die: b.home, target: b.home, bytes: l.Bytes, compute: l.ComputeCycles, b: b})
+			entries[i], exits[i] = append(entries[i], c), append(exits[i], c)
+			b.cmds = append(b.cmds, c)
 		}
 		for _, dep := range spec.LayerDeps(i) {
 			for _, entry := range entries[i] {
@@ -105,8 +156,7 @@ func expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) []*command {
 			}
 		}
 	}
-	b.remaining = len(all)
-	return all
+	b.remaining = len(b.cmds)
 }
 
 // pickExperts returns the FanOut activated expert indices, ascending.

@@ -33,6 +33,8 @@ var notSerialized = map[string]map[string]string{
 		"ringNext": "derived: route tables", "bridges": "derived: bridge inventory", "routeTbl": "derived: route tables",
 		"freeFlits": "engine scratch: free list, reset on load",
 		"snap":      "engine scratch: a walk's identity pools, empty between walks", "lastCheckpoint": "engine scratch: sizes the next checkpoint's buffer",
+		"freeMsgs":   "host-side: message free list, emptied on load",
+		"msgsMinted": "diagnostic: message free-list misses", "msgsReused": "diagnostic: message free-list hits",
 		"devs": "derived: device gates", "kinds": "diagnostic: device ticks by Go type", "awake": "derived: one bit per device, all set on load",
 		"polled": "derived: which devices never clear their awake bit, fixed by the device list",
 		"cal":    "derived: timed-wake calendar, emptied on load", "forceAwake": "test-only engine switch",
@@ -83,7 +85,7 @@ var notSerialized = map[string]map[string]string{
 	"noc.credPulse":     {},
 	"noc.throttleState": {"cfg": "config"},
 	"noc.Flit":          {"freed": "free-list guard: a live flit is never freed"},
-	"chi.Message":       {},
+	"chi.Message":       {"freed": "free-list guard: a live message is never freed"},
 	"chi.Tracker":       {},
 	"chi.Retrier":       {"cfg": "config", "byID": "derived: index of order, rebuilt on load"},
 	"chi.armedTxn":      {},

@@ -125,35 +125,7 @@ func (r *Replayer) Done() bool {
 
 // Tick implements noc.Device.
 func (r *Replayer) Tick(now sim.Cycle) {
-	// Completions (same beat handling as Requester).
-	for {
-		f := r.iface.Recv()
-		if f == nil {
-			break
-		}
-		m := chi.MsgOf(f)
-		req := r.tracker.Lookup(m.TxnID)
-		if req == nil {
-			r.net.ReleaseFlit(f)
-			continue
-		}
-		switch m.Op {
-		case chi.CompData:
-			req.BeatsLeft--
-			if req.BeatsLeft <= 0 {
-				r.finish(req)
-			}
-		case chi.DBIDResp:
-			dst := f.Src
-			for b := 0; b < req.Beats(); b++ {
-				d := &chi.Message{TxnID: req.TxnID, Op: chi.NonCopyBackWrData, Addr: req.Addr, Requester: r.Node(), Size: req.Size}
-				r.sendq.Push(d.NewFlit(r.net, r.Node(), dst))
-			}
-		case chi.Comp:
-			r.finish(req)
-		}
-		r.net.ReleaseFlit(f)
-	}
+	r.tracker.Settle(r.net, r.iface, nil, &r.sendq, r.finish)
 	r.iface.SendAll(&r.sendq)
 	// Issue trace ops whose recorded time has come.
 	for r.next < len(r.ops) && r.sendq.Len() == 0 {
@@ -169,12 +141,12 @@ func (r *Replayer) Tick(now sim.Cycle) {
 		if op.Write {
 			opc = chi.WriteNoSnp
 		}
-		m := &chi.Message{Op: opc, Addr: op.Addr, Requester: r.Node(), Size: op.Size}
 		dst := r.targetOf(op.Addr)
 		if dst == r.Node() {
 			r.next++
 			continue
 		}
+		m := chi.NewMsg(r.net, chi.Message{Op: opc, Addr: op.Addr, Requester: r.Node(), Size: op.Size})
 		if !r.tracker.Open(m) {
 			return
 		}
@@ -209,8 +181,8 @@ func (r *Replayer) IdleUntil(now sim.Cycle) sim.Cycle {
 	return now
 }
 
+// finish counts a transaction Settle retired.
 func (r *Replayer) finish(req *chi.Message) {
-	r.tracker.Complete(req.TxnID)
 	r.Completed++
 	r.BytesMoved += uint64(req.Bytes())
 }

@@ -185,11 +185,9 @@ func (r *Requester) RetryStats() (retried, aborted uint64) {
 	return r.retrier.RetriedTxns, r.retrier.AbortedTxns
 }
 
-// complete finishes a transaction and records its statistics.
+// complete records the statistics of a transaction Settle retired.
 func (r *Requester) complete(req *chi.Message, now sim.Cycle) {
 	lat := uint64(now) - req.IssuedAt
-	r.retrier.Disarm(req.TxnID)
-	r.tracker.Complete(req.TxnID)
 	r.Latency.Add(float64(lat))
 	r.Completed++
 	r.BytesMoved += uint64(req.Bytes())
@@ -249,35 +247,7 @@ func (r *Requester) runRetries(now sim.Cycle) {
 func (r *Requester) Tick(now sim.Cycle) {
 	// Completions first so their table slots can be reused this cycle.
 	// A read completes when the last data beat of its burst arrives.
-	for {
-		f := r.iface.Recv()
-		if f == nil {
-			break
-		}
-		m := chi.MsgOf(f)
-		req := r.tracker.Lookup(m.TxnID)
-		if req == nil {
-			r.net.ReleaseFlit(f) // stale completion after a drop; ignore
-			continue
-		}
-		switch m.Op {
-		case chi.CompData:
-			req.BeatsLeft--
-			if req.BeatsLeft <= 0 {
-				r.complete(req, now)
-			}
-		case chi.DBIDResp:
-			// Write-buffer grant: ship the data burst.
-			dst := f.Src
-			for b := 0; b < req.Beats(); b++ {
-				d := &chi.Message{TxnID: req.TxnID, Op: chi.NonCopyBackWrData, Addr: req.Addr, Requester: r.Node(), Size: req.Size}
-				r.sendq.Push(d.NewFlit(r.net, r.Node(), dst))
-			}
-		case chi.Comp:
-			r.complete(req, now)
-		}
-		r.net.ReleaseFlit(f)
-	}
+	r.tracker.Settle(r.net, r.iface, r.retrier, &r.sendq, func(req *chi.Message) { r.complete(req, now) })
 	// Timeouts next: re-issues join the send queue ahead of new work.
 	if r.retrier != nil {
 		r.runRetries(now)
@@ -317,7 +287,6 @@ func (r *Requester) Tick(now sim.Cycle) {
 			}
 		}
 		addr := r.cfg.Stream.Next()
-		m := &chi.Message{Op: op, Addr: addr, Requester: r.Node(), Size: r.cfg.LineBytes}
 		targetOf := r.cfg.TargetOf
 		if op == chi.WriteNoSnp && r.cfg.WriteTargetOf != nil {
 			targetOf = r.cfg.WriteTargetOf
@@ -326,6 +295,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 		if dst == r.Node() {
 			continue // interleaving landed on ourselves; skip
 		}
+		m := chi.NewMsg(r.net, chi.Message{Op: op, Addr: addr, Requester: r.Node(), Size: r.cfg.LineBytes})
 		if !r.tracker.Open(m) {
 			return
 		}
