@@ -28,8 +28,6 @@ func main() {
 	stateDir := flag.String("state", "", "directory for job records and checkpoints (empty = no persistence)")
 	retryAfter := flag.Int("retry-after", 1, "Retry-After seconds advertised on 429")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines inside one experiment job")
-	flag.String("partitions", "", "accepted and ignored: the partitioned tick engine it sized was deleted, every job runs the one engine")
-	flag.Int("lookahead", 0, "accepted and ignored, like -partitions")
 	jobDeadline := flag.Duration("job-deadline", 0, "wall-clock budget per job, e.g. 10m (0 = unlimited)")
 	cacheDir := flag.String("cache-dir", "", "directory for the content-addressed result cache (empty = caching off); resubmissions of completed jobs are served from it byte-identically")
 	cacheMem := flag.Int64("cache-mem", 64, "result cache memory tier budget in MiB")

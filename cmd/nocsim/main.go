@@ -37,8 +37,6 @@ func main() {
 	faultsPath := flag.String("faults", "", "JSON fault-schedule file applied to a -config run (see internal/fault)")
 	retryCycles := flag.Int("retry", 0, "arm CHI timeout/retry on every -config requester with this timeout (cycles); 0 disables")
 	retryMax := flag.Int("retries", 3, "retry budget per transaction when -retry is set")
-	flag.String("partitions", "", "accepted and ignored: the partitioned tick engine it sized was deleted, every run uses the one engine")
-	flag.Int("lookahead", 0, "accepted and ignored, like -partitions")
 	metricsOn := flag.Bool("metrics", false, "attach the metrics registry to a -config run")
 	metricsOut := flag.String("metrics-out", "metrics.json", "metrics snapshot output file (JSON) when -metrics is set")
 	metricsInterval := flag.Uint64("metrics-interval", 100, "cycles between series samples when -metrics is set")

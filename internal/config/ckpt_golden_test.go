@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"chipletnoc/internal/sim"
@@ -39,25 +40,24 @@ func readSpec(name string) string {
 
 // TestPartitionSpecKnobRejectsNegative pins the range check on the two
 // accepted, inert spec keys, which guards outside input: -1 was the auto
-// sentinel and must still build; anything below it must not. A negative
-// lookahead must not build either.
+// sentinel and must still parse and build; anything below it must not
+// parse. A negative lookahead must not parse either.
 func TestPartitionSpecKnobRejectsNegative(t *testing.T) {
-	spec, err := Parse([]byte(multiringSpec))
-	if err != nil {
-		t.Fatal(err)
+	with := func(keys string) []byte {
+		return []byte(strings.Replace(multiringSpec, "{", "{"+keys+",", 1))
 	}
-	spec.Partitions = -1
+	spec, err := Parse(with(`"partitions":-1,"lookahead":8`))
+	if err != nil {
+		t.Fatalf("partitions=-1 must parse: %v", err)
+	}
 	if _, err := spec.Build(); err != nil {
 		t.Fatalf("partitions=-1 must build: %v", err)
 	}
-	spec.Partitions = -2
-	if _, err := spec.Build(); err == nil {
-		t.Fatal("partitions below -1 must not build")
+	if _, err := Parse(with(`"partitions":-2`)); err == nil {
+		t.Fatal("partitions below -1 must not parse")
 	}
-	spec.Partitions = 0
-	spec.Lookahead = -1
-	if _, err := spec.Build(); err == nil {
-		t.Fatal("negative lookahead must not build")
+	if _, err := Parse(with(`"lookahead":-1`)); err == nil {
+		t.Fatal("negative lookahead must not parse")
 	}
 }
 
@@ -78,10 +78,10 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		length     int
 		fnv        uint64
 	}{
-		{"multiring", multiringSpec, "", 12853, 0xca0396c5846a3f14},
-		{"mesh", meshSpec, "", 12850, 0x185e2333d75e233f},
-		{"hub", hubSpec, "", 7566, 0xc858e7912c5cc3cf},
-		{"mesh-failed", meshFaultSpec, "x00", 12770, 0x140fb61ae6bd0116},
+		{"multiring", multiringSpec, "", 10215, 0x6946aed52f8ba97c},
+		{"mesh", meshSpec, "", 8878, 0xc31025d840172dd4},
+		{"hub", hubSpec, "", 5912, 0xbfb9fb9f318ceadd},
+		{"mesh-failed", meshFaultSpec, "x00", 9110, 0x6605c02d6810428f},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -94,11 +94,11 @@ type Spec struct {
 	// internal/fault): bridge kills, station stalls, flit drops. An
 	// absent or empty schedule changes nothing.
 	Faults *fault.Schedule `json:"faults,omitempty"`
-	// Partitions and Lookahead tuned the deleted partitioned tick engine
-	// and do nothing. Specs that nocd persisted or cached, and specs users
-	// kept, still carry the keys, so they are parsed, range-checked and
-	// echoed as before, and stay excluded from job identity
-	// (internal/server/hash.go).
+	// Partitions and Lookahead tuned a tick engine that no longer exists
+	// and do nothing. Job records nocd stored while it existed carry the
+	// keys, so Parse accepts and range-checks them; job normalization
+	// (experiments.SimSpec.Normalize) drops them, so they are never echoed
+	// or hashed.
 	Partitions int `json:"partitions,omitempty"`
 	Lookahead  int `json:"lookahead,omitempty"`
 }
@@ -108,6 +108,12 @@ func Parse(data []byte) (*Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	if s.Partitions < -1 {
+		return nil, fmt.Errorf("config: partitions must be -1 (auto) or non-negative, got %d", s.Partitions)
+	}
+	if s.Lookahead < 0 {
+		return nil, fmt.Errorf("config: lookahead must be non-negative, got %d", s.Lookahead)
 	}
 	return &s, nil
 }
@@ -196,12 +202,6 @@ func (s *Spec) Build() (*System, error) {
 	}
 	if len(s.Bridges) > MaxBridges {
 		return nil, fmt.Errorf("config: %d bridges exceeds the limit of %d", len(s.Bridges), MaxBridges)
-	}
-	if s.Partitions < -1 {
-		return nil, fmt.Errorf("config: partitions must be -1 (auto) or non-negative, got %d", s.Partitions)
-	}
-	if s.Lookahead < 0 {
-		return nil, fmt.Errorf("config: lookahead must be non-negative, got %d", s.Lookahead)
 	}
 	net := noc.NewNetwork(s.Name)
 	rings := make(map[string]*noc.Ring, len(s.Rings))

@@ -89,9 +89,8 @@ type ServingSpec struct {
 	HighWatermark int `json:"highWatermark,omitempty"`
 
 	// Partitions / Lookahead are accepted (this decoder rejects unknown
-	// fields, and persisted specs carry them), range-checked and ignored,
-	// and stay excluded from cache identity, like Spec's keys of the same
-	// name.
+	// fields, and persisted specs carry them) and range-checked; job
+	// normalization zeroes them, like Spec's keys of the same name.
 	Partitions int `json:"partitions,omitempty"`
 	Lookahead  int `json:"lookahead,omitempty"`
 }

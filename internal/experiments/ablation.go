@@ -240,7 +240,7 @@ func RunAblationSwap(scale Scale) AblationSwap {
 		}
 		r0 := net.AddRing(6, false)
 		r1 := net.AddRing(6, false)
-		gens := buildCrossFlood(net, r0, r1)
+		buildCrossFlood(net, r0, r1)
 		br := noc.NewRBRGL2(net, "l2", cfg, r0.AddStation(4), r1.AddStation(0))
 		net.MustFinalize()
 		for i := 0; i < cycles; i++ {
@@ -251,7 +251,6 @@ func RunAblationSwap(scale Scale) AblationSwap {
 			net.Tick(sim.Cycle(net.Ticks()))
 		}
 		stalled := net.DeliveredFlits == before
-		_ = gens
 		return net.DeliveredFlits, stalled, br.SwapEntries()
 	}
 	var res AblationSwap

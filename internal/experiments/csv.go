@@ -36,15 +36,15 @@ func (r Table7Result) CSV() string {
 // ProbeCSV renders the Figure 14 per-core probe series, one row per
 // probe, one column per window (bytes/cycle).
 func (r Table7Result) ProbeCSV() string {
-	if len(r.Probes.Series) == 0 {
+	if len(r.Series) == 0 {
 		return ""
 	}
 	head := []string{"probe"}
-	for w := range r.Probes.Series[0] {
+	for w := range r.Series[0] {
 		head = append(head, fmt.Sprintf("w%d", w))
 	}
 	t := stats.NewTable(head...)
-	for i, s := range r.Probes.Series {
+	for i, s := range r.Series {
 		row := []interface{}{fmt.Sprintf("core%d", i)}
 		for _, v := range s {
 			row = append(row, fmt.Sprintf("%.2f", v))

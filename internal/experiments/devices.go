@@ -82,44 +82,14 @@ func (d *drainNode) Tick(now sim.Cycle) {
 	}
 }
 
-// crossNode both floods a cross-die partner and drains its own arrivals —
-// the all-cross traffic of the Figure 9 deadlock rig.
-type crossNode struct {
-	name    string
-	net     *noc.Network
-	iface   *noc.NodeInterface
-	node    noc.NodeID
-	partner noc.NodeID
-}
-
-func newCrossNode(net *noc.Network, st *noc.CrossStation) *crossNode {
-	c := &crossNode{name: fmt.Sprintf("cross%d", net.Nodes()), net: net}
-	c.node = net.NewNode(c.name)
-	c.iface = net.Attach(c.node, st)
-	net.AddDevice(c)
-	return c
-}
-
-func (c *crossNode) Name() string { return c.name }
-func (c *crossNode) Tick(now sim.Cycle) {
-	flood(c.net, c.iface, c.partner)
-	for {
-		r := c.iface.Recv()
-		if r == nil {
-			break
-		}
-		c.net.ReleaseFlit(r)
-	}
-}
-
-// buildCrossFlood places two cross-flooding endpoints on each ring,
-// paired across the dies.
-func buildCrossFlood(net *noc.Network, r0, r1 *noc.Ring) []*crossNode {
-	a0 := newCrossNode(net, r0.AddStation(0))
-	a1 := newCrossNode(net, r0.AddStation(2))
-	b0 := newCrossNode(net, r1.AddStation(2))
-	b1 := newCrossNode(net, r1.AddStation(4))
-	a0.partner, a1.partner = b0.node, b1.node
-	b0.partner, b1.partner = a0.node, a1.node
-	return []*crossNode{a0, a1, b0, b1}
+// buildCrossFlood places two flooding endpoints on each ring, each
+// flooding a partner across the dies — the all-cross traffic of the
+// Figure 9 deadlock rig.
+func buildCrossFlood(net *noc.Network, r0, r1 *noc.Ring) {
+	a0 := newFloodNode(net, r0.AddStation(0), 0)
+	a1 := newFloodNode(net, r0.AddStation(2), 0)
+	b0 := newFloodNode(net, r1.AddStation(2), 0)
+	b1 := newFloodNode(net, r1.AddStation(4), 0)
+	a0.dst, a1.dst = b0.node, b1.node
+	b0.dst, b1.dst = a0.node, a1.node
 }

@@ -153,7 +153,7 @@ func TestTable7Shape(t *testing.T) {
 				byName["0:1"].Total, other, byName[other].Total)
 		}
 	}
-	if len(r.Probes.Series) == 0 {
+	if len(r.Series) == 0 {
 		t.Fatal("no probe series captured for Figure 14")
 	}
 	if !strings.Contains(r.Render(), "Table 7") {

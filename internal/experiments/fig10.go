@@ -71,7 +71,6 @@ func runFig10(scale Scale, key func(i int, spec workloads.SystemSpec, k workload
 		if suite[p.spec.Name] == nil {
 			suite[p.spec.Name] = make(map[string]workloads.LMBenchResult)
 		}
-		measured[i].Kernel = p.kernel.Name // a shared run carries the first kernel's name
 		suite[p.spec.Name][p.kernel.Name] = measured[i]
 	}
 	res := Fig10Result{BySystem: suite}

@@ -13,7 +13,7 @@ type Fig14Result struct {
 	Probes  int
 	Windows int
 	// EquilibriumAt80 is the fraction of (probe, window) points at or
-	// above 80% of that window's maximum probe bandwidth.
+	// above 80% of the best probe's mean bandwidth (EquilibriumVsPeak).
 	EquilibriumAt80 float64
 	// WorstShare is the lowest probe/max share observed in any window.
 	WorstShare float64
@@ -22,11 +22,11 @@ type Fig14Result struct {
 // RunFig14 derives the equilibrium metrics from a Table 7 run (reusing
 // its 1:1 probe series, or running one if t is nil).
 func RunFig14(scale Scale, t *Table7Result) Fig14Result {
-	if t == nil || len(t.Probes.Series) == 0 {
+	if t == nil || len(t.Series) == 0 {
 		r := RunTable7(scale)
 		t = &r
 	}
-	series := t.Probes.Series
+	series := t.Series
 	res := Fig14Result{
 		Probes:          len(series),
 		EquilibriumAt80: stats.EquilibriumVsPeak(series, 0.8),

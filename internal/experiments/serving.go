@@ -55,9 +55,10 @@ type ServingResult struct {
 }
 
 // NormalizeServingDoc parses a serving-spec document (empty means all
-// defaults), applies the scale's defaults and re-renders it canonically.
-// Every admission path — CLI and daemon — goes through here, so the two
-// agree byte-for-byte on what a submission means.
+// defaults), applies the scale's defaults, drops the inert partitions and
+// lookahead keys and re-renders it canonically. Every admission path —
+// CLI and daemon — goes through here, so the two agree byte-for-byte on
+// what a submission means.
 func NormalizeServingDoc(doc string, scale Scale) (string, *config.ServingSpec, error) {
 	if strings.TrimSpace(doc) == "" {
 		doc = "{}"
@@ -67,6 +68,7 @@ func NormalizeServingDoc(doc string, scale Scale) (string, *config.ServingSpec, 
 		return "", nil, err
 	}
 	spec.ApplyDefaults(scale == Quick)
+	spec.Partitions, spec.Lookahead = 0, 0
 	if err := spec.Validate(); err != nil {
 		return "", nil, fmt.Errorf("serving spec invalid after defaults: %w", err)
 	}

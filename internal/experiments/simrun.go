@@ -78,7 +78,7 @@ func (s SimSpec) Normalize() (SimSpec, error) {
 		if _, err := config.Parse([]byte(s.Config)); err != nil {
 			return s, err
 		}
-		canon, err := canonicalJSON(s.Config)
+		canon, err := canonicalConfig(s.Config)
 		if err != nil {
 			return s, fmt.Errorf("config document: %w", err)
 		}
@@ -101,19 +101,23 @@ func (s SimSpec) Normalize() (SimSpec, error) {
 	return s, nil
 }
 
-// canonicalJSON re-renders a JSON document in canonical form: object
+// canonicalConfig re-renders a config document in canonical form: object
 // keys sorted, whitespace normalized, numeric literals preserved
 // verbatim (json.Number, so 64-bit seeds survive and no float rounding
-// sneaks in). Two submissions that differ only in key order or spacing
-// therefore normalize — and hash — identically. Idempotent by
-// construction: the canonical form re-canonicalizes to itself.
-func canonicalJSON(doc string) (string, error) {
+// sneaks in), and the inert "partitions"/"lookahead" keys dropped
+// (config.Spec accepts them). Two submissions that differ only in key
+// order, spacing or those keys therefore normalize — and hash —
+// identically. Idempotent by construction: the canonical form
+// re-canonicalizes to itself.
+func canonicalConfig(doc string) (string, error) {
 	dec := json.NewDecoder(strings.NewReader(doc))
 	dec.UseNumber()
-	var v interface{}
+	var v map[string]interface{}
 	if err := dec.Decode(&v); err != nil {
 		return "", err
 	}
+	delete(v, "partitions")
+	delete(v, "lookahead")
 	out, err := json.Marshal(v)
 	if err != nil {
 		return "", err

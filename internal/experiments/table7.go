@@ -42,15 +42,9 @@ type Table7Row struct {
 // Table7Result is the full bandwidth table. It also retains the per-core
 // window series the Figure 14 equilibrium analysis consumes for the 1:1
 // run.
-type Table7Row14 struct {
-	Series [][]float64
-	Window uint64
-}
-
-// Table7Result bundles the rows and the probe series.
 type Table7Result struct {
 	Rows   []Table7Row
-	Probes Table7Row14
+	Series [][]float64
 }
 
 // RunTable7 measures AI-NoC bandwidth at each read:write ratio on the
@@ -112,10 +106,9 @@ func RunTable7(scale Scale) Table7Result {
 		var probes []*stats.BandwidthProbe
 		var lastMoved []uint64
 		if isEquilibriumRun {
-			for i, c := range a.Cores {
+			for _, c := range a.Cores {
 				probes = append(probes, stats.NewBandwidthProbe(c.Name(), probeWindow))
 				lastMoved = append(lastMoved, c.BytesMoved)
-				_ = i
 			}
 		}
 		remaining := window
@@ -159,8 +152,7 @@ func RunTable7(scale Scale) Table7Result {
 	for _, o := range outs {
 		res.Rows = append(res.Rows, o.row)
 		if o.series != nil {
-			res.Probes.Series = o.series
-			res.Probes.Window = probeWindow
+			res.Series = o.series
 		}
 	}
 	return res

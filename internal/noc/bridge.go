@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"math"
 
 	"chipletnoc/internal/sim"
@@ -677,30 +676,4 @@ func (b *RBRGL2) runDRM(h *l2half) {
 	// While in DRM the cross station swaps: every ejection immediately
 	// hands its freed slot to the inject-queue head.
 	ni.swapMode = h.drm
-}
-
-// DebugState reports per-interface occupancy for diagnostics.
-func (b *RBRGL1) DebugState() string {
-	s := b.name + ":"
-	for i, h := range b.halves {
-		ni := h.iface
-		s += fmt.Sprintf(" if%d[ring=%d inj=%d ej=%d resv=%d want=%d esc=%d drm=%v stall=%d]",
-			i, ni.station.ring.id, ni.InjectLen(), ni.EjectLen(), len(ni.reserved),
-			ni.wantEject.Len(), h.escape.Len(), h.drm, h.stalledCycles)
-	}
-	return s
-}
-
-// DebugState reports the bridge's buffer occupancy for diagnostics.
-func (b *RBRGL2) DebugState() string {
-	s := b.name + ":"
-	for side := 0; side < 2; side++ {
-		h := &b.half[side]
-		ni := h.iface
-		s += fmt.Sprintf(" s%d[tx=%d rsv=%d pipe=%d rx=%d cred=%d/%d inj=%d ej=%d resv=%d want=%d drm=%v stall=%d]",
-			side, h.tx.Len(), h.reserve.Len(), h.pipe.Len(), h.rx.Len(),
-			h.txCred, h.escCred,
-			ni.InjectLen(), ni.EjectLen(), len(ni.reserved), ni.wantEject.Len(), h.drm, h.stalledCycles)
-	}
-	return s
 }

@@ -116,9 +116,6 @@ func TestBypassCapacity(t *testing.T) {
 	if accepted != 4 {
 		t.Fatalf("bypass accepted %d, want the lane depth 4", accepted)
 	}
-	if src.iface.BypassSpace() != 0 {
-		t.Fatalf("BypassSpace = %d", src.iface.BypassSpace())
-	}
 }
 
 func TestInventory(t *testing.T) {

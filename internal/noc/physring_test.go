@@ -6,30 +6,17 @@ import (
 	"chipletnoc/internal/phys"
 )
 
-func TestSpanRingGeometry(t *testing.T) {
-	net := NewNetwork("t")
-	hs := phys.Spec(phys.HighSpeed) // 1800 um per cycle
-	// Four stations 3.6 mm apart: each span is 2 positions.
-	ring, sts := net.SpanRing([]float64{3600, 3600, 3600, 3600}, hs.JumpUm, true)
-	if ring.Positions() != 8 {
-		t.Fatalf("positions = %d, want 8", ring.Positions())
-	}
-	wantPos := []int{0, 2, 4, 6}
-	for i, st := range sts {
-		if st.Pos() != wantPos[i] {
-			t.Fatalf("station %d at %d, want %d", i, st.Pos(), wantPos[i])
-		}
-	}
-}
-
+// TestSpanRingFabricLatencyDifference lays the same floorplan — two
+// stations 7.2 mm apart each way round — on the two Table 4 fabrics:
+// high-dense needs 3x the positions per span (phys.PositionsForSpan), and
+// an end-to-end flit pays exactly that.
 func TestSpanRingFabricLatencyDifference(t *testing.T) {
-	// The same floorplan on the two Table 4 fabrics: high-dense needs 3x
-	// the positions, and an end-to-end flit pays exactly that.
-	measure := func(jump float64) int {
+	measure := func(fabric phys.FabricClass) int {
+		span := phys.Spec(fabric).PositionsForSpan(7200)
 		net := NewNetwork("t")
-		_, sts := net.SpanRing([]float64{7200, 7200}, jump, false)
-		src := newSource(t, net, sts[0], "src")
-		dst := newSink(t, net, sts[1], "dst", 4)
+		r := net.AddRing(2*span, false)
+		src := newSource(t, net, r.AddStation(0), "src")
+		dst := newSink(t, net, r.AddStation(span), "dst", 4)
 		net.MustFinalize()
 		f := net.NewFlit(src.Node(), dst.Node(), KindData, LineBytes)
 		src.queue(f)
@@ -39,28 +26,9 @@ func TestSpanRingFabricLatencyDifference(t *testing.T) {
 		}
 		return f.Hops
 	}
-	dense := measure(phys.Spec(phys.HighDense).JumpUm)
-	speed := measure(phys.Spec(phys.HighSpeed).JumpUm)
+	dense := measure(phys.HighDense)
+	speed := measure(phys.HighSpeed)
 	if dense != 3*speed {
 		t.Fatalf("hops: dense=%d speed=%d, want exactly 3x", dense, speed)
 	}
-}
-
-func TestSpanRingUnevenSpans(t *testing.T) {
-	net := NewNetwork("t")
-	ring, sts := net.SpanRing([]float64{100, 5000, 1801}, 1800, true)
-	// 1 + 3 + 2 positions.
-	if ring.Positions() != 6 {
-		t.Fatalf("positions = %d", ring.Positions())
-	}
-	if sts[0].Pos() != 0 || sts[1].Pos() != 1 || sts[2].Pos() != 4 {
-		t.Fatalf("stations at %d,%d,%d", sts[0].Pos(), sts[1].Pos(), sts[2].Pos())
-	}
-}
-
-func TestSpanRingValidation(t *testing.T) {
-	net := NewNetwork("t")
-	mustPanic(t, func() { net.SpanRing([]float64{100}, 1800, true) })
-	mustPanic(t, func() { net.SpanRing([]float64{100, 100}, 0, true) })
-	mustPanic(t, func() { net.SpanRing([]float64{100, -5}, 1800, true) })
 }

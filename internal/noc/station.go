@@ -167,10 +167,6 @@ func (ni *NodeInterface) SendPriority(f *Flit) bool {
 	return true
 }
 
-// BypassSpace returns free escape-lane entries (the credit pool for
-// escape transfers towards this interface).
-func (ni *NodeInterface) BypassSpace() int { return ni.bypass.Cap() - ni.bypass.Len() }
-
 // route validates and computes a flit's path on this interface's ring.
 // It returns false when the destination is unreachable: the flit has
 // been counted injected and dropped (UnroutableDrops) so the

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -53,45 +52,6 @@ func (n *Network) InterfaceReport() []InterfaceStats {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// Hotspots returns the interfaces responsible for at least frac of all
-// deflections (frac in (0,1]) — where eject bandwidth is short.
-func (n *Network) Hotspots(frac float64) []InterfaceStats {
-	report := n.InterfaceReport()
-	var total uint64
-	for _, s := range report {
-		total += s.Deflected
-	}
-	if total == 0 {
-		return nil
-	}
-	sort.Slice(report, func(i, j int) bool { return report[i].Deflected > report[j].Deflected })
-	var out []InterfaceStats
-	var acc uint64
-	for _, s := range report {
-		if s.Deflected == 0 || float64(acc) >= frac*float64(total) {
-			break
-		}
-		out = append(out, s)
-		acc += s.Deflected
-	}
-	return out
-}
-
-// UtilizationString renders the top-k interfaces by traffic.
-func (n *Network) UtilizationString(k int) string {
-	report := n.InterfaceReport()
-	if k > 0 && len(report) > k {
-		report = report[:k]
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %6s %8s %8s %9s %8s\n", "interface", "ring", "injected", "ejected", "deflected", "starved")
-	for _, s := range report {
-		fmt.Fprintf(&b, "%-24s %6d %8d %8d %9d %8d\n",
-			fmt.Sprintf("%s@%d", s.Name, s.Position), s.Ring, s.Injected, s.EjectedFlits, s.Deflected, s.Starved)
-	}
-	return b.String()
 }
 
 // KindTicks is the device loop's account of the devices of one Go type:

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestInterfaceReportOrdersByTraffic(t *testing.T) {
 	net, src, dst := buildPair(t, 10, 3, 8)
@@ -24,7 +21,8 @@ func TestInterfaceReportOrdersByTraffic(t *testing.T) {
 }
 
 func TestHotspots(t *testing.T) {
-	// The eject-pressure rig: the slow sink must surface as the hotspot.
+	// The eject-pressure rig: the slow sink must carry the deflections in
+	// the interface report.
 	net := NewNetwork("t")
 	r := net.AddRing(8, true)
 	srcA := newSource(t, net, r.AddStation(1), "srcA")
@@ -36,15 +34,10 @@ func TestHotspots(t *testing.T) {
 		srcB.queue(net.NewFlit(srcB.Node(), dst.Node(), KindData, LineBytes))
 	}
 	runCycles(net, 1500)
-	hs := net.Hotspots(0.9)
-	if len(hs) == 0 {
-		t.Fatal("no hotspots found despite deflections")
-	}
-	if hs[0].Name != "dst" {
-		t.Fatalf("hotspot = %s, want dst", hs[0].Name)
-	}
-	if net.Hotspots(0.0001) == nil {
-		t.Fatal("tiny fraction must still return the top hotspot")
+	for _, s := range net.InterfaceReport() {
+		if (s.Name == "dst") != (s.Deflected > 0) {
+			t.Fatalf("%s deflected %d: only the slow sink should", s.Name, s.Deflected)
+		}
 	}
 }
 
@@ -52,20 +45,9 @@ func TestHotspotsNilWithoutDeflections(t *testing.T) {
 	net, src, dst := buildPair(t, 10, 3, 8)
 	src.queue(net.NewFlit(src.Node(), dst.Node(), KindData, LineBytes))
 	runCycles(net, 50)
-	if hs := net.Hotspots(0.9); hs != nil {
-		t.Fatalf("hotspots on a clean run: %+v", hs)
-	}
-}
-
-func TestUtilizationString(t *testing.T) {
-	net, src, dst := buildPair(t, 10, 3, 8)
-	src.queue(net.NewFlit(src.Node(), dst.Node(), KindData, LineBytes))
-	runCycles(net, 50)
-	out := net.UtilizationString(1)
-	if !strings.Contains(out, "dst@3") {
-		t.Fatalf("missing top row:\n%s", out)
-	}
-	if strings.Count(out, "\n") != 2 { // header + 1 row
-		t.Fatalf("k limit ignored:\n%s", out)
+	for _, s := range net.InterfaceReport() {
+		if s.Deflected != 0 {
+			t.Fatalf("deflections on a clean run: %+v", s)
+		}
 	}
 }

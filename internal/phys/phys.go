@@ -31,7 +31,6 @@ const (
 
 // FabricSpec is one row of Table 4 (relative geometry, absolute reach).
 type FabricSpec struct {
-	Class FabricClass
 	// WidthX and PitchX are relative to the high-dense fabric.
 	WidthX, PitchX float64
 	// BusWidthX is the relative bus width achievable in the same track
@@ -53,16 +52,13 @@ type FabricSpec struct {
 func Spec(c FabricClass) FabricSpec {
 	switch c {
 	case HighDense:
-		return FabricSpec{Class: HighDense, WidthX: 1, PitchX: 1, BusWidthX: 1, JumpUm: 600, StrideUm: 0, OverCircuit: false}
+		return FabricSpec{WidthX: 1, PitchX: 1, BusWidthX: 1, JumpUm: 600, StrideUm: 0, OverCircuit: false}
 	case HighSpeed:
-		return FabricSpec{Class: HighSpeed, WidthX: 3, PitchX: 3.5, BusWidthX: 2.5, JumpUm: 1800, StrideUm: 200, OverCircuit: true}
+		return FabricSpec{WidthX: 3, PitchX: 3.5, BusWidthX: 2.5, JumpUm: 1800, StrideUm: 200, OverCircuit: true}
 	default:
 		panic("phys: unknown fabric class")
 	}
 }
-
-// ClockGHz is the NoC timing-closure target from Section 3.3.
-const ClockGHz = 3.0
 
 // PositionsForSpan converts a physical span into ring positions (pipeline
 // stages): the distance-per-cycle metric. A span shorter than one jump

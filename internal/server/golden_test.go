@@ -42,10 +42,10 @@ func TestJobKeyAndPayloadGolden(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"default sim", []byte(`{}`), "53ad452217e5eef2de4c97f0e7951eb5e61138ca67d39ac6e5d91adddf1eef54"},
-		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "2b50f1363c03c826a1cffd199f1ab7ee059732339dff00a831238ea37651088b"},
-		{"experiment table6", []byte(goldenTable6Body), "f47dd465177b1be35a6c00f7f27326b52792e52e71f83a0e90cea01a44b8ff28"},
-		{"serving", []byte(goldenServingBody), "9959859f3d743c099a902f679593ad781771a1580437bdb3c547465392ecb96e"},
+		{"default sim", []byte(`{}`), "633e20e2271599ae9a1bca01131ca21f4aab98578cef7d3e2ae0019b6051e6d9"},
+		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "f80a01b17fef76f2d73243e3e81cb11ef80325ecc062d728ac0c95c6ce75c9a1"},
+		{"experiment table6", []byte(goldenTable6Body), "191c512b4c2d97c9ed360c30b8ddb29e5e2ac435f5695d4af808c46ecc28eb64"},
+		{"serving", []byte(goldenServingBody), "47304b4100286d1fce5f362833f7a3bca30a5c65016e0a83d920b059faca5eca"},
 	} {
 		if got := keyOf(tc.body); got != tc.want {
 			t.Errorf("%s: JobKey = %s, want %s", tc.name, got, tc.want)

@@ -2,11 +2,12 @@
 // of its normalized spec (PR 5–7 pinned this byte-for-byte), so a
 // completed job's output can be stored and served under a stable hash of
 // everything that determines it — and ONLY that. Knobs that change how a
-// result is computed but not what it is (the checkpoint cadence) and the
-// accepted, inert "partitions"/"lookahead" keys are excluded, so
-// resubmissions that differ only in those hit the cache; the spec echoed inside a served result is
-// patched back to the submission's own, keeping every body byte-identical
-// to a fresh run of exactly that submission.
+// result is computed but not what it is (the checkpoint cadence) are
+// excluded, so resubmissions that differ only in those hit the cache; the
+// spec echoed inside a served result is patched back to the submission's
+// own, keeping every body byte-identical to a fresh run of exactly that
+// submission. The accepted, inert "partitions"/"lookahead" keys never
+// reach this file: normalization drops them.
 package server
 
 import (
@@ -45,10 +46,9 @@ type jobIdentity struct {
 	Config          string `json:"config,omitempty"`
 	// Experiment-job identity.
 	Experiment string `json:"experiment,omitempty"`
-	// Serving-job identity: the canonical serving document minus the
-	// inert partitions/lookahead keys. Scale is absent on
-	// purpose — the document arrives fully defaulted, so scale no longer
-	// influences the result.
+	// Serving-job identity: the canonical serving document, keys sorted
+	// (sortedJSON). Scale is absent on purpose — the document arrives
+	// fully defaulted, so scale no longer influences the result.
 	Serving string `json:"serving,omitempty"`
 }
 
@@ -82,26 +82,17 @@ func keyOf(k *jobKind, spec *JobSpec) (string, error) {
 	return fmt.Sprintf("%x", sha256.Sum256(doc)), nil
 }
 
-// hashableConfig strips the "partitions" and "lookahead" keys from a
-// canonical JSON document — a custom-topology config or a serving spec,
-// which spell them identically — before hashing. Both are accepted and
-// do nothing (the engine they tuned is gone), and they were always
-// excluded from identity, so keys minted before and after agree. The
-// document arrives already canonical (Normalize rendered it), so this
-// only has to drop the two fields; numeric literals ride through as
-// json.Number and are re-rendered verbatim.
-func hashableConfig(doc string) (string, error) {
-	if doc == "" {
-		return "", nil
-	}
+// sortedJSON re-renders a canonical serving document with its object
+// keys sorted: the form serving keys have always hashed, so keys minted
+// before and after agree. Numeric literals ride through as json.Number
+// and are re-rendered verbatim.
+func sortedJSON(doc string) (string, error) {
 	dec := json.NewDecoder(strings.NewReader(doc))
 	dec.UseNumber()
 	var v map[string]interface{}
 	if err := dec.Decode(&v); err != nil {
-		return "", fmt.Errorf("config document: %w", err)
+		return "", fmt.Errorf("serving document: %w", err)
 	}
-	delete(v, "partitions")
-	delete(v, "lookahead")
 	out, err := json.Marshal(v)
 	if err != nil {
 		return "", err

@@ -43,10 +43,10 @@ type jobKind struct {
 	slot func(r *Result) (interface{}, bool)
 	// echo returns r carrying the submission's own spec. The run behind
 	// r agrees with js on every identity field, so only identity-excluded
-	// knobs (checkpoint cadence, the inert partitions/lookahead keys) can
-	// differ — and those must reflect the submission for a cached or
-	// coalesced body to be byte-identical to a fresh run of it. r is
-	// shared between jobs and never written.
+	// knobs (the sim checkpoint cadence) can differ — and those must
+	// reflect the submission for a cached or coalesced body to be
+	// byte-identical to a fresh run of it. r is shared between jobs and
+	// never written.
 	echo func(r *Result, js *JobSpec) *Result
 	// csv and text render the non-JSON formats; file is the ?file=
 	// selector, and a csv error is the client's (400).
@@ -75,14 +75,14 @@ var kinds = map[string]*jobKind{
 			js.Sim = &normalized
 			return nil
 		},
-		identify: func(js *JobSpec, id *jobIdentity) (err error) {
+		identify: func(js *JobSpec, id *jobIdentity) error {
 			id.Topology = js.Sim.Topology
 			id.Scale = js.Sim.Scale
 			id.Cycles = js.Sim.Cycles
 			id.Seed = js.Sim.Seed
 			id.MetricsInterval = js.Sim.MetricsInterval
-			id.Config, err = hashableConfig(js.Sim.Config)
-			return err
+			id.Config = js.Sim.Config
+			return nil
 		},
 		run: func(js *JobSpec, resume []byte, ctl *experiments.SimControl) (r Result, err error) {
 			r.Sim, err = experiments.RunSim(*js.Sim, resume, ctl)
@@ -172,7 +172,7 @@ var kinds = map[string]*jobKind{
 			return nil
 		},
 		identify: func(js *JobSpec, id *jobIdentity) (err error) {
-			id.Serving, err = hashableConfig(string(js.Serving))
+			id.Serving, err = sortedJSON(string(js.Serving))
 			return err
 		},
 		// Like experiments, serving sweeps are coarse-grained (the load
@@ -187,11 +187,7 @@ var kinds = map[string]*jobKind{
 			return r, err
 		},
 		slot: func(r *Result) (interface{}, bool) { return r.Serving, r.Serving != nil },
-		echo: func(r *Result, js *JobSpec) *Result {
-			res := *r.Serving
-			res.Doc = string(js.Serving)
-			return &Result{Kind: kindServing, Serving: &res}
-		},
+		echo: func(r *Result, _ *JobSpec) *Result { return r },
 		csv:  func(r *Result, _ string) (string, error) { return r.Serving.CSV(), nil },
 		text: func(r *Result) string { return r.Serving.Render() },
 	},

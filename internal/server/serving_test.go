@@ -1,7 +1,7 @@
 // Serving-job coverage: the daemon must serve an open-loop sweep
-// byte-identically to the CLI's direct run path, memoize it under a
-// content address that ignores the accepted, inert partitions and
-// lookahead keys, and echo each submission's own canonical document.
+// byte-identically to the CLI's direct run path and memoize it under a
+// content address of its canonical document, which drops the accepted,
+// inert partitions and lookahead keys.
 package server
 
 import (
@@ -75,23 +75,19 @@ func TestServingJobsAreCached(t *testing.T) {
 		t.Fatal("cached serving bodies differ from the cold run")
 	}
 
-	// Partitions and lookahead are accepted and do nothing, so they must
-	// not split the cache.
+	// Partitions and lookahead are accepted and do nothing: they must not
+	// split the cache, and normalization drops them, so the answer is the
+	// cold run's, byte-for-byte, echoing neither key.
 	knobs := `{"kind":"serving","serving":{"seed":9,"loads":[4,64],"cycles":4000,"partitions":2,"lookahead":8}}`
 	tuned, disp := submitJob(t, ts.URL, []byte(knobs))
 	if disp != "hit" {
 		t.Fatalf("partitions/lookahead submission disposition %q, want hit", disp)
 	}
-	// The echoed doc must be the tuned submission's own, not the cold
-	// run's: identity-excluded knobs reflect what was submitted.
-	var res experiments.ServingResult
-	doJSON(t, "GET", ts.URL+"/jobs/"+tuned.ID+"/result", nil, &res)
-	if !strings.Contains(res.Doc, `"partitions":2`) {
-		t.Errorf("cached result does not echo the submission's partitions knob: %s", res.Doc)
+	if got := fetchBodies(t, ts.URL, tuned.ID); got != coldBodies {
+		t.Fatal("knob-tuned cached bodies differ from the cold run")
 	}
-	// And the rows themselves are the cached ones, byte-for-byte.
-	if got := fetchText(t, ts.URL+"/jobs/"+tuned.ID+"/result?format=csv", 200); got != coldBodies.csv {
-		t.Fatal("knob-tuned cached CSV differs from the cold run")
+	if strings.Contains(coldBodies.json, "partitions") || strings.Contains(coldBodies.json, "lookahead") {
+		t.Errorf("result echoes an inert key: %s", coldBodies.json)
 	}
 
 	if ran != 1 {

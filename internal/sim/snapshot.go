@@ -35,8 +35,10 @@ const SnapshotTrailerMagic = "NOCSEAL1"
 // surface as ErrCorruptSnapshot instead of a garbage-state resume.
 // Version 4: inter-die bridge flow control became latency-delayed
 // credit return — the L2 bridge section gained per-half credit windows
-// and in-flight credit pulses, and its counters went per-half.
-const SnapshotVersion = 4
+// and in-flight credit pulses, and its counters went per-half. Version 5:
+// a requester keeps one latency histogram, not three (the per-class read
+// and write histograms were read by nothing).
+const SnapshotVersion = 5
 
 // ErrCorruptSnapshot marks every integrity failure while reading a
 // snapshot: truncation, bad magic, unsupported version, checksum

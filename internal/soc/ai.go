@@ -33,12 +33,10 @@ type AIConfig struct {
 	ReadFraction float64
 	// CoreOutstanding and CoreRate shape the AI cores' request streams;
 	// CoreIssueWidth is requests started per cycle (the AI core's
-	// line-wide load/store pipes). CoreWriteOutstanding, when positive,
-	// gives writes an independent budget (CHI's separate write channel).
-	CoreOutstanding      int
-	CoreWriteOutstanding int
-	CoreRate             float64
-	CoreIssueWidth       int
+	// line-wide load/store pipes).
+	CoreOutstanding int
+	CoreRate        float64
+	CoreIssueWidth  int
 	// DMARate shapes the DMA engines' request streams.
 	DMAOutstanding int
 	DMARate        float64
@@ -101,7 +99,6 @@ func (c AIConfig) TotalCores() int { return c.VRings * c.CoresPerVRing }
 
 // AIProcessor is the built AI die (plus its IO die).
 type AIProcessor struct {
-	Cfg AIConfig
 	Net *noc.Network
 
 	Cores   []*traffic.Requester
@@ -124,7 +121,7 @@ func BuildAIProcessor(cfg AIConfig) *AIProcessor {
 	if cfg.VRings < 1 || cfg.HRings < 1 {
 		panic("soc: AI die needs at least one ring each way")
 	}
-	a := &AIProcessor{Cfg: cfg, Net: noc.NewNetwork("ai-processor")}
+	a := &AIProcessor{Net: noc.NewNetwork("ai-processor")}
 	net := a.Net
 
 	// Vertical rings: one station per core (an AI core needs the full

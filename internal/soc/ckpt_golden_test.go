@@ -46,9 +46,9 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		length int
 		fnv    uint64
 	}{
-		{"server-cpu", func() (*noc.Network, func(int)) { s := goldenServerBuild(); return s.Net, s.Run }, 1500, 11144, 0x63320924d6e2f5db},
-		{"ai-processor", func() (*noc.Network, func(int)) { a := goldenAIBuild(); return a.Net, a.Run }, 1100, 301970, 0x6ed023a5c98ac109},
-		{"quad-die", quadDieBuild, 1500, 84035, 0x468d2dfbe2037e31},
+		{"server-cpu", func() (*noc.Network, func(int)) { s := goldenServerBuild(); return s.Net, s.Run }, 1500, 11144, 0xa9eef5791eb7a293},
+		{"ai-processor", func() (*noc.Network, func(int)) { a := goldenAIBuild(); return a.Net, a.Run }, 1100, 292148, 0xfe95c63a91dbcb96},
+		{"quad-die", quadDieBuild, 1500, 72787, 0xb321fab085da09bf},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -110,7 +110,6 @@ const (
 
 // ServerCPU is the built package.
 type ServerCPU struct {
-	Cfg ServerConfig
 	Net *noc.Network
 
 	// Cores is populated for CoherentCores.
@@ -141,7 +140,7 @@ func BuildServerCPU(cfg ServerConfig, kind CoreKind, memCoreCfg func(core int, s
 	if cfg.ComputeDies < 1 || cfg.IODies < 0 {
 		panic("soc: need at least one compute die")
 	}
-	s := &ServerCPU{Cfg: cfg, Net: noc.NewNetwork("server-cpu")}
+	s := &ServerCPU{Net: noc.NewNetwork("server-cpu")}
 	net := s.Net
 
 	// computeRings[p] / ioRings[p] are per-package die rings.

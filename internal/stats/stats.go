@@ -85,28 +85,6 @@ func (h *Histogram) Max() float64 { return h.Percentile(100) }
 // Min returns the smallest sample, or 0 with no samples.
 func (h *Histogram) Min() float64 { return h.Percentile(0) }
 
-// StdDev returns the population standard deviation.
-func (h *Histogram) StdDev() float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = false
-}
-
 // BandwidthProbe accumulates bytes delivered at a point in the network and
 // reports both total and windowed throughput. The AI-Processor equilibrium
 // experiment (Fig 14) attaches one probe per monitored node and compares
@@ -150,69 +128,17 @@ func (p *BandwidthProbe) TotalBytes() uint64 { return p.totalBytes }
 // Series returns the per-window bytes-per-cycle rates.
 func (p *BandwidthProbe) Series() []float64 { return p.series }
 
-// MeanRate returns average bytes per cycle over elapsed cycles.
-func (p *BandwidthProbe) MeanRate(elapsedCycles uint64) float64 {
-	if elapsedCycles == 0 {
-		return 0
-	}
-	return float64(p.totalBytes) / float64(elapsedCycles)
-}
-
-// Equilibrium quantifies how evenly bandwidth is spread over a set of
-// probe series (Fig 14): for each window it computes every probe's rate as
-// a fraction of that window's maximum rate, and returns the fraction of
-// (probe, window) points at or above the threshold. The paper's claim is
-// "for most of the time, all probes get more than 80% of the maximum
-// bandwidth" — i.e. Equilibrium(probes, 0.8) ≈ 1.
+// EquilibriumVsPeak quantifies how evenly bandwidth is spread over a set
+// of probe series (Fig 14): the fraction of (probe, window) rates at or
+// above threshold times the best probe's mean rate. The denominator is
+// that stable mean rather than each window's maximum, which with many
+// probes and short windows is an upward outlier. This matches the paper's
+// reading of Figure 14 — every probe sustains >80% of the maximum
+// (sustained) bandwidth, i.e. EquilibriumVsPeak(probes, 0.8) ≈ 1.
 //
-// Edge semantics: series of unequal length are truncated to the shortest
-// one; an empty input, a zero-length shortest series, or series that are
-// all-zero in every window (no max to compare against) all return 0.
-// All-zero windows are skipped entirely — they contribute no points to
-// either side of the ratio.
-func Equilibrium(series [][]float64, threshold float64) float64 {
-	if len(series) == 0 {
-		return 0
-	}
-	windows := len(series[0])
-	for _, s := range series {
-		if len(s) < windows {
-			windows = len(s)
-		}
-	}
-	if windows == 0 {
-		return 0
-	}
-	points, ok := 0, 0
-	for w := 0; w < windows; w++ {
-		max := 0.0
-		for _, s := range series {
-			if s[w] > max {
-				max = s[w]
-			}
-		}
-		if max == 0 {
-			continue
-		}
-		for _, s := range series {
-			points++
-			if s[w] >= threshold*max {
-				ok++
-			}
-		}
-	}
-	if points == 0 {
-		return 0
-	}
-	return float64(ok) / float64(points)
-}
-
-// EquilibriumVsPeak is Equilibrium with a stable denominator: each
-// (probe, window) rate is compared against the *best probe's mean rate*
-// rather than the per-window maximum, which with many probes and short
-// windows is an upward outlier. This matches the paper's reading of
-// Figure 14 — every probe sustains >80% of the maximum (sustained)
-// bandwidth.
+// Every recorded window counts, an all-zero one included (it scores as a
+// miss), and series of unequal length are not truncated. An empty input
+// or an all-zero one returns 0.
 func EquilibriumVsPeak(series [][]float64, threshold float64) float64 {
 	peak := PeakMeanRate(series)
 	if peak == 0 {

@@ -4,7 +4,7 @@ import "testing"
 
 // These tests pin the edge semantics the experiment code depends on:
 // nearest-rank percentiles (no interpolation), order-insensitive Merge,
-// and the degenerate inputs of the equilibrium metrics. The documented
+// and the degenerate inputs of the equilibrium metric. The documented
 // behaviours here are load-bearing — Table 5/7 percentile columns and
 // the Figure 14 equilibrium claim all read through them.
 
@@ -99,43 +99,8 @@ func TestMergeSortedAndUnsorted(t *testing.T) {
 	}
 }
 
-// TestEquilibriumEmptyAndShort pins the degenerate equilibrium inputs.
-func TestEquilibriumEmptyAndShort(t *testing.T) {
-	if got := Equilibrium(nil, 0.8); got != 0 {
-		t.Errorf("Equilibrium(nil) = %v, want 0", got)
-	}
-	if got := Equilibrium([][]float64{}, 0.8); got != 0 {
-		t.Errorf("Equilibrium(empty) = %v, want 0", got)
-	}
-	// One probe with no windows: zero windows to score.
-	if got := Equilibrium([][]float64{{}}, 0.8); got != 0 {
-		t.Errorf("Equilibrium([[]]) = %v, want 0", got)
-	}
-	// Unequal lengths truncate to the shortest series.
-	series := [][]float64{
-		{10, 10, 10},
-		{10, 4}, // only windows 0 and 1 count
-	}
-	// Window 0: both at max → 2 ok. Window 1: 4 < 0.8*10 → 1 ok.
-	if got := Equilibrium(series, 0.8); got != 0.75 {
-		t.Errorf("Equilibrium(truncated) = %v, want 0.75", got)
-	}
-	// An all-zero window contributes nothing to either side.
-	withZero := [][]float64{
-		{10, 0},
-		{10, 0},
-	}
-	if got := Equilibrium(withZero, 0.8); got != 1 {
-		t.Errorf("Equilibrium(zero window skipped) = %v, want 1", got)
-	}
-	// All-zero everything: no max anywhere.
-	if got := Equilibrium([][]float64{{0, 0}, {0, 0}}, 0.8); got != 0 {
-		t.Errorf("Equilibrium(all zero) = %v, want 0", got)
-	}
-}
-
-// TestEquilibriumVsPeakEmptyAndShort pins the stable-denominator variant
-// on the same degenerate inputs.
+// TestEquilibriumVsPeakEmptyAndShort pins the degenerate equilibrium
+// inputs.
 func TestEquilibriumVsPeakEmptyAndShort(t *testing.T) {
 	if got := EquilibriumVsPeak(nil, 0.8); got != 0 {
 		t.Errorf("EquilibriumVsPeak(nil) = %v, want 0", got)
@@ -146,8 +111,8 @@ func TestEquilibriumVsPeakEmptyAndShort(t *testing.T) {
 	if got := EquilibriumVsPeak([][]float64{{0, 0}}, 0.8); got != 0 {
 		t.Errorf("EquilibriumVsPeak(all zero) = %v, want 0", got)
 	}
-	// Unlike Equilibrium, short series are NOT truncated: every recorded
-	// window scores against the best probe's mean.
+	// Short series are NOT truncated: every recorded window scores against
+	// the best probe's mean.
 	series := [][]float64{
 		{10, 10, 10}, // mean 10 = peak
 		{10},         // one window, at peak

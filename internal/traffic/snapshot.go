@@ -1,6 +1,6 @@
 // Checkpoint support for traffic generators: the requester walks its CHI
 // tracker, in-flight accounting, pending beat flits, retry state,
-// latency histograms and — critically for determinism — its RNG and
+// latency histogram and — critically for determinism — its RNG and
 // address-stream positions, so a resumed generator issues the exact
 // request sequence the uninterrupted run would have.
 package traffic
@@ -28,8 +28,6 @@ func (r *Requester) SnapState(s *noc.Snap) {
 		r.retrier.SnapState(c)
 	}
 	r.Latency.SnapState(c)
-	r.ReadLatency.SnapState(c)
-	r.WriteLatency.SnapState(c)
 	c.U64(&r.Issued)
 	c.U64(&r.Completed)
 	c.U64(&r.ReadsDone)

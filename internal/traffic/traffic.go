@@ -107,11 +107,8 @@ type Requester struct {
 	// destination) lives on the tracked chi.Message itself.
 	retrier *chi.Retrier
 
-	// Latency collects per-transaction round trips; ReadLatency and
-	// WriteLatency split it by class.
-	Latency      stats.Histogram
-	ReadLatency  stats.Histogram
-	WriteLatency stats.Histogram
+	// Latency collects per-transaction round trips.
+	Latency stats.Histogram
 
 	Issued, Completed     uint64
 	ReadsDone, WritesDone uint64
@@ -187,18 +184,15 @@ func (r *Requester) RetryStats() (retried, aborted uint64) {
 
 // complete records the statistics of a transaction Settle retired.
 func (r *Requester) complete(req *chi.Message, now sim.Cycle) {
-	lat := uint64(now) - req.IssuedAt
-	r.Latency.Add(float64(lat))
+	r.Latency.Add(float64(uint64(now) - req.IssuedAt))
 	r.Completed++
 	r.BytesMoved += uint64(req.Bytes())
 	if req.IsWrite() {
 		r.WritesDone++
 		r.writesInFlight--
-		r.WriteLatency.Add(float64(lat))
 	} else {
 		r.ReadsDone++
 		r.readsInFlight--
-		r.ReadLatency.Add(float64(lat))
 	}
 }
 

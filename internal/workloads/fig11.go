@@ -8,8 +8,6 @@ type CompetitionPoint struct {
 	NoiseRate float64
 	// ProbeLatency is the probe core's mean round-trip in cycles.
 	ProbeLatency float64
-	// ProbeP99 is the tail.
-	ProbeP99 float64
 }
 
 // CompetitionScenario selects the background mix.
@@ -56,12 +54,7 @@ func RunCompetition(spec SystemSpec, sc CompetitionScenario, rates []float64, se
 		}
 		m := spec.NewMemSystem(loads, seed+uint64(i))
 		m.Run(competitionCycles)
-		probe := m.Core(0)
-		points = append(points, CompetitionPoint{
-			NoiseRate:    rate,
-			ProbeLatency: probe.Latency.Mean(),
-			ProbeP99:     probe.Latency.Percentile(99),
-		})
+		points = append(points, CompetitionPoint{NoiseRate: rate, ProbeLatency: m.Core(0).Latency.Mean()})
 	}
 	return points
 }

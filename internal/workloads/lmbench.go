@@ -33,7 +33,6 @@ func LMBenchKernels() []LMBenchKernel {
 // LMBenchResult is one (system, kernel) measurement.
 type LMBenchResult struct {
 	System string
-	Kernel string
 	// SingleCoreGBps is one core against the whole package's channels.
 	SingleCoreGBps float64
 	// AllCoreUtilization is delivered/peak DDR bandwidth with every core
@@ -62,7 +61,6 @@ func RunLMBench(spec SystemSpec, k LMBenchKernel, seed uint64) LMBenchResult {
 
 	return LMBenchResult{
 		System:             spec.Name,
-		Kernel:             k.Name,
 		SingleCoreGBps:     single.BandwidthGBps(),
 		AllCoreUtilization: all.Utilization(),
 	}

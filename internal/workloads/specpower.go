@@ -19,8 +19,8 @@ type SpecPowerResult struct {
 // with activity; NoC power comes from the phys energy model applied to
 // the fabric's event counters.
 type powerModel struct {
-	// CoreActiveW / CoreIdleW are per-core power at full/zero load.
-	CoreActiveW, CoreIdleW float64
+	// CoreActiveW is per-core power at full load.
+	CoreActiveW float64
 	// UncoreBaseW is the fixed package overhead.
 	UncoreBaseW float64
 }
@@ -28,7 +28,7 @@ type powerModel struct {
 // defaultPowerModel is shared across systems so the score differences
 // come from throughput and NoC energy, not core-power assumptions.
 func defaultPowerModel() powerModel {
-	return powerModel{CoreActiveW: 3.0, CoreIdleW: 0.6, UncoreBaseW: 20}
+	return powerModel{CoreActiveW: 3.0, UncoreBaseW: 20}
 }
 
 // specPowerLoadLevels are the ssj load ladder (fraction of full load).
