@@ -197,14 +197,17 @@ func TestRestoreRejectsWatchdogWithoutPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := buf.Bytes()
-	var pair [16]byte
-	binary.LittleEndian.PutUint64(pair[:], budget)
-	binary.LittleEndian.PutUint64(pair[8:], period)
-	at := bytes.Index(ckpt, pair[:])
-	if start, end := stateSection(t, ckpt); at < start || at+16 > end {
+	pair, patched := sim.NewEncoder(), sim.NewEncoder()
+	pair.PutUvarint(budget)
+	pair.PutUvarint(period)
+	patched.PutUvarint(budget)
+	patched.PutUvarint(0)
+	at := bytes.Index(ckpt, pair.Data())
+	if start, end := stateSection(t, ckpt); at < start || at+pair.Len() > end {
 		t.Fatalf("watchdog fields not found in the state section (index %d)", at)
 	}
-	binary.LittleEndian.PutUint64(ckpt[at+8:], 0)
+	// The period's varint shrinks to one byte; reseal reads the new length.
+	ckpt = append(append(ckpt[:at:at], patched.Data()...), ckpt[at+pair.Len():]...)
 
 	twin, _, _ := buildSnapNet(t, 0)
 	_, err := ReadCheckpoint(bytes.NewReader(reseal(t, ckpt)), twin)

@@ -420,9 +420,14 @@ func (n *Network) SnapState(c *sim.Codec) error {
 		}
 	}
 	// Every loaded flit is in the pool: routing indexes by its endpoints.
+	// None is addressed to a bridge (a multi-ring node): a bridge sends on
+	// whatever it receives, and Send refuses a flit addressed to the
+	// sending node.
 	for _, f := range s.flits {
 		if f.Src < 0 || int(f.Src) >= len(n.nodes) || f.Dst < 0 || int(f.Dst) >= len(n.nodes) {
 			c.Fail("flit %d endpoints %d -> %d out of range", f.ID, f.Src, f.Dst)
+		} else if len(n.nodes[f.Dst].ifaces) > 1 {
+			c.Fail("flit %d addressed to bridge %d", f.ID, f.Dst)
 		}
 	}
 	return c.Err()

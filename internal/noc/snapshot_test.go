@@ -30,6 +30,12 @@ func (s *source) SnapState(sn *Snap) {
 	snapFlitSlice(sn, &s.got)
 	sim.Int(sn.Codec, &s.retries)
 	sim.Uint(sn.Codec, &s.deadline)
+	// The retry period and destination are build configuration: armed
+	// retries restore only into a source built with them, or the first
+	// deadline would send a flit to the zero-value destination.
+	if s.retries < 0 || s.retries > 0 && s.retryEvery == 0 {
+		sn.Fail("source %s: %d retries armed without a retry period", s.name, s.retries)
+	}
 }
 
 func (s *sink) SnapState(sn *Snap) { snapFlitSlice(sn, &s.got) }
@@ -261,7 +267,7 @@ func TestSnapshotPreservesMsgIdentity(t *testing.T) {
 // live on the network between checkpoints and must come back empty, or
 // every flit a checkpoint saw would stay reachable from it.
 func TestCheckpointBytesAreBuiltOnce(t *testing.T) {
-	net, _, _ := buildSnapNet(t, 1500) // a few hundred KiB of queued flits
+	net, _, _ := buildSnapNet(t, 5000) // a few hundred KiB of queued flits
 	runCycles(net, 60)
 	poolsEmpty := func(n *Network, when string) {
 		t.Helper()

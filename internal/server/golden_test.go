@@ -42,10 +42,10 @@ func TestJobKeyAndPayloadGolden(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"default sim", []byte(`{}`), "633e20e2271599ae9a1bca01131ca21f4aab98578cef7d3e2ae0019b6051e6d9"},
-		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "f80a01b17fef76f2d73243e3e81cb11ef80325ecc062d728ac0c95c6ce75c9a1"},
-		{"experiment table6", []byte(goldenTable6Body), "191c512b4c2d97c9ed360c30b8ddb29e5e2ac435f5695d4af808c46ecc28eb64"},
-		{"serving", []byte(goldenServingBody), "47304b4100286d1fce5f362833f7a3bca30a5c65016e0a83d920b059faca5eca"},
+		{"default sim", []byte(`{}`), "6a75dd1fbd01fe5a64a64d0b193a295be309083c014c89b8b9cfd371945da0ba"},
+		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "5d2d6e29ce933b12547ff64214c72bfeb7ae3c69761aefef0a7c0ef6661618f1"},
+		{"experiment table6", []byte(goldenTable6Body), "9dbba103708adfc1f8405c533eba7180c273c0753f48276d34a060f4de38b63e"},
+		{"serving", []byte(goldenServingBody), "142a3685a56275b8c8af1305735f384a0e5513c85f3d4da74b6480d3b704074d"},
 	} {
 		if got := keyOf(tc.body); got != tc.want {
 			t.Errorf("%s: JobKey = %s, want %s", tc.name, got, tc.want)

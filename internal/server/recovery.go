@@ -4,10 +4,10 @@
 //
 //   - resumed: record and checkpoint both verify — the job continues
 //     from its checkpointed cycle, bit-identical to an uninterrupted run.
-//   - requeued: the record verifies but the checkpoint is missing or
-//     damaged — the damaged file is quarantined and the job reruns from
-//     cycle 0, which reaches the same final bytes (the simulator is
-//     deterministic).
+//   - requeued: the record verifies but the checkpoint is missing,
+//     damaged or of another snapshot version — the unusable file is
+//     quarantined and the job reruns from cycle 0, which reaches the
+//     same final bytes (the simulator is deterministic).
 //   - quarantined: the record itself is damaged — both files move to
 //     quarantine/ with a .reason note, and the daemon carries on.
 //
@@ -105,8 +105,8 @@ func (s *Server) recoverState() ([]*Job, error) {
 }
 
 // recoverJob loads one persisted job. A damaged record is an error (the
-// caller quarantines it); a damaged or missing checkpoint is not — the
-// job is requeued from cycle 0 and determinism makes that equivalent.
+// caller quarantines it); a damaged, stale or missing checkpoint is not —
+// the job is requeued from cycle 0 and determinism makes that equivalent.
 func (s *Server) recoverJob(id string) (*Job, error) {
 	payload, err := durable.ReadSealed(filepath.Join(s.cfg.StateDir, id+jobRecordSuffix))
 	if err != nil {
@@ -132,8 +132,16 @@ func (s *Server) recoverJob(id string) (*Job, error) {
 	switch {
 	case err == nil:
 		// Frame verification (trailer + whole-file CRC32-C) proves the
-		// checkpoint complete and untampered without building a topology.
-		if _, verr := sim.VerifySnapshotFrame(ckpt); verr != nil {
+		// checkpoint complete and untampered without building a topology;
+		// the header then proves it is in this build's layout. A sealed
+		// checkpoint a daemon at another sim.SnapshotVersion wrote is
+		// intact but cannot resume, so it is requeued here, not counted
+		// resumed and refused later.
+		framed, verr := sim.VerifySnapshotFrame(ckpt)
+		if verr == nil {
+			_, verr = sim.ReadSnapshotHeader(sim.NewDecoder(framed))
+		}
+		if verr != nil {
 			s.quarantine(ckptName, verr)
 			s.recovery.Requeued++
 			job.Cycle = 0

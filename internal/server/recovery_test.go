@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"chipletnoc/internal/durable"
 	"chipletnoc/internal/experiments"
+	"chipletnoc/internal/sim"
 )
 
 // quickSimSpec returns a normalized quick sim spec — what a POSTed
@@ -151,6 +153,91 @@ func TestRecoveryResumesValidCheckpoint(t *testing.T) {
 	got := fetchText(t, ts.URL+"/jobs/job-0/result?format=csv", http.StatusOK)
 	if got != want.CSV() {
 		t.Error("resumed run's CSV differs from the uninterrupted run")
+	}
+}
+
+// TestRecoveryRequeuesStaleCheckpoint: a checkpoint sealed by a daemon
+// built at another snapshot version passes the frame check but can never
+// resume. It must be quarantined with its reason and the job requeued
+// from cycle 0 — not counted resumed, started at its old cycle and
+// refused mid-flight — and the rerun must reach the uninterrupted bytes.
+func TestRecoveryRequeuesStaleCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	spec := quickSimSpec(t)
+	var ckpt []byte
+	var at uint64
+	ctl := &experiments.SimControl{OnCheckpoint: func(data []byte, cycle uint64) error {
+		if ckpt == nil {
+			ckpt, at = append([]byte(nil), data...), cycle
+		}
+		return nil
+	}}
+	ckptSpec := *spec.Sim
+	ckptSpec.CheckpointEvery = 500
+	want, err := experiments.RunSim(ckptSpec, nil, ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt == nil {
+		t.Fatal("quick run produced no checkpoint")
+	}
+
+	// The same state under the previous version's header, resealed: only
+	// the version differs from a resumable checkpoint.
+	payload, err := sim.VerifySnapshotFrame(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sim.NewDecoder(payload)
+	h, err := sim.ReadSnapshotHeader(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Version = sim.SnapshotVersion - 1
+	e := sim.NewEncoder()
+	sim.WriteSnapshotHeader(e, h)
+	for _, b := range payload[len(payload)-d.Remaining():] {
+		e.PutU8(b)
+	}
+	sim.WriteSnapshotTrailer(e)
+
+	recSpec := spec
+	recSpec.Sim = &ckptSpec
+	rec, err := json.Marshal(persistedJob{ID: "job-0", Spec: recSpec, Cycle: at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteSealed(filepath.Join(dir, "job-0"+jobRecordSuffix), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteFile(filepath.Join(dir, "job-0.ckpt"), e.Data(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var startCycle atomic.Uint64
+	var resumed atomic.Bool
+	testPanicHook = func(lead *Job) {
+		startCycle.Store(lead.flight.cycle)
+		resumed.Store(lead.flight.resume != nil)
+	}
+	s, ts := testServer(t, Config{StateDir: dir, Workers: 1})
+	defer func() {
+		s.Shutdown()
+		testPanicHook = nil
+	}()
+	if rec := s.Recovery(); rec.Requeued != 1 || rec.Resumed != 0 || rec.Quarantined != 0 {
+		t.Fatalf("recovery = %+v, want exactly 1 requeued", rec)
+	}
+	reason, err := os.ReadFile(filepath.Join(dir, quarantineDirName, "job-0.ckpt.reason"))
+	if err != nil || !strings.Contains(string(reason), "version") {
+		t.Errorf("stale checkpoint's quarantine reason %q (%v) does not name the version", reason, err)
+	}
+	waitFor(t, ts.URL, "job-0", func(st JobStatus) bool { return st == StatusDone })
+	if resumed.Load() || startCycle.Load() != 0 {
+		t.Errorf("job started from cycle %d (resume %v), want a rerun from cycle 0", startCycle.Load(), resumed.Load())
+	}
+	if got := fetchText(t, ts.URL+"/jobs/job-0/result?format=csv", http.StatusOK); got != want.CSV() {
+		t.Error("requeued run's CSV differs from the uninterrupted run")
 	}
 }
 

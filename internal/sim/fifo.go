@@ -90,7 +90,7 @@ func (q *FIFO[T]) Clear() {
 	q.head = 0
 }
 
-// WalkFIFO walks a queue of at most max entries as a u32 length and then
+// WalkFIFO walks a queue of at most max entries as a varint length and then
 // walk(&entry) per entry, oldest first — the bytes Slice and a loop
 // over the elements write, wherever the head sits. Loading empties the
 // queue and refills it from head 0 with zeroed entries for walk to fill,

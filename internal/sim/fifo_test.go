@@ -159,13 +159,17 @@ func TestWalkFIFORefusesBadLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge := append([]byte{0xff, 0xff, 0xff, 0x7f}, data[4:]...)
+	// The length is one varint byte, then one byte per entry.
+	if want := []byte{3, 1, 2, 3}; !bytes.Equal(data, want) {
+		t.Fatalf("saved %x, want %x", data, want)
+	}
+	huge := append([]byte{0xff, 0xff, 0xff, 0x7f}, data[1:]...)
 	for name, tc := range map[string]struct {
 		data []byte
 		max  int
 	}{
 		"over max":        {data, 2},
-		"over bytes left": {data[:6], 4},
+		"over bytes left": {data[:3], 4},
 		"absurd":          {huge, 1 << 30},
 	} {
 		var into FIFO[uint32]

@@ -15,13 +15,15 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.PutU32(0xDEADBEEF)
 	e.PutU64(0x0123456789ABCDEF)
 	e.PutI64(-42)
+	e.PutUvarint(300)
+	e.PutVarint(-42)
 	e.PutBool(true)
 	e.PutBool(false)
 	e.PutF64(3.14159)
 	e.PutF64(math.Copysign(0, -1))
 	e.PutBytes([]byte{1, 2, 3})
 	e.PutString("hello")
-	e.PutU32(3) // a count, followed by its three one-byte elements
+	e.PutUvarint(3) // a count, followed by its three one-byte elements
 	e.PutU8(10)
 	e.PutU8(20)
 	e.PutU8(30)
@@ -39,8 +41,14 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if got := d.U64(); got != 0x0123456789ABCDEF {
 		t.Errorf("U64 = %#x", got)
 	}
-	if got := d.I64(); got != -42 {
+	if got := int64(d.U64()); got != -42 {
 		t.Errorf("I64 = %d", got)
+	}
+	if got := d.Uvarint(); got != 300 {
+		t.Errorf("Uvarint = %d", got)
+	}
+	if got := d.Varint(); got != -42 {
+		t.Errorf("Varint = %d", got)
 	}
 	if got := d.Bool(); got != true {
 		t.Errorf("Bool = %v", got)
@@ -115,17 +123,24 @@ func TestDecoderBoolStrict(t *testing.T) {
 
 func TestDecoderCountBounds(t *testing.T) {
 	e := NewEncoder()
-	e.PutU32(1 << 30) // claims a billion elements
+	e.PutUvarint(1 << 30) // claims a billion elements
 	d := NewDecoder(e.Data())
 	if got := d.Count(1 << 31); got != 0 || d.Err() == nil {
 		t.Errorf("Count accepted %d elements with 0 bytes remaining", got)
 	}
 
 	e = NewEncoder()
-	e.PutU32(5)
-	d = NewDecoder(e.Data())
+	e.PutUvarint(5)
+	d = NewDecoder(append(e.Data(), make([]byte, 8)...))
 	if got := d.Count(4); got != 0 || d.Err() == nil {
 		t.Errorf("Count accepted %d over max 4", got)
+	}
+
+	e = NewEncoder()
+	e.PutUvarint(1<<64 - 1) // a count that does not fit an int
+	d = NewDecoder(e.Data())
+	if got := d.Count(1 << 31); got != 0 || d.Err() == nil {
+		t.Errorf("Count accepted %d from a 64-bit claim", got)
 	}
 }
 
@@ -378,6 +393,20 @@ func TestCodecMapRoundTrip(t *testing.T) {
 	m := map[uint64]*cell{64: {2}, 0: {1}, 128: {3}}
 	e := NewEncoder()
 	walk(Saving(e), &m)
+	// entries is a map's wire form: the count, then each key and its
+	// value in the order given.
+	entries := func(kvs ...[2]uint64) []byte {
+		e := NewEncoder()
+		e.PutUvarint(uint64(len(kvs)))
+		for _, kv := range kvs {
+			e.PutUvarint(kv[0])
+			e.PutUvarint(kv[1])
+		}
+		return e.Data()
+	}
+	if want := entries([2]uint64{0, 1}, [2]uint64{64, 2}, [2]uint64{128, 3}); string(e.Data()) != string(want) {
+		t.Fatalf("map saved as %x, want %x", e.Data(), want)
+	}
 
 	var got map[uint64]*cell
 	c := Loading(NewDecoder(e.Data()))
@@ -392,9 +421,7 @@ func TestCodecMapRoundTrip(t *testing.T) {
 		t.Fatal("loaded map re-encodes differently")
 	}
 
-	swapped := append([]byte(nil), e.Data()...)
-	copy(swapped[4:20], e.Data()[20:36]) // entries 0 and 1 trade places
-	copy(swapped[20:36], e.Data()[4:20])
+	swapped := entries([2]uint64{64, 2}, [2]uint64{0, 1}, [2]uint64{128, 3}) // entries 0 and 1 trade places
 	c = Loading(NewDecoder(swapped))
 	if walk(c, &got); !errors.Is(c.Err(), ErrCorruptSnapshot) {
 		t.Fatalf("out-of-order keys: err = %v", c.Err())

@@ -30,7 +30,7 @@ func TestSeqStreamDefaultStride(t *testing.T) {
 // TestRetiredStreamTagsRefused: the uniform and Zipfian streams (wire
 // tags 2 and 3) are gone; a requester section carrying one must fail the
 // load as corrupt, not be read as a sequential cursor. The tag is the
-// byte before the trailing u64 cursor.
+// byte before the trailing varint cursor.
 func TestRetiredStreamTagsRefused(t *testing.T) {
 	net, req, _ := buildTrafficRig(t, RequesterConfig{
 		Outstanding: 4, Rate: 1, ReadFraction: 1, Stream: NewSeqStream(0, 64, 0),
@@ -39,7 +39,9 @@ func TestRetiredStreamTagsRefused(t *testing.T) {
 	e := sim.NewEncoder()
 	req.SnapState(noc.NewSnap(sim.Saving(e)))
 	data := e.Data()
-	tag := len(data) - 9
+	cursor := sim.NewEncoder()
+	cursor.PutUvarint(req.cfg.Stream.(*SeqStream).next)
+	tag := len(data) - 1 - cursor.Len()
 	if data[tag] != streamSeq {
 		t.Fatalf("byte %d is %d, not the stream tag", tag, data[tag])
 	}
