@@ -100,7 +100,11 @@ type Message struct {
 	// TxnID identifies the transaction at the requester; responses echo
 	// it so out-of-order completion can be matched.
 	TxnID uint32
-	Op    Opcode
+	// mark is the state walk's identity mark (noc.Snap, reached through
+	// this package's MsgCodec.Ref): 1 + the message's index in the walk
+	// under way, 0 outside one. It fills the word TxnID leaves free.
+	mark uint32
+	Op   Opcode
 	// Addr is the cache-line-aligned physical address.
 	Addr uint64
 	// Requester is the node the final completion must reach.

@@ -21,10 +21,15 @@ const msgCodecID = 1
 
 func init() {
 	noc.RegisterMsgCodec(noc.MsgCodec{
-		ID:      msgCodecID,
-		Matches: func(m interface{}) bool { _, ok := m.(*Message); return ok },
-		New:     func() interface{} { return &Message{} },
-		Walk:    func(s *noc.Snap, m interface{}) { m.(*Message).snapState(s.Codec) },
+		ID: msgCodecID,
+		Ref: func(m interface{}) *uint32 {
+			if msg, ok := m.(*Message); ok {
+				return &msg.mark
+			}
+			return nil
+		},
+		New:  func() interface{} { return &Message{} },
+		Walk: func(s *noc.Snap, m interface{}) { m.(*Message).snapState(s.Codec) },
 	})
 }
 

@@ -21,6 +21,7 @@ func deviceState(t *testing.T, d gated, ni *noc.NodeInterface) string {
 	t.Helper()
 	e := sim.NewEncoder()
 	s := noc.NewSnap(sim.Saving(e))
+	defer s.End()
 	d.SnapState(s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)

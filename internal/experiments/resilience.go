@@ -163,10 +163,8 @@ func measureResilience(scale Scale, system string, k int) ResiliencePoint {
 		last = net.DeliveredBytes
 	}
 
-	var lat stats.Histogram
 	var retried, aborted uint64
 	for _, r := range reqs {
-		lat.Merge(&r.Latency)
 		rt, ab := r.RetryStats()
 		retried += rt
 		aborted += ab
@@ -176,7 +174,7 @@ func measureResilience(scale Scale, system string, k int) ResiliencePoint {
 		System:     system,
 		Faults:     k,
 		Throughput: float64(net.DeliveredBytes-startBytes) / float64(elapsed),
-		P99:        lat.Percentile(99),
+		P99:        mergedLatency(reqs).Percentile(99),
 		Retried:    retried,
 		Aborted:    aborted,
 		Dropped:    net.DroppedFlits,

@@ -469,12 +469,24 @@ func stitchedMetrics(reg *metrics.Registry, carried *metrics.Snapshot, spec SimS
 	return snap
 }
 
-// buildResult assembles the deterministic result record.
-func buildResult(spec SimSpec, sys *simSystem, progress *simProgress, reg *metrics.Registry) *SimResult {
-	var lat stats.Histogram
-	for _, r := range sys.requesters {
+// mergedLatency folds the requesters' latency samples into one
+// population, sized once from their summed count.
+func mergedLatency(reqs []*traffic.Requester) *stats.Histogram {
+	n := 0
+	for _, r := range reqs {
+		n += r.Latency.Count()
+	}
+	lat := &stats.Histogram{}
+	lat.Grow(n)
+	for _, r := range reqs {
 		lat.Merge(&r.Latency)
 	}
+	return lat
+}
+
+// buildResult assembles the deterministic result record.
+func buildResult(spec SimSpec, sys *simSystem, progress *simProgress, reg *metrics.Registry) *SimResult {
+	lat := mergedLatency(sys.requesters)
 	res := &SimResult{
 		Spec:           spec,
 		Injected:       sys.net.InjectedFlits,

@@ -16,6 +16,7 @@ func controllerState(t *testing.T, c *Controller) string {
 	t.Helper()
 	e := sim.NewEncoder()
 	s := noc.NewSnap(sim.Saving(e))
+	defer s.End()
 	c.SnapState(s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)

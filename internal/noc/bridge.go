@@ -265,7 +265,11 @@ func (b *RBRGL1) runDRM(h *l1half) {
 // decision is a precomputed table lookup (see rebuildForwardTables);
 // computeForward holds the actual policy.
 func (n *Network) forwardInterface(node NodeID, arrived *NodeInterface, f *Flit) *NodeInterface {
-	return n.nodes[node].fwd[arrived.nodeSlot][f.Dst]
+	info := n.nodes[node]
+	if slot := info.fwd[arrived.nodeSlot][f.Dst]; slot >= 0 {
+		return info.ifaces[slot]
+	}
+	return nil
 }
 
 // computeForward derives one forwarding-table entry from the freshly

@@ -105,23 +105,30 @@ type Flit struct {
 	Deflections int
 	// RingChanges counts bridge traversals.
 	RingChanges int
-	// Corrupted marks a flit damaged by fault injection: it still
-	// consumes network bandwidth but the destination's link-level check
-	// discards it on arrival (counted in CorruptDrops, never delivered).
-	Corrupted bool
 
 	// in-network bookkeeping (current ring only)
 	localDst   int // station position to leave the current ring at
 	localIface int // interface index at that station
 	dir        Direction
-	counted    bool // already counted as injected (set on first Send)
 	// boarded is the cycle the flit entered its current ring slot; hop
 	// accounting is materialised lazily from it (Ring.settleHops) so
 	// advance never scans slots.
 	boarded sim.Cycle
+
+	// The flags and the mark share one word, which keeps a flit at 128
+	// bytes.
+	//
+	// Corrupted marks a flit damaged by fault injection: it still
+	// consumes network bandwidth but the destination's link-level check
+	// discards it on arrival (counted in CorruptDrops, never delivered).
+	Corrupted bool
+	counted   bool // already counted as injected (set on first Send)
 	// freed guards the network's deterministic free-list against
 	// double-release (see Network.ReleaseFlit).
 	freed bool
+	// mark is the state walk's identity mark (see Snap): 1 + the flit's
+	// index in the walk under way, 0 outside one.
+	mark uint32
 }
 
 // HeaderBytes is the per-flit header overhead in bytes: the price of

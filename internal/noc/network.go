@@ -29,11 +29,11 @@ type nodeInfo struct {
 	// interface per ring).
 	onRing map[RingID]*NodeInterface
 	// fwd[arrival][dst] is the precomputed bridge forwarding decision:
-	// the interface a transit flit for dst continues on after arriving
-	// at ifaces[arrival]. Only populated for multi-ring (bridge) nodes;
-	// rebuilt with the route table so it always reflects the surviving
-	// topology. nil entries mean no onward route.
-	fwd [][]*NodeInterface
+	// the slot in ifaces of the interface a transit flit for dst continues
+	// on after arriving at ifaces[arrival], or -1 for no onward route.
+	// Only populated for multi-ring (bridge) nodes; rebuilt with the route
+	// table so it always reflects the surviving topology.
+	fwd [][]int8
 }
 
 // Network is a complete multi-ring NoC: rings, bridges, attached devices
@@ -62,16 +62,21 @@ type Network struct {
 	bridges   map[[2]RingID][]NodeID // nodes spanning a ring pair
 	// routeTbl[r][dst] is the fully resolved exit decision for a flit on
 	// ring r heading to node dst — the hot-path replacement for the map
-	// walks in routeFrom/localTarget. Rebuilt with the BFS tables.
-	routeTbl [][]routeEntry
+	// walks in routeFrom/localTarget — and routeCands holds the bridge
+	// candidate lists its remote entries index. Rebuilt with the BFS
+	// tables.
+	routeTbl   [][]routeEntry
+	routeCands []exitPoint
 
 	// snap holds the identity pools of a state walk between walks, emptied
-	// but with their storage kept (tens of thousands of map entries per
-	// checkpoint of a loaded system); lastCheckpoint is the size of the
+	// but with their chunks kept (tens of thousands of flits and messages
+	// per checkpoint of a loaded system); lastCheckpoint is the size of the
 	// previous checkpoint without its caller blob, which sizes the next
 	// one's buffer. Host-side scratch, like the free-list below.
 	snap           Snap
 	lastCheckpoint int
+	// topoHash caches TopoHash once the network is finalized (0: not yet).
+	topoHash uint64
 
 	// freeFlits is the flit free-list: a plain deterministic LIFO, never a
 	// sync.Pool — recycling order is reproducible and race-free even when
@@ -263,6 +268,9 @@ func (n *Network) AttachQueued(node NodeID, st *CrossStation, injectDepth, eject
 	if _, dup := info.onRing[st.ring.id]; dup {
 		panic(fmt.Sprintf("noc: node %q attached twice to ring %d", info.name, st.ring.id))
 	}
+	if len(info.ifaces) == math.MaxInt8 {
+		panic(fmt.Sprintf("noc: node %q attached to more than %d rings", info.name, math.MaxInt8))
+	}
 	ni := st.attach(node, injectDepth, ejectDepth)
 	ni.nodeSlot = len(info.ifaces)
 	info.ifaces = append(info.ifaces, ni)
@@ -271,10 +279,12 @@ func (n *Network) AttachQueued(node NodeID, st *CrossStation, injectDepth, eject
 }
 
 // AddDevice registers a device for per-cycle ticking (after ring logic).
-// The gates are bound again, all awake, on the next Tick.
+// The gates are bound again, all awake, on the next Tick. It is the one
+// build call allowed after Finalize, and the device's name is part of
+// TopoHash, so the cached hash goes too.
 func (n *Network) AddDevice(d Device) {
 	n.devices = append(n.devices, d)
-	n.devs, n.awake = nil, nil
+	n.devs, n.awake, n.topoHash = nil, nil, 0
 }
 
 // Partitions always returns 1; kept only because bench/ compiles against it.
@@ -424,21 +434,22 @@ func (n *Network) Finalize() error {
 // exitPoint is a resolved ring exit: the station position and interface
 // index a flit leaves its current ring at.
 type exitPoint struct {
-	pos, iface int
+	pos   int32
+	iface int8
 }
 
 // routeEntry is one cell of the dense routing table: the exit decision
-// for (current ring, destination node). Remote destinations carry the
-// alive-bridge candidate list towards the next ring, in the same order
-// the incremental map-based router produced (bridge node-ID order with
-// failed bridges filtered out), so the flit-ID load balancing picks
-// identical bridges.
+// for (current ring, destination node), in 16 bytes. A local destination
+// leaves at position at, interface iface. A remote one leaves at one of
+// the alive bridges towards the next ring, routeCands[at:at+count], in
+// the same order the incremental map-based router produced (bridge
+// node-ID order with failed bridges filtered out), so the flit-ID load
+// balancing picks identical bridges.
 type routeEntry struct {
-	ok      bool
-	local   bool
-	dstRing RingID
-	exit    exitPoint   // valid when local
-	cands   []exitPoint // valid when remote
+	dstRing   int32
+	at, count int32
+	iface     int8
+	ok, local bool
 }
 
 // rebuildRoutes recomputes the all-pairs ring-graph BFS from the bridge
@@ -514,15 +525,17 @@ func (n *Network) rebuildRoutes() {
 func (n *Network) rebuildRouteTable() {
 	R := len(n.rings)
 	n.routeTbl = make([][]routeEntry, R)
-	aliveCands := make(map[[2]RingID][]exitPoint)
+	n.routeCands = n.routeCands[:0]
+	type span struct{ at, count int32 }
+	aliveCands := make(map[[2]RingID]span)
 	for s := 0; s < R; s++ {
 		rid := RingID(s)
 		entries := make([]routeEntry, len(n.nodes))
 		for id, info := range n.nodes {
 			e := &entries[id]
 			if ni, here := info.onRing[rid]; here {
-				e.ok, e.local, e.dstRing = true, true, rid
-				e.exit = exitPoint{pos: ni.station.pos, iface: ni.index}
+				e.ok, e.local, e.dstRing = true, true, int32(rid)
+				e.at, e.iface = int32(ni.station.pos), int8(ni.index)
 				continue
 			}
 			// Best destination ring: minimal BFS distance, ties to the
@@ -540,19 +553,21 @@ func (n *Network) rebuildRouteTable() {
 			key := [2]RingID{rid, next}
 			cands, seen := aliveCands[key]
 			if !seen {
+				cands.at = int32(len(n.routeCands))
 				for _, b := range n.bridges[key] {
 					if n.failed[b] {
 						continue
 					}
 					bi := n.nodes[b].onRing[rid]
-					cands = append(cands, exitPoint{pos: bi.station.pos, iface: bi.index})
+					n.routeCands = append(n.routeCands, exitPoint{pos: int32(bi.station.pos), iface: int8(bi.index)})
 				}
+				cands.count = int32(len(n.routeCands)) - cands.at
 				aliveCands[key] = cands
 			}
-			if len(cands) == 0 {
+			if cands.count == 0 {
 				continue // every bridge on the first hop failed
 			}
-			e.ok, e.dstRing, e.cands = true, best, cands
+			e.ok, e.dstRing, e.at, e.count = true, int32(best), cands.at, cands.count
 		}
 		n.routeTbl[s] = entries
 	}
@@ -569,11 +584,14 @@ func (n *Network) rebuildForwardTables() {
 			info.fwd = nil
 			continue
 		}
-		fwd := make([][]*NodeInterface, len(info.ifaces))
+		fwd := make([][]int8, len(info.ifaces))
 		for ai, arrived := range info.ifaces {
-			row := make([]*NodeInterface, len(n.nodes))
+			row := make([]int8, len(n.nodes))
 			for dst := range row {
-				row[dst] = n.computeForward(info, arrived, NodeID(dst))
+				row[dst] = -1
+				if out := n.computeForward(info, arrived, NodeID(dst)); out != nil {
+					row[dst] = int8(out.nodeSlot)
+				}
 			}
 			fwd[ai] = row
 		}
@@ -597,7 +615,7 @@ func (n *Network) routeFrom(r RingID, dst NodeID) (dstRing RingID, local bool, e
 	if !e.ok {
 		return 0, false, n.unreachable(r, dst)
 	}
-	return e.dstRing, e.local, nil
+	return RingID(e.dstRing), e.local, nil
 }
 
 // localTarget returns the station position and interface index a flit on
@@ -615,11 +633,11 @@ func (n *Network) localTarget(r *Ring, f *Flit) (pos, iface int, err error) {
 		return 0, 0, n.unreachable(r.id, f.Dst)
 	}
 	if e.local {
-		return e.exit.pos, e.exit.iface, nil
+		return int(e.at), int(e.iface), nil
 	}
 	seq := f.ID >> n.flitIDShift
-	c := e.cands[int((seq+uint64(f.Src))%uint64(len(e.cands)))]
-	return c.pos, c.iface, nil
+	c := n.routeCands[int(e.at)+int((seq+uint64(f.Src))%uint64(e.count))]
+	return int(c.pos), int(c.iface), nil
 }
 
 // Trace records a structured event at the current cycle when a tracer is

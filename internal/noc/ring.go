@@ -304,6 +304,9 @@ func (r *Ring) Station(pos int) *CrossStation {
 // AddStation places a cross station at the given position. Positions must
 // be unique and inside the loop.
 func (r *Ring) AddStation(pos int) *CrossStation {
+	if r.net.finalized {
+		panic("noc: AddStation after Finalize")
+	}
 	if pos < 0 || pos >= r.positions {
 		panic(fmt.Sprintf("noc: station position %d outside ring of %d positions", pos, r.positions))
 	}

@@ -54,10 +54,14 @@ type StateSnapshotter interface {
 // in Flit.Msg. Protocol packages register their codec at init time (the
 // NoC cannot import them).
 type MsgCodec struct {
-	ID      byte // stable wire tag for this message type
-	Matches func(m interface{}) bool
-	New     func() interface{}           // an empty message to load into
-	Walk    func(s *Snap, m interface{}) // the message's state walk
+	ID byte // stable wire tag for this message type
+	// Ref returns m's pool mark, or nil when m is not of this codec's
+	// type: the type test and the identity lookup in one call. The mark is
+	// a uint32 the message type keeps for the state walk and never touches
+	// itself (see Snap).
+	Ref  func(m interface{}) *uint32
+	New  func() interface{}           // an empty message to load into
+	Walk func(s *Snap, m interface{}) // the message's state walk
 }
 
 var msgCodecs []MsgCodec
@@ -75,47 +79,88 @@ func RegisterMsgCodec(c MsgCodec) {
 
 // Snap is a state walk in progress: the field codec plus the identity
 // pools that let flits and messages referenced from several places
-// travel once. Saving, the pools map object to index; loading, index to
-// object.
+// travel once. Both pools hold the objects the walk has met, in walk
+// order; an object's place in its pool is its wire index. Saving, an
+// object finds its own place through its pool mark — 1 + that index
+// while the walk is under way, 0 outside one — and End clears the mark
+// of everything pooled. Every walk ends with End, Network.SnapState's
+// included.
 type Snap struct {
 	*sim.Codec
-	flitIdx map[*Flit]uint32
-	msgIdx  map[interface{}]uint32
-	flits   []*Flit
-	msgs    []interface{}
+	flits pool[*Flit]
+	msgs  pool[interface{}]
 }
 
 // NewSnap wraps c with empty pools.
 func NewSnap(c *sim.Codec) *Snap {
-	s := &Snap{}
-	s.begin(c)
-	return s
+	return &Snap{Codec: c}
 }
 
-// begin readies s, whose pools are empty, for a walk through c.
-func (s *Snap) begin(c *sim.Codec) {
-	s.Codec = c
-	if !c.Loading() && s.flitIdx == nil {
-		s.flitIdx = make(map[*Flit]uint32)
-		s.msgIdx = make(map[interface{}]uint32)
+// End finishes a walk, failed or not: it clears the pool mark of every
+// flit and message the walk met and empties the pools, keeping their
+// chunks for the next walk, so no mark stays set and no flit or message
+// stays referenced from here.
+func (s *Snap) End() {
+	s.Codec = nil
+	s.flits.reset(func(f *Flit) { f.mark = 0 })
+	s.msgs.reset(func(m interface{}) {
+		if _, mark := msgCodecFor(m); mark != nil {
+			*mark = 0
+		}
+	})
+}
+
+// poolChunk is the number of objects in one chunk of a walk's pool.
+const poolChunk = 1 << 10
+
+// pool holds the objects a walk has met, in walk order, in chunks of
+// poolChunk: it grows by adding a chunk, never by copying, and keeps its
+// chunks between walks.
+type pool[T comparable] struct {
+	chunks [][]T
+	n      int
+}
+
+// add appends v and returns its mark, 1 + its index.
+func (p *pool[T]) add(v T) uint32 {
+	if p.n/poolChunk == len(p.chunks) {
+		p.chunks = append(p.chunks, make([]T, poolChunk))
+	}
+	p.chunks[p.n/poolChunk][p.n%poolChunk] = v
+	p.n++
+	return uint32(p.n)
+}
+
+// at returns the object at index i < n.
+func (p *pool[T]) at(i uint32) T { return p.chunks[i/poolChunk][i%poolChunk] }
+
+// holds reports whether mark is v's place in the pool. A mark is trusted
+// only when the pool agrees, so one left set by a walk that was never
+// ended cannot forge a back-reference.
+func (p *pool[T]) holds(mark uint32, v T) bool {
+	return mark != 0 && int(mark) <= p.n && p.at(mark-1) == v
+}
+
+// reset hands every pooled object to unmark and empties the pool,
+// keeping its chunks.
+func (p *pool[T]) reset(unmark func(T)) {
+	for _, c := range p.chunks {
+		if p.n == 0 {
+			return
+		}
+		c = c[:min(p.n, poolChunk)]
+		for _, v := range c {
+			unmark(v)
+		}
+		clear(c)
+		p.n -= len(c)
 	}
 }
 
-// end empties the pools after a walk, keeping their storage for the next
-// one: no flit or message stays referenced from here.
-func (s *Snap) end() {
-	s.Codec = nil
-	clear(s.flitIdx)
-	clear(s.msgIdx)
-	clear(s.flits)
-	clear(s.msgs)
-	s.flits, s.msgs = s.flits[:0], s.msgs[:0]
-}
-
 // ref walks a pooled reference's tag and back-reference index. Saving,
-// the caller passes what its pool says about the object; loading, both
-// come back from the bytes with the index checked against known, the
-// number of objects loaded so far.
+// the caller passes what the object's mark says; loading, both come back
+// from the bytes with the index checked against known, the number of
+// objects loaded so far.
 func (s *Snap) ref(tag uint8, idx uint32, known int, what string) (uint8, uint32) {
 	s.U8(&tag)
 	switch tag {
@@ -135,53 +180,56 @@ func (s *Snap) ref(tag uint8, idx uint32, known int, what string) (uint8, uint32
 
 // Msg walks an upper-layer message by identity: nil, a back-reference,
 // or codec tag + contents on first sight. Saving a message type with no
-// registered codec fails the walk (the run is not checkpointable).
+// registered codec fails the walk (the run is not checkpointable) and
+// leaves *mp as it was: saving never writes through mp.
 func (s *Snap) Msg(mp *interface{}) {
 	var tag, id uint8
 	var idx uint32
 	var mc *MsgCodec
 	if m := *mp; !s.Loading() && m != nil {
-		var seen bool
-		if idx, seen = s.msgIdx[m]; seen {
-			tag = snapRef
-		} else if mc = msgCodecFor(m); mc != nil {
-			tag, id = snapNew, mc.ID
-			s.msgIdx[m] = uint32(len(s.msgIdx))
-		} else {
+		var mark *uint32
+		if mc, mark = msgCodecFor(m); mc == nil {
 			s.Fail("noc: no snapshot codec for message type %T", m)
+		} else if s.msgs.holds(*mark, m) {
+			tag, idx = snapRef, *mark-1
+		} else {
+			tag, id = snapNew, mc.ID
+			*mark = s.msgs.add(m)
 		}
 	}
-	tag, idx = s.ref(tag, idx, len(s.msgs), "msg")
-	switch tag {
-	case snapNil:
+	tag, idx = s.ref(tag, idx, s.msgs.n, "msg")
+	switch {
+	case !s.Loading():
+		if tag == snapNew {
+			s.U8(&id)
+			mc.Walk(s, *mp)
+		}
+	case tag == snapNil:
 		*mp = nil
-	case snapRef:
-		if s.Loading() {
-			*mp = s.msgs[idx]
-		}
-	case snapNew:
+	case tag == snapRef:
+		*mp = s.msgs.at(idx)
+	case tag == snapNew:
 		s.U8(&id)
-		if s.Loading() {
-			if mc = msgCodecByID(id); mc == nil {
-				s.Fail("unknown msg codec ID %d", id)
-				*mp = nil
-				return
-			}
-			*mp = mc.New()
-			s.msgs = append(s.msgs, *mp)
+		if mc = msgCodecByID(id); mc == nil {
+			s.Fail("unknown msg codec ID %d", id)
+			*mp = nil
+			return
 		}
+		*mp = mc.New()
+		s.msgs.add(*mp)
 		mc.Walk(s, *mp)
 	}
 }
 
-// msgCodecFor returns the registered codec for m's type, or nil.
-func msgCodecFor(m interface{}) *MsgCodec {
+// msgCodecFor returns the registered codec for m's type and m's pool
+// mark, or nils.
+func msgCodecFor(m interface{}) (*MsgCodec, *uint32) {
 	for i := range msgCodecs {
-		if msgCodecs[i].Matches(m) {
-			return &msgCodecs[i]
+		if mark := msgCodecs[i].Ref(m); mark != nil {
+			return &msgCodecs[i], mark
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // msgCodecByID returns the registered codec with wire tag id, or nil.
@@ -195,35 +243,34 @@ func msgCodecByID(id byte) *MsgCodec {
 }
 
 // Flit walks a flit by identity: contents on first sight, a pool
-// back-reference afterwards. Loaded flits are fresh allocations — never
-// drawn from the network free-list, which restore resets — so resumed
-// runs recycle flits in the same order a fresh run would from this point
-// on.
+// back-reference afterwards. Saving never writes through fp. Loaded
+// flits are fresh allocations — never drawn from the network free-list,
+// which restore resets — so resumed runs recycle flits in the same order
+// a fresh run would from this point on.
 func (s *Snap) Flit(fp **Flit) {
 	var tag uint8
 	var idx uint32
 	if f := *fp; !s.Loading() && f != nil {
-		var seen bool
-		if idx, seen = s.flitIdx[f]; seen {
-			tag = snapRef
+		if s.flits.holds(f.mark, f) {
+			tag, idx = snapRef, f.mark-1
 		} else {
 			tag = snapNew
-			s.flitIdx[f] = uint32(len(s.flitIdx))
+			f.mark = s.flits.add(f)
 		}
 	}
-	tag, idx = s.ref(tag, idx, len(s.flits), "flit")
-	switch tag {
-	case snapNil:
+	tag, idx = s.ref(tag, idx, s.flits.n, "flit")
+	switch {
+	case !s.Loading():
+		if tag == snapNew {
+			(*fp).snapState(s)
+		}
+	case tag == snapNil:
 		*fp = nil
-	case snapRef:
-		if s.Loading() {
-			*fp = s.flits[idx]
-		}
-	case snapNew:
-		if s.Loading() {
-			*fp = &Flit{}
-			s.flits = append(s.flits, *fp)
-		}
+	case tag == snapRef:
+		*fp = s.flits.at(idx)
+	case tag == snapNew:
+		*fp = &Flit{}
+		s.flits.add(*fp)
 		(*fp).snapState(s)
 	}
 }
@@ -267,8 +314,22 @@ func (s *Snap) Flits(q *sim.FIFO[*Flit], max int) {
 // TopoHash fingerprints the network's structure — rings, positions,
 // station placement, interface capacities, node and device names — so a
 // checkpoint can only be restored into an identically built system.
-// Mutable state (queues, counters, failures) does not contribute.
+// Mutable state (queues, counters, failures) does not contribute. A
+// finalized network computes it once: after Finalize only AddDevice
+// changes what it hashes, and AddDevice forgets it.
 func (n *Network) TopoHash() uint64 {
+	if n.topoHash != 0 {
+		return n.topoHash
+	}
+	h := n.hashTopology()
+	if n.finalized {
+		n.topoHash = h // a hash of 0 is merely computed again
+	}
+	return h
+}
+
+// hashTopology computes TopoHash.
+func (n *Network) hashTopology() uint64 {
 	e := sim.NewEncoder()
 	e.PutString(n.name)
 	e.PutU32(uint32(len(n.rings)))
@@ -321,8 +382,8 @@ func (n *Network) SnapState(c *sim.Codec) error {
 		n.settleStations()
 	}
 	s := &n.snap
-	s.begin(c)
-	defer s.end()
+	s.Codec = c
+	defer s.End()
 	c.MatchString(n.name, MaxNameBytes, "network name")
 	c.Match(len(n.rings), "ring count")
 	c.Match(len(n.nodes), "node count")
@@ -423,8 +484,8 @@ func (n *Network) SnapState(c *sim.Codec) error {
 	// None is addressed to a bridge (a multi-ring node): a bridge sends on
 	// whatever it receives, and Send refuses a flit addressed to the
 	// sending node.
-	for _, f := range s.flits {
-		if f.Src < 0 || int(f.Src) >= len(n.nodes) || f.Dst < 0 || int(f.Dst) >= len(n.nodes) {
+	for i := 0; c.Loading() && i < s.flits.n; i++ {
+		if f := s.flits.at(uint32(i)); f.Src < 0 || int(f.Src) >= len(n.nodes) || f.Dst < 0 || int(f.Dst) >= len(n.nodes) {
 			c.Fail("flit %d endpoints %d -> %d out of range", f.ID, f.Src, f.Dst)
 		} else if len(n.nodes[f.Dst].ifaces) > 1 {
 			c.Fail("flit %d addressed to bridge %d", f.ID, f.Dst)
@@ -466,9 +527,9 @@ func (r *Ring) snapState(s *Snap) {
 		// the first restored cycle. Loops load fully caught up.
 		r.now, r.turned = r.net.now, r.net.ticks
 	}
-	loops := []*loop{&r.cw}
-	if r.full {
-		loops = append(loops, &r.ccw)
+	loops := []*loop{&r.cw, &r.ccw}
+	if !r.full {
+		loops = loops[:1]
 	}
 	for _, l := range loops {
 		if c.Loading() {

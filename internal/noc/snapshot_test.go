@@ -217,16 +217,33 @@ func TestTopoHashDistinguishesBuilds(t *testing.T) {
 	}
 }
 
+// payload is an upper-layer message the tests in this package walk.
+type payload struct {
+	v    uint64
+	mark uint32
+}
+
+var payloadCodec = MsgCodec{
+	ID: 200,
+	Ref: func(m interface{}) *uint32 {
+		if p, ok := m.(*payload); ok {
+			return &p.mark
+		}
+		return nil
+	},
+	New:  func() interface{} { return &payload{} },
+	Walk: func(s *Snap, m interface{}) { s.U64(&m.(*payload).v) },
+}
+
+func init() { RegisterMsgCodec(payloadCodec) }
+
+// foreignPayload is a message type with no snapshot codec: a network
+// carrying one cannot be checkpointed.
+type foreignPayload struct{ v int }
+
 // TestSnapshotPreservesMsgIdentity pins the pointer-identity pool: two
 // flits sharing one Msg object must share one object after restore.
 func TestSnapshotPreservesMsgIdentity(t *testing.T) {
-	type payload struct{ v uint64 }
-	RegisterMsgCodec(MsgCodec{
-		ID:      200,
-		Matches: func(m interface{}) bool { _, ok := m.(*payload); return ok },
-		New:     func() interface{} { return &payload{} },
-		Walk:    func(s *Snap, m interface{}) { s.U64(&m.(*payload).v) },
-	})
 
 	shared := &payload{v: 42}
 	f1 := &Flit{ID: 1, Msg: shared}
@@ -242,6 +259,10 @@ func TestSnapshotPreservesMsgIdentity(t *testing.T) {
 	if err := save.Err(); err != nil {
 		t.Fatal(err)
 	}
+	save.End()
+	if f1.mark != 0 || f2.mark != 0 || shared.mark != 0 {
+		t.Fatalf("End left marks %d, %d and %d set", f1.mark, f2.mark, shared.mark)
+	}
 
 	load := NewSnap(sim.Loading(sim.NewDecoder(e.Data())))
 	var g1, g2 *Flit
@@ -252,6 +273,7 @@ func TestSnapshotPreservesMsgIdentity(t *testing.T) {
 	if err := load.Err(); err != nil {
 		t.Fatal(err)
 	}
+	load.End()
 	if g1.Msg == nil || g1.Msg != g2.Msg || g1.Msg != g3 {
 		t.Fatal("message identity not preserved across snapshot")
 	}
@@ -272,9 +294,15 @@ func TestCheckpointBytesAreBuiltOnce(t *testing.T) {
 	poolsEmpty := func(n *Network, when string) {
 		t.Helper()
 		s := &n.snap
-		if len(s.flitIdx)+len(s.msgIdx)+len(s.flits)+len(s.msgs) != 0 || s.Codec != nil {
-			t.Fatalf("%s: the walk left %d+%d saved and %d+%d loaded identities behind",
-				when, len(s.flitIdx), len(s.msgIdx), len(s.flits), len(s.msgs))
+		if s.flits.n+s.msgs.n != 0 || s.Codec != nil {
+			t.Fatalf("%s: the walk left %d flits and %d messages behind", when, s.flits.n, s.msgs.n)
+		}
+		for _, c := range s.flits.chunks {
+			for _, f := range c {
+				if f != nil {
+					t.Fatalf("%s: the flit pool still references flit %d", when, f.ID)
+				}
+			}
 		}
 	}
 	first, err := EncodeCheckpoint(net, []byte("extra"))
@@ -318,4 +346,195 @@ func TestCheckpointBytesAreBuiltOnce(t *testing.T) {
 		t.Fatal("half a checkpoint was accepted")
 	}
 	poolsEmpty(twin, "after a refused load")
+}
+
+// liveFlits returns every flit on net's ring slots and in its interface
+// queues.
+func liveFlits(net *Network) []*Flit {
+	var fs []*Flit
+	for _, r := range net.rings {
+		loops := []*loop{&r.cw}
+		if r.full {
+			loops = append(loops, &r.ccw)
+		}
+		for _, l := range loops {
+			for p := 0; p < r.positions; p++ {
+				if f := l.at(p).flit; f != nil {
+					fs = append(fs, f)
+				}
+			}
+		}
+		for _, st := range r.stations {
+			for _, ni := range st.ifaces {
+				if ni == nil {
+					continue
+				}
+				for _, q := range []*sim.FIFO[*Flit]{&ni.inject, &ni.eject, &ni.bypass} {
+					for i := 0; i < q.Len(); i++ {
+						fs = append(fs, q.At(i))
+					}
+				}
+			}
+		}
+	}
+	return fs
+}
+
+// queuedFlit returns the head of src's inject queue.
+func queuedFlit(t *testing.T, src *source) *Flit {
+	t.Helper()
+	if src.iface.inject.Len() == 0 {
+		t.Fatalf("source %s has nothing queued", src.name)
+	}
+	return src.iface.inject.At(0)
+}
+
+// TestFailedSaveLeavesStateAlone: a save that meets a message type with
+// no codec fails without touching the live state — the flit keeps its
+// message, and the run continues exactly as a twin's that never tried to
+// save.
+func TestFailedSaveLeavesStateAlone(t *testing.T) {
+	build := func() (*Network, *source, *source, *Flit) {
+		net, a, b := buildSnapNet(t, 100)
+		runCycles(net, 60)
+		f := queuedFlit(t, a)
+		f.Msg = &foreignPayload{v: 7}
+		return net, a, b, f
+	}
+	net, a, b, f := build()
+	twin, ta, tb, _ := build()
+	msg := f.Msg
+	if _, err := EncodeCheckpoint(net, nil); err == nil || !strings.Contains(err.Error(), "no snapshot codec") {
+		t.Fatalf("checkpoint of a foreign message: %v, want a missing-codec refusal", err)
+	}
+	if f.Msg != msg {
+		t.Fatalf("the failed save replaced flit %d's message with %v", f.ID, f.Msg)
+	}
+	runCycles(net, 3000)
+	runCycles(twin, 3000)
+	if got, want := digestOf(net, a, b), digestOf(twin, ta, tb); !equalDigest(got, want) {
+		t.Fatalf("the run after a failed save diverged from its twin's:\nwant %+v\ngot  %+v", want, got)
+	}
+	if f.Msg != msg {
+		t.Fatalf("flit %d arrived without its message", f.ID)
+	}
+}
+
+// TestSnapMarksClearedAfterFailedWalk: a walk that fails midway — after
+// it has marked flits and messages on the first ring, at a foreign
+// message on the second — leaves no mark set, and the next checkpoint is
+// byte for byte a twin's that never failed.
+func TestSnapMarksClearedAfterFailedWalk(t *testing.T) {
+	build := func() (*Network, *Flit, []*payload) {
+		net, a, b := buildSnapNet(t, 100)
+		runCycles(net, 60)
+		var msgs []*payload
+		for i := 0; i < a.iface.inject.Len(); i++ {
+			m := &payload{v: uint64(i)}
+			a.iface.inject.At(i).Msg = m
+			msgs = append(msgs, m)
+		}
+		return net, queuedFlit(t, b), msgs
+	}
+	net, foreign, msgs := build()
+	twin, twinForeign, _ := build()
+	foreign.Msg = &foreignPayload{}
+	if _, err := EncodeCheckpoint(net, nil); err == nil {
+		t.Fatal("a checkpoint of a foreign message succeeded")
+	}
+	for _, f := range liveFlits(net) {
+		if f.mark != 0 {
+			t.Fatalf("flit %d kept mark %d after the failed walk", f.ID, f.mark)
+		}
+	}
+	for _, m := range msgs {
+		if m.mark != 0 {
+			t.Fatalf("message %d kept mark %d after the failed walk", m.v, m.mark)
+		}
+	}
+	foreign.Msg, twinForeign.Msg = nil, nil
+	got, err := EncodeCheckpoint(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeCheckpoint(twin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the checkpoint after a failed walk differs from a twin's")
+	}
+}
+
+// lateDevice is a device registered after Finalize, as a fault injector
+// is.
+type lateDevice struct{ name string }
+
+func (d *lateDevice) Name() string    { return d.name }
+func (d *lateDevice) Tick(sim.Cycle)  {}
+func (d *lateDevice) SnapState(*Snap) {}
+
+// TestTopoHashCached: the hash a finalized network caches is the one a
+// fresh computation gives — after a run, and after an AddDevice that
+// follows Finalize, which changes it. Every other build call refuses to
+// run after Finalize, so nothing else can change what the hash covers.
+func TestTopoHashCached(t *testing.T) {
+	net, _, _ := buildSnapNet(t, 100)
+	before := net.TopoHash()
+	runCycles(net, 200)
+	if got, fresh := net.TopoHash(), net.hashTopology(); got != before || got != fresh {
+		t.Fatalf("after a run the cached hash is %#x, computed before %#x and now %#x", got, before, fresh)
+	}
+	net.AddDevice(&lateDevice{name: "late"})
+	if got, fresh := net.TopoHash(), net.hashTopology(); got != fresh || got == before {
+		t.Fatalf("after AddDevice the hash is %#x, a fresh computation %#x (before it %#x)", got, fresh, before)
+	}
+	for call, build := range map[string]func(){
+		"AddRing":    func() { net.AddRing(8, true) },
+		"AddStation": func() { net.Ring(0).AddStation(2) },
+		"NewNode":    func() { net.NewNode("later") },
+		"Attach":     func() { net.Attach(0, net.Ring(0).Station(0)) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "after Finalize") {
+					t.Errorf("%s after Finalize: panic %q, want a refusal", call, msg)
+				}
+			}()
+			build()
+		}()
+	}
+	twin, _, _ := buildSnapNet(t, 0)
+	twin.TopoHash()
+	twin.AddDevice(&lateDevice{name: "late"})
+	data, err := EncodeCheckpoint(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(data, twin); err != nil {
+		t.Fatalf("a twin given the same late device refused the checkpoint: %v", err)
+	}
+}
+
+// TestCheckpointEncodeAllocs: once a network has checkpointed, the next
+// checkpoint allocates three objects — the encoder, its buffer and the
+// codec — however many flits and messages it walks: the identity pools
+// keep their chunks and find an object's place through its mark.
+func TestCheckpointEncodeAllocs(t *testing.T) {
+	net, a, _ := buildSnapNet(t, 2000)
+	runCycles(net, 60)
+	for i, f := range a.pending {
+		f.Msg = &payload{v: uint64(i / 2)} // some messages walk twice
+	}
+	if _, err := EncodeCheckpoint(net, nil); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := EncodeCheckpoint(net, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("a warmed checkpoint of %d flits allocates %v objects, want at most 3", len(a.pending), allocs)
+	}
 }

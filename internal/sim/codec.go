@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Codec is one direction of a state walk: it either saves into an
@@ -201,35 +201,52 @@ func (c *Codec) F64s(s *[]float64) {
 // key and a zero value to fill (a pointer value arrives nil: walk
 // allocates it) and inserts the pair afterwards, so no entry can alias
 // another; keys must arrive strictly ascending, as saving writes them.
-// Map walks are off the per-flit path, so the closure costs nothing that
-// matters.
+// One key/value pair serves every entry of a call, so a walk allocates
+// the pair, the sorted keys saving and the map loading, not a pair per
+// entry.
 func Map[K comparable, V any](c *Codec, m *map[K]V, max int, less func(a, b K) bool, walk func(k *K, v *V)) {
 	n := c.Len(len(*m), max)
+	if c.d != nil {
+		*m = make(map[K]V, n)
+	}
+	if n == 0 {
+		return
+	}
+	var p, zero struct {
+		k K
+		v V
+	}
 	if c.d == nil {
 		keys := make([]K, 0, n)
 		for k := range *m {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+		slices.SortFunc(keys, func(a, b K) int {
+			if less(a, b) {
+				return -1
+			}
+			if less(b, a) {
+				return 1
+			}
+			return 0
+		})
 		for _, k := range keys {
-			v := (*m)[k]
-			walk(&k, &v)
+			p.k, p.v = k, (*m)[k]
+			walk(&p.k, &p.v)
 		}
 		return
 	}
-	*m = make(map[K]V, n)
 	var prev K
 	for i := 0; i < n; i++ {
-		var k K
-		var v V
-		walk(&k, &v)
-		if i > 0 && !less(prev, k) {
-			c.Fail("map key %v out of order (after %v)", k, prev)
+		p = zero
+		walk(&p.k, &p.v)
+		if i > 0 && !less(prev, p.k) {
+			c.Fail("map key %v out of order (after %v)", p.k, prev)
 		}
 		if c.Err() != nil {
 			return
 		}
-		(*m)[k], prev = v, k
+		(*m)[p.k], prev = p.v, p.k
 	}
 }
 

@@ -31,6 +31,7 @@ var notSerialized = map[string]map[string]string{
 		"flitIDShift": "derived from the node count at Finalize", "finalized": "build state",
 		"ringDist": "derived: route tables, rebuilt from topology + failed set",
 		"ringNext": "derived: route tables", "bridges": "derived: bridge inventory", "routeTbl": "derived: route tables",
+		"routeCands": "derived: route tables", "topoHash": "derived: cached TopoHash of the build",
 		"freeFlits": "engine scratch: free list, reset on load",
 		"snap":      "engine scratch: a walk's identity pools, empty between walks", "lastCheckpoint": "engine scratch: sizes the next checkpoint's buffer",
 		"freeMsgs":   "host-side: message free list, emptied on load",
@@ -84,8 +85,14 @@ var notSerialized = map[string]map[string]string{
 	"noc.pipeFlit":      {},
 	"noc.credPulse":     {},
 	"noc.throttleState": {"cfg": "config"},
-	"noc.Flit":          {"freed": "free-list guard: a live flit is never freed"},
-	"chi.Message":       {"freed": "free-list guard: a live message is never freed"},
+	"noc.Flit": {
+		"freed": "free-list guard: a live flit is never freed",
+		"mark":  "walk scratch: the identity mark, 0 between walks",
+	},
+	"chi.Message": {
+		"freed": "free-list guard: a live message is never freed",
+		"mark":  "walk scratch: the identity mark, 0 between walks",
+	},
 	"chi.Tracker":       {},
 	"chi.Retrier":       {"cfg": "config", "byID": "derived: index of order, rebuilt on load"},
 	"chi.armedTxn":      {},
@@ -388,5 +395,21 @@ func TestStateWalkFieldCoverage(t *testing.T) {
 		if !tried[name] {
 			t.Errorf("%s: no live instance in any walked system — the coverage check did not run for it", name)
 		}
+	}
+}
+
+// TestWalkedObjectSizes pins the two objects a loaded system holds tens
+// of thousands of: a flit keeps its flags and identity mark in one word
+// (128 bytes, one size class below the 144 it would take with them
+// apart), and a message keeps its mark in the word beside TxnID.
+func TestWalkedObjectSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(noc.Flit{}); got != 128 {
+		t.Errorf("noc.Flit is %d bytes, want 128", got)
+	}
+	if got := unsafe.Sizeof(chi.Message{}); got != 72 {
+		t.Errorf("chi.Message is %d bytes, want 72", got)
 	}
 }

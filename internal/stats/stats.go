@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,6 +30,10 @@ func (h *Histogram) Add(v float64) {
 
 // Count returns the number of samples recorded.
 func (h *Histogram) Count() int { return len(h.samples) }
+
+// Grow makes room for n more samples, so the next n Adds or Merges
+// append without regrowing.
+func (h *Histogram) Grow(n int) { h.samples = slices.Grow(h.samples, n) }
 
 // Merge folds another histogram's samples into h (o is unchanged) —
 // experiments aggregate per-requester latencies into one population.

@@ -24,6 +24,7 @@ func requesterState(t *testing.T, r *Requester) string {
 	t.Helper()
 	e := sim.NewEncoder()
 	s := noc.NewSnap(sim.Saving(e))
+	defer s.End()
 	r.SnapState(s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)

@@ -37,7 +37,9 @@ func TestRetiredStreamTagsRefused(t *testing.T) {
 	})
 	run(net, 50)
 	e := sim.NewEncoder()
-	req.SnapState(noc.NewSnap(sim.Saving(e)))
+	save := noc.NewSnap(sim.Saving(e))
+	req.SnapState(save)
+	save.End()
 	data := e.Data()
 	cursor := sim.NewEncoder()
 	cursor.PutUvarint(req.cfg.Stream.(*SeqStream).next)
@@ -48,7 +50,9 @@ func TestRetiredStreamTagsRefused(t *testing.T) {
 	for _, retired := range []byte{streamSeq, 2, 3} {
 		data[tag] = retired
 		c := sim.Loading(sim.NewDecoder(data))
-		req.SnapState(noc.NewSnap(c))
+		load := noc.NewSnap(c)
+		req.SnapState(load)
+		load.End()
 		if err := c.Err(); (err != nil) != (retired != streamSeq) || (err != nil && !errors.Is(err, sim.ErrCorruptSnapshot)) {
 			t.Errorf("stream tag %d: load error %v", retired, err)
 		}

@@ -54,7 +54,7 @@ func RunCompetition(spec SystemSpec, sc CompetitionScenario, rates []float64, se
 		}
 		m := spec.NewMemSystem(loads, seed+uint64(i))
 		m.Run(competitionCycles)
-		points = append(points, CompetitionPoint{NoiseRate: rate, ProbeLatency: m.Core(0).Latency.Mean()})
+		points = append(points, CompetitionPoint{NoiseRate: rate, ProbeLatency: m.Core(0).MeanLatency()})
 	}
 	return points
 }

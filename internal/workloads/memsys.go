@@ -13,7 +13,6 @@ package workloads
 import (
 	"chipletnoc/internal/baseline"
 	"chipletnoc/internal/sim"
-	"chipletnoc/internal/stats"
 )
 
 // MemSystemConfig describes a memory system built on any Fabric: some
@@ -81,8 +80,17 @@ type coreState struct {
 	issued     uint64
 	completed  uint64
 	retry      *memRequest // request whose fabric injection is pending
-	Latency    stats.Histogram
+	latencySum float64     // completed round trips, summed in completion order
 	BytesMoved uint64
+}
+
+// MeanLatency returns the mean round trip of the core's completed
+// requests in cycles, or 0 before the first completes.
+func (c *coreState) MeanLatency() float64 {
+	if c.completed == 0 {
+		return 0
+	}
+	return c.latencySum / float64(c.completed)
 }
 
 // canIssue decides whether the core starts a new request this cycle.
@@ -125,7 +133,7 @@ func (m *MemSystem) newRequest() *memRequest {
 		c.inFlight--
 		c.completed++
 		c.BytesMoved += uint64(m.cfg.LineBytes)
-		c.Latency.Add(float64(m.now - r.issued))
+		c.latencySum += float64(m.now - r.issued)
 		m.free = append(m.free, r)
 	}
 	return r

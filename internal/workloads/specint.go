@@ -83,8 +83,8 @@ func MeasureMemProfile(spec SystemSpec, seed uint64) MemProfile {
 
 	return MemProfile{
 		System:            spec.Name,
-		UnloadedLatency:   single.Core(0).Latency.Mean(),
-		LoadedLatency:     all.Core(0).Latency.Mean(),
+		UnloadedLatency:   single.Core(0).MeanLatency(),
+		LoadedLatency:     all.Core(0).MeanLatency(),
 		PeakLinesPerCycle: spec.MemBytesPerCycle * float64(spec.MemChannels) / 64,
 	}
 }

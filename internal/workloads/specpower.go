@@ -95,7 +95,7 @@ func RunSpecPower(spec SystemSpec, seed uint64) SpecPowerResult {
 			m := spec.NewMemSystem(loads, seed+uint64(i))
 			m.Run(window)
 			// Measured loaded memory latency feeds the worklet CPI.
-			lat := m.Core(0).Latency.Mean()
+			lat := m.Core(0).MeanLatency()
 			if lat == 0 {
 				lat = float64(spec.MemLatency)
 			}
