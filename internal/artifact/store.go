@@ -12,7 +12,6 @@
 package artifact
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"os"
@@ -22,6 +21,7 @@ import (
 	"sync"
 
 	"chipletnoc/internal/durable"
+	"chipletnoc/internal/lru"
 )
 
 // entrySuffix names a disk-tier entry: <key>.art, a sealed envelope.
@@ -42,7 +42,8 @@ type Config struct {
 	Dir string
 	// MemBytes bounds the payload bytes held in memory (default 64 MiB).
 	MemBytes int64
-	// DiskBytes bounds the payload bytes kept on disk (default 1 GiB).
+	// DiskBytes bounds the bytes the disk tier's files take, envelopes
+	// included (default 1 GiB).
 	DiskBytes int64
 }
 
@@ -59,31 +60,15 @@ type Stats struct {
 	CorruptEvicted uint64 `json:"corrupt_evicted"`
 }
 
-// memEntry is one resident payload; the LRU list element value.
-type memEntry struct {
-	key     string
-	payload []byte
-}
-
-// diskEntry tracks one on-disk file; the disk LRU list element value.
-type diskEntry struct {
-	key  string
-	size int64
-}
-
 // Store is a two-tier content-addressed cache. All methods are safe for
 // concurrent use.
 type Store struct {
 	cfg Config
 
-	mu       sync.Mutex
-	mem      map[string]*list.Element // key -> element in memLRU
-	memLRU   *list.List               // front = most recent
-	memBytes int64
-	disk     map[string]*list.Element // key -> element in diskLRU
-	diskLRU  *list.List               // front = most recent
-	diskSize int64
-	stats    Stats
+	mu    sync.Mutex
+	mem   *lru.LRU[string, []byte]   // payloads, charged their length
+	disk  *lru.LRU[string, struct{}] // files, charged their sealed size
+	stats Stats
 }
 
 // Open builds a store and, when cfg.Dir is set, rebuilds the disk index
@@ -99,13 +84,13 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.DiskBytes <= 0 {
 		cfg.DiskBytes = DefaultDiskBytes
 	}
-	s := &Store{
-		cfg:     cfg,
-		mem:     map[string]*list.Element{},
-		memLRU:  list.New(),
-		disk:    map[string]*list.Element{},
-		diskLRU: list.New(),
-	}
+	// Memory eviction is not loss: the entry stays on disk (when a disk
+	// tier exists) and is re-promoted on its next hit. Disk eviction is.
+	s := &Store{cfg: cfg, mem: lru.New[string, []byte](cfg.MemBytes, nil)}
+	s.disk = lru.New(cfg.DiskBytes, func(key string, _ struct{}) {
+		os.Remove(s.path(key))
+		s.stats.Evicted++
+	})
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -140,19 +125,17 @@ func Open(cfg Config) (*Store, error) {
 			idx = append(idx, found{key: key, size: info.Size(), mtime: info.ModTime().UnixNano()})
 		}
 	}
-	// Oldest first, so they land at the back of the LRU (and are the
-	// first to go if the directory is over budget).
+	// Oldest first, so they end at the back of the LRU (and are the first
+	// to go if the directory is over budget).
 	sort.Slice(idx, func(i, j int) bool {
 		if idx[i].mtime != idx[j].mtime {
-			return idx[i].mtime > idx[j].mtime
+			return idx[i].mtime < idx[j].mtime
 		}
-		return idx[i].key < idx[j].key
+		return idx[i].key > idx[j].key
 	})
 	for _, f := range idx {
-		s.disk[f.key] = s.diskLRU.PushBack(&diskEntry{key: f.key, size: f.size})
-		s.diskSize += f.size
+		s.disk.Put(f.key, struct{}{}, f.size)
 	}
-	s.evictDiskOverBudget()
 	return s, nil
 }
 
@@ -185,24 +168,18 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	if el, ok := s.mem[key]; ok {
-		s.memLRU.MoveToFront(el)
-		if del, ok := s.disk[key]; ok {
-			s.diskLRU.MoveToFront(del)
+	payload, inMem := s.mem.Get(key)
+	_, onDisk := s.disk.Get(key)
+	if inMem || !onDisk {
+		if inMem {
+			s.stats.Hits++
+		} else {
+			s.stats.Misses++
 		}
-		s.stats.Hits++
-		payload := el.Value.(*memEntry).payload
 		s.mu.Unlock()
-		return payload, true
+		return payload, inMem
 	}
-	el, onDisk := s.disk[key]
 	s.mu.Unlock()
-	if !onDisk {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, false
-	}
 
 	// Disk read outside the lock; a racing eviction just means an extra
 	// miss. ReadSealed verifies magic, length and CRC32-C.
@@ -216,15 +193,12 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		}
 		// Evict whatever is there: unreadable and corrupt entries alike
 		// must not be retried on every lookup.
-		s.dropDiskLocked(key, el)
+		s.disk.Remove(key)
 		os.Remove(s.path(key))
 		return nil, false
 	}
 	s.stats.Hits++
-	if del, ok := s.disk[key]; ok {
-		s.diskLRU.MoveToFront(del)
-	}
-	s.insertMemLocked(key, payload)
+	s.mem.Put(key, payload, int64(len(payload)))
 	return payload, true
 }
 
@@ -241,25 +215,18 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	s.mu.Lock()
 	s.stats.Puts++
-	s.insertMemLocked(key, payload)
+	s.mem.Put(key, payload, int64(len(payload)))
 	s.mu.Unlock()
-	if s.cfg.Dir == "" || int64(len(payload)) > s.cfg.DiskBytes {
+	// The disk tier is charged what the file takes, envelope included.
+	sealed := int64(durable.SealHeaderSize + len(payload))
+	if s.cfg.Dir == "" || sealed > s.cfg.DiskBytes {
 		return nil
 	}
 	if err := durable.WriteSealed(s.path(key), payload, 0o644); err != nil {
 		return fmt.Errorf("artifact: disk tier: %w", err)
 	}
-	sealed := int64(len(durable.Seal(payload)))
 	s.mu.Lock()
-	if el, ok := s.disk[key]; ok {
-		s.diskSize += sealed - el.Value.(*diskEntry).size
-		el.Value.(*diskEntry).size = sealed
-		s.diskLRU.MoveToFront(el)
-	} else {
-		s.disk[key] = s.diskLRU.PushFront(&diskEntry{key: key, size: sealed})
-		s.diskSize += sealed
-	}
-	s.evictDiskOverBudget()
+	s.disk.Put(key, struct{}{}, sealed)
 	s.mu.Unlock()
 	return nil
 }
@@ -272,13 +239,8 @@ func (s *Store) Delete(key string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.mem[key]; ok {
-		s.memBytes -= int64(len(el.Value.(*memEntry).payload))
-		s.memLRU.Remove(el)
-		delete(s.mem, key)
-	}
-	if el, ok := s.disk[key]; ok {
-		s.dropDiskLocked(key, el)
+	s.mem.Remove(key)
+	if s.disk.Remove(key) {
 		os.Remove(s.path(key))
 	}
 }
@@ -291,68 +253,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.MemEntries = len(s.mem)
-	st.MemBytes = s.memBytes
-	st.DiskEntries = len(s.disk)
-	st.DiskBytes = s.diskSize
+	st.MemEntries, st.MemBytes = s.mem.Len(), s.mem.Bytes()
+	st.DiskEntries, st.DiskBytes = s.disk.Len(), s.disk.Bytes()
 	return st
-}
-
-// insertMemLocked places payload at the front of the memory tier and
-// evicts from the back until the tier fits the budget. A payload larger
-// than the whole budget is not held in memory at all.
-func (s *Store) insertMemLocked(key string, payload []byte) {
-	if int64(len(payload)) > s.cfg.MemBytes {
-		return
-	}
-	if el, ok := s.mem[key]; ok {
-		s.memBytes += int64(len(payload)) - int64(len(el.Value.(*memEntry).payload))
-		el.Value.(*memEntry).payload = payload
-		s.memLRU.MoveToFront(el)
-	} else {
-		s.mem[key] = s.memLRU.PushFront(&memEntry{key: key, payload: payload})
-		s.memBytes += int64(len(payload))
-	}
-	for s.memBytes > s.cfg.MemBytes {
-		back := s.memLRU.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*memEntry)
-		s.memBytes -= int64(len(e.payload))
-		s.memLRU.Remove(back)
-		delete(s.mem, e.key)
-		// Memory eviction is not loss: the entry stays on disk (when a
-		// disk tier exists) and is re-promoted on its next hit.
-	}
-}
-
-// dropDiskLocked removes a disk index entry; el may be stale after an
-// unlocked read, so the current element is looked up again.
-func (s *Store) dropDiskLocked(key string, el *list.Element) {
-	cur, ok := s.disk[key]
-	if !ok {
-		return
-	}
-	_ = el
-	s.diskSize -= cur.Value.(*diskEntry).size
-	s.diskLRU.Remove(cur)
-	delete(s.disk, key)
-}
-
-// evictDiskOverBudget deletes least-recently-used disk entries until the
-// tier fits its budget. Callers hold s.mu.
-func (s *Store) evictDiskOverBudget() {
-	for s.diskSize > s.cfg.DiskBytes {
-		back := s.diskLRU.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*diskEntry)
-		s.diskSize -= e.size
-		s.diskLRU.Remove(back)
-		delete(s.disk, e.key)
-		os.Remove(s.path(e.key))
-		s.stats.Evicted++
-	}
 }

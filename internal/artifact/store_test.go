@@ -211,6 +211,37 @@ func TestDiskLRUEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestNearBudgetPayloadSparesDiskTier: a payload that fits the disk
+// budget but whose sealed file does not must skip the disk tier, not
+// evict every other entry and then itself.
+func TestNearBudgetPayloadSparesDiskTier(t *testing.T) {
+	const budget = 200
+	s, err := Open(Config{Dir: t.TempDir(), DiskBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Put(key(i), []byte("small")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put(key(3), bytes.Repeat([]byte("n"), budget-8)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DiskEntries != 3 || st.Evicted != 0 {
+		t.Fatalf("near-budget payload disturbed the disk tier: %+v", st)
+	}
+	re, err := Open(Config{Dir: s.cfg.Dir, DiskBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := re.Get(key(i)); !ok {
+			t.Fatalf("entry %d lost to a payload that never fit the disk tier", i)
+		}
+	}
+}
+
 func TestDeleteRemovesBothTiers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir})

@@ -68,7 +68,7 @@ func TestPartitionSpecKnobRejectsNegative(t *testing.T) {
 // with its kill applied by hand and no injector attached — the bytes were
 // captured before injectors could checkpoint, and one would add its
 // section — so they carry a failed-bridge set, an armed watchdog and live
-// retry timers. Values captured at sim.SnapshotVersion 6; they move only
+// retry timers. Values captured at sim.SnapshotVersion 7; they move only
 // with it.
 func TestCheckpointBytesGolden(t *testing.T) {
 	cases := []struct {
@@ -77,10 +77,10 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		length     int
 		fnv        uint64
 	}{
-		{"multiring", multiringSpec, "", 2308, 0xbba4a85f5ac64fb5},
-		{"mesh", meshSpec, "", 1804, 0x48e49593bc21076c},
-		{"hub", hubSpec, "", 1309, 0xb4f6335866f536de},
-		{"mesh-failed", meshFaultSpec, "x00", 1880, 0x6eb6cabfd1b4604c},
+		{"multiring", multiringSpec, "", 2292, 0x507d45e9473266de},
+		{"mesh", meshSpec, "", 1788, 0x8302ab44a238ba07},
+		{"hub", hubSpec, "", 1293, 0x1f49b7d2c704a023},
+		{"mesh-failed", meshFaultSpec, "x00", 1864, 0x81383b7dabb1d7bc},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

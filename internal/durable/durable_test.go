@@ -19,7 +19,33 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("payload %d bytes: round-trip mismatch", len(payload))
 		}
+		// Sealing a reserved buffer where it lies gives the same bytes.
+		if !bytes.Equal(SealInPlace(append(make([]byte, SealHeaderSize), payload...)), Seal(payload)) {
+			t.Fatalf("payload %d bytes: SealInPlace differs from Seal", len(payload))
+		}
 	}
+}
+
+// FuzzUnseal: whatever Unseal rejects wraps ErrCorruptFile, and whatever
+// it accepts is exactly an envelope — sealing the payload it returned
+// gives back the input, byte for byte.
+func FuzzUnseal(f *testing.F) {
+	f.Add(Seal([]byte(`{"id":"job-3"}`)))
+	f.Add(Seal(nil))
+	f.Add([]byte(sealMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := Unseal(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptFile) {
+				t.Fatalf("rejection %v does not wrap ErrCorruptFile", err)
+			}
+			return
+		}
+		if again := Seal(payload); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d bytes that re-seal to %d different ones", len(data), len(again))
+		}
+	})
 }
 
 // TestUnsealRejectsDamage: every truncation and every flipped byte of a

@@ -1,23 +1,23 @@
-// Checkpoint file framing: a checkpoint is the versioned snapshot
-// header, an opaque caller blob (callers store their own progress there
-// — spec, latency digest, metrics carry-over), and the full network
-// snapshot, each sealed with a CRC32-C, the whole file closed by a
-// length+checksum trailer. Resume requires rebuilding the identical
+// Checkpoint file framing: a checkpoint is one durable envelope around
+// the versioned snapshot header, an opaque caller blob (callers store
+// their own progress there — spec, latency digest, metrics carry-over),
+// and the full network snapshot. Resume requires rebuilding the identical
 // network first; the header's topology hash enforces that. Every system
 // type (soc builds, config-file builds) layers its checkpoint API on
-// these two functions, so the file format is identical everywhere.
+// these functions, so the file format is identical everywhere.
 //
-// The reader proves the file complete and untampered (trailer length +
-// whole-file CRC) before decoding a single field, so a truncated, torn
-// or bit-rotted checkpoint surfaces as sim.ErrCorruptSnapshot and never
-// reaches the state walk. The per-section seals then localize which part
-// was damaged for diagnostics.
+// The reader checks the envelope's one CRC32-C, which covers every byte
+// after it, before decoding a single field, so a truncated, torn or
+// bit-rotted checkpoint surfaces as sim.ErrCorruptSnapshot and never
+// reaches the state walk.
 package noc
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
+	"chipletnoc/internal/durable"
 	"chipletnoc/internal/sim"
 )
 
@@ -28,8 +28,8 @@ const MaxCheckpointExtra = 64 << 20
 // resume upload cannot ask for unbounded memory.
 const MaxCheckpointBytes = 1 << 30
 
-// WriteCheckpoint serializes sealed header + extra + network state to w,
-// closed by the length+checksum trailer.
+// WriteCheckpoint serializes the sealed header + extra + network state
+// to w.
 func WriteCheckpoint(w io.Writer, net *Network, extra []byte) error {
 	data, err := EncodeCheckpoint(net, extra)
 	if err != nil {
@@ -41,37 +41,56 @@ func WriteCheckpoint(w io.Writer, net *Network, extra []byte) error {
 
 // EncodeCheckpoint is WriteCheckpoint for callers that want the bytes:
 // the checkpoint is built once, in a buffer sized from the network's
-// previous one, and handed over — the result is the caller's to keep.
+// previous one, sealed where it lies and handed over — the result is the
+// caller's to keep.
 func EncodeCheckpoint(net *Network, extra []byte) ([]byte, error) {
 	if len(extra) > MaxCheckpointExtra {
 		return nil, fmt.Errorf("noc: checkpoint extra blob of %d bytes exceeds limit", len(extra))
 	}
 	// A run's checkpoints grow slowly (latency samples); an eighth of
-	// slack holds the next few, and a first one grows from 64 KiB.
-	e := sim.NewEncoderSize(len(extra) + max(net.lastCheckpoint+net.lastCheckpoint/8, 64<<10))
+	// slack holds the next few, and a first one grows from 64 KiB. The
+	// envelope header is reserved up front, so sealing copies nothing.
+	size := len(extra) + max(net.lastCheckpoint+net.lastCheckpoint/8, 64<<10)
+	e := sim.NewEncoderOn(make([]byte, durable.SealHeaderSize, size))
 	sim.WriteSnapshotHeader(e, sim.SnapshotHeader{
 		Version:  sim.SnapshotVersion,
 		TopoHash: net.TopoHash(),
 		Cycle:    net.Ticks(),
 	})
-	exStart := e.Mark()
 	e.PutBytes(extra)
-	e.SealSection(exStart)
-	stStart := e.Mark()
 	if err := net.SnapState(sim.Saving(e)); err != nil {
 		return nil, err
 	}
-	e.SealSection(stStart)
-	sim.WriteSnapshotTrailer(e)
 	net.lastCheckpoint = e.Len() - len(extra)
-	return e.Data(), nil
+	return durable.SealInPlace(e.Data()), nil
+}
+
+// OpenCheckpoint verifies a checkpoint's envelope and reads its header,
+// returning a decoder positioned at the extra blob. A checkpoint from
+// before the envelope (version 6 and older open with the header itself)
+// is refused by the version it names. Every failure satisfies
+// errors.Is(err, sim.ErrCorruptSnapshot).
+func OpenCheckpoint(data []byte) (sim.SnapshotHeader, *sim.Decoder, error) {
+	payload, err := durable.Unseal(data)
+	if err != nil {
+		err = fmt.Errorf("snapshot: %w: %w", err, sim.ErrCorruptSnapshot)
+		if bytes.HasPrefix(data, []byte(sim.SnapshotMagic)) {
+			if _, herr := sim.ReadSnapshotHeader(sim.NewDecoder(data)); herr != nil {
+				err = herr
+			}
+		}
+		return sim.SnapshotHeader{}, nil, err
+	}
+	d := sim.NewDecoder(payload)
+	h, err := sim.ReadSnapshotHeader(d)
+	return h, d, err
 }
 
 // ReadCheckpoint restores a checkpoint into the freshly built net and
 // returns the caller blob. All input is treated as untrusted: the
-// trailer and whole-file checksum are verified before anything is
-// decoded, so net is never mutated by damaged bytes. Integrity failures
-// satisfy errors.Is(err, sim.ErrCorruptSnapshot).
+// envelope's checksum is verified before anything is decoded, so net is
+// never mutated by damaged bytes. Integrity failures satisfy
+// errors.Is(err, sim.ErrCorruptSnapshot).
 func ReadCheckpoint(r io.Reader, net *Network) ([]byte, error) {
 	data, err := io.ReadAll(io.LimitReader(r, MaxCheckpointBytes+1))
 	if err != nil {
@@ -86,36 +105,18 @@ func DecodeCheckpoint(data []byte, net *Network) ([]byte, error) {
 	if len(data) > MaxCheckpointBytes {
 		return nil, fmt.Errorf("noc: checkpoint exceeds %d bytes", MaxCheckpointBytes)
 	}
-	payload, ferr := sim.VerifySnapshotFrame(data)
-	if ferr != nil {
-		// Old-format (pre-v3) files have no trailer; parsing the header
-		// turns "missing trailer" into the more useful "unsupported
-		// snapshot version N" for them. Both paths wrap ErrCorruptSnapshot.
-		if _, herr := sim.ReadSnapshotHeader(sim.NewDecoder(data)); herr != nil {
-			return nil, herr
-		}
-		return nil, ferr
-	}
-	d := sim.NewDecoder(payload)
-	h, err := sim.ReadSnapshotHeader(d)
+	h, d, err := OpenCheckpoint(data)
 	if err != nil {
 		return nil, err
 	}
 	if want := net.TopoHash(); h.TopoHash != want {
 		return nil, fmt.Errorf("noc: checkpoint topology %#x does not match built system %#x", h.TopoHash, want)
 	}
-	exStart := d.Mark()
 	extra := append([]byte(nil), d.Bytes(MaxCheckpointExtra)...)
-	d.VerifySection(exStart, "extra")
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	stStart := d.Mark()
 	if err := net.SnapState(sim.Loading(d)); err != nil {
-		return nil, err
-	}
-	d.VerifySection(stStart, "state")
-	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if d.Remaining() != 0 {

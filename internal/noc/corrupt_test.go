@@ -2,11 +2,12 @@ package noc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"chipletnoc/internal/durable"
 	"chipletnoc/internal/sim"
 )
 
@@ -45,9 +46,9 @@ func checkpointBytes(t *testing.T) []byte {
 // TestCheckpointRejectsTruncation is the headline robustness property:
 // a valid checkpoint truncated at EVERY byte offset must be rejected
 // with sim.ErrCorruptSnapshot — no panic, no partial restore. Because
-// the frame (trailer + whole-file CRC) is verified before any field is
-// decoded, the target network is never touched, so one twin suffices
-// for all offsets.
+// the envelope (length + CRC of everything after it) is verified before
+// any field is decoded, the target network is never touched, so one twin
+// suffices for all offsets.
 func TestCheckpointRejectsTruncation(t *testing.T) {
 	data := checkpointBytes(t)
 	twin, _, _ := buildSnapNet(t, 50)
@@ -65,9 +66,9 @@ func TestCheckpointRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsBitRot flips every byte of the file — payload
-// and trailer alike — and requires ErrCorruptSnapshot each time. The
-// whole-file CRC32-C catches all single-byte damage.
+// TestCheckpointRejectsBitRot flips every byte of the file — envelope
+// and payload alike — and requires ErrCorruptSnapshot each time. The
+// envelope's one CRC32-C catches all single-byte damage.
 func TestCheckpointRejectsBitRot(t *testing.T) {
 	data := checkpointBytes(t)
 	twin, _, _ := buildSnapNet(t, 50)
@@ -84,34 +85,31 @@ func TestCheckpointRejectsBitRot(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsOldVersion crafts a v2-era file — valid header
-// shape, no seals, no trailer — and requires rejection that names the
-// version, so operators learn "old format" rather than "corrupt".
+// TestCheckpointRejectsOldVersion requires a checkpoint of another
+// version to be refused by an error that names it, so operators learn
+// "old format" rather than "corrupt": files of versions 2 and 6, which
+// open with the snapshot header itself, and a header of version 6 inside
+// an intact envelope.
 func TestCheckpointRejectsOldVersion(t *testing.T) {
 	net, _, _ := buildSnapNet(t, 10)
-	e := sim.NewEncoder()
-	for _, b := range []byte(sim.SnapshotMagic) {
-		e.PutU8(b)
-	}
-	e.PutU16(2) // the pre-seal version
-	e.PutU64(net.TopoHash())
-	e.PutU64(0)
-	e.PutBytes([]byte("old extra"))
-	_, err := ReadCheckpoint(bytes.NewReader(e.Data()), net)
-	if err == nil {
-		t.Fatal("v2-era checkpoint was accepted")
-	}
-	if !errors.Is(err, sim.ErrCorruptSnapshot) {
-		t.Fatalf("v2 rejection %v does not wrap ErrCorruptSnapshot", err)
-	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("v2 rejection should name the version, got: %v", err)
+	for _, v := range []uint16{2, 6} {
+		e := sim.NewEncoder()
+		sim.WriteSnapshotHeader(e, sim.SnapshotHeader{Version: v, TopoHash: net.TopoHash()})
+		e.PutBytes([]byte("old extra"))
+		for form, data := range map[string][]byte{"bare": e.Data(), "sealed": durable.Seal(e.Data())} {
+			_, err := ReadCheckpoint(bytes.NewReader(data), net)
+			if !errors.Is(err, sim.ErrCorruptSnapshot) {
+				t.Fatalf("%s v%d checkpoint: err %v does not wrap ErrCorruptSnapshot", form, v, err)
+			}
+			if want := fmt.Sprintf("version %d", v); !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s v%d rejection should name %q, got: %v", form, v, want, err)
+			}
+		}
 	}
 }
 
 // TestCheckpointRejectsTrailingBytes: appending garbage after a valid
-// frame must fail frame verification (the trailer records the true
-// length).
+// checkpoint must fail the envelope check (it records the true length).
 func TestCheckpointRejectsTrailingBytes(t *testing.T) {
 	data := append(checkpointBytes(t), 0xEE, 0xFF)
 	twin, _, _ := buildSnapNet(t, 50)
@@ -155,32 +153,20 @@ func FuzzReadCheckpoint(f *testing.F) {
 	})
 }
 
-// stateSection locates the network-state section of a sealed checkpoint
-// (after the 30-byte header and the length-prefixed, sealed extra blob,
-// before the state seal and the 20-byte trailer).
+// stateSection locates the network state in a checkpoint: everything
+// after the envelope, the snapshot header and the length-prefixed extra
+// blob.
 func stateSection(tb testing.TB, ckpt []byte) (start, end int) {
 	tb.Helper()
-	const header, trailer = 30, 20
-	if len(ckpt) < header+8+4+trailer {
-		tb.Fatalf("checkpoint of %d bytes has no state section", len(ckpt))
+	_, d, err := OpenCheckpoint(ckpt)
+	if err == nil {
+		d.Bytes(MaxCheckpointExtra)
+		err = d.Err()
 	}
-	extraLen := int(binary.LittleEndian.Uint32(ckpt[header:]))
-	return header + 4 + extraLen + 4, len(ckpt) - trailer - 4
-}
-
-// reseal makes a checkpoint whose state section was edited well-sealed
-// again — state-section CRC, then the length/CRC trailer — so the edit
-// reaches the field decoder instead of dying at the frame check. It is
-// what an attacker who can write a resume file does.
-func reseal(tb testing.TB, ckpt []byte) []byte {
-	tb.Helper()
-	start, end := stateSection(tb, ckpt)
-	out := append([]byte(nil), ckpt...)
-	binary.LittleEndian.PutUint32(out[end:], sim.CRC32C(out[start:end]))
-	payload := end + 4
-	binary.LittleEndian.PutUint64(out[payload:], uint64(payload))
-	binary.LittleEndian.PutUint32(out[payload+8:], sim.CRC32C(out[:payload]))
-	return out
+	if err != nil {
+		tb.Fatalf("checkpoint of %d bytes has no state section: %v", len(ckpt), err)
+	}
+	return len(ckpt) - d.Remaining(), len(ckpt)
 }
 
 // TestRestoreRejectsWatchdogWithoutPeriod: a well-sealed checkpoint that
@@ -206,11 +192,12 @@ func TestRestoreRejectsWatchdogWithoutPeriod(t *testing.T) {
 	if start, end := stateSection(t, ckpt); at < start || at+pair.Len() > end {
 		t.Fatalf("watchdog fields not found in the state section (index %d)", at)
 	}
-	// The period's varint shrinks to one byte; reseal reads the new length.
+	// The period's varint shrinks to one byte; resealing records the new
+	// length.
 	ckpt = append(append(ckpt[:at:at], patched.Data()...), ckpt[at+pair.Len():]...)
 
 	twin, _, _ := buildSnapNet(t, 0)
-	_, err := ReadCheckpoint(bytes.NewReader(reseal(t, ckpt)), twin)
+	_, err := ReadCheckpoint(bytes.NewReader(durable.SealInPlace(ckpt)), twin)
 	if err == nil {
 		twin.Run(64) // integer divide by zero before the fix
 		t.Fatal("checkpoint with watchdog budget > 0 and period 0 was accepted")
@@ -244,12 +231,13 @@ var restoreSeeds = []func(tb testing.TB, traffic int) *Network{
 }
 
 // FuzzRestoreState fuzzes the field decoder rather than the seal:
-// FuzzReadCheckpoint's inputs die at the trailer CRC almost always, so
+// FuzzReadCheckpoint's inputs die at the envelope's CRC almost always, so
 // this one patches bytes inside the state section of a real checkpoint
-// and reseals it. Whatever ReadCheckpoint then accepts must re-encode to
-// exactly the bytes it was given — one walk makes that the natural
-// round-trip property — and must run: a restored network that panics
-// (or fails an index) 64 cycles later was not validated enough.
+// and reseals it, as an attacker who can write a resume file would.
+// Whatever ReadCheckpoint then accepts must re-encode to exactly the
+// bytes it was given — one walk makes that the natural round-trip
+// property — and must run: a restored network that panics (or fails an
+// index) 64 cycles later was not validated enough.
 func FuzzRestoreState(f *testing.F) {
 	var seeds [][]byte
 	for _, build := range restoreSeeds {
@@ -271,7 +259,7 @@ func FuzzRestoreState(f *testing.F) {
 		data := append([]byte(nil), seeds[k]...)
 		start, end := stateSection(t, data)
 		copy(data[start+int(off)%(end-start):end], patch)
-		data = reseal(t, data)
+		durable.SealInPlace(data)
 
 		net := restoreSeeds[k](t, 0)
 		extra, err := ReadCheckpoint(bytes.NewReader(data), net)

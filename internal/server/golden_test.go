@@ -42,10 +42,10 @@ func TestJobKeyAndPayloadGolden(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"default sim", []byte(`{}`), "6a75dd1fbd01fe5a64a64d0b193a295be309083c014c89b8b9cfd371945da0ba"},
-		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "5d2d6e29ce933b12547ff64214c72bfeb7ae3c69761aefef0a7c0ef6661618f1"},
-		{"experiment table6", []byte(goldenTable6Body), "9dbba103708adfc1f8405c533eba7180c273c0753f48276d34a060f4de38b63e"},
-		{"serving", []byte(goldenServingBody), "142a3685a56275b8c8af1305735f384a0e5513c85f3d4da74b6480d3b704074d"},
+		{"default sim", []byte(`{}`), "9510bac178bffffca270b1d5e2342741dc10fa0d074d70c474739f1c7932941d"},
+		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "f362798a49939753d65157d2a24b542cd5d56472afa997ac1b48251d23468b04"},
+		{"experiment table6", []byte(goldenTable6Body), "83e9c94d8ba1272088684f186c42c01721a1417c41ab3fd98f6de068139c91c5"},
+		{"serving", []byte(goldenServingBody), "4d6b0b2d3be5c94afda969d147ab899c3c549a638957d21cae5926dc9a16c07e"},
 	} {
 		if got := keyOf(tc.body); got != tc.want {
 			t.Errorf("%s: JobKey = %s, want %s", tc.name, got, tc.want)

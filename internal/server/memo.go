@@ -7,9 +7,10 @@
 package server
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"chipletnoc/internal/lru"
 )
 
 const (
@@ -24,39 +25,23 @@ const (
 	memoEntryOverhead = 512
 )
 
-// memo is a map with least-recently-used eviction under a byte budget.
-// Each entry is charged the cost its writer states; an entry that alone
-// exceeds the budget is not kept. Safe for concurrent use.
+// memo is a byte-budgeted LRU map behind its own lock. Each entry is
+// charged the cost its writer states; an entry that alone exceeds the
+// budget is not kept.
 type memo[K comparable, V any] struct {
-	budget int64
-
-	mu      sync.Mutex
-	entries map[K]*list.Element
-	lru     *list.List // front = most recent
-	bytes   int64
-}
-
-// memoEntry is the LRU list element value.
-type memoEntry[K comparable, V any] struct {
-	key  K
-	val  V
-	cost int64
+	mu  sync.Mutex
+	lru *lru.LRU[K, V]
 }
 
 func newMemo[K comparable, V any](budget int64) *memo[K, V] {
-	return &memo[K, V]{budget: budget, entries: map[K]*list.Element{}, lru: list.New()}
+	return &memo[K, V]{lru: lru.New[K, V](budget, nil)}
 }
 
 // get returns the value stored under key and marks it recently used.
-func (m *memo[K, V]) get(key K) (v V, ok bool) {
+func (m *memo[K, V]) get(key K) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[key]
-	if !ok {
-		return v, false
-	}
-	m.lru.MoveToFront(el)
-	return el.Value.(*memoEntry[K, V]).val, true
+	return m.lru.Get(key)
 }
 
 // put stores val under key, replacing what was there, then evicts from
@@ -64,30 +49,14 @@ func (m *memo[K, V]) get(key K) (v V, ok bool) {
 func (m *memo[K, V]) put(key K, val V, cost int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.removeLocked(key)
-	if cost > m.budget {
-		return
-	}
-	m.entries[key] = m.lru.PushFront(&memoEntry[K, V]{key: key, val: val, cost: cost})
-	m.bytes += cost
-	for m.bytes > m.budget {
-		m.removeLocked(m.lru.Back().Value.(*memoEntry[K, V]).key)
-	}
-}
-
-func (m *memo[K, V]) removeLocked(key K) {
-	if el, ok := m.entries[key]; ok {
-		m.bytes -= el.Value.(*memoEntry[K, V]).cost
-		m.lru.Remove(el)
-		delete(m.entries, key)
-	}
+	m.lru.Put(key, val, cost)
 }
 
 // size returns the bytes currently charged.
 func (m *memo[K, V]) size() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.bytes
+	return m.lru.Bytes()
 }
 
 // admission is a submission with everything that depends only on its

@@ -26,7 +26,7 @@ import (
 	"strings"
 
 	"chipletnoc/internal/durable"
-	"chipletnoc/internal/sim"
+	"chipletnoc/internal/noc"
 )
 
 // RecoveryReport summarizes a boot-time state scan; /readyz serves it.
@@ -131,17 +131,12 @@ func (s *Server) recoverJob(id string) (*Job, error) {
 	ckpt, err := durable.ReadFile(filepath.Join(s.cfg.StateDir, ckptName))
 	switch {
 	case err == nil:
-		// Frame verification (trailer + whole-file CRC32-C) proves the
-		// checkpoint complete and untampered without building a topology;
-		// the header then proves it is in this build's layout. A sealed
-		// checkpoint a daemon at another sim.SnapshotVersion wrote is
-		// intact but cannot resume, so it is requeued here, not counted
-		// resumed and refused later.
-		framed, verr := sim.VerifySnapshotFrame(ckpt)
-		if verr == nil {
-			_, verr = sim.ReadSnapshotHeader(sim.NewDecoder(framed))
-		}
-		if verr != nil {
+		// The envelope's CRC32-C proves the checkpoint complete and
+		// untampered without building a topology; the header then proves
+		// it is in this build's layout. A checkpoint a daemon at another
+		// sim.SnapshotVersion wrote is intact but cannot resume, so it is
+		// requeued here, not counted resumed and refused later.
+		if _, _, verr := noc.OpenCheckpoint(ckpt); verr != nil {
 			s.quarantine(ckptName, verr)
 			s.recovery.Requeued++
 			job.Cycle = 0

@@ -161,8 +161,8 @@ var (
 )
 
 // jobRecordSuffix and checkpointSuffix name a job's two state files:
-// <id>.job is the sealed (checksummed) JSON record, <id>.ckpt the
-// self-verifying NOCSNAP checkpoint.
+// <id>.job is the JSON record and <id>.ckpt the checkpoint, each in one
+// sealed (checksummed) durable envelope.
 const (
 	jobRecordSuffix  = ".job"
 	checkpointSuffix = ".ckpt"
@@ -450,10 +450,10 @@ func (s *Server) runFlight(fl *flight) {
 	}
 	res, err := lead.kind.exec(&lead.Spec, fl.resume, ctl)
 	if err != nil && fl.resume != nil && errors.Is(err, sim.ErrCorruptSnapshot) {
-		// The resume blob was damaged in memory-to-run handoff or the
-		// recovery scan's frame check missed deeper rot. Quarantine the
-		// idea of resuming and rerun from scratch — determinism makes the
-		// fresh run's bytes identical.
+		// The resume blob was damaged in memory-to-run handoff, or it
+		// passed the envelope's CRC but not the state walk's checks (a
+		// foreign writer). Quarantine the idea of resuming and rerun from
+		// scratch — determinism makes the fresh run's bytes identical.
 		s.mu.Lock()
 		fl.resume, fl.cycle = nil, 0
 		s.note("job %s: resume checkpoint rejected (%v); rerunning from cycle 0", lead.ID, err)

@@ -14,16 +14,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 )
 
-// SnapshotMagic opens every checkpoint stream.
+// SnapshotMagic opens every snapshot header.
 const SnapshotMagic = "NOCSNAP1"
-
-// SnapshotTrailerMagic closes every sealed (v3+) checkpoint stream. A
-// file that ends with anything else was torn mid-write or truncated.
-const SnapshotTrailerMagic = "NOCSEAL1"
 
 // SnapshotVersion is the current snapshot layout version. Any change to
 // the serialized layout of any component must bump it; readers reject
@@ -42,8 +37,10 @@ const SnapshotTrailerMagic = "NOCSEAL1"
 // and write histograms were read by nothing). Version 6: walked integers
 // travel as canonical varints (signed ones zigzag-encoded) and latency
 // samples, whole numbers of cycles, as varints, instead of eight fixed
-// bytes each.
-const SnapshotVersion = 6
+// bytes each. Version 7: a checkpoint is one durable envelope (one
+// CRC32-C over every byte after it) around the header, the extra blob and
+// the state; the header and section seals and the trailer went.
+const SnapshotVersion = 7
 
 // ErrCorruptSnapshot marks every integrity failure while reading a
 // snapshot: truncation, bad magic, unsupported version, checksum
@@ -51,13 +48,6 @@ const SnapshotVersion = 6
 // distinguish "the bytes are damaged" (quarantine and requeue) from
 // semantic mismatches such as a wrong topology.
 var ErrCorruptSnapshot = errors.New("corrupt snapshot")
-
-// castagnoli is the CRC32-C polynomial table; CRC32-C has hardware
-// support on amd64/arm64, so sealing costs ~1 cycle/byte.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// CRC32C returns the Castagnoli CRC of data.
-func CRC32C(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // Encoder accumulates a snapshot in memory: fixed-width little-endian
 // framing and the varints a Codec walk writes.
@@ -70,11 +60,12 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// NewEncoderSize returns an empty encoder with room for size bytes, for
-// callers that know roughly what they are about to encode: append grows a
-// large slice by a quarter at a time, so a multi-megabyte snapshot built
-// from nothing is allocated about five times over and copied four.
-func NewEncoderSize(size int) *Encoder { return &Encoder{buf: make([]byte, 0, size)} }
+// NewEncoderOn returns an encoder that appends to buf, for callers that
+// reserve bytes ahead of the snapshot or know roughly its size: append
+// grows a large slice by a quarter at a time, so a multi-megabyte
+// snapshot built from nothing is allocated about five times over and
+// copied four.
+func NewEncoderOn(buf []byte) *Encoder { return &Encoder{buf: buf} }
 
 // Data returns the accumulated bytes (aliased, valid until the next Put).
 func (e *Encoder) Data() []byte { return e.buf }
@@ -334,79 +325,6 @@ func (d *Decoder) Bytes(max int) []byte {
 // String reads a length-prefixed string of at most max bytes.
 func (d *Decoder) String(max int) string { return string(d.Bytes(max)) }
 
-// Mark returns the current offset — the start of a section about to be
-// written (Encoder) or read (Decoder), later passed to SealSection or
-// VerifySection.
-func (e *Encoder) Mark() int { return len(e.buf) }
-
-// SealSection appends the CRC32-C of everything encoded since start.
-// Pair with Decoder.VerifySection.
-func (e *Encoder) SealSection(start int) { e.PutU32(CRC32C(e.buf[start:])) }
-
-// Mark returns the current read offset, the start of a section.
-func (d *Decoder) Mark() int { return d.off }
-
-// VerifySection reads the u32 seal written by SealSection and checks it
-// covers the bytes consumed since start; a mismatch poisons the decoder
-// with an ErrCorruptSnapshot-wrapping error naming the section.
-func (d *Decoder) VerifySection(start int, what string) {
-	if d.err != nil {
-		return
-	}
-	end := d.off
-	want := d.U32()
-	if d.err != nil {
-		return
-	}
-	if got := CRC32C(d.buf[start:end]); got != want {
-		d.Fail("%s section checksum %#08x does not match seal %#08x", what, got, want)
-	}
-}
-
-// snapshotTrailerSize is u64 payload length + u32 whole-payload CRC32-C
-// + the closing magic.
-const snapshotTrailerSize = 8 + 4 + len(SnapshotTrailerMagic)
-
-// WriteSnapshotTrailer seals the whole stream: it appends the payload
-// length, the CRC32-C of every byte so far, and the trailer magic. It
-// must be the final write — the trailer is what lets a reader prove the
-// file is complete and untampered before decoding a single field.
-func WriteSnapshotTrailer(e *Encoder) {
-	n := uint64(len(e.buf))
-	e.PutU64(n)
-	e.PutU32(CRC32C(e.buf[:n]))
-	e.buf = append(e.buf, SnapshotTrailerMagic...)
-}
-
-// VerifySnapshotFrame validates a sealed stream end to end — trailer
-// magic present, recorded length equal to the actual length, whole-file
-// checksum intact — and returns the payload (the bytes before the
-// trailer). It runs before any field is decoded, so truncation, torn
-// writes and bit flips anywhere in the file are caught without touching
-// the state being restored. All failures wrap ErrCorruptSnapshot.
-func VerifySnapshotFrame(data []byte) ([]byte, error) {
-	if len(data) < snapshotTrailerSize {
-		return nil, fmt.Errorf("snapshot: %d bytes is shorter than the %d-byte trailer: %w",
-			len(data), snapshotTrailerSize, ErrCorruptSnapshot)
-	}
-	t := data[len(data)-snapshotTrailerSize:]
-	if string(t[12:]) != SnapshotTrailerMagic {
-		return nil, fmt.Errorf("snapshot: missing trailer magic (torn or truncated write): %w", ErrCorruptSnapshot)
-	}
-	n := uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
-		uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
-	if n != uint64(len(data)-snapshotTrailerSize) {
-		return nil, fmt.Errorf("snapshot: trailer claims %d payload bytes, file has %d: %w",
-			n, len(data)-snapshotTrailerSize, ErrCorruptSnapshot)
-	}
-	want := uint32(t[8]) | uint32(t[9])<<8 | uint32(t[10])<<16 | uint32(t[11])<<24
-	if got := CRC32C(data[:n]); got != want {
-		return nil, fmt.Errorf("snapshot: payload checksum %#08x does not match trailer %#08x (bit rot or torn write): %w",
-			got, want, ErrCorruptSnapshot)
-	}
-	return data[:n], nil
-}
-
 // SnapshotHeader identifies a checkpoint stream: the layout version, a
 // hash of the topology it snapshots (resume must rebuild the identical
 // system first), and the simulated cycle the snapshot was taken at.
@@ -416,26 +334,19 @@ type SnapshotHeader struct {
 	Cycle    uint64
 }
 
-// WriteSnapshotHeader encodes the magic and header fields, sealed with
-// their own CRC32-C so a flipped bit in the topology hash or cycle is
-// caught as corruption rather than misread as a different system.
+// WriteSnapshotHeader encodes the magic and header fields.
 func WriteSnapshotHeader(e *Encoder, h SnapshotHeader) {
-	start := e.Mark()
 	e.buf = append(e.buf, SnapshotMagic...)
 	e.PutU16(h.Version)
 	e.PutU64(h.TopoHash)
 	e.PutU64(h.Cycle)
-	e.SealSection(start)
 }
 
 // ReadSnapshotHeader decodes and validates a checkpoint header. Hostile
 // or truncated input returns an error, never a panic; an unsupported
-// version is an error (checkpoints are not a cross-version format). The
-// version check runs before the seal check so a v2-era file is reported
-// as "unsupported version", not as a checksum mismatch.
+// version is an error (checkpoints are not a cross-version format).
 func ReadSnapshotHeader(d *Decoder) (SnapshotHeader, error) {
 	var h SnapshotHeader
-	start := d.Mark()
 	if !d.need(len(SnapshotMagic)) {
 		return h, d.Err()
 	}
@@ -448,14 +359,9 @@ func ReadSnapshotHeader(d *Decoder) (SnapshotHeader, error) {
 	h.Version = d.U16()
 	h.TopoHash = d.U64()
 	h.Cycle = d.U64()
-	if err := d.Err(); err != nil {
-		return h, err
-	}
-	if h.Version != SnapshotVersion {
+	if d.Err() == nil && h.Version != SnapshotVersion {
 		d.Fail("unsupported snapshot version %d (want %d)", h.Version, SnapshotVersion)
-		return h, d.Err()
 	}
-	d.VerifySection(start, "header")
 	return h, d.Err()
 }
 
