@@ -167,7 +167,7 @@ func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, 
 			interval = 100
 		}
 		reg = metrics.New(interval)
-		sys.EnableMetrics(reg)
+		sys.Net.EnableMetrics(reg)
 	}
 	if obs.traceChrome != "" {
 		sys.Net.Tracer = trace.New(traceCap)

@@ -154,10 +154,7 @@ func replayFile(path string) error {
 	rep := traffic.NewReplayer(net, "replay", ops, 32, traffic.FixedTarget(ctl.Node()), ring.AddStation(0))
 	net.MustFinalize()
 	budget := int(ops[len(ops)-1].Cycle)*10 + 200000
-	for i := 0; i < budget && !rep.Done(); i++ {
-		net.Tick(sim.Cycle(net.Ticks()))
-	}
-	if !rep.Done() {
+	if !net.RunUntil(rep.Done, budget) {
 		return fmt.Errorf("tracegen: replay incomplete (%d/%d ops)", rep.Completed, len(ops))
 	}
 	sched := ops[len(ops)-1].Cycle + 1

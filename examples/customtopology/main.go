@@ -57,9 +57,7 @@ func main() {
 
 	net.MustFinalize()
 
-	for i := 0; i < 20000; i++ {
-		net.Tick(sim.Cycle(net.Ticks()))
-	}
+	net.Run(20000)
 
 	fmt.Println("custom 3-die package after 20k cycles:")
 	for _, c := range cores {

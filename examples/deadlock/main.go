@@ -59,9 +59,7 @@ func main() {
 		fmt.Printf("\n=== SWAP enabled: %v ===\n", swap)
 		var last uint64
 		for epoch := 1; epoch <= 5; epoch++ {
-			for i := 0; i < 10000; i++ {
-				net.Tick(sim.Cycle(net.Ticks()))
-			}
+			net.Run(10000)
 			delta := net.DeliveredFlits - last
 			last = net.DeliveredFlits
 			status := "flowing"

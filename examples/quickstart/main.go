@@ -48,7 +48,8 @@ func main() {
 		fmt.Printf("flit %d delivered: %d hops, %d cycles\n", f.ID, f.Hops, cycles)
 	})
 
-	// Alice sends ten cache lines to Bob.
+	// Alice sends ten cache lines to Bob, one a cycle: a harness that
+	// interleaves sends with cycles drives Tick itself.
 	for i := 0; i < 10; i++ {
 		f := net.NewFlit(alice.iface.Node(), bob.iface.Node(), noc.KindData, noc.LineBytes)
 		if !alice.iface.Send(f) {
@@ -57,9 +58,7 @@ func main() {
 		net.Tick(sim.Cycle(net.Ticks()))
 	}
 	// Run until everything drains.
-	for net.InFlight() > 0 {
-		net.Tick(sim.Cycle(net.Ticks()))
-	}
+	net.RunUntil(func() bool { return net.InFlight() == 0 }, 100000)
 
 	fmt.Printf("\nbob received %d flits\n", bob.got)
 	fmt.Printf("network: injected=%d delivered=%d deflections=%d total hops=%d\n",

@@ -32,7 +32,7 @@ func main() {
 		var lat uint64
 		reader.OnComplete = func(m *chi.Message, l uint64) { lat = l }
 		reader.Read(addr)
-		if !s.RunUntil(func() bool { return lat != 0 }, 100000) {
+		if !s.Net.RunUntil(func() bool { return lat != 0 }, 100000) {
 			fmt.Printf("%s: read never completed!\n", label)
 			return
 		}

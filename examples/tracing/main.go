@@ -66,12 +66,7 @@ func main() {
 	tr := trace.New(4096)
 	net.Tracer = tr
 
-	for net.InFlight() > 0 || net.InjectedFlits == 0 {
-		net.Tick(sim.Cycle(net.Ticks()))
-		if net.Ticks() > 100000 {
-			break
-		}
-	}
+	net.RunUntil(func() bool { return net.InjectedFlits > 0 && net.InFlight() == 0 }, 100000)
 
 	counts := tr.CountByKind()
 	fmt.Printf("ran %d cycles: %d injections, %d deliveries, %d deflections\n",

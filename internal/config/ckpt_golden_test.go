@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 )
 
@@ -106,7 +107,7 @@ func TestCheckpointBytesGolden(t *testing.T) {
 			}
 			sys.Run(1100)
 			var buf bytes.Buffer
-			if err := sys.WriteCheckpoint(&buf, []byte("extra")); err != nil {
+			if err := noc.WriteCheckpoint(&buf, sys.Net, []byte("extra")); err != nil {
 				t.Fatalf("WriteCheckpoint: %v", err)
 			}
 			if got := sim.FNV1a(buf.Bytes()); buf.Len() != tc.length || got != tc.fnv {

@@ -27,12 +27,10 @@ package config
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"chipletnoc/internal/chi"
 	"chipletnoc/internal/fault"
 	"chipletnoc/internal/mem"
-	"chipletnoc/internal/metrics"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/traffic"
@@ -130,33 +128,6 @@ type System struct {
 // Run advances the system n cycles.
 func (s *System) Run(n int) {
 	s.Net.Run(n)
-}
-
-// EnableMetrics attaches a metrics registry to the whole system: the
-// network's standard probes plus every requester and memory controller,
-// registered in sorted name order so series ordering is deterministic.
-// A nil registry is a no-op; metrics never perturb the simulation.
-func (s *System) EnableMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s.Net.EnableMetrics(reg)
-	names := make([]string, 0, len(s.Requesters))
-	for n := range s.Requesters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.Requesters[n].RegisterMetrics(reg)
-	}
-	names = names[:0]
-	for n := range s.Memories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.Memories[n].RegisterMetrics(reg)
-	}
 }
 
 // Construction limits. Untrusted specs (cmd/nocsim -config takes

@@ -143,14 +143,14 @@ func TestNameLimitRoundTrips(t *testing.T) {
 			}
 			sys.Run(300)
 			var blob bytes.Buffer
-			if err := sys.WriteCheckpoint(&blob, nil); err != nil {
+			if err := noc.WriteCheckpoint(&blob, sys.Net, nil); err != nil {
 				t.Fatalf("%s at %d bytes: checkpoint: %v", old, tc.length, err)
 			}
 			twin, err := spec.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := twin.ReadCheckpoint(&blob); err != nil {
+			if _, err := noc.ReadCheckpoint(&blob, twin.Net); err != nil {
 				t.Errorf("%s at %d bytes: the checkpoint it wrote does not restore: %v", old, tc.length, err)
 			}
 		}

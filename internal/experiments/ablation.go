@@ -6,7 +6,6 @@ import (
 	"chipletnoc/internal/baseline"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/phys"
-	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/stats"
 )
@@ -186,17 +185,13 @@ func RunAblationWireFabric(scale Scale) AblationWireFabric {
 		net.MustFinalize()
 		var hist stats.Histogram
 		net.RecordLatency(func(f *noc.Flit, cycles uint64) { hist.Add(float64(cycles)) })
-		// One flit at a time between opposite endpoints.
+		// One flit at a time between opposite endpoints, given two laps
+		// to arrive.
 		for i := 0; i < scale.cycles(20, 100); i++ {
 			src, dst := ifaces[i%4], ifaces[(i+2)%4]
-			f := net.NewFlit(src.Node(), dst.Node(), noc.KindData, 64)
-			src.Send(f)
-			for j := 0; j < positions*2; j++ {
-				net.Tick(sim.Cycle(net.Ticks()))
-				for _, ni := range ifaces {
-					net.ReleaseFlit(ni.Recv())
-				}
-			}
+			src.Send(net.NewFlit(src.Node(), dst.Node(), noc.KindData, 64))
+			net.Run(positions * 2)
+			net.ReleaseFlit(dst.Recv())
 		}
 		return hist.Mean()
 	}
@@ -243,13 +238,9 @@ func RunAblationSwap(scale Scale) AblationSwap {
 		buildCrossFlood(net, r0, r1)
 		br := noc.NewRBRGL2(net, "l2", cfg, r0.AddStation(4), r1.AddStation(0))
 		net.MustFinalize()
-		for i := 0; i < cycles; i++ {
-			net.Tick(sim.Cycle(net.Ticks()))
-		}
+		net.Run(cycles)
 		before := net.DeliveredFlits
-		for i := 0; i < cycles/3; i++ {
-			net.Tick(sim.Cycle(net.Ticks()))
-		}
+		net.Run(cycles / 3)
 		stalled := net.DeliveredFlits == before
 		return net.DeliveredFlits, stalled, br.SwapEntries()
 	}
@@ -304,9 +295,7 @@ func RunAblationTags(scale Scale) AblationTags {
 			newFloodNode(net, ring.AddStation(i*3), sink.node)
 		}
 		net.MustFinalize()
-		for i := 0; i < cycles; i++ {
-			net.Tick(sim.Cycle(net.Ticks()))
-		}
+		net.Run(cycles)
 		for _, r := range net.Rings() {
 			for _, f := range r.LiveFlits() {
 				if f.Deflections > maxLive {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chipletnoc/internal/coherence"
+	"chipletnoc/internal/noc"
 	"chipletnoc/internal/soc"
 )
 
@@ -405,6 +406,32 @@ func TestResilienceDegradesGracefully(t *testing.T) {
 	}
 	if !strings.Contains(r.CSV(), "server-cpu") {
 		t.Fatal("csv broken")
+	}
+}
+
+// TestArtifactsPublishTheirCycles pins that an artifact's every simulated
+// cycle reaches the process-wide engine totals `-timing` reports: each
+// rig runs its network through Run, which publishes as it returns.
+func TestArtifactsPublishTheirCycles(t *testing.T) {
+	published := func(run func()) uint64 {
+		before := noc.EngineTotals()
+		run()
+		return noc.EngineTotals().Sub(before).Cycles
+	}
+	// Four runs of 600 warm-up and 2500 measured cycles.
+	if got := published(func() { RunResilience(Quick) }); got != 12400 {
+		t.Errorf("resilience published %d cycles, want 12400", got)
+	}
+	// Two runs each: the SWAP rig 30000 + 10000 cycles, the tag rig 4000,
+	// and the wire-fabric rig two laps per flit for 20 flits, on rings of
+	// 72 and 24 positions.
+	got := published(func() {
+		RunAblationSwap(Quick)
+		RunAblationTags(Quick)
+		RunAblationWireFabric(Quick)
+	})
+	if want := uint64(2*40000 + 2*4000 + 20*2*(72+24)); got != want {
+		t.Errorf("SWAP, tag and wire-fabric rigs published %d cycles, want %d", got, want)
 	}
 }
 

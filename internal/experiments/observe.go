@@ -43,7 +43,7 @@ func RunObservedAI(scale Scale, interval uint64) ObservedRun {
 	}
 	a := soc.BuildAIProcessor(cfg)
 	reg := metrics.New(interval)
-	a.EnableMetrics(reg)
+	a.Net.EnableMetrics(reg)
 	a.Net.Tracer = trace.New(observedTraceCap)
 
 	cycles := scale.cycles(3000, 20000)

@@ -6,7 +6,6 @@ import (
 	"chipletnoc/internal/chi"
 	"chipletnoc/internal/fault"
 	"chipletnoc/internal/noc"
-	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/stats"
 	"chipletnoc/internal/traffic"
@@ -86,7 +85,6 @@ func measureResilience(scale Scale, system string, k int) ResiliencePoint {
 	retry := chi.RetryConfig{TimeoutCycles: scale.cycles(800, 6000), MaxRetries: 3}
 
 	var net *noc.Network
-	var reqs []*traffic.Requester
 	switch system {
 	case "server-cpu":
 		cfg := soc.ScaledServerConfig(32)
@@ -105,7 +103,7 @@ func measureResilience(scale Scale, system string, k int) ResiliencePoint {
 				Retry:        retry,
 			}
 		})
-		net, reqs = s.Net, s.MemCores
+		net = s.Net
 	case "ai-processor":
 		cfg := soc.DefaultAIConfig()
 		if scale == Quick {
@@ -120,9 +118,7 @@ func measureResilience(scale Scale, system string, k int) ResiliencePoint {
 			cfg.DMAOutstanding = 12
 		}
 		cfg.Retry = retry
-		a := soc.BuildAIProcessor(cfg)
-		net = a.Net
-		reqs = append(append([]*traffic.Requester{}, a.Cores...), a.DMAs...)
+		net = soc.BuildAIProcessor(cfg).Net
 	default:
 		panic("experiments: unknown resilience system " + system)
 	}
@@ -148,23 +144,18 @@ func measureResilience(scale Scale, system string, k int) ResiliencePoint {
 		panic(err)
 	}
 
-	run := func(n int) {
-		for i := 0; i < n; i++ {
-			net.Tick(sim.Cycle(net.Ticks()))
-		}
-	}
-	run(warmup)
+	net.Run(warmup)
 	startBytes := net.DeliveredBytes
 	last := startBytes
 	series := make([]float64, 0, resilienceWindows)
 	for w := 0; w < resilienceWindows; w++ {
-		run(sub)
+		net.Run(sub)
 		series = append(series, float64(net.DeliveredBytes-last)/float64(sub))
 		last = net.DeliveredBytes
 	}
 
 	var retried, aborted uint64
-	for _, r := range reqs {
+	for _, r := range requesters(net) {
 		rt, ab := r.RetryStats()
 		retried += rt
 		aborted += ab
@@ -174,7 +165,7 @@ func measureResilience(scale Scale, system string, k int) ResiliencePoint {
 		System:     system,
 		Faults:     k,
 		Throughput: float64(net.DeliveredBytes-startBytes) / float64(elapsed),
-		P99:        mergedLatency(reqs).Percentile(99),
+		P99:        mergedLatency(net).Percentile(99),
 		Retried:    retried,
 		Aborted:    aborted,
 		Dropped:    net.DroppedFlits,

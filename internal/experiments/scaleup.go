@@ -58,7 +58,7 @@ func RunScaleUp(scale Scale) ScaleUpResult {
 			for _, a := range addrs {
 				reader.Read(a)
 			}
-			s.RunUntil(func() bool { return hist.Count() == len(addrs) }, 500000)
+			s.Net.RunUntil(func() bool { return hist.Count() == len(addrs) }, 500000)
 			reader.OnComplete = nil
 			return hist.Mean()
 		}

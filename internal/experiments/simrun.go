@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -218,18 +217,12 @@ func (e *Interrupted) Error() string {
 // off.
 const interruptPollStride = 1024
 
-// simSystem abstracts the buildable topologies for the run loop: the
-// network runs and checkpoints the same way whatever was built on it.
-type simSystem struct {
-	net        *noc.Network
-	enableMet  func(reg *metrics.Registry)
-	requesters []*traffic.Requester
-}
-
-// buildSimSystem constructs the spec's topology. Quick AI is exactly the
-// golden-digest configuration, so the service's smallest job is pinned
-// by the same constants as the test suite.
-func buildSimSystem(spec SimSpec) (*simSystem, error) {
+// buildSimSystem constructs the spec's topology: the network runs,
+// checkpoints, reports metrics and yields its latency population the same
+// way whatever was built on it. Quick AI is exactly the golden-digest
+// configuration, so the service's smallest job is pinned by the same
+// constants as the test suite.
+func buildSimSystem(spec SimSpec) (*noc.Network, error) {
 	switch spec.Topology {
 	case "ai-processor":
 		cfg := soc.DefaultAIConfig()
@@ -239,17 +232,7 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 			cfg.HBMStacks, cfg.DMAEngines = 2, 2
 		}
 		cfg.Seed = spec.Seed
-		a := soc.BuildAIProcessor(cfg)
-		reqs := append([]*traffic.Requester{}, a.Cores...)
-		reqs = append(reqs, a.DMAs...)
-		if a.HostDMA != nil {
-			reqs = append(reqs, a.HostDMA)
-		}
-		return &simSystem{
-			net:        a.Net,
-			enableMet:  a.EnableMetrics,
-			requesters: reqs,
-		}, nil
+		return soc.BuildAIProcessor(cfg).Net, nil
 	case "server-cpu":
 		cores := 32
 		if spec.Scale == "quick" {
@@ -268,11 +251,7 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 				TargetOf:     traffic.InterleavedTargetsBy(s.AllDDRNodes(), line),
 			}
 		})
-		return &simSystem{
-			net:        s.Net,
-			enableMet:  s.EnableMetrics,
-			requesters: s.MemCores,
-		}, nil
+		return s.Net, nil
 	case "custom":
 		cfgSpec, err := config.Parse([]byte(spec.Config))
 		if err != nil {
@@ -282,20 +261,7 @@ func buildSimSystem(spec SimSpec) (*simSystem, error) {
 		if err != nil {
 			return nil, err
 		}
-		names := make([]string, 0, len(sys.Requesters))
-		for n := range sys.Requesters {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		reqs := make([]*traffic.Requester, 0, len(names))
-		for _, n := range names {
-			reqs = append(reqs, sys.Requesters[n])
-		}
-		return &simSystem{
-			net:        sys.Net,
-			enableMet:  sys.EnableMetrics,
-			requesters: reqs,
-		}, nil
+		return sys.Net, nil
 	}
 	panic("experiments: buildSimSystem on unnormalized spec")
 }
@@ -382,24 +348,24 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 		ctl = &SimControl{}
 	}
 
-	sys, err := buildSimSystem(spec)
+	net, err := buildSimSystem(spec)
 	if err != nil {
 		return nil, err
 	}
 	progress := &simProgress{latHash: sim.FNVOffset}
 	if resume != nil {
-		extra, err := noc.DecodeCheckpoint(resume, sys.net)
+		extra, err := noc.DecodeCheckpoint(resume, net)
 		if err != nil {
 			return nil, err
 		}
 		if progress, err = decodeExtra(extra, spec); err != nil {
 			return nil, err
 		}
-		if sys.net.Ticks() > spec.Cycles {
-			return nil, fmt.Errorf("checkpoint at cycle %d is beyond the %d-cycle budget", sys.net.Ticks(), spec.Cycles)
+		if net.Ticks() > spec.Cycles {
+			return nil, fmt.Errorf("checkpoint at cycle %d is beyond the %d-cycle budget", net.Ticks(), spec.Cycles)
 		}
 	}
-	sys.net.RecordLatency(func(f *noc.Flit, cycles uint64) {
+	net.RecordLatency(func(f *noc.Flit, cycles uint64) {
 		progress.latHash = sim.FNV1aFoldU64(progress.latHash, cycles)
 		progress.latCount++
 	})
@@ -407,31 +373,31 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 	var reg *metrics.Registry
 	if spec.MetricsInterval > 0 {
 		reg = metrics.New(spec.MetricsInterval)
-		sys.enableMet(reg)
+		net.EnableMetrics(reg)
 	}
 
 	checkpoint := func() ([]byte, error) {
 		extra, err := encodeExtra(spec, &simProgress{
 			latCount: progress.latCount,
 			latHash:  progress.latHash,
-			carried:  stitchedMetrics(reg, progress.carried, spec, sys.net.Ticks()),
+			carried:  stitchedMetrics(reg, progress.carried, spec, net.Ticks()),
 		})
 		if err != nil {
 			return nil, err
 		}
-		return noc.EncodeCheckpoint(sys.net, extra)
+		return noc.EncodeCheckpoint(net, extra)
 	}
 
 	stride := spec.CheckpointEvery
 	if stride == 0 {
 		stride = interruptPollStride
 	}
-	for sys.net.Ticks() < spec.Cycles {
-		n := spec.Cycles - sys.net.Ticks()
+	for net.Ticks() < spec.Cycles {
+		n := spec.Cycles - net.Ticks()
 		if n > stride {
 			n = stride
 		}
-		sys.net.Run(int(n))
+		net.Run(int(n))
 
 		if ctl.Interrupt != nil {
 			switch ctl.Interrupt() {
@@ -442,21 +408,21 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				return nil, &Interrupted{Cycle: sys.net.Ticks(), Checkpoint: data}
+				return nil, &Interrupted{Cycle: net.Ticks(), Checkpoint: data}
 			}
 		}
-		if spec.CheckpointEvery > 0 && ctl.OnCheckpoint != nil && sys.net.Ticks() < spec.Cycles {
+		if spec.CheckpointEvery > 0 && ctl.OnCheckpoint != nil && net.Ticks() < spec.Cycles {
 			data, err := checkpoint()
 			if err != nil {
 				return nil, err
 			}
-			if err := ctl.OnCheckpoint(data, sys.net.Ticks()); err != nil {
+			if err := ctl.OnCheckpoint(data, net.Ticks()); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	return buildResult(spec, sys, progress, reg), nil
+	return buildResult(spec, net, progress, reg), nil
 }
 
 // stitchedMetrics snapshots reg and prepends the carried-over series.
@@ -469,9 +435,24 @@ func stitchedMetrics(reg *metrics.Registry, carried *metrics.Snapshot, spec SimS
 	return snap
 }
 
-// mergedLatency folds the requesters' latency samples into one
-// population, sized once from their summed count.
-func mergedLatency(reqs []*traffic.Requester) *stats.Histogram {
+// requesters returns the network's traffic requesters in registration
+// order: the population every latency and retry figure is taken over.
+func requesters(net *noc.Network) []*traffic.Requester {
+	var reqs []*traffic.Requester
+	for _, d := range net.Devices() {
+		if r, ok := d.(*traffic.Requester); ok {
+			reqs = append(reqs, r)
+		}
+	}
+	return reqs
+}
+
+// mergedLatency folds the latency samples of every requester on net into
+// one population, sized once from their summed count. Samples are whole
+// cycles, so the sum behind the mean is exact and the merge order moves
+// no statistic.
+func mergedLatency(net *noc.Network) *stats.Histogram {
+	reqs := requesters(net)
 	n := 0
 	for _, r := range reqs {
 		n += r.Latency.Count()
@@ -485,19 +466,19 @@ func mergedLatency(reqs []*traffic.Requester) *stats.Histogram {
 }
 
 // buildResult assembles the deterministic result record.
-func buildResult(spec SimSpec, sys *simSystem, progress *simProgress, reg *metrics.Registry) *SimResult {
-	lat := mergedLatency(sys.requesters)
+func buildResult(spec SimSpec, net *noc.Network, progress *simProgress, reg *metrics.Registry) *SimResult {
+	lat := mergedLatency(net)
 	res := &SimResult{
 		Spec:           spec,
-		Injected:       sys.net.InjectedFlits,
-		Delivered:      sys.net.DeliveredFlits,
-		Dropped:        sys.net.DroppedFlits,
-		Deflections:    sys.net.Deflections,
-		Hops:           sys.net.TotalHops,
-		DeliveredBytes: sys.net.DeliveredBytes,
+		Injected:       net.InjectedFlits,
+		Delivered:      net.DeliveredFlits,
+		Dropped:        net.DroppedFlits,
+		Deflections:    net.Deflections,
+		Hops:           net.TotalHops,
+		DeliveredBytes: net.DeliveredBytes,
 		LatencySamples: progress.latCount,
 		LatencyFNV:     fmt.Sprintf("%#x", progress.latHash),
-		Metrics:        stitchedMetrics(reg, progress.carried, spec, sys.net.Ticks()),
+		Metrics:        stitchedMetrics(reg, progress.carried, spec, net.Ticks()),
 	}
 	if lat.Count() > 0 {
 		res.LatencyMean = lat.Mean()

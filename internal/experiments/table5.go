@@ -65,7 +65,7 @@ func RunTable5(scale Scale) Table5Result {
 		for _, a := range addrs {
 			reader.Read(a)
 		}
-		s.RunUntil(func() bool { return hist.Count() == len(addrs) }, 200000)
+		s.Net.RunUntil(func() bool { return hist.Count() == len(addrs) }, 200000)
 		return hist.Mean()
 	}
 

@@ -413,22 +413,42 @@ func clampToBoundary(k int, t0 sim.Cycle, period uint64) int {
 	return k
 }
 
-// Run advances the network the given number of cycles: Tick, then a jump
-// over whatever quiescent stretch follows. Results are bit-identical to
-// calling Tick in a loop.
-func (n *Network) Run(cycles int) {
-	if cycles <= 0 {
-		return
+// Run advances the network the given number of cycles.
+func (n *Network) Run(cycles int) { n.RunUntil(nil, cycles) }
+
+// RunUntil advances the network until stop returns true or budget cycles
+// have run, and returns whether stop was satisfied; a nil stop never is.
+// It is the one run loop: Tick, then a jump over whatever quiescent
+// stretch follows, publishing the engine counters as it returns. stop is
+// asked before the first cycle, after every Tick and on a jump's landing
+// cycle — a jump is taken only once stop has said no, and nothing inside
+// one can change its answer — so the run ends on exactly the cycle a loop
+// of Tick calls polling stop every cycle would, in the same state.
+func (n *Network) RunUntil(stop func() bool, budget int) bool {
+	stopped := func() bool { return stop != nil && stop() }
+	if stopped() {
+		return true
+	}
+	if budget <= 0 {
+		return false
 	}
 	if !n.finalized {
 		panic("noc: Run before Finalize")
 	}
 	defer n.PublishEngineStats()
-	for done := 0; done < cycles; {
+	for done := 0; done < budget; {
 		n.Tick(sim.Cycle(n.ticks))
 		done++
-		done += n.skipQuiescent(cycles - done)
+		if stopped() {
+			return true
+		}
+		k := n.skipQuiescent(budget - done)
+		done += k
+		if k > 0 && stopped() {
+			return true
+		}
 	}
+	return false
 }
 
 // EngineStats says how the tick engine spent a stretch of simulated
@@ -489,8 +509,9 @@ var engineTotals = struct {
 }{byKind: map[string]*KindTicks{}}
 
 // EngineTotals returns the process-wide sums published so far; callers
-// subtract two readings. Run publishes as it returns; cycles driven
-// through Tick directly count once their driver calls PublishEngineStats.
+// subtract two readings. Run and RunUntil publish as they return; cycles
+// driven through Tick directly count once their driver calls
+// PublishEngineStats.
 func EngineTotals() EngineStats {
 	engineTotals.Lock()
 	defer engineTotals.Unlock()
@@ -499,8 +520,9 @@ func EngineTotals() EngineStats {
 
 // PublishEngineStats adds to the process-wide totals what the network's
 // counters, and each kind's device ticks, gained since it last published.
-// Run calls it as it returns; a harness that drives Tick itself calls it
-// once when its run is over — never per cycle: it takes the process lock.
+// RunUntil calls it as it returns; a harness that drives Tick itself calls
+// it once when its run is over — never per cycle: it takes the process
+// lock.
 func (n *Network) PublishEngineStats() {
 	now := n.engineStats()
 	gained := now.Sub(n.noted)

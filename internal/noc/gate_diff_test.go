@@ -32,9 +32,8 @@ import (
 // system is one built reference system behind the few things the suite
 // needs from it.
 type system struct {
-	net     *noc.Network
-	run     func(cycles int)
-	metrics func(*metrics.Registry)
+	net *noc.Network
+	run func(cycles int)
 	// extra is state the network's counters do not cover (the serving
 	// orchestrator's completion stream); may be nil.
 	extra func() string
@@ -52,7 +51,7 @@ type outcome struct {
 func observe(t *testing.T, s system, cycles int) outcome {
 	t.Helper()
 	reg := metrics.New(250)
-	s.metrics(reg)
+	s.net.EnableMetrics(reg)
 	tr := trace.New(1 << 17)
 	s.net.Tracer = tr
 	lat := fnv.New64a()
@@ -115,7 +114,7 @@ func diffGated(t *testing.T, cycles int, build func() system) *noc.Network {
 
 func serverSystem(s *soc.ServerCPU) system {
 	return system{
-		net: s.Net, run: s.Run, metrics: s.EnableMetrics,
+		net: s.Net, run: s.Run,
 		checkpoint: func() ([]byte, error) {
 			var b bytes.Buffer
 			err := s.WriteCheckpoint(&b, nil)
@@ -170,7 +169,7 @@ func aiSystem() system {
 	cfg.HBMStacks, cfg.DMAEngines = 2, 2
 	a := soc.BuildAIProcessor(cfg)
 	return system{
-		net: a.Net, run: a.Run, metrics: a.EnableMetrics,
+		net: a.Net, run: a.Run,
 		checkpoint: func() ([]byte, error) {
 			var b bytes.Buffer
 			err := a.WriteCheckpoint(&b, nil)
@@ -343,10 +342,10 @@ func TestGateDiffConfigFabrics(t *testing.T) {
 						t.Fatal(err)
 					}
 					return system{
-						net: sys.Net, run: sys.Run, metrics: sys.EnableMetrics,
+						net: sys.Net, run: sys.Run,
 						checkpoint: func() ([]byte, error) {
 							var b bytes.Buffer
-							err := sys.WriteCheckpoint(&b, nil)
+							err := noc.WriteCheckpoint(&b, sys.Net, nil)
 							return b.Bytes(), err
 						},
 					}
@@ -385,7 +384,7 @@ func TestFaultRunResumes(t *testing.T) {
 		}
 		checkpoint := func(sys *config.System) []byte {
 			var b bytes.Buffer
-			if err := sys.WriteCheckpoint(&b, nil); err != nil {
+			if err := noc.WriteCheckpoint(&b, sys.Net, nil); err != nil {
 				t.Fatalf("awake=%v: checkpoint at cycle %d: %v", awake, sys.Net.Ticks(), err)
 			}
 			return b.Bytes()
@@ -399,7 +398,7 @@ func TestFaultRunResumes(t *testing.T) {
 			sys.Run(at - int(sys.Net.Ticks()))
 			blob := checkpoint(sys)
 			sys = build()
-			if _, err := sys.ReadCheckpoint(bytes.NewReader(blob)); err != nil {
+			if _, err := noc.ReadCheckpoint(bytes.NewReader(blob), sys.Net); err != nil {
 				t.Fatalf("awake=%v: restore at cycle %d: %v", awake, at, err)
 			}
 			if at == 600 && (len(sys.Net.FailedBridges()) != 1 || sys.Injector.Pending() != 3) {
@@ -434,10 +433,6 @@ func servingSystem(t *testing.T, load float64) (system, *serving.System) {
 	return system{
 		net: sys.Net,
 		run: func(int) { sys.Run() },
-		metrics: func(reg *metrics.Registry) {
-			sys.Net.EnableMetrics(reg)
-			sys.RegisterMetrics(reg)
-		},
 		extra: func() string {
 			o := sys.Orch
 			return fmt.Sprintf("admitted=%d completed=%d stalls=%d peak=%d stream=%x sketch=%x",

@@ -12,6 +12,13 @@ type DRMReporter interface {
 	InDRM() bool
 }
 
+// MetricsRegisterer is implemented by devices that expose their own
+// instruments (requesters, memory controllers, serving engines and the
+// serving orchestrator); EnableMetrics registers each of them.
+type MetricsRegisterer interface {
+	RegisterMetrics(reg *metrics.Registry)
+}
+
 // deflectedTotal sums deflections seen at this ring's interfaces — the
 // per-ring share of Network.Deflections.
 func (r *Ring) deflectedTotal() uint64 {
@@ -57,11 +64,14 @@ func (r *Ring) itagSlots() int {
 	return n
 }
 
-// EnableMetrics attaches a metrics registry to the network and registers
-// the standard NoC probes on it. Call it once, after the topology is
-// fully constructed (all rings, bridges and devices exist), so every
-// component is visible; the network then drives series sampling from its
-// own Tick at the registry's interval.
+// EnableMetrics attaches a metrics registry to the whole system: the
+// standard NoC probes first, then every device that is a
+// MetricsRegisterer, in registration order — deterministic for a given
+// build, so series ordering, and therefore exports, are reproducible.
+// Call it once, after the topology is fully constructed (all rings,
+// bridges and devices exist), so every component is visible; the network
+// then drives series sampling from its own Tick at the registry's
+// interval.
 //
 // Everything registered here *reads* simulator state — counters and
 // gauges at snapshot time, series at sample boundaries — so enabling
@@ -132,6 +142,12 @@ func (n *Network) EnableMetrics(reg *metrics.Registry) {
 		if fb, ok := d.(FlitBufferer); ok {
 			fb := fb
 			reg.Series("bridge."+d.Name()+".buffered", func() float64 { return float64(fb.BufferedFlits()) })
+		}
+	}
+
+	for _, d := range n.devices {
+		if mr, ok := d.(MetricsRegisterer); ok {
+			mr.RegisterMetrics(reg)
 		}
 	}
 }

@@ -287,6 +287,11 @@ func (n *Network) AddDevice(d Device) {
 	n.devs, n.awake, n.topoHash = nil, nil, 0
 }
 
+// Devices returns the registered devices in registration order — the
+// order they tick in, are walked in by a checkpoint and register metrics
+// in. The slice is the network's own: do not modify it.
+func (n *Network) Devices() []Device { return n.devices }
+
 // Partitions always returns 1; kept only because bench/ compiles against it.
 func (n *Network) Partitions() int { return 1 }
 

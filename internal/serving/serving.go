@@ -14,7 +14,6 @@ import (
 
 	"chipletnoc/internal/config"
 	"chipletnoc/internal/mem"
-	"chipletnoc/internal/metrics"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 )
@@ -84,17 +83,6 @@ func Build(spec *config.ServingSpec, point int) (*System, error) {
 
 // Run drives the configured window.
 func (s *System) Run() { s.Net.Run(int(s.Spec.Cycles)) }
-
-// RegisterMetrics exposes orchestrator, engine and NoC counters.
-func (s *System) RegisterMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s.Orch.RegisterMetrics(reg)
-	for _, e := range s.Engines {
-		e.RegisterMetrics(reg)
-	}
-}
 
 func maxInt(a, b int) int {
 	if a > b {

@@ -110,10 +110,6 @@ type AIProcessor struct {
 	// HostDMA moves data between the host link and the L2 slices.
 	Host    *mem.Controller
 	HostDMA *traffic.Requester
-
-	// CoreIfaces exposes each core's interface for bandwidth probes
-	// (Figure 14).
-	CoreIfaces []*noc.NodeInterface
 }
 
 // BuildAIProcessor constructs the AI die.
@@ -275,10 +271,6 @@ func BuildAIProcessor(cfg AIConfig) *AIProcessor {
 		cfg.BeforeFinalize(a)
 	}
 	net.MustFinalize()
-
-	for _, core := range a.Cores {
-		a.CoreIfaces = append(a.CoreIfaces, core.Interface())
-	}
 	return a
 }
 

@@ -2,54 +2,6 @@ package soc
 
 import "chipletnoc/internal/metrics"
 
-// EnableMetrics attaches a metrics registry to the whole AI die: the
-// network's standard probes plus every requester and memory controller.
-// Devices register in construction order (cores, DMA engines, host DMA,
-// L2 slices, HBM stacks, host link), which is deterministic for a given
-// config, so series ordering — and therefore exports — are reproducible.
-// A nil registry is a no-op; registration only installs read callbacks,
-// so cycle behaviour is untouched.
-func (a *AIProcessor) EnableMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	a.Net.EnableMetrics(reg)
-	for _, c := range a.Cores {
-		c.RegisterMetrics(reg)
-	}
-	for _, d := range a.DMAs {
-		d.RegisterMetrics(reg)
-	}
-	if a.HostDMA != nil {
-		a.HostDMA.RegisterMetrics(reg)
-	}
-	for _, l2 := range a.L2s {
-		l2.RegisterMetrics(reg)
-	}
-	for _, h := range a.HBMs {
-		h.RegisterMetrics(reg)
-	}
-	if a.Host != nil {
-		a.Host.RegisterMetrics(reg)
-	}
-}
-
-// EnableMetrics attaches a metrics registry to the Server-CPU package:
-// network probes plus the memory-traffic cores (MemoryCores builds), DDR
-// channels and IO endpoints, in construction order. Coherent cores keep
-// their statistics on the coherence agents and are not registered here.
-func (s *ServerCPU) EnableMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s.Net.EnableMetrics(reg)
-	for _, c := range s.MemCores {
-		c.RegisterMetrics(reg)
-	}
-	for _, d := range s.DDRs {
-		d.RegisterMetrics(reg)
-	}
-	for _, io := range s.IO {
-		io.RegisterMetrics(reg)
-	}
-}
+// EnableMetrics is s.Net.EnableMetrics; kept only because bench/ compiles
+// against it.
+func (s *ServerCPU) EnableMetrics(reg *metrics.Registry) { s.Net.EnableMetrics(reg) }

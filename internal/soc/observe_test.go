@@ -22,7 +22,7 @@ func instrument(reg *metrics.Registry, enable func(*metrics.Registry)) *metrics.
 
 func TestMetricsDoNotPerturbAIProcessor(t *testing.T) {
 	a := goldenAIBuild()
-	reg := instrument(metrics.New(1), a.EnableMetrics) // sample every cycle: worst case
+	reg := instrument(metrics.New(1), a.Net.EnableMetrics) // sample every cycle: worst case
 	a.Net.Tracer = trace.New(1 << 14)
 	latencies, latencyFNV := hashLatencies(a.Net)
 	a.Run(3000)
@@ -50,7 +50,7 @@ func TestMetricsDoNotPerturbAIProcessor(t *testing.T) {
 
 func TestMetricsDoNotPerturbServerCPU(t *testing.T) {
 	s := goldenServerBuild()
-	reg := instrument(metrics.New(1), s.EnableMetrics)
+	reg := instrument(metrics.New(1), s.Net.EnableMetrics)
 	s.Net.Tracer = trace.New(1 << 14)
 	latencies, latencyFNV := hashLatencies(s.Net)
 	s.Run(4000)
@@ -69,7 +69,7 @@ func TestMetricsDoNotPerturbServerCPU(t *testing.T) {
 func TestInstrumentedExportsAreDeterministic(t *testing.T) {
 	runOnce := func() (metricsJSON, chromeJSON []byte) {
 		a := goldenAIBuild()
-		reg := instrument(metrics.New(50), a.EnableMetrics)
+		reg := instrument(metrics.New(50), a.Net.EnableMetrics)
 		a.Net.Tracer = trace.New(1 << 14)
 		a.Run(3000)
 		var mbuf, cbuf bytes.Buffer

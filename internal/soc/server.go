@@ -38,11 +38,9 @@ type ServerConfig struct {
 	Outstanding int
 	// DDR calibrates the memory channels.
 	DDR mem.Config
-	// Bridge calibrates the inter-die RBRG-L2s.
+	// Bridge calibrates the inter-die RBRG-L2s; the package-to-package
+	// Protocol Adapter links are Bridge with SerDes-class latency.
 	Bridge noc.RBRGL2Config
-	// PALink calibrates the package-to-package Protocol Adapter links
-	// (zero value: derived from Bridge with SerDes-class latency).
-	PALink noc.RBRGL2Config
 
 	// Seed perturbs every RNG stream in the build; zero keeps the
 	// historical streams (the golden digests), other values give
@@ -243,12 +241,9 @@ func BuildServerCPU(cfg ServerConfig, kind CoreKind, memCoreCfg func(core int, s
 	if cfg.packages() > 1 && cfg.IODies == 0 {
 		panic("soc: multi-package systems need IO dies for the PA links")
 	}
-	pa := cfg.PALink
-	if pa.InjectDepth == 0 {
-		pa = cfg.Bridge
-		pa.LinkLatency = 60 // SerDes crossing at the NoC clock
-		pa.TxDepth, pa.RxDepth = 32, 32
-	}
+	pa := cfg.Bridge
+	pa.LinkLatency = 60 // SerDes crossing at the NoC clock
+	pa.TxDepth, pa.RxDepth = 32, 32
 	for p := 0; p < cfg.packages(); p++ {
 		for q := p + 1; q < cfg.packages(); q++ {
 			noc.NewRBRGL2(net, fmt.Sprintf("pa%d-%d", p, q), pa,
@@ -306,16 +301,4 @@ func (s *ServerCPU) AllDDRNodes() []noc.NodeID {
 // Run advances the whole package n cycles.
 func (s *ServerCPU) Run(n int) {
 	s.Net.Run(n)
-}
-
-// RunUntil advances until stop returns true or the budget is exhausted,
-// returning whether stop was satisfied.
-func (s *ServerCPU) RunUntil(stop func() bool, budget int) bool {
-	for i := 0; i < budget; i++ {
-		if stop() {
-			return true
-		}
-		s.Run(1)
-	}
-	return stop()
 }
