@@ -16,8 +16,9 @@ import (
 	"chipletnoc/internal/noc"
 )
 
-// Opcode identifies a CHI-style message type.
-type Opcode int
+// Opcode identifies a CHI-style message type. It is 32-bit so it shares
+// a word with Message.Requester; the defined opcodes number fourteen.
+type Opcode int32
 
 // Request, snoop, response and data opcodes (the subset our memory system
 // exercises).
@@ -97,31 +98,41 @@ func (o Opcode) IsRequest() bool { return o.Channel() == REQ }
 // by its issuer when the transaction retires, unless it was ever re-sent.
 // A message built any other way is left to the garbage collector.
 type Message struct {
+	// Addr is the cache-line-aligned physical address.
+	Addr uint64
+	// IssuedAt, BeatsLeft and RetryDst are harness bookkeeping, owned by
+	// the issuing requester while the transaction is open — not wire
+	// state. Keeping the issue cycle, remaining read beats and resolved
+	// destination on the tracked request replaces three per-transaction
+	// side-table maps that otherwise sit on the simulator's hot path.
+	// IssuedAt is a cycle and stays 64-bit.
+	IssuedAt uint64
+
+	// The rest is 32-bit and smaller, ordered so the message is 48 bytes
+	// with no padding on 64-bit platforms; each field states the bound
+	// that lets it be narrow.
+	//
 	// TxnID identifies the transaction at the requester; responses echo
 	// it so out-of-order completion can be matched.
 	TxnID uint32
 	// mark is the state walk's identity mark (noc.Snap, reached through
 	// this package's MsgCodec.Ref): 1 + the message's index in the walk
-	// under way, 0 outside one. It fills the word TxnID leaves free.
+	// under way, 0 outside one.
 	mark uint32
 	Op   Opcode
-	// Addr is the cache-line-aligned physical address.
-	Addr uint64
-	// Requester is the node the final completion must reach.
+	// Requester is the node the final completion must reach (noc.NodeID
+	// states the bound).
 	Requester noc.NodeID
 	// Size is the transfer granule in bytes; zero means LineSize. The
 	// Server-CPU moves 64 B L3 lines; the AI die's L2 lines are larger.
-	Size int
-
-	// Harness bookkeeping, owned by the issuing requester while the
-	// transaction is open — not wire state. Keeping the issue cycle,
-	// remaining read beats and resolved destination on the tracked
-	// request replaces three per-transaction side-table maps that
-	// otherwise sit on the simulator's hot path.
-	IssuedAt  uint64
-	BeatsLeft int
-	RetryDst  noc.NodeID
-
+	// At most 1 MiB: config.MaxLineBytes, config.MaxServingBytes and, for
+	// a replayed trace, traffic.MaxOpBytes.
+	Size int32
+	// BeatsLeft counts the read beats still to arrive: at most Beats(),
+	// 4096 for a 1 MiB transfer.
+	BeatsLeft int32
+	// RetryDst is the node a retry re-sends the request to.
+	RetryDst noc.NodeID
 	// freed guards the free-list against a double release (see Release).
 	freed bool
 }
@@ -132,7 +143,7 @@ const LineSize = 64
 // Bytes returns the transfer size (Size, defaulted to LineSize).
 func (m *Message) Bytes() int {
 	if m.Size > 0 {
-		return m.Size
+		return int(m.Size)
 	}
 	return LineSize
 }

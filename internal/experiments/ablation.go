@@ -298,9 +298,7 @@ func RunAblationTags(scale Scale) AblationTags {
 		net.Run(cycles)
 		for _, r := range net.Rings() {
 			for _, f := range r.LiveFlits() {
-				if f.Deflections > maxLive {
-					maxLive = f.Deflections
-				}
+				maxLive = max(maxLive, int(f.Deflections))
 			}
 		}
 		return net.DeliveredFlits, net.Deflections, maxLive

@@ -71,7 +71,7 @@ func TestTokenAccountingBySize(t *testing.T) {
 	serve := func(size int, n int) uint64 {
 		net, req, ctl := buildMemRig(t, Config{AccessCycles: 1, BytesPerCycle: 64, QueueDepth: 64})
 		for i := 0; i < n; i++ {
-			m := &chi.Message{Op: chi.ReadNoSnp, Addr: uint64(i) * uint64(size), Requester: req.Node(), Size: size}
+			m := &chi.Message{Op: chi.ReadNoSnp, Addr: uint64(i) * uint64(size), Requester: req.Node(), Size: int32(size)}
 			req.pending = append(req.pending, m)
 		}
 		req.dst = ctl.Node()

@@ -32,7 +32,7 @@ func TestPropertyManyRequestersInterleavedBursts(t *testing.T) {
 			if rng.Bernoulli(float64(mix%100) / 100) {
 				op = chi.WriteNoSnp
 			}
-			m := &chi.Message{Op: op, Addr: uint64(i) * 4096, Requester: r.Node(), Size: sizes[rng.Intn(len(sizes))]}
+			m := &chi.Message{Op: op, Addr: uint64(i) * 4096, Requester: r.Node(), Size: int32(sizes[rng.Intn(len(sizes))])}
 			m.Requester = r.Node()
 			r.pending = append(r.pending, m)
 			r.dst = ctl.Node()

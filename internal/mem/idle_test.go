@@ -75,7 +75,7 @@ func TestIdleUntilHonest(t *testing.T) {
 						if rng.Bernoulli(0.4) {
 							op = chi.WriteNoSnp
 						}
-						r.pending = append(r.pending, &chi.Message{Op: op, Addr: uint64(issued) * 4096, Requester: r.Node(), Size: sizes[rng.Intn(len(sizes))]})
+						r.pending = append(r.pending, &chi.Message{Op: op, Addr: uint64(issued) * 4096, Requester: r.Node(), Size: int32(sizes[rng.Intn(len(sizes))])})
 						r.dst = ctl.Node()
 						issued++
 					}

@@ -135,8 +135,8 @@ func BenchmarkRingTick(b *testing.B) {
 			occupied := 0
 			if c.stride > 0 {
 				for p := 0; p < positions; p += c.stride {
-					placeFlit(r, &r.cw, p, &Flit{localDst: positions - 1})
-					placeFlit(r, &r.ccw, p, &Flit{localDst: positions - 1})
+					placeFlit(r, &r.cw, p, &Flit{localDst: int32(positions - 1)})
+					placeFlit(r, &r.ccw, p, &Flit{localDst: int32(positions - 1)})
 					occupied += 2
 				}
 			}

@@ -377,11 +377,11 @@ func (n *Network) rerouteLiveFlits() {
 				n.Trace(trace.Reroute, f.ID, "ring", "unroutable; left to watchdog")
 				return
 			}
-			if tpos == f.localDst && tiface == f.localIface {
+			if tpos == int(f.localDst) && tiface == int(f.localIface) {
 				return
 			}
-			f.localDst = tpos
-			f.localIface = tiface
+			f.localDst = int32(tpos)
+			f.localIface = int8(tiface)
 			if s != nil {
 				l.expect(s, pos, tpos)
 			}

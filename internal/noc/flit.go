@@ -30,13 +30,16 @@ import (
 
 // NodeID identifies a device attached to the network (core cluster, cache
 // slice, memory controller, bridge, ...). IDs are allocated by the Network.
-type NodeID int
+// 32 bits hold any network by a wide margin: a config builds at most
+// config.MaxDevices (4096) devices and config.MaxBridges (256) bridges of
+// config.MaxBridgeLegs (16) nodes each.
+type NodeID int32
 
 // RingID identifies one ring within a Network.
 type RingID int
 
 // Direction is a traversal direction on a ring.
-type Direction int
+type Direction int8
 
 // Ring traversal directions. Half rings only use CW.
 const (
@@ -55,7 +58,7 @@ func (d Direction) String() string {
 // Kind classifies a flit for the upper protocol layers. The NoC itself is
 // oblivious to kinds except for statistics; per Section 3.4.3 every
 // transaction is a single flit carrying its own header.
-type Kind int
+type Kind int8
 
 // Flit kinds used by the protocol layers.
 const (
@@ -82,42 +85,59 @@ func (k Kind) String() string {
 }
 
 // Flit is the unit of transport. Bufferless routing requires full header
-// information on every flit (Section 3.4.3); the fields above the
-// bookkeeping section model that header.
+// information on every flit (Section 3.4.3); the exported fields model
+// that header and the unexported ones are in-network bookkeeping.
+//
+// A loaded system holds tens of thousands of flits, so every integer is
+// as narrow as its stated bound allows and the fields are ordered widest
+// first: 64-bit words, Msg, 32-bit, 16-bit, then bytes and flags, 80
+// bytes with no padding on 64-bit platforms.
 type Flit struct {
-	ID  uint64
-	Src NodeID
-	Dst NodeID
-	// Kind tells statistics and protocol layers what this flit carries.
-	Kind Kind
-	// PayloadBytes is the data payload (64 for a cache line, 0 for
-	// header-only control flits). Bandwidth figures count payload bytes.
-	PayloadBytes int
-	// Msg carries the upper-layer message (e.g. a chi.Message); the NoC
-	// never inspects it.
-	Msg interface{}
-
+	ID uint64
 	// Created is the cycle the flit was first handed to the network.
 	Created sim.Cycle
-	// Hops counts ring positions traversed (wire distance in cycles).
+	// Hops counts ring positions traversed (wire distance in cycles). It
+	// stays 64-bit: a flit gains a hop every cycle it lives, and a run's
+	// cycle budget (experiments.SimSpec.Cycles) has no upper limit.
 	Hops int
-	// Deflections counts failed ejections (each costs a full extra lap).
-	Deflections int
-	// RingChanges counts bridge traversals.
-	RingChanges int
-
-	// in-network bookkeeping (current ring only)
-	localDst   int // station position to leave the current ring at
-	localIface int // interface index at that station
-	dir        Direction
 	// boarded is the cycle the flit entered its current ring slot; hop
 	// accounting is materialised lazily from it (Ring.settleHops) so
 	// advance never scans slots.
 	boarded sim.Cycle
+	// Msg carries the upper-layer message (e.g. a chi.Message); the NoC
+	// never inspects it.
+	Msg interface{}
 
-	// The flags and the mark share one word, which keeps a flit at 128
-	// bytes.
-	//
+	// Src and Dst are node IDs (see NodeID for their bound).
+	Src NodeID
+	Dst NodeID
+	// PayloadBytes is the data payload (64 for a cache line, 0 for
+	// header-only control flits). Bandwidth figures count payload bytes.
+	// At most one transfer: config.MaxLineBytes or config.MaxServingBytes
+	// (1 MiB each), and a trace op is refused above traffic.MaxOpBytes.
+	PayloadBytes int32
+	// Deflections counts failed ejections (each costs a full extra lap of
+	// at least two cycles), so it stays below Hops / 2: wrapping it would
+	// take one flit more than 2^32 cycles in flight.
+	Deflections int32
+	// localDst is the station position to leave the current ring at, below
+	// config.MaxRingPositions (4096).
+	localDst int32
+	// mark is the state walk's identity mark (see Snap): 1 + the flit's
+	// index in the walk under way, 0 outside one.
+	mark uint32
+	// RingChanges counts bridge traversals. Forwarding tables have no
+	// loops, so a route crosses fewer bridges than the network has rings
+	// (config.MaxRings, 64), far inside 16 bits even across fault
+	// reroutes.
+	RingChanges int16
+	// Kind tells statistics and protocol layers what this flit carries
+	// (one of four); dir is its direction on the current ring (CW or CCW).
+	Kind Kind
+	dir  Direction
+	// localIface is the interface index at the localDst station (a
+	// station has at most two).
+	localIface int8
 	// Corrupted marks a flit damaged by fault injection: it still
 	// consumes network bandwidth but the destination's link-level check
 	// discards it on arrival (counted in CorruptDrops, never delivered).
@@ -126,9 +146,6 @@ type Flit struct {
 	// freed guards the network's deterministic free-list against
 	// double-release (see Network.ReleaseFlit).
 	freed bool
-	// mark is the state walk's identity mark (see Snap): 1 + the flit's
-	// index in the walk under way, 0 outside one.
-	mark uint32
 }
 
 // HeaderBytes is the per-flit header overhead in bytes: the price of

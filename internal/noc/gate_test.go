@@ -500,10 +500,10 @@ func TestFreeMaskTurnsWithTheSlots(t *testing.T) {
 		rng := sim.NewRNG(uint64(n))
 		for p := 0; p < n; p++ {
 			if rng.Intn(3) == 0 {
-				placeFlit(r, &r.cw, p, &Flit{localDst: n - 1})
+				placeFlit(r, &r.cw, p, &Flit{localDst: int32(n - 1)})
 			}
 			if rng.Intn(3) == 0 {
-				placeFlit(r, &r.ccw, p, &Flit{localDst: rng.Intn(n)})
+				placeFlit(r, &r.ccw, p, &Flit{localDst: int32(rng.Intn(n))})
 			}
 		}
 		for turn := 0; turn < n+70; turn++ {

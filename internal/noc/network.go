@@ -315,10 +315,10 @@ func (n *Network) NewFlit(src, dst NodeID, kind Kind, payloadBytes int) *Flit {
 		f := n.freeFlits[k-1]
 		n.freeFlits[k-1] = nil
 		n.freeFlits = n.freeFlits[:k-1]
-		*f = Flit{ID: id, Src: src, Dst: dst, Kind: kind, PayloadBytes: payloadBytes}
+		*f = Flit{ID: id, Src: src, Dst: dst, Kind: kind, PayloadBytes: int32(payloadBytes)}
 		return f
 	}
-	return &Flit{ID: id, Src: src, Dst: dst, Kind: kind, PayloadBytes: payloadBytes}
+	return &Flit{ID: id, Src: src, Dst: dst, Kind: kind, PayloadBytes: int32(payloadBytes)}
 }
 
 // preFinalizeIDShift is the sequence shift used for flits minted before

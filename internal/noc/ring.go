@@ -152,7 +152,7 @@ func (l *loop) board(s *slot, pos int, f *Flit) {
 	l.occ++
 	i := l.index(pos)
 	l.free[i>>6] &^= 1 << (uint(i) & 63)
-	l.expect(s, pos, f.localDst)
+	l.expect(s, pos, int(f.localDst))
 }
 
 // expect records that the flit in s, now at position pos, gets off at

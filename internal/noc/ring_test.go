@@ -52,7 +52,7 @@ func placeFlit(r *Ring, l *loop, pos int, f *Flit) {
 	l.board(s, pos, f)
 	f.boarded = r.now
 	if r.stationAt[f.localDst] == nil {
-		word, bit := l.expected(pos, f.localDst)
+		word, bit := l.expected(pos, int(f.localDst))
 		*word &^= bit
 	}
 }

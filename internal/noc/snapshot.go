@@ -501,7 +501,7 @@ func (r *Ring) checkExit(s *Snap, f *Flit, what string, i int) {
 	if f == nil {
 		return
 	}
-	if f.localDst < 0 || f.localDst >= r.positions || f.localIface < 0 || f.localIface > 1 {
+	if f.localDst < 0 || int(f.localDst) >= r.positions || f.localIface < 0 || f.localIface > 1 {
 		s.Fail("%s %d flit exit %d/%d out of range", what, i, f.localDst, f.localIface)
 	} else if st := r.stationAt[f.localDst]; st == nil || st.ifaces[f.localIface] == nil {
 		s.Fail("%s %d flit exit %d/%d has no interface", what, i, f.localDst, f.localIface)

@@ -190,8 +190,8 @@ func (ni *NodeInterface) route(f *Flit) bool {
 		net.dropFlit(f, &net.UnroutableDrops, nil, trace.Reroute, net.nodes[ni.node].name, err.Error())
 		return false
 	}
-	f.localDst = pos
-	f.localIface = iface
+	f.localDst = int32(pos)
+	f.localIface = int8(iface)
 	f.dir = ni.station.ring.shortestDir(ni.station.pos, pos)
 	return true
 }
@@ -315,7 +315,7 @@ func (ni *NodeInterface) headWant() uint8 {
 	switch {
 	case f == nil:
 		return wantNone
-	case f.localDst == ni.station.pos:
+	case int(f.localDst) == ni.station.pos:
 		return wantLocal
 	}
 	return wantDir(f.dir)

@@ -109,13 +109,13 @@ func (e *Engine) Tick(now sim.Cycle) {
 		}
 		addr := uint64(e.die+1)<<32 | (e.addrSeq*chi.LineSize)%engineFootprint
 		e.addrSeq++
-		m := chi.NewMsg(e.net, chi.Message{Op: op, Addr: addr, Requester: e.Node(), Size: c.bytes})
+		m := chi.NewMsg(e.net, chi.Message{Op: op, Addr: addr, Requester: e.Node(), Size: int32(c.bytes)})
 		if !e.tracker.Open(m) {
 			return
 		}
 		e.queue.Pop()
 		if !c.write {
-			m.BeatsLeft = m.Beats()
+			m.BeatsLeft = int32(m.Beats())
 		}
 		m.IssuedAt = uint64(now)
 		e.inflight[m.TxnID] = c

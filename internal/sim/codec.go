@@ -112,9 +112,10 @@ func (c *Codec) Bytes(v *[]byte, max int) {
 }
 
 // Int walks any signed integer type as a zigzag varint — node IDs,
-// opcodes, -1 sentinels, counters declared as int. A loaded value the
-// type cannot hold is corrupt.
-func Int[T ~int | ~int32 | ~int64](c *Codec, v *T) {
+// opcodes, -1 sentinels, counters declared as int. The wire form does
+// not depend on the width, so narrowing a field moves no checkpoint
+// byte; a loaded value the type cannot hold is corrupt.
+func Int[T ~int8 | ~int16 | ~int32 | ~int | ~int64](c *Codec, v *T) {
 	if c.d == nil {
 		c.e.PutVarint(int64(*v))
 		return

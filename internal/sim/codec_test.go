@@ -81,14 +81,50 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
 		}
 	}
-	// The widest values of a narrow type still load.
-	for _, v := range []int32{math.MinInt32, math.MaxInt32} {
+}
+
+// TestIntWidthBounds: Int writes the same zigzag varint whatever the
+// field's width, so a narrowed field keeps its checkpoint bytes; loading
+// is what the width changes. For each width the extremes round-trip byte
+// for byte, and a varint one past either end fails as a corrupt snapshot.
+func TestIntWidthBounds(t *testing.T) {
+	checkIntWidth[int8](t, "int8", math.MinInt8, math.MaxInt8)
+	checkIntWidth[int16](t, "int16", math.MinInt16, math.MaxInt16)
+	checkIntWidth[int32](t, "int32", math.MinInt32, math.MaxInt32)
+	checkIntWidth[int](t, "int", math.MinInt, math.MaxInt)
+}
+
+func checkIntWidth[T ~int8 | ~int16 | ~int32 | ~int](t *testing.T, name string, lo, hi T) {
+	t.Helper()
+	for _, v := range []T{lo, hi} {
 		e := NewEncoder()
 		Int(Saving(e), &v)
-		var got int32
+		var got T
 		c := Loading(NewDecoder(e.Data()))
-		if Int(c, &got); got != v || c.Err() != nil {
-			t.Errorf("Int[int32] round trip of %d = %d (err %v)", v, got, c.Err())
+		Int(c, &got)
+		again := NewEncoder()
+		Int(Saving(again), &got)
+		if got != v || c.Err() != nil || !bytes.Equal(again.Data(), e.Data()) {
+			t.Errorf("%s: %d loaded as %d (err %v), re-encoded %x from %x", name, v, got, c.Err(), again.Data(), e.Data())
+		}
+	}
+	var past [][]byte
+	if int64(hi) < math.MaxInt64 {
+		for _, x := range []int64{int64(lo) - 1, int64(hi) + 1} {
+			e := NewEncoder()
+			e.PutVarint(x)
+			past = append(past, e.Data())
+		}
+	} else {
+		// Zigzag maps the int64 extremes to 2^64-2 and 2^64-1; one past
+		// them is the ten-byte varint of 2^64.
+		past = append(past, append(bytes.Repeat([]byte{0x80}, 9), 0x02))
+	}
+	for _, data := range past {
+		var got T
+		c := Loading(NewDecoder(data))
+		if Int(c, &got); !errors.Is(c.Err(), ErrCorruptSnapshot) || got != 0 {
+			t.Errorf("%s: varint %x loaded as %d (err %v), want ErrCorruptSnapshot", name, data, got, c.Err())
 		}
 	}
 }

@@ -22,9 +22,7 @@ func TestAIXYRoutingOneRingChange(t *testing.T) {
 
 	maxChanges := 0
 	a.Net.OnDeliver = func(f *noc.Flit, now sim.Cycle) {
-		if f.RingChanges > maxChanges {
-			maxChanges = f.RingChanges
-		}
+		maxChanges = max(maxChanges, int(f.RingChanges))
 	}
 	a.Run(3000)
 	var completed uint64

@@ -25,8 +25,16 @@ type TraceOp struct {
 	Size int
 }
 
+// MaxOpBytes bounds one trace op's transfer, the same 1 MiB that
+// config.MaxLineBytes puts on a configured line. A replayed op becomes one
+// chi.Message whose 32-bit Size must hold it, and it is queued as one data
+// beat per chi.BeatBytes, so an unbounded size from an untrusted trace
+// would exhaust memory.
+const MaxOpBytes = 1 << 20
+
 // ParseTrace reads a text trace: one op per line,
 // "<cycle> R|W <hex addr> <size>", '#' comments and blank lines ignored.
+// Sizes must lie in [1, MaxOpBytes] and cycles must not decrease.
 func ParseTrace(r io.Reader) ([]TraceOp, error) {
 	var ops []TraceOp
 	sc := bufio.NewScanner(r)
@@ -48,6 +56,9 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 		}
 		if size <= 0 {
 			return nil, fmt.Errorf("traffic: trace line %d: non-positive size", lineNo)
+		}
+		if size > MaxOpBytes {
+			return nil, fmt.Errorf("traffic: trace line %d: size %d exceeds the limit of %d", lineNo, size, MaxOpBytes)
 		}
 		if len(ops) > 0 && cyc < ops[len(ops)-1].Cycle {
 			return nil, fmt.Errorf("traffic: trace line %d: cycles must be non-decreasing", lineNo)
@@ -146,13 +157,13 @@ func (r *Replayer) Tick(now sim.Cycle) {
 			r.next++
 			continue
 		}
-		m := chi.NewMsg(r.net, chi.Message{Op: opc, Addr: op.Addr, Requester: r.Node(), Size: op.Size})
+		m := chi.NewMsg(r.net, chi.Message{Op: opc, Addr: op.Addr, Requester: r.Node(), Size: int32(op.Size)})
 		if !r.tracker.Open(m) {
 			return
 		}
 		r.sendq.Push(m.NewFlit(r.net, r.Node(), dst))
 		if !op.Write {
-			m.BeatsLeft = m.Beats()
+			m.BeatsLeft = int32(m.Beats())
 		}
 		m.IssuedAt = uint64(now)
 		if uint64(now) > op.Cycle {

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -41,6 +42,22 @@ func TestParseTraceRejects(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ParseTrace(strings.NewReader(c)); err == nil {
 			t.Fatalf("accepted %q", c)
+		}
+	}
+}
+
+// TestParseTraceRefusesOversizedOp holds an untrusted trace to the size
+// bound: a 64 GiB op once made the replayer queue 2^28 data beats.
+func TestParseTraceRefusesOversizedOp(t *testing.T) {
+	ops, err := ParseTrace(strings.NewReader(fmt.Sprintf("0 R 0 %d\n", MaxOpBytes)))
+	if err != nil || len(ops) != 1 || ops[0].Size != MaxOpBytes {
+		t.Fatalf("a %d-byte op must parse: %+v, %v", MaxOpBytes, ops, err)
+	}
+	for _, size := range []int{MaxOpBytes + 1, 68719476736} {
+		in := fmt.Sprintf("0 R 0 64\n1 W 0 %d\n", size)
+		_, err := ParseTrace(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("size %d: got %v, want an error naming line 2", size, err)
 		}
 	}
 }
@@ -136,12 +153,23 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("10 R 1000 64\n20 W 2000 512\n")
 	f.Add("# comment\n\n5 R 0 1\n")
 	f.Add("bogus")
+	f.Add("0 W 0 68719476736\n")
+	f.Add("7 R ff 1048576\n3 W 0 64\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		ops, err := ParseTrace(strings.NewReader(in))
 		if err != nil {
 			return
 		}
-		// Whatever parses must round-trip losslessly.
+		// Whatever parses is within the bounds the replayer relies on...
+		for i, op := range ops {
+			if op.Size < 1 || op.Size > MaxOpBytes {
+				t.Fatalf("op %d size %d outside [1, %d]", i, op.Size, MaxOpBytes)
+			}
+			if i > 0 && op.Cycle < ops[i-1].Cycle {
+				t.Fatalf("op %d cycle %d before op %d's %d", i, op.Cycle, i-1, ops[i-1].Cycle)
+			}
+		}
+		// ...and round-trips losslessly.
 		var b strings.Builder
 		if err := FormatTrace(&b, ops); err != nil {
 			t.Fatal(err)

@@ -222,7 +222,7 @@ func (r *Requester) runRetries(now sim.Cycle) {
 		if !req.IsWrite() {
 			// The whole data burst will be re-sent; stale beats from the
 			// first attempt just complete the transaction sooner.
-			req.BeatsLeft = req.Beats()
+			req.BeatsLeft = int32(req.Beats())
 		}
 		r.sendq.Push(req.NewFlit(r.net, r.Node(), req.RetryDst))
 		r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d re-issued", id))
@@ -289,7 +289,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 		if dst == r.Node() {
 			continue // interleaving landed on ourselves; skip
 		}
-		m := chi.NewMsg(r.net, chi.Message{Op: op, Addr: addr, Requester: r.Node(), Size: r.cfg.LineBytes})
+		m := chi.NewMsg(r.net, chi.Message{Op: op, Addr: addr, Requester: r.Node(), Size: int32(r.cfg.LineBytes)})
 		if !r.tracker.Open(m) {
 			return
 		}
@@ -300,7 +300,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 		if m.IsWrite() {
 			r.writesInFlight++
 		} else {
-			m.BeatsLeft = m.Beats()
+			m.BeatsLeft = int32(m.Beats())
 			r.readsInFlight++
 		}
 		m.IssuedAt = uint64(now)
