@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"chipletnoc/internal/noc"
+	"chipletnoc/internal/sim"
 )
 
 // Opcode identifies a CHI-style message type. It is 32-bit so it shares
@@ -213,14 +214,15 @@ func MsgOf(f *noc.Flit) *Message {
 	return m
 }
 
-// Tracker manages a node's outstanding-transaction table: the
-// finite, non-blocking CHI transaction buffers. Allocation fails when the
-// table is full (the issuer retries), completions can arrive in any
-// order.
+// Tracker is a node's outstanding-transaction table: the finite,
+// non-blocking CHI transaction buffers, a table indexed by TxnID
+// (sim.Table, sized once for the capacity). Open allocates the next free
+// ID in issue order and fails when the table is full (the issuer
+// retries); completions can arrive in any order.
 type Tracker struct {
 	capacity int
 	nextID   uint32
-	open     map[uint32]*Message
+	open     sim.Table[*Message]
 }
 
 // NewTracker creates a tracker with the given table capacity.
@@ -228,14 +230,16 @@ func NewTracker(capacity int) *Tracker {
 	if capacity <= 0 {
 		panic("chi: tracker capacity must be positive")
 	}
-	return &Tracker{capacity: capacity, open: make(map[uint32]*Message, capacity)}
+	t := &Tracker{capacity: capacity}
+	t.open.Reserve(capacity)
+	return t
 }
 
 // Outstanding returns the number of open transactions.
-func (t *Tracker) Outstanding() int { return len(t.open) }
+func (t *Tracker) Outstanding() int { return t.open.Len() }
 
 // Full reports whether a new transaction can be opened.
-func (t *Tracker) Full() bool { return len(t.open) >= t.capacity }
+func (t *Tracker) Full() bool { return t.open.Len() >= t.capacity }
 
 // Open allocates a transaction ID for a request message, filling in
 // TxnID. It returns false when the table is full.
@@ -250,27 +254,24 @@ func (t *Tracker) Open(m *Message) bool {
 	// terminates quickly.
 	for {
 		t.nextID++
-		if _, busy := t.open[t.nextID]; !busy {
+		if _, busy := t.open.Get(uint64(t.nextID)); !busy {
 			break
 		}
 	}
 	m.TxnID = t.nextID
-	t.open[m.TxnID] = m
+	t.open.Put(uint64(m.TxnID), m)
 	return true
 }
 
 // Lookup returns the open request for a TxnID, or nil.
 func (t *Tracker) Lookup(txnID uint32) *Message {
-	return t.open[txnID]
+	m, _ := t.open.Get(uint64(txnID))
+	return m
 }
 
 // Complete closes a transaction, returning the original request. Unknown
 // IDs return nil (a protocol error the caller surfaces).
 func (t *Tracker) Complete(txnID uint32) *Message {
-	m, ok := t.open[txnID]
-	if !ok {
-		return nil
-	}
-	delete(t.open, txnID)
+	m, _ := t.open.Delete(uint64(txnID))
 	return m
 }

@@ -38,9 +38,9 @@ type armedTxn struct {
 // verdict. All methods are nil-receiver safe; NewRetrier returns nil for
 // a disabled config, making the disabled path zero-cost at call sites.
 type Retrier struct {
-	cfg   RetryConfig
-	byID  map[uint32]*armedTxn
-	order []*armedTxn // arm order; expiry scans it linearly so same-cycle timeouts fire deterministically
+	cfg     RetryConfig
+	watched sim.Table[*armedTxn] // the live entries of order, by TxnID
+	order   []*armedTxn          // arm order; expiry scans it linearly so same-cycle timeouts fire deterministically
 
 	RetriedTxns uint64 // re-issues granted
 	AbortedTxns uint64 // transactions that exhausted their budget
@@ -51,7 +51,7 @@ func NewRetrier(cfg RetryConfig) *Retrier {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Retrier{cfg: cfg, byID: make(map[uint32]*armedTxn)}
+	return &Retrier{cfg: cfg}
 }
 
 // Enabled reports whether this retrier does anything.
@@ -62,7 +62,7 @@ func (r *Retrier) Armed() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.byID)
+	return r.watched.Len()
 }
 
 // Arm starts (or restarts) the timeout clock for a transaction.
@@ -70,12 +70,12 @@ func (r *Retrier) Arm(id uint32, now sim.Cycle) {
 	if r == nil {
 		return
 	}
-	if t, ok := r.byID[id]; ok {
+	if t, ok := r.watched.Get(uint64(id)); ok {
 		t.deadline = now + sim.Cycle(r.cfg.TimeoutCycles)
 		return
 	}
 	t := &armedTxn{id: id, deadline: now + sim.Cycle(r.cfg.TimeoutCycles)}
-	r.byID[id] = t
+	r.watched.Put(uint64(id), t)
 	r.order = append(r.order, t)
 }
 
@@ -85,10 +85,9 @@ func (r *Retrier) Disarm(id uint32) (resent bool) {
 	if r == nil {
 		return false
 	}
-	t, ok := r.byID[id]
+	t, ok := r.watched.Delete(uint64(id))
 	if ok {
 		t.dead = true
-		delete(r.byID, id)
 	}
 	return ok && t.attempts > 0
 }
@@ -156,7 +155,7 @@ func (r *Retrier) Expired(now sim.Cycle) (retry, abort []uint32) {
 		}
 		if t.attempts >= r.cfg.MaxRetries {
 			t.dead = true
-			delete(r.byID, t.id)
+			r.watched.Delete(uint64(t.id))
 			r.AbortedTxns++
 			abort = append(abort, t.id)
 			continue

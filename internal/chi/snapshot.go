@@ -9,8 +9,6 @@
 package chi
 
 import (
-	"cmp"
-
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 )
@@ -60,7 +58,8 @@ func SnapMessage(s *noc.Snap, mp **Message, what string) {
 
 // SnapState walks the tracker's open-transaction table through the
 // shared message pool (TxnID order keeps the bytes deterministic); the
-// capacity must match the build.
+// capacity must match the build, and a loaded entry's message must carry
+// the TxnID it is filed under.
 func (t *Tracker) SnapState(s *noc.Snap) {
 	c := s.Codec
 	capacity := t.capacity
@@ -69,10 +68,20 @@ func (t *Tracker) SnapState(s *noc.Snap) {
 		c.Fail("tracker capacity %d does not match %d", capacity, t.capacity)
 	}
 	c.U32(&t.nextID)
-	sim.Map(c, &t.open, t.capacity, cmp.Less[uint32], func(id *uint32, m **Message) {
-		c.U32(id)
+	sim.WalkTable(c, &t.open, t.capacity, func(id *uint64, m **Message) {
+		c.Key32(id)
 		SnapMessage(s, m, "tracker entry")
+		if c.Loading() && *m != nil && uint64((*m).TxnID) != *id {
+			c.Fail("tracker entry %d holds transaction %d", *id, (*m).TxnID)
+		}
 	})
+}
+
+// snapState walks one armed transaction.
+func (a *armedTxn) snapState(c *sim.Codec) {
+	c.U32(&a.id)
+	sim.Uint(c, &a.deadline)
+	sim.Int(c, &a.attempts)
 }
 
 // SnapState walks the retry engine's live armed transactions in arm
@@ -81,30 +90,25 @@ func (t *Tracker) SnapState(s *noc.Snap) {
 func (r *Retrier) SnapState(c *sim.Codec) {
 	c.U64(&r.RetriedTxns)
 	c.U64(&r.AbortedTxns)
-	var live []*armedTxn
-	for _, a := range r.order {
-		if !a.dead {
-			live = append(live, a)
-		}
-	}
-	sim.Slice(c, &live, 1<<20)
-	if c.Loading() {
-		r.byID = make(map[uint32]*armedTxn, len(live))
-		r.order = live
-	}
-	for i := range live {
-		if live[i] == nil {
-			live[i] = &armedTxn{}
-		}
-		a := live[i]
-		c.U32(&a.id)
-		sim.Uint(c, &a.deadline)
-		sim.Int(c, &a.attempts)
-		if c.Loading() {
-			if _, dup := r.byID[a.id]; dup {
-				c.Fail("duplicate armed transaction %d", a.id)
+	n := c.Len(r.watched.Len(), 1<<20)
+	if !c.Loading() {
+		for _, a := range r.order {
+			if !a.dead {
+				a.snapState(c)
 			}
-			r.byID[a.id] = a
 		}
+		return
+	}
+	r.watched.Clear()
+	clear(r.order)
+	r.order = r.order[:0]
+	for i := 0; i < n && c.Err() == nil; i++ {
+		a := &armedTxn{}
+		a.snapState(c)
+		if _, dup := r.watched.Get(uint64(a.id)); dup {
+			c.Fail("duplicate armed transaction %d", a.id)
+		}
+		r.watched.Put(uint64(a.id), a)
+		r.order = append(r.order, a)
 	}
 }

@@ -313,7 +313,7 @@ type CoreAgent struct {
 	homeOf  func(addr uint64) noc.NodeID
 
 	queue  sim.FIFO[*chi.Message] // requests not yet issued
-	issued map[uint32]sim.Cycle
+	issued sim.Table[sim.Cycle]   // issue cycle of each open transaction, by TxnID
 	out    pump
 
 	// OnComplete is called with each finished transaction's round-trip
@@ -333,8 +333,8 @@ func NewCoreAgent(net *noc.Network, name string, snoopCycles int, outstanding in
 		SnoopCycles: snoopCycles,
 		tracker:     chi.NewTracker(outstanding),
 		homeOf:      homeOf,
-		issued:      make(map[uint32]sim.Cycle),
 	}
+	a.issued.Reserve(outstanding)
 	node := net.NewNode(name)
 	a.iface = net.Attach(node, st)
 	net.AddDevice(a)
@@ -391,7 +391,7 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 			a.tracker.Complete(m.TxnID)
 			break
 		}
-		a.issued[m.TxnID] = now
+		a.issued.Put(uint64(m.TxnID), now)
 		a.queue.Pop()
 	}
 	// Handle arrivals: completions and snoops.
@@ -407,8 +407,7 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 			if req == nil {
 				panic(fmt.Sprintf("coherence: %s got completion for unknown txn %d", a.name, m.TxnID))
 			}
-			start := a.issued[m.TxnID]
-			delete(a.issued, m.TxnID)
+			start, _ := a.issued.Delete(uint64(m.TxnID))
 			a.Completed++
 			if a.OnComplete != nil {
 				a.OnComplete(req, uint64(now-start))

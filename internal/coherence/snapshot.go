@@ -62,8 +62,8 @@ func (a *CoreAgent) SnapState(s *noc.Snap) {
 	sim.WalkFIFO(c, &a.queue, 1<<20, func(m **chi.Message) {
 		chi.SnapMessage(s, m, "queued request")
 	})
-	sim.Map(c, &a.issued, 1<<20, cmp.Less[uint32], func(id *uint32, at *sim.Cycle) {
-		c.U32(id)
+	sim.WalkTable(c, &a.issued, 1<<20, func(id *uint64, at *sim.Cycle) {
+		c.Key32(id)
 		sim.Uint(c, at)
 	})
 	a.out.snapState(s)

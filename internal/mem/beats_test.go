@@ -42,8 +42,8 @@ func TestMultiBeatWriteFlow(t *testing.T) {
 		t.Fatalf("BytesServed = %d", ctl.BytesServed)
 	}
 	// No stranded burst state.
-	if len(ctl.wrBeats) != 0 || len(ctl.wrOpen) != 0 {
-		t.Fatalf("stranded write state: beats=%d open=%d", len(ctl.wrBeats), len(ctl.wrOpen))
+	if ctl.bursts.Len() != 0 || ctl.landed.Len() != 0 {
+		t.Fatalf("stranded write state: open=%d beats=%d", ctl.bursts.Len(), ctl.landed.Len())
 	}
 }
 

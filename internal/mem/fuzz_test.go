@@ -56,8 +56,8 @@ func TestPropertyManyRequestersInterleavedBursts(t *testing.T) {
 			t.Logf("seed %d: %d/%d done", seed, done, want)
 			return false
 		}
-		if len(ctl.wrBeats) != 0 || len(ctl.wrOpen) != 0 {
-			t.Logf("seed %d: leaked burst state %d/%d", seed, len(ctl.wrBeats), len(ctl.wrOpen))
+		if ctl.bursts.Len() != 0 || ctl.landed.Len() != 0 {
+			t.Logf("seed %d: leaked burst state %d/%d", seed, ctl.landed.Len(), ctl.bursts.Len())
 			return false
 		}
 		return ctl.Pending() == 0

@@ -57,11 +57,14 @@ type Controller struct {
 	inSvc   sim.FIFO[pendingReq]   // granted, waiting for AccessCycles
 	replies sim.FIFO[*noc.Flit]    // ready to inject (retrying on backpressure)
 	tokens  float64
-	// wrBeats counts write-burst beats received per transaction; the
-	// write enters the queue when its last beat lands. wrOpen holds the
-	// original write request between DBIDResp and the final beat.
-	wrBeats map[wrKey]int
-	wrOpen  map[wrKey]*chi.Message
+	// bursts holds each write request between its DBIDResp grant and its
+	// last data beat, and landed the beats of a burst that have arrived so
+	// far, both keyed by burstKey; the write enters the queue when its
+	// last beat lands. Two tables of 16-byte slots take less memory than
+	// one of {req, beats} pairs, which pad to 24: beat counts are few and
+	// short-lived.
+	bursts sim.Table[*chi.Message]
+	landed sim.Table[int32]
 
 	// Statistics
 	Reads, Writes  uint64
@@ -70,19 +73,15 @@ type Controller struct {
 	StrayWrData    uint64 // surplus write beats from retried transactions
 }
 
-// wrKey identifies a write burst in flight.
-type wrKey struct {
-	requester noc.NodeID
-	txn       uint32
+// burstKey files a write burst under its requester and TxnID; node IDs
+// are not negative, so keys order as (requester, txn) pairs do.
+func burstKey(requester noc.NodeID, txn uint32) uint64 {
+	return uint64(uint32(requester))<<32 | uint64(txn)
 }
 
 // New creates a controller and attaches it to the station.
 func New(net *noc.Network, name string, cfg Config, st *noc.CrossStation) *Controller {
-	c := &Controller{
-		name: name, net: net, cfg: cfg,
-		wrBeats: make(map[wrKey]int),
-		wrOpen:  make(map[wrKey]*chi.Message),
-	}
+	c := &Controller{name: name, net: net, cfg: cfg}
 	node := net.NewNode(name)
 	c.iface = net.AttachQueued(node, st, 16, 16)
 	net.AddDevice(c)
@@ -110,17 +109,17 @@ func (c *Controller) Tick(now sim.Cycle) {
 		if m == nil {
 			panic(fmt.Sprintf("mem: %s received non-CHI flit %d", c.name, f.ID))
 		}
-		k := wrKey{requester: m.Requester, txn: m.TxnID}
+		k := burstKey(m.Requester, m.TxnID)
 		switch {
 		case m.IsWrite():
-			c.wrOpen[k] = m
+			c.bursts.Put(k, m)
 			grant := chi.NewMsg(c.net, chi.Message{TxnID: m.TxnID, Op: chi.DBIDResp, Addr: m.Addr, Requester: m.Requester, Size: m.Size})
 			c.replies.Push(grant.NewFlit(c.net, c.Node(), m.Requester))
 		case m.Op == chi.NonCopyBackWrData:
 			// A write beat ends its trip here, whatever becomes of its write.
 			beats := m.Beats()
 			chi.Release(c.net, m)
-			req, open := c.wrOpen[k]
+			req, open := c.bursts.Get(k)
 			if !open {
 				// With CHI retry active a write can be re-issued while its
 				// first data burst is still in flight (the original grant
@@ -129,11 +128,13 @@ func (c *Controller) Tick(now sim.Cycle) {
 				c.StrayWrData++
 				break
 			}
-			if c.wrBeats[k]++; c.wrBeats[k] < beats {
+			n, _ := c.landed.Get(k)
+			if n++; int(n) < beats {
+				c.landed.Put(k, n)
 				break
 			}
-			delete(c.wrBeats, k)
-			delete(c.wrOpen, k)
+			c.landed.Delete(k)
+			c.bursts.Delete(k)
 			c.queue.Push(req)
 		default:
 			c.queue.Push(m)

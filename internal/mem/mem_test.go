@@ -23,7 +23,7 @@ type requester struct {
 	wdata   []*noc.Flit
 }
 
-func newRequester(t *testing.T, net *noc.Network, st *noc.CrossStation, name string) *requester {
+func newRequester(t testing.TB, net *noc.Network, st *noc.CrossStation, name string) *requester {
 	t.Helper()
 	r := &requester{
 		name: name, net: net,
@@ -87,7 +87,7 @@ func (r *requester) Tick(now sim.Cycle) {
 	}
 }
 
-func buildMemRig(t *testing.T, cfg Config) (*noc.Network, *requester, *Controller) {
+func buildMemRig(t testing.TB, cfg Config) (*noc.Network, *requester, *Controller) {
 	t.Helper()
 	net := noc.NewNetwork("t")
 	r := net.AddRing(12, true)

@@ -11,18 +11,15 @@ import (
 	"chipletnoc/internal/sim"
 )
 
-// lessWrKey orders write-burst keys so the tables travel in
-// deterministic order.
-func lessWrKey(a, b wrKey) bool {
-	if a.requester != b.requester {
-		return a.requester < b.requester
+// walkBurstKey walks a burst key as its requester and TxnID.
+func walkBurstKey(c *sim.Codec, k *uint64) {
+	requester, txn := noc.NodeID(uint32(*k>>32)), uint32(*k)
+	sim.Int(c, &requester)
+	c.U32(&txn)
+	if requester < 0 {
+		c.Fail("write burst of requester %d", requester)
 	}
-	return a.txn < b.txn
-}
-
-func (k *wrKey) snapState(c *sim.Codec) {
-	sim.Int(c, &k.requester)
-	c.U32(&k.txn)
+	*k = burstKey(requester, txn)
 }
 
 // SnapState implements noc.StateSnapshotter.
@@ -37,13 +34,25 @@ func (c *Controller) SnapState(s *noc.Snap) {
 	})
 	s.Flits(&c.replies, 1<<20)
 	k.F64(&c.tokens)
-	sim.Map(k, &c.wrOpen, 1<<16, lessWrKey, func(key *wrKey, m **chi.Message) {
-		key.snapState(k)
+	// Every open write, then the beats landed of each burst that has
+	// begun to arrive, both in key order. A count for a write that is not
+	// open, or one outside [1, Beats()) — the last beat queues the write —
+	// fails the load.
+	sim.WalkTable(k, &c.bursts, 1<<16, func(key *uint64, m **chi.Message) {
+		walkBurstKey(k, key)
 		chi.SnapMessage(s, m, "open write")
 	})
-	sim.Map(k, &c.wrBeats, 1<<16, lessWrKey, func(key *wrKey, beats *int) {
-		key.snapState(k)
-		sim.Int(k, beats)
+	sim.WalkTable(k, &c.landed, 1<<16, func(key *uint64, n *int32) {
+		walkBurstKey(k, key)
+		sim.Int(k, n)
+		if !k.Loading() {
+			return
+		}
+		if req, open := c.bursts.Get(*key); !open {
+			k.Fail("write beats for %#x, which is not open", *key)
+		} else if *n < 1 || int(*n) >= req.Beats() {
+			k.Fail("%d write beats for %#x, a burst of %d", *n, *key, req.Beats())
+		}
 	})
 	k.U64(&c.Reads)
 	k.U64(&c.Writes)
@@ -51,3 +60,4 @@ func (c *Controller) SnapState(s *noc.Snap) {
 	k.U64(&c.QueueFullDrops)
 	k.U64(&c.StrayWrData)
 }
+

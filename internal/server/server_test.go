@@ -51,8 +51,9 @@ func doJSON(t *testing.T, method, url string, body []byte, out interface{}) *htt
 	return resp
 }
 
-// waitFor polls a job until its status satisfies ok or the deadline
-// expires.
+// waitFor polls a job until its status satisfies ok. A job that ends
+// failed or canceled when ok wants otherwise fails the test at once, with
+// the job's error, instead of at the deadline.
 func waitFor(t *testing.T, base, id string, ok func(JobStatus) bool) jobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -64,6 +65,9 @@ func waitFor(t *testing.T, base, id string, ok func(JobStatus) bool) jobView {
 		}
 		if ok(v.Status) {
 			return v
+		}
+		if v.Status == StatusFailed || v.Status == StatusCanceled {
+			t.Fatalf("job %s ended %q (%s)", id, v.Status, v.Error)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s stuck in %q", id, v.Status)

@@ -36,7 +36,7 @@ type Engine struct {
 	iface *noc.NodeInterface
 
 	tracker  *chi.Tracker
-	inflight map[uint32]*command
+	inflight sim.Table[*command] // each open transaction's command, by TxnID
 	sendq    sim.FIFO[*noc.Flit]
 	queue    sim.FIFO[*command] // issued by the orchestrator
 	done     []*command         // finished transfers, drained by the orchestrator
@@ -54,12 +54,12 @@ type Engine struct {
 // newEngine attaches an engine to its die ring station.
 func newEngine(net *noc.Network, die int, st *noc.CrossStation) *Engine {
 	e := &Engine{
-		name:     fmt.Sprintf("d%d.serve", die),
-		die:      die,
-		net:      net,
-		tracker:  chi.NewTracker(engineOutstanding),
-		inflight: make(map[uint32]*command, engineOutstanding),
+		name:    fmt.Sprintf("d%d.serve", die),
+		die:     die,
+		net:     net,
+		tracker: chi.NewTracker(engineOutstanding),
 	}
+	e.inflight.Reserve(engineOutstanding)
 	node := net.NewNode(e.name)
 	e.iface = net.Attach(node, st)
 	net.AddDevice(e)
@@ -86,8 +86,7 @@ func (e *Engine) enqueue(c *command) {
 
 // finish closes the command of a transfer Settle retired.
 func (e *Engine) finish(req *chi.Message) {
-	c := e.inflight[req.TxnID]
-	delete(e.inflight, req.TxnID)
+	c, _ := e.inflight.Delete(uint64(req.TxnID))
 	e.done = append(e.done, c)
 	e.Completed++
 	e.BytesMoved += uint64(req.Bytes())
@@ -118,7 +117,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 			m.BeatsLeft = int32(m.Beats())
 		}
 		m.IssuedAt = uint64(now)
-		e.inflight[m.TxnID] = c
+		e.inflight.Put(uint64(m.TxnID), c)
 		e.Issued++
 		e.sendq.Push(m.NewFlit(e.net, e.Node(), e.memNodes[c.target]))
 		e.iface.SendAll(&e.sendq)

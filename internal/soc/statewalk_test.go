@@ -72,6 +72,15 @@ var notSerialized = map[string]map[string]string{
 		"head": "entries travel in FIFO order and load at head 0",
 		"buf":  "storage: the live entries travel in FIFO order, the rest are zero; a fixed capacity is matched as build shape",
 	},
+	// Every transaction table (typeName drops the type argument). What a
+	// walk writes is the entries in key order; a field that is a table is
+	// perturbed through its occupancy bits.
+	"sim.Table": {
+		"slots":  "storage: the entries travel in key order, the empty slots not at all",
+		"n":      "derived: the number of occupancy bits set",
+		"keys":   "walk scratch: the sort buffer a save reuses, stale between walks",
+		"walked": "walk scratch: the key/value pair a walk hands out, zero between walks",
+	},
 	"noc.NodeInterface": {
 		"node": "wiring", "station": "wiring", "index": "wiring", "nodeSlot": "wiring",
 		"wake": "derived: the owning device's awake word", "wakeBit": "derived: the owning device's awake bit",
@@ -94,7 +103,7 @@ var notSerialized = map[string]map[string]string{
 		"mark":  "walk scratch: the identity mark, 0 between walks",
 	},
 	"chi.Tracker":       {},
-	"chi.Retrier":       {"cfg": "config", "byID": "derived: index of order, rebuilt on load"},
+	"chi.Retrier":       {"cfg": "config", "watched": "derived: index of order, rebuilt on load"},
 	"chi.armedTxn":      {},
 	"mem.Controller":    {"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config"},
 	"mem.pendingReq":    {},

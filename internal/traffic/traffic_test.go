@@ -59,7 +59,7 @@ func TestRetiredStreamTagsRefused(t *testing.T) {
 	}
 }
 
-func buildTrafficRig(t *testing.T, cfg RequesterConfig) (*noc.Network, *Requester, *mem.Controller) {
+func buildTrafficRig(t testing.TB, cfg RequesterConfig) (*noc.Network, *Requester, *mem.Controller) {
 	t.Helper()
 	net := noc.NewNetwork("t")
 	ring := net.AddRing(12, true)
