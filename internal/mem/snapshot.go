@@ -60,4 +60,3 @@ func (c *Controller) SnapState(s *noc.Snap) {
 	k.U64(&c.QueueFullDrops)
 	k.U64(&c.StrayWrData)
 }
-

@@ -131,7 +131,9 @@ func (n *Network) StallStation(ring RingID, pos int, cycles int) error {
 		st.stalledUntil = until
 	}
 	st.classify()
-	n.Trace(trace.Fault, 0, fmt.Sprintf("r%d.p%d", ring, pos), fmt.Sprintf("stalled %d cycles", cycles))
+	if n.Tracer != nil {
+		n.Trace(trace.Fault, 0, fmt.Sprintf("r%d.p%d", ring, pos), fmt.Sprintf("stalled %d cycles", cycles))
+	}
 	n.wakeAll()
 	return nil
 }

@@ -648,7 +648,8 @@ func (n *Network) localTarget(r *Ring, f *Flit) (pos, iface int, err error) {
 // Trace records a structured event at the current cycle when a tracer is
 // attached (no-op otherwise). The core NoC records through it, and so do
 // devices for events the fabric cannot see (fault injections, CHI
-// retries, serving stalls).
+// retries, serving stalls). A caller that formats its detail tests
+// Tracer first, so an untraced run builds no string.
 func (n *Network) Trace(kind trace.Kind, flitID uint64, where, detail string) {
 	if n.Tracer == nil {
 		return

@@ -36,7 +36,7 @@ type Orchestrator struct {
 	arr      *arrivalProcess
 	routeRNG *sim.RNG
 
-	pending   []request
+	pending   sim.FIFO[request]
 	computing []*command
 	active    int  // in-flight batches
 	filling   bool // between a low-watermark crossing and reaching high
@@ -84,7 +84,7 @@ func (o *Orchestrator) Name() string { return o.name }
 // arrival and the earliest compute retirement. See the file comment for
 // how far the bound can be trusted.
 func (o *Orchestrator) IdleUntil(now sim.Cycle) sim.Cycle {
-	if len(o.pending) > 0 || o.stalled || (o.active <= o.spec.LowWatermark && !o.filling) {
+	if o.pending.Len() > 0 || o.stalled || (o.active <= o.spec.LowWatermark && !o.filling) {
 		return now
 	}
 	for _, e := range o.engines {
@@ -134,11 +134,11 @@ func (o *Orchestrator) Tick(now sim.Cycle) {
 	o.computing = live
 	// 3. Open-loop arrivals: admitted by cycle, never by completion.
 	for n := o.arr.take(now); n > 0; n-- {
-		o.pending = append(o.pending, request{arrival: now})
+		o.pending.Push(request{arrival: now})
 		o.Admitted++
 	}
-	if len(o.pending) > o.PeakPending {
-		o.PeakPending = len(o.pending)
+	if o.pending.Len() > o.PeakPending {
+		o.PeakPending = o.pending.Len()
 	}
 	// 4. Watermark-governed batch streaming: crossing the low watermark
 	// opens the tap; it closes at the high watermark (double buffering
@@ -146,30 +146,34 @@ func (o *Orchestrator) Tick(now sim.Cycle) {
 	if o.active <= o.spec.LowWatermark {
 		o.filling = true
 	}
-	for o.filling && len(o.pending) > 0 {
+	for o.filling && o.pending.Len() > 0 {
 		if o.active >= o.spec.HighWatermark {
 			o.filling = false
 			break
 		}
 		o.admitBatch(now)
 	}
-	o.noteStall(now, len(o.pending) > 0)
+	o.noteStall(now, o.pending.Len() > 0)
 }
 
 // noteStall maintains the stall counter and emits trace edges when the
-// watermark starts or stops holding requests back.
+// watermark starts or stops holding requests back; the edge's detail is
+// formatted only for an attached tracer.
 func (o *Orchestrator) noteStall(now sim.Cycle, stalled bool) {
 	if stalled {
 		o.StallCycles++
 	}
 	if stalled != o.stalled {
 		o.stalled = stalled
+		if o.net.Tracer == nil {
+			return
+		}
 		kind := "ends"
 		if stalled {
 			kind = "begins"
 		}
 		o.net.Trace(trace.Stall, 0, o.name,
-			fmt.Sprintf("watermark stall %s: %d pending, %d batches in flight", kind, len(o.pending), o.active))
+			fmt.Sprintf("watermark stall %s: %d pending, %d batches in flight", kind, o.pending.Len(), o.active))
 	}
 }
 
@@ -178,13 +182,11 @@ func (o *Orchestrator) noteStall(now sim.Cycle, stalled bool) {
 // does not hold a lone request hostage for batchmates), expands its
 // DAG and issues the entry commands.
 func (o *Orchestrator) admitBatch(now sim.Cycle) {
-	n := o.spec.Batch
-	if n > len(o.pending) {
-		n = len(o.pending)
-	}
 	b := o.dag.newBatch()
-	b.id, b.home, b.reqs = o.nextBatch, o.nextHome, append(b.reqs, o.pending[:n]...)
-	o.pending = o.pending[n:]
+	b.id, b.home = o.nextBatch, o.nextHome
+	for n := min(o.spec.Batch, o.pending.Len()); n > 0; n-- {
+		b.reqs = append(b.reqs, o.pending.Pop())
+	}
 	o.nextBatch++
 	o.nextHome = (o.nextHome + 1) % len(o.engines)
 	o.active++
@@ -246,7 +248,7 @@ func (o *Orchestrator) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter(p+".admitted", func() uint64 { return o.Admitted })
 	reg.Counter(p+".completed", func() uint64 { return o.Completed })
 	reg.Counter(p+".stall_cycles", func() uint64 { return o.StallCycles })
-	reg.Series(p+".pending_depth", func() float64 { return float64(len(o.pending)) })
+	reg.Series(p+".pending_depth", func() float64 { return float64(o.pending.Len()) })
 	reg.Series(p+".active_batches", func() float64 { return float64(o.active) })
 	reg.Gauge(p+".latency_p50", func() float64 { return o.Sketch.Quantile(0.50) })
 	reg.Gauge(p+".latency_p99", func() float64 { return o.Sketch.Quantile(0.99) })

@@ -7,7 +7,7 @@ import (
 )
 
 // quickSpec returns the defaulted reference workload.
-func quickSpec(t *testing.T) *config.ServingSpec {
+func quickSpec(t testing.TB) *config.ServingSpec {
 	t.Helper()
 	s, err := config.ParseServingSpec([]byte(`{}`))
 	if err != nil {

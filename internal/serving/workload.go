@@ -9,7 +9,7 @@
 package serving
 
 import (
-	"sort"
+	"slices"
 
 	"chipletnoc/internal/config"
 	"chipletnoc/internal/sim"
@@ -65,15 +65,16 @@ func (c *command) dependOn(froms []*command) {
 }
 
 // dag is the command and batch free-list of one orchestrator, with
-// expandBatch's per-layer work lists: a completed batch gives its commands
-// (keeping their outs capacity) and itself back, and the next batch's
-// DAG is drawn from them. A plain LIFO, like the network's flit and
-// message lists. minted and reused count the commands newCommand made and
-// took back — host-side diagnostics.
+// expandBatch's per-layer work lists and pickExperts' expert buffer: a
+// completed batch gives its commands (keeping their outs capacity) and
+// itself back, and the next batch's DAG is drawn from them. A plain LIFO,
+// like the network's flit and message lists. minted and reused count the
+// commands newCommand made and took back — host-side diagnostics.
 type dag struct {
 	cmds           []*command
 	batches        []*batch
 	entries, exits [][]*command
+	perm           []int
 	minted, reused uint64
 }
 
@@ -130,7 +131,7 @@ func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) {
 		entries[i], exits[i] = entries[i][:0], exits[i][:0]
 		switch l.Kind {
 		case config.LayerMoE:
-			for _, e := range pickExperts(l, rng) {
+			for _, e := range d.pickExperts(l, rng) {
 				die := l.ExpertDies[e]
 				dis := d.newCommand(command{kind: cmdDispatch, die: b.home, target: die, write: true, bytes: l.Bytes, b: b})
 				x := d.newCommand(command{kind: cmdExpert, die: die, target: die, bytes: l.ExpertBytes, compute: l.ComputeCycles, b: b})
@@ -159,20 +160,22 @@ func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) {
 	b.remaining = len(b.cmds)
 }
 
-// pickExperts returns the FanOut activated expert indices, ascending.
-// Routing to every expert skips the RNG so a dense layer stays
-// draw-free; sorting the partial permutation keeps command creation
-// order a function of the selection set, not of Perm's internal order.
-func pickExperts(l *config.ServingLayerSpec, rng *sim.RNG) []int {
-	if l.FanOut >= l.Experts {
-		out := make([]int, l.Experts)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+// pickExperts returns the FanOut activated expert indices, ascending,
+// in d.perm (valid until the next call). Routing to every expert skips
+// the RNG so a dense layer stays draw-free; sorting the partial
+// permutation keeps command creation order a function of the selection
+// set, not of Perm's internal order.
+func (d *dag) pickExperts(l *config.ServingLayerSpec, rng *sim.RNG) []int {
+	p := d.perm[:0]
+	for i := 0; i < l.Experts; i++ {
+		p = append(p, i)
 	}
-	perm := rng.Perm(l.Experts)
-	out := append([]int(nil), perm[:l.FanOut]...)
-	sort.Ints(out)
-	return out
+	d.perm = p
+	if l.FanOut >= l.Experts {
+		return p
+	}
+	rng.Perm(p)
+	p = p[:l.FanOut]
+	slices.Sort(p)
+	return p
 }

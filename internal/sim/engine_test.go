@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,9 +79,19 @@ func TestRNGBernoulliRate(t *testing.T) {
 	}
 }
 
+// identity returns 0, 1, ..., n-1.
+func identity(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
 func TestRNGPermIsPermutation(t *testing.T) {
 	r := NewRNG(11)
-	p := r.Perm(50)
+	p := identity(50)
+	r.Perm(p)
 	seen := make(map[int]bool)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
@@ -90,5 +101,31 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 	if len(seen) != 50 {
 		t.Fatalf("permutation misses values: %v", p)
+	}
+}
+
+// TestRNGPermDraws pins a seeded generator's first shuffles of 0..n-1
+// and the draw that follows them: Perm consumes exactly one Intn per
+// position from the tail, so a change to its draw order or count moves
+// these literals before it moves any serving golden.
+func TestRNGPermDraws(t *testing.T) {
+	r := NewRNG(7)
+	want := [][]int{
+		{0},
+		{0, 1},
+		{1, 3, 0, 2, 4},
+		{2, 4, 3, 7, 6, 0, 5, 1},
+		{4, 1, 2, 7, 5, 0, 3, 6},
+		{1, 10, 3, 0, 2, 15, 14, 12, 6, 5, 4, 7, 11, 9, 13, 8},
+	}
+	for _, w := range want {
+		p := identity(len(w))
+		r.Perm(p)
+		if !slices.Equal(p, w) {
+			t.Fatalf("Perm of 0..%d = %v, want %v", len(w)-1, p, w)
+		}
+	}
+	if got := r.Uint64(); got != 10283542806791360001 {
+		t.Errorf("draw after the shuffles = %d, want 10283542806791360001", got)
 	}
 }

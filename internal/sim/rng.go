@@ -53,15 +53,13 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
+// Perm shuffles p in place: one Intn(i+1) draw for each i from len(p)-1
+// down to 1, swapping p[i] with the drawn index (Fisher-Yates). Applied
+// to 0, 1, ..., n-1 it leaves a pseudo-random permutation of [0, n); the
+// caller owns the slice, so a shuffle allocates nothing.
+func (r *RNG) Perm(p []int) {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }

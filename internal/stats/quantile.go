@@ -12,7 +12,7 @@ package stats
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"chipletnoc/internal/sim"
 )
@@ -25,10 +25,13 @@ import (
 const sketchSubBits = 6
 
 // QuantileSketch is a mergeable streaming summary of integer samples
-// (cycle latencies). The zero value is ready to use.
+// (cycle latencies). The zero value is ready to use. Queries sort into a
+// scratch slice the sketch keeps, so a sketch is not safe for concurrent
+// use, reads included.
 type QuantileSketch struct {
 	counts map[int32]uint64
-	zeros  uint64 // samples equal to zero (no octave to land in)
+	order  []int32 // sortedIndices' scratch
+	zeros  uint64  // samples equal to zero (no octave to land in)
 	count  uint64
 	sum    uint64
 	min    uint64
@@ -175,14 +178,16 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 }
 
 // sortedIndices returns the occupied bucket indices in ascending order;
-// map iteration order never leaks into an answer.
+// map iteration order never leaks into an answer. The slice is the
+// sketch's own scratch, reused by the next query, so a query allocates
+// nothing once it has held every bucket.
 func (s *QuantileSketch) sortedIndices() []int32 {
-	idxs := make([]int32, 0, len(s.counts))
+	s.order = s.order[:0]
 	for idx := range s.counts {
-		idxs = append(idxs, idx)
+		s.order = append(s.order, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs
+	slices.Sort(s.order)
+	return s.order
 }
 
 // Digest returns an FNV-1a hash over the sketch's canonical state —

@@ -175,3 +175,45 @@ func TestQuantileSketchZeroAndEmpty(t *testing.T) {
 		t.Errorf("max of {0,0,10} = %v, want 10", got)
 	}
 }
+
+// TestQuantileSketchPinned fixes the digest and quantiles of a population
+// spread over every octave, so a change to the bucket store cannot move
+// an answer the serving goldens would only catch later.
+func TestQuantileSketchPinned(t *testing.T) {
+	var s QuantileSketch
+	r := sim.NewRNG(3)
+	for i := 0; i < 5000; i++ {
+		s.Observe(r.Uint64() >> (r.Uint64() % 64))
+	}
+	if got := s.Digest(); got != 0xb2d3a097423a505c {
+		t.Errorf("digest %#x, want 0xb2d3a097423a505c", got)
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0.5, 2.315255808e+09},
+		{0.9, 1.0583459124320666e+17},
+		{0.99, 6.845471433603154e+18},
+		{0.999, 1.7293822569102705e+19},
+	} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
+// TestQuantileSketchQueriesAllocateNothing: a quantile or a digest sorts
+// the occupied buckets into the sketch's own scratch slice, and an
+// observation into an occupied bucket writes one counter.
+func TestQuantileSketchQueriesAllocateNothing(t *testing.T) {
+	var s QuantileSketch
+	for v := uint64(0); v < 1<<12; v += 7 {
+		s.Observe(v)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		s.Observe(1000)
+		_ = s.Quantile(0.99)
+		_ = s.Digest()
+	})
+	if n != 0 {
+		t.Errorf("%v allocations per observe-quantile-digest", n)
+	}
+}

@@ -225,7 +225,9 @@ func (r *Requester) runRetries(now sim.Cycle) {
 			req.BeatsLeft = int32(req.Beats())
 		}
 		r.sendq.Push(req.NewFlit(r.net, r.Node(), req.RetryDst))
-		r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d re-issued", id))
+		if r.net.Tracer != nil {
+			r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d re-issued", id))
+		}
 	}
 	for _, id := range abort {
 		req := r.tracker.Lookup(id)
@@ -233,7 +235,9 @@ func (r *Requester) runRetries(now sim.Cycle) {
 			continue
 		}
 		r.abort(req)
-		r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d aborted", id))
+		if r.net.Tracer != nil {
+			r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d aborted", id))
+		}
 	}
 }
 
