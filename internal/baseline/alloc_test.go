@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chipletnoc/internal/sim"
@@ -57,6 +58,28 @@ func TestFabricSteadyStateAllocs(t *testing.T) {
 				t.Error("nothing was delivered during the measured cycles")
 			}
 		})
+	}
+}
+
+// TestSaturatedPointAllocBound pins what one saturated MeasureUniform
+// point on the 4×4 mesh allocates — the fabrics artifact's heavy point,
+// offered 1 packet per node per cycle against the two thirds the mesh
+// carries. Most of it is the latency population, held twice (its chunks,
+// then the one sorted slice), and the source backlogs of int32 node
+// indices: about 530 KB. A flat histogram grown by append and int
+// backlogs took about 990 KB.
+func TestSaturatedPointAllocBound(t *testing.T) {
+	const bound = 600_000
+	f := NewBufferedMesh(DefaultMeshConfig(4, 4))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := MeasureUniform(f, 1, 64, 500, 2000, 0xFAB)
+	runtime.ReadMemStats(&after)
+	if p.Throughput >= 0.9 {
+		t.Fatalf("throughput %.3f: the point is not saturated", p.Throughput)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("saturated point allocated %d bytes, want at most %d", got, bound)
 	}
 }
 

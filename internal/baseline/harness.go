@@ -28,7 +28,10 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 	n := f.Nodes()
 	rng := sim.NewRNG(seed)
 	var lat stats.Histogram
-	backlog := make([]sim.FIFO[int], n) // destinations waiting at each source
+	// Destinations waiting at each source, as int32 node indices (the
+	// width of noc.NodeID): a saturated point's backlogs grow to
+	// hundreds of entries each.
+	backlog := make([]sim.FIFO[int32], n)
 	var deliveredInWindow uint64
 	// One closure for the whole run, passed only with packets injected
 	// inside the window: those are the ones the latency figures cover.
@@ -45,10 +48,10 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 		for src := 0; src < n; src++ {
 			q := &backlog[src]
 			if rng.Bernoulli(rate) {
-				q.Push(uniformDst(rng, n, src))
+				q.Push(int32(uniformDst(rng, n, src)))
 			}
 			// Drain backlog head if the fabric accepts it.
-			if q.Len() > 0 && f.TrySend(src, q.Peek(), payload, done) {
+			if q.Len() > 0 && f.TrySend(src, int(q.Peek()), payload, done) {
 				q.Pop()
 			}
 		}
@@ -59,7 +62,7 @@ func MeasureUniform(f Fabric, rate float64, payload int, warmup, window uint64, 
 	// rate rather than zero.
 	for cyc := uint64(0); cyc < window; cyc++ {
 		for src := 0; src < n; src++ {
-			if q := &backlog[src]; q.Len() > 0 && f.TrySend(src, q.Peek(), payload, nil) {
+			if q := &backlog[src]; q.Len() > 0 && f.TrySend(src, int(q.Peek()), payload, nil) {
 				q.Pop()
 			}
 		}

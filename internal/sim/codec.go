@@ -172,19 +172,28 @@ func wholeSample(v float64) bool {
 // about two bytes a sample. Saving fails on any other sample (a fraction,
 // a negative, -0, NaN, 2^53 or more), as MatchString fails a save no load
 // would accept; loading refuses a sample of 2^53 or more.
-func (c *Codec) F64s(s *[]float64) {
+//
+// The array may be held as *s followed by chunks (stats.Histogram's
+// storage): saving writes the bytes of their concatenation, and loading
+// fills *s alone with one exactly sized slice, so the caller drops its
+// chunks.
+func (c *Codec) F64s(s *[]float64, chunks ...[]float64) {
 	if c.d == nil {
-		c.e.PutUvarint(uint64(len(*s)))
-		for _, v := range *s {
-			if !wholeSample(v) {
-				c.Fail("sample %v is not a whole number below 2^53", v)
-				return
+		n := len(*s)
+		for _, ch := range chunks {
+			n += len(ch)
+		}
+		c.e.PutUvarint(uint64(n))
+		if c.putSamples(*s) {
+			for _, ch := range chunks {
+				if !c.putSamples(ch) {
+					return
+				}
 			}
-			c.e.PutUvarint(uint64(v))
 		}
 		return
 	}
-	*s = append((*s)[:0], make([]float64, c.d.Count(c.d.Remaining()))...)
+	*s = make([]float64, c.d.Count(c.d.Remaining()))
 	for i := range *s {
 		u := c.d.Uvarint()
 		if u >= 1<<53 {
@@ -193,6 +202,19 @@ func (c *Codec) F64s(s *[]float64) {
 		}
 		(*s)[i] = float64(u)
 	}
+}
+
+// putSamples writes each sample as a varint, failing the save on the
+// first one that is not a whole number below 2^53.
+func (c *Codec) putSamples(s []float64) bool {
+	for _, v := range s {
+		if !wholeSample(v) {
+			c.Fail("sample %v is not a whole number below 2^53", v)
+			return false
+		}
+		c.e.PutUvarint(uint64(v))
+	}
+	return true
 }
 
 // Map walks a map as its size and then one walk(&key, &value) per entry.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -15,47 +14,112 @@ import (
 // answers mean / percentile / max queries. It stores raw samples; our
 // experiment populations are small enough (≤ millions) that exactness
 // beats bucketing.
+//
+// Samples land in chunks that never move (DESIGN §6): Add fills the last
+// chunk and starts a new one, twice the size up to maxChunk, when it is
+// full, so recording n samples allocates about n samples and copies
+// none. The first query after new samples compacts them onto flat and
+// sorts it in place; flat is sized exactly the first time and at least
+// doubles when it grows again, so a histogram queried every sample
+// interval stays amortized. Grow and Merge make room in flat, which Add fills
+// while no chunk is open.
 type Histogram struct {
-	samples []float64
-	sorted  bool
-	sum     float64
+	flat   []float64   // compacted samples in order; ascending when sorted is set
+	chunks [][]float64 // samples added since the last compaction, in order; every chunk but the last is full
+	sorted bool
+	sum    float64
 }
 
-// Add records one sample.
+// Chunk sizes in samples: the first chunk after a compaction, and the
+// cap the doubling stops at (8 KiB).
+const (
+	firstChunk = 16
+	maxChunk   = 1024
+)
+
+// Add records one sample: in the last chunk while it has room, in
+// flat's spare capacity while no chunk is open, else in a new chunk
+// twice the size of the last one, up to maxChunk.
 func (h *Histogram) Add(v float64) {
-	h.samples = append(h.samples, v)
 	h.sorted = false
 	h.sum += v
+	k := len(h.chunks)
+	switch {
+	case k > 0 && len(h.chunks[k-1]) < cap(h.chunks[k-1]):
+		h.chunks[k-1] = append(h.chunks[k-1], v)
+	case k == 0 && len(h.flat) < cap(h.flat):
+		h.flat = append(h.flat, v)
+	default:
+		size := firstChunk
+		if k > 0 {
+			size = min(2*cap(h.chunks[k-1]), maxChunk)
+		}
+		c := make([]float64, 1, size)
+		c[0] = v
+		h.chunks = append(h.chunks, c)
+	}
 }
 
 // Count returns the number of samples recorded.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int {
+	n := len(h.flat)
+	for _, c := range h.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// compact moves the chunked samples onto the end of flat, in order,
+// leaving room for extra more. When flat must grow it grows once, to
+// exactly what it needs the first time and by at least doubling after
+// that, so repeated compactions stay amortized. (An explicit make rather
+// than slices.Grow: the race detector's build allocates that one twice.)
+func (h *Histogram) compact(extra int) {
+	for _, c := range h.chunks {
+		extra += len(c)
+	}
+	if need := len(h.flat) + extra; need > cap(h.flat) {
+		flat := make([]float64, len(h.flat), max(need, 2*cap(h.flat)))
+		copy(flat, h.flat)
+		h.flat = flat
+	}
+	for _, c := range h.chunks {
+		h.flat = append(h.flat, c...)
+	}
+	h.chunks = nil
+}
 
 // Grow makes room for n more samples, so the next n Adds or Merges
-// append without regrowing.
-func (h *Histogram) Grow(n int) { h.samples = slices.Grow(h.samples, n) }
+// land without allocating.
+func (h *Histogram) Grow(n int) { h.compact(n) }
 
 // Merge folds another histogram's samples into h (o is unchanged) —
 // experiments aggregate per-requester latencies into one population.
 // Sort state is discarded, so merging sorted or unsorted operands in any
 // order yields the same population and identical percentile answers.
 func (h *Histogram) Merge(o *Histogram) {
-	h.samples = append(h.samples, o.samples...)
+	h.compact(o.Count()) // o may be h: its chunks are compacted here too
+	h.flat = append(h.flat, o.flat...)
+	for _, c := range o.chunks {
+		h.flat = append(h.flat, c...)
+	}
 	h.sum += o.sum
 	h.sorted = false
 }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	return h.sum / float64(len(h.samples))
+	return h.sum / float64(n)
 }
 
 func (h *Histogram) sort() {
 	if !h.sorted {
-		sort.Float64s(h.samples)
+		h.compact(0)
+		slices.Sort(h.flat)
 		h.sorted = true
 	}
 }
@@ -67,21 +131,21 @@ func (h *Histogram) sort() {
 // histogram returns 0 for every p. With an even count this means p=50
 // picks the lower of the two middle samples (rank n/2, not their mean).
 func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
+	if h.Count() == 0 {
 		return 0
 	}
 	h.sort()
 	if p <= 0 {
-		return h.samples[0]
+		return h.flat[0]
 	}
 	if p >= 100 {
-		return h.samples[len(h.samples)-1]
+		return h.flat[len(h.flat)-1]
 	}
-	rank := int(math.Ceil(p/100*float64(len(h.samples)))) - 1
+	rank := int(math.Ceil(p/100*float64(len(h.flat)))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	return h.samples[rank]
+	return h.flat[rank]
 }
 
 // Max returns the largest sample, or 0 with no samples.
