@@ -118,7 +118,7 @@ func runServingPoint(spec *config.ServingSpec, point int) ServingPoint {
 		Admitted:    o.Admitted,
 		Completed:   o.Completed,
 		Backlog:     o.Backlog(),
-		StallCycles: o.StallCycles,
+		StallCycles: o.StallCycles(),
 		P50:         o.Sketch.Quantile(0.50),
 		P90:         o.Sketch.Quantile(0.90),
 		P99:         o.Sketch.Quantile(0.99),

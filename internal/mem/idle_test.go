@@ -8,16 +8,20 @@ import (
 	"chipletnoc/internal/sim"
 )
 
-// controllerState renders everything a Tick of the controller can touch:
-// its own snapshot codec (queues, in-service pipeline, replies, the token
-// bucket bit for bit, write-burst tables, counters) plus what it can do
-// to the fabric through its interface.
-func controllerState(t *testing.T, c *Controller) string {
+// controllerState renders everything a Tick of the controller can touch,
+// settled through the cycle before end: its own snapshot codec (queues,
+// in-service pipeline, replies, the token bucket bit for bit with every
+// refill before end in, write-burst tables, counters) plus what it can do
+// to the fabric through its interface. The controller itself is left as
+// it is.
+func controllerState(t *testing.T, c *Controller, end sim.Cycle) string {
 	t.Helper()
 	e := sim.NewEncoder()
 	s := noc.NewSnap(sim.Saving(e))
 	defer s.End()
-	c.SnapState(s)
+	settled := *c
+	settled.tokens, settled.filled = c.refilled(end), end
+	settled.SnapState(s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +36,19 @@ func controllerState(t *testing.T, c *Controller) string {
 
 // TestIdleUntilHonest is the invariant the tick engine's device gate
 // rests on, for the memory controller on fuzzed traffic: whenever
-// IdleUntil(now) > now, Tick(now) must leave the controller's encoded
+// IdleUntil(now) > now, Tick(now) must leave the controller's settled
 // state byte-identical and send, receive and release no flit. After
 // every cycle of the (gated) run the test asks about the next cycle and,
 // when the controller claims to be idle, ticks it anyway — an extra tick
-// that, if the claim is true, perturbs nothing. A field added to the
-// controller's codec later that an "idle" tick moves fails here.
+// that, if the claim is true, perturbs nothing. Settled means with the
+// claimed cycle's refill in, before the tick and after it: the one thing
+// an idle tick may do is the refill a sleeping controller replays later,
+// so a tick that refills without moving the refill cursor, or replays a
+// cycle twice, fails here. So does a field added to the controller's
+// codec later that an "idle" tick moves.
 //
 // Narrow channels keep the token bucket refilling for many cycles after
-// a grant (the controller must stay awake through it: the float sum is
-// not allowed to be skipped and re-added in one step), wide ones saturate
+// a grant, so the controller sleeps with refills owed; wide ones saturate
 // it at once; shallow queues exercise the queue-full path.
 func TestIdleUntilHonest(t *testing.T) {
 	cfgs := []Config{
@@ -63,7 +70,7 @@ func TestIdleUntilHonest(t *testing.T) {
 
 			rng := sim.NewRNG(seed).Derive(uint64(ci))
 			at, issued := 0, 0
-			idle, busy, slept := 0, 0, 0
+			idle, busy, slept, owed := 0, 0, 0, 0
 			for c := 0; c < 6000; c++ {
 				now := sim.Cycle(net.Ticks())
 				if c == at && issued < 40 {
@@ -92,9 +99,12 @@ func TestIdleUntilHonest(t *testing.T) {
 				if w != noc.Never {
 					slept++
 				}
-				before := controllerState(t, ctl)
+				if ctl.tokens < ctl.restingCap() {
+					owed++
+				}
+				before := controllerState(t, ctl, next+1)
 				ctl.Tick(next)
-				if after := controllerState(t, ctl); after != before {
+				if after := controllerState(t, ctl, next+1); after != before {
 					t.Fatalf("cfg %d seed %d: controller said idle until %d at cycle %d but its Tick changed state", ci, seed, w, next)
 				}
 			}
@@ -105,8 +115,8 @@ func TestIdleUntilHonest(t *testing.T) {
 			if done != issued {
 				t.Fatalf("cfg %d seed %d: %d of %d transactions completed", ci, seed, done, issued)
 			}
-			if idle == 0 || busy == 0 || slept == 0 {
-				t.Fatalf("cfg %d seed %d: property not exercised (%d idle, %d busy, %d timed sleeps)", ci, seed, idle, busy, slept)
+			if idle == 0 || busy == 0 || slept == 0 || (cfg.BytesPerCycle < 100 && owed == 0) {
+				t.Fatalf("cfg %d seed %d: property not exercised (%d idle, %d busy, %d timed sleeps, %d with refills owed)", ci, seed, idle, busy, slept, owed)
 			}
 			if net.DeviceTicksSkipped == 0 {
 				t.Fatalf("cfg %d seed %d: the engine never skipped the controller", ci, seed)

@@ -57,6 +57,11 @@ type Controller struct {
 	inSvc   sim.FIFO[pendingReq]   // granted, waiting for AccessCycles
 	replies sim.FIFO[*noc.Flit]    // ready to inject (retrying on backpressure)
 	tokens  float64
+	// filled is the first cycle whose refill tokens does not include yet:
+	// the controller sleeps while its bucket fills, and its next Tick adds
+	// the refills of the cycles it slept through (see refilled). Derived
+	// from the clock, never serialized.
+	filled sim.Cycle
 	// bursts holds each write request between its DBIDResp grant and its
 	// last data beat, and landed the beats of a burst that have arrived so
 	// far, both keyed by burstKey; the write enters the queue when its
@@ -145,11 +150,13 @@ func (c *Controller) Tick(now sim.Cycle) {
 	if c.queue.Len() == c.cfg.QueueDepth && c.iface.EjectLen() > 0 {
 		c.QueueFullDrops++
 	}
-	// 2. Bandwidth grants: every request moves a full line. The bucket's
-	// burst cap must never sit below the head request's size or a large
-	// transfer through a narrow channel would starve forever.
+	// 2. Bandwidth grants: every request moves a full line. The refills
+	// of the cycles slept through come first. The bucket's burst cap must
+	// never sit below the head request's size or a large transfer through
+	// a narrow channel would starve forever.
+	c.tokens, c.filled = c.refilled(now), now+1
 	c.tokens += c.cfg.BytesPerCycle
-	max := c.cfg.BytesPerCycle * float64(c.cfg.QueueDepth)
+	max := c.restingCap()
 	if c.queue.Len() > 0 {
 		if need := float64(c.queue.Peek().Bytes()); need > max {
 			max = need
@@ -191,17 +198,37 @@ func (c *Controller) Tick(now sim.Cycle) {
 	c.iface.SendAll(&c.replies)
 }
 
+// restingCap is the bucket's cap while no request waits: BytesPerCycle
+// for every queue entry.
+func (c *Controller) restingCap() float64 {
+	return c.cfg.BytesPerCycle * float64(c.cfg.QueueDepth)
+}
+
+// refilled returns the bucket once the refills of every cycle before end
+// are in. The controller sleeps only with its queue empty, so each refill
+// it missed is one clamped addition at the resting cap, replayed in order
+// — n additions of a rate round differently from one n·rate — and the
+// replay stops once the cap is reached, after which a refill changes
+// nothing. Tick settles through the cycle before its own, a checkpoint
+// through the last cycle run.
+func (c *Controller) refilled(end sim.Cycle) float64 {
+	t, full := c.tokens, c.restingCap()
+	for at := c.filled; at < end && t < full; at++ {
+		if t += c.cfg.BytesPerCycle; t > full {
+			t = full
+		}
+	}
+	return t
+}
+
 // IdleUntil implements noc.IdleUntiler. The controller is idle when Tick
-// would touch nothing: no arrival to accept, no request waiting for a
-// bandwidth grant, no reply to inject — and the token bucket already at
-// its cap, so the refill is a no-op too. A bucket still filling keeps the
-// controller awake: skipping a refill and adding it back later in one
-// step would round differently from the cycle-by-cycle float sum. With
-// requests in service it sleeps until the oldest completes (inSvc is in
-// ready order: grants are FIFO and the access time is one constant).
+// would do nothing but refill the token bucket: no arrival to accept, no
+// request waiting for a bandwidth grant, no reply to inject. The refills
+// it sleeps through are settled later, exactly (refilled). With requests
+// in service it sleeps until the oldest completes (inSvc is in ready
+// order: grants are FIFO and the access time is one constant).
 func (c *Controller) IdleUntil(now sim.Cycle) sim.Cycle {
-	if c.queue.Len()+c.replies.Len() > 0 || c.iface.EjectLen() > 0 ||
-		c.tokens != c.cfg.BytesPerCycle*float64(c.cfg.QueueDepth) {
+	if c.queue.Len()+c.replies.Len() > 0 || c.iface.EjectLen() > 0 {
 		return now
 	}
 	if c.inSvc.Len() == 0 {

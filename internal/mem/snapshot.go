@@ -33,7 +33,14 @@ func (c *Controller) SnapState(s *noc.Snap) {
 		sim.Uint(k, &p.ready)
 	})
 	s.Flits(&c.replies, 1<<20)
-	k.F64(&c.tokens)
+	// The bucket travels settled through the last cycle run, as the
+	// every-cycle controller holds it; saving leaves the live bucket alone,
+	// and a load refills from the restored clock on.
+	tokens := c.refilled(sim.Cycle(c.net.Ticks()))
+	k.F64(&tokens)
+	if k.Loading() {
+		c.tokens, c.filled = tokens, sim.Cycle(c.net.Ticks())
+	}
 	// Every open write, then the beats landed of each burst that has
 	// begun to arrive, both in key order. A count for a write that is not
 	// open, or one outside [1, Beats()) — the last beat queues the write —

@@ -522,11 +522,14 @@ func (b *RBRGL2) Tick(now sim.Cycle) {
 
 // IdleUntil implements IdleUntiler. A failed bridge is never idle — its
 // Tick is the one that purges the buffers, and FailBridge wakes it for
-// that. A half is idle when tickHalf would change nothing: every buffer it
-// drains and all three interface queues empty, the dead latch clear, and
-// runDRM at rest (not in DRM, no stall count, inject watermark current,
-// eject space free so DRM cannot be entered). The bridge then sleeps
-// until the first flit or credit pulse on the wire towards either half
+// that. A half is idle when tickHalf would do nothing but take landed
+// credit pulses: every buffer it drains and all three interface queues
+// empty, the dead latch clear, and runDRM at rest (not in DRM, no stall
+// count, inject watermark current, eject space free so DRM cannot be
+// entered). With nothing to launch, a window restored late launches
+// exactly what one restored on time would, so a credit pulse wakes
+// nobody: the next Tick, or a checkpoint, takes it (takeCredits). The
+// bridge sleeps until the first flit on the wire towards either half
 // lands.
 func (b *RBRGL2) IdleUntil(now sim.Cycle) sim.Cycle {
 	if b.net.NodeFailed(b.node) {
@@ -544,9 +547,6 @@ func (b *RBRGL2) IdleUntil(now sim.Cycle) sim.Cycle {
 		if h.pipe.Len() > 0 && h.pipe.Peek().arrives < w {
 			w = h.pipe.Peek().arrives
 		}
-		if h.credIn.Len() > 0 && h.credIn.Peek().arrives < w {
-			w = h.credIn.Peek().arrives
-		}
 	}
 	if w < now {
 		return now
@@ -559,12 +559,8 @@ func (b *RBRGL2) IdleUntil(now sim.Cycle) sim.Cycle {
 func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
 	h, far := &b.half[side], &b.half[1-side]
 	h.dead = false
-	// 0. Credit pulses arriving this cycle restore the launch windows.
-	for h.credIn.Len() > 0 && h.credIn.Peek().arrives <= now {
-		c := h.credIn.Pop()
-		h.txCred += int(c.norm)
-		h.escCred += int(c.esc)
-	}
+	// 0. Credit pulses landed by this cycle restore the launch windows.
+	h.takeCredits(now + 1)
 	// 1. Link arrivals: normal flits land in this side's rx buffer;
 	//    escape flits land straight on this interface's priority lane,
 	//    returning their escape credit the moment they leave the wire.
@@ -615,6 +611,17 @@ func (b *RBRGL2) tickHalf(side int, now sim.Cycle) {
 	}
 	// 5. Deadlock detection & SWAP resolution.
 	b.runDRM(h)
+}
+
+// takeCredits restores the launch windows from every credit pulse that
+// lands before end. A half that slept through a landing takes the pulse
+// at its next tick; a checkpoint takes those before its cycle.
+func (h *l2half) takeCredits(end sim.Cycle) {
+	for h.credIn.Len() > 0 && h.credIn.Peek().arrives < end {
+		c := h.credIn.Pop()
+		h.txCred += int(c.norm)
+		h.escCred += int(c.esc)
+	}
 }
 
 // returnCredit puts a credit return on the wire towards half to, arriving

@@ -55,7 +55,13 @@ type NodeOwner interface {
 // a no-op. IdleUntil(now) > now promises that Tick(now) would change
 // nothing — no field of the device, no flit sent, received or released,
 // no trace event — and that the same holds for every later cycle before
-// the returned one unless the device is woken first. There are four wake
+// the returned one unless the device is woken first. The one exception
+// is settled bookkeeping: per-cycle arithmetic that depends only on how
+// many cycles passed (a bucket refill, a landed credit pulse, a stall
+// count) may be slept through if the device replays it exactly — the
+// same operations in the same order — at its next Tick, settles it
+// before a checkpoint save writes it and adds what is owed when a reader
+// asks between ticks. There are four wake
 // sources: a flit ejected into one of its interfaces; NodeInterface.Wake
 // from a device that queued work on it directly; a fault operation,
 // throttle change or checkpoint restore; and a flit leaving one of its

@@ -436,18 +436,20 @@ func servingSystem(t *testing.T, load float64) (system, *serving.System) {
 		extra: func() string {
 			o := sys.Orch
 			return fmt.Sprintf("admitted=%d completed=%d stalls=%d peak=%d stream=%x sketch=%x",
-				o.Admitted, o.Completed, o.StallCycles, o.PeakPending, o.StreamDigest(), o.Sketch.Digest())
+				o.Admitted, o.Completed, o.StallCycles(), o.PeakPending, o.StreamDigest(), o.Sketch.Digest())
 		},
 	}, sys
 }
 
 // TestGateDiffServing runs the default serving spec far below the knee
 // (load 1: the fabric is empty most cycles and most of the run is
-// jumped) and at the top of the benchmark's sweep (load 24). The
+// jumped), at load 8, where the bookkeeping sleepers settle later —
+// memory refills, bridge credit pulses and watermark stalls — interleave
+// most, and at the top of the benchmark's sweep (load 24). The
 // orchestrator's arrival draw-ahead, the engines' hand-delivered wakes
 // and the polled node-less orchestrator are all on this path.
 func TestGateDiffServing(t *testing.T) {
-	for _, load := range []float64{1, 24} {
+	for _, load := range []float64{1, 8, 24} {
 		diffGated(t, 20000, func() system {
 			s, _ := servingSystem(t, load)
 			return s
@@ -460,7 +462,8 @@ func TestGateDiffServing(t *testing.T) {
 // its cycles in quiescent jumps (a jumped cycle counts every ring, station
 // and device as skipped, so those counters are bounded below by it), the
 // saturated quad-die package none at all — there the saving is in the
-// station ticks.
+// station ticks. In between, at load 8, each kind of device is held to a
+// floor on the share of its ticks skipped.
 func TestGateSaysWhatItSkipped(t *testing.T) {
 	s, sys := servingSystem(t, 1)
 	s.run(0)
@@ -478,6 +481,29 @@ func TestGateSaysWhatItSkipped(t *testing.T) {
 	}
 	if got, jumped := stationTicksSkipped(n), float64(n.SkippedCycles)/float64(n.Ticks()); got < jumped || got > 1 {
 		t.Errorf("%.1f%% of station ticks skipped with %.1f%% of cycles jumped", 100*got, 100*jumped)
+	}
+
+	// Load 8, 20 000 cycles, skipped shares measured: memory controllers
+	// 94.1 % (72.0 % while a filling bucket kept them awake), bridges
+	// 76.7 % (71.7 % while a credit pulse woke them), engines 92.6 %, the
+	// orchestrator 88.6 % (47.4 % while a watermark stall kept it awake).
+	// Each floor sits just under its measurement.
+	s, _ = servingSystem(t, 8)
+	s.run(0)
+	floors := map[string]float64{"mem.Controller": 0.93, "noc.RBRGL2": 0.75, "serving.Engine": 0.91, "serving.Orchestrator": 0.87}
+	for _, k := range s.net.DeviceTicksByKind() {
+		floor, ok := floors[k.Kind]
+		if !ok {
+			t.Errorf("serving at load 8 has devices of kind %s, which has no floor", k.Kind)
+			continue
+		}
+		delete(floors, k.Kind)
+		if got := float64(k.Skipped) / float64(k.Ticks+k.Skipped); got < floor {
+			t.Errorf("serving at load 8 skipped %.1f%% of %s ticks, want at least %.0f%%", 100*got, k.Kind, 100*floor)
+		}
+	}
+	for kind := range floors {
+		t.Errorf("serving at load 8 has no devices of kind %s", kind)
 	}
 
 	q := quadDie(1, 12, 1) // one simulation of the benchmark's quad-die round

@@ -468,7 +468,7 @@ func fuzzRun(t *testing.T, c fuzzCase) (fuzzDigest, fuzzHits) {
 	ifaceHash := fnv.New64a()
 	for _, s := range net.InterfaceReport() {
 		// The report settles every station; injectFails is not in it.
-		ni := net.nodes[s.Node].onRing[s.Ring]
+		ni := net.nodes[s.Node].on(s.Ring)
 		fmt.Fprintf(ifaceHash, "%s|%d|%d|%d|%d|%d|%d\n", s.Name, s.Ring, s.Injected, s.EjectedFlits, s.Deflected, s.Starved, ni.injectFails)
 	}
 	var final bytes.Buffer

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"chipletnoc/internal/metrics"
 	"chipletnoc/internal/sim"
@@ -24,10 +24,7 @@ type Device interface {
 // nodeInfo records where a node is reachable.
 type nodeInfo struct {
 	name   string
-	ifaces []*NodeInterface
-	// onRing[r] is the interface on ring r (nodes have at most one
-	// interface per ring).
-	onRing map[RingID]*NodeInterface
+	ifaces []*NodeInterface // at most one per ring
 	// fwd[arrival][dst] is the precomputed bridge forwarding decision:
 	// the slot in ifaces of the interface a transit flit for dst continues
 	// on after arriving at ifaces[arrival], or -1 for no onward route.
@@ -242,7 +239,7 @@ func (n *Network) NewNode(name string) NodeID {
 		panic("noc: NewNode after Finalize")
 	}
 	id := NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, &nodeInfo{name: name, onRing: make(map[RingID]*NodeInterface)})
+	n.nodes = append(n.nodes, &nodeInfo{name: name})
 	return id
 }
 
@@ -265,7 +262,7 @@ func (n *Network) AttachQueued(node NodeID, st *CrossStation, injectDepth, eject
 		panic("noc: Attach after Finalize")
 	}
 	info := n.nodes[node]
-	if _, dup := info.onRing[st.ring.id]; dup {
+	if info.on(st.ring.id) != nil {
 		panic(fmt.Sprintf("noc: node %q attached twice to ring %d", info.name, st.ring.id))
 	}
 	if len(info.ifaces) == math.MaxInt8 {
@@ -274,8 +271,27 @@ func (n *Network) AttachQueued(node NodeID, st *CrossStation, injectDepth, eject
 	ni := st.attach(node, injectDepth, ejectDepth)
 	ni.nodeSlot = len(info.ifaces)
 	info.ifaces = append(info.ifaces, ni)
-	info.onRing[st.ring.id] = ni
 	return ni
+}
+
+// on returns the node's interface on ring r, nil if it has none there.
+func (info *nodeInfo) on(r RingID) *NodeInterface {
+	for _, ni := range info.ifaces {
+		if ni.station.ring.id == r {
+			return ni
+		}
+	}
+	return nil
+}
+
+// ringIDs returns the rings the node is attached to, in ascending order.
+func (info *nodeInfo) ringIDs() []RingID {
+	ids := make([]RingID, len(info.ifaces))
+	for i, ni := range info.ifaces {
+		ids[i] = ni.station.ring.id
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // AddDevice registers a device for per-cycle ticking (after ring logic).
@@ -399,11 +415,7 @@ func (n *Network) Finalize() error {
 		if len(info.ifaces) < 2 {
 			continue
 		}
-		ringIDs := make([]RingID, 0, len(info.ifaces))
-		for rid := range info.onRing {
-			ringIDs = append(ringIDs, rid)
-		}
-		sort.Slice(ringIDs, func(i, j int) bool { return ringIDs[i] < ringIDs[j] })
+		ringIDs := info.ringIDs()
 		for i := 0; i < len(ringIDs); i++ {
 			for j := 0; j < len(ringIDs); j++ {
 				if i == j {
@@ -470,11 +482,7 @@ func (n *Network) rebuildRoutes() {
 		if len(info.ifaces) < 2 || n.failed[NodeID(id)] {
 			continue
 		}
-		ringIDs := make([]RingID, 0, len(info.ifaces))
-		for rid := range info.onRing {
-			ringIDs = append(ringIDs, rid)
-		}
-		sort.Slice(ringIDs, func(i, j int) bool { return ringIDs[i] < ringIDs[j] })
+		ringIDs := info.ringIDs()
 		for i := 0; i < len(ringIDs); i++ {
 			for j := 0; j < len(ringIDs); j++ {
 				if i == j {
@@ -538,15 +546,16 @@ func (n *Network) rebuildRouteTable() {
 		entries := make([]routeEntry, len(n.nodes))
 		for id, info := range n.nodes {
 			e := &entries[id]
-			if ni, here := info.onRing[rid]; here {
+			if ni := info.on(rid); ni != nil {
 				e.ok, e.local, e.dstRing = true, true, int32(rid)
 				e.at, e.iface = int32(ni.station.pos), int8(ni.index)
 				continue
 			}
 			// Best destination ring: minimal BFS distance, ties to the
-			// lower ring ID (order-independent over the map iteration).
+			// lower ring ID (independent of attach order).
 			best, bestDist := RingID(-1), math.MaxInt32
-			for r := range info.onRing {
+			for _, ni := range info.ifaces {
+				r := ni.station.ring.id
 				if d := n.ringDist[s][r]; d < bestDist || (d == bestDist && r < best) {
 					best, bestDist = r, d
 				}
@@ -563,7 +572,7 @@ func (n *Network) rebuildRouteTable() {
 					if n.failed[b] {
 						continue
 					}
-					bi := n.nodes[b].onRing[rid]
+					bi := n.nodes[b].on(rid)
 					n.routeCands = append(n.routeCands, exitPoint{pos: int32(bi.station.pos), iface: int8(bi.index)})
 				}
 				cands.count = int32(len(n.routeCands)) - cands.at

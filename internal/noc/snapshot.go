@@ -693,12 +693,17 @@ func (b *RBRGL1) SnapState(s *Snap) {
 
 // SnapState walks the L2 bridge: tx/reserve/pipe/rx buffers, credit
 // windows and in-flight credit pulses, DRM state and counters, all per
-// half.
+// half. A save first takes the pulses that landed before the clock, as
+// the every-cycle bridge has, so a half that slept through a landing
+// saves the same windows.
 func (b *RBRGL2) SnapState(s *Snap) {
 	c := s.Codec
 	window := b.cfg.txWindow() + b.cfg.escWindow()
 	for side := range b.half {
 		h := &b.half[side]
+		if !c.Loading() {
+			h.takeCredits(sim.Cycle(b.net.ticks))
+		}
 		c.Bool(&h.dead)
 		c.U64(&h.transferred)
 		c.U64(&h.swapEntries)

@@ -119,12 +119,17 @@ func engineState(e *Engine) string {
 	return b.String()
 }
 
-// orchState covers the orchestrator and the two things it touches on its
-// engines: the queues it appends to and the done lists it drains.
-func orchState(o *Orchestrator) string {
+// orchState covers the orchestrator, with the stall cycles it slept
+// through before end counted, and the two things it touches on its
+// engines: the queues it appends to and the done lists it drains. The
+// orchestrator itself is left as it is.
+func orchState(o *Orchestrator, end sim.Cycle) string {
 	var b strings.Builder
 	seen := map[uintptr]bool{}
-	dumpState(&b, reflect.ValueOf(o).Elem(), seen)
+	settled := *o
+	settled.stallCycles += o.stalledBefore(end)
+	settled.lastTick = max(o.lastTick, end)
+	dumpState(&b, reflect.ValueOf(&settled).Elem(), seen)
 	for _, e := range o.engines {
 		dumpState(&b, reflect.ValueOf(e.queue), seen)
 		dumpState(&b, reflect.ValueOf(e.done), seen)
@@ -141,7 +146,10 @@ func orchState(o *Orchestrator) string {
 // the gated run the test asks each device about the next cycle and, when
 // it claims to be idle, ticks it anyway — an extra tick that perturbs
 // nothing if the claim is true, so the run (checked against an
-// undisturbed twin at the end) carries on as if unobserved.
+// undisturbed twin at the end) carries on as if unobserved. The
+// orchestrator is compared settled through the claimed cycle: a stall it
+// sleeps through is counted later, so an idle tick may count it now, but
+// a stall counted twice, or not at all, fails here.
 func TestIdleUntilHonest(t *testing.T) {
 	for _, run := range []struct {
 		load    float64
@@ -160,7 +168,7 @@ func TestIdleUntilHonest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engIdle, engBusy, orchIdle, orchBusy := 0, 0, 0, 0
+		engIdle, engBusy, orchIdle, orchBusy, orchStalled := 0, 0, 0, 0, 0
 		for c := uint64(0); c < spec.Cycles; c++ {
 			sys.Net.Run(1)
 			next := sim.Cycle(sys.Net.Ticks())
@@ -181,22 +189,25 @@ func TestIdleUntilHonest(t *testing.T) {
 				continue
 			}
 			orchIdle++
-			before := orchState(sys.Orch)
+			if sys.Orch.stalled {
+				orchStalled++
+			}
+			before := orchState(sys.Orch, next+1)
 			sys.Orch.Tick(next)
-			if after := orchState(sys.Orch); after != before {
+			if after := orchState(sys.Orch, next+1); after != before {
 				t.Fatalf("load %v %s: orchestrator said idle at cycle %d but its Tick changed state\nbefore: %s\n after: %s", load, process, next, before, after)
 			}
 		}
 		got := fingerprint{
-			admitted: sys.Orch.Admitted, completed: sys.Orch.Completed, stalls: sys.Orch.StallCycles,
+			admitted: sys.Orch.Admitted, completed: sys.Orch.Completed, stalls: sys.Orch.StallCycles(),
 			stream: sys.Orch.StreamDigest(), sketch: sys.Orch.Sketch.Digest(),
 		}
 		if got != twin {
 			t.Fatalf("load %v %s: the extra idle ticks perturbed the run: %+v != %+v", load, process, got, twin)
 		}
-		if engIdle == 0 || engBusy == 0 || orchBusy == 0 || (load < 100 && orchIdle == 0) {
-			t.Fatalf("load %v %s: property not exercised (engines %d idle/%d busy, orchestrator %d idle/%d busy)",
-				load, process, engIdle, engBusy, orchIdle, orchBusy)
+		if engIdle == 0 || engBusy == 0 || orchBusy == 0 || (load < 100 && orchIdle == 0) || (load > 1 && orchStalled == 0) {
+			t.Fatalf("load %v %s: property not exercised (engines %d idle/%d busy, orchestrator %d idle/%d busy, %d idle stalled)",
+				load, process, engIdle, engBusy, orchIdle, orchBusy, orchStalled)
 		}
 	}
 }

@@ -10,7 +10,8 @@
 // It owns no network node, so it is not a noc.NodeOwner and cannot be
 // woken through an interface; it implements noc.IdleUntiler and is asked
 // at its slot every cycle instead: between arrivals, completions and
-// compute retirements its Tick changes nothing, and the tick engine skips
+// compute retirements its Tick changes nothing but the watermark-stall
+// count, which it settles later (StallCycles), and the tick engine skips
 // it. The bound it returns is good at its own slot, after every engine
 // has run this cycle, and across a quiescent stretch, when no engine can
 // run at all.
@@ -48,9 +49,12 @@ type Orchestrator struct {
 	// Aggregates for the sweep row.
 	Admitted  uint64
 	Completed uint64
-	// StallCycles counts cycles where admitted requests waited only on
-	// the watermark (in-flight batches above the refill trigger).
-	StallCycles uint64
+	// stallCycles counts the watermark-stall cycles before lastTick, the
+	// cycle of the orchestrator's latest tick. That cycle's own stall and
+	// those of the cycles it has slept through since are counted when read
+	// (stalledBefore), so a second tick in one cycle counts nothing twice.
+	stallCycles uint64
+	lastTick    sim.Cycle
 	PeakPending int
 	// Sketch summarizes per-request end-to-end latency (arrival to
 	// batch completion, in cycles).
@@ -77,14 +81,18 @@ func newOrchestrator(spec *config.ServingSpec, net *noc.Network, engines []*Engi
 // Name implements noc.Device.
 func (o *Orchestrator) Name() string { return o.name }
 
-// IdleUntil implements noc.IdleUntiler: Tick(now) changes nothing unless
-// an engine finished a transfer, a compute phase retires, a request
-// arrives, or requests are waiting (StallCycles counts every cycle they
-// do). Otherwise the next thing to happen is the earlier of the next
-// arrival and the earliest compute retirement. See the file comment for
-// how far the bound can be trusted.
+// IdleUntil implements noc.IdleUntiler: Tick(now) does nothing but count
+// a stall cycle unless an engine finished a transfer, a compute phase
+// retires, a request arrives or the tap opens. Requests still pending
+// after a tick wait on a closed tap (not filling, batches in flight above
+// the low watermark) and have marked the stall; each cycle slept through
+// in that state is a stall cycle, which StallCycles and the next Tick
+// count. The next thing to happen is the earlier of the next arrival and
+// the earliest compute retirement. See the file comment for how far the
+// bound can be trusted.
 func (o *Orchestrator) IdleUntil(now sim.Cycle) sim.Cycle {
-	if o.pending.Len() > 0 || o.stalled || (o.active <= o.spec.LowWatermark && !o.filling) {
+	waiting := o.pending.Len() > 0
+	if o.stalled != waiting || (waiting && o.filling) || (o.active <= o.spec.LowWatermark && !o.filling) {
 		return now
 	}
 	for _, e := range o.engines {
@@ -110,6 +118,8 @@ func (o *Orchestrator) IdleUntil(now sim.Cycle) sim.Cycle {
 // slices in fixed order — nothing here may observe map order or wall
 // clocks.
 func (o *Orchestrator) Tick(now sim.Cycle) {
+	o.stallCycles += o.stalledBefore(now)
+	o.lastTick = now
 	// 1. Transfer completions, in die order then engine-completion order.
 	for _, e := range o.engines {
 		for _, c := range e.done {
@@ -156,13 +166,11 @@ func (o *Orchestrator) Tick(now sim.Cycle) {
 	o.noteStall(now, o.pending.Len() > 0)
 }
 
-// noteStall maintains the stall counter and emits trace edges when the
-// watermark starts or stops holding requests back; the edge's detail is
-// formatted only for an attached tracer.
+// noteStall records whether the watermark holds requests back this
+// cycle — the stall counter reads it — and emits trace edges when that
+// starts or stops; the edge's detail is formatted only for an attached
+// tracer.
 func (o *Orchestrator) noteStall(now sim.Cycle, stalled bool) {
-	if stalled {
-		o.StallCycles++
-	}
 	if stalled != o.stalled {
 		o.stalled = stalled
 		if o.net.Tracer == nil {
@@ -228,6 +236,23 @@ func (o *Orchestrator) completeBatch(b *batch, now sim.Cycle) {
 	o.dag.release(b)
 }
 
+// stalledBefore returns the stall cycles from lastTick up to end not yet
+// counted: the stall state a tick leaves holds until the next tick, so
+// they are all stall cycles or none are.
+func (o *Orchestrator) stalledBefore(end sim.Cycle) uint64 {
+	if !o.stalled || end <= o.lastTick {
+		return 0
+	}
+	return uint64(end - o.lastTick)
+}
+
+// StallCycles counts the cycles run so far in which admitted requests
+// waited only on the watermark (in-flight batches above the refill
+// trigger), the ones slept through included.
+func (o *Orchestrator) StallCycles() uint64 {
+	return o.stallCycles + o.stalledBefore(sim.Cycle(o.net.Ticks()))
+}
+
 // Backlog is the open-loop debt at the end of a run: requests admitted
 // but not completed (queued, batched or mid-DAG). A saturated load
 // shows up here before the percentiles can even see it.
@@ -247,7 +272,7 @@ func (o *Orchestrator) RegisterMetrics(reg *metrics.Registry) {
 	const p = "serving.host"
 	reg.Counter(p+".admitted", func() uint64 { return o.Admitted })
 	reg.Counter(p+".completed", func() uint64 { return o.Completed })
-	reg.Counter(p+".stall_cycles", func() uint64 { return o.StallCycles })
+	reg.Counter(p+".stall_cycles", o.StallCycles)
 	reg.Series(p+".pending_depth", func() float64 { return float64(o.pending.Len()) })
 	reg.Series(p+".active_batches", func() float64 { return float64(o.active) })
 	reg.Gauge(p+".latency_p50", func() float64 { return o.Sketch.Quantile(0.50) })

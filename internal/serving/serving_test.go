@@ -33,7 +33,7 @@ func runPoint(t *testing.T, spec *config.ServingSpec, point int) fingerprint {
 	return fingerprint{
 		admitted:  sys.Orch.Admitted,
 		completed: sys.Orch.Completed,
-		stalls:    sys.Orch.StallCycles,
+		stalls:    sys.Orch.StallCycles(),
 		stream:    sys.Orch.StreamDigest(),
 		sketch:    sys.Orch.Sketch.Digest(),
 	}
@@ -136,7 +136,7 @@ func TestServingWatermarkStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run()
-	if sys.Orch.StallCycles == 0 {
+	if sys.Orch.StallCycles() == 0 {
 		t.Error("saturating load recorded no watermark stall cycles")
 	}
 	if sys.Orch.Backlog() == 0 {

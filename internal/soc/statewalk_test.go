@@ -102,10 +102,13 @@ var notSerialized = map[string]map[string]string{
 		"freed": "free-list guard: a live message is never freed",
 		"mark":  "walk scratch: the identity mark, 0 between walks",
 	},
-	"chi.Tracker":       {},
-	"chi.Retrier":       {"cfg": "config", "watched": "derived: index of order, rebuilt on load"},
-	"chi.armedTxn":      {},
-	"mem.Controller":    {"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config"},
+	"chi.Tracker":  {},
+	"chi.Retrier":  {"cfg": "config", "watched": "derived: index of order, rebuilt on load"},
+	"chi.armedTxn": {},
+	"mem.Controller": {
+		"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config",
+		"filled": "derived: the refill cursor; a save writes the bucket settled through the clock, a load sets it from the restored clock",
+	},
 	"mem.pendingReq":    {},
 	"traffic.Requester": {"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config"},
 	"traffic.SeqStream": {"stride": "config", "wrap": "config", "base": "config"},
