@@ -150,15 +150,15 @@ func FuzzControllerMatchesEveryCycle(f *testing.F) {
 
 			g, w := gated.ctl, ref.ctl
 			end := sim.Cycle(gated.net.Ticks())
-			if got, want := math.Float64bits(g.refilled(end)), math.Float64bits(w.tokens); got != want || w.filled != end {
-				t.Fatalf("cycle %d: settled bucket %v, every-cycle bucket %v (filled through %d)", c, g.refilled(end), w.tokens, w.filled)
+			if got, want := math.Float64bits(g.ch.refilled(end)), math.Float64bits(w.ch.tokens); got != want || w.ch.filled != end {
+				t.Fatalf("cycle %d: settled bucket %v, every-cycle bucket %v (filled through %d)", c, g.ch.refilled(end), w.ch.tokens, w.ch.filled)
 			}
-			if g.inSvc.Len() != w.inSvc.Len() || g.queue.Len() != w.queue.Len() {
-				t.Fatalf("cycle %d: %d queued/%d in service, every-cycle %d/%d", c, g.queue.Len(), g.inSvc.Len(), w.queue.Len(), w.inSvc.Len())
+			if g.ch.inSvc.Len() != w.ch.inSvc.Len() || g.ch.queue.Len() != w.ch.queue.Len() {
+				t.Fatalf("cycle %d: %d queued/%d in service, every-cycle %d/%d", c, g.ch.queue.Len(), g.ch.inSvc.Len(), w.ch.queue.Len(), w.ch.inSvc.Len())
 			}
-			for i := 0; i < g.inSvc.Len(); i++ {
-				if g.inSvc.At(i).ready != w.inSvc.At(i).ready {
-					t.Fatalf("cycle %d: grant %d ready at %d, every-cycle at %d", c, i, g.inSvc.At(i).ready, w.inSvc.At(i).ready)
+			for i := 0; i < g.ch.inSvc.Len(); i++ {
+				if g.ch.inSvc.At(i).ready != w.ch.inSvc.At(i).ready {
+					t.Fatalf("cycle %d: grant %d ready at %d, every-cycle at %d", c, i, g.ch.inSvc.At(i).ready, w.ch.inSvc.At(i).ready)
 				}
 			}
 			for i, req := range gated.reqs {

@@ -20,7 +20,7 @@ func controllerState(t *testing.T, c *Controller, end sim.Cycle) string {
 	s := noc.NewSnap(sim.Saving(e))
 	defer s.End()
 	settled := *c
-	settled.tokens, settled.filled = c.refilled(end), end
+	settled.ch.tokens, settled.ch.filled = c.ch.refilled(end), end
 	settled.SnapState(s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestIdleUntilHonest(t *testing.T) {
 				if w != noc.Never {
 					slept++
 				}
-				if ctl.tokens < ctl.restingCap() {
+				if ctl.ch.tokens < ctl.ch.restingCap() {
 					owed++
 				}
 				before := controllerState(t, ctl, next+1)

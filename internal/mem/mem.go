@@ -40,12 +40,6 @@ func HBMStack() Config {
 	return Config{AccessCycles: 60, BytesPerCycle: 167, QueueDepth: 64}
 }
 
-// pendingReq is a request being serviced.
-type pendingReq struct {
-	m     *chi.Message
-	ready sim.Cycle
-}
-
 // Controller is one memory channel attached to the NoC.
 type Controller struct {
 	name  string
@@ -53,15 +47,10 @@ type Controller struct {
 	iface *noc.NodeInterface
 	cfg   Config
 
-	queue   sim.FIFO[*chi.Message] // accepted, waiting for a bandwidth grant
-	inSvc   sim.FIFO[pendingReq]   // granted, waiting for AccessCycles
-	replies sim.FIFO[*noc.Flit]    // ready to inject (retrying on backpressure)
-	tokens  float64
-	// filled is the first cycle whose refill tokens does not include yet:
-	// the controller sleeps while its bucket fills, and its next Tick adds
-	// the refills of the cycles it slept through (see refilled). Derived
-	// from the clock, never serialized.
-	filled sim.Cycle
+	// ch holds the requests from acceptance to completion: QueueDepth
+	// bounds its queue and its bucket's cap.
+	ch      Channel[*chi.Message]
+	replies sim.FIFO[*noc.Flit] // ready to inject (retrying on backpressure)
 	// bursts holds each write request between its DBIDResp grant and its
 	// last data beat, and landed the beats of a burst that have arrived so
 	// far, both keyed by burstKey; the write enters the queue when its
@@ -86,7 +75,8 @@ func burstKey(requester noc.NodeID, txn uint32) uint64 {
 
 // New creates a controller and attaches it to the station.
 func New(net *noc.Network, name string, cfg Config, st *noc.CrossStation) *Controller {
-	c := &Controller{name: name, net: net, cfg: cfg}
+	c := &Controller{name: name, net: net, cfg: cfg,
+		ch: NewChannel[*chi.Message](cfg.BytesPerCycle, cfg.QueueDepth, sim.Cycle(cfg.AccessCycles))}
 	node := net.NewNode(name)
 	c.iface = net.AttachQueued(node, st, 16, 16)
 	net.AddDevice(c)
@@ -105,7 +95,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 	// the CHI flow: the request gets a DBIDResp buffer grant, the data
 	// beats arrive as self-contained (possibly out-of-order) flits, and
 	// the write is serviced once its last beat lands.
-	for c.queue.Len() < c.cfg.QueueDepth {
+	for c.ch.queue.Len() < c.cfg.QueueDepth {
 		f := c.iface.Recv()
 		if f == nil {
 			break
@@ -140,42 +130,22 @@ func (c *Controller) Tick(now sim.Cycle) {
 			}
 			c.landed.Delete(k)
 			c.bursts.Delete(k)
-			c.queue.Push(req)
+			c.ch.Push(req)
 		default:
-			c.queue.Push(m)
+			c.ch.Push(m)
 		}
 		// The message (retained above where needed) outlives its carrier.
 		c.net.ReleaseFlit(f)
 	}
-	if c.queue.Len() == c.cfg.QueueDepth && c.iface.EjectLen() > 0 {
+	if c.ch.queue.Len() == c.cfg.QueueDepth && c.iface.EjectLen() > 0 {
 		c.QueueFullDrops++
 	}
-	// 2. Bandwidth grants: every request moves a full line. The refills
-	// of the cycles slept through come first. The bucket's burst cap must
-	// never sit below the head request's size or a large transfer through
-	// a narrow channel would starve forever.
-	c.tokens, c.filled = c.refilled(now), now+1
-	c.tokens += c.cfg.BytesPerCycle
-	max := c.restingCap()
-	if c.queue.Len() > 0 {
-		if need := float64(c.queue.Peek().Bytes()); need > max {
-			max = need
-		}
-	}
-	if c.tokens > max {
-		c.tokens = max
-	}
-	for c.queue.Len() > 0 {
-		size := float64(c.queue.Peek().Bytes())
-		if c.tokens < size {
-			break
-		}
-		c.tokens -= size
-		c.inSvc.Push(pendingReq{m: c.queue.Pop(), ready: now + sim.Cycle(c.cfg.AccessCycles)})
-	}
-	// 3. Completions.
-	for c.inSvc.Len() > 0 && c.inSvc.Peek().ready <= now {
-		req := c.inSvc.Pop().m
+	// 2. Bandwidth grants (every request moves a full line) and
+	// completions. The channel replays the refills the controller slept
+	// through.
+	c.ch.Step(now)
+	for req, ok := c.ch.Done(now); ok; req, ok = c.ch.Done(now) {
+		c.ch.Pop()
 		dst := req.Requester
 		if dst == c.Node() {
 			panic(fmt.Sprintf("mem: %s asked to reply to itself", c.name))
@@ -194,47 +164,24 @@ func (c *Controller) Tick(now sim.Cycle) {
 			}
 		}
 	}
-	// 4. Inject replies, retrying under NoC backpressure.
+	// 3. Inject replies, retrying under NoC backpressure.
 	c.iface.SendAll(&c.replies)
-}
-
-// restingCap is the bucket's cap while no request waits: BytesPerCycle
-// for every queue entry.
-func (c *Controller) restingCap() float64 {
-	return c.cfg.BytesPerCycle * float64(c.cfg.QueueDepth)
-}
-
-// refilled returns the bucket once the refills of every cycle before end
-// are in. The controller sleeps only with its queue empty, so each refill
-// it missed is one clamped addition at the resting cap, replayed in order
-// — n additions of a rate round differently from one n·rate — and the
-// replay stops once the cap is reached, after which a refill changes
-// nothing. Tick settles through the cycle before its own, a checkpoint
-// through the last cycle run.
-func (c *Controller) refilled(end sim.Cycle) float64 {
-	t, full := c.tokens, c.restingCap()
-	for at := c.filled; at < end && t < full; at++ {
-		if t += c.cfg.BytesPerCycle; t > full {
-			t = full
-		}
-	}
-	return t
 }
 
 // IdleUntil implements noc.IdleUntiler. The controller is idle when Tick
 // would do nothing but refill the token bucket: no arrival to accept, no
 // request waiting for a bandwidth grant, no reply to inject. The refills
-// it sleeps through are settled later, exactly (refilled). With requests
-// in service it sleeps until the oldest completes (inSvc is in ready
-// order: grants are FIFO and the access time is one constant).
+// it sleeps through are settled later, exactly (Channel.refilled). With
+// requests in service it sleeps until the oldest completes (the channel's
+// in-service pipeline is in ready order).
 func (c *Controller) IdleUntil(now sim.Cycle) sim.Cycle {
-	if c.queue.Len()+c.replies.Len() > 0 || c.iface.EjectLen() > 0 {
+	if c.ch.queue.Len()+c.replies.Len() > 0 || c.iface.EjectLen() > 0 {
 		return now
 	}
-	if c.inSvc.Len() == 0 {
+	if c.ch.inSvc.Len() == 0 {
 		return noc.Never
 	}
-	if r := c.inSvc.Peek().ready; r > now {
+	if r := c.ch.inSvc.Peek().ready; r > now {
 		return r
 	}
 	return now
@@ -253,13 +200,13 @@ func (c *Controller) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter(p+".bytes_served", func() uint64 { return c.BytesServed })
 	reg.Counter(p+".queue_full_cycles", func() uint64 { return c.QueueFullDrops })
 	reg.Counter(p+".stray_write_beats", func() uint64 { return c.StrayWrData })
-	reg.Series(p+".queue", func() float64 { return float64(c.queue.Len() + c.inSvc.Len()) })
+	reg.Series(p+".queue", func() float64 { return float64(c.ch.queue.Len() + c.ch.inSvc.Len()) })
 	reg.Series(p+".reply_backlog", func() float64 { return float64(c.replies.Len()) })
 }
 
 // Pending returns requests inside the controller (queued or in service).
 func (c *Controller) Pending() int {
-	return c.queue.Len() + c.inSvc.Len() + c.replies.Len()
+	return c.ch.queue.Len() + c.ch.inSvc.Len() + c.replies.Len()
 }
 
 // Interface exposes the controller's NoC interface for probes.

@@ -25,22 +25,15 @@ func walkBurstKey(c *sim.Codec, k *uint64) {
 // SnapState implements noc.StateSnapshotter.
 func (c *Controller) SnapState(s *noc.Snap) {
 	k := s.Codec
-	sim.WalkFIFO(k, &c.queue, c.cfg.QueueDepth, func(m **chi.Message) {
+	sim.WalkFIFO(k, &c.ch.queue, c.cfg.QueueDepth, func(m **chi.Message) {
 		chi.SnapMessage(s, m, "queued request")
 	})
-	sim.WalkFIFO(k, &c.inSvc, 1<<16, func(p *pendingReq) {
-		chi.SnapMessage(s, &p.m, "in-service request")
+	sim.WalkFIFO(k, &c.ch.inSvc, 1<<16, func(p *timed[*chi.Message]) {
+		chi.SnapMessage(s, &p.v, "in-service request")
 		sim.Uint(k, &p.ready)
 	})
 	s.Flits(&c.replies, 1<<20)
-	// The bucket travels settled through the last cycle run, as the
-	// every-cycle controller holds it; saving leaves the live bucket alone,
-	// and a load refills from the restored clock on.
-	tokens := c.refilled(sim.Cycle(c.net.Ticks()))
-	k.F64(&tokens)
-	if k.Loading() {
-		c.tokens, c.filled = tokens, sim.Cycle(c.net.Ticks())
-	}
+	c.ch.walkBucket(k, sim.Cycle(c.net.Ticks()))
 	// Every open write, then the beats landed of each burst that has
 	// begun to arrive, both in key order. A count for a write that is not
 	// open, or one outside [1, Beats()) — the last beat queues the write —

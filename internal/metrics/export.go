@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // SeriesSnapshot is one series' full trajectory in a snapshot.
@@ -68,69 +65,4 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// fmtFloat renders a float64 with the shortest exact representation so
-// CSV output is deterministic and round-trippable.
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// ScalarCSV renders counters and gauges as "name,value" lines in sorted
-// name order (counters first).
-func (s *Snapshot) ScalarCSV() string {
-	var b strings.Builder
-	b.WriteString("name,value\n")
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s,%d\n", n, s.Counters[n])
-	}
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s,%s\n", n, fmtFloat(s.Gauges[n]))
-	}
-	return b.String()
-}
-
-// SeriesCSV renders every series as one wide table joined on the sample
-// cycle: a cycle column and one column per series in registration order.
-// A series with no sample at some cycle (registered after sampling
-// began) renders an empty cell there.
-func (s *Snapshot) SeriesCSV() string {
-	var b strings.Builder
-	b.WriteString("cycle")
-	cycleSet := make(map[uint64]struct{})
-	byCycle := make([]map[uint64]float64, len(s.Series))
-	for i, sr := range s.Series {
-		b.WriteByte(',')
-		b.WriteString(sr.Name)
-		byCycle[i] = make(map[uint64]float64, len(sr.Cycles))
-		for j, c := range sr.Cycles {
-			cycleSet[c] = struct{}{}
-			byCycle[i][c] = sr.Values[j]
-		}
-	}
-	b.WriteByte('\n')
-	cycles := make([]uint64, 0, len(cycleSet))
-	for c := range cycleSet {
-		cycles = append(cycles, c)
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-	for _, c := range cycles {
-		fmt.Fprintf(&b, "%d", c)
-		for i := range s.Series {
-			b.WriteByte(',')
-			if v, ok := byCycle[i][c]; ok {
-				b.WriteString(fmtFloat(v))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

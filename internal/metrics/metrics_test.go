@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -125,48 +124,5 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 	}
 	if decoded.Interval != 5 || decoded.Cycles != 10 || decoded.System != "det" {
 		t.Fatalf("header lost in round trip: %#v", decoded)
-	}
-}
-
-func TestCSVExports(t *testing.T) {
-	r := New(10)
-	n := uint64(0)
-	r.Counter("flits", func() uint64 { return 42 })
-	r.Gauge("depth", func() float64 { return 2.5 })
-	r.Series("occ", func() float64 { n++; return float64(n) })
-	r.Series("rate", func() float64 { return 0.25 })
-	r.TickSample(10)
-	r.TickSample(20)
-	snap := r.Snapshot("csv", 20)
-
-	scalar := snap.ScalarCSV()
-	if want := "name,value\nflits,42\ndepth,2.5\n"; scalar != want {
-		t.Fatalf("ScalarCSV = %q, want %q", scalar, want)
-	}
-	series := snap.SeriesCSV()
-	wantLines := []string{"cycle,occ,rate", "10,1,0.25", "20,2,0.25"}
-	got := strings.Split(strings.TrimRight(series, "\n"), "\n")
-	if len(got) != len(wantLines) {
-		t.Fatalf("SeriesCSV lines = %d, want %d:\n%s", len(got), len(wantLines), series)
-	}
-	for i, w := range wantLines {
-		if got[i] != w {
-			t.Fatalf("SeriesCSV line %d = %q, want %q", i, got[i], w)
-		}
-	}
-}
-
-// A series registered mid-run (shorter than its peers) must render as
-// empty cells, not shift columns.
-func TestSeriesCSVRagged(t *testing.T) {
-	r := New(10)
-	r.Series("long", func() float64 { return 1 })
-	r.TickSample(10)
-	r.Series("late", func() float64 { return 9 })
-	r.TickSample(20)
-	got := r.Snapshot("ragged", 20).SeriesCSV()
-	want := "cycle,long,late\n10,1,\n20,1,9\n"
-	if got != want {
-		t.Fatalf("ragged CSV = %q, want %q", got, want)
 	}
 }

@@ -488,9 +488,6 @@ func (st *CrossStation) classify() {
 // Ring returns the owning ring.
 func (st *CrossStation) Ring() *Ring { return st.ring }
 
-// Pos returns the station's position on the ring.
-func (st *CrossStation) Pos() int { return st.pos }
-
 // Interface returns the node interface at index i (nil if unattached).
 func (st *CrossStation) Interface(i int) *NodeInterface { return st.ifaces[i] }
 

@@ -38,15 +38,17 @@ func TestTracingDeflections(t *testing.T) {
 	srcB := newSource(t, net, stB, "srcB")
 	dst := newSink(t, net, stD, "dst", 1)
 	net.MustFinalize()
-	tr := trace.New(4096)
-	tr.Filter(trace.Deflect)
+	tr := trace.New(4096) // holds the whole run
 	net.Tracer = tr
 	for i := 0; i < 40; i++ {
 		srcA.queue(net.NewFlit(srcA.Node(), dst.Node(), KindData, LineBytes))
 		srcB.queue(net.NewFlit(srcB.Node(), dst.Node(), KindData, LineBytes))
 	}
 	runCycles(net, 1500)
-	if tr.Len() == 0 {
+	if uint64(tr.Len()) != tr.Total {
+		t.Fatalf("tracer kept %d of %d events", tr.Len(), tr.Total)
+	}
+	if tr.CountByKind()[trace.Deflect] == 0 {
 		t.Fatal("no deflect events traced")
 	}
 	if uint64(tr.CountByKind()[trace.Deflect]) != net.Deflections {

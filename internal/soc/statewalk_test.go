@@ -107,9 +107,12 @@ var notSerialized = map[string]map[string]string{
 	"chi.armedTxn": {},
 	"mem.Controller": {
 		"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config",
+	},
+	"mem.Channel": {
+		"rate": "config", "depth": "config", "latency": "config",
 		"filled": "derived: the refill cursor; a save writes the bucket settled through the clock, a load sets it from the restored clock",
 	},
-	"mem.pendingReq":    {},
+	"mem.timed":         {},
 	"traffic.Requester": {"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config"},
 	"traffic.SeqStream": {"stride": "config", "wrap": "config", "base": "config"},
 	"sim.RNG":           {},

@@ -87,11 +87,8 @@ type Tracer struct {
 	events []Event
 	next   int
 	filled bool
-	// Enabled kinds; nil means all.
-	kinds map[Kind]bool
 
-	Dropped uint64 // events rejected by the filter
-	Total   uint64 // events accepted
+	Total uint64 // events recorded
 }
 
 // New creates a tracer holding the last capacity events.
@@ -102,25 +99,8 @@ func New(capacity int) *Tracer {
 	return &Tracer{events: make([]Event, capacity)}
 }
 
-// Filter restricts recording to the given kinds (call with none to
-// accept everything again).
-func (t *Tracer) Filter(kinds ...Kind) {
-	if len(kinds) == 0 {
-		t.kinds = nil
-		return
-	}
-	t.kinds = make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		t.kinds[k] = true
-	}
-}
-
 // Record appends an event, overwriting the oldest once full.
 func (t *Tracer) Record(e Event) {
-	if t.kinds != nil && !t.kinds[e.Kind] {
-		t.Dropped++
-		return
-	}
 	t.Total++
 	t.events[t.next] = e
 	t.next++

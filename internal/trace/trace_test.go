@@ -41,23 +41,6 @@ func TestTracerWrapsKeepingNewest(t *testing.T) {
 	}
 }
 
-func TestTracerFilter(t *testing.T) {
-	tr := New(10)
-	tr.Filter(Deflect, Swap)
-	tr.Record(Event{Kind: Inject})
-	tr.Record(Event{Kind: Deflect})
-	tr.Record(Event{Kind: Swap})
-	tr.Record(Event{Kind: Deliver})
-	if tr.Len() != 2 || tr.Dropped != 2 {
-		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped)
-	}
-	tr.Filter() // reset
-	tr.Record(Event{Kind: Inject})
-	if tr.Len() != 3 {
-		t.Fatal("filter reset failed")
-	}
-}
-
 func TestDumpByFlit(t *testing.T) {
 	tr := New(10)
 	tr.Record(Event{Cycle: 1, Kind: Inject, FlitID: 7, Where: "src"})

@@ -12,6 +12,7 @@ package workloads
 
 import (
 	"chipletnoc/internal/baseline"
+	"chipletnoc/internal/mem"
 	"chipletnoc/internal/sim"
 )
 
@@ -50,23 +51,27 @@ type CoreLoad struct {
 // pointer and read the routing fields (ch, core) at delivery time, so a
 // recycled request reuses them without allocating.
 type memRequest struct {
-	core    int
-	isRead  bool
-	issued  uint64
-	readyAt uint64      // memory service completion time
-	ch      *memChannel // target channel of the current attempt
+	core   int
+	isRead bool
+	issued uint64
+	ch     *memChannel // target channel of the current attempt
+	line   int         // bytes the channel grants: the harness's line
 
 	enqueue  func(uint64) // fabric delivery of the request leg
 	complete func(uint64) // fabric delivery of the reply leg
 }
 
+// Bytes is what the request takes from its channel's bucket.
+func (r *memRequest) Bytes() int { return r.line }
+
+// channelDepth caps each channel's bucket at 64 cycles of bandwidth; its
+// queue is unbounded (requests wait there, not in the fabric).
+const channelDepth = 64
+
 // memChannel is one memory controller on the fabric.
 type memChannel struct {
-	node    int
-	queue   sim.FIFO[*memRequest]
-	inSvc   sim.FIFO[*memRequest]
-	replies sim.FIFO[*memRequest]
-	tokens  float64
+	node int
+	mem.Channel[*memRequest]
 }
 
 // coreState is one core's generator state.
@@ -126,8 +131,8 @@ func (m *MemSystem) newRequest() *memRequest {
 		m.free = m.free[:n-1]
 		return r
 	}
-	r := &memRequest{}
-	r.enqueue = func(uint64) { r.ch.queue.Push(r) }
+	r := &memRequest{line: m.cfg.LineBytes}
+	r.enqueue = func(uint64) { r.ch.Push(r) }
 	r.complete = func(uint64) {
 		c := m.cores[r.core]
 		c.inFlight--
@@ -156,7 +161,8 @@ func NewMemSystem(cfg MemSystemConfig, loads []CoreLoad, seed uint64) *MemSystem
 		})
 	}
 	for _, node := range cfg.MemNodes {
-		m.chans = append(m.chans, &memChannel{node: node})
+		m.chans = append(m.chans, &memChannel{node: node,
+			Channel: mem.NewChannel[*memRequest](cfg.MemBytesPerCycle, channelDepth, sim.Cycle(cfg.MemLatency))})
 	}
 	return m
 }
@@ -205,24 +211,12 @@ func (m *MemSystem) Step() {
 			c.retry = nil
 		}
 	}
-	// Memory channels: grant bandwidth, run service, send replies.
+	// Memory channels: grant bandwidth, then send each completed request's
+	// reply, oldest first, while the fabric takes them.
+	now := sim.Cycle(m.now)
 	for _, ch := range m.chans {
-		ch.tokens += m.cfg.MemBytesPerCycle
-		if max := m.cfg.MemBytesPerCycle * 64; ch.tokens > max {
-			ch.tokens = max
-		}
-		for ch.queue.Len() > 0 && ch.tokens >= float64(m.cfg.LineBytes) {
-			ch.tokens -= float64(m.cfg.LineBytes)
-			req := ch.queue.Pop()
-			req.readyAt = m.now + m.cfg.MemLatency
-			ch.inSvc.Push(req)
-		}
-		for ch.inSvc.Len() > 0 && ch.inSvc.Peek().readyAt <= m.now {
-			ch.replies.Push(ch.inSvc.Pop())
-		}
-		for ch.replies.Len() > 0 {
-			req := ch.replies.Peek()
-			core := m.cores[req.core]
+		ch.Step(now)
+		for req, ok := ch.Done(now); ok; req, ok = ch.Done(now) {
 			payload := m.cfg.LineBytes // read data comes back
 			if !req.isRead {
 				payload = 0 // write ack is header-only
@@ -230,10 +224,10 @@ func (m *MemSystem) Step() {
 			// req.complete recycles the request at delivery time; the
 			// fabrics only deliver from Tick, never inside TrySend, so the
 			// head entry is still valid when we pop it below.
-			if !f.TrySend(ch.node, core.node, payload, req.complete) {
+			if !f.TrySend(ch.node, m.cores[req.core].node, payload, req.complete) {
 				break
 			}
-			ch.replies.Pop()
+			ch.Pop()
 		}
 	}
 	f.Tick()

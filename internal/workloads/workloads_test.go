@@ -292,3 +292,18 @@ func TestGeomeanHelper(t *testing.T) {
 		t.Fatal("degenerate cases")
 	}
 }
+
+// TestNarrowChannelStillGrants: a channel whose bucket cap (64 cycles of
+// bandwidth) is below one line must still serve — the cap never sits
+// below the head request's size — and at its full rate, not starve with
+// the requests queued forever.
+func TestNarrowChannelStillGrants(t *testing.T) {
+	spec := smallSpec()
+	spec.MemBytesPerCycle = 0.5
+	m := spec.NewMemSystem(spec.UniformLoads(CoreLoad{Rate: 1, Outstanding: 4, ReadFraction: 0.5}), 1)
+	m.Run(20000)
+	peak := spec.MemBytesPerCycle * float64(spec.MemChannels) * float64(m.Cycles())
+	if got := float64(m.TotalBytes()); got < 0.9*peak || got > peak {
+		t.Fatalf("narrow channels moved %.0f bytes in %d cycles, want about %.0f", got, m.Cycles(), peak)
+	}
+}
