@@ -44,8 +44,15 @@ func (s *sink) SnapState(sn *Snap) { snapFlitSlice(sn, &s.got) }
 // traffic queued; identical calls build identical networks.
 func buildSnapNet(t *testing.T, queue int) (*Network, *source, *source) {
 	t.Helper()
+	return buildL1Net(t, queue, 8, DefaultRBRGL1Config())
+}
+
+// buildL1Net is buildSnapNet with the first ring's length and the
+// bridge's configuration chosen by the caller.
+func buildL1Net(t *testing.T, queue, positions int, cfg RBRGL1Config) (*Network, *source, *source) {
+	t.Helper()
 	net := NewNetwork("snap")
-	v := net.AddRing(8, true)
+	v := net.AddRing(positions, true)
 	h := net.AddRing(8, true)
 	stA := v.AddStation(0)
 	stBrV := v.AddStation(4)
@@ -53,7 +60,7 @@ func buildSnapNet(t *testing.T, queue int) (*Network, *source, *source) {
 	stB := h.AddStation(4)
 	a := newSource(t, net, stA, "a")
 	b := newSource(t, net, stB, "b")
-	NewRBRGL1(net, "br", DefaultRBRGL1Config(), stBrV, stBrH)
+	NewRBRGL1(net, "br", cfg, stBrV, stBrH)
 	net.MustFinalize()
 	for i := 0; i < queue; i++ {
 		a.queue(net.NewFlit(a.Node(), b.Node(), KindData, LineBytes))
@@ -195,25 +202,73 @@ func TestNetworkSnapshotRobustness(t *testing.T) {
 	}
 }
 
-// TestTopoHashDistinguishesBuilds checks structural changes move the
-// topology hash.
+// TestTopoHashDistinguishesBuilds: a checkpoint taken mid-transfer
+// restores into an identical build and is refused, as a topology
+// mismatch, by a build that differs in any one parameter of a bridge,
+// a tag flag or a ring length.
 func TestTopoHashDistinguishesBuilds(t *testing.T) {
-	base, _, _ := buildSnapNet(t, 0)
-
-	net2 := NewNetwork("snap")
-	v := net2.AddRing(10, true) // longer ring
-	h := net2.AddRing(8, true)
-	stA := v.AddStation(0)
-	stBrV := v.AddStation(4)
-	stBrH := h.AddStation(0)
-	stB := h.AddStation(4)
-	newSource(t, net2, stA, "a")
-	newSource(t, net2, stB, "b")
-	NewRBRGL1(net2, "br", DefaultRBRGL1Config(), stBrV, stBrH)
-	net2.MustFinalize()
-
-	if base.TopoHash() == net2.TopoHash() {
-		t.Fatal("different topologies share a TopoHash")
+	type build func(t *testing.T, queue int) *Network
+	l2 := func(edit func(*RBRGL2Config)) build {
+		return func(t *testing.T, queue int) *Network {
+			cfg := DefaultRBRGL2Config()
+			edit(&cfg)
+			net, srcs, dsts, _ := buildTwoDie(t, cfg)
+			for i := 0; i < queue; i++ {
+				srcs[0].queue(net.NewFlit(srcs[0].Node(), dsts[1].Node(), KindData, LineBytes))
+				srcs[1].queue(net.NewFlit(srcs[1].Node(), dsts[0].Node(), KindData, LineBytes))
+			}
+			return net
+		}
+	}
+	tags := func(itag, etag bool) build {
+		return func(t *testing.T, queue int) *Network {
+			net := l2(func(*RBRGL2Config) {})(t, queue)
+			net.ITagEnabled, net.ETagEnabled = itag, etag
+			return net
+		}
+	}
+	l1 := func(positions, forward int) build {
+		return func(t *testing.T, queue int) *Network {
+			cfg := DefaultRBRGL1Config()
+			cfg.ForwardPerCycle = forward
+			net, _, _ := buildL1Net(t, queue, positions, cfg)
+			return net
+		}
+	}
+	twoDie := l2(func(*RBRGL2Config) {})
+	for _, tc := range []struct {
+		name        string
+		base, other build
+	}{
+		{"LinkLatency 2", twoDie, l2(func(c *RBRGL2Config) { c.LinkLatency = 2 })},
+		{"LinkLatency 40", twoDie, l2(func(c *RBRGL2Config) { c.LinkLatency = 40 })},
+		{"LinkWidth 1", twoDie, l2(func(c *RBRGL2Config) { c.LinkWidth = 1 })},
+		{"DeadlockThreshold 1", twoDie, l2(func(c *RBRGL2Config) { c.DeadlockThreshold = 1 })},
+		{"EnableSwap off", twoDie, l2(func(c *RBRGL2Config) { c.EnableSwap = false })},
+		{"TxDepth 4", twoDie, l2(func(c *RBRGL2Config) { c.TxDepth = 4 })},
+		{"ETagEnabled off", twoDie, tags(true, false)},
+		{"ITagEnabled off", twoDie, tags(false, true)},
+		{"RBRGL1 ForwardPerCycle 1", l1(8, 4), l1(8, 1)},
+		{"ring length 10", l1(8, 4), l1(10, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := tc.base(t, 100)
+			runCycles(net, 60)
+			if net.InFlight() == 0 {
+				t.Fatal("test needs in-flight traffic at checkpoint time")
+			}
+			data, err := EncodeCheckpoint(net, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeCheckpoint(data, tc.base(t, 0)); err != nil {
+				t.Fatalf("an identical build refused the checkpoint: %v", err)
+			}
+			_, err = DecodeCheckpoint(data, tc.other(t, 0))
+			if err == nil || !strings.Contains(err.Error(), "does not match built system") {
+				t.Fatalf("a differently built system: restore error %v, want a topology mismatch", err)
+			}
+		})
 	}
 }
 
