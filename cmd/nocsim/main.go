@@ -13,6 +13,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -173,7 +175,10 @@ func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, 
 		sys.Net.Tracer = trace.New(traceCap)
 	}
 	if describe {
-		fmt.Print(sys.Net.Describe())
+		var b bytes.Buffer
+		_ = json.Indent(&b, sys.Net.Describe(), "", "  ") // Describe is valid JSON
+		b.WriteByte('\n')
+		os.Stdout.Write(b.Bytes())
 	}
 	sys.Run(cycles)
 	if reg != nil {

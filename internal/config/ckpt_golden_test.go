@@ -69,7 +69,7 @@ func TestPartitionSpecKnobRejectsNegative(t *testing.T) {
 // with its kill applied by hand and no injector attached — the bytes were
 // captured before injectors could checkpoint, and one would add its
 // section — so they carry a failed-bridge set, an armed watchdog and live
-// retry timers. Values captured at sim.SnapshotVersion 7; they move only
+// retry timers. Values captured at sim.SnapshotVersion 8; they move only
 // with it.
 func TestCheckpointBytesGolden(t *testing.T) {
 	cases := []struct {
@@ -78,10 +78,10 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		length     int
 		fnv        uint64
 	}{
-		{"multiring", multiringSpec, "", 2292, 0x507d45e9473266de},
-		{"mesh", meshSpec, "", 1788, 0x8302ab44a238ba07},
-		{"hub", hubSpec, "", 1293, 0x1f49b7d2c704a023},
-		{"mesh-failed", meshFaultSpec, "x00", 1864, 0x81383b7dabb1d7bc},
+		{"multiring", multiringSpec, "", 2292, 0xbda46802782ab294},
+		{"mesh", meshSpec, "", 1788, 0xdf1366f948fe7b66},
+		{"hub", hubSpec, "", 1293, 0x43c89f3bb8b43d9},
+		{"mesh-failed", meshFaultSpec, "x00", 1864, 0xeb7933ba7391f470},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -311,59 +311,6 @@ func (s *Snap) Flits(q *sim.FIFO[*Flit], max int) {
 	})
 }
 
-// TopoHash fingerprints the network's structure — rings, positions,
-// station placement, interface capacities, node and device names — so a
-// checkpoint can only be restored into an identically built system.
-// Mutable state (queues, counters, failures) does not contribute. A
-// finalized network computes it once: after Finalize only AddDevice
-// changes what it hashes, and AddDevice forgets it.
-func (n *Network) TopoHash() uint64 {
-	if n.topoHash != 0 {
-		return n.topoHash
-	}
-	h := n.hashTopology()
-	if n.finalized {
-		n.topoHash = h // a hash of 0 is merely computed again
-	}
-	return h
-}
-
-// hashTopology computes TopoHash.
-func (n *Network) hashTopology() uint64 {
-	e := sim.NewEncoder()
-	e.PutString(n.name)
-	e.PutU32(uint32(len(n.rings)))
-	for _, r := range n.rings {
-		e.PutU32(uint32(r.positions))
-		e.PutBool(r.full)
-		e.PutU32(uint32(len(r.stations)))
-		for _, st := range r.stations {
-			e.PutU32(uint32(st.pos))
-			for i := 0; i < 2; i++ {
-				ni := st.ifaces[i]
-				if ni == nil {
-					e.PutBool(false)
-					continue
-				}
-				e.PutBool(true)
-				e.PutI64(int64(ni.node))
-				e.PutU32(uint32(ni.inject.Cap()))
-				e.PutU32(uint32(ni.eject.Cap()))
-				e.PutU32(uint32(ni.bypass.Cap()))
-			}
-		}
-	}
-	e.PutU32(uint32(len(n.nodes)))
-	for _, info := range n.nodes {
-		e.PutString(info.name)
-	}
-	e.PutU32(uint32(len(n.devices)))
-	for _, dev := range n.devices {
-		e.PutString(dev.Name())
-	}
-	return sim.FNV1a(e.Data())
-}
-
 // SnapState walks the network's complete mutable state through c, saving
 // or loading into an identically built network. The one order: global
 // scalars and counters, fault state, then every ring (slots in logical

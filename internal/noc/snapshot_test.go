@@ -270,6 +270,21 @@ func TestTopoHashDistinguishesBuilds(t *testing.T) {
 			}
 		})
 	}
+	t.Run("export shares no memory", func(t *testing.T) {
+		net := twoDie(t, 0)
+		before := net.hashTopology()
+		topo := net.Topology()
+		for _, d := range topo.Devices {
+			if d.L2 != nil {
+				d.L2.LinkLatency = 40
+			}
+		}
+		topo.Rings[0].Stations[0].Ifaces[0].Inject = 1
+		topo.Nodes[0] = "renamed"
+		if net.hashTopology() != before {
+			t.Fatal("editing an exported Topology moved the network's TopoHash")
+		}
+	})
 }
 
 // payload is an upper-layer message the tests in this package walk.

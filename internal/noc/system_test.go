@@ -2,10 +2,12 @@ package noc_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -226,6 +228,67 @@ func TestMetricsRegisterEveryDevice(t *testing.T) {
 		if len(devSeries) == 0 || len(series) < len(devSeries) || !slices.Equal(series[len(series)-len(devSeries):], devSeries) {
 			t.Errorf("%s: series are not the network's probes followed by each device's in registration order:\n%s",
 				c.name, strings.Join(series, "\n"))
+		}
+	}
+}
+
+// TestEverySystemExportsItsTopology: every system the tree builds — the
+// AI die, the Server-CPU at one and two packages, a serving fabric and the
+// four reference fabrics — exports a Topology whose Describe bytes read
+// back into the same Topology, re-render identically and are what
+// TopoHash hashes; and the export lists every node and device.
+func TestEverySystemExportsItsTopology(t *testing.T) {
+	nets := map[string]*noc.Network{
+		"ai":         soc.BuildAIProcessor(soc.DefaultAIConfig()).Net,
+		"server-cpu": soc.BuildServerCPU(soc.DefaultServerConfig(), soc.CoherentCores, nil).Net,
+	}
+	quad := soc.DefaultServerConfig()
+	quad.Packages, quad.ClustersPerDie = 2, 2
+	nets["quad-die"] = soc.BuildServerCPU(quad, soc.CoherentCores, nil).Net
+	spec, err := config.ParseServingSpec([]byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.ApplyDefaults(true)
+	srv, err := serving.Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets["serving"] = srv.Net
+	files, err := filepath.Glob(filepath.Join("..", "config", "testdata", "diff-*.json"))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("testdata has %d diff-*.json documents (%v), want 4", len(files), err)
+	}
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := config.Parse(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[filepath.Base(f)] = sys.Net
+	}
+	for name, net := range nets {
+		topo, out := net.Topology(), net.Describe()
+		var back noc.Topology
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("%s: Describe is not a Topology: %v", name, err)
+		}
+		again, err := json.Marshal(back)
+		if err != nil || !reflect.DeepEqual(back, topo) || !bytes.Equal(again, out) {
+			t.Errorf("%s: Describe does not round-trip (%v)", name, err)
+		}
+		if net.TopoHash() != sim.FNV1a(out) {
+			t.Errorf("%s: TopoHash is not the hash of Describe's bytes", name)
+		}
+		if len(topo.Rings) != len(net.Rings()) || len(topo.Devices) != len(net.Devices()) || len(topo.Nodes) == 0 {
+			t.Errorf("%s: export has %d rings, %d devices, %d nodes", name, len(topo.Rings), len(topo.Devices), len(topo.Nodes))
 		}
 	}
 }

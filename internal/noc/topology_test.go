@@ -1,31 +1,51 @@
 package noc
 
 import (
-	"strings"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"chipletnoc/internal/sim"
 )
 
+// TestDescribe: Describe's JSON reads back into the Topology it was
+// rendered from — rings, the bridge's configuration and the tag flags —
+// and is the bytes TopoHash hashes.
 func TestDescribe(t *testing.T) {
 	net := NewNetwork("demo")
 	r0 := net.AddRing(8, true)
 	r1 := net.AddRing(6, false)
 	newSource(t, net, r0.AddStation(0), "alpha")
 	newSink(t, net, r1.AddStation(0), "beta", 1)
-	NewRBRGL2(net, "bridge0", DefaultRBRGL2Config(), r0.AddStation(4), r1.AddStation(3))
+	cfg := DefaultRBRGL2Config()
+	cfg.LinkLatency = 3
+	NewRBRGL2(net, "bridge0", cfg, r0.AddStation(4), r1.AddStation(3))
+	net.ETagEnabled = false
 	net.MustFinalize()
 	out := net.Describe()
-	for _, want := range []string{
-		`network "demo": 2 rings, 3 nodes`,
-		"ring 0 (full, 8 positions)",
-		"ring 1 (half, 6 positions)",
-		"alpha", "beta",
-		"ring 0 <-> ring 1 via bridge0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Describe missing %q:\n%s", want, out)
-		}
+	var got Topology
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatalf("Describe is not a Topology: %v\n%s", err, out)
+	}
+	if !reflect.DeepEqual(got, net.Topology()) {
+		t.Fatalf("Describe reads back as %+v, want %+v", got, net.Topology())
+	}
+	if got.Name != "demo" || !got.ITag || got.ETag {
+		t.Fatalf("name %q, tags %v/%v", got.Name, got.ITag, got.ETag)
+	}
+	if len(got.Rings) != 2 || got.Rings[0].Positions != 8 || !got.Rings[0].Full ||
+		got.Rings[1].Positions != 6 || got.Rings[1].Full {
+		t.Fatalf("rings %+v", got.Rings)
+	}
+	if st := got.Rings[1].Stations[1]; st.Pos != 3 || st.Ifaces[0] == nil || got.Nodes[st.Ifaces[0].Node] != "bridge0" || st.Ifaces[1] != nil {
+		t.Fatalf("ring 1's second station %+v", st)
+	}
+	br := got.Devices[2]
+	if br.Name != "bridge0" || br.Kind != "noc.RBRGL2" || br.L1 != nil || br.L2 == nil || *br.L2 != cfg {
+		t.Fatalf("bridge %+v, want L2 %+v", br, cfg)
+	}
+	if net.TopoHash() != sim.FNV1a(out) {
+		t.Fatal("TopoHash is not the hash of Describe's bytes")
 	}
 }
 
@@ -45,12 +65,6 @@ func TestSnapshotDeltas(t *testing.T) {
 	}
 	if delta.DeliveredBytes != 5*LineBytes {
 		t.Fatalf("bytes = %d", delta.DeliveredBytes)
-	}
-	if got := delta.BytesPerCycle(); got != float64(5*LineBytes)/50 {
-		t.Fatalf("rate = %v", got)
-	}
-	if (StatsSnapshot{}).BytesPerCycle() != 0 {
-		t.Fatal("zero snapshot rate")
 	}
 }
 

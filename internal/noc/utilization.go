@@ -87,23 +87,26 @@ func DeviceTickTotals() []KindTicks {
 	return out
 }
 
+// kindOf names a device's Go type: "traffic.Requester".
+func kindOf(d Device) string { return strings.TrimPrefix(reflect.TypeOf(d).String(), "*") }
+
 // tallyKinds gives every device of the current list the tally of its Go
 // type, entered in the process-wide table, and returns the tallies in name
 // order.
 func (n *Network) tallyKinds() []*kindTally {
 	engineTotals.Lock()
 	defer engineTotals.Unlock()
-	byKind := map[reflect.Type]*kindTally{}
+	byKind := map[string]*kindTally{}
 	var kinds []*kindTally
 	for i, d := range n.devices {
-		k := byKind[reflect.TypeOf(d)]
+		name := kindOf(d)
+		k := byKind[name]
 		if k == nil {
-			name := strings.TrimPrefix(reflect.TypeOf(d).String(), "*")
 			if engineTotals.byKind[name] == nil {
 				engineTotals.byKind[name] = &KindTicks{Kind: name}
 			}
 			k = &kindTally{total: engineTotals.byKind[name]}
-			byKind[reflect.TypeOf(d)] = k
+			byKind[name] = k
 			kinds = append(kinds, k)
 		}
 		k.devices++
@@ -112,4 +115,39 @@ func (n *Network) tallyKinds() []*kindTally {
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i].total.Kind < kinds[j].total.Kind })
 	return kinds
+}
+
+// StatsSnapshot is a point-in-time view of the network's aggregate
+// counters, convenient for differential measurement windows.
+type StatsSnapshot struct {
+	Cycles         uint64
+	InjectedFlits  uint64
+	DeliveredFlits uint64
+	DeliveredBytes uint64
+	Deflections    uint64
+	TotalHops      uint64
+}
+
+// Snapshot captures the current counters.
+func (n *Network) Snapshot() StatsSnapshot {
+	return StatsSnapshot{
+		Cycles:         n.ticks,
+		InjectedFlits:  n.InjectedFlits,
+		DeliveredFlits: n.DeliveredFlits,
+		DeliveredBytes: n.DeliveredBytes,
+		Deflections:    n.Deflections,
+		TotalHops:      n.TotalHops,
+	}
+}
+
+// Since returns the counter deltas from an earlier snapshot.
+func (s StatsSnapshot) Since(earlier StatsSnapshot) StatsSnapshot {
+	return StatsSnapshot{
+		Cycles:         s.Cycles - earlier.Cycles,
+		InjectedFlits:  s.InjectedFlits - earlier.InjectedFlits,
+		DeliveredFlits: s.DeliveredFlits - earlier.DeliveredFlits,
+		DeliveredBytes: s.DeliveredBytes - earlier.DeliveredBytes,
+		Deflections:    s.Deflections - earlier.Deflections,
+		TotalHops:      s.TotalHops - earlier.TotalHops,
+	}
 }

@@ -42,10 +42,10 @@ func TestJobKeyAndPayloadGolden(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"default sim", []byte(`{}`), "9510bac178bffffca270b1d5e2342741dc10fa0d074d70c474739f1c7932941d"},
-		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "f362798a49939753d65157d2a24b542cd5d56472afa997ac1b48251d23468b04"},
-		{"experiment table6", []byte(goldenTable6Body), "83e9c94d8ba1272088684f186c42c01721a1417c41ab3fd98f6de068139c91c5"},
-		{"serving", []byte(goldenServingBody), "4d6b0b2d3be5c94afda969d147ab899c3c549a638957d21cae5926dc9a16c07e"},
+		{"default sim", []byte(`{}`), "edadca32adc2afaaa7852482b021d52e2f96b0db4bbe064d56abee5cc9635b63"},
+		{"custom config with partitions", customBody(t, cacheMultiringSpec, 1500, 0, 4), "2ecd48826568ad725701792ec893268fde93e5d42239b0e9836a587813b5541e"},
+		{"experiment table6", []byte(goldenTable6Body), "17c691d0e7b5c9a75e29844ea3a812eedcd9b7b9ed4c9bf0299fc490868281ff"},
+		{"serving", []byte(goldenServingBody), "e2e50c8669c78ad11e5d7f7a6a7fd52fb50e007bebb1a808e9b3a7b142cbab32"},
 	} {
 		if got := keyOf(tc.body); got != tc.want {
 			t.Errorf("%s: JobKey = %s, want %s", tc.name, got, tc.want)

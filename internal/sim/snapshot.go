@@ -39,8 +39,10 @@ const SnapshotMagic = "NOCSNAP1"
 // samples, whole numbers of cycles, as varints, instead of eight fixed
 // bytes each. Version 7: a checkpoint is one durable envelope (one
 // CRC32-C over every byte after it) around the header, the extra blob and
-// the state; the header and section seals and the trailer went.
-const SnapshotVersion = 7
+// the state; the header and section seals and the trailer went. Version
+// 8: the header's topology hash is the hash of noc.Network.Describe, which
+// also covers bridge configurations and tag flags.
+const SnapshotVersion = 8
 
 // ErrCorruptSnapshot marks every integrity failure while reading a
 // snapshot: truncation, bad magic, unsupported version, checksum

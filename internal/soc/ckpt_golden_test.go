@@ -34,7 +34,7 @@ func quadDieBuild() (*noc.Network, func(int)) {
 // commits: the differential suites compare two runs of one build, so
 // they cannot see a layout change that both runs share. Each system is
 // checkpointed mid-run with traffic in every queue; the length and
-// FNV-1a of the bytes were captured at sim.SnapshotVersion 7 and must not
+// FNV-1a of the bytes were captured at sim.SnapshotVersion 8 and must not
 // move unless it does.
 // The same bytes are then restored into a second build and written out
 // again: a walk that loads what it saved gives the identical file.
@@ -46,9 +46,9 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		length int
 		fnv    uint64
 	}{
-		{"server-cpu", func() (*noc.Network, func(int)) { s := goldenServerBuild(); return s.Net, s.Run }, 1500, 2934, 0x8623e90737571760},
-		{"ai-processor", func() (*noc.Network, func(int)) { a := goldenAIBuild(); return a.Net, a.Run }, 1100, 67910, 0x44af48eadbef3781},
-		{"quad-die", quadDieBuild, 1500, 18228, 0xe46b802929d0b141},
+		{"server-cpu", func() (*noc.Network, func(int)) { s := goldenServerBuild(); return s.Net, s.Run }, 1500, 2934, 0x1c7bd8f87f1a40e},
+		{"ai-processor", func() (*noc.Network, func(int)) { a := goldenAIBuild(); return a.Net, a.Run }, 1100, 67910, 0x76b85feb290f59c0},
+		{"quad-die", quadDieBuild, 1500, 18228, 0xcc281c9d3e84f9b5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
