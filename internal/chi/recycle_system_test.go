@@ -1,7 +1,6 @@
 package chi_test
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -20,11 +19,9 @@ import (
 
 // system is one built reference system behind what these tests need.
 type system struct {
-	net        *noc.Network
-	run        func(cycles int)
-	checkpoint func(w *bytes.Buffer) error
-	restore    func(blob []byte) error
-	retried    func() uint64 // transactions re-issued; nil without retry
+	net     *noc.Network
+	run     func(cycles int)
+	retried func() uint64 // transactions re-issued; nil without retry
 }
 
 // aiDie is the Quick AI die: the golden-digest configuration.
@@ -34,11 +31,7 @@ func aiDie() system {
 	cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
 	cfg.HBMStacks, cfg.DMAEngines = 2, 2
 	a := soc.BuildAIProcessor(cfg)
-	return system{
-		net: a.Net, run: a.Run,
-		checkpoint: func(w *bytes.Buffer) error { return a.WriteCheckpoint(w, nil) },
-		restore:    func(blob []byte) error { _, err := a.ReadCheckpoint(bytes.NewReader(blob)); return err },
-	}
+	return system{net: a.Net, run: a.Run}
 }
 
 // quadDie is the four-die Server-CPU with saturating memory cores. A
@@ -58,11 +51,7 @@ func quadDie(retry chi.RetryConfig) system {
 			Retry:    retry,
 		}
 	})
-	sys := system{
-		net: s.Net, run: s.Run,
-		checkpoint: func(w *bytes.Buffer) error { return s.WriteCheckpoint(w, nil) },
-		restore:    func(blob []byte) error { _, err := s.ReadCheckpoint(bytes.NewReader(blob)); return err },
-	}
+	sys := system{net: s.Net, run: s.Run}
 	if retry.Enabled() {
 		sys.retried = func() uint64 {
 			var n uint64
@@ -86,15 +75,15 @@ func fingerprint(t *testing.T, s system, cycles int) string {
 	lat := fnv.New64a()
 	s.net.RecordLatency(func(f *noc.Flit, c uint64) { fmt.Fprintf(lat, "%d|%d\n", f.ID, c) })
 	s.run(cycles)
-	var b bytes.Buffer
-	if err := s.checkpoint(&b); err != nil {
+	b, err := noc.EncodeCheckpoint(s.net, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	n := s.net
 	ck := fnv.New64a()
-	ck.Write(b.Bytes())
+	ck.Write(b)
 	return fmt.Sprintf("inj=%d del=%d drop=%d defl=%d hops=%d lat=%x ckpt=%x(%dB)",
-		n.InjectedFlits, n.DeliveredFlits, n.DroppedFlits, n.Deflections, n.TotalHops, lat.Sum64(), ck.Sum64(), b.Len())
+		n.InjectedFlits, n.DeliveredFlits, n.DroppedFlits, n.Deflections, n.TotalHops, lat.Sum64(), ck.Sum64(), len(b))
 }
 
 // msgPool reads a network's message free-list: its length and how many
@@ -203,12 +192,12 @@ func TestCheckpointWithPooledMessages(t *testing.T) {
 		if free, _, _ := msgPool(ref.net); free == 0 {
 			t.Fatalf("%s: the message free-list is empty at the checkpoint", c.name)
 		}
-		var blob bytes.Buffer
-		if err := ref.checkpoint(&blob); err != nil {
+		blob, err := noc.EncodeCheckpoint(ref.net, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		resumed := c.build()
-		if err := resumed.restore(blob.Bytes()); err != nil {
+		if _, err := noc.DecodeCheckpoint(blob, resumed.net); err != nil {
 			t.Fatal(err)
 		}
 		if free, _, _ := msgPool(resumed.net); free != 0 {

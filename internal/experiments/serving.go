@@ -112,6 +112,11 @@ func runServingPoint(spec *config.ServingSpec, point int) ServingPoint {
 		panic(fmt.Sprintf("serving: build failed for normalized spec: %v", err))
 	}
 	sys.Run()
+	return servingRow(sys)
+}
+
+// servingRow is the row of a system that has run its window.
+func servingRow(sys *serving.System) ServingPoint {
 	o := sys.Orch
 	return ServingPoint{
 		Load:        sys.Load,

@@ -25,25 +25,18 @@ import (
 // fault schedules — runs under the activity-gated engine and must equal
 // the forced-awake engine (noc.Network.ForceAwake, test builds only) in
 // flit counters, latency stream, metrics export, trace event
-// stream and checkpoint bytes. The golden digests themselves stay pinned
+// stream and checkpoint bytes, which hold every device's whole state. The golden digests themselves stay pinned
 // where they always were (internal/soc, internal/experiments); this
 // suite proves the gate cannot be what moves them.
 
-// system is one built reference system behind the few things the suite
-// needs from it.
+// system is one built reference system: its network and how it runs.
 type system struct {
 	net *noc.Network
 	run func(cycles int)
-	// extra is state the network's counters do not cover (the serving
-	// orchestrator's completion stream); may be nil.
-	extra func() string
-	// checkpoint is nil for systems that cannot checkpoint (the serving
-	// devices are attached).
-	checkpoint func() ([]byte, error)
 }
 
 type outcome struct {
-	counters, extra  string
+	counters         string
 	latFNV, traceFNV uint64
 	metrics, ckpt    string
 }
@@ -66,9 +59,6 @@ func observe(t *testing.T, s system, cycles int) outcome {
 			n.InjectedFlits, n.DeliveredFlits, n.DeliveredBytes, n.DroppedFlits, n.Deflections, n.TotalHops, n.ReroutedFlits, n.Ticks()),
 		latFNV: lat.Sum64(),
 	}
-	if s.extra != nil {
-		o.extra = s.extra()
-	}
 	th := fnv.New64a()
 	for _, e := range tr.Events() {
 		fmt.Fprintf(th, "%d|%d|%d|%s|%s\n", e.Cycle, e.Kind, e.FlitID, e.Where, e.Detail)
@@ -79,20 +69,18 @@ func observe(t *testing.T, s system, cycles int) outcome {
 		t.Fatal(err)
 	}
 	o.metrics = mb.String()
-	if s.checkpoint != nil {
-		b, err := s.checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.ckpt = string(b)
+	b, err := noc.EncodeCheckpoint(s.net, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	o.ckpt = string(b)
 	return o
 }
 
 func (o outcome) String() string {
 	h := func(s string) uint64 { f := fnv.New64a(); f.Write([]byte(s)); return f.Sum64() }
-	return fmt.Sprintf("%s %s lat=%x trace=%x metrics=%x ckpt=%x(%dB)",
-		o.counters, o.extra, o.latFNV, o.traceFNV, h(o.metrics), h(o.ckpt), len(o.ckpt))
+	return fmt.Sprintf("%s lat=%x trace=%x metrics=%x ckpt=%x(%dB)",
+		o.counters, o.latFNV, o.traceFNV, h(o.metrics), h(o.ckpt), len(o.ckpt))
 }
 
 // diffGated runs build() forced awake and then gated, and returns the
@@ -112,16 +100,7 @@ func diffGated(t *testing.T, cycles int, build func() system) *noc.Network {
 	return s.net
 }
 
-func serverSystem(s *soc.ServerCPU) system {
-	return system{
-		net: s.Net, run: s.Run,
-		checkpoint: func() ([]byte, error) {
-			var b bytes.Buffer
-			err := s.WriteCheckpoint(&b, nil)
-			return b.Bytes(), err
-		},
-	}
-}
+func serverSystem(s *soc.ServerCPU) system { return system{s.Net, s.Run} }
 
 // TestGateDiffServerCPU: the coherent-read scenario of the soc golden
 // test — M/E/S lines primed in die-0 directories, read from both compute
@@ -168,14 +147,7 @@ func aiSystem() system {
 	cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
 	cfg.HBMStacks, cfg.DMAEngines = 2, 2
 	a := soc.BuildAIProcessor(cfg)
-	return system{
-		net: a.Net, run: a.Run,
-		checkpoint: func() ([]byte, error) {
-			var b bytes.Buffer
-			err := a.WriteCheckpoint(&b, nil)
-			return b.Bytes(), err
-		},
-	}
+	return system{a.Net, a.Run}
 }
 
 // faulted attaches a fault injector replaying sched to s.
@@ -341,14 +313,7 @@ func TestGateDiffConfigFabrics(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return system{
-						net: sys.Net, run: sys.Run,
-						checkpoint: func() ([]byte, error) {
-							var b bytes.Buffer
-							err := noc.WriteCheckpoint(&b, sys.Net, nil)
-							return b.Bytes(), err
-						},
-					}
+					return system{sys.Net, sys.Run}
 				})
 			})
 		}
@@ -417,28 +382,11 @@ func TestFaultRunResumes(t *testing.T) {
 }
 
 // servingSystem builds the default serving spec at one offered load.
-func servingSystem(t *testing.T, load float64) (system, *serving.System) {
-	t.Helper()
-	spec, err := config.ParseServingSpec([]byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+func servingSystem(load float64) (system, *serving.System) {
+	spec := &config.ServingSpec{Loads: []float64{load}, Cycles: 20000}
 	spec.ApplyDefaults(true)
-	spec.Loads = []float64{load}
-	spec.Cycles = 20000
-	sys, err := serving.Build(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return system{
-		net: sys.Net,
-		run: func(int) { sys.Run() },
-		extra: func() string {
-			o := sys.Orch
-			return fmt.Sprintf("admitted=%d completed=%d stalls=%d peak=%d stream=%x sketch=%x",
-				o.Admitted, o.Completed, o.StallCycles(), o.PeakPending, o.StreamDigest(), o.Sketch.Digest())
-		},
-	}, sys
+	sys, _ := serving.Build(spec, 0) // a defaulted spec builds
+	return system{sys.Net, func(int) { sys.Run() }}, sys
 }
 
 // TestGateDiffServing runs the default serving spec far below the knee
@@ -451,7 +399,7 @@ func servingSystem(t *testing.T, load float64) (system, *serving.System) {
 func TestGateDiffServing(t *testing.T) {
 	for _, load := range []float64{1, 8, 24} {
 		diffGated(t, 20000, func() system {
-			s, _ := servingSystem(t, load)
+			s, _ := servingSystem(load)
 			return s
 		})
 	}
@@ -465,7 +413,7 @@ func TestGateDiffServing(t *testing.T) {
 // station ticks. In between, at load 8, each kind of device is held to a
 // floor on the share of its ticks skipped.
 func TestGateSaysWhatItSkipped(t *testing.T) {
-	s, sys := servingSystem(t, 1)
+	s, sys := servingSystem(1)
 	s.run(0)
 	n := sys.Net
 	if float64(n.SkippedCycles) < 0.30*float64(n.Ticks()) {
@@ -488,7 +436,7 @@ func TestGateSaysWhatItSkipped(t *testing.T) {
 	// 76.7 % (71.7 % while a credit pulse woke them), engines 92.6 %, the
 	// orchestrator 88.6 % (47.4 % while a watermark stall kept it awake).
 	// Each floor sits just under its measurement.
-	s, _ = servingSystem(t, 8)
+	s, _ = servingSystem(8)
 	s.run(0)
 	floors := map[string]float64{"mem.Controller": 0.93, "noc.RBRGL2": 0.75, "serving.Engine": 0.91, "serving.Orchestrator": 0.87}
 	for _, k := range s.net.DeviceTicksByKind() {

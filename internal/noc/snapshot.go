@@ -642,7 +642,7 @@ func (b *RBRGL1) SnapState(s *Snap) {
 // windows and in-flight credit pulses, DRM state and counters, all per
 // half. A save first takes the pulses that landed before the clock, as
 // the every-cycle bridge has, so a half that slept through a landing
-// saves the same windows.
+// saves the same windows; a load refuses a pulse that landed before it.
 func (b *RBRGL2) SnapState(s *Snap) {
 	c := s.Codec
 	window := b.cfg.txWindow() + b.cfg.escWindow()
@@ -672,6 +672,9 @@ func (b *RBRGL2) SnapState(s *Snap) {
 			sim.Uint(c, &p.arrives)
 			sim.Int(c, &p.norm)
 			sim.Int(c, &p.esc)
+			if c.Loading() && p.arrives < sim.Cycle(b.net.ticks) {
+				c.Fail("credit pulse landed at %d, before the clock %d", p.arrives, b.net.ticks)
+			}
 		})
 		c.Bool(&h.drm)
 		sim.Int(c, &h.stalledCycles)

@@ -44,7 +44,6 @@ type Engine struct {
 
 	// Counters, exposed as metrics.
 	Issued, Completed, BytesMoved uint64
-	PeakQueue                     int
 
 	// memNodes maps a die index to its memory controller's node; set by
 	// the builder once all memories exist.
@@ -79,9 +78,6 @@ func (e *Engine) Node() noc.NodeID { return e.iface.Node() }
 func (e *Engine) enqueue(c *command) {
 	e.iface.Wake()
 	e.queue.Push(c)
-	if e.queue.Len() > e.PeakQueue {
-		e.PeakQueue = e.queue.Len()
-	}
 }
 
 // finish closes the command of a transfer Settle retired.

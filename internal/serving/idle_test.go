@@ -2,9 +2,6 @@ package serving
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"chipletnoc/internal/config"
@@ -12,137 +9,32 @@ import (
 	"chipletnoc/internal/sim"
 )
 
-// dumpState renders everything reachable from v — unexported fields,
-// slices, maps (key-sorted), pointers followed once each — into b. The
-// serving devices have no snapshot codec, so this reflective walk is
-// their state encoding: a field added later is covered without anyone
-// remembering to. The fabric and the immutable spec are opaque; what a
-// device can do to the fabric is recorded separately by ifaceState.
-func dumpState(b *strings.Builder, v reflect.Value, seen map[uintptr]bool) {
-	switch v.Kind() {
-	case reflect.Ptr:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return
-		}
-		switch v.Type() {
-		case reflect.TypeOf((*noc.Network)(nil)), reflect.TypeOf((*noc.NodeInterface)(nil)),
-			reflect.TypeOf((*config.ServingSpec)(nil)), reflect.TypeOf((*Engine)(nil)):
-			b.WriteString("opaque")
-			return
-		}
-		if seen[v.Pointer()] {
-			fmt.Fprintf(b, "@%x", v.Pointer())
-			return
-		}
-		seen[v.Pointer()] = true
-		fmt.Fprintf(b, "&%x", v.Pointer())
-		dumpState(b, v.Elem(), seen)
-	case reflect.Interface:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return
-		}
-		dumpState(b, v.Elem(), seen)
-	case reflect.Struct:
-		b.WriteString("{")
-		for i := 0; i < v.NumField(); i++ {
-			b.WriteString(v.Type().Field(i).Name + ":")
-			dumpState(b, v.Field(i), seen)
-			b.WriteString(" ")
-		}
-		b.WriteString("}")
-	case reflect.Slice, reflect.Array:
-		fmt.Fprintf(b, "[%d:", v.Len())
-		for i := 0; i < v.Len(); i++ {
-			dumpState(b, v.Index(i), seen)
-			b.WriteString(",")
-		}
-		b.WriteString("]")
-	case reflect.Map:
-		// Values are walked in key order, so which occurrence of a shared
-		// pointer is expanded does not depend on map iteration order.
-		keys := v.MapKeys()
-		names := make([]string, len(keys))
-		for i, k := range keys {
-			var e strings.Builder
-			dumpState(&e, k, seen)
-			names[i] = e.String()
-		}
-		sort.Sort(byName{names, keys})
-		b.WriteString("map[")
-		for i, k := range keys {
-			b.WriteString(names[i] + "=>")
-			dumpState(b, v.MapIndex(k), seen)
-			b.WriteString(",")
-		}
-		b.WriteString("]")
-	case reflect.Func, reflect.Chan:
-		// none carry simulated state
-	case reflect.Bool:
-		fmt.Fprint(b, v.Bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		fmt.Fprint(b, v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		fmt.Fprint(b, v.Uint())
-	case reflect.Float32, reflect.Float64:
-		fmt.Fprintf(b, "%b", v.Float())
-	case reflect.String:
-		fmt.Fprintf(b, "%q", v.String())
-	default:
-		panic("dumpState: unhandled kind " + v.Kind().String())
+// walked is what an idle Tick must leave alone: the devices' state walks,
+// as one walk, and what they can do to the fabric through ni. The
+// orchestrator's walk carries the commands its engines hold and its stall
+// count settled through the clock, and saving changes nothing.
+func walked(t *testing.T, ni *noc.NodeInterface, devs ...noc.StateSnapshotter) string {
+	t.Helper()
+	e := sim.NewEncoder()
+	s := noc.NewSnap(sim.Saving(e))
+	defer s.End()
+	for _, d := range devs {
+		d.SnapState(s)
 	}
-}
-
-// byName sorts map keys by their rendering.
-type byName struct {
-	names []string
-	keys  []reflect.Value
-}
-
-func (s byName) Len() int           { return len(s.names) }
-func (s byName) Less(i, j int) bool { return s.names[i] < s.names[j] }
-func (s byName) Swap(i, j int) {
-	s.names[i], s.names[j] = s.names[j], s.names[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-func ifaceState(b *strings.Builder, ni *noc.NodeInterface) {
-	fmt.Fprintf(b, " iface{inj=%d ej=%d space=%d injected=%d ejected=%d}",
-		ni.InjectLen(), ni.EjectLen(), ni.InjectSpace(), ni.Injected, ni.EjectedFlits)
-}
-
-func engineState(e *Engine) string {
-	var b strings.Builder
-	dumpState(&b, reflect.ValueOf(e).Elem(), map[uintptr]bool{})
-	ifaceState(&b, e.iface)
-	return b.String()
-}
-
-// orchState covers the orchestrator, with the stall cycles it slept
-// through before end counted, and the two things it touches on its
-// engines: the queues it appends to and the done lists it drains. The
-// orchestrator itself is left as it is.
-func orchState(o *Orchestrator, end sim.Cycle) string {
-	var b strings.Builder
-	seen := map[uintptr]bool{}
-	settled := *o
-	settled.stallCycles += o.stalledBefore(end)
-	settled.lastTick = max(o.lastTick, end)
-	dumpState(&b, reflect.ValueOf(&settled).Elem(), seen)
-	for _, e := range o.engines {
-		dumpState(&b, reflect.ValueOf(e.queue), seen)
-		dumpState(&b, reflect.ValueOf(e.done), seen)
-		fmt.Fprint(&b, e.PeakQueue)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
 	}
-	return b.String()
+	if ni != nil {
+		e.PutString(fmt.Sprint(ni.InjectLen(), ni.EjectLen(), ni.InjectSpace(), ni.Injected, ni.EjectedFlits))
+	}
+	return string(e.Data())
 }
 
 // TestIdleUntilHonest is the invariant the tick engine's device gate
 // rests on, for the serving engines and the orchestrator across the
 // load range (far below the knee, at it, far beyond): whenever
-// IdleUntil(now) > now, Tick(now) must leave every reachable field
-// unchanged and send, receive and release no flit. After every cycle of
+// IdleUntil(now) > now, Tick(now) must leave the device's walked state
+// byte-identical and send, receive and release no flit. After every cycle of
 // the gated run the test asks each device about the next cycle and, when
 // it claims to be idle, ticks it anyway — an extra tick that perturbs
 // nothing if the claim is true, so the run (checked against an
@@ -178,10 +70,10 @@ func TestIdleUntilHonest(t *testing.T) {
 					continue
 				}
 				engIdle++
-				before := engineState(e)
+				before := walked(t, e.iface, e, sys.Orch)
 				e.Tick(next)
-				if after := engineState(e); after != before {
-					t.Fatalf("load %v %s: %s said idle at cycle %d but its Tick changed state\nbefore: %s\n after: %s", load, process, e.name, next, before, after)
+				if after := walked(t, e.iface, e, sys.Orch); after != before {
+					t.Fatalf("load %v %s: %s said idle at cycle %d but its Tick changed state", load, process, e.name, next)
 				}
 			}
 			if w := sys.Orch.IdleUntil(next); w <= next {
@@ -192,17 +84,13 @@ func TestIdleUntilHonest(t *testing.T) {
 			if sys.Orch.stalled {
 				orchStalled++
 			}
-			before := orchState(sys.Orch, next+1)
+			before := walked(t, nil, sys.Orch)
 			sys.Orch.Tick(next)
-			if after := orchState(sys.Orch, next+1); after != before {
-				t.Fatalf("load %v %s: orchestrator said idle at cycle %d but its Tick changed state\nbefore: %s\n after: %s", load, process, next, before, after)
+			if after := walked(t, nil, sys.Orch); after != before {
+				t.Fatalf("load %v %s: orchestrator said idle at cycle %d but its Tick changed state", load, process, next)
 			}
 		}
-		got := fingerprint{
-			admitted: sys.Orch.Admitted, completed: sys.Orch.Completed, stalls: sys.Orch.StallCycles(),
-			stream: sys.Orch.StreamDigest(), sketch: sys.Orch.Sketch.Digest(),
-		}
-		if got != twin {
+		if got := fingerprintOf(sys.Orch); got != twin {
 			t.Fatalf("load %v %s: the extra idle ticks perturbed the run: %+v != %+v", load, process, got, twin)
 		}
 		if engIdle == 0 || engBusy == 0 || orchBusy == 0 || (load < 100 && orchIdle == 0) || (load > 1 && orchStalled == 0) {

@@ -19,6 +19,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 
 	"chipletnoc/internal/config"
 	"chipletnoc/internal/metrics"
@@ -39,10 +40,9 @@ type Orchestrator struct {
 
 	pending   sim.FIFO[request]
 	computing []*command
-	active    int  // in-flight batches
-	filling   bool // between a low-watermark crossing and reaching high
-	stalled   bool // watermark backpressure state, for trace edges
-	nextBatch int
+	live      []*batch // the batches in flight, in admission order
+	filling   bool     // between a low-watermark crossing and reaching high
+	stalled   bool     // watermark backpressure state, for trace edges
 	nextHome  int
 	dag       dag // where batches and their command DAGs come from
 
@@ -55,7 +55,6 @@ type Orchestrator struct {
 	// (stalledBefore), so a second tick in one cycle counts nothing twice.
 	stallCycles uint64
 	lastTick    sim.Cycle
-	PeakPending int
 	// Sketch summarizes per-request end-to-end latency (arrival to
 	// batch completion, in cycles).
 	Sketch stats.QuantileSketch
@@ -92,7 +91,7 @@ func (o *Orchestrator) Name() string { return o.name }
 // bound can be trusted.
 func (o *Orchestrator) IdleUntil(now sim.Cycle) sim.Cycle {
 	waiting := o.pending.Len() > 0
-	if o.stalled != waiting || (waiting && o.filling) || (o.active <= o.spec.LowWatermark && !o.filling) {
+	if o.stalled != waiting || (waiting && o.filling) || (len(o.live) <= o.spec.LowWatermark && !o.filling) {
 		return now
 	}
 	for _, e := range o.engines {
@@ -147,17 +146,14 @@ func (o *Orchestrator) Tick(now sim.Cycle) {
 		o.pending.Push(request{arrival: now})
 		o.Admitted++
 	}
-	if o.pending.Len() > o.PeakPending {
-		o.PeakPending = o.pending.Len()
-	}
 	// 4. Watermark-governed batch streaming: crossing the low watermark
 	// opens the tap; it closes at the high watermark (double buffering
 	// at the default 1/2).
-	if o.active <= o.spec.LowWatermark {
+	if len(o.live) <= o.spec.LowWatermark {
 		o.filling = true
 	}
 	for o.filling && o.pending.Len() > 0 {
-		if o.active >= o.spec.HighWatermark {
+		if len(o.live) >= o.spec.HighWatermark {
 			o.filling = false
 			break
 		}
@@ -181,7 +177,7 @@ func (o *Orchestrator) noteStall(now sim.Cycle, stalled bool) {
 			kind = "begins"
 		}
 		o.net.Trace(trace.Stall, 0, o.name,
-			fmt.Sprintf("watermark stall %s: %d pending, %d batches in flight", kind, o.pending.Len(), o.active))
+			fmt.Sprintf("watermark stall %s: %d pending, %d batches in flight", kind, o.pending.Len(), len(o.live)))
 	}
 }
 
@@ -191,14 +187,12 @@ func (o *Orchestrator) noteStall(now sim.Cycle, stalled bool) {
 // DAG and issues the entry commands.
 func (o *Orchestrator) admitBatch(now sim.Cycle) {
 	b := o.dag.newBatch()
-	b.id, b.home = o.nextBatch, o.nextHome
 	for n := min(o.spec.Batch, o.pending.Len()); n > 0; n-- {
 		b.reqs = append(b.reqs, o.pending.Pop())
 	}
-	o.nextBatch++
+	o.live = append(o.live, b)
+	o.dag.expandBatch(o.spec, b, o.nextHome, o.routeRNG)
 	o.nextHome = (o.nextHome + 1) % len(o.engines)
-	o.active++
-	o.dag.expandBatch(o.spec, b, o.routeRNG)
 	for _, c := range b.cmds {
 		if c.deps == 0 {
 			o.engines[c.die].enqueue(c)
@@ -232,7 +226,8 @@ func (o *Orchestrator) completeBatch(b *batch, now sim.Cycle) {
 		o.streamDigest = sim.FNV1aFoldU64(sim.FNV1aFoldU64(o.streamDigest, o.Completed), lat)
 		o.Completed++
 	}
-	o.active--
+	i := slices.Index(o.live, b)
+	o.live = slices.Delete(o.live, i, i+1)
 	o.dag.release(b)
 }
 
@@ -274,7 +269,7 @@ func (o *Orchestrator) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter(p+".completed", func() uint64 { return o.Completed })
 	reg.Counter(p+".stall_cycles", o.StallCycles)
 	reg.Series(p+".pending_depth", func() float64 { return float64(o.pending.Len()) })
-	reg.Series(p+".active_batches", func() float64 { return float64(o.active) })
+	reg.Series(p+".active_batches", func() float64 { return float64(len(o.live)) })
 	reg.Gauge(p+".latency_p50", func() float64 { return o.Sketch.Quantile(0.50) })
 	reg.Gauge(p+".latency_p99", func() float64 { return o.Sketch.Quantile(0.99) })
 }

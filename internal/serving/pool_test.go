@@ -75,14 +75,12 @@ func TestWarmServingAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkServingWarm is one cycle of a warmed serving run at load 4. It
-// reports batches completed per cycle; with -benchmem, allocations per
+// reports requests completed per cycle; with -benchmem, allocations per
 // cycle, which TestWarmServingAllocatesNothing holds at zero.
 func BenchmarkServingWarm(b *testing.B) {
 	sys := warmServing(b)
-	o := sys.Orch
-	done := func() int { return o.nextBatch - o.active }
-	before := done()
+	before := sys.Orch.Completed
 	b.ResetTimer()
 	sys.Net.Run(b.N)
-	b.ReportMetric(float64(done()-before)/float64(b.N), "batches/cycle")
+	b.ReportMetric(float64(sys.Orch.Completed-before)/float64(b.N), "requests/cycle")
 }

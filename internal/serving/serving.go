@@ -29,7 +29,6 @@ type System struct {
 	Net     *noc.Network
 	Engines []*Engine
 	Mems    []*mem.Controller
-	Bridges []*noc.RBRGL2
 	Orch    *Orchestrator
 }
 
@@ -53,14 +52,13 @@ func Build(spec *config.ServingSpec, point int) (*System, error) {
 	// One ring per die: engine, memory and a bridge foot. Creation
 	// order fixes device registration order (engine, memory per die,
 	// then bridges) — the orchestrator must come last.
-	hub := net.AddRing(maxInt(4, 2*spec.Dies), true)
+	hub := net.AddRing(max(4, 2*spec.Dies), true)
 	for die := 0; die < spec.Dies; die++ {
 		ring := net.AddRing(diePositions, true)
 		sys.Engines = append(sys.Engines, newEngine(net, die, ring.AddStation(0)))
 		sys.Mems = append(sys.Mems, mem.New(net, fmt.Sprintf("d%d.mem", die),
 			mem.Config{AccessCycles: 40, BytesPerCycle: 64, QueueDepth: 32}, ring.AddStation(2)))
-		sys.Bridges = append(sys.Bridges, noc.NewRBRGL2(net, fmt.Sprintf("pa.%d", die),
-			noc.DefaultRBRGL2Config(), ring.AddStation(6), hub.AddStation(2*die)))
+		noc.NewRBRGL2(net, fmt.Sprintf("pa.%d", die), noc.DefaultRBRGL2Config(), ring.AddStation(6), hub.AddStation(2*die))
 	}
 	memNodes := make([]noc.NodeID, spec.Dies)
 	for i, m := range sys.Mems {
@@ -83,10 +81,3 @@ func Build(spec *config.ServingSpec, point int) (*System, error) {
 
 // Run drives the configured window.
 func (s *System) Run() { s.Net.Run(int(s.Spec.Cycles)) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -30,13 +30,11 @@ func runPoint(t *testing.T, spec *config.ServingSpec, point int) fingerprint {
 		t.Fatal(err)
 	}
 	sys.Run()
-	return fingerprint{
-		admitted:  sys.Orch.Admitted,
-		completed: sys.Orch.Completed,
-		stalls:    sys.Orch.StallCycles(),
-		stream:    sys.Orch.StreamDigest(),
-		sketch:    sys.Orch.Sketch.Digest(),
-	}
+	return fingerprintOf(sys.Orch)
+}
+
+func fingerprintOf(o *Orchestrator) fingerprint {
+	return fingerprint{o.Admitted, o.Completed, o.StallCycles(), o.StreamDigest(), o.Sketch.Digest()}
 }
 
 func TestServingSmoke(t *testing.T) {

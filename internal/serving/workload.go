@@ -15,21 +15,10 @@ import (
 	"chipletnoc/internal/sim"
 )
 
-// Command kinds, named after the DAG nodes of the uPimulator host
-// orchestration model.
-const (
-	cmdAttention = "attention"
-	cmdDispatch  = "moe-dispatch"
-	cmdExpert    = "expert-compute"
-	cmdCombine   = "moe-combine"
-	cmdFFN       = "ffn"
-)
-
 // command is one node of a batch's DAG: a NoC transfer (a CHI read or
 // write executed by the engine on die `die` against die `target`'s
 // memory) followed by `compute` cycles of modelled arithmetic.
 type command struct {
-	kind    string
 	die     int // executing engine
 	target  int // die whose memory the transfer touches
 	write   bool
@@ -39,6 +28,7 @@ type command struct {
 	deps    int        // unmet dependency count
 	outs    []*command // dependents to release on completion
 	b       *batch
+	at      int       // index in b.cmds: how the state walk names it
 	readyAt sim.Cycle // compute completion, once transferred
 }
 
@@ -49,8 +39,6 @@ type request struct {
 
 // batch groups requests into one DAG execution.
 type batch struct {
-	id        int
-	home      int // die executing the non-expert layers
 	reqs      []request
 	cmds      []*command // the batch's whole DAG, recycled with it
 	remaining int        // unfinished commands
@@ -116,12 +104,12 @@ func (d *dag) release(b *batch) {
 	d.batches = append(d.batches, b)
 }
 
-// expandBatch builds the command DAG for one batch homed on die home into
-// b.cmds. MoE expert selection draws from rng (top-FanOut distinct
+// expandBatch builds the command DAG for one batch homed on die home (the
+// die executing its non-expert layers) into b.cmds. MoE expert selection draws from rng (top-FanOut distinct
 // experts, fresh per batch and per layer), so consecutive batches spread
 // across the expert population the way token-dependent routing would.
 // Entry commands (no deps) are ready to issue.
-func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) {
+func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, home int, rng *sim.RNG) {
 	for len(d.entries) < len(spec.Layers) {
 		d.entries, d.exits = append(d.entries, nil), append(d.exits, nil)
 	}
@@ -133,9 +121,9 @@ func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) {
 		case config.LayerMoE:
 			for _, e := range d.pickExperts(l, rng) {
 				die := l.ExpertDies[e]
-				dis := d.newCommand(command{kind: cmdDispatch, die: b.home, target: die, write: true, bytes: l.Bytes, b: b})
-				x := d.newCommand(command{kind: cmdExpert, die: die, target: die, bytes: l.ExpertBytes, compute: l.ComputeCycles, b: b})
-				c := d.newCommand(command{kind: cmdCombine, die: die, target: b.home, write: true, bytes: l.Bytes, b: b})
+				dis := d.newCommand(command{die: home, target: die, write: true, bytes: l.Bytes, b: b})
+				x := d.newCommand(command{die: die, target: die, bytes: l.ExpertBytes, compute: l.ComputeCycles, b: b})
+				c := d.newCommand(command{die: die, target: home, write: true, bytes: l.Bytes, b: b})
 				x.dependOn([]*command{dis})
 				c.dependOn([]*command{x})
 				entries[i] = append(entries[i], dis)
@@ -143,11 +131,7 @@ func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) {
 				b.cmds = append(b.cmds, dis, x, c)
 			}
 		default: // attention / ffn: one local weight read + compute
-			kind := cmdAttention
-			if l.Kind == config.LayerFFN {
-				kind = cmdFFN
-			}
-			c := d.newCommand(command{kind: kind, die: b.home, target: b.home, bytes: l.Bytes, compute: l.ComputeCycles, b: b})
+			c := d.newCommand(command{die: home, target: home, bytes: l.Bytes, compute: l.ComputeCycles, b: b})
 			entries[i], exits[i] = append(entries[i], c), append(exits[i], c)
 			b.cmds = append(b.cmds, c)
 		}
@@ -156,6 +140,9 @@ func (d *dag) expandBatch(spec *config.ServingSpec, b *batch, rng *sim.RNG) {
 				entry.dependOn(exits[dep])
 			}
 		}
+	}
+	for i, c := range b.cmds {
+		c.at = i
 	}
 	b.remaining = len(b.cmds)
 }

@@ -9,8 +9,10 @@ import (
 	"unsafe"
 
 	"chipletnoc/internal/chi"
+	"chipletnoc/internal/config"
 	"chipletnoc/internal/fault"
 	"chipletnoc/internal/noc"
+	"chipletnoc/internal/serving"
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/traffic"
 )
@@ -135,6 +137,16 @@ var notSerialized = map[string]map[string]string{
 		"name": "wiring", "net": "wiring", "events": "build shape: the schedule, count matched",
 	},
 	"fault.repair": {},
+
+	"serving.Engine": {"name": "wiring", "die": "wiring", "net": "wiring", "iface": "wiring", "memNodes": "wiring"},
+	"serving.Orchestrator": {
+		"name": "wiring", "net": "wiring", "engines": "wiring", "spec": "build shape: matched",
+		"dag":      "host-side: command and batch free-lists and their counters, empty on load",
+		"lastTick": "derived: the stall count travels settled through the clock, and a load sets it to the clock",
+	},
+	"serving.arrivalProcess": {}, "serving.batch": {}, "serving.request": {},
+	"serving.command":      {"b": "derived: the batch whose DAG holds it", "at": "derived: its index in that DAG"},
+	"stats.QuantileSketch": {"order": "query scratch: the sorted bucket indices"},
 }
 
 // typeName is the notSerialized key of t: its printed name without the
@@ -183,6 +195,14 @@ var walkedSystems = []struct {
 			panic(err)
 		}
 		return s.Net, s.Run
+	}},
+	// The serving fabric at load 24 mid-run: batches in flight, commands
+	// waiting in every kind of list, requests held back by the watermark.
+	{3000, func() (*noc.Network, func(int)) {
+		spec := &config.ServingSpec{Loads: []float64{24}}
+		spec.ApplyDefaults(true)
+		s, _ := serving.Build(spec, 0) // a defaulted spec builds
+		return s.Net, s.Net.Run
 	}},
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 
 	"chipletnoc/internal/sim"
@@ -43,5 +44,25 @@ func (h *Histogram) SnapState(c *sim.Codec) {
 	}
 	if math.Float64bits(float64(total)) != math.Float64bits(h.sum) {
 		c.Fail("histogram sum %v is not its samples' total %d", h.sum, total)
+	}
+}
+
+// SnapState walks the sketch's population — the occupied buckets in index
+// order, the zero count and the exact aggregates — and a load refuses a
+// count that is not the buckets' and zeros' total.
+func (s *QuantileSketch) SnapState(c *sim.Codec) {
+	total := uint64(0)
+	sim.Map(c, &s.counts, 1<<16, cmp.Less[int32], func(idx *int32, n *uint64) {
+		sim.Int(c, idx)
+		c.U64(n)
+		total += *n
+	})
+	c.U64(&s.zeros)
+	c.U64(&s.count)
+	c.U64(&s.sum)
+	c.U64(&s.min)
+	c.U64(&s.max)
+	if c.Loading() && total+s.zeros != s.count {
+		c.Fail("sketch of %d samples holds %d", s.count, total+s.zeros)
 	}
 }
