@@ -37,9 +37,7 @@ func RunObservedAI(scale Scale, interval uint64) ObservedRun {
 	}
 	cfg := soc.DefaultAIConfig()
 	if scale == Quick {
-		cfg.VRings, cfg.HRings = 4, 2
-		cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
-		cfg.HBMStacks, cfg.DMAEngines = 2, 2
+		cfg = soc.QuickAIConfig()
 	}
 	a := soc.BuildAIProcessor(cfg)
 	reg := metrics.New(interval)

@@ -227,9 +227,7 @@ func buildSimSystem(spec SimSpec) (*noc.Network, error) {
 	case "ai-processor":
 		cfg := soc.DefaultAIConfig()
 		if spec.Scale == "quick" {
-			cfg.VRings, cfg.HRings = 4, 2
-			cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
-			cfg.HBMStacks, cfg.DMAEngines = 2, 2
+			cfg = soc.QuickAIConfig()
 		}
 		cfg.Seed = spec.Seed
 		return soc.BuildAIProcessor(cfg).Net, nil

@@ -133,10 +133,7 @@ func TestMetricsRegisterEveryDevice(t *testing.T) {
 	}
 	var cases []tc
 
-	ai := soc.DefaultAIConfig()
-	ai.VRings, ai.HRings = 4, 2
-	ai.CoresPerVRing, ai.L2PerHRing = 2, 4
-	ai.HBMStacks, ai.DMAEngines = 2, 2
+	ai := soc.QuickAIConfig()
 	cases = append(cases, tc{name: "ai", want: "252 0x9f6730742a3ce4c0", net: soc.BuildAIProcessor(ai).Net})
 
 	memCores := soc.BuildServerCPU(soc.ScaledServerConfig(8), soc.MemoryCores, func(core int, s *soc.ServerCPU) traffic.RequesterConfig {

@@ -1,15 +1,11 @@
 package serving
 
 import (
-	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
 	"chipletnoc/internal/config"
-	"chipletnoc/internal/durable"
 	"chipletnoc/internal/noc"
-	"chipletnoc/internal/sim"
 )
 
 // buildAt builds the quick spec's one point at load 24, edited by edit
@@ -50,51 +46,4 @@ func TestRestoreRefusesOtherWorkloads(t *testing.T) {
 			t.Errorf("%s: restore gave %v, want a refusal naming the %s", c.name, err, c.want)
 		}
 	}
-}
-
-// FuzzServingRestore is noc's FuzzRestoreState for serving state: it
-// patches bytes of the orchestrator's walk — batches, command DAGs and
-// (batch, index) references; no flit or message, whose layers have their
-// own restore fuzzers — in a real checkpoint at load 24, mid-run, under
-// either arrival process, and reseals it. A restore must refuse the bytes
-// as corrupt, or accept them, re-encode to exactly them and run 64 cycles
-// without a panic.
-func FuzzServingRestore(f *testing.F) {
-	processes := []string{"poisson", "bursty"}
-	arrivals := func(k int) func(*config.ServingSpec) {
-		return func(s *config.ServingSpec) { s.Arrival.Process = processes[k] }
-	}
-	var seeds [][]byte
-	for k := range processes {
-		sys := buildAt(arrivals(k))
-		sys.Net.Run(1200)
-		blob, err := noc.EncodeCheckpoint(sys.Net, nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, blob)
-	}
-	f.Add(uint8(0), uint32(40), []byte{0x7f})
-	f.Add(uint8(1), uint32(300), []byte{2, 0, 1})
-
-	f.Fuzz(func(t *testing.T, which uint8, off uint32, patch []byte) {
-		k := int(which) % len(seeds)
-		data := append([]byte(nil), seeds[k]...)
-		// The orchestrator's walk follows its device name, last.
-		start := bytes.LastIndex(data, []byte("host.orch")) + len("host.orch")
-		copy(data[start+int(off)%(len(data)-start):], patch)
-		durable.SealInPlace(data)
-
-		sys := buildAt(arrivals(k))
-		if _, err := noc.DecodeCheckpoint(data, sys.Net); err != nil {
-			if !errors.Is(err, sim.ErrCorruptSnapshot) {
-				t.Fatalf("rejection %v does not wrap ErrCorruptSnapshot", err)
-			}
-			return
-		}
-		if again, err := noc.EncodeCheckpoint(sys.Net, nil); err != nil || !bytes.Equal(again, data) {
-			t.Fatalf("accepted checkpoint does not round-trip: %d in, %d out (%v)", len(data), len(again), err)
-		}
-		sys.Net.Run(64)
-	})
 }

@@ -112,11 +112,7 @@ func TestGoldenServerCPUDigest(t *testing.T) {
 // engines and the IO die all active from their fixed seeds) for a fixed
 // cycle budget.
 func TestGoldenAIProcessorDigest(t *testing.T) {
-	cfg := DefaultAIConfig()
-	cfg.VRings, cfg.HRings = 4, 2
-	cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
-	cfg.HBMStacks, cfg.DMAEngines = 2, 2
-	a := BuildAIProcessor(cfg)
+	a := goldenAIBuild()
 	latencies, latencyFNV := hashLatencies(a.Net)
 	a.Run(3000)
 
@@ -126,13 +122,7 @@ func TestGoldenAIProcessorDigest(t *testing.T) {
 // goldenAIBuild is the fixed AI-Processor configuration shared by the
 // golden tests: the plain digest, the fault-injection digest, and the
 // empty-schedule inertness check all build exactly this system.
-func goldenAIBuild() *AIProcessor {
-	cfg := DefaultAIConfig()
-	cfg.VRings, cfg.HRings = 4, 2
-	cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
-	cfg.HBMStacks, cfg.DMAEngines = 2, 2
-	return BuildAIProcessor(cfg)
-}
+func goldenAIBuild() *AIProcessor { return BuildAIProcessor(QuickAIConfig()) }
 
 // TestGoldenEmptyFaultScheduleIsInert attaches a fault injector with a
 // completely empty schedule to the golden AI run: the digest must equal

@@ -137,10 +137,7 @@ func TestBuildAIProcessor(t *testing.T) {
 }
 
 func TestAIProcessorMovesTraffic(t *testing.T) {
-	cfg := DefaultAIConfig()
-	cfg.VRings, cfg.HRings = 4, 2
-	cfg.CoresPerVRing, cfg.L2PerHRing = 2, 4
-	cfg.HBMStacks, cfg.DMAEngines = 2, 2
+	cfg := QuickAIConfig()
 	a := BuildAIProcessor(cfg)
 	a.Run(5000)
 	var completed uint64
@@ -251,10 +248,8 @@ func TestFourPackageAllPairsTraffic(t *testing.T) {
 }
 
 func TestAIIODie(t *testing.T) {
-	cfg := DefaultAIConfig()
-	cfg.VRings, cfg.HRings = 4, 2
-	cfg.CoresPerVRing, cfg.L2PerHRing = 2, 3
-	cfg.HBMStacks, cfg.DMAEngines = 2, 2
+	cfg := QuickAIConfig()
+	cfg.L2PerHRing = 3
 	cfg.IODie = true
 	a := BuildAIProcessor(cfg)
 	if a.Host == nil || a.HostDMA == nil {
