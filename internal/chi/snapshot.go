@@ -27,20 +27,36 @@ func init() {
 			return nil
 		},
 		New:  func() interface{} { return &Message{} },
-		Walk: func(s *noc.Snap, m interface{}) { m.(*Message).snapState(s.Codec) },
+		Walk: func(s *noc.Snap, m interface{}) { m.(*Message).snapState(s) },
+		// A response or returned data travels to its requester; a
+		// request, a snoop or write data away from it, and its receiver
+		// answers the requester. Only a request is held in more than one
+		// place (recycle.go).
+		Carries: func(m interface{}, dst noc.NodeID) bool {
+			msg := m.(*Message)
+			ch := msg.Op.Channel()
+			return (ch == RSP || ch == DAT && msg.Op != NonCopyBackWrData) == (dst == msg.Requester)
+		},
+		OneTrip: func(m interface{}) bool { return !m.(*Message).Op.IsRequest() },
 	})
 }
 
-// snapState walks one message's contents.
-func (m *Message) snapState(c *sim.Codec) {
+// snapState walks one message's contents. The completion goes to
+// Requester, so it must be an endpoint; RetryDst is checked as one where
+// a retry can use it (Retrier.SnapState).
+func (m *Message) snapState(s *noc.Snap) {
+	c := s.Codec
 	c.U32(&m.TxnID)
 	sim.Int(c, &m.Op)
+	if m.Op < ReadNoSnp || m.Op > NonCopyBackWrData {
+		c.Fail("message opcode %d undefined", m.Op)
+	}
 	c.U64(&m.Addr)
-	sim.Int(c, &m.Requester)
+	s.Node(&m.Requester, noc.Endpoint, "message requester")
 	sim.Int(c, &m.Size)
 	c.U64(&m.IssuedAt)
 	sim.Int(c, &m.BeatsLeft)
-	sim.Int(c, &m.RetryDst)
+	s.Node(&m.RetryDst, noc.AnyNode, "message retry destination")
 }
 
 // SnapMessage walks a pooled reference that must be a live CHI message;
@@ -86,8 +102,11 @@ func (a *armedTxn) snapState(c *sim.Codec) {
 
 // SnapState walks the retry engine's live armed transactions in arm
 // order (dead entries are compaction debris and do not travel; rebuilt
-// state behaves identically because Expired ignores them anyway).
-func (r *Retrier) SnapState(c *sim.Codec) {
+// state behaves identically because Expired ignores them anyway). A
+// loaded armed transaction open in t is re-sent to its RetryDst, so that
+// must be an endpoint other than its requester.
+func (r *Retrier) SnapState(s *noc.Snap, t *Tracker) {
+	c := s.Codec
 	c.U64(&r.RetriedTxns)
 	c.U64(&r.AbortedTxns)
 	n := c.Len(r.watched.Len(), 1<<20)
@@ -107,6 +126,9 @@ func (r *Retrier) SnapState(c *sim.Codec) {
 		a.snapState(c)
 		if _, dup := r.watched.Get(uint64(a.id)); dup {
 			c.Fail("duplicate armed transaction %d", a.id)
+		}
+		if m := t.Lookup(a.id); m != nil && (m.RetryDst == m.Requester || !s.Plays(m.RetryDst, noc.Endpoint)) {
+			c.Fail("armed transaction %d retries to node %d", a.id, m.RetryDst)
 		}
 		r.watched.Put(uint64(a.id), a)
 		r.order = append(r.order, a)

@@ -37,9 +37,13 @@ func (dir *Directory) SnapState(s *noc.Snap) {
 		l := *lp
 		c.U64(addr)
 		sim.Int(c, &l.state)
-		sim.Int(c, &l.owner)
+		s.Node(&l.owner, noc.AnyNode, "directory line owner")
 		if l.state < Invalid || l.state > Modified {
 			c.Fail("directory line state %d out of range", l.state)
+		}
+		// An owned line's owner is snooped.
+		if owned := l.state == Exclusive || l.state == Modified; c.Loading() && owned && (l.owner == dir.Node() || !s.Plays(l.owner, noc.Endpoint)) {
+			c.Fail("directory line owned by node %d", l.owner)
 		}
 	})
 	dir.out.snapState(s)
@@ -61,6 +65,9 @@ func (a *CoreAgent) SnapState(s *noc.Snap) {
 	a.tracker.SnapState(s)
 	sim.WalkFIFO(c, &a.queue, 1<<20, func(m **chi.Message) {
 		chi.SnapMessage(s, m, "queued request")
+		if c.Loading() && *m != nil && !(*m).Op.IsRequest() {
+			c.Fail("queued %v is no request", (*m).Op)
+		}
 	})
 	sim.WalkTable(c, &a.issued, 1<<20, func(id *uint64, at *sim.Cycle) {
 		c.Key32(id)

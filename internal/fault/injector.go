@@ -122,8 +122,8 @@ func (inj *Injector) Tick(now sim.Cycle) {
 // SnapState implements noc.StateSnapshotter. The schedule is build shape
 // — a checkpoint restores into an injector built from the same one — so
 // what travels is the cursor into it, the victim-selection RNG, the
-// repairs still owed and the counters. A loaded repair's node is checked
-// where it is used (Network.RepairBridge).
+// repairs still owed and the counters. A loaded repair's node must be a
+// bridge.
 func (inj *Injector) SnapState(s *noc.Snap) {
 	c := s.Codec
 	c.Match(len(inj.events), "fault event count")
@@ -136,7 +136,7 @@ func (inj *Injector) SnapState(s *noc.Snap) {
 	for i := range inj.repairs {
 		r := &inj.repairs[i]
 		c.U64(&r.at)
-		sim.Int(c, &r.node)
+		s.Node(&r.node, noc.Bridge, "repair node")
 		sim.Int(c, &r.seq)
 	}
 	c.U64(&inj.FaultsApplied)

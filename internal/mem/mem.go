@@ -148,7 +148,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 		c.ch.Pop()
 		dst := req.Requester
 		if dst == c.Node() {
-			panic(fmt.Sprintf("mem: %s asked to reply to itself", c.name))
+			continue // no live run asks, a patched checkpoint can
 		}
 		c.BytesServed += uint64(req.Bytes())
 		if req.IsWrite() {

@@ -12,13 +12,10 @@ import (
 )
 
 // walkBurstKey walks a burst key as its requester and TxnID.
-func walkBurstKey(c *sim.Codec, k *uint64) {
+func walkBurstKey(s *noc.Snap, k *uint64) {
 	requester, txn := noc.NodeID(uint32(*k>>32)), uint32(*k)
-	sim.Int(c, &requester)
-	c.U32(&txn)
-	if requester < 0 {
-		c.Fail("write burst of requester %d", requester)
-	}
+	s.Node(&requester, noc.Endpoint, "write burst requester")
+	s.U32(&txn)
 	*k = burstKey(requester, txn)
 }
 
@@ -39,11 +36,11 @@ func (c *Controller) SnapState(s *noc.Snap) {
 	// open, or one outside [1, Beats()) — the last beat queues the write —
 	// fails the load.
 	sim.WalkTable(k, &c.bursts, 1<<16, func(key *uint64, m **chi.Message) {
-		walkBurstKey(k, key)
+		walkBurstKey(s, key)
 		chi.SnapMessage(s, m, "open write")
 	})
 	sim.WalkTable(k, &c.landed, 1<<16, func(key *uint64, n *int32) {
-		walkBurstKey(k, key)
+		walkBurstKey(s, key)
 		sim.Int(k, n)
 		if !k.Loading() {
 			return

@@ -25,7 +25,7 @@ func (r *Requester) SnapState(s *noc.Snap) {
 	s.Flits(&r.sendq, 1<<20)
 	c.MatchBool(r.retrier != nil, "retrier presence")
 	if r.retrier != nil && c.Err() == nil {
-		r.retrier.SnapState(c)
+		r.retrier.SnapState(s, r.tracker)
 	}
 	r.Latency.SnapState(c)
 	c.U64(&r.Issued)
