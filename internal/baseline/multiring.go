@@ -58,11 +58,7 @@ func NewMultiRing(nodes int, full bool) *MultiRing {
 	stations := (nodes + 1) / 2
 	ring := m.net.AddRing(stations*2, full)
 	for i := 0; i < nodes; i++ {
-		st := ring.Station((i / 2) * 2)
-		if st == nil {
-			st = ring.AddStation((i / 2) * 2)
-		}
-		m.addPort(st)
+		m.addPort(ring.AddStation((i / 2) * 2))
 	}
 	m.finish()
 	return m
@@ -85,12 +81,7 @@ func NewMultiRingChiplets(dies, nodesPerDie int) *MultiRing {
 		ring := m.net.AddRing(stations*2, true)
 		rings = append(rings, ring)
 		for i := 0; i < nodesPerDie; i++ {
-			pos := (i / 2) * 2
-			st := ring.Station(pos)
-			if st == nil {
-				st = ring.AddStation(pos)
-			}
-			m.addPort(st)
+			m.addPort(ring.AddStation((i / 2) * 2))
 		}
 	}
 	// Two parallel RBRG-L2 links per die pair, like the multi-link

@@ -65,7 +65,7 @@ func (a *CoreAgent) SnapState(s *noc.Snap) {
 	a.tracker.SnapState(s)
 	sim.WalkFIFO(c, &a.queue, 1<<20, func(m **chi.Message) {
 		chi.SnapMessage(s, m, "queued request")
-		if c.Loading() && *m != nil && !(*m).Op.IsRequest() {
+		if c.Loading() && c.Err() == nil && !(*m).Op.IsRequest() {
 			c.Fail("queued %v is no request", (*m).Op)
 		}
 	})

@@ -77,7 +77,7 @@ type RBRGL1 struct {
 // stations (each on a different ring).
 func NewRBRGL1(net *Network, name string, cfg RBRGL1Config, stations ...*CrossStation) *RBRGL1 {
 	if len(stations) < 2 {
-		panic("noc: RBRGL1 needs at least two rings")
+		net.fail("RBRG-L1 %q needs at least 2 stations, has %d", name, len(stations))
 	}
 	b := &RBRGL1{name: name, net: net, cfg: cfg}
 	b.node = net.NewNode(name)
@@ -420,9 +420,6 @@ func (cfg *RBRGL2Config) escWindow() int {
 // shortest trip on which the half that ticks second cannot consume what
 // the first launched in the same cycle.
 func NewRBRGL2(net *Network, name string, cfg RBRGL2Config, a, b *CrossStation) *RBRGL2 {
-	if a.ring == b.ring {
-		panic("noc: RBRGL2 must span two rings")
-	}
 	if cfg.LinkLatency < 1 {
 		cfg.LinkLatency = 1
 	}

@@ -28,8 +28,9 @@ var notSerialized = map[string]map[string]string{
 		"name": "build shape: matched, not restored", "rings": "build shape: count matched",
 		"devices": "build shape: count and names matched", "nodes": "build shape: count matched",
 		"flitIDShift": "derived from the node count at Finalize", "finalized": "build state",
-		"ringDist": "derived: route tables, rebuilt from topology + failed set",
-		"ringNext": "derived: route tables", "bridges": "derived: bridge inventory", "routeTbl": "derived: route tables",
+		"wiringErr": "build state: nil in any network Finalize accepted",
+		"ringDist":  "derived: route tables, rebuilt from topology + failed set",
+		"ringNext":  "derived: route tables", "routeTbl": "derived: route tables",
 		"routeCands": "derived: route tables", "topoHash": "derived: cached TopoHash of the build",
 		"freeFlits": "engine scratch: free list, reset on load",
 		"snap":      "engine scratch: a walk's identity pools, empty between walks", "lastCheckpoint": "engine scratch: sizes the next checkpoint's buffer",
@@ -113,6 +114,9 @@ var notSerialized = map[string]map[string]string{
 	},
 	"mem.timed":         {},
 	"traffic.Requester": {"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config"},
+	"traffic.Replayer": {
+		"name": "wiring", "net": "wiring", "iface": "wiring", "targetOf": "wiring", "ops": "build shape: length matched",
+	},
 	"traffic.SeqStream": {"stride": "config", "wrap": "config", "base": "config"},
 	"sim.RNG":           {},
 	"stats.Histogram":   {},
@@ -133,7 +137,8 @@ var notSerialized = map[string]map[string]string{
 	"fault.Injector": {
 		"name": "wiring", "net": "wiring", "events": "build shape: the schedule, count matched",
 	},
-	"fault.repair": {},
+	"fault.repair":    {},
+	"noctest.burster": {"cores": "wiring"},
 
 	"serving.Engine": {"name": "wiring", "die": "wiring", "net": "wiring", "iface": "wiring", "memNodes": "wiring"},
 	"serving.Orchestrator": {

@@ -52,11 +52,12 @@ type Network struct {
 	flitSeq     []uint64
 	flitIDShift uint
 
+	wiringErr error // the first wiring fault a build call met (fail)
+
 	// ring-graph routing, built by Finalize
 	finalized bool
 	ringDist  [][]int
-	ringNext  [][]RingID             // next ring on the shortest path
-	bridges   map[[2]RingID][]NodeID // nodes spanning a ring pair
+	ringNext  [][]RingID // next ring on the shortest path
 	// routeTbl[r][dst] is the fully resolved exit decision for a flit on
 	// ring r heading to node dst — the hot-path replacement for the map
 	// walks in routeFrom/localTarget — and routeCands holds the bridge
@@ -182,7 +183,6 @@ type latencyRecorder func(f *Flit, cycles uint64)
 func NewNetwork(name string) *Network {
 	return &Network{
 		name:        name,
-		bridges:     make(map[[2]RingID][]NodeID),
 		ITagEnabled: true,
 		ETagEnabled: true,
 	}
@@ -200,17 +200,33 @@ func (n *Network) Ticks() uint64 { return n.ticks }
 // RecordLatency installs a per-delivery latency callback.
 func (n *Network) RecordLatency(fn func(f *Flit, cycles uint64)) { n.latency = fn }
 
+// building panics when a build call comes after Finalize: the topology
+// is frozen then, and only AddDevice may still run.
+func (n *Network) building(call string) {
+	if n.finalized {
+		panic("noc: " + call + " after Finalize")
+	}
+}
+
+// fail records a wiring fault, the first one wins; the build call that
+// met it carries on with a harmless placeholder, and Finalize returns it.
+func (n *Network) fail(format string, args ...any) {
+	if n.wiringErr == nil {
+		n.wiringErr = fmt.Errorf("noc: "+format, args...)
+	}
+}
+
 // AddRing creates a ring with the given number of slot positions;
 // full=true gives it both directions. Positions must be at least 2.
 func (n *Network) AddRing(positions int, full bool) *Ring {
-	if n.finalized {
-		panic("noc: AddRing after Finalize")
-	}
+	n.building("AddRing")
+	id := RingID(len(n.rings))
 	if positions < 2 {
-		panic("noc: ring needs at least 2 positions")
+		n.fail("ring %d needs at least 2 positions, has %d", id, positions)
+		positions = 2
 	}
 	r := &Ring{
-		id:        RingID(len(n.rings)),
+		id:        id,
 		net:       n,
 		positions: positions,
 		full:      full,
@@ -233,12 +249,16 @@ func (n *Network) Ring(id RingID) *Ring { return n.rings[id] }
 // Rings returns all rings.
 func (n *Network) Rings() []*Ring { return n.rings }
 
-// NewNode allocates a node identity for a device.
+// NewNode allocates a node identity for a device. The name travels in
+// checkpoints, so it must be non-empty and at most MaxNameBytes long.
 func (n *Network) NewNode(name string) NodeID {
-	if n.finalized {
-		panic("noc: NewNode after Finalize")
-	}
+	n.building("NewNode")
 	id := NodeID(len(n.nodes))
+	if name == "" {
+		n.fail("node %d needs a name", id)
+	} else if len(name) > MaxNameBytes {
+		n.fail("node name of %d bytes exceeds the limit of %d", len(name), MaxNameBytes)
+	}
 	n.nodes = append(n.nodes, &nodeInfo{name: name})
 	return id
 }
@@ -256,21 +276,20 @@ func (n *Network) Attach(node NodeID, st *CrossStation) *NodeInterface {
 
 // AttachQueued connects a node to a station with explicit queue depths.
 // A node may attach to several rings (that is what bridges do) but only
-// once per ring.
+// once per ring, and to at most 127.
 func (n *Network) AttachQueued(node NodeID, st *CrossStation, injectDepth, ejectDepth int) *NodeInterface {
-	if n.finalized {
-		panic("noc: Attach after Finalize")
-	}
+	n.building("Attach")
 	info := n.nodes[node]
-	if info.on(st.ring.id) != nil {
-		panic(fmt.Sprintf("noc: node %q attached twice to ring %d", info.name, st.ring.id))
-	}
-	if len(info.ifaces) == math.MaxInt8 {
-		panic(fmt.Sprintf("noc: node %q attached to more than %d rings", info.name, math.MaxInt8))
-	}
 	ni := st.attach(node, injectDepth, ejectDepth)
-	ni.nodeSlot = len(info.ifaces)
-	info.ifaces = append(info.ifaces, ni)
+	switch {
+	case info.on(st.ring.id) != nil:
+		n.fail("node %q has two stations on ring %d", info.name, st.ring.id)
+	case len(info.ifaces) == math.MaxInt8:
+		n.fail("node %q attached to more than %d rings", info.name, math.MaxInt8)
+	default:
+		ni.nodeSlot = len(info.ifaces)
+		info.ifaces = append(info.ifaces, ni)
+	}
 	return ni
 }
 
@@ -282,16 +301,6 @@ func (info *nodeInfo) on(r RingID) *NodeInterface {
 		}
 	}
 	return nil
-}
-
-// ringIDs returns the rings the node is attached to, in ascending order.
-func (info *nodeInfo) ringIDs() []RingID {
-	ids := make([]RingID, len(info.ifaces))
-	for i, ni := range info.ifaces {
-		ids[i] = ni.station.ring.id
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // AddDevice registers a device for per-cycle ticking (after ring logic).
@@ -401,30 +410,17 @@ func (n *Network) RecycleRefused(f *Flit) {
 
 // Finalize freezes the topology and builds the ring-graph routing tables.
 // It must be called once, after all rings/attachments and before the
-// first Tick.
+// first Tick. The first wiring fault a build call met comes back first.
 func (n *Network) Finalize() error {
+	if n.wiringErr != nil {
+		return n.wiringErr
+	}
 	if n.finalized {
 		return fmt.Errorf("noc: %s already finalized", n.name)
 	}
 	R := len(n.rings)
 	if R == 0 {
-		return fmt.Errorf("noc: %s has no rings", n.name)
-	}
-	// Every multi-ring node is a potential bridge edge.
-	for id, info := range n.nodes {
-		if len(info.ifaces) < 2 {
-			continue
-		}
-		ringIDs := info.ringIDs()
-		for i := 0; i < len(ringIDs); i++ {
-			for j := 0; j < len(ringIDs); j++ {
-				if i == j {
-					continue
-				}
-				key := [2]RingID{ringIDs[i], ringIDs[j]}
-				n.bridges[key] = append(n.bridges[key], NodeID(id))
-			}
-		}
+		return fmt.Errorf("noc: %s needs at least one ring", n.name)
 	}
 	n.rebuildRoutes()
 	// Validate reachability: every node must be reachable from every ring.
@@ -459,9 +455,7 @@ type exitPoint struct {
 // for (current ring, destination node), in 16 bytes. A local destination
 // leaves at position at, interface iface. A remote one leaves at one of
 // the alive bridges towards the next ring, routeCands[at:at+count], in
-// the same order the incremental map-based router produced (bridge
-// node-ID order with failed bridges filtered out), so the flit-ID load
-// balancing picks identical bridges.
+// node-ID order.
 type routeEntry struct {
 	dstRing   int32
 	at, count int32
@@ -476,22 +470,23 @@ type routeEntry struct {
 // through them disappear and affected flits become unreachable.
 func (n *Network) rebuildRoutes() {
 	R := len(n.rings)
+	// The bridge inventory, in one walk: the live bridges in node-id order
+	// and the ring adjacency, each bridge's rings taken in ascending order.
 	adj := make([][]RingID, R)
-	seen := make(map[[2]RingID]bool)
+	var live []NodeID
 	for id, info := range n.nodes {
 		if len(info.ifaces) < 2 || n.failed[NodeID(id)] {
 			continue
 		}
-		ringIDs := info.ringIDs()
-		for i := 0; i < len(ringIDs); i++ {
-			for j := 0; j < len(ringIDs); j++ {
-				if i == j {
-					continue
-				}
-				a, b := ringIDs[i], ringIDs[j]
-				key := [2]RingID{a, b}
-				if !seen[key] {
-					seen[key] = true
+		live = append(live, NodeID(id))
+		rings := make([]RingID, len(info.ifaces))
+		for i, ni := range info.ifaces {
+			rings[i] = ni.station.ring.id
+		}
+		slices.Sort(rings)
+		for _, a := range rings {
+			for _, b := range rings {
+				if a != b && !slices.Contains(adj[a], b) {
 					adj[a] = append(adj[a], b)
 				}
 			}
@@ -528,14 +523,14 @@ func (n *Network) rebuildRoutes() {
 		n.ringDist[s] = dist
 		n.ringNext[s] = next
 	}
-	n.rebuildRouteTable()
+	n.rebuildRouteTable(live)
 }
 
 // rebuildRouteTable materialises the dense per-(ring, destination) exit
-// table from the freshly built BFS tables. The per-destination best-ring
-// choice and per-hop bridge candidate ordering replicate routeFrom and
-// the old map-walking localTarget exactly; only the lookup cost changes.
-func (n *Network) rebuildRouteTable() {
+// table from the freshly built BFS tables. The candidates of a ring pair
+// are the live bridges spanning it, in node-id order, so the flit-ID load
+// balancing of localTarget picks the same bridge for the same flit.
+func (n *Network) rebuildRouteTable(live []NodeID) {
 	R := len(n.rings)
 	n.routeTbl = make([][]routeEntry, R)
 	n.routeCands = n.routeCands[:0]
@@ -568,12 +563,11 @@ func (n *Network) rebuildRouteTable() {
 			cands, seen := aliveCands[key]
 			if !seen {
 				cands.at = int32(len(n.routeCands))
-				for _, b := range n.bridges[key] {
-					if n.failed[b] {
-						continue
+				for _, b := range live {
+					info := n.nodes[b]
+					if bi := info.on(rid); bi != nil && info.on(next) != nil {
+						n.routeCands = append(n.routeCands, exitPoint{pos: int32(bi.station.pos), iface: int8(bi.index)})
 					}
-					bi := n.nodes[b].on(rid)
-					n.routeCands = append(n.routeCands, exitPoint{pos: int32(bi.station.pos), iface: int8(bi.index)})
 				}
 				cands.count = int32(len(n.routeCands)) - cands.at
 				aliveCands[key] = cands

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"chipletnoc/internal/sim"
@@ -301,17 +300,18 @@ func (r *Ring) Station(pos int) *CrossStation {
 	return r.stationAt[pos]
 }
 
-// AddStation places a cross station at the given position. Positions must
-// be unique and inside the loop.
+// AddStation returns the cross station at the given position, placing
+// one there first if there is none. A position outside the loop is a
+// wiring fault that Finalize reports; the station returned then sits on
+// no ring.
 func (r *Ring) AddStation(pos int) *CrossStation {
-	if r.net.finalized {
-		panic("noc: AddStation after Finalize")
-	}
+	r.net.building("AddStation")
 	if pos < 0 || pos >= r.positions {
-		panic(fmt.Sprintf("noc: station position %d outside ring of %d positions", pos, r.positions))
+		r.net.fail("station position %d outside ring %d of %d positions", pos, r.id, r.positions)
+		return &CrossStation{ring: r, pos: pos}
 	}
 	if r.stationAt[pos] != nil {
-		panic(fmt.Sprintf("noc: duplicate station at position %d on ring %d", pos, r.id))
+		return r.stationAt[pos]
 	}
 	st := &CrossStation{ring: r, pos: pos}
 	r.stationAt[pos] = st

@@ -1,6 +1,9 @@
 package noc
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRingDistanceAndShortestDir(t *testing.T) {
 	net := NewNetwork("t")
@@ -114,9 +117,13 @@ func TestAddStationOrderingAndBounds(t *testing.T) {
 	if got[0] != 2 || got[1] != 5 || got[2] != 7 {
 		t.Fatalf("stations not position-ordered: %v", got)
 	}
-	mustPanic(t, func() { r.AddStation(10) })
-	mustPanic(t, func() { r.AddStation(-1) })
-	mustPanic(t, func() { r.AddStation(2) }) // duplicate
+	if st := r.AddStation(2); st != r.stations[0] || len(r.stations) != 3 {
+		t.Fatal("a second AddStation at a position placed another station")
+	}
+	r.AddStation(10)
+	if err := net.Finalize(); err == nil || !strings.Contains(err.Error(), "outside ring") {
+		t.Fatalf("Finalize after a station past the ring: %v", err)
+	}
 }
 
 func TestRingOccupancy(t *testing.T) {

@@ -113,19 +113,20 @@ func equalDigest(x, y netDigest) bool {
 	return true
 }
 
-// TestCheckpointRefusesOverlongName: a network built in code, past any
-// spec check, with a name no load accepts must fail to checkpoint rather
-// than write a blob that can never be read back.
+// TestCheckpointRefusesOverlongName: a network built in code with a name
+// no load accepts must fail to checkpoint rather than write a blob that
+// can never be read back, and so must one given such a device after
+// Finalize. A node named so never gets that far: Finalize refuses it
+// (TestWiringFaultsFailFinalize).
 func TestCheckpointRefusesOverlongName(t *testing.T) {
-	for _, tc := range []struct{ net, dev string }{
-		{strings.Repeat("n", MaxNameBytes+1), "a"},
-		{"snap", strings.Repeat("d", MaxNameBytes+1)},
-	} {
+	long := strings.Repeat("n", MaxNameBytes+1)
+	for _, tc := range []struct{ net, dev string }{{long, "late"}, {"snap", long}} {
 		net := NewNetwork(tc.net)
 		ring := net.AddRing(8, true)
-		newSource(t, net, ring.AddStation(0), tc.dev)
+		newSource(t, net, ring.AddStation(0), "a")
 		newSource(t, net, ring.AddStation(4), "b")
 		net.MustFinalize()
+		net.AddDevice(&lateDevice{name: tc.dev})
 		runCycles(net, 10)
 		if _, err := EncodeCheckpoint(net, nil); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
 			t.Errorf("network %.8q device %.8q: checkpoint error %v, want a name-limit refusal", tc.net, tc.dev, err)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/trace"
@@ -492,24 +493,24 @@ func (st *CrossStation) Ring() *Ring { return st.ring }
 func (st *CrossStation) Interface(i int) *NodeInterface { return st.ifaces[i] }
 
 // attach connects a device to the first free interface; stations carry at
-// most two devices (Figure 7(A)). The queues get their full storage up
-// front and Send checks depth first, so they never reallocate.
+// most two devices (Figure 7(A)), and a third is a wiring fault. The
+// queues get their full storage up front and Send checks depth first, so
+// they never reallocate.
 func (st *CrossStation) attach(node NodeID, injectDepth, ejectDepth int) *NodeInterface {
-	for i := range st.ifaces {
-		if st.ifaces[i] == nil {
-			ni := &NodeInterface{
-				node:    node,
-				station: st,
-				index:   i,
-				inject:  sim.NewFIFO[*Flit](injectDepth),
-				eject:   sim.NewFIFO[*Flit](ejectDepth),
-				bypass:  sim.NewFIFO[*Flit](bypassDepth),
-			}
-			st.ifaces[i] = ni
-			return ni
-		}
+	ni := &NodeInterface{
+		node:    node,
+		station: st,
+		inject:  sim.NewFIFO[*Flit](injectDepth),
+		eject:   sim.NewFIFO[*Flit](ejectDepth),
+		bypass:  sim.NewFIFO[*Flit](bypassDepth),
 	}
-	panic(fmt.Sprintf("noc: station at ring %d pos %d already has two interfaces", st.ring.id, st.pos))
+	ni.index = slices.Index(st.ifaces[:], nil)
+	if ni.index < 0 {
+		st.ring.net.fail("station at ring %d position %d already has two interfaces", st.ring.id, st.pos)
+		return ni
+	}
+	st.ifaces[ni.index] = ni
+	return ni
 }
 
 // tick processes the cycle for this station: local same-station

@@ -316,15 +316,6 @@ func TestStationRoundRobinFairness(t *testing.T) {
 	}
 }
 
-func TestThirdInterfacePanics(t *testing.T) {
-	net := NewNetwork("t")
-	r := net.AddRing(8, true)
-	st := r.AddStation(0)
-	newSource(t, net, st, "a")
-	newSource(t, net, st, "b")
-	mustPanic(t, func() { newSource(t, net, st, "c") })
-}
-
 func TestOnTheFlyPriority(t *testing.T) {
 	// A passing flit must never be displaced by an injection: run a
 	// saturated half-ring and check no flit is ever lost.

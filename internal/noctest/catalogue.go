@@ -16,8 +16,10 @@ import (
 	"chipletnoc/internal/coherence"
 	"chipletnoc/internal/config"
 	"chipletnoc/internal/fault"
+	"chipletnoc/internal/mem"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/serving"
+	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/traffic"
 )
@@ -52,6 +54,8 @@ var Catalogue = []System{
 	fabric("diff-mesh", false), fabric("diff-mesh", true),
 	fabric("diff-hub", false), fabric("diff-hub", true),
 	fabric("diff-mesh-faults", false), fabric("diff-mesh-faults", true),
+	{"server-cpu/bursts", serverCPUBursts, 4000, []int{1500, 3000}},
+	{"replay/bursty", replayBursty, 4000, []int{300, 1500}},
 }
 
 // Lookup returns the catalogue entry of the given name.
@@ -108,6 +112,59 @@ func serverCPU() *noc.Network {
 		reader.Read(a)
 	}
 	return s.Net
+}
+
+// serverCPUBursts is the coherent Server-CPU with two-entry transaction
+// tables and a burster driving the first core of each compute die: the
+// two sleep on a full table with requests still queued, and wake to
+// requests handed to them mid-run.
+func serverCPUBursts() *noc.Network {
+	cfg := soc.DefaultServerConfig()
+	cfg.ClustersPerDie, cfg.Outstanding = 2, 2
+	s := soc.BuildServerCPU(cfg, soc.CoherentCores, nil)
+	cores := []*coherence.CoreAgent{s.Cores[0], s.Cores[len(s.Cores)/2]}
+	s.Net.AddDevice(&burster{cores: cores, rng: sim.NewRNG(0xb5), left: 120})
+	return s.Net
+}
+
+// burster drives coherent cores in bursts of one to five requests, each
+// from a random core to one of six hot lines, deeper than a transaction
+// table, with a gap of up to 120 cycles after each that sometimes lets
+// everything drain. It ticks after the cores, so a request wakes its
+// core for the next cycle.
+type burster struct {
+	cores []*coherence.CoreAgent
+	rng   *sim.RNG
+	next  sim.Cycle // cycle of the next burst
+	left  uint64    // requests still to hand out
+}
+
+func (b *burster) Name() string { return "burster" }
+
+func (b *burster) Tick(now sim.Cycle) {
+	if b.left == 0 || now < b.next {
+		return
+	}
+	for n := 1 + b.rng.Intn(5); n > 0 && b.left > 0; n-- {
+		core := b.cores[b.rng.Intn(len(b.cores))]
+		addr := uint64(b.rng.Intn(6)) * 64
+		[]func(uint64){core.Read, core.ReadOwned, core.Write, core.WriteBack}[b.rng.Intn(4)](addr)
+		b.left--
+	}
+	b.next = now + 1 + sim.Cycle(b.rng.Intn(120))
+}
+
+func (b *burster) IdleUntil(now sim.Cycle) sim.Cycle {
+	if b.left == 0 {
+		return noc.Never
+	}
+	return max(now, b.next)
+}
+
+func (b *burster) SnapState(s *noc.Snap) {
+	b.rng.SnapState(s.Codec)
+	sim.Uint(s.Codec, &b.next)
+	s.U64(&b.left)
 }
 
 // quadDie is the four-die Server-CPU of the benchmark's quad-die
@@ -174,6 +231,29 @@ func faulted(net *noc.Network, sched *fault.Schedule, seed uint64) *noc.Network 
 	if _, err := fault.NewInjector(net, sched, seed); err != nil {
 		panic(err)
 	}
+	return net
+}
+
+// replayBursty is cmd/tracegen's replay rig — one ring, an HBM stack, a
+// 32-entry transaction table — replaying a synthetic trace of dense
+// bursts deeper than the table (the replay slips, awake) separated by
+// gaps long enough to drain (asleep until the next recorded cycle).
+func replayBursty() *noc.Network {
+	rng := sim.NewRNG(0x7ace)
+	var ops []traffic.TraceOp
+	at := uint64(0)
+	for len(ops) < 200 {
+		for n := 1 + rng.Intn(64); n > 0; n-- {
+			ops = append(ops, traffic.TraceOp{Cycle: at, Write: rng.Bernoulli(0.4), Addr: uint64(len(ops)) * 256, Size: 256})
+			at += uint64(rng.Intn(2))
+		}
+		at += uint64(100 + rng.Intn(500))
+	}
+	net := noc.NewNetwork("replay-rig")
+	ring := net.AddRing(16, true)
+	ctl := mem.New(net, "hbm", mem.HBMStack(), ring.AddStation(8))
+	traffic.NewReplayer(net, "replay", ops, 32, traffic.FixedTarget(ctl.Node()), ring.AddStation(0))
+	net.MustFinalize()
 	return net
 }
 

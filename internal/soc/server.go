@@ -214,12 +214,8 @@ func BuildServerCPU(cfg ServerConfig, kind CoreKind, memCoreCfg func(core int, s
 		if !ok {
 			pos = r.Positions() - 1
 		}
-		st := r.Station(pos)
-		if st == nil {
-			st = r.AddStation(pos)
-		}
 		nextBridgePos[r] = pos - 1
-		return st
+		return r.AddStation(pos)
 	}
 	for pkg := 0; pkg < cfg.packages(); pkg++ {
 		crs, irs := computeRings[pkg], ioRings[pkg]

@@ -10,26 +10,19 @@ import (
 	"chipletnoc/internal/sim"
 )
 
-// ifaceState renders what a device can do to the fabric through its
-// interface: a Tick that moved a flit moves one of these.
-func ifaceState(ni *noc.NodeInterface) string {
-	return fmt.Sprintf("|inj=%d ej=%d sent=%d got=%d", ni.InjectLen(), ni.EjectLen(), ni.Injected, ni.EjectedFlits)
-}
-
-// requesterState renders everything a Tick of the requester can touch:
-// its snapshot codec — transaction table, beat queue, retry deadlines,
-// counters, and the RNG and address-stream positions bit for bit — plus
-// its interface.
-func requesterState(t *testing.T, r *Requester) string {
+// walked renders everything a Tick of a generator can touch: its state
+// walk — for the requester its RNG and address-stream positions bit for
+// bit — plus what it can do to the fabric through its interface.
+func walked(t *testing.T, d noc.StateSnapshotter, ni *noc.NodeInterface) string {
 	t.Helper()
 	e := sim.NewEncoder()
 	s := noc.NewSnap(sim.Saving(e))
 	defer s.End()
-	r.SnapState(s)
+	d.SnapState(s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return string(e.Data()) + ifaceState(r.iface)
+	return string(e.Data()) + fmt.Sprintf("|inj=%d ej=%d sent=%d got=%d", ni.InjectLen(), ni.EjectLen(), ni.Injected, ni.EjectedFlits)
 }
 
 // TestIdleUntilHonest is the invariant the tick engine's device gate
@@ -108,9 +101,9 @@ func TestIdleUntilHonest(t *testing.T) {
 							blockedTimed++
 						}
 					}
-					before := requesterState(t, req)
+					before := walked(t, req, req.iface)
 					req.Tick(next)
-					if after := requesterState(t, req); after != before {
+					if after := walked(t, req, req.iface); after != before {
 						t.Fatalf("seed %d: requester said idle until %d at cycle %d but its Tick changed state", seed, until, next)
 					}
 				}
@@ -132,13 +125,6 @@ func TestIdleUntilHonest(t *testing.T) {
 			}
 		})
 	}
-}
-
-// replayerState renders everything a Tick of the replayer can touch. It
-// has no snapshot codec, so the fields are listed by hand.
-func replayerState(r *Replayer) string {
-	return fmt.Sprintf("next=%d sendq=%d open=%d issued=%d done=%d bytes=%d slip=%d",
-		r.next, r.sendq.Len(), r.tracker.Outstanding(), r.Issued, r.Completed, r.BytesMoved, r.SlipCycles) + ifaceState(r.iface)
 }
 
 // replayerIdleHonest holds the replayer to the contract on a trace of
@@ -179,10 +165,10 @@ func replayerIdleHonest(t *testing.T) {
 			} else {
 				forever++
 			}
-			before := replayerState(rep)
+			before := walked(t, rep, rep.iface)
 			rep.Tick(next)
-			if after := replayerState(rep); after != before {
-				t.Fatalf("seed %d: replayer said idle until %d at cycle %d but its Tick changed state\nbefore %s\nafter  %s", seed, until, next, before, after)
+			if after := walked(t, rep, rep.iface); after != before {
+				t.Fatalf("seed %d: replayer said idle until %d at cycle %d but its Tick changed state", seed, until, next)
 			}
 		}
 		if !rep.Done() {

@@ -2,7 +2,8 @@
 // tracker, in-flight accounting, pending beat flits, retry state,
 // latency histogram and — critically for determinism — its RNG and
 // address-stream positions, so a resumed generator issues the exact
-// request sequence the uninterrupted run would have.
+// request sequence the uninterrupted run would have. The replayer walks
+// its trace cursor, tracker, pending beats and counters.
 package traffic
 
 import (
@@ -46,4 +47,21 @@ func (r *Requester) SnapState(s *noc.Snap) {
 		c.Fail("stream tag %d does not match sequential stream", tag)
 	}
 	c.U64(&st.next)
+}
+
+// SnapState implements noc.StateSnapshotter. The trace is build shape:
+// a load matches its length and refuses a cursor past its end.
+func (r *Replayer) SnapState(s *noc.Snap) {
+	c := s.Codec
+	c.Match(len(r.ops), "trace ops")
+	sim.Int(c, &r.next)
+	if r.next < 0 || r.next > len(r.ops) {
+		c.Fail("replay cursor %d outside a trace of %d ops", r.next, len(r.ops))
+	}
+	r.tracker.SnapState(s)
+	s.Flits(&r.sendq, 1<<20)
+	c.U64(&r.Issued)
+	c.U64(&r.Completed)
+	c.U64(&r.BytesMoved)
+	c.U64(&r.SlipCycles)
 }
