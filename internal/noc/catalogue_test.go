@@ -92,29 +92,36 @@ func observe(t *testing.T, n *noc.Network, cycles int, p *prober) outcome {
 
 // prober is the idle-honesty probe, the invariant the whole gate rests
 // on: a device that says IdleUntil(now) > now promises its Tick(now)
-// changes nothing. On sampled cycles of the forced-awake reference run —
-// which ticks every device anyway, so probing perturbs nothing — each
-// device whose turn it is and that claims to be idle is ticked between
-// two looks at the whole network: its walked state (every queue, buffer,
-// counter and device, settled at the network clock), the flit free-list
-// and the count of trace events. The first look is taken after IdleUntil
-// is asked, since asking may draw the orchestrator's arrival stream
-// ahead. A stall counted twice, a refill without its cursor, a field an
-// idle tick moves: each shows as a difference.
+// changes nothing. On the cycles it probes of the forced-awake reference
+// run — which ticks every device anyway, so probing perturbs nothing —
+// each device whose turn it is and that claims to be idle is ticked
+// between two looks at the whole network: its walked state (every queue,
+// buffer, counter and device, settled at the network clock), the flit
+// free-list and the count of trace events. The first look is taken after
+// IdleUntil is asked, since asking may draw the orchestrator's arrival
+// stream ahead. A stall counted twice, a refill without its cursor, a
+// field an idle tick moves: each shows as a difference.
 type prober struct {
 	idle          map[string]int // idle ticks probed, by device kind
 	before, after []byte
 }
 
+// A run of at most probeBudget device-cycles is probed whole: every
+// device on every cycle. A larger one is sampled on probedCycles cycles,
+// spread over the run, with about probedPerCycle devices taking their
+// turn on each.
 const (
-	probedCycles   = 16 // sampled cycles per run
-	probedPerCycle = 8  // about this many devices take their turn on one
+	probeBudget    = 40000
+	probedCycles   = 16
+	probedPerCycle = 8
 )
 
 func (p *prober) run(t *testing.T, n *noc.Network, cycles int) {
 	t.Helper()
-	stride := cycles/probedCycles + 1
-	spread := max(1, len(n.Devices())/probedPerCycle)
+	stride, spread := 1, 1
+	if cycles*len(n.Devices()) > probeBudget {
+		stride, spread = cycles/probedCycles+1, max(1, len(n.Devices())/probedPerCycle)
+	}
 	for k := 0; ; k++ {
 		n.Run(min(stride-1, cycles-int(n.Ticks())))
 		if int(n.Ticks()) >= cycles {
@@ -208,6 +215,12 @@ var skipFloors = map[string]skipFloor{
 	// engines 92.6 %, the orchestrator 88.6 % (47.4 % while a watermark
 	// stall kept it awake).
 	"serving/load-8": {kinds: map[string]float64{"mem.Controller": 0.93, "noc.RBRGL2": 0.75, "serving.Engine": 0.91, "serving.Orchestrator": 0.87}},
+	// Open-loop requesters draw every cycle, so the clock never jumps;
+	// the rest sleep on full tables, spent budgets and beat backlogs
+	// (measured 74.0 % of requester ticks skipped), while the slow
+	// memories behind them are rarely idle (9.1 %); 89.4 % of station
+	// ticks.
+	"traffic/requesters": {noJump: true, station: 0.85, kinds: map[string]float64{"traffic.Requester": 0.70, "mem.Controller": 0.08}},
 }
 
 // checkSkips holds n's gated run to floor, and to what every gated run
@@ -373,25 +386,31 @@ func TestCatalogueResume(t *testing.T) {
 
 // FuzzCatalogueRestore fuzzes the field decoders of every catalogue
 // system: it patches bytes inside the state section of the entry's
-// checkpoint at its first At cycle and reseals it, as an attacker who can
-// write a resume file would. Whatever DecodeCheckpoint accepts must
-// re-encode to exactly the bytes it was given and then run 64 cycles
-// without a panic; everything else must be refused as ErrCorruptSnapshot.
+// checkpoint at one of its At cycles and reseals it, as an attacker who
+// can write a resume file would. which picks the entry (modulo the
+// catalogue's length) and the cycle (the quotient, modulo the entry's At
+// count), so an input below the catalogue's length names the first cycle.
+// Whatever DecodeCheckpoint accepts must re-encode to exactly the bytes
+// it was given and then run 64 cycles without a panic; everything else
+// must be refused as ErrCorruptSnapshot.
 func FuzzCatalogueRestore(f *testing.F) {
-	seeds := make([][]byte, len(noctest.Catalogue))
+	seeds := make([][][]byte, len(noctest.Catalogue))
 	for i, sys := range noctest.Catalogue {
 		n := sys.Build()
-		n.Run(sys.At[0])
-		b, err := noc.EncodeCheckpoint(n, nil)
-		if err != nil {
-			f.Fatal(err)
+		for j, at := range sys.At {
+			n.Run(at - int(n.Ticks()))
+			b, err := noc.EncodeCheckpoint(n, nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds[i] = append(seeds[i], b)
+			f.Add(uint8(i+j*len(seeds)), uint32(7919*i), []byte{0x7f})
 		}
-		seeds[i] = b
-		f.Add(uint8(i), uint32(7919*i), []byte{0x7f})
 	}
 	f.Fuzz(func(t *testing.T, which uint8, off uint32, patch []byte) {
 		k := int(which) % len(seeds)
-		data := append([]byte(nil), seeds[k]...)
+		at := seeds[k][int(which)/len(seeds)%len(seeds[k])]
+		data := append([]byte(nil), at...)
 		_, d, err := noc.OpenCheckpoint(data)
 		if err != nil {
 			t.Fatal(err)

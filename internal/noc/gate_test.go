@@ -352,80 +352,6 @@ func TestRingSyncEqualsMissedAdvances(t *testing.T) {
 	}
 }
 
-// TestIdleUntilHonest is the invariant the whole gate rests on, checked
-// for every IdleUntiler of the rig (both bridges, sources, sinks) on
-// fuzzed traffic: whenever a device says IdleUntil(now) > now, ticking it
-// anyway must change nothing — the whole network's snapshot bytes (every
-// queue, buffer, counter and the device's own codec), the flit
-// free-list and the trace stream stay identical. Every cycle runs through
-// TickProbed with the check around each device's tick, so every idle
-// claim of the run is tested; the catalogue harness samples its systems'
-// cycles instead. A field added to a device later that an "idle" tick
-// moves fails here as soon as it is serialized.
-func TestIdleUntilHonest(t *testing.T) {
-	type netState struct {
-		snap         string
-		free, events int
-	}
-	state := func(net *Network) netState {
-		e := sim.NewEncoder()
-		if err := net.SnapState(sim.Saving(e)); err != nil {
-			t.Fatal(err)
-		}
-		return netState{string(e.Data()), len(net.freeFlits), net.Tracer.Len()}
-	}
-	for _, maxGap := range []int{0, 25, 120} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			g := buildGateRig(t, seed, maxGap)
-			net := g.net
-			net.ForceAwake()
-			net.Tracer = trace.New(1 << 16)
-			for _, k := range g.snks {
-				k.discard = true
-			}
-			if seed%2 == 0 {
-				// Starve the sinks' drain so eject queues fill, arrivals
-				// deflect and the bridges' DRM counters move.
-				g.snks[1].drainPer = 0
-			}
-			idleTicks := map[string]int{}
-			for c := 0; c < 700; c++ {
-				if c == 400 {
-					g.snks[1].drainPer = 2
-					g.snks[1].iface.Wake()
-				}
-				var before netState
-				fresh := false // before describes the state right now
-				net.TickProbed(func(d Device, now sim.Cycle, tick func()) {
-					idle, ok := d.(IdleUntiler)
-					if !ok || idle.IdleUntil(now) <= now {
-						tick()
-						fresh = false
-						return
-					}
-					if !fresh {
-						before = state(net)
-					}
-					tick()
-					after := state(net)
-					if after != before {
-						t.Fatalf("maxGap=%d seed=%d cycle %d: %s said idle until %d but its Tick changed state (snapshot equal: %v, free flits %d->%d, trace events %d->%d)",
-							maxGap, seed, now, d.Name(), idle.IdleUntil(now), before.snap == after.snap,
-							before.free, after.free, before.events, after.events)
-					}
-					before, fresh = after, true
-					idleTicks[d.Name()]++
-				})
-			}
-			for _, name := range []string{"l1", "l2", "src0", "snk2"} {
-				if idleTicks[name] == 0 {
-					t.Errorf("maxGap=%d seed=%d: %s never reported idle; the property was not exercised", maxGap, seed, name)
-				}
-			}
-		}
-	}
-}
-
 // TestParkedHeadCountsDefeatsLazily shows the station-level gate on its
 // smallest case: a ring whose every slot carries a flit that only passes,
 // and one interface with a head. The head loses once, arms its I-tag, and

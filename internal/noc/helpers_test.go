@@ -16,9 +16,6 @@ type sink struct {
 	// arrivals deflect and the ring behind them saturates.
 	pauseFrom, pauseUntil sim.Cycle
 	got                   []*Flit
-	// discard releases drained flits instead of remembering them, for
-	// tests that snapshot the network often and want the snapshots small.
-	discard bool
 }
 
 func newSink(t testing.TB, net *Network, st *CrossStation, name string, drainPer int) *sink {
@@ -56,10 +53,6 @@ func (s *sink) Tick(now sim.Cycle) {
 		f := s.iface.Recv()
 		if f == nil {
 			return
-		}
-		if s.discard {
-			s.iface.station.ring.net.ReleaseFlit(f)
-			continue
 		}
 		s.got = append(s.got, f)
 	}

@@ -56,6 +56,7 @@ var Catalogue = []System{
 	fabric("diff-mesh-faults", false), fabric("diff-mesh-faults", true),
 	{"server-cpu/bursts", serverCPUBursts, 4000, []int{1500, 3000}},
 	{"replay/bursty", replayBursty, 4000, []int{300, 1500}},
+	{"traffic/requesters", requesters, 2400, []int{300, 1500}},
 }
 
 // Lookup returns the catalogue entry of the given name.
@@ -253,6 +254,43 @@ func replayBursty() *noc.Network {
 	ring := net.AddRing(16, true)
 	ctl := mem.New(net, "hbm", mem.HBMStack(), ring.AddStation(8))
 	traffic.NewReplayer(net, "replay", ops, 32, traffic.FixedTarget(ctl.Node()), ring.AddStation(0))
+	net.MustFinalize()
+	return net
+}
+
+// requesterCases are the ways a traffic requester's issue loop can sleep
+// or must not: a closed loop on a full table, an open loop with a request
+// budget (it draws before it looks at the table, so it must not sleep on
+// a full one), a split write pool (a full read budget alone still draws
+// the class coin), retry deadlines to sleep towards, a closed loop that
+// spends its budget, and tables deeper than the inject queue whose write
+// bursts back up behind a slow memory, so the requester sleeps on a beat
+// backlog: closed loop, open loop, and with a deadline.
+var requesterCases = []traffic.RequesterConfig{
+	{Outstanding: 4, Rate: 1, ReadFraction: 0.7},
+	{Outstanding: 2, Rate: 0.3, ReadFraction: 0.7, MaxRequests: 40},
+	{Outstanding: 3, WriteOutstanding: 2, Rate: 1, ReadFraction: 0.5},
+	{Outstanding: 4, Rate: 1, ReadFraction: 0.7, Retry: chi.RetryConfig{TimeoutCycles: 60, MaxRetries: 3}},
+	{Outstanding: 4, Rate: 1, ReadFraction: 0.7, MaxRequests: 60, IssuePerCycle: 2},
+	{Outstanding: 24, Rate: 1, ReadFraction: 0.3, IssuePerCycle: 2},
+	{Outstanding: 24, Rate: 0.8, ReadFraction: 0.3, IssuePerCycle: 2},
+	{Outstanding: 24, Rate: 1, ReadFraction: 0.3, IssuePerCycle: 2, Retry: chi.RetryConfig{TimeoutCycles: 900, MaxRetries: 3}},
+}
+
+// requesters gives each of requesterCases a slow memory of its own, 256 B
+// lines (a write queues a multi-beat burst behind its grant), on one
+// 96-position ring: requester i at position 12i, its memory six stations
+// on.
+func requesters() *noc.Network {
+	net := noc.NewNetwork("requesters")
+	ring := net.AddRing(12*len(requesterCases), true)
+	for i, cfg := range requesterCases {
+		ctl := mem.New(net, fmt.Sprintf("mem%d", i), mem.Config{AccessCycles: 40, BytesPerCycle: 8, QueueDepth: 4}, ring.AddStation(12*i+6))
+		cfg.LineBytes = 256
+		cfg.Stream = traffic.NewSeqStream(0, 256, 1<<20)
+		cfg.TargetOf = traffic.FixedTarget(ctl.Node())
+		traffic.NewRequester(net, fmt.Sprintf("req%d", i), cfg, sim.NewRNG(uint64(i+1)), ring.AddStation(12*i))
+	}
 	net.MustFinalize()
 	return net
 }
