@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"chipletnoc/internal/mem"
-	"chipletnoc/internal/noc"
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/traffic"
 	"chipletnoc/internal/workloads"
@@ -133,8 +131,8 @@ func genSynthetic(out string, ops int, rate, rw float64, line int, seed uint64) 
 	return nil
 }
 
-// replayFile runs a trace against a one-ring rig with an HBM-class
-// memory and reports timing fidelity.
+// replayFile runs a trace against workloads.ReplayRig and reports timing
+// fidelity.
 func replayFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -148,11 +146,7 @@ func replayFile(path string) error {
 	if len(ops) == 0 {
 		return fmt.Errorf("tracegen: empty trace")
 	}
-	net := noc.NewNetwork("replay-rig")
-	ring := net.AddRing(16, true)
-	ctl := mem.New(net, "hbm", mem.HBMStack(), ring.AddStation(8))
-	rep := traffic.NewReplayer(net, "replay", ops, 32, traffic.FixedTarget(ctl.Node()), ring.AddStation(0))
-	net.MustFinalize()
+	net, rep := workloads.ReplayRig(ops)
 	budget := int(ops[len(ops)-1].Cycle)*10 + 200000
 	if !net.RunUntil(rep.Done, budget) {
 		return fmt.Errorf("tracegen: replay incomplete (%d/%d ops)", rep.Completed, len(ops))

@@ -6,6 +6,7 @@ import (
 	"chipletnoc/internal/baseline"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/phys"
+	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/stats"
 )
@@ -173,26 +174,11 @@ func RunAblationWireFabric(scale Scale) AblationWireFabric {
 	res.SpeedPositions = speed.PositionsForSpan(loopUm)
 
 	measure := func(positions int) float64 {
-		net := noc.NewNetwork("wire")
-		ring := net.AddRing(positions, true)
-		// Four endpoints evenly spaced.
-		step := positions / 4
-		var ifaces []*noc.NodeInterface
-		for i := 0; i < 4; i++ {
-			node := net.NewNode(fmt.Sprintf("n%d", i))
-			ifaces = append(ifaces, net.Attach(node, ring.AddStation(i*step)))
-		}
-		net.MustFinalize()
+		flits := scale.cycles(20, 100)
+		net := WireRig(positions, flits)
 		var hist stats.Histogram
 		net.RecordLatency(func(f *noc.Flit, cycles uint64) { hist.Add(float64(cycles)) })
-		// One flit at a time between opposite endpoints, given two laps
-		// to arrive.
-		for i := 0; i < scale.cycles(20, 100); i++ {
-			src, dst := ifaces[i%4], ifaces[(i+2)%4]
-			src.Send(net.NewFlit(src.Node(), dst.Node(), noc.KindData, 64))
-			net.Run(positions * 2)
-			net.ReleaseFlit(dst.Recv())
-		}
+		net.Run(2 * positions * flits)
 		return hist.Mean()
 	}
 	RunJobs("ablation-wirefabric", []Job{
@@ -214,6 +200,25 @@ func (r AblationWireFabric) Render() string {
 	return fmt.Sprintf("Ablation: wire fabric (Table 4), %.1f mm loop\n%s", r.SpanUm/1000, t.String())
 }
 
+// WireRig is one ring of the given positions with four endpoints evenly
+// spaced, sending flits one at a time between opposite endpoints, each
+// given two laps to arrive: the first at cycle 0, the last received in
+// cycle 2·positions·flits − 1.
+func WireRig(positions, flits int) *noc.Network {
+	net := noc.NewNetwork("wire")
+	ring := net.AddRing(positions, true)
+	p := &pinger{net: net, period: sim.Cycle(2 * positions), flits: flits}
+	step := positions / 4
+	for i := 0; i < 4; i++ {
+		node := net.NewNode(fmt.Sprintf("n%d", i))
+		p.ifaces = append(p.ifaces, net.Attach(node, ring.AddStation(i*step)))
+	}
+	net.AddDevice(p)
+	net.MustFinalize()
+	p.send()
+	return net
+}
+
 // AblationSwap reproduces the cross-ring deadlock and compares outcomes
 // with and without the SWAP resolution.
 type AblationSwap struct {
@@ -223,21 +228,34 @@ type AblationSwap struct {
 	DRMActivations       uint64
 }
 
-// RunAblationSwap builds the two-die all-cross-traffic rig of Figure 9.
+// SwapRig is the two-die all-cross-traffic rig of Figure 9: two
+// six-position half rings joined by one RBRG-L2, with SWAP on or off,
+// and two flooding endpoints on each ring, each flooding a partner on the
+// other.
+func SwapRig(swap bool) (*noc.Network, *noc.RBRGL2) {
+	net := noc.NewNetwork("swap")
+	cfg := noc.RBRGL2Config{
+		InjectDepth: 4, EjectDepth: 4, TxDepth: 4, RxDepth: 4,
+		ReserveDepth: 4, LinkLatency: 4, LinkWidth: 1,
+		DeadlockThreshold: 32, EnableSwap: swap,
+	}
+	r0 := net.AddRing(6, false)
+	r1 := net.AddRing(6, false)
+	a0 := newFloodNode(net, r0.AddStation(0), 0)
+	a1 := newFloodNode(net, r0.AddStation(2), 0)
+	b0 := newFloodNode(net, r1.AddStation(2), 0)
+	b1 := newFloodNode(net, r1.AddStation(4), 0)
+	a0.dst, a1.dst, b0.dst, b1.dst = b0.node, b1.node, a0.node, a1.node
+	br := noc.NewRBRGL2(net, "l2", cfg, r0.AddStation(4), r1.AddStation(0))
+	net.MustFinalize()
+	return net, br
+}
+
+// RunAblationSwap runs SwapRig with and without SWAP.
 func RunAblationSwap(scale Scale) AblationSwap {
 	cycles := scale.cycles(30000, 120000)
 	run := func(swap bool) (uint64, bool, uint64) {
-		net := noc.NewNetwork("swap")
-		cfg := noc.RBRGL2Config{
-			InjectDepth: 4, EjectDepth: 4, TxDepth: 4, RxDepth: 4,
-			ReserveDepth: 4, LinkLatency: 4, LinkWidth: 1,
-			DeadlockThreshold: 32, EnableSwap: swap,
-		}
-		r0 := net.AddRing(6, false)
-		r1 := net.AddRing(6, false)
-		buildCrossFlood(net, r0, r1)
-		br := noc.NewRBRGL2(net, "l2", cfg, r0.AddStation(4), r1.AddStation(0))
-		net.MustFinalize()
+		net, br := SwapRig(swap)
 		net.Run(cycles)
 		before := net.DeliveredFlits
 		net.Run(cycles / 3)
@@ -278,23 +296,29 @@ type AblationTags struct {
 	OnMaxLiveDeflect, OffMaxLiveDeflect int // worst deflection count still circulating at the end
 }
 
+// TagsRig floods a hotspot, I-tags and E-tags on or off: three flooding
+// endpoints on a twelve-position full ring send to one sink. The sink
+// receives from both directions (up to 2 arrivals a cycle) but drains
+// only 1, so its eject queue overflows and arrivals must deflect.
+func TagsRig(tags bool) *noc.Network {
+	net := noc.NewNetwork("tags")
+	net.ITagEnabled = tags
+	net.ETagEnabled = tags
+	ring := net.AddRing(12, true)
+	sink := newDrainNode(net, ring.AddStation(9), 1)
+	for i := 0; i < 3; i++ {
+		newFloodNode(net, ring.AddStation(i*3), sink.node)
+	}
+	net.MustFinalize()
+	return net
+}
+
 // RunAblationTags floods a hotspot and measures fairness with and
 // without the tags.
 func RunAblationTags(scale Scale) AblationTags {
 	cycles := scale.cycles(4000, 20000)
 	run := func(tags bool) (delivered, deflections uint64, maxLive int) {
-		net := noc.NewNetwork("tags")
-		net.ITagEnabled = tags
-		net.ETagEnabled = tags
-		// Full ring: the sink receives from both directions (up to 2
-		// arrivals/cycle) but drains only 1, so its eject queue
-		// overflows and arrivals must deflect.
-		ring := net.AddRing(12, true)
-		sink := newDrainNode(net, ring.AddStation(9), 1)
-		for i := 0; i < 3; i++ {
-			newFloodNode(net, ring.AddStation(i*3), sink.node)
-		}
-		net.MustFinalize()
+		net := TagsRig(tags)
 		net.Run(cycles)
 		for _, r := range net.Rings() {
 			for _, f := range r.LiveFlits() {

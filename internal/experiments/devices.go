@@ -43,6 +43,10 @@ func newFloodNode(net *noc.Network, st *noc.CrossStation, dst noc.NodeID) *flood
 }
 
 func (f *floodNode) Name() string { return f.name }
+
+// SnapState implements noc.StateSnapshotter: a flood node holds no state.
+func (f *floodNode) SnapState(*noc.Snap) {}
+
 func (f *floodNode) Tick(now sim.Cycle) {
 	flood(f.net, f.iface, f.dst)
 	for {
@@ -72,6 +76,10 @@ func newDrainNode(net *noc.Network, st *noc.CrossStation, perCycle int) *drainNo
 }
 
 func (d *drainNode) Name() string { return d.name }
+
+// SnapState implements noc.StateSnapshotter: a drain holds no state.
+func (d *drainNode) SnapState(*noc.Snap) {}
+
 func (d *drainNode) Tick(now sim.Cycle) {
 	for i := 0; i < d.perCycle; i++ {
 		f := d.iface.Recv()
@@ -82,14 +90,44 @@ func (d *drainNode) Tick(now sim.Cycle) {
 	}
 }
 
-// buildCrossFlood places two flooding endpoints on each ring, each
-// flooding a partner across the dies — the all-cross traffic of the
-// Figure 9 deadlock rig.
-func buildCrossFlood(net *noc.Network, r0, r1 *noc.Ring) {
-	a0 := newFloodNode(net, r0.AddStation(0), 0)
-	a1 := newFloodNode(net, r0.AddStation(2), 0)
-	b0 := newFloodNode(net, r1.AddStation(2), 0)
-	b1 := newFloodNode(net, r1.AddStation(4), 0)
-	a0.dst, a1.dst = b0.node, b1.node
-	b0.dst, b1.dst = a0.node, a1.node
+// pinger keeps one flit at a time in flight between opposite endpoints
+// of a ring, each given period cycles to arrive: flit 0 is sent at build
+// time, and flit i in the tick of cycle period·i − 1, once flit i − 1 is
+// taken out of its eject queue.
+type pinger struct {
+	net         *noc.Network
+	ifaces      []*noc.NodeInterface
+	period      sim.Cycle
+	flits, sent int // sent: flits sent, plus one once the last is received
+}
+
+func (p *pinger) Name() string { return "pinger" }
+
+// send sends the next flit, if one is left.
+func (p *pinger) send() {
+	if src, dst := p.ifaces[p.sent%4], p.ifaces[(p.sent+2)%4]; p.sent < p.flits {
+		src.Send(p.net.NewFlit(src.Node(), dst.Node(), noc.KindData, 64))
+	}
+	p.sent++
+}
+
+func (p *pinger) Tick(now sim.Cycle) {
+	if p.IdleUntil(now) == now {
+		p.net.ReleaseFlit(p.ifaces[(p.sent+1)%4].Recv())
+		p.send()
+	}
+}
+
+func (p *pinger) IdleUntil(now sim.Cycle) sim.Cycle {
+	if p.sent > p.flits {
+		return noc.Never
+	}
+	return max(now, p.period*sim.Cycle(p.sent)-1)
+}
+
+func (p *pinger) SnapState(s *noc.Snap) {
+	s.Codec.Match(p.flits, "pings")
+	if sim.Int(s.Codec, &p.sent); p.sent < 1 || p.sent > p.flits+1 {
+		s.Codec.Fail("ping %d of %d", p.sent, p.flits)
+	}
 }

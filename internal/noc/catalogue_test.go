@@ -14,6 +14,7 @@ import (
 	"chipletnoc/internal/noctest"
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/trace"
+	"chipletnoc/internal/traffic"
 )
 
 // The catalogue harnesses: every system of noctest.Catalogue runs under
@@ -102,7 +103,7 @@ func observe(t *testing.T, n *noc.Network, cycles int, p *prober) outcome {
 // stream ahead. A stall counted twice, a refill without its cursor, a
 // field an idle tick moves: each shows as a difference.
 type prober struct {
-	idle          map[string]int // idle ticks probed, by device kind
+	idle          map[noc.Device]int // idle ticks probed, by device
 	before, after []byte
 }
 
@@ -146,7 +147,7 @@ func (p *prober) run(t *testing.T, n *noc.Network, cycles int) {
 			if !bytes.Equal(p.before, p.after) {
 				t.Fatalf("cycle %d: %s said idle until %d but its Tick changed the network", now, d.Name(), until)
 			}
-			p.idle[kindOf(d)]++
+			p.idle[d]++
 		})
 	}
 }
@@ -221,6 +222,56 @@ var skipFloors = map[string]skipFloor{
 	// memories behind them are rarely idle (9.1 %); 89.4 % of station
 	// ticks.
 	"traffic/requesters": {noJump: true, station: 0.85, kinds: map[string]float64{"traffic.Requester": 0.70, "mem.Controller": 0.08}},
+	// Without SWAP the Figure 9 rig deadlocks by cycle 500; the flood
+	// sources never sleep, so the clock never jumps.
+	"ablation/no-swap": {noJump: true},
+	// One flit at a time on a 72-position ring, two laps apart: once it
+	// lands, nothing moves until the next send (measured 73.6 % jumped).
+	"ablation/wire-dense": {jumped: 0.70},
+}
+
+// exercise is what a system of traffic generators must have done for its
+// idle probing to mean something: each generator was probed asleep, each
+// retry case re-issued a request, each request-budget case and the
+// replay finished, and the replay slipped. cases are the configurations
+// its requesters are built from, in device order. An open-loop requester
+// with no budget draws every cycle, so it sleeps only behind an inject
+// queue that stays full through a cycle; unless blocked says its lane
+// carries passing traffic, it need not have.
+type exercise struct {
+	cases   []traffic.RequesterConfig
+	blocked bool
+}
+
+// exercises are the exercise checks, by catalogue name.
+var exercises = map[string]exercise{
+	"traffic/requesters":        {noctest.RequesterCases, false},
+	"traffic/open-loop-blocked": {noctest.BlockedCases, true},
+	"replay/bursty":             {},
+}
+
+// check holds n's gated run to e; idle gives the idle ticks the reference
+// run probed of the device at index i.
+func (e exercise) check(t *testing.T, n *noc.Network, idle func(i int) int) {
+	t.Helper()
+	k := 0
+	for i, d := range n.Devices() {
+		ok := true
+		switch g := d.(type) {
+		case *traffic.Requester:
+			cfg := e.cases[k]
+			k++
+			retried, _ := g.RetryStats()
+			drawsAlways := cfg.Rate < 1 && cfg.MaxRequests == 0
+			ok = (retried > 0 || cfg.Retry.TimeoutCycles == 0) && (g.Done() || cfg.MaxRequests == 0) &&
+				(idle(i) > 0 || drawsAlways && !e.blocked)
+		case *traffic.Replayer:
+			ok = g.SlipCycles > 0 && g.Done() && idle(i) > 0
+		}
+		if !ok {
+			t.Errorf("%s did not do what its case is about (probed idle %d times)", d.Name(), idle(i))
+		}
+	}
 }
 
 // checkSkips holds n's gated run to floor, and to what every gated run
@@ -277,15 +328,18 @@ func checkSkips(t *testing.T, n *noc.Network, floor skipFloor) {
 
 // TestCatalogueGateDiff runs every catalogue system forced awake, with
 // the idle probe, and gated: the two must agree on everything observable,
-// the gated run must skip what skipFloors says, and between them the
-// catalogue must probe an idle tick of every kind of device that can be
-// idle.
+// the gated run must skip what skipFloors says and do what exercises
+// says, and between them the catalogue must probe an idle tick of every
+// kind of device that can be idle.
 func TestCatalogueGateDiff(t *testing.T) {
-	p := &prober{idle: map[string]int{}}
-	kinds, floors := map[string]bool{}, len(skipFloors)
+	p := &prober{idle: map[noc.Device]int{}}
+	kinds, named := map[string]bool{}, len(skipFloors)+len(exercises)
 	for _, sys := range noctest.Catalogue {
 		if _, ok := skipFloors[sys.Name]; ok {
-			floors--
+			named--
+		}
+		if _, ok := exercises[sys.Name]; ok {
+			named--
 		}
 		t.Run(sys.Name, func(t *testing.T) {
 			ref := sys.Build()
@@ -299,6 +353,9 @@ func TestCatalogueGateDiff(t *testing.T) {
 				t.Errorf("gated engine diverged from forced-awake\n got: %v\nwant: %v", got, want)
 			}
 			checkSkips(t, gated, skipFloors[sys.Name])
+			if e, ok := exercises[sys.Name]; ok {
+				e.check(t, gated, func(i int) int { return p.idle[ref.Devices()[i]] })
+			}
 			for _, d := range gated.Devices() {
 				if _, ok := d.(noc.IdleUntiler); ok {
 					kinds[kindOf(d)] = true
@@ -306,13 +363,14 @@ func TestCatalogueGateDiff(t *testing.T) {
 			}
 		})
 	}
-	for kind := range kinds {
-		if p.idle[kind] == 0 {
-			t.Errorf("no %s was probed while idle: the probe did not cover it", kind)
-		}
+	for d := range p.idle {
+		delete(kinds, kindOf(d))
 	}
-	if floors != 0 {
-		t.Errorf("skipFloors names %d systems the catalogue does not hold", floors)
+	for kind := range kinds {
+		t.Errorf("no %s was probed while idle: the probe did not cover it", kind)
+	}
+	if named != 0 {
+		t.Errorf("skipFloors and exercises name %d systems the catalogue does not hold", named)
 	}
 }
 

@@ -137,8 +137,11 @@ var notSerialized = map[string]map[string]string{
 	"fault.Injector": {
 		"name": "wiring", "net": "wiring", "events": "build shape: the schedule, count matched",
 	},
-	"fault.repair":    {},
-	"noctest.burster": {"cores": "wiring"},
+	"fault.repair":          {},
+	"noctest.burster":       {"cores": "wiring"},
+	"experiments.floodNode": {"name": "wiring", "net": "wiring", "iface": "wiring", "node": "wiring", "dst": "wiring"},
+	"experiments.drainNode": {"name": "wiring", "net": "wiring", "iface": "wiring", "node": "wiring", "perCycle": "config"},
+	"experiments.pinger":    {"net": "wiring", "ifaces": "wiring", "period": "config"},
 
 	"serving.Engine": {"name": "wiring", "die": "wiring", "net": "wiring", "iface": "wiring", "memNodes": "wiring"},
 	"serving.Orchestrator": {

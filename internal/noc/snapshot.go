@@ -649,7 +649,7 @@ func (ni *NodeInterface) snapState(s *Snap) {
 	c.U64(&ni.EjectedPayload)
 	c.U64(&ni.starved)
 	c.U64(&ni.Deflected)
-	if c.Loading() {
+	if c.Loading() && c.Err() == nil { // a refused head's direction may index nothing
 		ni.refreshHead()
 	}
 }

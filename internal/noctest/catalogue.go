@@ -15,6 +15,7 @@ import (
 	"chipletnoc/internal/chi"
 	"chipletnoc/internal/coherence"
 	"chipletnoc/internal/config"
+	"chipletnoc/internal/experiments"
 	"chipletnoc/internal/fault"
 	"chipletnoc/internal/mem"
 	"chipletnoc/internal/noc"
@@ -22,6 +23,7 @@ import (
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/traffic"
+	"chipletnoc/internal/workloads"
 )
 
 // System is one catalogue entry: Build returns a fresh, identical network
@@ -56,7 +58,18 @@ var Catalogue = []System{
 	fabric("diff-mesh-faults", false), fabric("diff-mesh-faults", true),
 	{"server-cpu/bursts", serverCPUBursts, 4000, []int{1500, 3000}},
 	{"replay/bursty", replayBursty, 4000, []int{300, 1500}},
-	{"traffic/requesters", requesters, 2400, []int{300, 1500}},
+	{"traffic/requesters", requesters(RequesterCases, 12, true), 2400, []int{300, 1500}},
+	// The ablation rigs: Figure 9's all-cross flood over one RBRG-L2, in
+	// DRM from cycle 241 with SWAP and deadlocked without; the tag
+	// ablation's flooded slow sink; one flit at a time on the high-dense
+	// wire fabric's ring.
+	{"ablation/swap", func() *noc.Network { n, _ := experiments.SwapRig(true); return n }, 3000, []int{300, 1500}},
+	{"ablation/no-swap", func() *noc.Network { n, _ := experiments.SwapRig(false); return n }, 3000, []int{300, 1500}},
+	{"ablation/tags-on", func() *noc.Network { return experiments.TagsRig(true) }, 3000, []int{300, 1500}},
+	{"ablation/tags-off", func() *noc.Network { return experiments.TagsRig(false) }, 3000, []int{300, 1500}},
+	{"ablation/wire-dense", func() *noc.Network { return experiments.WireRig(72, 20) }, 2880, []int{300, 1500}},
+	{"traffic/open-loop-blocked", requesters(BlockedCases, 4, false), 2400, []int{300, 1500}},
+	{"l1/eject-reserved", l1EjectReserved, 1200, []int{300, 900}},
 }
 
 // Lookup returns the catalogue entry of the given name.
@@ -235,10 +248,11 @@ func faulted(net *noc.Network, sched *fault.Schedule, seed uint64) *noc.Network 
 	return net
 }
 
-// replayBursty is cmd/tracegen's replay rig — one ring, an HBM stack, a
-// 32-entry transaction table — replaying a synthetic trace of dense
-// bursts deeper than the table (the replay slips, awake) separated by
-// gaps long enough to drain (asleep until the next recorded cycle).
+// replayBursty is cmd/tracegen's replay rig, workloads.ReplayRig — one
+// ring, an HBM stack, a 32-entry transaction table — replaying a
+// synthetic trace of dense bursts deeper than the table (the replay
+// slips, awake) separated by gaps long enough to drain (asleep until the
+// next recorded cycle).
 func replayBursty() *noc.Network {
 	rng := sim.NewRNG(0x7ace)
 	var ops []traffic.TraceOp
@@ -250,15 +264,11 @@ func replayBursty() *noc.Network {
 		}
 		at += uint64(100 + rng.Intn(500))
 	}
-	net := noc.NewNetwork("replay-rig")
-	ring := net.AddRing(16, true)
-	ctl := mem.New(net, "hbm", mem.HBMStack(), ring.AddStation(8))
-	traffic.NewReplayer(net, "replay", ops, 32, traffic.FixedTarget(ctl.Node()), ring.AddStation(0))
-	net.MustFinalize()
+	net, _ := workloads.ReplayRig(ops)
 	return net
 }
 
-// requesterCases are the ways a traffic requester's issue loop can sleep
+// RequesterCases are the ways a traffic requester's issue loop can sleep
 // or must not: a closed loop on a full table, an open loop with a request
 // budget (it draws before it looks at the table, so it must not sleep on
 // a full one), a split write pool (a full read budget alone still draws
@@ -266,7 +276,7 @@ func replayBursty() *noc.Network {
 // spends its budget, and tables deeper than the inject queue whose write
 // bursts back up behind a slow memory, so the requester sleeps on a beat
 // backlog: closed loop, open loop, and with a deadline.
-var requesterCases = []traffic.RequesterConfig{
+var RequesterCases = []traffic.RequesterConfig{
 	{Outstanding: 4, Rate: 1, ReadFraction: 0.7},
 	{Outstanding: 2, Rate: 0.3, ReadFraction: 0.7, MaxRequests: 40},
 	{Outstanding: 3, WriteOutstanding: 2, Rate: 1, ReadFraction: 0.5},
@@ -277,22 +287,61 @@ var requesterCases = []traffic.RequesterConfig{
 	{Outstanding: 24, Rate: 1, ReadFraction: 0.3, IssuePerCycle: 2, Retry: chi.RetryConfig{TimeoutCycles: 900, MaxRetries: 3}},
 }
 
-// requesters gives each of requesterCases a slow memory of its own, 256 B
-// lines (a write queues a multi-beat burst behind its grant), on one
-// 96-position ring: requester i at position 12i, its memory six stations
+// BlockedCases are two deep open-loop requesters. On a half ring each
+// one's replies pass the other's station, so a beat backlog can wait a
+// whole cycle behind a full inject queue: the one sleep of a requester
+// that draws every cycle, whose Tick must then return before it draws.
+var BlockedCases = []traffic.RequesterConfig{RequesterCases[6], RequesterCases[6]}
+
+// requesters gives each of cases a slow memory of its own, 256 B lines (a
+// write queues a multi-beat burst behind its grant), on one ring, full or
+// half: requester i at position stride·i, its memory stride/2 stations
 // on.
-func requesters() *noc.Network {
-	net := noc.NewNetwork("requesters")
-	ring := net.AddRing(12*len(requesterCases), true)
-	for i, cfg := range requesterCases {
-		ctl := mem.New(net, fmt.Sprintf("mem%d", i), mem.Config{AccessCycles: 40, BytesPerCycle: 8, QueueDepth: 4}, ring.AddStation(12*i+6))
-		cfg.LineBytes = 256
-		cfg.Stream = traffic.NewSeqStream(0, 256, 1<<20)
-		cfg.TargetOf = traffic.FixedTarget(ctl.Node())
-		traffic.NewRequester(net, fmt.Sprintf("req%d", i), cfg, sim.NewRNG(uint64(i+1)), ring.AddStation(12*i))
+func requesters(cases []traffic.RequesterConfig, stride int, full bool) func() *noc.Network {
+	return func() *noc.Network {
+		net := noc.NewNetwork("requesters")
+		ring := net.AddRing(stride*len(cases), full)
+		for i, cfg := range cases {
+			ctl := mem.New(net, fmt.Sprintf("mem%d", i), mem.Config{AccessCycles: 40, BytesPerCycle: 8, QueueDepth: 4}, ring.AddStation(stride*i+stride/2))
+			cfg.LineBytes = 256
+			cfg.Stream = traffic.NewSeqStream(0, 256, 1<<20)
+			cfg.TargetOf = traffic.FixedTarget(ctl.Node())
+			traffic.NewRequester(net, fmt.Sprintf("req%d", i), cfg, sim.NewRNG(uint64(i+1)), ring.AddStation(stride*i))
+		}
+		net.MustFinalize()
+		return net
+	}
+}
+
+// l1EjectReserved joins a 48-position ring of three requesters to a ring
+// of two memories through an RBRG-L1 with one-entry eject queues, so
+// cross-ring flits deflect and wait on E-tags, and drops a flit every
+// seven cycles. A dropped reserved flit frees its entry without handing it
+// to the next waiter; an arrival takes it, and the bridge's forward hands
+// it on, leaving the eject queue empty, its entry reserved and nothing
+// blocked: the state where only the eject-space clause keeps the bridge
+// awake to count the deflections that follow.
+func l1EjectReserved() *noc.Network {
+	net := noc.NewNetwork("l1-eject")
+	a, b := net.AddRing(48, true), net.AddRing(12, true)
+	cfg := noc.DefaultRBRGL1Config()
+	cfg.InjectDepth, cfg.EjectDepth, cfg.ForwardPerCycle, cfg.DeadlockThreshold = 2, 1, 1, 4
+	noc.NewRBRGL1(net, "x", cfg, a.AddStation(0), b.AddStation(0))
+	mems := make([]noc.NodeID, 2)
+	for i := range mems {
+		mems[i] = mem.New(net, fmt.Sprintf("mem%d", i), mem.Config{AccessCycles: 10, BytesPerCycle: 32, QueueDepth: 8}, b.AddStation(4+4*i)).Node()
+	}
+	for i := 0; i < 3; i++ {
+		rc := traffic.RequesterConfig{Outstanding: 8, Rate: 1, ReadFraction: 0.7, LineBytes: 64,
+			Stream: traffic.NewSeqStream(uint64(i)<<20, 64, 1<<20), TargetOf: traffic.InterleavedTargetsBy(mems, 64)}
+		traffic.NewRequester(net, fmt.Sprintf("req%d", i), rc, sim.NewRNG(uint64(i+1)), a.AddStation(2+2*i))
 	}
 	net.MustFinalize()
-	return net
+	var drops []fault.Event
+	for at := uint64(100); at < 1200; at += 7 {
+		drops = append(drops, fault.Event{At: at, Kind: fault.DropFlit})
+	}
+	return faulted(net, &fault.Schedule{Events: drops}, 0x5e5)
 }
 
 // servingAt builds the default serving spec at one offered load under the

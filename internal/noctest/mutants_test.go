@@ -26,7 +26,8 @@ type mutant struct {
 // It fails on a snippet not found exactly once, on a mutant a test of its
 // row lets live (unless the row says why it survives) and on a survivor
 // that something kills. A compile and a test run per row make it slow,
-// so it runs only when asked:
+// so rows run in parallel (-parallel at a time, GOMAXPROCS by default),
+// and only when asked:
 //
 //	NOC_MUTANTS=1 go test ./internal/noctest -run TestMutants -v
 //
@@ -48,26 +49,33 @@ func TestMutants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cols []string
-	matrix := new(strings.Builder)
-	for _, m := range rows {
-		cells := map[string]string{}
-		t.Run(m.ID, func(t *testing.T) { cells = runMutant(t, root, m) })
-		for _, name := range m.Tests {
-			if !slices.Contains(cols, name) {
-				cols = append(cols, name)
+	cells := make([]map[string]string, len(rows))
+	for i, m := range rows {
+		t.Run(m.ID, func(t *testing.T) {
+			t.Parallel() // rows share nothing but the build cache
+			cells[i] = runMutant(t, root, m)
+		})
+	}
+	t.Cleanup(func() { // after every row
+		var cols []string
+		matrix := new(strings.Builder)
+		for i, m := range rows {
+			for _, name := range m.Tests {
+				if !slices.Contains(cols, name) {
+					cols = append(cols, name)
+				}
 			}
+			fmt.Fprintf(matrix, "%-25s", m.ID)
+			for _, name := range cols {
+				fmt.Fprintf(matrix, " %1s", cells[i][name])
+			}
+			fmt.Fprintln(matrix)
 		}
-		fmt.Fprintf(matrix, "%-25s", m.ID)
-		for _, name := range cols {
-			fmt.Fprintf(matrix, " %1s", cells[name])
+		for i, name := range cols {
+			fmt.Fprintf(matrix, "column %d: %s\n", i+1, name)
 		}
-		fmt.Fprintln(matrix)
-	}
-	for i, name := range cols {
-		fmt.Fprintf(matrix, "column %d: %s\n", i+1, name)
-	}
-	t.Log("mutation matrix\n" + matrix.String())
+		t.Log("mutation matrix\n" + matrix.String())
+	})
 }
 
 // runMutant runs one row and returns its matrix cells, by test.

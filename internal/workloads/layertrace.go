@@ -1,8 +1,22 @@
 package workloads
 
 import (
+	"chipletnoc/internal/mem"
+	"chipletnoc/internal/noc"
 	"chipletnoc/internal/traffic"
 )
+
+// ReplayRig is the small rig a trace replays against: one 16-position
+// full ring, an HBM stack at position 8 and, at position 0, a replayer of
+// ops with a 32-entry transaction table.
+func ReplayRig(ops []traffic.TraceOp) (*noc.Network, *traffic.Replayer) {
+	net := noc.NewNetwork("replay-rig")
+	ring := net.AddRing(16, true)
+	ctl := mem.New(net, "hbm", mem.HBMStack(), ring.AddStation(8))
+	rep := traffic.NewReplayer(net, "replay", ops, 32, traffic.FixedTarget(ctl.Node()), ring.AddStation(0))
+	net.MustFinalize()
+	return net, rep
+}
 
 // LayerTrace converts one network layer into per-core NoC traces: the
 // layer's memory traffic, spread over the cores, issued at the rate the
