@@ -12,18 +12,15 @@ import (
 
 // crosser floods the partner on the other ring and drains its arrivals.
 type crosser struct {
-	name    string
-	net     *noc.Network
-	iface   *noc.NodeInterface
+	noc.Port
 	partner noc.NodeID
 	got     int
 }
 
-func (c *crosser) Name() string { return c.name }
 func (c *crosser) Tick(now sim.Cycle) {
-	for c.iface.Send(c.net.NewFlit(c.iface.Node(), c.partner, noc.KindData, noc.LineBytes)) {
+	for c.Iface.Send(c.Net.NewFlit(c.Node(), c.partner, noc.KindData, noc.LineBytes)) {
 	}
-	for c.iface.Recv() != nil {
+	for c.Iface.Recv() != nil {
 		c.got++
 	}
 }
@@ -38,16 +35,14 @@ func build(swap bool) (*noc.Network, *noc.RBRGL2) {
 	r0 := net.AddRing(6, false)
 	r1 := net.AddRing(6, false)
 	mk := func(r *noc.Ring, pos int, name string) *crosser {
-		c := &crosser{name: name, net: net}
-		node := net.NewNode(name)
-		c.iface = net.Attach(node, r.AddStation(pos))
-		net.AddDevice(c)
+		c := &crosser{}
+		c.Port = net.Plug(c, name, r.AddStation(pos))
 		return c
 	}
 	a0, a1 := mk(r0, 0, "a0"), mk(r0, 2, "a1")
 	b0, b1 := mk(r1, 2, "b0"), mk(r1, 4, "b1")
-	a0.partner, a1.partner = b0.iface.Node(), b1.iface.Node()
-	b0.partner, b1.partner = a0.iface.Node(), a1.iface.Node()
+	a0.partner, a1.partner = b0.Node(), b1.Node()
+	b0.partner, b1.partner = a0.Node(), a1.Node()
 	br := noc.NewRBRGL2(net, "bridge", cfg, r0.AddStation(4), r1.AddStation(0))
 	net.MustFinalize()
 	return net, br

@@ -11,15 +11,15 @@ import (
 )
 
 // echoDevice drains everything delivered to it and remembers the count.
+// The embedded noc.Port is its place on the network: its name, its node
+// and the interface it sends and receives through.
 type echoDevice struct {
-	name  string
-	iface *noc.NodeInterface
-	got   int
+	noc.Port
+	got int
 }
 
-func (e *echoDevice) Name() string { return e.name }
 func (e *echoDevice) Tick(now sim.Cycle) {
-	for e.iface.Recv() != nil {
+	for e.Iface.Recv() != nil {
 		e.got++
 	}
 }
@@ -29,18 +29,11 @@ func main() {
 	net := noc.NewNetwork("quickstart")
 	ring := net.AddRing(16, true)
 
-	// Two devices on opposite sides of the ring.
-	alice := &echoDevice{name: "alice"}
-	bob := &echoDevice{name: "bob"}
-	for _, d := range []*echoDevice{alice, bob} {
-		node := net.NewNode(d.name)
-		pos := 0
-		if d == bob {
-			pos = 8
-		}
-		d.iface = net.Attach(node, ring.AddStation(pos))
-		net.AddDevice(d)
-	}
+	// Two devices on opposite sides of the ring. Plug gives each a node of
+	// its name on a new station and registers it for ticking.
+	alice, bob := &echoDevice{}, &echoDevice{}
+	alice.Port = net.Plug(alice, "alice", ring.AddStation(0))
+	bob.Port = net.Plug(bob, "bob", ring.AddStation(8))
 	net.MustFinalize()
 
 	// Record per-flit latency.
@@ -51,8 +44,8 @@ func main() {
 	// Alice sends ten cache lines to Bob, one a cycle: a harness that
 	// interleaves sends with cycles drives Tick itself.
 	for i := 0; i < 10; i++ {
-		f := net.NewFlit(alice.iface.Node(), bob.iface.Node(), noc.KindData, noc.LineBytes)
-		if !alice.iface.Send(f) {
+		f := net.NewFlit(alice.Node(), bob.Node(), noc.KindData, noc.LineBytes)
+		if !alice.Iface.Send(f) {
 			fmt.Println("inject queue full; retrying next cycle")
 		}
 		net.Tick(sim.Cycle(net.Ticks()))

@@ -13,33 +13,26 @@ import (
 )
 
 // slowSink drains one flit per cycle, guaranteeing eject-queue pressure.
-type slowSink struct {
-	name  string
-	iface *noc.NodeInterface
-}
+type slowSink struct{ noc.Port }
 
-func (s *slowSink) Name() string { return s.name }
 func (s *slowSink) Tick(now sim.Cycle) {
-	s.iface.Recv()
+	s.Iface.Recv()
 }
 
 // pump floods the sink from one station.
 type pump struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
+	noc.Port
 	dst   noc.NodeID
 	sent  int
 	limit int
 }
 
-func (p *pump) Name() string { return p.name }
 func (p *pump) Tick(now sim.Cycle) {
 	for p.sent < p.limit &&
-		p.iface.Send(p.net.NewFlit(p.iface.Node(), p.dst, noc.KindData, noc.LineBytes)) {
+		p.Iface.Send(p.Net.NewFlit(p.Node(), p.dst, noc.KindData, noc.LineBytes)) {
 		p.sent++
 	}
-	for p.iface.Recv() != nil {
+	for p.Iface.Recv() != nil {
 	}
 }
 
@@ -47,18 +40,16 @@ func main() {
 	net := noc.NewNetwork("traced")
 	ring := net.AddRing(12, true)
 
-	sink := &slowSink{name: "sink"}
-	sink.iface = net.Attach(net.NewNode(sink.name), ring.AddStation(6))
-	net.AddDevice(sink)
+	sink := &slowSink{}
+	sink.Port = net.Plug(sink, "sink", ring.AddStation(6))
 
 	// Pumps on both sides of the sink: arrivals come from both ring
 	// directions (2/cycle) while the sink drains only 1/cycle, so the
 	// eject queue overflows and flits deflect.
 	var pumps []*pump
 	for i, pos := range []int{2, 10, 4} {
-		p := &pump{name: fmt.Sprintf("pump%d", i), net: net, dst: sink.iface.Node(), limit: 40}
-		p.iface = net.Attach(net.NewNode(p.name), ring.AddStation(pos))
-		net.AddDevice(p)
+		p := &pump{dst: sink.Node(), limit: 40}
+		p.Port = net.Plug(p, fmt.Sprintf("pump%d", i), ring.AddStation(pos))
 		pumps = append(pumps, p)
 	}
 	net.MustFinalize()

@@ -12,7 +12,7 @@ import (
 // mask and it runs every cycle — the reference the gated port is held to.
 type everyCyclePort struct{ p *mrPort }
 
-func (e everyCyclePort) Name() string       { return e.p.name }
+func (e everyCyclePort) Name() string       { return e.p.Name() }
 func (e everyCyclePort) Tick(now sim.Cycle) { e.p.Tick(now) }
 
 // WithEveryCyclePorts returns what build builds with every port it

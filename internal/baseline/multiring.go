@@ -21,26 +21,19 @@ type MultiRing struct {
 // arrives (the attached device's transaction buffers absorb arrivals)
 // and recycles the consumed flits into the network's free-list. Between
 // arrivals it sleeps: an ejection is the only thing that wakes it.
-type mrPort struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
-}
-
-func (p *mrPort) Name() string     { return p.name }
-func (p *mrPort) Node() noc.NodeID { return p.iface.Node() }
+type mrPort struct{ noc.Port }
 
 // IdleUntil implements noc.IdleUntiler.
 func (p *mrPort) IdleUntil(now sim.Cycle) sim.Cycle {
-	if p.iface.EjectLen() > 0 {
+	if p.Iface.EjectLen() > 0 {
 		return now
 	}
 	return noc.Never
 }
 
 func (p *mrPort) Tick(now sim.Cycle) {
-	for f := p.iface.Recv(); f != nil; f = p.iface.Recv() {
-		p.net.ReleaseFlit(f)
+	for f := p.Iface.Recv(); f != nil; f = p.Iface.Recv() {
+		p.Net.ReleaseFlit(f)
 	}
 }
 
@@ -108,11 +101,8 @@ func NewMultiRingChiplets(dies, nodesPerDie int) *MultiRing {
 var portDevice = func(p *mrPort) noc.Device { return p }
 
 func (m *MultiRing) addPort(st *noc.CrossStation) {
-	idx := len(m.ports)
-	p := &mrPort{name: fmt.Sprintf("port%d", idx), net: m.net}
-	node := m.net.NewNode(p.name)
-	p.iface = m.net.Attach(node, st)
-	m.net.AddDevice(portDevice(p))
+	p := &mrPort{}
+	p.Port = m.net.Plug(portDevice(p), fmt.Sprintf("port%d", len(m.ports)), st)
 	m.ports = append(m.ports, p)
 }
 
@@ -165,9 +155,9 @@ func (m *MultiRing) TrySend(src, dst, payloadBytes int, done DeliverFunc) bool {
 	// consume one. The callback rides in the flit, set before Send: however
 	// the flit ends — delivered, refused here, dropped as unroutable inside
 	// Send, killed with a bridge — ReleaseFlit clears it.
-	f := m.net.NewFlit(sp.iface.Node(), dp.iface.Node(), noc.KindData, payloadBytes)
+	f := m.net.NewFlit(sp.Node(), dp.Node(), noc.KindData, payloadBytes)
 	f.Msg = done
-	if !sp.iface.Send(f) {
+	if !sp.Iface.Send(f) {
 		m.net.RecycleRefused(f)
 		return false
 	}

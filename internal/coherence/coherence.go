@@ -84,9 +84,7 @@ func (p *pump) idleUntil(iface *noc.NodeInterface, now sim.Cycle) sim.Cycle {
 // the line" without touching data (that is why the split design lowers
 // snoop latency).
 type Directory struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
+	noc.Port
 
 	// LookupCycles is the tag-array access latency.
 	LookupCycles int
@@ -107,13 +105,10 @@ type Directory struct {
 // construction.
 func NewDirectory(net *noc.Network, name string, lookupCycles int, st *noc.CrossStation) *Directory {
 	d := &Directory{
-		name: name, net: net,
 		LookupCycles: lookupCycles,
 		lines:        make(map[uint64]*line),
 	}
-	node := net.NewNode(name)
-	d.iface = net.Attach(node, st)
-	net.AddDevice(d)
+	d.Port = net.Plug(d, name, st)
 	return d
 }
 
@@ -122,12 +117,6 @@ func (d *Directory) WireTo(dataSlice, memory noc.NodeID) {
 	d.dataSlice = dataSlice
 	d.memory = memory
 }
-
-// Name implements noc.Device.
-func (d *Directory) Name() string { return d.name }
-
-// Node returns the directory's NoC address.
-func (d *Directory) Node() noc.NodeID { return d.iface.Node() }
 
 // SetLine primes a directory entry — the Table 5 experiment's "Core-0
 // changes 3MB data into modified/exclusive/shared status" step without
@@ -147,19 +136,19 @@ func (d *Directory) LineState(addr uint64) State {
 // Tick implements noc.Device.
 func (d *Directory) Tick(now sim.Cycle) {
 	for {
-		f := d.iface.Recv()
+		f := d.Iface.Recv()
 		if f == nil {
 			break
 		}
 		d.handle(f, now)
-		d.net.ReleaseFlit(f)
+		d.Net.ReleaseFlit(f)
 	}
-	d.out.tick(d.iface, now) // releases the sends whose tag lookup has completed
+	d.out.tick(d.Iface, now) // releases the sends whose tag lookup has completed
 }
 
 // IdleUntil implements noc.IdleUntiler.
 func (d *Directory) IdleUntil(now sim.Cycle) sim.Cycle {
-	return d.out.idleUntil(d.iface, now)
+	return d.out.idleUntil(d.Iface, now)
 }
 
 // handle serves one request. Anything else — no live run sends it, a
@@ -167,7 +156,7 @@ func (d *Directory) IdleUntil(now sim.Cycle) sim.Cycle {
 func (d *Directory) handle(f *noc.Flit, now sim.Cycle) {
 	m := chi.MsgOf(f)
 	if m == nil {
-		panic(fmt.Sprintf("coherence: %s got non-CHI flit", d.name))
+		panic(fmt.Sprintf("coherence: %s got non-CHI flit", d.Name()))
 	}
 	ready := now + sim.Cycle(d.LookupCycles)
 	switch m.Op {
@@ -195,7 +184,7 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 			op = chi.SnpUnique
 		}
 		snp := &chi.Message{TxnID: m.TxnID, Op: op, Addr: m.Addr, Requester: m.Requester}
-		d.out.send(ready, snp.NewFlit(d.net, d.Node(), l.owner))
+		d.out.send(ready, snp.NewFlit(d.Net, d.Node(), l.owner))
 		if exclusive {
 			l.state, l.owner = Exclusive, m.Requester
 		} else {
@@ -206,7 +195,7 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 		// L3 data slice.
 		d.Hits++
 		get := &chi.Message{TxnID: m.TxnID, Op: chi.ReadNoSnp, Addr: m.Addr, Requester: m.Requester}
-		d.out.send(ready, get.NewFlit(d.net, d.Node(), d.dataSlice))
+		d.out.send(ready, get.NewFlit(d.Net, d.Node(), d.dataSlice))
 		if exclusive {
 			l.state, l.owner = Exclusive, m.Requester
 		}
@@ -214,7 +203,7 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 		// Miss: fill from DDR; install as E at the requester.
 		d.Misses++
 		get := &chi.Message{TxnID: m.TxnID, Op: chi.ReadNoSnp, Addr: m.Addr, Requester: m.Requester}
-		d.out.send(ready, get.NewFlit(d.net, d.Node(), d.memory))
+		d.out.send(ready, get.NewFlit(d.Net, d.Node(), d.memory))
 		d.lines[m.Addr] = &line{state: Exclusive, owner: m.Requester}
 	}
 }
@@ -224,9 +213,9 @@ func (d *Directory) read(m *chi.Message, ready sim.Cycle) {
 // updates.
 func (d *Directory) write(m *chi.Message, ready sim.Cycle) {
 	put := &chi.Message{TxnID: m.TxnID, Op: chi.WriteNoSnp, Addr: m.Addr, Requester: d.Node()}
-	d.out.send(ready, put.NewFlit(d.net, d.Node(), d.dataSlice))
+	d.out.send(ready, put.NewFlit(d.Net, d.Node(), d.dataSlice))
 	comp := &chi.Message{TxnID: m.TxnID, Op: chi.Comp, Addr: m.Addr, Requester: m.Requester}
-	d.out.send(ready, comp.NewFlit(d.net, d.Node(), m.Requester))
+	d.out.send(ready, comp.NewFlit(d.Net, d.Node(), m.Requester))
 	if m.Op == chi.WriteBackFull {
 		d.lines[m.Addr] = &line{state: Shared}
 	} else {
@@ -239,9 +228,7 @@ func (d *Directory) write(m *chi.Message, ready sim.Cycle) {
 // directory's data fetch/fill requests. Pure data — no coherence logic —
 // which is exactly the paper's tag/data split.
 type DataSlice struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
+	noc.Port
 
 	// AccessCycles is the SRAM array latency.
 	AccessCycles int
@@ -253,23 +240,15 @@ type DataSlice struct {
 
 // NewDataSlice attaches a data slice to a station.
 func NewDataSlice(net *noc.Network, name string, accessCycles int, st *noc.CrossStation) *DataSlice {
-	s := &DataSlice{name: name, net: net, AccessCycles: accessCycles}
-	node := net.NewNode(name)
-	s.iface = net.Attach(node, st)
-	net.AddDevice(s)
+	s := &DataSlice{AccessCycles: accessCycles}
+	s.Port = net.Plug(s, name, st)
 	return s
 }
-
-// Name implements noc.Device.
-func (s *DataSlice) Name() string { return s.name }
-
-// Node returns the slice's NoC address.
-func (s *DataSlice) Node() noc.NodeID { return s.iface.Node() }
 
 // Tick implements noc.Device.
 func (s *DataSlice) Tick(now sim.Cycle) {
 	for {
-		f := s.iface.Recv()
+		f := s.Iface.Recv()
 		if f == nil {
 			break
 		}
@@ -279,20 +258,20 @@ func (s *DataSlice) Tick(now sim.Cycle) {
 		case chi.ReadNoSnp:
 			s.Reads++
 			rsp := &chi.Message{TxnID: m.TxnID, Op: chi.CompData, Addr: m.Addr, Requester: m.Requester}
-			s.out.send(ready, rsp.NewFlit(s.net, s.Node(), m.Requester))
+			s.out.send(ready, rsp.NewFlit(s.Net, s.Node(), m.Requester))
 		case chi.WriteNoSnp:
 			// Fill from a writeback; no reply needed (directory already
 			// acknowledged the requester).
 			s.Fills++
 		} // anything else: no live run sends it, a patched checkpoint can
-		s.net.ReleaseFlit(f)
+		s.Net.ReleaseFlit(f)
 	}
-	s.out.tick(s.iface, now)
+	s.out.tick(s.Iface, now)
 }
 
 // IdleUntil implements noc.IdleUntiler.
 func (s *DataSlice) IdleUntil(now sim.Cycle) sim.Cycle {
-	return s.out.idleUntil(s.iface, now)
+	return s.out.idleUntil(s.Iface, now)
 }
 
 // CoreAgent is a CPU core's coherence port: it issues ReadShared /
@@ -300,9 +279,7 @@ func (s *DataSlice) IdleUntil(now sim.Cycle) sim.Cycle {
 // snoops with direct cache-to-cache data, and reports per-transaction
 // round-trip latency.
 type CoreAgent struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
+	noc.Port
 
 	// SnoopCycles is the local array access before answering a snoop.
 	SnoopCycles int
@@ -327,29 +304,20 @@ type CoreAgent struct {
 func NewCoreAgent(net *noc.Network, name string, snoopCycles int, outstanding int,
 	homeOf func(addr uint64) noc.NodeID, st *noc.CrossStation) *CoreAgent {
 	a := &CoreAgent{
-		name: name, net: net,
 		SnoopCycles: snoopCycles,
 		tracker:     chi.NewTracker(outstanding),
 		homeOf:      homeOf,
 	}
 	a.issued.Reserve(outstanding)
-	node := net.NewNode(name)
-	a.iface = net.Attach(node, st)
-	net.AddDevice(a)
+	a.Port = net.Plug(a, name, st)
 	return a
 }
-
-// Name implements noc.Device.
-func (a *CoreAgent) Name() string { return a.name }
-
-// Node returns the agent's NoC address.
-func (a *CoreAgent) Node() noc.NodeID { return a.iface.Node() }
 
 // request queues one coherent request and wakes the agent, which may be
 // asleep with an empty queue (see IdleUntil).
 func (a *CoreAgent) request(op chi.Opcode, addr uint64) {
 	a.queue.Push(&chi.Message{Op: op, Addr: addr, Requester: a.Node()})
-	a.iface.Wake()
+	a.Iface.Wake()
 }
 
 // Read enqueues a coherent read of addr.
@@ -372,7 +340,7 @@ func (a *CoreAgent) IdleUntil(now sim.Cycle) sim.Cycle {
 	if a.queue.Len() > 0 && !a.tracker.Full() {
 		return now
 	}
-	return a.out.idleUntil(a.iface, now)
+	return a.out.idleUntil(a.Iface, now)
 }
 
 // Tick implements noc.Device.
@@ -383,9 +351,9 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 		if !a.tracker.Open(m) {
 			break
 		}
-		f := m.NewFlit(a.net, a.Node(), a.homeOf(m.Addr))
-		if !a.iface.Send(f) {
-			a.net.RecycleRefused(f)
+		f := m.NewFlit(a.Net, a.Node(), a.homeOf(m.Addr))
+		if !a.Iface.Send(f) {
+			a.Net.RecycleRefused(f)
 			a.tracker.Complete(m.TxnID)
 			break
 		}
@@ -394,7 +362,7 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 	}
 	// Handle arrivals: completions and snoops.
 	for {
-		f := a.iface.Recv()
+		f := a.Iface.Recv()
 		if f == nil {
 			break
 		}
@@ -415,9 +383,9 @@ func (a *CoreAgent) Tick(now sim.Cycle) {
 			// local array access.
 			a.SnoopsServed++
 			rsp := &chi.Message{TxnID: m.TxnID, Op: chi.SnpRespData, Addr: m.Addr, Requester: m.Requester}
-			a.out.send(now+sim.Cycle(a.SnoopCycles), rsp.NewFlit(a.net, a.Node(), m.Requester))
+			a.out.send(now+sim.Cycle(a.SnoopCycles), rsp.NewFlit(a.Net, a.Node(), m.Requester))
 		} // anything else: no live run sends it, a patched checkpoint can
-		a.net.ReleaseFlit(f)
+		a.Net.ReleaseFlit(f)
 	}
-	a.out.tick(a.iface, now)
+	a.out.tick(a.Iface, now)
 }

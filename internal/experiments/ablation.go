@@ -245,7 +245,7 @@ func SwapRig(swap bool) (*noc.Network, *noc.RBRGL2) {
 	a1 := newFloodNode(net, r0.AddStation(2), 0)
 	b0 := newFloodNode(net, r1.AddStation(2), 0)
 	b1 := newFloodNode(net, r1.AddStation(4), 0)
-	a0.dst, a1.dst, b0.dst, b1.dst = b0.node, b1.node, a0.node, a1.node
+	a0.dst, a1.dst, b0.dst, b1.dst = b0.Node(), b1.Node(), a0.Node(), a1.Node()
 	br := noc.NewRBRGL2(net, "l2", cfg, r0.AddStation(4), r1.AddStation(0))
 	net.MustFinalize()
 	return net, br
@@ -307,7 +307,7 @@ func TagsRig(tags bool) *noc.Network {
 	ring := net.AddRing(12, true)
 	sink := newDrainNode(net, ring.AddStation(9), 1)
 	for i := 0; i < 3; i++ {
-		newFloodNode(net, ring.AddStation(i*3), sink.node)
+		newFloodNode(net, ring.AddStation(i*3), sink.Node())
 	}
 	net.MustFinalize()
 	return net

@@ -24,69 +24,55 @@ func flood(net *noc.Network, iface *noc.NodeInterface, dst noc.NodeID) {
 // floodNode saturates the network with raw data flits towards one
 // destination, draining anything it receives.
 type floodNode struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
-	node  noc.NodeID
-	dst   noc.NodeID
+	noc.Port
+	dst noc.NodeID
 }
 
 func newFloodNode(net *noc.Network, st *noc.CrossStation, dst noc.NodeID) *floodNode {
 	// Names derive from the per-network node count, not a package
 	// counter: device construction must stay race-free when experiment
 	// jobs build their networks on parallel worker goroutines.
-	f := &floodNode{name: fmt.Sprintf("flood%d", net.Nodes()), net: net, dst: dst}
-	f.node = net.NewNode(f.name)
-	f.iface = net.Attach(f.node, st)
-	net.AddDevice(f)
+	f := &floodNode{dst: dst}
+	f.Port = net.Plug(f, fmt.Sprintf("flood%d", net.Nodes()), st)
 	return f
 }
-
-func (f *floodNode) Name() string { return f.name }
 
 // SnapState implements noc.StateSnapshotter: a flood node holds no state.
 func (f *floodNode) SnapState(*noc.Snap) {}
 
 func (f *floodNode) Tick(now sim.Cycle) {
-	flood(f.net, f.iface, f.dst)
+	flood(f.Net, f.Iface, f.dst)
 	for {
-		r := f.iface.Recv()
+		r := f.Iface.Recv()
 		if r == nil {
 			break
 		}
-		f.net.ReleaseFlit(r)
+		f.Net.ReleaseFlit(r)
 	}
 }
 
 // drainNode consumes arrivals at a bounded rate (a slow sink).
 type drainNode struct {
-	name     string
-	net      *noc.Network
-	iface    *noc.NodeInterface
-	node     noc.NodeID
+	noc.Port
 	perCycle int
 }
 
 func newDrainNode(net *noc.Network, st *noc.CrossStation, perCycle int) *drainNode {
-	d := &drainNode{name: fmt.Sprintf("drain%d", net.Nodes()), net: net, perCycle: perCycle}
-	d.node = net.NewNode(d.name)
-	d.iface = net.Attach(d.node, st)
-	net.AddDevice(d)
+	d := &drainNode{perCycle: perCycle}
+	d.Port = net.Plug(d, fmt.Sprintf("drain%d", net.Nodes()), st)
 	return d
 }
-
-func (d *drainNode) Name() string { return d.name }
 
 // SnapState implements noc.StateSnapshotter: a drain holds no state.
 func (d *drainNode) SnapState(*noc.Snap) {}
 
 func (d *drainNode) Tick(now sim.Cycle) {
 	for i := 0; i < d.perCycle; i++ {
-		f := d.iface.Recv()
+		f := d.Iface.Recv()
 		if f == nil {
 			return
 		}
-		d.net.ReleaseFlit(f)
+		d.Net.ReleaseFlit(f)
 	}
 }
 

@@ -80,7 +80,7 @@ func RunLayerReplay(scale Scale) LayerReplayResult {
 			l2Nodes := a.L2Nodes()
 			for i, core := range a.Cores {
 				rep := traffic.NewReplayer(a.Net, fmt.Sprintf("rep.%d", i), traces[i], 48,
-					traffic.InterleavedTargetsBy(l2Nodes, cfg.LineBytes), core.Interface().Station())
+					traffic.InterleavedTargetsBy(l2Nodes, cfg.LineBytes), core.Iface.Station())
 				reps = append(reps, rep)
 			}
 		}

@@ -66,24 +66,20 @@ func TestEmptySchedule(t *testing.T) {
 // pump is a minimal endpoint: it drains its eject queue and sends a
 // fixed number of flits to a peer.
 type pump struct {
-	name string
-	net  *noc.Network
-	ni   *noc.NodeInterface
+	noc.Port
 	dst  noc.NodeID
 	left int
 
 	Received int
 }
 
-func (p *pump) Name() string { return p.name }
-
 func (p *pump) Tick(now sim.Cycle) {
-	for p.ni.Recv() != nil {
+	for p.Iface.Recv() != nil {
 		p.Received++
 	}
 	if p.left > 0 {
-		f := p.net.NewFlit(p.ni.Node(), p.dst, noc.KindData, 64)
-		if p.ni.Send(f) {
+		f := p.Net.NewFlit(p.Node(), p.dst, noc.KindData, 64)
+		if p.Iface.Send(f) {
 			p.left--
 		}
 	}
@@ -99,15 +95,11 @@ func buildRig(flitsPerPump int) (*noc.Network, *pump, *pump) {
 	s1a, s1b := r1.AddStation(0), r1.AddStation(4)
 	noc.NewRBRGL2(net, "br", noc.DefaultRBRGL2Config(), s0b, s1b)
 
-	a := &pump{name: "a", net: net, left: flitsPerPump}
-	b := &pump{name: "b", net: net, left: flitsPerPump}
-	na := net.NewNode("a")
-	nb := net.NewNode("b")
-	a.ni = net.Attach(na, s0a)
-	b.ni = net.Attach(nb, s1a)
-	a.dst, b.dst = nb, na
-	net.AddDevice(a)
-	net.AddDevice(b)
+	a := &pump{left: flitsPerPump}
+	b := &pump{left: flitsPerPump}
+	a.Port = net.Plug(a, "a", s0a)
+	b.Port = net.Plug(b, "b", s1a)
+	a.dst, b.dst = b.Node(), a.Node()
 	net.MustFinalize()
 	return net, a, b
 }

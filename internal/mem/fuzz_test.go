@@ -98,7 +98,7 @@ func newTwinRig(t *testing.T, cfg Config, everyCycle bool) *twinRig {
 		net.AddDevice(w)
 	}
 	r := &twinRig{net: net, ctl: New(net, "mem", cfg, ring.AddStation(10))}
-	w.ni = r.ctl.Interface()
+	w.ni = r.ctl.Iface
 	for i := 0; i < 3; i++ {
 		r.reqs = append(r.reqs, newRequester(t, net, ring.AddStation(i*3), name3(i)))
 	}
@@ -164,10 +164,10 @@ func FuzzControllerMatchesEveryCycle(f *testing.F) {
 			for i, req := range gated.reqs {
 				done, want := req.done, ref.reqs[i].done
 				if len(done) != len(want) {
-					t.Fatalf("cycle %d: %s has %d replies, every-cycle %d", c, req.name, len(done), len(want))
+					t.Fatalf("cycle %d: %s has %d replies, every-cycle %d", c, req.Name(), len(done), len(want))
 				}
 				if k := len(done) - 1; k >= 0 && (done[k].TxnID != want[k].TxnID || req.doneAt[done[k].TxnID] != ref.reqs[i].doneAt[want[k].TxnID]) {
-					t.Fatalf("cycle %d: %s reply %d is txn %d, every-cycle txn %d", c, req.name, k, done[k].TxnID, want[k].TxnID)
+					t.Fatalf("cycle %d: %s reply %d is txn %d, every-cycle txn %d", c, req.Name(), k, done[k].TxnID, want[k].TxnID)
 				}
 			}
 			if rng.Bernoulli(0.05) && !bytes.Equal(saveController(g), saveController(w)) {

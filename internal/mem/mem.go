@@ -42,10 +42,8 @@ func HBMStack() Config {
 
 // Controller is one memory channel attached to the NoC.
 type Controller struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
-	cfg   Config
+	noc.Port
+	cfg Config
 
 	// ch holds the requests from acceptance to completion: QueueDepth
 	// bounds its queue and its bucket's cap.
@@ -75,19 +73,11 @@ func burstKey(requester noc.NodeID, txn uint32) uint64 {
 
 // New creates a controller and attaches it to the station.
 func New(net *noc.Network, name string, cfg Config, st *noc.CrossStation) *Controller {
-	c := &Controller{name: name, net: net, cfg: cfg,
+	c := &Controller{cfg: cfg,
 		ch: NewChannel[*chi.Message](cfg.BytesPerCycle, cfg.QueueDepth, sim.Cycle(cfg.AccessCycles))}
-	node := net.NewNode(name)
-	c.iface = net.AttachQueued(node, st, 16, 16)
-	net.AddDevice(c)
+	c.Port = net.PlugQueued(c, name, st, 16, 16)
 	return c
 }
-
-// Name implements noc.Device.
-func (c *Controller) Name() string { return c.name }
-
-// Node returns the controller's NoC address.
-func (c *Controller) Node() noc.NodeID { return c.iface.Node() }
 
 // Tick implements noc.Device.
 func (c *Controller) Tick(now sim.Cycle) {
@@ -96,24 +86,24 @@ func (c *Controller) Tick(now sim.Cycle) {
 	// beats arrive as self-contained (possibly out-of-order) flits, and
 	// the write is serviced once its last beat lands.
 	for c.ch.queue.Len() < c.cfg.QueueDepth {
-		f := c.iface.Recv()
+		f := c.Iface.Recv()
 		if f == nil {
 			break
 		}
 		m := chi.MsgOf(f)
 		if m == nil {
-			panic(fmt.Sprintf("mem: %s received non-CHI flit %d", c.name, f.ID))
+			panic(fmt.Sprintf("mem: %s received non-CHI flit %d", c.Name(), f.ID))
 		}
 		k := burstKey(m.Requester, m.TxnID)
 		switch {
 		case m.IsWrite():
 			c.bursts.Put(k, m)
-			grant := chi.NewMsg(c.net, chi.Message{TxnID: m.TxnID, Op: chi.DBIDResp, Addr: m.Addr, Requester: m.Requester, Size: m.Size})
-			c.replies.Push(grant.NewFlit(c.net, c.Node(), m.Requester))
+			grant := chi.NewMsg(c.Net, chi.Message{TxnID: m.TxnID, Op: chi.DBIDResp, Addr: m.Addr, Requester: m.Requester, Size: m.Size})
+			c.replies.Push(grant.NewFlit(c.Net, c.Node(), m.Requester))
 		case m.Op == chi.NonCopyBackWrData:
 			// A write beat ends its trip here, whatever becomes of its write.
 			beats := m.Beats()
-			chi.Release(c.net, m)
+			chi.Release(c.Net, m)
 			req, open := c.bursts.Get(k)
 			if !open {
 				// With CHI retry active a write can be re-issued while its
@@ -135,9 +125,9 @@ func (c *Controller) Tick(now sim.Cycle) {
 			c.ch.Push(m)
 		}
 		// The message (retained above where needed) outlives its carrier.
-		c.net.ReleaseFlit(f)
+		c.Net.ReleaseFlit(f)
 	}
-	if c.ch.queue.Len() == c.cfg.QueueDepth && c.iface.EjectLen() > 0 {
+	if c.ch.queue.Len() == c.cfg.QueueDepth && c.Iface.EjectLen() > 0 {
 		c.QueueFullDrops++
 	}
 	// 2. Bandwidth grants (every request moves a full line) and
@@ -153,19 +143,19 @@ func (c *Controller) Tick(now sim.Cycle) {
 		c.BytesServed += uint64(req.Bytes())
 		if req.IsWrite() {
 			c.Writes++
-			rsp := chi.NewMsg(c.net, chi.Message{TxnID: req.TxnID, Op: chi.Comp, Addr: req.Addr, Requester: req.Requester, Size: req.Size})
-			c.replies.Push(rsp.NewFlit(c.net, c.Node(), dst))
+			rsp := chi.NewMsg(c.Net, chi.Message{TxnID: req.TxnID, Op: chi.Comp, Addr: req.Addr, Requester: req.Requester, Size: req.Size})
+			c.replies.Push(rsp.NewFlit(c.Net, c.Node(), dst))
 		} else {
 			c.Reads++
 			// One data flit per beat; each is independent on the wire.
 			for b := 0; b < req.Beats(); b++ {
-				rsp := chi.NewMsg(c.net, chi.Message{TxnID: req.TxnID, Op: chi.CompData, Addr: req.Addr, Requester: req.Requester, Size: req.Size})
-				c.replies.Push(rsp.NewFlit(c.net, c.Node(), dst))
+				rsp := chi.NewMsg(c.Net, chi.Message{TxnID: req.TxnID, Op: chi.CompData, Addr: req.Addr, Requester: req.Requester, Size: req.Size})
+				c.replies.Push(rsp.NewFlit(c.Net, c.Node(), dst))
 			}
 		}
 	}
 	// 3. Inject replies, retrying under NoC backpressure.
-	c.iface.SendAll(&c.replies)
+	c.Iface.SendAll(&c.replies)
 }
 
 // IdleUntil implements noc.IdleUntiler. The controller is idle when Tick
@@ -175,7 +165,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 // requests in service it sleeps until the oldest completes (the channel's
 // in-service pipeline is in ready order).
 func (c *Controller) IdleUntil(now sim.Cycle) sim.Cycle {
-	if c.ch.queue.Len()+c.replies.Len() > 0 || c.iface.EjectLen() > 0 {
+	if c.ch.queue.Len()+c.replies.Len() > 0 || c.Iface.EjectLen() > 0 {
 		return now
 	}
 	if c.ch.inSvc.Len() == 0 {
@@ -194,7 +184,7 @@ func (c *Controller) RegisterMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	p := "mem." + c.name
+	p := "mem." + c.Name()
 	reg.Counter(p+".reads", func() uint64 { return c.Reads })
 	reg.Counter(p+".writes", func() uint64 { return c.Writes })
 	reg.Counter(p+".bytes_served", func() uint64 { return c.BytesServed })
@@ -208,6 +198,3 @@ func (c *Controller) RegisterMetrics(reg *metrics.Registry) {
 func (c *Controller) Pending() int {
 	return c.ch.queue.Len() + c.ch.inSvc.Len() + c.replies.Len()
 }
-
-// Interface exposes the controller's NoC interface for probes.
-func (c *Controller) Interface() *noc.NodeInterface { return c.iface }

@@ -11,9 +11,7 @@ import (
 // requester issues CHI reads/writes to a controller and collects
 // completions.
 type requester struct {
-	name    string
-	net     *noc.Network
-	iface   *noc.NodeInterface
+	noc.Port
 	tracker *chi.Tracker
 	pending []*chi.Message
 	done    []*chi.Message
@@ -26,19 +24,13 @@ type requester struct {
 func newRequester(t testing.TB, net *noc.Network, st *noc.CrossStation, name string) *requester {
 	t.Helper()
 	r := &requester{
-		name: name, net: net,
 		tracker: chi.NewTracker(32),
 		doneAt:  make(map[uint32]sim.Cycle),
 		sentAt:  make(map[uint32]sim.Cycle),
 	}
-	node := net.NewNode(name)
-	r.iface = net.Attach(node, st)
-	net.AddDevice(r)
+	r.Port = net.Plug(r, name, st)
 	return r
 }
-
-func (r *requester) Name() string     { return r.name }
-func (r *requester) Node() noc.NodeID { return r.iface.Node() }
 
 func (r *requester) issue(op chi.Opcode, addr uint64, dst noc.NodeID) {
 	m := &chi.Message{Op: op, Addr: addr, Requester: r.Node()}
@@ -55,7 +47,7 @@ func (r *requester) Tick(now sim.Cycle) {
 		if !r.tracker.Open(m) {
 			break
 		}
-		if !r.iface.Send(m.NewFlit(r.net, r.Node(), r.dst)) {
+		if !r.Iface.Send(m.NewFlit(r.Net, r.Node(), r.dst)) {
 			r.tracker.Complete(m.TxnID)
 			break
 		}
@@ -63,7 +55,7 @@ func (r *requester) Tick(now sim.Cycle) {
 		r.pending = r.pending[1:]
 	}
 	for {
-		f := r.iface.Recv()
+		f := r.Iface.Recv()
 		if f == nil {
 			break
 		}
@@ -73,7 +65,7 @@ func (r *requester) Tick(now sim.Cycle) {
 			req := r.tracker.Lookup(rsp.TxnID)
 			for b := 0; b < req.Beats(); b++ {
 				d := &chi.Message{TxnID: req.TxnID, Op: chi.NonCopyBackWrData, Addr: req.Addr, Requester: r.Node(), Size: req.Size}
-				r.wdata = append(r.wdata, d.NewFlit(r.net, r.Node(), f.Src))
+				r.wdata = append(r.wdata, d.NewFlit(r.Net, r.Node(), f.Src))
 			}
 			continue
 		}
@@ -82,7 +74,7 @@ func (r *requester) Tick(now sim.Cycle) {
 			r.doneAt[rsp.TxnID] = now
 		}
 	}
-	for len(r.wdata) > 0 && r.iface.Send(r.wdata[0]) {
+	for len(r.wdata) > 0 && r.Iface.Send(r.wdata[0]) {
 		r.wdata = r.wdata[1:]
 	}
 }

@@ -30,7 +30,7 @@ func (c *Controller) SnapState(s *noc.Snap) {
 		sim.Uint(k, &p.ready)
 	})
 	s.Flits(&c.replies, 1<<20)
-	c.ch.walkBucket(k, sim.Cycle(c.net.Ticks()))
+	c.ch.walkBucket(k, sim.Cycle(c.Net.Ticks()))
 	// Every open write, then the beats landed of each burst that has
 	// begun to arrive, both in key order. A count for a write that is not
 	// open, or one outside [1, Beats()) — the last beat queues the write —

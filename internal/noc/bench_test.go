@@ -193,16 +193,15 @@ func BenchmarkRingTick(b *testing.B) {
 // loopDevice is BenchmarkDeviceLoop's device: busy, it has work every
 // cycle; otherwise it waits for an ejection.
 type loopDevice struct {
-	iface *NodeInterface
-	busy  bool
-	work  int
+	Port
+	busy bool
+	work int
 }
 
 func (d *loopDevice) Name() string   { return "loop" }
-func (d *loopDevice) Node() NodeID   { return d.iface.Node() }
 func (d *loopDevice) Tick(sim.Cycle) { d.work++ }
 func (d *loopDevice) IdleUntil(now sim.Cycle) sim.Cycle {
-	if d.busy || d.iface.EjectLen() > 0 {
+	if d.busy || d.Iface.EjectLen() > 0 {
 		return now
 	}
 	return Never
@@ -243,8 +242,7 @@ func BenchmarkDeviceLoop(b *testing.B) {
 					continue
 				}
 				d := &loopDevice{busy: c.busyEvery > 0 && i%c.busyEvery == 0}
-				d.iface = net.Attach(net.NewNode(fmt.Sprintf("d%d", i)), r.AddStation(i))
-				net.AddDevice(d)
+				d.Port = net.Plug(d, fmt.Sprintf("d%d", i), r.AddStation(i))
 				if d.busy {
 					busy++
 				}
@@ -287,8 +285,8 @@ func BenchmarkDeviceLoop(b *testing.B) {
 				b.Fatalf("%d device ticks in %d cycles, want %d", ticked, b.N, want)
 			}
 			for _, s := range srcs {
-				if s.iface.InjectSpace() != 0 || len(s.pending) != 4 {
-					b.Fatalf("%s holds %d flits behind %d free inject entries, want 4 behind a full queue", s.name, len(s.pending), s.iface.InjectSpace())
+				if s.Iface.InjectSpace() != 0 || len(s.pending) != 4 {
+					b.Fatalf("%s holds %d flits behind %d free inject entries, want 4 behind a full queue", s.name, len(s.pending), s.Iface.InjectSpace())
 				}
 			}
 			if err := net.checkAwakeSet(); err != nil {

@@ -11,25 +11,22 @@ import (
 // versa, while also *consuming* its own arrivals — the exact pattern of
 // Figure 9 where every flit on each ring wants the other ring.
 type crossFlood struct {
-	name    string
-	iface   *NodeInterface
+	Port
 	partner NodeID
-	net     *Network
 	remain  int
 	got     int
 }
 
-func (c *crossFlood) Name() string { return c.name }
 func (c *crossFlood) Tick(now sim.Cycle) {
 	for c.remain > 0 {
-		f := c.net.NewFlit(c.iface.Node(), c.partner, KindData, LineBytes)
-		if !c.iface.Send(f) {
+		f := c.Net.NewFlit(c.Node(), c.partner, KindData, LineBytes)
+		if !c.Iface.Send(f) {
 			break
 		}
 		c.remain--
 	}
 	for {
-		if f := c.iface.Recv(); f == nil {
+		if f := c.Iface.Recv(); f == nil {
 			break
 		}
 		c.got++
@@ -54,18 +51,16 @@ func buildDeadlockRig(t *testing.T, swap bool, flitsPerNode int) (*Network, []*c
 	r0 := net.AddRing(6, false) // half rings: no alternate direction to leak pressure
 	r1 := net.AddRing(6, false)
 	mk := func(r *Ring, pos int, name string) *crossFlood {
-		g := &crossFlood{name: name, net: net, remain: flitsPerNode}
-		node := net.NewNode(name)
-		g.iface = net.AttachQueued(node, r.AddStation(pos), 4, 4)
-		net.AddDevice(g)
+		g := &crossFlood{remain: flitsPerNode}
+		g.Port = net.PlugQueued(g, name, r.AddStation(pos), 4, 4)
 		return g
 	}
 	a0 := mk(r0, 0, "a0")
 	a1 := mk(r0, 2, "a1")
 	b0 := mk(r1, 2, "b0")
 	b1 := mk(r1, 4, "b1")
-	a0.partner, a1.partner = b0.iface.Node(), b1.iface.Node()
-	b0.partner, b1.partner = a0.iface.Node(), a1.iface.Node()
+	a0.partner, a1.partner = b0.Node(), b1.Node()
+	b0.partner, b1.partner = a0.Node(), a1.Node()
 	br := NewRBRGL2(net, "l2", cfg, r0.AddStation(4), r1.AddStation(0))
 	net.MustFinalize()
 	return net, []*crossFlood{a0, a1, b0, b1}, br

@@ -345,7 +345,8 @@ func (n *Network) dropInterfaceQueues(ni *NodeInterface) {
 
 // purgeTagState removes a dropped flit's pending eject registrations and
 // reservations on a ring so eject capacity is not held for a flit that
-// will never arrive.
+// will never arrive. A freed reservation goes to the oldest flit still
+// registered, as a freed eject entry does.
 func purgeTagState(r *Ring, id uint64) {
 	for _, st := range r.stations {
 		for _, ni := range st.ifaces {
@@ -357,7 +358,9 @@ func purgeTagState(r *Ring, id uint64) {
 					ni.wantEject.Push(w)
 				}
 			}
-			ni.dropReservation(id)
+			if ni.dropReservation(id) {
+				ni.promoteReservations()
+			}
 		}
 	}
 }

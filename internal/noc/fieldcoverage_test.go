@@ -102,48 +102,40 @@ var notSerialized = map[string]map[string]string{
 		"freed": "free-list guard: a live message is never freed",
 		"mark":  "walk scratch: the identity mark, 0 between walks",
 	},
-	"chi.Tracker":  {},
-	"chi.Retrier":  {"cfg": "config", "watched": "derived: index of order, rebuilt on load"},
-	"chi.armedTxn": {},
-	"mem.Controller": {
-		"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config",
-	},
+	"chi.Tracker":    {},
+	"chi.Retrier":    {"cfg": "config", "watched": "derived: index of order, rebuilt on load"},
+	"chi.armedTxn":   {},
+	"mem.Controller": {"Port": "wiring", "cfg": "config"},
 	"mem.Channel": {
 		"rate": "config", "depth": "config", "latency": "config",
 		"filled": "derived: the refill cursor; a save writes the bucket settled through the clock, a load sets it from the restored clock",
 	},
 	"mem.timed":         {},
-	"traffic.Requester": {"name": "wiring", "net": "wiring", "iface": "wiring", "cfg": "config"},
-	"traffic.Replayer": {
-		"name": "wiring", "net": "wiring", "iface": "wiring", "targetOf": "wiring", "ops": "build shape: length matched",
-	},
+	"traffic.Requester": {"Port": "wiring", "cfg": "config"},
+	"traffic.Replayer":  {"Port": "wiring", "targetOf": "wiring", "ops": "build shape: length matched"},
 	"traffic.SeqStream": {"stride": "config", "wrap": "config", "base": "config"},
 	"sim.RNG":           {},
 	"stats.Histogram":   {},
 	"coherence.Directory": {
-		"name": "wiring", "net": "wiring", "iface": "wiring", "LookupCycles": "config",
-		"dataSlice": "wiring", "memory": "wiring",
+		"Port": "wiring", "LookupCycles": "config", "dataSlice": "wiring", "memory": "wiring",
 	},
-	"coherence.line": {},
-	"coherence.job":  {},
-	"coherence.pump": {},
-	"coherence.DataSlice": {
-		"name": "wiring", "net": "wiring", "iface": "wiring", "AccessCycles": "config",
-	},
+	"coherence.line":      {},
+	"coherence.job":       {},
+	"coherence.pump":      {},
+	"coherence.DataSlice": {"Port": "wiring", "AccessCycles": "config"},
 	"coherence.CoreAgent": {
-		"name": "wiring", "net": "wiring", "iface": "wiring", "SnoopCycles": "config",
-		"homeOf": "wiring", "OnComplete": "hook",
+		"Port": "wiring", "SnoopCycles": "config", "homeOf": "wiring", "OnComplete": "hook",
 	},
 	"fault.Injector": {
 		"name": "wiring", "net": "wiring", "events": "build shape: the schedule, count matched",
 	},
 	"fault.repair":          {},
 	"noctest.burster":       {"cores": "wiring"},
-	"experiments.floodNode": {"name": "wiring", "net": "wiring", "iface": "wiring", "node": "wiring", "dst": "wiring"},
-	"experiments.drainNode": {"name": "wiring", "net": "wiring", "iface": "wiring", "node": "wiring", "perCycle": "config"},
+	"experiments.floodNode": {"Port": "wiring", "dst": "wiring"},
+	"experiments.drainNode": {"Port": "wiring", "perCycle": "config"},
 	"experiments.pinger":    {"net": "wiring", "ifaces": "wiring", "period": "config"},
 
-	"serving.Engine": {"name": "wiring", "die": "wiring", "net": "wiring", "iface": "wiring", "memNodes": "wiring"},
+	"serving.Engine": {"Port": "wiring", "die": "wiring", "memNodes": "wiring"},
 	"serving.Orchestrator": {
 		"name": "wiring", "net": "wiring", "engines": "wiring", "spec": "build shape: matched",
 		"dag":      "host-side: command and batch free-lists and their counters, empty on load",

@@ -12,28 +12,24 @@ import (
 // eject queue, and otherwise sleeps until the cycle the test last gave it.
 // rest, when set, chooses that cycle after every tick.
 type napper struct {
-	name  string
-	iface *NodeInterface
+	Port
 	until sim.Cycle
 	ticks []sim.Cycle
 	rest  func(now sim.Cycle) sim.Cycle
 }
 
 func newNapper(net *Network, st *CrossStation, name string) *napper {
-	d := &napper{name: name, until: Never}
-	d.iface = net.Attach(net.NewNode(name), st)
-	net.AddDevice(d)
+	d := &napper{until: Never}
+	d.Port = net.Plug(d, name, st)
 	return d
 }
 
-func (d *napper) Name() string      { return d.name }
-func (d *napper) Node() NodeID      { return d.iface.Node() }
 func (d *napper) SnapState(s *Snap) { s.Codec.U64((*uint64)(&d.until)) }
 
 func (d *napper) Tick(now sim.Cycle) {
 	d.ticks = append(d.ticks, now)
-	for f := d.iface.Recv(); f != nil; f = d.iface.Recv() {
-		d.iface.station.ring.net.ReleaseFlit(f)
+	for f := d.Iface.Recv(); f != nil; f = d.Iface.Recv() {
+		d.Net.ReleaseFlit(f)
 	}
 	if d.rest != nil {
 		d.until = d.rest(now)
@@ -41,7 +37,7 @@ func (d *napper) Tick(now sim.Cycle) {
 }
 
 func (d *napper) IdleUntil(now sim.Cycle) sim.Cycle {
-	if d.iface.EjectLen() > 0 || d.until <= now {
+	if d.Iface.EjectLen() > 0 || d.until <= now {
 		return now
 	}
 	return d.until
@@ -86,7 +82,7 @@ func TestTimedWakeCalendar(t *testing.T) {
 	} {
 		runCycles(net, int(step.wakeAt)-int(net.ticks))
 		d.until = step.until
-		d.iface.Wake()
+		d.Iface.Wake()
 		runCycles(net, 1)
 		want := 5
 		if step.until == Never {
@@ -176,7 +172,7 @@ func calendarStaysBounded(t *testing.T) {
 	runCycles(net, 1)
 	round := func() {
 		for k := 0; k < 3; k++ {
-			ds[rng.Intn(len(ds))].iface.Wake()
+			ds[rng.Intn(len(ds))].Iface.Wake()
 		}
 		runCycles(net, 1)
 	}
@@ -236,7 +232,7 @@ func TestSleeperSharesNodeWithPlainOwner(t *testing.T) {
 	if got, want := fmt.Sprint(nap.ticks[:4]), "[0 25 60 61]"; got != want {
 		t.Fatalf("the sleeper ticked at %v..., want %s", got, want)
 	}
-	if nap.iface.wake == nil || net.polled[0] != 1<<1 {
+	if nap.Iface.wake == nil || net.polled[0] != 1<<1 {
 		t.Fatalf("polled mask %b: the sleeper (device 2) must own its node, the plain owner (device 1) be ticked every cycle", net.polled[0])
 	}
 	if err := net.CheckConservation(); err != nil {

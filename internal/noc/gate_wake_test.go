@@ -52,10 +52,10 @@ func TestBlockedSenderWakesOnInjectPop(t *testing.T) {
 	ref, r := build(true)
 	blocked, refills := 0, 0
 	for c := 0; c < cycles; c++ {
-		full, sent := g.Interface().InjectSpace() == 0, g.Interface().Injected
+		full, sent := g.Iface.InjectSpace() == 0, g.Iface.Injected
 		gated.Run(1)
 		ref.Run(1)
-		gi, ri := g.Interface(), r.Interface()
+		gi, ri := g.Iface, r.Iface
 		if gi.Injected != ri.Injected || gi.InjectLen() != ri.InjectLen() || g.Issued != r.Issued || g.Completed != r.Completed {
 			t.Fatalf("cycle %d: gated requester has put %d flits on the ring, queues %d, issued %d, completed %d; forced-awake %d, %d, %d, %d",
 				c, gi.Injected, gi.InjectLen(), g.Issued, g.Completed, ri.Injected, ri.InjectLen(), r.Issued, r.Completed)
@@ -95,12 +95,12 @@ func nonFullLaneWakesNobody(t *testing.T) {
 	}, sim.NewRNG(1), ring.AddStation(0))
 	net.MustFinalize()
 	net.Run(1)
-	if req.Issued != 5 || req.Interface().InjectLen() == 0 || req.Interface().InjectSpace() == 0 {
-		t.Fatalf("after one cycle: %d issued, %d queued, %d free; the test needs a partly filled inject queue", req.Issued, req.Interface().InjectLen(), req.Interface().InjectSpace())
+	if req.Issued != 5 || req.Iface.InjectLen() == 0 || req.Iface.InjectSpace() == 0 {
+		t.Fatalf("after one cycle: %d issued, %d queued, %d free; the test needs a partly filled inject queue", req.Issued, req.Iface.InjectLen(), req.Iface.InjectSpace())
 	}
 	net.Run(40)
-	if req.Interface().Injected != 5 {
-		t.Fatalf("%d of 5 requests left the inject queue in 40 cycles", req.Interface().Injected)
+	if req.Iface.Injected != 5 {
+		t.Fatalf("%d of 5 requests left the inject queue in 40 cycles", req.Iface.Injected)
 	}
 	if ticks := requesterTicks(t, net); ticks != 1 {
 		t.Errorf("the requester ticked %d times while its non-full inject queue drained, want 1", ticks)

@@ -9,8 +9,7 @@ import (
 // sink is a test endpoint that drains its eject queue at a configurable
 // rate and remembers what it received.
 type sink struct {
-	name     string
-	iface    *NodeInterface
+	Port
 	drainPer int // flits drained per cycle; 0 = never drain
 	// Nothing is drained in [pauseFrom, pauseUntil): the eject queue fills,
 	// arrivals deflect and the ring behind them saturates.
@@ -20,21 +19,16 @@ type sink struct {
 
 func newSink(t testing.TB, net *Network, st *CrossStation, name string, drainPer int) *sink {
 	t.Helper()
-	s := &sink{name: name, drainPer: drainPer}
-	node := net.NewNode(name)
-	s.iface = net.Attach(node, st)
-	net.AddDevice(s)
+	s := &sink{drainPer: drainPer}
+	s.Port = net.Plug(s, name, st)
 	return s
 }
-
-func (s *sink) Name() string { return s.name }
-func (s *sink) Node() NodeID { return s.iface.Node() }
 
 // IdleUntil implements IdleUntiler: nothing ejected (or never draining)
 // means Tick does nothing until an arrival wakes the sink; what is ejected
 // during a pause waits for its end.
 func (s *sink) IdleUntil(now sim.Cycle) sim.Cycle {
-	if s.drainPer == 0 || s.iface.EjectLen() == 0 {
+	if s.drainPer == 0 || s.Iface.EjectLen() == 0 {
 		return Never
 	}
 	if s.paused(now) {
@@ -50,7 +44,7 @@ func (s *sink) Tick(now sim.Cycle) {
 		return
 	}
 	for i := 0; i < s.drainPer; i++ {
-		f := s.iface.Recv()
+		f := s.Iface.Recv()
 		if f == nil {
 			return
 		}
@@ -65,8 +59,7 @@ func (s *sink) Tick(now sim.Cycle) {
 // requester's CHI retrier: at every deadline one more flit for retryDst
 // joins the list.
 type source struct {
-	name    string
-	iface   *NodeInterface
+	Port
 	pending []*Flit
 	release []sim.Cycle // release[i] gates pending[i]
 	got     []*Flit
@@ -81,22 +74,18 @@ type source struct {
 
 func newSource(t testing.TB, net *Network, st *CrossStation, name string) *source {
 	t.Helper()
-	s := &source{name: name}
-	node := net.NewNode(name)
-	s.iface = net.Attach(node, st)
-	net.AddDevice(s)
+	s := &source{}
+	s.Port = net.Plug(s, name, st)
 	return s
 }
 
-func (s *source) Name() string  { return s.name }
-func (s *source) Node() NodeID  { return s.iface.Node() }
 func (s *source) queue(f *Flit) { s.queueAt(f, 0) }
 
 // queueAt queues f for sending at cycle at or later, behind everything
 // queued before it. The work arrives outside the fabric, so the source
 // is woken by hand (the contract Engine.enqueue follows in production).
 func (s *source) queueAt(f *Flit, at sim.Cycle) {
-	s.iface.Wake()
+	s.Iface.Wake()
 	s.pending = append(s.pending, f)
 	s.release = append(s.release, at)
 }
@@ -107,7 +96,7 @@ func (s *source) queueAt(f *Flit, at sim.Cycle) {
 // room wakes the source. The head's release cycle and the next retry
 // deadline are the timers.
 func (s *source) IdleUntil(now sim.Cycle) sim.Cycle {
-	if s.iface.EjectLen() > 0 {
+	if s.Iface.EjectLen() > 0 {
 		return now
 	}
 	wake := Never
@@ -120,7 +109,7 @@ func (s *source) IdleUntil(now sim.Cycle) sim.Cycle {
 			if s.release[0] < wake {
 				wake = s.release[0]
 			}
-		case s.iface.InjectSpace() > 0:
+		case s.Iface.InjectSpace() > 0:
 			return now
 		case wake > now && wake != Never:
 			s.blockedTimed++
@@ -136,14 +125,14 @@ func (s *source) Tick(now sim.Cycle) {
 	if s.retries > 0 && s.deadline <= now {
 		s.retries--
 		s.deadline += s.retryEvery
-		s.queue(s.iface.station.ring.net.NewFlit(s.Node(), s.retryDst, KindData, LineBytes))
+		s.queue(s.Net.NewFlit(s.Node(), s.retryDst, KindData, LineBytes))
 	}
-	for len(s.pending) > 0 && s.release[0] <= now && s.iface.Send(s.pending[0]) {
+	for len(s.pending) > 0 && s.release[0] <= now && s.Iface.Send(s.pending[0]) {
 		s.pending = s.pending[1:]
 		s.release = s.release[1:]
 	}
 	for {
-		f := s.iface.Recv()
+		f := s.Iface.Recv()
 		if f == nil {
 			break
 		}

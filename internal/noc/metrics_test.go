@@ -63,12 +63,8 @@ func TestRingOccupancySeriesTinyRing(t *testing.T) {
 
 // stuckSink never drains its single-entry eject queue: the first arrival
 // fills it, every later arrival deflects.
-type stuckSink struct {
-	name  string
-	iface *NodeInterface
-}
+type stuckSink struct{ Port }
 
-func (s *stuckSink) Name() string       { return s.name }
 func (s *stuckSink) Tick(now sim.Cycle) {}
 
 // TestDeflectionRateSeriesTinyRing parks a flit in a 1-deep eject queue
@@ -86,10 +82,9 @@ func TestDeflectionRateSeriesTinyRing(t *testing.T) {
 	net := NewNetwork("tiny")
 	ring := net.AddRing(4, true)
 	src := newSource(t, net, ring.AddStation(0), "src")
-	snk := &stuckSink{name: "snk"}
-	node := net.NewNode("snk")
-	snk.iface = net.AttachQueued(node, ring.AddStation(2), 8, 1)
-	net.AddDevice(snk)
+	snk := &stuckSink{}
+	snk.Port = net.PlugQueued(snk, "snk", ring.AddStation(2), 8, 1)
+	node := snk.Node()
 	net.MustFinalize()
 
 	reg := metrics.New(4)

@@ -454,10 +454,10 @@ func liveFlits(net *Network) []*Flit {
 // queuedFlit returns the head of src's inject queue.
 func queuedFlit(t *testing.T, src *source) *Flit {
 	t.Helper()
-	if src.iface.inject.Len() == 0 {
+	if src.Iface.inject.Len() == 0 {
 		t.Fatalf("source %s has nothing queued", src.name)
 	}
-	return src.iface.inject.At(0)
+	return src.Iface.inject.At(0)
 }
 
 // TestFailedSaveLeavesStateAlone: a save that meets a message type with
@@ -500,9 +500,9 @@ func TestSnapMarksClearedAfterFailedWalk(t *testing.T) {
 		net, a, b := buildSnapNet(t, 100)
 		runCycles(net, 60)
 		var msgs []*payload
-		for i := 0; i < a.iface.inject.Len(); i++ {
+		for i := 0; i < a.Iface.inject.Len(); i++ {
 			m := &payload{v: uint64(i)}
-			a.iface.inject.At(i).Msg = m
+			a.Iface.inject.At(i).Msg = m
 			msgs = append(msgs, m)
 		}
 		return net, queuedFlit(t, b), msgs

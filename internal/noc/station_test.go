@@ -181,6 +181,21 @@ func TestETagReservationIsHonored(t *testing.T) {
 	if len(ni.reserved) != 0 {
 		t.Fatal("reservation not consumed")
 	}
+	// A flit dropped in flight passes its reservation on to the oldest
+	// waiter, as a drained entry does: c waits, d waits behind it, b leaves
+	// so the entry is c's, and c is dropped.
+	d := &Flit{ID: 4}
+	if ni.tryEject(d) {
+		t.Fatal("third eject must fail: queue full")
+	}
+	ni.Recv()
+	purgeTagState(r, c.ID)
+	if ni.tryEject(&Flit{ID: 5}) {
+		t.Fatal("newcomer took the entry a dropped flit had reserved")
+	}
+	if !ni.tryEject(d) {
+		t.Fatal("the oldest waiter did not inherit the dropped flit's reservation")
+	}
 }
 
 func TestITagBreaksStarvation(t *testing.T) {
@@ -215,9 +230,9 @@ func TestITagBreaksStarvation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("victim flit starved (delivered %d flood flits, victim starved %d cycles)",
-			len(dst.got), victim.iface.Starved())
+			len(dst.got), victim.Iface.Starved())
 	}
-	if victim.iface.Starved() == 0 {
+	if victim.Iface.Starved() == 0 {
 		t.Fatal("test did not create contention; flood too weak to exercise I-tag")
 	}
 }
@@ -245,7 +260,7 @@ func TestITagReleaseOnInjection(t *testing.T) {
 			t.Fatalf("slot %d still reserved by %d after drain", i, r.cw.slots[i].itagOwner)
 		}
 	}
-	if victim.iface.itagArmed {
+	if victim.Iface.itagArmed {
 		t.Fatal("armed flag stuck")
 	}
 }
@@ -273,16 +288,16 @@ func TestLocalTransferSameStation(t *testing.T) {
 func TestSendRejectsSelfAndNil(t *testing.T) {
 	net, src, _ := buildPair(t, 8, 4, 1)
 	mustPanic(t, func() {
-		src.iface.Send(net.NewFlit(src.Node(), src.Node(), KindData, 0))
+		src.Iface.Send(net.NewFlit(src.Node(), src.Node(), KindData, 0))
 	})
-	mustPanic(t, func() { src.iface.Send(nil) })
+	mustPanic(t, func() { src.Iface.Send(nil) })
 }
 
 func TestInjectQueueBackpressure(t *testing.T) {
 	net, src, dst := buildPair(t, 8, 4, 8)
 	fill := 0
 	for i := 0; i < DefaultInjectDepth+5; i++ {
-		if src.iface.Send(net.NewFlit(src.Node(), dst.Node(), KindData, 0)) {
+		if src.Iface.Send(net.NewFlit(src.Node(), dst.Node(), KindData, 0)) {
 			fill++
 		}
 	}
@@ -310,9 +325,9 @@ func TestStationRoundRobinFairness(t *testing.T) {
 	if len(dst.got) != 100 {
 		t.Fatalf("delivered %d/100", len(dst.got))
 	}
-	diff := int(a.iface.Injected) - int(b.iface.Injected)
+	diff := int(a.Iface.Injected) - int(b.Iface.Injected)
 	if diff < -2 || diff > 2 {
-		t.Fatalf("unfair arbitration: a=%d b=%d", a.iface.Injected, b.iface.Injected)
+		t.Fatalf("unfair arbitration: a=%d b=%d", a.Iface.Injected, b.Iface.Injected)
 	}
 }
 

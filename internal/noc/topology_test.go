@@ -83,14 +83,14 @@ func TestBypassLane(t *testing.T) {
 	var normal []*Flit
 	for i := 0; i < DefaultInjectDepth; i++ {
 		f := net.NewFlit(src.Node(), dst.Node(), KindData, LineBytes)
-		if !src.iface.Send(f) {
+		if !src.Iface.Send(f) {
 			t.Fatal("queue filled early")
 		}
 		normal = append(normal, f)
 	}
 	// Now a priority flit.
 	pf := net.NewFlit(src.Node(), dst.Node(), KindData, LineBytes)
-	if !src.iface.SendPriority(pf) {
+	if !src.Iface.SendPriority(pf) {
 		t.Fatal("bypass rejected")
 	}
 	var order []uint64
@@ -123,7 +123,7 @@ func TestBypassCapacity(t *testing.T) {
 	net.MustFinalize()
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if src.iface.SendPriority(net.NewFlit(src.Node(), dst.Node(), KindData, 0)) {
+		if src.Iface.SendPriority(net.NewFlit(src.Node(), dst.Node(), KindData, 0)) {
 			accepted++
 		}
 	}

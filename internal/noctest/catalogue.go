@@ -316,11 +316,10 @@ func requesters(cases []traffic.RequesterConfig, stride int, full bool) func() *
 // l1EjectReserved joins a 48-position ring of three requesters to a ring
 // of two memories through an RBRG-L1 with one-entry eject queues, so
 // cross-ring flits deflect and wait on E-tags, and drops a flit every
-// seven cycles. A dropped reserved flit frees its entry without handing it
-// to the next waiter; an arrival takes it, and the bridge's forward hands
-// it on, leaving the eject queue empty, its entry reserved and nothing
-// blocked: the state where only the eject-space clause keeps the bridge
-// awake to count the deflections that follow.
+// seven cycles. Some of the dropped flits hold an eject reservation, which
+// passes to the oldest flit still waiting (purgeTagState promotes), so the
+// E-tag hand-over runs under faults while the bridge sleeps and wakes
+// beside reserved entries.
 func l1EjectReserved() *noc.Network {
 	net := noc.NewNetwork("l1-eject")
 	a, b := net.AddRing(48, true), net.AddRing(12, true)

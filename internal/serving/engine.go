@@ -30,10 +30,8 @@ const engineFootprint = 1 << 24
 
 // Engine executes commands' transfers for one die.
 type Engine struct {
-	name  string
-	die   int
-	net   *noc.Network
-	iface *noc.NodeInterface
+	noc.Port
+	die int
 
 	tracker  *chi.Tracker
 	inflight sim.Table[*command] // each open transaction's command, by TxnID
@@ -53,30 +51,19 @@ type Engine struct {
 // newEngine attaches an engine to its die ring station.
 func newEngine(net *noc.Network, die int, st *noc.CrossStation) *Engine {
 	e := &Engine{
-		name:    fmt.Sprintf("d%d.serve", die),
 		die:     die,
-		net:     net,
 		tracker: chi.NewTracker(engineOutstanding),
 	}
 	e.inflight.Reserve(engineOutstanding)
-	node := net.NewNode(e.name)
-	e.iface = net.Attach(node, st)
-	net.AddDevice(e)
+	e.Port = net.Plug(e, fmt.Sprintf("d%d.serve", die), st)
 	return e
 }
-
-// Name implements noc.Device.
-func (e *Engine) Name() string { return e.name }
-
-// Node implements noc.NodeOwner: the engine sleeps on its interface's
-// wake word.
-func (e *Engine) Node() noc.NodeID { return e.iface.Node() }
 
 // enqueue hands the engine a command whose dependencies are met. Called
 // only from the orchestrator's tick. The command does not arrive
 // through the fabric, so the engine is woken by hand.
 func (e *Engine) enqueue(c *command) {
-	e.iface.Wake()
+	e.Iface.Wake()
 	e.queue.Push(c)
 }
 
@@ -91,8 +78,8 @@ func (e *Engine) finish(req *chi.Message) {
 // Tick implements noc.Device: completions first (freeing table slots),
 // then queued beats, then new transfers.
 func (e *Engine) Tick(now sim.Cycle) {
-	e.tracker.Settle(e.net, e.iface, nil, &e.sendq, e.finish)
-	e.iface.SendAll(&e.sendq)
+	e.tracker.Settle(e.Net, e.Iface, nil, &e.sendq, e.finish)
+	e.Iface.SendAll(&e.sendq)
 	for i := 0; i < engineIssueWidth; i++ {
 		if e.queue.Len() == 0 || e.sendq.Len() > 0 || e.tracker.Full() {
 			return
@@ -104,7 +91,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 		}
 		addr := uint64(e.die+1)<<32 | (e.addrSeq*chi.LineSize)%engineFootprint
 		e.addrSeq++
-		m := chi.NewMsg(e.net, chi.Message{Op: op, Addr: addr, Requester: e.Node(), Size: int32(c.bytes)})
+		m := chi.NewMsg(e.Net, chi.Message{Op: op, Addr: addr, Requester: e.Node(), Size: int32(c.bytes)})
 		if !e.tracker.Open(m) {
 			return
 		}
@@ -115,8 +102,8 @@ func (e *Engine) Tick(now sim.Cycle) {
 		m.IssuedAt = uint64(now)
 		e.inflight.Put(uint64(m.TxnID), c)
 		e.Issued++
-		e.sendq.Push(m.NewFlit(e.net, e.Node(), e.memNodes[c.target]))
-		e.iface.SendAll(&e.sendq)
+		e.sendq.Push(m.NewFlit(e.Net, e.Node(), e.memNodes[c.target]))
+		e.Iface.SendAll(&e.sendq)
 	}
 }
 
@@ -126,7 +113,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 // (only a completion, which arrives as an ejection, frees a slot). It
 // then sleeps until an ejection or enqueue wakes it.
 func (e *Engine) IdleUntil(now sim.Cycle) sim.Cycle {
-	if e.iface.EjectLen() > 0 || e.sendq.Len() > 0 || (e.queue.Len() > 0 && !e.tracker.Full()) {
+	if e.Iface.EjectLen() > 0 || e.sendq.Len() > 0 || (e.queue.Len() > 0 && !e.tracker.Full()) {
 		return now
 	}
 	return noc.Never
@@ -138,7 +125,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	p := "serving." + e.name
+	p := "serving." + e.Name()
 	reg.Counter(p+".issued", func() uint64 { return e.Issued })
 	reg.Counter(p+".completed", func() uint64 { return e.Completed })
 	reg.Counter(p+".bytes_moved", func() uint64 { return e.BytesMoved })

@@ -89,11 +89,11 @@ func (o *Orchestrator) SnapState(s *noc.Snap) {
 			c.Key32(id)
 			ref(p)
 			if c.Loading() && e.tracker.Lookup(uint32(*id)) == nil {
-				c.Fail("%s transfer %d is not an open transaction", e.name, *id)
+				c.Fail("%s transfer %d is not an open transaction", e.Name(), *id)
 			}
 		})
 		if e.inflight.Len() != e.tracker.Outstanding() {
-			c.Fail("%s has %d transfers for %d open transactions", e.name, e.inflight.Len(), e.tracker.Outstanding())
+			c.Fail("%s has %d transfers for %d open transactions", e.Name(), e.inflight.Len(), e.tracker.Outstanding())
 		}
 		refs(&e.done)
 	}

@@ -93,17 +93,17 @@ func TestIdleUntilHonest(t *testing.T) {
 						slept++
 					}
 					if req.sendq.Len() > 0 {
-						if req.iface.InjectSpace() != 0 {
-							t.Fatalf("seed %d: requester asleep at cycle %d with a backlog and %d free inject entries", seed, next, req.iface.InjectSpace())
+						if req.Iface.InjectSpace() != 0 {
+							t.Fatalf("seed %d: requester asleep at cycle %d with a backlog and %d free inject entries", seed, next, req.Iface.InjectSpace())
 						}
 						blocked++
 						if until != noc.Never {
 							blockedTimed++
 						}
 					}
-					before := walked(t, req, req.iface)
+					before := walked(t, req, req.Iface)
 					req.Tick(next)
-					if after := walked(t, req, req.iface); after != before {
+					if after := walked(t, req, req.Iface); after != before {
 						t.Fatalf("seed %d: requester said idle until %d at cycle %d but its Tick changed state", seed, until, next)
 					}
 				}
@@ -165,9 +165,9 @@ func replayerIdleHonest(t *testing.T) {
 			} else {
 				forever++
 			}
-			before := walked(t, rep, rep.iface)
+			before := walked(t, rep, rep.Iface)
 			rep.Tick(next)
-			if after := walked(t, rep, rep.iface); after != before {
+			if after := walked(t, rep, rep.Iface); after != before {
 				t.Fatalf("seed %d: replayer said idle until %d at cycle %d but its Tick changed state", seed, until, next)
 			}
 		}

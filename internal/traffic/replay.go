@@ -88,9 +88,7 @@ func FormatTrace(w io.Writer, ops []TraceOp) error {
 // Replayer issues a recorded operation stream against the NoC with its
 // original timing (stalling when the transaction table back-pressures).
 type Replayer struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
+	noc.Port
 
 	ops  []TraceOp
 	next int
@@ -113,21 +111,13 @@ func NewReplayer(net *noc.Network, name string, ops []TraceOp, outstanding int,
 		panic("traffic: Replayer needs a target map")
 	}
 	r := &Replayer{
-		name: name, net: net, ops: ops,
+		ops:      ops,
 		tracker:  chi.NewTracker(outstanding),
 		targetOf: targetOf,
 	}
-	node := net.NewNode(name)
-	r.iface = net.Attach(node, st)
-	net.AddDevice(r)
+	r.Port = net.Plug(r, name, st)
 	return r
 }
-
-// Name implements noc.Device.
-func (r *Replayer) Name() string { return r.name }
-
-// Node returns the replayer's NoC address.
-func (r *Replayer) Node() noc.NodeID { return r.iface.Node() }
 
 // Done reports whether the whole trace has issued and completed.
 func (r *Replayer) Done() bool {
@@ -136,8 +126,8 @@ func (r *Replayer) Done() bool {
 
 // Tick implements noc.Device.
 func (r *Replayer) Tick(now sim.Cycle) {
-	r.tracker.Settle(r.net, r.iface, nil, &r.sendq, r.finish)
-	r.iface.SendAll(&r.sendq)
+	r.tracker.Settle(r.Net, r.Iface, nil, &r.sendq, r.finish)
+	r.Iface.SendAll(&r.sendq)
 	// Issue trace ops whose recorded time has come.
 	for r.next < len(r.ops) && r.sendq.Len() == 0 {
 		op := r.ops[r.next]
@@ -157,11 +147,11 @@ func (r *Replayer) Tick(now sim.Cycle) {
 			r.next++
 			continue
 		}
-		m := chi.NewMsg(r.net, chi.Message{Op: opc, Addr: op.Addr, Requester: r.Node(), Size: int32(op.Size)})
+		m := chi.NewMsg(r.Net, chi.Message{Op: opc, Addr: op.Addr, Requester: r.Node(), Size: int32(op.Size)})
 		if !r.tracker.Open(m) {
 			return
 		}
-		r.sendq.Push(m.NewFlit(r.net, r.Node(), dst))
+		r.sendq.Push(m.NewFlit(r.Net, r.Node(), dst))
 		if !op.Write {
 			m.BeatsLeft = int32(m.Beats())
 		}
@@ -171,7 +161,7 @@ func (r *Replayer) Tick(now sim.Cycle) {
 		}
 		r.Issued++
 		r.next++
-		r.iface.SendAll(&r.sendq)
+		r.Iface.SendAll(&r.sendq)
 	}
 }
 
@@ -180,7 +170,7 @@ func (r *Replayer) Tick(now sim.Cycle) {
 // (never again once the trace is exhausted). From that cycle on it is
 // awake — a full table counts SlipCycles every tick.
 func (r *Replayer) IdleUntil(now sim.Cycle) sim.Cycle {
-	if r.iface.EjectLen() > 0 || r.sendq.Len() > 0 {
+	if r.Iface.EjectLen() > 0 || r.sendq.Len() > 0 {
 		return now
 	}
 	if r.next >= len(r.ops) {

@@ -91,11 +91,9 @@ type RequesterConfig struct {
 
 // Requester is a CHI-level traffic generator attached to the NoC.
 type Requester struct {
-	name  string
-	net   *noc.Network
-	iface *noc.NodeInterface
-	cfg   RequesterConfig
-	rng   *sim.RNG
+	noc.Port
+	cfg RequesterConfig
+	rng *sim.RNG
 
 	tracker *chi.Tracker
 	// per-class in-flight counts when WriteOutstanding splits the pool
@@ -126,25 +124,13 @@ func NewRequester(net *noc.Network, name string, cfg RequesterConfig, rng *sim.R
 	}
 	tableSize := cfg.Outstanding + cfg.WriteOutstanding
 	r := &Requester{
-		name: name, net: net, cfg: cfg, rng: rng,
+		cfg: cfg, rng: rng,
 		tracker: chi.NewTracker(tableSize),
 		retrier: chi.NewRetrier(cfg.Retry),
 	}
-	node := net.NewNode(name)
-	r.iface = net.Attach(node, st)
-	net.AddDevice(r)
+	r.Port = net.Plug(r, name, st)
 	return r
 }
-
-// Name implements noc.Device.
-func (r *Requester) Name() string { return r.name }
-
-// Node returns the generator's NoC address.
-func (r *Requester) Node() noc.NodeID { return r.iface.Node() }
-
-// Interface exposes the generator's node interface so experiments can
-// attach bandwidth probes (the ejected-payload counters live there).
-func (r *Requester) Interface() *noc.NodeInterface { return r.iface }
 
 // Done reports whether a bounded generator has finished all its work.
 func (r *Requester) Done() bool {
@@ -161,7 +147,7 @@ func (r *Requester) RegisterMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	p := "traffic." + r.name
+	p := "traffic." + r.Name()
 	reg.Counter(p+".issued", func() uint64 { return r.Issued })
 	reg.Counter(p+".completed", func() uint64 { return r.Completed })
 	reg.Counter(p+".bytes_moved", func() uint64 { return r.BytesMoved })
@@ -170,7 +156,7 @@ func (r *Requester) RegisterMetrics(reg *metrics.Registry) {
 	reg.Gauge(p+".latency_p50", func() float64 { return r.Latency.Percentile(50) })
 	reg.Gauge(p+".latency_p99", func() float64 { return r.Latency.Percentile(99) })
 	reg.Series(p+".outstanding", func() float64 { return float64(r.tracker.Outstanding()) })
-	r.retrier.RegisterMetrics(reg, r.name)
+	r.retrier.RegisterMetrics(reg, r.Name())
 }
 
 // RetryStats returns the CHI-level retry/abort counters (zero when
@@ -224,9 +210,9 @@ func (r *Requester) runRetries(now sim.Cycle) {
 			// first attempt just complete the transaction sooner.
 			req.BeatsLeft = int32(req.Beats())
 		}
-		r.sendq.Push(req.NewFlit(r.net, r.Node(), req.RetryDst))
-		if r.net.Tracer != nil {
-			r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d re-issued", id))
+		r.sendq.Push(req.NewFlit(r.Net, r.Node(), req.RetryDst))
+		if r.Net.Tracer != nil {
+			r.Net.Trace(trace.Retry, 0, r.Name(), fmt.Sprintf("txn %d re-issued", id))
 		}
 	}
 	for _, id := range abort {
@@ -235,8 +221,8 @@ func (r *Requester) runRetries(now sim.Cycle) {
 			continue
 		}
 		r.abort(req)
-		if r.net.Tracer != nil {
-			r.net.Trace(trace.Retry, 0, r.name, fmt.Sprintf("txn %d aborted", id))
+		if r.Net.Tracer != nil {
+			r.Net.Trace(trace.Retry, 0, r.Name(), fmt.Sprintf("txn %d aborted", id))
 		}
 	}
 }
@@ -245,13 +231,13 @@ func (r *Requester) runRetries(now sim.Cycle) {
 func (r *Requester) Tick(now sim.Cycle) {
 	// Completions first so their table slots can be reused this cycle.
 	// A read completes when the last data beat of its burst arrives.
-	r.tracker.Settle(r.net, r.iface, r.retrier, &r.sendq, func(req *chi.Message) { r.complete(req, now) })
+	r.tracker.Settle(r.Net, r.Iface, r.retrier, &r.sendq, func(req *chi.Message) { r.complete(req, now) })
 	// Timeouts next: re-issues join the send queue ahead of new work.
 	if r.retrier != nil {
 		r.runRetries(now)
 	}
 	// Drain queued beats before starting new transactions.
-	r.iface.SendAll(&r.sendq)
+	r.Iface.SendAll(&r.sendq)
 	// Issue.
 	issues := r.cfg.IssuePerCycle
 	if issues <= 0 {
@@ -293,14 +279,14 @@ func (r *Requester) Tick(now sim.Cycle) {
 		if dst == r.Node() {
 			continue // interleaving landed on ourselves; skip
 		}
-		m := chi.NewMsg(r.net, chi.Message{Op: op, Addr: addr, Requester: r.Node(), Size: int32(r.cfg.LineBytes)})
+		m := chi.NewMsg(r.Net, chi.Message{Op: op, Addr: addr, Requester: r.Node(), Size: int32(r.cfg.LineBytes)})
 		if !r.tracker.Open(m) {
 			return
 		}
 		// Both classes start with a header request; reads complete on the
 		// last returned data beat, writes continue with DBIDResp → data
 		// burst → Comp (the full CHI write flow).
-		r.sendq.Push(m.NewFlit(r.net, r.Node(), dst))
+		r.sendq.Push(m.NewFlit(r.Net, r.Node(), dst))
 		if m.IsWrite() {
 			r.writesInFlight++
 		} else {
@@ -313,7 +299,7 @@ func (r *Requester) Tick(now sim.Cycle) {
 			r.retrier.Arm(m.TxnID, now)
 		}
 		r.Issued++
-		r.iface.SendAll(&r.sendq)
+		r.Iface.SendAll(&r.sendq)
 	}
 }
 
@@ -329,11 +315,11 @@ func (r *Requester) Tick(now sim.Cycle) {
 // station taking a flit off the full inject queue, wakes it through its
 // interface.
 func (r *Requester) IdleUntil(now sim.Cycle) sim.Cycle {
-	if r.iface.EjectLen() > 0 {
+	if r.Iface.EjectLen() > 0 {
 		return now
 	}
 	if r.sendq.Len() > 0 {
-		if r.iface.InjectSpace() > 0 {
+		if r.Iface.InjectSpace() > 0 {
 			return now
 		}
 	} else if spent := r.cfg.MaxRequests != 0 && r.Issued >= r.cfg.MaxRequests; !spent && !(r.cfg.Rate >= 1 && r.tracker.Full()) {
