@@ -32,8 +32,6 @@ type Fabric interface {
 	TrySend(src, dst, payloadBytes int, done DeliverFunc) bool
 	// Delivered returns total packets and payload bytes delivered.
 	Delivered() (packets, bytes uint64)
-	// Cycles returns the number of Ticks executed.
-	Cycles() uint64
 }
 
 // Compile-time interface checks for all fabrics.

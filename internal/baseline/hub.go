@@ -69,9 +69,6 @@ func (h *SwitchedHub) Name() string {
 // Nodes implements Fabric.
 func (h *SwitchedHub) Nodes() int { return h.cfg.Dies * h.cfg.NodesPerDie }
 
-// Cycles implements Fabric.
-func (h *SwitchedHub) Cycles() uint64 { return h.now }
-
 // Delivered implements Fabric.
 func (h *SwitchedHub) Delivered() (uint64, uint64) { return h.stats.packets, h.stats.bytes }
 

@@ -117,9 +117,6 @@ func (m *BufferedMesh) Name() string {
 // Nodes implements Fabric.
 func (m *BufferedMesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 
-// Cycles implements Fabric.
-func (m *BufferedMesh) Cycles() uint64 { return m.now }
-
 // Delivered implements Fabric.
 func (m *BufferedMesh) Delivered() (uint64, uint64) { return m.stats.packets, m.stats.bytes }
 

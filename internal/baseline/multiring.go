@@ -126,9 +126,6 @@ func (m *MultiRing) Name() string { return m.name }
 // Nodes implements Fabric.
 func (m *MultiRing) Nodes() int { return len(m.ports) }
 
-// Cycles implements Fabric.
-func (m *MultiRing) Cycles() uint64 { return m.net.Ticks() }
-
 // Delivered implements Fabric.
 func (m *MultiRing) Delivered() (uint64, uint64) { return m.stats.packets, m.stats.bytes }
 

@@ -26,12 +26,12 @@ type tapEvent struct {
 
 func (t *tap) TrySend(src, dst, payload int, done baseline.DeliverFunc) bool {
 	ok := t.MultiRing.TrySend(src, dst, payload, func(latency uint64) {
-		t.log = append(t.log, tapEvent{cycle: t.Cycles(), src: src, dst: dst, delivered: true, latency: latency})
+		t.log = append(t.log, tapEvent{cycle: t.Network().Ticks(), src: src, dst: dst, delivered: true, latency: latency})
 		if done != nil {
 			done(latency)
 		}
 	})
-	t.log = append(t.log, tapEvent{cycle: t.Cycles(), src: src, dst: dst, accepted: ok})
+	t.log = append(t.log, tapEvent{cycle: t.Network().Ticks(), src: src, dst: dst, accepted: ok})
 	return ok
 }
 
@@ -40,7 +40,7 @@ func (t *tap) TrySend(src, dst, payload int, done baseline.DeliverFunc) bool {
 func sameSince(t *testing.T, gated, polled *tap, from int) int {
 	t.Helper()
 	if len(gated.log) != len(polled.log) {
-		t.Fatalf("cycle %d: gated ports saw %d events, every-cycle ports %d", gated.Cycles(), len(gated.log), len(polled.log))
+		t.Fatalf("cycle %d: gated ports saw %d events, every-cycle ports %d", gated.Network().Ticks(), len(gated.log), len(polled.log))
 	}
 	for i := from; i < len(gated.log); i++ {
 		if gated.log[i] != polled.log[i] {
@@ -72,8 +72,8 @@ func sameTotals(t *testing.T, gated, polled *tap) {
 	}
 	ticks, ports := gated.PortTicks()
 	ref, _ := polled.PortTicks()
-	if ref != uint64(ports)*polled.Cycles() {
-		t.Fatalf("reference ports ticked %d times over %d port-cycles: they are not the every-cycle reference", ref, uint64(ports)*polled.Cycles())
+	if ref != uint64(ports)*polled.Network().Ticks() {
+		t.Fatalf("reference ports ticked %d times over %d port-cycles: they are not the every-cycle reference", ref, uint64(ports)*polled.Network().Ticks())
 	}
 	if ticks == 0 || ticks >= ref {
 		t.Fatalf("gated ports ticked %d times, every-cycle ports %d", ticks, ref)
@@ -83,7 +83,7 @@ func sameTotals(t *testing.T, gated, polled *tap) {
 // portShare is the gated ports' ticks as a share of their port-cycles.
 func portShare(m *tap) float64 {
 	ticks, ports := m.PortTicks()
-	return float64(ticks) / float64(uint64(ports)*m.Cycles())
+	return float64(ticks) / float64(uint64(ports)*m.Network().Ticks())
 }
 
 // multiRingCases are the two shapes the adapter builds, each with the

@@ -71,9 +71,6 @@ func (r *BufferedRing) Name() string { return fmt.Sprintf("buffered-ring-%d", r.
 // Nodes implements Fabric.
 func (r *BufferedRing) Nodes() int { return r.cfg.Nodes }
 
-// Cycles implements Fabric.
-func (r *BufferedRing) Cycles() uint64 { return r.now }
-
 // Delivered implements Fabric.
 func (r *BufferedRing) Delivered() (uint64, uint64) { return r.stats.packets, r.stats.bytes }
 

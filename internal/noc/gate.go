@@ -33,8 +33,12 @@
 // Nothing simulated changes: the bits, the calendar and the counts are
 // derived state, never serialized, recounted by Network.CheckConservation,
 // and Network.forceAwake (tests only) turns all of it off to give the
-// differential suites their reference engine. There is no other engine:
-// DESIGN.md §4 records why the partitioned one was deleted.
+// differential suites their reference engine. Network.RunUntil is the
+// tick engine's one run loop. The comparison harness is a second one: it
+// calls baseline.Fabric.Tick once a cycle from three loops of its own —
+// workloads.MemSystem.Step, baseline.MeasureUniform and Table 5's
+// measureOneWay. Over a baseline.MultiRing each of those calls is one
+// Network.Tick: its rings and devices are gated, but no stretch is jumped.
 package noc
 
 import (
