@@ -2,13 +2,15 @@
 // evaluation section. By default it runs everything at full scale — the
 // run EXPERIMENTS.md records; use -exp to select one and -quick for a
 // fast pass. -exp simrun runs a single parameterized simulation with
-// optional checkpoint/resume; the nocd daemon serves the same catalog
-// over HTTP through the identical code paths.
+// optional checkpoint/resume, and is the one run -metrics-out and
+// -trace-chrome observe; the nocd daemon serves the same catalog over
+// HTTP through the identical code paths.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // -pprof serves /debug/pprof (profiles + runtime/trace)
 	"os"
@@ -23,6 +25,7 @@ import (
 	"chipletnoc/internal/experiments"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/server"
+	"chipletnoc/internal/trace"
 )
 
 func main() {
@@ -32,11 +35,10 @@ func main() {
 	csvDir := flag.String("csv", "", "also write figure data as CSV files into this directory")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker goroutines for independent sub-simulations; 1 reproduces the sequential run")
-	timing := flag.Bool("timing", false, "print per-job wall-clock detail after each experiment")
-	metricsOn := flag.Bool("metrics", false, "also run the instrumented AI-Processor reference and write its metrics snapshot")
-	metricsOut := flag.String("metrics-out", "metrics.json", "metrics snapshot output file (JSON) when -metrics is set")
-	metricsInterval := flag.Uint64("metrics-interval", 100, "cycles between series samples for the instrumented reference run")
-	traceChrome := flag.String("trace-chrome", "", "write a Chrome trace-event JSON of the instrumented AI-Processor reference run to this file")
+	timing := flag.Bool("timing", false, "print per-job wall-clock detail and the engine report to stderr after each experiment")
+	metricsOut := flag.String("metrics-out", "", "simrun: write the run's metrics snapshot (JSON) to this file (empty = off)")
+	metricsInterval := flag.Uint64("metrics-interval", 100, "simrun: cycles between series samples when -metrics-out is set")
+	traceChrome := flag.String("trace-chrome", "", "simrun: write a Chrome trace-event JSON of the run to this file (bypasses -cache-dir)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (profiles + runtime/trace) on this address, e.g. localhost:6060")
 	simTopology := flag.String("sim-topology", "ai-processor", "simrun: topology (ai-processor, server-cpu or custom)")
 	simConfig := flag.String("sim-config", "", "simrun: config JSON file for -sim-topology custom")
@@ -49,6 +51,14 @@ func main() {
 	servingSpec := flag.String("serving-spec", "", "serving: spec JSON file describing the open-loop sweep (empty = the default MoE workload)")
 	flag.Parse()
 
+	if (*metricsOut != "" || *traceChrome != "") && *exp != "simrun" {
+		fmt.Fprintln(os.Stderr, "experiments: -metrics-out and -trace-chrome observe a run and apply only to -exp simrun")
+		os.Exit(2)
+	}
+	if *metricsOut != "" && *metricsInterval == 0 {
+		fmt.Fprintln(os.Stderr, "experiments: -metrics-interval must be positive")
+		os.Exit(2)
+	}
 	experiments.SetParallelism(*parallel)
 
 	if *pprofAddr != "" {
@@ -88,7 +98,7 @@ func main() {
 			return 100 * float64(part) / float64(whole)
 		}
 		engine = noc.EngineTotals().Sub(engine)
-		fmt.Printf("[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, station ticks skipped %.1f%%, device ticks skipped %.1f%%\n",
+		fmt.Fprintf(os.Stderr, "[timing]   engine: %d cycles, %d jumped (%.1f%%); ring ticks skipped %.1f%%, station ticks skipped %.1f%%, device ticks skipped %.1f%%\n",
 			engine.Cycles, engine.SkippedCycles, pct(engine.SkippedCycles, engine.Cycles),
 			pct(engine.RingTicksSkipped, engine.RingTicks), pct(engine.StationTicksSkipped, engine.StationTicks),
 			pct(engine.DeviceTicksSkipped, engine.DeviceTicks))
@@ -99,7 +109,7 @@ func main() {
 		for _, k := range noc.DeviceTickTotals() {
 			b := before[k.Kind]
 			if ticks, skipped := k.Ticks-b.Ticks, k.Skipped-b.Skipped; ticks+skipped > 0 {
-				fmt.Printf("[timing]     %-22s %6d devices: %10d ticks run, %11d skipped (%.1f%%)\n",
+				fmt.Fprintf(os.Stderr, "[timing]     %-22s %6d devices: %10d ticks run, %11d skipped (%.1f%%)\n",
 					k.Kind, k.Devices-b.Devices, ticks, skipped, pct(skipped, ticks+skipped))
 			}
 		}
@@ -124,14 +134,14 @@ func main() {
 		if jobs == 0 {
 			return
 		}
-		fmt.Printf("[timing] %s: wall %v, %d jobs totalling %v serial (%d workers, %.2fx)\n",
+		fmt.Fprintf(os.Stderr, "[timing] %s: wall %v, %d jobs totalling %v serial (%d workers, %.2fx)\n",
 			name, wall.Round(time.Millisecond), jobs, serial.Round(time.Millisecond),
 			*parallel, float64(serial)/float64(wall))
 		if *timing {
 			reportEngine(engine, kinds)
 			sort.Slice(all, func(i, j int) bool { return all[i].Wall > all[j].Wall })
 			for _, j := range all {
-				fmt.Printf("[timing]   %-40s %v\n", j.Name, j.Wall.Round(time.Millisecond))
+				fmt.Fprintf(os.Stderr, "[timing]   %-40s %v\n", j.Name, j.Wall.Round(time.Millisecond))
 			}
 		}
 	}
@@ -163,8 +173,18 @@ func main() {
 			invoke(name, func() { catalog(name) })
 		}
 	case "simrun":
-		if err := runSim(scale, *simTopology, *simConfig, *simCycles, *simSeed,
-			*checkpointEvery, *checkpointFile, *resumeFile, *cacheDir, writeCSV); err != nil {
+		spec := experiments.SimSpec{
+			Topology:        *simTopology,
+			Scale:           experiments.ScaleName(scale),
+			Cycles:          *simCycles,
+			Seed:            *simSeed,
+			CheckpointEvery: *checkpointEvery,
+		}
+		if *metricsOut != "" {
+			spec.MetricsInterval = *metricsInterval
+		}
+		if err := runSim(spec, *simConfig, *checkpointFile, *resumeFile, *cacheDir,
+			*metricsOut, *traceChrome, writeCSV); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -181,16 +201,6 @@ func main() {
 		}
 	default:
 		invoke(*exp, func() { catalog(*exp) })
-	}
-
-	// The experiments keep instrumentation off so their numbers stay
-	// bit-identical to the golden runs; observability artifacts come from
-	// a separate fixed-seed instrumented reference run of the AI die.
-	if *metricsOn || *traceChrome != "" {
-		if err := writeObserved(scale, *metricsOn, *metricsOut, *metricsInterval, *traceChrome); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 }
 
@@ -214,17 +224,15 @@ func runCached(cacheDir string, spec server.JobSpec, resume []byte, ctl *experim
 	})
 }
 
+// traceCap bounds the -trace-chrome ring buffer: a long run retains its
+// tail (the steady state), a short one fits entirely.
+const traceCap = 1 << 17
+
 // runSim executes one parameterized simulation, with optional rolling
-// checkpoints to a file and resume from one.
-func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, checkpointEvery uint64,
-	checkpointFile, resumeFile, cacheDir string, writeCSV func(name, data string)) error {
-	spec := experiments.SimSpec{
-		Topology:        topology,
-		Scale:           experiments.ScaleName(scale),
-		Cycles:          cycles,
-		Seed:            seed,
-		CheckpointEvery: checkpointEvery,
-	}
+// checkpoints to a file and resume from one, and writes the run's metrics
+// snapshot and Chrome trace when asked.
+func runSim(spec experiments.SimSpec, configFile, checkpointFile, resumeFile, cacheDir,
+	metricsOut, traceChrome string, writeCSV func(name, data string)) error {
 	if configFile != "" {
 		data, err := os.ReadFile(configFile)
 		if err != nil {
@@ -240,9 +248,9 @@ func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, 
 		}
 		resume = data
 	}
-	var ctl *experiments.SimControl
-	if checkpointFile != "" && checkpointEvery > 0 {
-		ctl = &experiments.SimControl{OnCheckpoint: func(data []byte, cycle uint64) error {
+	ctl := &experiments.SimControl{}
+	if checkpointFile != "" && spec.CheckpointEvery > 0 {
+		ctl.OnCheckpoint = func(data []byte, cycle uint64) error {
 			// The durable layer stages, fsyncs and renames, so a crash at
 			// any instant leaves the previous complete checkpoint (or the
 			// new complete one) — never a torn file.
@@ -251,7 +259,15 @@ func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, 
 			}
 			fmt.Printf("checkpoint: cycle %d -> %s (%d bytes)\n", cycle, checkpointFile, len(data))
 			return nil
-		}}
+		}
+	}
+	if traceChrome != "" {
+		// A cached result carries no trace, so a traced run always runs.
+		ctl.Tracer = trace.New(traceCap)
+		if cacheDir != "" {
+			fmt.Fprintln(os.Stderr, "cache: skipped: a traced run always simulates")
+			cacheDir = ""
+		}
 	}
 	res, err := runCached(cacheDir, server.JobSpec{Kind: "sim", Sim: &spec}, resume, ctl)
 	if err != nil {
@@ -259,7 +275,33 @@ func runSim(scale experiments.Scale, topology, configFile string, cycles, seed, 
 	}
 	fmt.Println(res.Sim.Render())
 	writeCSV("simrun.csv", res.Sim.CSV())
+	if metricsOut != "" {
+		if err := writeFile(metricsOut, res.Sim.Metrics.WriteJSON); err != nil {
+			return err
+		}
+		fmt.Printf("metrics: wrote %s (%d cycles)\n", metricsOut, res.Sim.Metrics.Cycles)
+	}
+	if traceChrome != "" {
+		if err := writeFile(traceChrome, ctl.Tracer.WriteChrome); err != nil {
+			return err
+		}
+		fmt.Printf("trace:   wrote %s (%d events retained of %d recorded) — load in https://ui.perfetto.dev\n",
+			traceChrome, ctl.Tracer.Len(), ctl.Tracer.Total)
+	}
 	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runServing executes one open-loop serving sweep.
@@ -277,41 +319,5 @@ func runServing(scale experiments.Scale, specFile, cacheDir string, writeCSV fun
 	}
 	fmt.Println(res.Serving.Render())
 	writeCSV("serving.csv", res.Serving.CSV())
-	return nil
-}
-
-// writeObserved runs the instrumented AI-Processor reference and writes
-// the requested artifacts.
-func writeObserved(scale experiments.Scale, metricsOn bool, metricsOut string, interval uint64, traceChrome string) error {
-	obs := experiments.RunObservedAI(scale, interval)
-	if metricsOn {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := obs.Snapshot.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("metrics: wrote %s (instrumented AI reference, %d cycles)\n", metricsOut, obs.Cycles)
-	}
-	if traceChrome != "" {
-		f, err := os.Create(traceChrome)
-		if err != nil {
-			return err
-		}
-		if err := obs.Tracer.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace:   wrote %s (%d events retained) — load in https://ui.perfetto.dev\n",
-			traceChrome, obs.Tracer.Len())
-	}
 	return nil
 }

@@ -25,10 +25,7 @@ import (
 
 	"chipletnoc/internal/baseline"
 	"chipletnoc/internal/config"
-	"chipletnoc/internal/fault"
-	"chipletnoc/internal/metrics"
 	"chipletnoc/internal/stats"
-	"chipletnoc/internal/trace"
 )
 
 func main() {
@@ -36,13 +33,6 @@ func main() {
 	configPath := flag.String("config", "", "JSON topology file (overrides -fabric; see internal/config)")
 	cycles := flag.Int("cycles", 20000, "cycles to run a -config system")
 	describe := flag.Bool("describe", false, "print the -config topology before running")
-	faultsPath := flag.String("faults", "", "JSON fault-schedule file applied to a -config run (see internal/fault)")
-	retryCycles := flag.Int("retry", 0, "arm CHI timeout/retry on every -config requester with this timeout (cycles); 0 disables")
-	retryMax := flag.Int("retries", 3, "retry budget per transaction when -retry is set")
-	metricsOn := flag.Bool("metrics", false, "attach the metrics registry to a -config run")
-	metricsOut := flag.String("metrics-out", "metrics.json", "metrics snapshot output file (JSON) when -metrics is set")
-	metricsInterval := flag.Uint64("metrics-interval", 100, "cycles between series samples when -metrics is set")
-	traceChrome := flag.String("trace-chrome", "", "write a Chrome trace-event (Perfetto-loadable) JSON of a -config run to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (profiles + runtime/trace) on this address, e.g. localhost:6060")
 	nodes := flag.Int("nodes", 16, "endpoint count")
 	dies := flag.Int("dies", 2, "dies (chiplets/hub fabrics)")
@@ -64,22 +54,11 @@ func main() {
 	}
 
 	if *configPath != "" {
-		obs := observeOpts{
-			metricsOut:  *metricsOut,
-			interval:    *metricsInterval,
-			traceChrome: *traceChrome,
-		}
-		if !*metricsOn {
-			obs.metricsOut = ""
-		}
-		if err := runConfig(*configPath, *faultsPath, *cycles, *describe, *retryCycles, *retryMax, obs); err != nil {
+		if err := runConfig(*configPath, *cycles, *describe); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
-	}
-	if *metricsOn || *traceChrome != "" {
-		fmt.Fprintln(os.Stderr, "nocsim: -metrics and -trace-chrome only apply to -config runs")
 	}
 
 	factory, err := fabricFactory(*fabricName, *nodes, *dies)
@@ -114,22 +93,12 @@ func main() {
 	fmt.Printf("knee (2x zero-load latency): rate %.2f\n", baseline.Knee(points, 2))
 }
 
-// observeOpts carries the observability flags into a -config run. An
-// empty metricsOut disables the registry; an empty traceChrome disables
-// the structured tracer.
-type observeOpts struct {
-	metricsOut  string
-	interval    uint64
-	traceChrome string
-}
-
-// traceCap bounds the tracer ring buffer for -trace-chrome runs: long
-// runs retain their tail (the steady state), short runs fit entirely.
-const traceCap = 1 << 17
-
 // runConfig builds and runs a JSON-defined system, reporting per-device
-// statistics.
-func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, retryMax int, obs observeOpts) error {
+// statistics. The spec is the one input: its fault schedule and its
+// requesters' CHI retry knobs come from the file. To observe the run, use
+// experiments -exp simrun -sim-topology custom -sim-config FILE with
+// -metrics-out and -trace-chrome.
+func runConfig(path string, cycles int, describe bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -138,41 +107,9 @@ func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, 
 	if err != nil {
 		return err
 	}
-	if faultsPath != "" {
-		fdata, err := os.ReadFile(faultsPath)
-		if err != nil {
-			return err
-		}
-		sched, err := fault.ParseSchedule(fdata)
-		if err != nil {
-			return err
-		}
-		spec.Faults = sched
-	}
-	if retryCycles > 0 {
-		// The flag arms every requester that did not set its own knobs.
-		for i := range spec.Devices {
-			d := &spec.Devices[i]
-			if d.Type == "requester" && d.RetryTimeout == 0 {
-				d.RetryTimeout, d.RetryMax = retryCycles, retryMax
-			}
-		}
-	}
 	sys, err := spec.Build()
 	if err != nil {
 		return err
-	}
-	var reg *metrics.Registry
-	if obs.metricsOut != "" {
-		interval := obs.interval
-		if interval == 0 {
-			interval = 100
-		}
-		reg = metrics.New(interval)
-		sys.Net.EnableMetrics(reg)
-	}
-	if obs.traceChrome != "" {
-		sys.Net.Tracer = trace.New(traceCap)
 	}
 	if describe {
 		var b bytes.Buffer
@@ -181,37 +118,6 @@ func runConfig(path, faultsPath string, cycles int, describe bool, retryCycles, 
 		os.Stdout.Write(b.Bytes())
 	}
 	sys.Run(cycles)
-	if reg != nil {
-		snap := reg.Snapshot(spec.Name, uint64(cycles))
-		f, err := os.Create(obs.metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("metrics: wrote %s (%d counters, %d gauges, %d series)\n",
-			obs.metricsOut, len(snap.Counters), len(snap.Gauges), len(snap.Series))
-	}
-	if obs.traceChrome != "" {
-		f, err := os.Create(obs.traceChrome)
-		if err != nil {
-			return err
-		}
-		if err := sys.Net.Tracer.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace:   wrote %s (%d events retained of %d recorded) — load in https://ui.perfetto.dev\n",
-			obs.traceChrome, sys.Net.Tracer.Len(), sys.Net.Tracer.Total)
-	}
 
 	fmt.Printf("system %s after %d cycles:\n", spec.Name, cycles)
 	t := stats.NewTable("requester", "completed", "mean lat", "p99 lat", "bytes")

@@ -32,6 +32,9 @@ type Fabric interface {
 	TrySend(src, dst, payloadBytes int, done DeliverFunc) bool
 	// Delivered returns total packets and payload bytes delivered.
 	Delivered() (packets, bytes uint64)
+	// NocCounters returns (hops, router traversals, link transfers) for
+	// the energy model.
+	NocCounters() (hops, routerTraversals, linkTransfers uint64)
 }
 
 // Compile-time interface checks for all fabrics.

@@ -35,18 +35,13 @@ func RunAblationBufferless(scale Scale) AblationBufferless {
 		f := factory()
 		baseline.MeasureUniform(f, 0.3, 64, warm, window, 0xAB3)
 		pkts, _ := f.Delivered()
-		var counters struct{ hops, rtr, link uint64 }
-		if nc, ok := f.(interface {
-			NocCounters() (uint64, uint64, uint64)
-		}); ok {
-			counters.hops, counters.rtr, counters.link = nc.NocCounters()
-		}
+		hops, rtr, link := f.NocCounters()
 		e := phys.DefaultEnergyModel()
 		bits := (64 + noc.HeaderBytes) * 8
 		total := e.TotalPJ(phys.TrafficEnergy{
-			FlitHops: counters.hops, FlitBits: bits, HopDistanceMm: 1.8,
-			RouterTraversals: counters.rtr, BufferedEntries: counters.rtr,
-			LinkBits: counters.link * uint64(bits),
+			FlitHops: hops, FlitBits: bits, HopDistanceMm: 1.8,
+			RouterTraversals: rtr, BufferedEntries: rtr,
+			LinkBits: link * uint64(bits),
 		})
 		if pkts > 0 {
 			pj = total / float64(pkts)

@@ -20,6 +20,7 @@ import (
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/stats"
+	"chipletnoc/internal/trace"
 	"chipletnoc/internal/traffic"
 )
 
@@ -195,6 +196,10 @@ type SimControl struct {
 	// OnCheckpoint receives each periodic checkpoint when
 	// CheckpointEvery is non-zero. An error aborts the run.
 	OnCheckpoint func(data []byte, cycle uint64) error
+	// Tracer, when set, becomes the network's structured tracer for the
+	// run. It is host-side, like the callbacks: no part of the spec, the
+	// result or the job key.
+	Tracer *trace.Tracer
 }
 
 // ErrCanceled reports a run stopped by a CancelRun verdict.
@@ -373,6 +378,7 @@ func RunSim(spec SimSpec, resume []byte, ctl *SimControl) (*SimResult, error) {
 		reg = metrics.New(spec.MetricsInterval)
 		net.EnableMetrics(reg)
 	}
+	net.Tracer = ctl.Tracer
 
 	checkpoint := func() ([]byte, error) {
 		extra, err := encodeExtra(spec, &simProgress{

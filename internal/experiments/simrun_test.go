@@ -5,22 +5,31 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"chipletnoc/internal/trace"
 )
 
 // TestSimRunQuickAIMatchesGolden pins the service's smallest job to the
 // same constants as internal/soc's golden digest test: the quick
 // AI-Processor spec is exactly the golden configuration, so a drift here
 // means the daemon would serve different numbers than the test suite
-// certifies.
+// certifies. A traced run (SimControl.Tracer) must hit the same numbers:
+// the tracer observes the run, it does not change it.
 func TestSimRunQuickAIMatchesGolden(t *testing.T) {
-	res, err := RunSim(SimSpec{Topology: "ai-processor", Scale: "quick"}, nil, nil)
-	if err != nil {
-		t.Fatalf("RunSim: %v", err)
+	tracer := trace.New(1 << 10)
+	for _, ctl := range []*SimControl{nil, {Tracer: tracer}} {
+		res, err := RunSim(SimSpec{Topology: "ai-processor", Scale: "quick"}, nil, ctl)
+		if err != nil {
+			t.Fatalf("RunSim: %v", err)
+		}
+		if res.Injected != 0x30c3 || res.Delivered != 0x2b41 ||
+			res.Deflections != 0x46ae || res.Hops != 0x4c154 ||
+			res.LatencySamples != 0x2b41 || res.LatencyFNV != "0x16a68fe7dc337024" {
+			t.Fatalf("quick AI run (traced: %v) drifted from the golden digest: %+v", ctl != nil, res)
+		}
 	}
-	if res.Injected != 0x30c3 || res.Delivered != 0x2b41 ||
-		res.Deflections != 0x46ae || res.Hops != 0x4c154 ||
-		res.LatencySamples != 0x2b41 || res.LatencyFNV != "0x16a68fe7dc337024" {
-		t.Fatalf("quick AI run drifted from the golden digest: %+v", res)
+	if tracer.Len() == 0 {
+		t.Fatal("the traced run recorded no events")
 	}
 }
 

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"chipletnoc/internal/baseline"
 	"chipletnoc/internal/noc"
 	"chipletnoc/internal/phys"
 )
@@ -37,22 +38,17 @@ var specPowerLoadLevels = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
 // nocEnergyPJ estimates NoC energy for a run from the fabric's counters
 // using the phys calibration. Bufferless rings pay wire+station per hop;
 // buffered organisations additionally pay a router traversal per hop.
-type nocCounters struct {
-	hops             uint64
-	routerTraversals uint64
-	linkTransfers    uint64
-}
-
-func nocEnergyPJ(c nocCounters) float64 {
+func nocEnergyPJ(f baseline.Fabric) float64 {
+	hops, routerTraversals, linkTransfers := f.NocCounters()
 	e := phys.DefaultEnergyModel()
 	bits := (64 + noc.HeaderBytes) * 8
 	return e.TotalPJ(phys.TrafficEnergy{
-		FlitHops:         c.hops,
+		FlitHops:         hops,
 		FlitBits:         bits,
 		HopDistanceMm:    1.8, // one high-speed-fabric jump
-		RouterTraversals: c.routerTraversals,
-		BufferedEntries:  c.routerTraversals, // each buffered hop writes+reads a queue
-		LinkBits:         c.linkTransfers * uint64(bits),
+		RouterTraversals: routerTraversals,
+		BufferedEntries:  routerTraversals, // each buffered hop writes+reads a queue
+		LinkBits:         linkTransfers * uint64(bits),
 	})
 }
 
@@ -105,8 +101,7 @@ func RunSpecPower(spec SystemSpec, seed uint64) SpecPowerResult {
 			}
 			cpi := ssjBaseCPI/ipc + ssjMPKI/1000*lat
 			ops := float64(activeCores) * level * float64(window) / cpi
-			counters := fabricCounters(m)
-			nocW := nocEnergyPJ(counters) * 1e-12 / (float64(window) / 3e9) // pJ over window seconds
+			nocW := nocEnergyPJ(m.cfg.Fabric) * 1e-12 / (float64(window) / 3e9) // pJ over window seconds
 			activeW := pm.CoreActiveW
 			if spec.CorePowerW > 0 {
 				activeW = spec.CorePowerW
@@ -128,21 +123,5 @@ func RunSpecPower(spec SystemSpec, seed uint64) SpecPowerResult {
 		System:          spec.Name,
 		SingleCoreScore: score(1),
 		PackageScore:    score(spec.Cores),
-	}
-}
-
-// fabricCounters pulls organisation-specific event counts from the
-// harness's fabric.
-func fabricCounters(m *MemSystem) nocCounters {
-	switch f := m.cfg.Fabric.(type) {
-	case interface {
-		NocCounters() (uint64, uint64, uint64)
-	}:
-		h, r, l := f.NocCounters()
-		return nocCounters{hops: h, routerTraversals: r, linkTransfers: l}
-	default:
-		// Fall back to delivered packets as a hop proxy.
-		p, _ := m.cfg.Fabric.Delivered()
-		return nocCounters{hops: p * 8}
 	}
 }
