@@ -22,6 +22,3 @@ func NewHomeMap(n int) HomeMap {
 func (m HomeMap) HomeOf(addr uint64) int {
 	return int((addr / chi.LineSize) % uint64(m.n))
 }
-
-// Homes returns the number of home nodes.
-func (m HomeMap) Homes() int { return m.n }

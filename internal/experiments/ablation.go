@@ -9,6 +9,7 @@ import (
 	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/stats"
+	"chipletnoc/internal/workloads"
 )
 
 // AblationBufferless compares the bufferless multi-ring against a
@@ -31,24 +32,6 @@ func RunAblationBufferless(scale Scale) AblationBufferless {
 
 	// Per organisation, the light-load, heavy-load and energy runs use
 	// independent fabric instances — three jobs each.
-	measureEnergy := func(factory func() baseline.Fabric) (pj float64) {
-		f := factory()
-		baseline.MeasureUniform(f, 0.3, 64, warm, window, 0xAB3)
-		pkts, _ := f.Delivered()
-		hops, rtr, link := f.NocCounters()
-		e := phys.DefaultEnergyModel()
-		bits := (64 + noc.HeaderBytes) * 8
-		total := e.TotalPJ(phys.TrafficEnergy{
-			FlitHops: hops, FlitBits: bits, HopDistanceMm: 1.8,
-			RouterTraversals: rtr, BufferedEntries: rtr,
-			LinkBits: link * uint64(bits),
-		})
-		if pkts > 0 {
-			pj = total / float64(pkts)
-		}
-		return pj
-	}
-
 	res := AblationBufferless{Nodes: nodes}
 	orgs := []struct {
 		name          string
@@ -71,7 +54,11 @@ func RunAblationBufferless(scale Scale) AblationBufferless {
 				*org.thru = baseline.MeasureUniform(org.factory(), 0.5, 64, warm, window, 0xAB2).Throughput
 			}},
 			Job{Name: "ablation-bufferless/" + org.name + "/energy", Run: func() {
-				*org.pj = measureEnergy(org.factory)
+				f := org.factory()
+				baseline.MeasureUniform(f, 0.3, 64, warm, window, 0xAB3)
+				if pkts, _ := f.Delivered(); pkts > 0 {
+					*org.pj = workloads.NoCEnergyPJ(f) / float64(pkts)
+				}
 			}})
 	}
 	RunJobs("ablation-bufferless", jobs)

@@ -107,7 +107,7 @@ func RunTable7(scale Scale) Table7Result {
 		var lastMoved []uint64
 		if isEquilibriumRun {
 			for _, c := range a.Cores {
-				probes = append(probes, stats.NewBandwidthProbe(c.Name(), probeWindow))
+				probes = append(probes, stats.NewBandwidthProbe(probeWindow))
 				lastMoved = append(lastMoved, c.BytesMoved)
 			}
 		}

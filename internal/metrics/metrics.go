@@ -41,15 +41,6 @@ type Series struct {
 	values []float64
 }
 
-// Name returns the series' registered name.
-func (s *Series) Name() string { return s.name }
-
-// Cycles returns the sample cycle stamps (aliased, do not mutate).
-func (s *Series) Cycles() []uint64 { return s.cycles }
-
-// Values returns the sampled values (aliased, do not mutate).
-func (s *Series) Values() []float64 { return s.values }
-
 // Registry holds named instruments and drives series sampling at a fixed
 // cycle interval. The zero value is unusable; construct with New. A nil
 // *Registry is valid everywhere and free: every method no-ops, which is

@@ -41,18 +41,6 @@ func BenchmarkRingAdvance(b *testing.B) {
 	}
 }
 
-func BenchmarkSlotAt(b *testing.B) {
-	_, r := benchRing(b, 64)
-	var live int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r.slotAt(CW, i&63).flit != nil {
-			live++
-		}
-	}
-	_ = live
-}
-
 func BenchmarkStationTick(b *testing.B) {
 	net, r := benchRing(b, 64)
 	st := r.Station(0)

@@ -101,11 +101,17 @@ func observe(t *testing.T, n *noc.Network, cycles int, p *prober) outcome {
 // free-list and the count of trace events. The first look is taken after
 // IdleUntil is asked, since asking may draw the orchestrator's arrival
 // stream ahead. A stall counted twice, a refill without its cursor, a
-// field an idle tick moves: each shows as a difference.
+// field an idle tick moves: each shows as a difference. It records
+// every idle answer it probed, by device.
 type prober struct {
-	idle          map[noc.Device]int // idle ticks probed, by device
+	idle          map[noc.Device]sleeps
 	before, after []byte
 }
+
+// sleeps counts one device's probed idle answers: all of them, the timed
+// ones (a cycle to wake at, short of Never), and the timed ones a
+// requester gave behind a full inject queue.
+type sleeps struct{ idle, timed, blockedTimed int }
 
 // A run of at most probeBudget device-cycles is probed whole: every
 // device on every cycle. A larger one is sampled on probedCycles cycles,
@@ -147,7 +153,16 @@ func (p *prober) run(t *testing.T, n *noc.Network, cycles int) {
 			if !bytes.Equal(p.before, p.after) {
 				t.Fatalf("cycle %d: %s said idle until %d but its Tick changed the network", now, d.Name(), until)
 			}
-			p.idle[d]++
+			s := p.idle[d]
+			s.idle++
+			timed := until != noc.Never
+			if timed {
+				s.timed++
+			}
+			if r, ok := d.(*traffic.Requester); ok && timed && r.Iface.InjectSpace() == 0 {
+				s.blockedTimed++
+			}
+			p.idle[d] = s
 		})
 	}
 }
@@ -232,46 +247,65 @@ var skipFloors = map[string]skipFloor{
 
 // exercise is what a system of traffic generators must have done for its
 // idle probing to mean something: each generator was probed asleep, each
-// retry case re-issued a request, each request-budget case and the
-// replay finished, and the replay slipped. cases are the configurations
-// its requesters are built from, in device order. An open-loop requester
-// with no budget draws every cycle, so it sleeps only behind an inject
-// queue that stays full through a cycle; unless blocked says its lane
-// carries passing traffic, it need not have.
+// retry case re-issued a request and was probed asleep towards a retry
+// deadline, each request-budget case finished with every request
+// completed or aborted, and the replay finished, slipped, and was probed
+// asleep both until its next recorded cycle and for good. cases are the
+// configurations its requesters are built from, in device order. An
+// open-loop requester with no budget draws every cycle, so it sleeps only
+// behind an inject queue that stays full through a cycle; unless blocked
+// says its lane carries passing traffic, it need not have. aborts says
+// its faults exhaust retry budgets: each requester aborted, completed
+// requests after its first abort, and was probed asleep towards a retry
+// deadline behind a full inject queue.
 type exercise struct {
-	cases   []traffic.RequesterConfig
-	blocked bool
+	cases           []traffic.RequesterConfig
+	blocked, aborts bool
 }
 
 // exercises are the exercise checks, by catalogue name.
 var exercises = map[string]exercise{
-	"traffic/requesters":        {noctest.RequesterCases, false},
-	"traffic/open-loop-blocked": {noctest.BlockedCases, true},
+	"traffic/requesters":        {noctest.RequesterCases, false, false},
+	"traffic/open-loop-blocked": {noctest.BlockedCases, true, false},
 	"replay/bursty":             {},
+	"traffic/aborts":            {noctest.AbortCases, false, true},
 }
 
-// check holds n's gated run to e; idle gives the idle ticks the reference
-// run probed of the device at index i.
-func (e exercise) check(t *testing.T, n *noc.Network, idle func(i int) int) {
+// check holds n, the gated run of sys, to e; idle gives the idle answers
+// the reference run probed of the device at index i.
+func (e exercise) check(t *testing.T, sys noctest.System, n *noc.Network, idle func(i int) sleeps) {
 	t.Helper()
 	k := 0
 	for i, d := range n.Devices() {
-		ok := true
+		ok, s := true, idle(i)
 		switch g := d.(type) {
 		case *traffic.Requester:
 			cfg := e.cases[k]
 			k++
 			retried, _ := g.RetryStats()
+			timed := cfg.Retry.TimeoutCycles != 0
 			drawsAlways := cfg.Rate < 1 && cfg.MaxRequests == 0
-			ok = (retried > 0 || cfg.Retry.TimeoutCycles == 0) && (g.Done() || cfg.MaxRequests == 0) &&
-				(idle(i) > 0 || drawsAlways && !e.blocked)
+			ok = (!timed || retried > 0 && s.timed > 0) &&
+				(cfg.MaxRequests == 0 || g.Done() && g.Completed+g.Aborted == g.Issued) &&
+				(s.idle > 0 || drawsAlways && !e.blocked) &&
+				(!e.aborts || g.Aborted > 0 && s.blockedTimed > 0 && g.Completed > completedAtFirstAbort(sys, i))
 		case *traffic.Replayer:
-			ok = g.SlipCycles > 0 && g.Done() && idle(i) > 0
+			ok = g.SlipCycles > 0 && g.Done() && s.timed > 0 && s.idle > s.timed
 		}
 		if !ok {
-			t.Errorf("%s did not do what its case is about (probed idle %d times)", d.Name(), idle(i))
+			t.Errorf("%s did not do what its case is about (probed idle %+v)", d.Name(), s)
 		}
 	}
+}
+
+// completedAtFirstAbort runs a fresh build of sys until the requester at
+// device index i first aborts a transaction, and returns how many it had
+// completed by then.
+func completedAtFirstAbort(sys noctest.System, i int) uint64 {
+	n := sys.Build()
+	r := n.Devices()[i].(*traffic.Requester)
+	n.RunUntil(func() bool { return r.Aborted > 0 }, sys.Cycles)
+	return r.Completed
 }
 
 // checkSkips holds n's gated run to floor, and to what every gated run
@@ -332,7 +366,7 @@ func checkSkips(t *testing.T, n *noc.Network, floor skipFloor) {
 // says, and between them the catalogue must probe an idle tick of every
 // kind of device that can be idle.
 func TestCatalogueGateDiff(t *testing.T) {
-	p := &prober{idle: map[noc.Device]int{}}
+	p := &prober{idle: map[noc.Device]sleeps{}}
 	kinds, named := map[string]bool{}, len(skipFloors)+len(exercises)
 	for _, sys := range noctest.Catalogue {
 		if _, ok := skipFloors[sys.Name]; ok {
@@ -354,7 +388,7 @@ func TestCatalogueGateDiff(t *testing.T) {
 			}
 			checkSkips(t, gated, skipFloors[sys.Name])
 			if e, ok := exercises[sys.Name]; ok {
-				e.check(t, gated, func(i int) int { return p.idle[ref.Devices()[i]] })
+				e.check(t, sys, gated, func(i int) sleeps { return p.idle[ref.Devices()[i]] })
 			}
 			for _, d := range gated.Devices() {
 				if _, ok := d.(noc.IdleUntiler); ok {

@@ -188,12 +188,6 @@ func NewNetwork(name string) *Network {
 	}
 }
 
-// Name returns the name the network was built with.
-func (n *Network) Name() string { return n.name }
-
-// Now returns the network's current cycle.
-func (n *Network) Now() sim.Cycle { return n.now }
-
 // Ticks returns the number of cycles the network has simulated.
 func (n *Network) Ticks() uint64 { return n.ticks }
 
@@ -262,9 +256,6 @@ func (n *Network) NewNode(name string) NodeID {
 	n.nodes = append(n.nodes, &nodeInfo{name: name})
 	return id
 }
-
-// NodeName returns the debug name of a node.
-func (n *Network) NodeName(id NodeID) string { return n.nodes[id].name }
 
 // Nodes returns the number of allocated nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }

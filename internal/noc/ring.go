@@ -286,9 +286,6 @@ func (r *Ring) ID() RingID { return r.id }
 // Positions returns the total loop length in positions.
 func (r *Ring) Positions() int { return r.positions }
 
-// Full reports whether the ring has both directions.
-func (r *Ring) Full() bool { return r.full }
-
 // Stations returns the stations in position order.
 func (r *Ring) Stations() []*CrossStation { return r.stations }
 
@@ -384,14 +381,6 @@ func (r *Ring) settleHops(f *Flit) {
 	now := r.now
 	f.Hops += int(now - f.boarded)
 	f.boarded = now
-}
-
-// slotAt returns the slot currently at position pos for direction d.
-func (r *Ring) slotAt(d Direction, pos int) *slot {
-	if d == CW {
-		return r.cw.at(pos)
-	}
-	return r.ccw.at(pos)
 }
 
 // distance returns how many positions a flit travels from 'from' to 'to'

@@ -486,12 +486,6 @@ func (st *CrossStation) classify() {
 	set.parked[CCW] = set.parked[CCW]&^bit | parked[CCW]
 }
 
-// Ring returns the owning ring.
-func (st *CrossStation) Ring() *Ring { return st.ring }
-
-// Interface returns the node interface at index i (nil if unattached).
-func (st *CrossStation) Interface(i int) *NodeInterface { return st.ifaces[i] }
-
 // attach connects a device to the first free interface; stations carry at
 // most two devices (Figure 7(A)), and a third is a wiring fault. The
 // queues get their full storage up front and Send checks depth first, so

@@ -36,8 +36,10 @@ type System struct {
 	At     []int
 }
 
-// Catalogue is every reference system, in a fixed order (restore-fuzz
-// inputs name an entry by its index).
+// Catalogue is every reference system, in a fixed order: restore-fuzz
+// inputs name an entry by their index modulo its length, so a new entry
+// goes last, and a committed input at or above the old length is
+// renumbered to name the same entry and cycle.
 var Catalogue = []System{
 	{"ai-die", aiDie, 3000, []int{1100}},
 	{"ai-die/faulted", aiDieFaulted, 3000, []int{600, 950, 1100}},
@@ -70,6 +72,7 @@ var Catalogue = []System{
 	{"ablation/wire-dense", func() *noc.Network { return experiments.WireRig(72, 20) }, 2880, []int{300, 1500}},
 	{"traffic/open-loop-blocked", requesters(BlockedCases, 4, false), 2400, []int{300, 1500}},
 	{"l1/eject-reserved", l1EjectReserved, 1200, []int{300, 900}},
+	{"traffic/aborts", trafficAborts, 2400, []int{600, 1300}},
 }
 
 // Lookup returns the catalogue entry of the given name.
@@ -336,11 +339,35 @@ func l1EjectReserved() *noc.Network {
 		traffic.NewRequester(net, fmt.Sprintf("req%d", i), rc, sim.NewRNG(uint64(i+1)), a.AddStation(2+2*i))
 	}
 	net.MustFinalize()
+	return faulted(net, &fault.Schedule{Events: dropEvery(7, 100, 1200)}, 0x5e5)
+}
+
+// AbortCases are two deep requesters with a request budget and a single
+// retry: faults exhaust the retry, and the deep table keeps a deadline
+// pending while a beat backlog waits behind a full inject queue.
+var AbortCases = []traffic.RequesterConfig{abortCase, abortCase}
+
+var abortCase = traffic.RequesterConfig{Outstanding: 24, Rate: 1, ReadFraction: 0.3, IssuePerCycle: 2, MaxRequests: 60,
+	Retry: chi.RetryConfig{TimeoutCycles: 400, MaxRetries: 1}}
+
+// trafficAborts puts AbortCases on a 12-position half ring, each with its
+// slow memory three stations on, so each one's traffic passes the other's
+// station, and drops a flit every seven cycles from cycle 100 to 1500.
+// Transactions run out of retries: 22 and 23 of the 60 requests are
+// aborted (13 and 8 without the drops), the first of each at cycle 1201.
+// Each abort reclaims its table slot, and both go on to finish their
+// budgets, 24 and 15 requests completing after the first abort.
+func trafficAborts() *noc.Network {
+	return faulted(requesters(AbortCases, 6, false)(), &fault.Schedule{Events: dropEvery(7, 100, 1500)}, 0xab)
+}
+
+// dropEvery drops a flit every period cycles in [from, to).
+func dropEvery(period, from, to uint64) []fault.Event {
 	var drops []fault.Event
-	for at := uint64(100); at < 1200; at += 7 {
+	for at := from; at < to; at += period {
 		drops = append(drops, fault.Event{At: at, Kind: fault.DropFlit})
 	}
-	return faulted(net, &fault.Schedule{Events: drops}, 0x5e5)
+	return drops
 }
 
 // servingAt builds the default serving spec at one offered load under the

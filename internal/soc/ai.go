@@ -103,9 +103,6 @@ func QuickAIConfig() AIConfig {
 	return cfg
 }
 
-// TotalCores returns the AI-core count.
-func (c AIConfig) TotalCores() int { return c.VRings * c.CoresPerVRing }
-
 // AIProcessor is the built AI die (plus its IO die).
 type AIProcessor struct {
 	Net *noc.Network

@@ -159,7 +159,6 @@ func (h *Histogram) Min() float64 { return h.Percentile(0) }
 // experiment (Fig 14) attaches one probe per monitored node and compares
 // their windowed series.
 type BandwidthProbe struct {
-	name        string
 	totalBytes  uint64
 	window      uint64 // cycles per window
 	windowBytes uint64
@@ -168,15 +167,12 @@ type BandwidthProbe struct {
 
 // NewBandwidthProbe creates a probe that closes a window every
 // windowCycles cycles; windowCycles must be positive.
-func NewBandwidthProbe(name string, windowCycles uint64) *BandwidthProbe {
+func NewBandwidthProbe(windowCycles uint64) *BandwidthProbe {
 	if windowCycles == 0 {
 		panic("stats: zero probe window")
 	}
-	return &BandwidthProbe{name: name, window: windowCycles}
+	return &BandwidthProbe{window: windowCycles}
 }
-
-// Name returns the probe label.
-func (p *BandwidthProbe) Name() string { return p.name }
 
 // Record adds delivered bytes in the current window.
 func (p *BandwidthProbe) Record(bytes uint64) {

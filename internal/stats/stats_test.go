@@ -72,7 +72,7 @@ func TestHistogramAddAfterQueryKeepsOrder(t *testing.T) {
 }
 
 func TestBandwidthProbe(t *testing.T) {
-	p := NewBandwidthProbe("n0", 10)
+	p := NewBandwidthProbe(10)
 	p.Record(64)
 	p.Record(64)
 	p.CloseWindow()
@@ -93,7 +93,7 @@ func TestBandwidthProbePanicsOnZeroWindow(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewBandwidthProbe("x", 0)
+	NewBandwidthProbe(0)
 }
 
 func TestEquilibriumPerfectBalance(t *testing.T) {

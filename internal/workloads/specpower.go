@@ -35,10 +35,10 @@ func defaultPowerModel() powerModel {
 // specPowerLoadLevels are the ssj load ladder (fraction of full load).
 var specPowerLoadLevels = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
-// nocEnergyPJ estimates NoC energy for a run from the fabric's counters
+// NoCEnergyPJ estimates NoC energy for a run from the fabric's counters
 // using the phys calibration. Bufferless rings pay wire+station per hop;
 // buffered organisations additionally pay a router traversal per hop.
-func nocEnergyPJ(f baseline.Fabric) float64 {
+func NoCEnergyPJ(f baseline.Fabric) float64 {
 	hops, routerTraversals, linkTransfers := f.NocCounters()
 	e := phys.DefaultEnergyModel()
 	bits := (64 + noc.HeaderBytes) * 8
@@ -101,7 +101,7 @@ func RunSpecPower(spec SystemSpec, seed uint64) SpecPowerResult {
 			}
 			cpi := ssjBaseCPI/ipc + ssjMPKI/1000*lat
 			ops := float64(activeCores) * level * float64(window) / cpi
-			nocW := nocEnergyPJ(m.cfg.Fabric) * 1e-12 / (float64(window) / 3e9) // pJ over window seconds
+			nocW := NoCEnergyPJ(m.cfg.Fabric) * 1e-12 / (float64(window) / 3e9) // pJ over window seconds
 			activeW := pm.CoreActiveW
 			if spec.CorePowerW > 0 {
 				activeW = spec.CorePowerW
