@@ -2,6 +2,8 @@ package baseline
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"chipletnoc/internal/sim"
 )
@@ -55,9 +57,14 @@ type BufferedMesh struct {
 	route []uint8
 	nbr   []meshPort
 	// occ counts the packets queued at each router, over all five input
-	// ports, so Tick skips empty routers. TrySend and Tick's apply phase
-	// keep it exact.
-	occ []int
+	// ports, and busy has a bit per router with any, so Tick walks only
+	// occupied routers. wake[r] is a lower bound on the first cycle a
+	// head at router r is ready: set when Tick finds none ready, lowered
+	// by every push, unbounded while the router is empty. TrySend and
+	// Tick's apply phase keep all three.
+	occ  []int
+	busy []uint64
+	wake []uint64
 
 	// Per-Tick scratch, reused across cycles to keep the hot loop
 	// allocation-free: claimed counts downstream (router,port) claims
@@ -94,7 +101,12 @@ func NewBufferedMesh(cfg MeshConfig) *BufferedMesh {
 		route:   make([]uint8, n*n),
 		nbr:     make([]meshPort, n*numPorts),
 		occ:     make([]int, n),
+		busy:    make([]uint64, (n+63)/64),
+		wake:    make([]uint64, n),
 		claimed: make([]int, n*numPorts),
+	}
+	for r := range m.wake {
+		m.wake[r] = math.MaxUint64
 	}
 	for r := 0; r < n; r++ {
 		for dst := 0; dst < n; dst++ {
@@ -178,17 +190,26 @@ func (m *BufferedMesh) TrySend(src, dst, payloadBytes int, done DeliverFunc) boo
 		dst: dst, payload: payloadBytes, done: done,
 		injected: m.now, readyAt: m.now + m.cfg.RouterDelay,
 	}
-	m.inq[src][portL].Push(p)
-	m.occ[src]++
+	m.push(src, portL, p)
 	return true
+}
+
+// push queues p at input port of router r.
+func (m *BufferedMesh) push(r, port int, p *packet) {
+	m.inq[r][port].Push(p)
+	m.occ[r]++
+	m.busy[r>>6] |= 1 << (r & 63)
+	m.wake[r] = min(m.wake[r], p.readyAt)
 }
 
 // Tick implements Fabric: every router moves at most one packet per
 // output port per cycle, chosen round-robin across its input ports, with
 // credit (queue space) checks at the downstream router. The work is
-// proportional to the occupied input ports: empty routers are skipped,
-// each occupied input's head is looked up once, and only the outputs
-// some head wants are arbitrated.
+// proportional to the routers with a ready head: empty routers are not
+// walked, a router is skipped until its wake bound (a router with no
+// ready head arbitrates nothing and moves no round-robin pointer, so
+// skipping it is exact), each occupied input's head is looked up once,
+// and only the outputs some head wants are arbitrated.
 func (m *BufferedMesh) Tick() {
 	n := m.Nodes()
 	moves := m.moves[:0]
@@ -199,56 +220,71 @@ func (m *BufferedMesh) Tick() {
 	// emitted router-major, output-minor: delivery callbacks run in that
 	// order and feed float sums, so the order is observable.
 	claimed := m.claimed
-	for r := 0; r < n; r++ {
-		if m.occ[r] == 0 {
-			continue
-		}
-		// want[in] is the output the head of input in is ready to take
-		// this cycle (numPorts: none); wanted is the set of such outputs.
-		want := [numPorts]uint8{numPorts, numPorts, numPorts, numPorts, numPorts}
-		wanted := uint(0)
-		for in := range &m.inq[r] {
-			q := &m.inq[r][in]
-			if q.Len() == 0 || q.Peek().readyAt > m.now {
+	for w, word := range m.busy {
+		for ; word != 0; word &= word - 1 {
+			r := w<<6 | bits.TrailingZeros64(word)
+			if m.wake[r] > m.now {
 				continue
 			}
-			out := m.route[r*n+q.Peek().dst]
-			want[in] = out
-			wanted |= 1 << out
-		}
-		for out := 0; wanted>>out != 0; out++ {
-			if wanted>>out&1 == 0 {
-				continue
-			}
-			// Round-robin over input ports for this output.
-			in := m.rr[r][out]
-			for i := 0; i < numPorts; i, in = i+1, in+1 {
-				if in == numPorts {
-					in = 0
-				}
-				if int(want[in]) != out {
+			// want[in] is the output the head of input in is ready to take
+			// this cycle (numPorts: none); wanted is the set of such
+			// outputs, and first the earliest cycle a head not ready is.
+			want := [numPorts]uint8{numPorts, numPorts, numPorts, numPorts, numPorts}
+			wanted, first := uint(0), uint64(math.MaxUint64)
+			for in := range &m.inq[r] {
+				q := &m.inq[r][in]
+				if q.Len() == 0 {
 					continue
 				}
-				if out == portL {
-					moves = append(moves, meshMove{fromR: r, fromP: in, deliver: true})
-				} else {
-					to := m.nbr[r*numPorts+out]
-					key := to.r*numPorts + to.p
-					if m.inq[to.r][to.p].Len()+claimed[key] >= m.cfg.QueueDepth {
-						continue // no credit downstream
-					}
-					claimed[key]++
-					moves = append(moves, meshMove{fromR: r, fromP: in, toR: to.r, toP: to.p})
+				if at := q.Peek().readyAt; at > m.now {
+					first = min(first, at)
+					continue
 				}
-				m.rr[r][out] = (in + 1) % numPorts
-				break
+				out := m.route[r*n+q.Peek().dst]
+				want[in] = out
+				wanted |= 1 << out
+			}
+			if wanted == 0 {
+				m.wake[r] = first
+				continue
+			}
+			for out := 0; wanted>>out != 0; out++ {
+				if wanted>>out&1 == 0 {
+					continue
+				}
+				// Round-robin over input ports for this output.
+				in := m.rr[r][out]
+				for i := 0; i < numPorts; i, in = i+1, in+1 {
+					if in == numPorts {
+						in = 0
+					}
+					if int(want[in]) != out {
+						continue
+					}
+					if out == portL {
+						moves = append(moves, meshMove{fromR: r, fromP: in, deliver: true})
+					} else {
+						to := m.nbr[r*numPorts+out]
+						key := to.r*numPorts + to.p
+						if m.inq[to.r][to.p].Len()+claimed[key] >= m.cfg.QueueDepth {
+							continue // no credit downstream
+						}
+						claimed[key]++
+						moves = append(moves, meshMove{fromR: r, fromP: in, toR: to.r, toP: to.p})
+					}
+					m.rr[r][out] = (in + 1) % numPorts
+					break
+				}
 			}
 		}
 	}
 	// Phase 2: apply.
 	for _, mv := range moves {
 		p := m.inq[mv.fromR][mv.fromP].Pop()
-		m.occ[mv.fromR]--
+		if m.occ[mv.fromR]--; m.occ[mv.fromR] == 0 {
+			m.busy[mv.fromR>>6] &^= 1 << (mv.fromR & 63)
+			m.wake[mv.fromR] = math.MaxUint64
+		}
 		m.RouterTraversals++
 		if mv.deliver {
 			m.stats.deliver(p, m.now)
@@ -256,8 +292,7 @@ func (m *BufferedMesh) Tick() {
 			continue
 		}
 		p.readyAt = m.now + 1 + m.cfg.RouterDelay // link + next router pipeline
-		m.inq[mv.toR][mv.toP].Push(p)
-		m.occ[mv.toR]++
+		m.push(mv.toR, mv.toP, p)
 		claimed[mv.toR*numPorts+mv.toP] = 0
 	}
 	m.moves = moves[:0]

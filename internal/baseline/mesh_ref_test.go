@@ -125,18 +125,25 @@ type meshEvent struct {
 // TestMeshMatchesReference drives Tick and refTick with the same seeded
 // traffic and demands the same decisions every cycle: deliveries in
 // callback order, traversal count, every queue's length and every
-// round-robin pointer.
+// round-robin pointer. Router delays 0 to 7 move when heads come ready
+// (a local injection at delay 0 is ready the cycle it is sent), and the
+// 9x8 mesh's 72 routers fill a second word of the occupied-router set.
 func TestMeshMatchesReference(t *testing.T) {
-	geometries := [][2]int{{1, 4}, {4, 1}, {4, 4}, {5, 6}, {6, 6}}
+	geometries := [][2]int{{1, 4}, {4, 1}, {4, 4}, {5, 6}, {6, 6}, {9, 8}}
 	for _, g := range geometries {
 		for _, depth := range []int{1, 2, 8} {
-			for ti, tr := range meshTraffics {
-				cfg := DefaultMeshConfig(g[0], g[1])
-				cfg.QueueDepth = depth
-				seed := uint64(1000*g[0] + 100*g[1] + 10*depth + ti)
-				t.Run(fmt.Sprintf("%dx%d/depth%d/%s", g[0], g[1], depth, tr.name), func(t *testing.T) {
-					checkMeshAgainstReference(t, cfg, tr, seed)
-				})
+			for _, delay := range []uint64{0, 1, 3, 7} {
+				for ti, tr := range meshTraffics {
+					cfg := DefaultMeshConfig(g[0], g[1])
+					cfg.QueueDepth, cfg.RouterDelay = depth, delay
+					seed := uint64(1000*g[0] + 100*g[1] + 10*depth + ti)
+					if delay != 3 {
+						seed += 100000 * (delay + 1)
+					}
+					t.Run(fmt.Sprintf("%dx%d/depth%d/delay%d/%s", g[0], g[1], depth, delay, tr.name), func(t *testing.T) {
+						checkMeshAgainstReference(t, cfg, tr, seed)
+					})
+				}
 			}
 		}
 	}
@@ -189,6 +196,14 @@ func checkMeshAgainstReference(t *testing.T, cfg MeshConfig, tr meshTraffic, see
 			}
 			if got.occ[r] != queued {
 				t.Fatalf("cycle %d: router %d occupancy count %d, queues hold %d", cyc, r, got.occ[r], queued)
+			}
+			if busy := got.busy[r>>6]>>(r&63)&1 == 1; busy != (queued > 0) {
+				t.Fatalf("cycle %d: router %d busy bit %v with %d queued", cyc, r, busy, queued)
+			}
+			for p := 0; p < numPorts; p++ {
+				if q := &got.inq[r][p]; q.Len() > 0 && q.Peek().readyAt < got.wake[r] {
+					t.Fatalf("cycle %d: router %d port %d head ready at %d, before the router's wake bound %d", cyc, r, p, q.Peek().readyAt, got.wake[r])
+				}
 			}
 		}
 		for key, c := range got.claimed {

@@ -39,6 +39,18 @@ func NewChannel[T interface{ Bytes() int }](rate float64, depth int, latency sim
 // Push queues a request for a bandwidth grant.
 func (ch *Channel[T]) Push(v T) { ch.queue.Push(v) }
 
+// Waiting returns how many requests wait for a bandwidth grant. With none
+// waiting a Step only refills the bucket, which the next Step replays
+// (refilled), so a caller may skip it.
+func (ch *Channel[T]) Waiting() int { return ch.queue.Len() }
+
+// InService returns how many granted requests wait for their latency.
+func (ch *Channel[T]) InService() int { return ch.inSvc.Len() }
+
+// Bucket returns the bucket settled through the cycle before end: what a
+// channel stepped on every one of those cycles holds.
+func (ch *Channel[T]) Bucket(end sim.Cycle) float64 { return ch.refilled(end) }
+
 // Step runs cycle now: the refills of the cycles skipped since the last
 // Step, this cycle's refill, the clamp, then grants in FIFO order while
 // the head request's bytes are in the bucket. The cap never sits below

@@ -16,21 +16,7 @@ import (
 // ejected for them, and 20 ticks a cycle is what polling them would add.
 func BenchmarkMemSystemStep(b *testing.B) {
 	const warmup = 2000
-	hub := baseline.DefaultHubConfig(3, 8)
-	hub.HubPorts = 1
-	for _, sys := range []struct {
-		name            string
-		fabric          func() baseline.Fabric
-		cores, memories []int
-		mlp             int
-	}{
-		{"multiring", func() baseline.Fabric { return baseline.NewMultiRingChiplets(2, 10) },
-			append(seq(0, 8), seq(10, 8)...), append(seq(8, 2), seq(18, 2)...), 16},
-		{"mesh", func() baseline.Fabric { return baseline.NewBufferedMesh(baseline.DefaultMeshConfig(4, 4)) },
-			seq(0, 12), seq(12, 4), 6},
-		{"hub", func() baseline.Fabric { return baseline.NewSwitchedHub(hub) },
-			seq(0, 16), seq(16, 4), 10},
-	} {
+	for _, sys := range quickFabrics()[:3] {
 		for _, load := range []struct {
 			name string
 			rest CoreLoad // every core but core 0
@@ -46,10 +32,7 @@ func BenchmarkMemSystemStep(b *testing.B) {
 				}
 				loads[0] = CoreLoad{Rate: 1, Outstanding: sys.mlp, ReadFraction: 0.5}
 				f := sys.fabric()
-				m := NewMemSystem(MemSystemConfig{
-					Fabric: f, CoreNodes: sys.cores, MemNodes: sys.memories,
-					MemLatency: ddrLatency, MemBytesPerCycle: ddrBytesPerCycle, LineBytes: 64,
-				}, loads, 7)
+				m := NewMemSystem(sys.config(f), loads, 7)
 				for i := 0; i < warmup; i++ {
 					m.Step()
 				}

@@ -9,21 +9,21 @@ import (
 	"chipletnoc/internal/baseline"
 )
 
-// TestMemSystemGolden pins the harness behind Figs. 10–13 and Table 6
-// cycle for cycle: per core the completions, bytes moved and the bits of
-// the latency sum, then the fabric's delivered packets and bytes, folded
-// into one FNV digest per fabric and request mix. A change to the
-// channel, the cores or a fabric that moves any completion moves a
-// digest; the failure prints the new one.
-func TestMemSystemGolden(t *testing.T) {
+// quickFabric is one Quick-scale organisation of the cross-system
+// artifacts: a fabric, which of its endpoints are cores and which memory
+// channels, and its cores' outstanding budget.
+type quickFabric struct {
+	name            string
+	fabric          func() baseline.Fabric
+	cores, memories []int
+	mlp             int
+}
+
+// quickFabrics returns the four organisations the harness runs on.
+func quickFabrics() []quickFabric {
 	hub := baseline.DefaultHubConfig(3, 8)
 	hub.HubPorts = 1
-	fabrics := []struct {
-		name            string
-		fabric          func() baseline.Fabric
-		cores, memories []int
-		mlp             int
-	}{
+	return []quickFabric{
 		{"mesh", func() baseline.Fabric { return baseline.NewBufferedMesh(baseline.DefaultMeshConfig(4, 4)) },
 			seq(0, 12), seq(12, 4), 6},
 		{"multiring", func() baseline.Fabric { return baseline.NewMultiRingChiplets(2, 10) },
@@ -33,6 +33,23 @@ func TestMemSystemGolden(t *testing.T) {
 		{"ring", func() baseline.Fabric { return baseline.NewBufferedRing(baseline.DefaultRingConfig(12)) },
 			seq(0, 10), seq(10, 2), 8},
 	}
+}
+
+// config is the harness configuration of the organisation over f.
+func (q quickFabric) config(f baseline.Fabric) MemSystemConfig {
+	return MemSystemConfig{
+		Fabric: f, CoreNodes: q.cores, MemNodes: q.memories,
+		MemLatency: ddrLatency, MemBytesPerCycle: ddrBytesPerCycle, LineBytes: 64,
+	}
+}
+
+// TestMemSystemGolden pins the harness behind Figs. 10–13 and Table 6
+// cycle for cycle: per core the completions, bytes moved and the bits of
+// the latency sum, then the fabric's delivered packets and bytes, folded
+// into one FNV digest per fabric and request mix. A change to the
+// channel, the cores or a fabric that moves any completion moves a
+// digest; the failure prints the new one.
+func TestMemSystemGolden(t *testing.T) {
 	mixes := []struct {
 		name string
 		load CoreLoad
@@ -47,7 +64,7 @@ func TestMemSystemGolden(t *testing.T) {
 		"hub/read": 0x2d024bf841ec2f, "hub/write": 0x129609f263120ca3, "hub/hybrid": 0xf4fd0723aee3d182,
 		"ring/read": 0x3c004c93aa464abf, "ring/write": 0xf444156e43a58199, "ring/hybrid": 0x16aca22087ab6be0,
 	}
-	for _, fb := range fabrics {
+	for _, fb := range quickFabrics() {
 		for _, mix := range mixes {
 			name := fb.name + "/" + mix.name
 			loads := make([]CoreLoad, len(fb.cores))
@@ -56,10 +73,7 @@ func TestMemSystemGolden(t *testing.T) {
 				loads[i].Outstanding = fb.mlp
 			}
 			f := fb.fabric()
-			m := NewMemSystem(MemSystemConfig{
-				Fabric: f, CoreNodes: fb.cores, MemNodes: fb.memories,
-				MemLatency: ddrLatency, MemBytesPerCycle: ddrBytesPerCycle, LineBytes: 64,
-			}, loads, 11)
+			m := NewMemSystem(fb.config(f), loads, 11)
 			m.Run(5000)
 			h := fnv.New64a()
 			put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }

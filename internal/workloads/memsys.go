@@ -11,6 +11,9 @@
 package workloads
 
 import (
+	"math"
+	"math/bits"
+
 	"chipletnoc/internal/baseline"
 	"chipletnoc/internal/mem"
 	"chipletnoc/internal/sim"
@@ -87,6 +90,12 @@ type coreState struct {
 	retry      *memRequest // request whose fabric injection is pending
 	latencySum float64     // completed round trips, summed in completion order
 	BytesMoved uint64
+
+	// Out of the active set, a core waits for one thing: wake, the cycle
+	// its draws next win (won) or run out; a completion (blocked); or
+	// nothing, for good.
+	wake         uint64
+	won, blocked bool
 }
 
 // MeanLatency returns the mean round trip of the core's completed
@@ -98,19 +107,10 @@ func (c *coreState) MeanLatency() float64 {
 	return c.latencySum / float64(c.completed)
 }
 
-// canIssue decides whether the core starts a new request this cycle.
-func (c *coreState) canIssue() bool {
-	if c.load.MaxRequests != 0 && c.issued >= c.load.MaxRequests {
-		return false
-	}
-	if c.inFlight >= c.load.Outstanding {
-		return false
-	}
-	if c.load.Rate < 1 && !c.rng.Bernoulli(c.load.Rate) {
-		return false
-	}
-	return true
-}
+// drawHorizon bounds how many cycles of Bernoulli(Rate) outcomes a core
+// draws ahead when no Run end comes sooner: a core whose rate is below
+// 1/drawHorizon wakes once a horizon to draw on.
+const drawHorizon = 256
 
 // MemSystem drives cores against memory channels over a Fabric.
 type MemSystem struct {
@@ -119,6 +119,15 @@ type MemSystem struct {
 	chans []*memChannel
 	now   uint64
 	free  []*memRequest // recycled requests (LIFO, deterministic order)
+
+	// active has a bit per core that can act this cycle, walked in index
+	// order so TrySend calls keep the order of a walk over every core;
+	// sleeping has one per core waiting for its wake cycle, the earliest
+	// of which is nextWake. end is the cycle the current Run stops at,
+	// past which no core draws ahead.
+	active, sleeping []uint64
+	nextWake, end    uint64
+	visits           uint64 // cores visited, over every Step
 }
 
 // newRequest takes a request from the free-list, or builds one — with its
@@ -140,6 +149,10 @@ func (m *MemSystem) newRequest() *memRequest {
 		c.BytesMoved += uint64(m.cfg.LineBytes)
 		c.latencySum += float64(m.now - r.issued)
 		m.free = append(m.free, r)
+		if c.blocked { // below Outstanding again: it can issue next cycle
+			c.blocked = false
+			m.active[c.index>>6] |= 1 << (c.index & 63)
+		}
 	}
 	return r
 }
@@ -152,13 +165,15 @@ func NewMemSystem(cfg MemSystemConfig, loads []CoreLoad, seed uint64) *MemSystem
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
-	m := &MemSystem{cfg: cfg}
+	m := &MemSystem{cfg: cfg, nextWake: math.MaxUint64,
+		active: make([]uint64, (len(loads)+63)/64), sleeping: make([]uint64, (len(loads)+63)/64)}
 	rng := sim.NewRNG(seed)
 	for i, node := range cfg.CoreNodes {
 		m.cores = append(m.cores, &coreState{
 			index: i, node: node, load: loads[i], rng: rng.Derive(uint64(i)),
 			nextMem: i % len(cfg.MemNodes),
 		})
+		m.active[i>>6] |= 1 << (i & 63)
 	}
 	for _, node := range cfg.MemNodes {
 		m.chans = append(m.chans, &memChannel{node: node,
@@ -183,39 +198,51 @@ func (m *MemSystem) TotalBytes() uint64 {
 func (m *MemSystem) Cycles() uint64 { return m.now }
 
 // Step advances one cycle: cores issue, channels serve, replies return.
+// Only the cores that can act are visited (see ready), and a channel is
+// stepped only while a request waits for its grant: a Step with none
+// waiting only refills the bucket, which the next Step replays exactly.
 func (m *MemSystem) Step() {
 	f := m.cfg.Fabric
+	if m.now >= m.nextWake {
+		m.wakeSleepers()
+	}
 	// Cores issue requests into the fabric.
-	for _, c := range m.cores {
-		if c.retry == nil && c.canIssue() {
-			req := m.newRequest()
-			req.core = c.index
-			req.isRead = c.rng.Bernoulli(c.load.ReadFraction)
-			req.issued = m.now
-			c.retry = req
-		}
-		if c.retry == nil {
-			continue
-		}
-		req := c.retry
-		req.ch = m.chans[c.nextMem]
-		payload := m.cfg.LineBytes // writes carry data out
-		if req.isRead {
-			payload = 0 // read request is header-only
-		}
-		ok := f.TrySend(c.node, req.ch.node, payload, req.enqueue)
-		if ok {
-			c.nextMem = (c.nextMem + 1) % len(m.chans)
-			c.inFlight++
-			c.issued++
-			c.retry = nil
+	for w, word := range m.active {
+		for ; word != 0; word &= word - 1 {
+			c := m.cores[w<<6|bits.TrailingZeros64(word)]
+			m.visits++
+			if c.retry == nil {
+				if !m.ready(c) {
+					continue
+				}
+				req := m.newRequest()
+				req.core = c.index
+				req.isRead = c.rng.Bernoulli(c.load.ReadFraction)
+				req.issued = m.now
+				c.retry = req
+			}
+			req := c.retry
+			req.ch = m.chans[c.nextMem]
+			payload := m.cfg.LineBytes // writes carry data out
+			if req.isRead {
+				payload = 0 // read request is header-only
+			}
+			ok := f.TrySend(c.node, req.ch.node, payload, req.enqueue)
+			if ok {
+				c.nextMem = (c.nextMem + 1) % len(m.chans)
+				c.inFlight++
+				c.issued++
+				c.retry = nil
+			}
 		}
 	}
 	// Memory channels: grant bandwidth, then send each completed request's
 	// reply, oldest first, while the fabric takes them.
 	now := sim.Cycle(m.now)
 	for _, ch := range m.chans {
-		ch.Step(now)
+		if ch.Waiting() > 0 {
+			ch.Step(now)
+		}
 		for req, ok := ch.Done(now); ok; req, ok = ch.Done(now) {
 			payload := m.cfg.LineBytes // read data comes back
 			if !req.isRead {
@@ -234,8 +261,72 @@ func (m *MemSystem) Step() {
 	m.now++
 }
 
+// ready decides whether core c, with no request pending, starts one this
+// cycle, as a core visited every cycle would: not past MaxRequests, below
+// Outstanding, then one Bernoulli(Rate) draw from its own stream. When it
+// does not, c leaves the active set until it can: for good at zero rate
+// or MaxRequests (nothing changes either), until a completion at
+// Outstanding (only that lowers inFlight), and otherwise until its draws
+// win. Nothing but those draws changes a core waiting on them, so they
+// are taken ahead, in order, one a cycle up to the first win or the
+// horizon; the core sleeps until that cycle, and a win is spent there.
+func (m *MemSystem) ready(c *coreState) bool {
+	rate := c.load.Rate
+	switch {
+	case c.load.MaxRequests != 0 && c.issued >= c.load.MaxRequests, rate <= 0:
+		m.active[c.index>>6] &^= 1 << (c.index & 63)
+		return false
+	case c.inFlight >= c.load.Outstanding:
+		c.blocked = true
+		m.active[c.index>>6] &^= 1 << (c.index & 63)
+		return false
+	case rate >= 1:
+		return true
+	case c.won:
+		c.won = false
+		return true
+	}
+	limit := m.now + drawHorizon
+	if m.end > m.now {
+		limit = min(limit, m.end)
+	}
+	at := m.now
+	for ; at < limit; at++ {
+		if c.rng.Bernoulli(rate) {
+			if at == m.now {
+				return true
+			}
+			c.won = true
+			break
+		}
+	}
+	c.wake = at
+	m.nextWake = min(m.nextWake, at)
+	m.active[c.index>>6] &^= 1 << (c.index & 63)
+	m.sleeping[c.index>>6] |= 1 << (c.index & 63)
+	return false
+}
+
+// wakeSleepers moves every core whose wake cycle has come from the
+// sleeping set to the active one, and finds the next wake cycle.
+func (m *MemSystem) wakeSleepers() {
+	m.nextWake = math.MaxUint64
+	for w, word := range m.sleeping {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if c := m.cores[i]; c.wake > m.now {
+				m.nextWake = min(m.nextWake, c.wake)
+				continue
+			}
+			m.sleeping[w] &^= 1 << (i & 63)
+			m.active[w] |= 1 << (i & 63)
+		}
+	}
+}
+
 // Run advances n cycles.
 func (m *MemSystem) Run(n int) {
+	m.end = m.now + uint64(n)
 	for i := 0; i < n; i++ {
 		m.Step()
 	}
