@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"chipletnoc/internal/sim"
@@ -271,5 +273,111 @@ func TestParallelBridgeFailoverLossless(t *testing.T) {
 	}
 	if err := net.CheckConservation(); err != nil {
 		t.Fatalf("after failover drain: %v", err)
+	}
+}
+
+// TestRerouteDropsTagStateAtOldExit kills one of two parallel bridges
+// while a flit on a ring is registered for, or holds, one of its eject
+// entries. The reroute sends that flit to the survivor, so no interface
+// may keep an E-tag registration or reservation for a flit that now
+// exits elsewhere: it would hold an eject entry for a flit that never
+// arrives there.
+func TestRerouteDropsTagStateAtOldExit(t *testing.T) {
+	// Six sources on one ring flood a node on the other through two
+	// narrow bridges, whose eject entries fill and register waiters.
+	net := NewNetwork("t")
+	cfg := RBRGL2Config{InjectDepth: 2, EjectDepth: 2, TxDepth: 2, RxDepth: 2, ReserveDepth: 2,
+		LinkLatency: 4, LinkWidth: 1, DeadlockThreshold: 64, EnableSwap: true}
+	r0, r1 := net.AddRing(8, true), net.AddRing(8, true)
+	sink := newSource(t, net, r1.AddStation(0), "sink")
+	var srcs []*source
+	for _, pos := range []int{0, 1, 2, 4, 5, 7} {
+		srcs = append(srcs, newSource(t, net, r0.AddStation(pos), fmt.Sprint("src", pos)))
+	}
+	NewRBRGL2(net, "br0", cfg, r0.AddStation(3), r1.AddStation(3))
+	NewRBRGL2(net, "br1", cfg, r0.AddStation(6), r1.AddStation(6))
+	net.MustFinalize()
+	for i := 0; i < 100; i++ {
+		for _, s := range srcs {
+			s.queue(net.NewFlit(s.Node(), sink.Node(), KindData, LineBytes))
+		}
+	}
+	// exits maps every flit on ring r, in a slot or a queue, to the
+	// (position, interface) it leaves the ring at.
+	exits := func(r *Ring) map[uint64][2]int {
+		out := map[uint64][2]int{}
+		loops := []*loop{&r.cw}
+		if r.full {
+			loops = append(loops, &r.ccw)
+		}
+		for _, l := range loops {
+			for p := 0; p < r.positions; p++ {
+				if f := l.at(p).flit; f != nil {
+					out[f.ID] = [2]int{int(f.localDst), int(f.localIface)}
+				}
+			}
+		}
+		for _, st := range r.stations {
+			for _, ni := range st.ifaces {
+				if ni == nil {
+					continue
+				}
+				for _, q := range []*sim.FIFO[*Flit]{&ni.inject, &ni.bypass} {
+					for i := 0; i < q.Len(); i++ {
+						out[q.At(i).ID] = [2]int{int(q.At(i).localDst), int(q.At(i).localIface)}
+					}
+				}
+			}
+		}
+		return out
+	}
+	// stale lists the tag entries naming a flit on the ring that exits
+	// somewhere else; tagged says whether the bridge holds any entry for a
+	// flit on the ring.
+	bridge, _ := net.NodeByName("br0")
+	check := func() (stale []string, tagged bool) {
+		for _, r := range net.rings {
+			live := exits(r)
+			for _, st := range r.stations {
+				for _, ni := range st.ifaces {
+					if ni == nil {
+						continue
+					}
+					ids := append([]uint64(nil), ni.reserved...)
+					for i := 0; i < ni.wantEject.Len(); i++ {
+						ids = append(ids, ni.wantEject.At(i))
+					}
+					for _, id := range ids {
+						exit, on := live[id]
+						tagged = tagged || (on && ni.node == bridge)
+						if on && exit != [2]int{st.pos, ni.index} {
+							stale = append(stale, fmt.Sprintf("ring %d position %d interface %d keeps flit %d, which exits at %v", r.id, st.pos, ni.index, id, exit))
+						}
+					}
+				}
+			}
+		}
+		return stale, tagged
+	}
+	for cyc := 0; ; cyc++ {
+		if _, tagged := check(); tagged {
+			break
+		}
+		if cyc == 20000 {
+			t.Fatal("no flit on a ring was ever registered at br0: the test exercises nothing")
+		}
+		runCycles(net, 1)
+	}
+	if err := net.FailBridge(bridge); err != nil {
+		t.Fatal(err)
+	}
+	if net.ReroutedFlits == 0 {
+		t.Fatal("the failure rerouted nothing")
+	}
+	if stale, _ := check(); len(stale) > 0 {
+		t.Errorf("%d tag entries outlive their flit's reroute:\n%s", len(stale), strings.Join(stale, "\n"))
+	}
+	if err := net.CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }

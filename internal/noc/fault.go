@@ -343,9 +343,9 @@ func (n *Network) dropInterfaceQueues(ni *NodeInterface) {
 	ni.refreshHead()
 }
 
-// purgeTagState removes a dropped flit's pending eject registrations and
-// reservations on a ring so eject capacity is not held for a flit that
-// will never arrive. A freed reservation goes to the oldest flit still
+// purgeTagState removes a dropped or rerouted flit's pending eject
+// registrations and reservations on a ring so eject capacity is not held
+// for a flit that will never arrive. A freed reservation goes to the oldest flit still
 // registered, as a freed eject entry does.
 func purgeTagState(r *Ring, id uint64) {
 	for _, st := range r.stations {
@@ -387,6 +387,7 @@ func (n *Network) rerouteLiveFlits() {
 			}
 			f.localDst = int32(tpos)
 			f.localIface = int8(tiface)
+			purgeTagState(r, f.ID) // its E-tag state at the old exit
 			if s != nil {
 				l.expect(s, pos, tpos)
 			}

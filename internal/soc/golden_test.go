@@ -192,13 +192,16 @@ var (
 		Latencies:   0x2b41,
 		LatencyFNV:  0x16a68fe7dc337024,
 	}
+	// Re-pinned when a reroute began purging the flit's E-tag state at
+	// its old exit: the dead bridge no longer holds eject entries for
+	// flits that now leave through another.
 	goldenAIFaultDigest = flitDigest{
-		Injected:    0x3066,
-		Delivered:   0x2965,
-		Dropped:     0x237,
-		Deflections: 0x3c51,
-		Hops:        0x45d68,
-		Latencies:   0x2965,
-		LatencyFNV:  0xf8e7ad4b7ecedac9,
+		Injected:    0x30c2,
+		Delivered:   0x29eb,
+		Dropped:     0x23c,
+		Deflections: 0x3b13,
+		Hops:        0x456e1,
+		Latencies:   0x29eb,
+		LatencyFNV:  0x4a0a47938161b460,
 	}
 )
