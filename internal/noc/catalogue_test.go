@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -476,18 +479,45 @@ func TestCatalogueResume(t *testing.T) {
 	}
 }
 
+// restoreStride is how a FuzzCatalogueRestore input's which names an
+// entry and one of its At cycles: entry which%restoreStride, cycle
+// which/restoreStride. The stride is fixed, not the catalogue's length,
+// so appending an entry re-targets no committed input; a which that names
+// no entry or no cycle is skipped. The catalogue may grow to restoreStride
+// entries of at most four cycles each before the stride must change and
+// the committed inputs be rewritten.
+const restoreStride = 64
+
+// restoreTarget returns the entry and At index which names in a catalogue
+// whose entry i has ats[i] At cycles, or ok false if it names none.
+func restoreTarget(which uint8, ats []int) (entry, at int, ok bool) {
+	entry, at = int(which)%restoreStride, int(which)/restoreStride
+	return entry, at, entry < len(ats) && at < ats[entry]
+}
+
+// catalogueAts returns each catalogue entry's number of At cycles.
+func catalogueAts() []int {
+	ats := make([]int, len(noctest.Catalogue))
+	for i, sys := range noctest.Catalogue {
+		ats[i] = len(sys.At)
+	}
+	return ats
+}
+
 // FuzzCatalogueRestore fuzzes the field decoders of every catalogue
 // system: it patches bytes inside the state section of the entry's
 // checkpoint at one of its At cycles and reseals it, as an attacker who
-// can write a resume file would. which picks the entry (modulo the
-// catalogue's length) and the cycle (the quotient, modulo the entry's At
-// count), so an input below the catalogue's length names the first cycle.
-// Whatever DecodeCheckpoint accepts must re-encode to exactly the bytes
-// it was given and then run 64 cycles without a panic; everything else
-// must be refused as ErrCorruptSnapshot.
+// can write a resume file would. which picks the entry and the cycle
+// (restoreTarget). Whatever DecodeCheckpoint accepts must re-encode to
+// exactly the bytes it was given and then run 64 cycles without a panic;
+// everything else must be refused as ErrCorruptSnapshot.
 func FuzzCatalogueRestore(f *testing.F) {
+	ats := catalogueAts()
 	seeds := make([][][]byte, len(noctest.Catalogue))
 	for i, sys := range noctest.Catalogue {
+		if i >= restoreStride || len(sys.At)*restoreStride > 256 {
+			f.Fatalf("%s: the catalogue outgrew restoreStride", sys.Name)
+		}
 		n := sys.Build()
 		for j, at := range sys.At {
 			n.Run(at - int(n.Ticks()))
@@ -496,12 +526,15 @@ func FuzzCatalogueRestore(f *testing.F) {
 				f.Fatal(err)
 			}
 			seeds[i] = append(seeds[i], b)
-			f.Add(uint8(i+j*len(seeds)), uint32(7919*i), []byte{0x7f})
+			f.Add(uint8(i+j*restoreStride), uint32(7919*i), []byte{0x7f})
 		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, off uint32, patch []byte) {
-		k := int(which) % len(seeds)
-		at := seeds[k][int(which)/len(seeds)%len(seeds[k])]
+		k, j, ok := restoreTarget(which, ats)
+		if !ok {
+			t.Skip("which names no entry and cycle")
+		}
+		at := seeds[k][j]
 		data := append([]byte(nil), at...)
 		_, d, err := noc.OpenCheckpoint(data)
 		if err != nil {
@@ -525,4 +558,61 @@ func FuzzCatalogueRestore(f *testing.F) {
 		n.Run(64)
 		_ = n.CheckConservation() // patched counters may not balance; it must not panic
 	})
+}
+
+// TestCatalogueRestoreInputsSurviveAppend holds every committed
+// FuzzCatalogueRestore input to the entry and cycle its file name says,
+// and to the same entry and cycle in a catalogue one entry longer: an
+// appended entry re-targets nothing.
+func TestCatalogueRestoreInputsSurviveAppend(t *testing.T) {
+	names := map[string]struct {
+		entry string
+		at    int
+	}{
+		"node-ref-0":       {"ai-die", 0},
+		"node-ref-3":       {"quad-die/saturated", 0},
+		"node-ref-6":       {"quad-die/everything", 0},
+		"node-ref-9":       {"serving/load-8", 0},
+		"node-ref-10":      {"serving/load-24", 0},
+		"node-ref-15":      {"config/diff-mesh/trickle=false", 0},
+		"queued-op-21":     {"server-cpu/bursts", 0},
+		"serving-target-9": {"serving/load-8", 0},
+		"tags-off-dir-48":  {"ablation/tags-off", 1},
+		"unknown-txn-2":    {"server-cpu", 0},
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzCatalogueRestore")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(names) {
+		t.Errorf("%d committed inputs, %d named here", len(files), len(names))
+	}
+	ats := catalogueAts()
+	longer := append(append([]int(nil), ats...), 2)
+	for _, file := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, file.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		arg, found := strings.CutPrefix(lines[1], "uint8(")
+		which, err := strconv.ParseUint(strings.TrimSuffix(arg, ")"), 10, 8)
+		if !found || err != nil {
+			t.Fatalf("%s: first argument %q is not a uint8", file.Name(), lines[1])
+		}
+		entry, at, ok := restoreTarget(uint8(which), ats)
+		want, named := names[file.Name()]
+		switch {
+		case !named:
+			t.Errorf("%s: not named here", file.Name())
+		case !ok:
+			t.Errorf("%s: which %d names no entry and cycle", file.Name(), which)
+		case noctest.Catalogue[entry].Name != want.entry || at != want.at:
+			t.Errorf("%s: which %d names %s cycle %d, want %s cycle %d", file.Name(), which, noctest.Catalogue[entry].Name, at, want.entry, want.at)
+		}
+		if e, a, o := restoreTarget(uint8(which), longer); e != entry || a != at || o != ok {
+			t.Errorf("%s: one more entry moves which %d from (%d, %d) to (%d, %d)", file.Name(), which, entry, at, e, a)
+		}
+	}
 }
