@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -276,6 +278,32 @@ func TestSimRunCustomTopologyResume(t *testing.T) {
 	}
 	if got.CSV() != want.CSV() {
 		t.Fatalf("custom-topology resume diverged:\nwant: %sgot:  %s", want.CSV(), got.CSV())
+	}
+}
+
+// TestCustomSimMetricsSayCustom pins the system label of a JSON
+// topology's metrics snapshot, the one -exp simrun -metrics-out writes, to
+// "custom": the topology's kind, not the spec's name ("custom-sim" here).
+// The snapshot rides in every sim result, so naming the spec instead
+// would move nocd's result bytes and every cached payload of a custom
+// run.
+func TestCustomSimMetricsSayCustom(t *testing.T) {
+	res, err := RunSim(SimSpec{Topology: "custom", Config: customSimConfig, Cycles: 600, MetricsInterval: 100}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := res.Metrics.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		System *string `json:"system"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.System == nil || *snap.System != "custom" {
+		t.Fatalf("snapshot's system is %v, want \"custom\":\n%.200s", snap.System, out.String())
 	}
 }
 
