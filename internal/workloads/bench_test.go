@@ -6,11 +6,12 @@ import (
 	"chipletnoc/internal/baseline"
 )
 
-// BenchmarkMemSystemStep times one harness cycle (MemSystem.Step: cores
-// issue, channels serve, the fabric ticks) on the three Quick-scale
-// organisations of the cross-system artifacts, with one core probing an
-// idle package and with every core saturating it, after a warm-up that
-// brings the closed loops to steady state. For the multi-ring it also
+// BenchmarkMemSystemStep times one harness cycle (MemSystem.Step: the
+// cores that can act issue, the channels with a request waiting for a
+// grant are stepped, replies go out, the fabric ticks) on the three
+// Quick-scale organisations of the cross-system artifacts, with one core
+// probing an idle package and with every core saturating it, after a
+// warm-up that brings the closed loops to steady state. For the multi-ring it also
 // reports how many device ticks a cycle cost, warm-up included, and holds
 // that under a ceiling: the 20 endpoint ports sleep until something is
 // ejected for them, and 20 ticks a cycle is what polling them would add.
