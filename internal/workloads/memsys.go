@@ -274,36 +274,30 @@ func (m *MemSystem) ready(c *coreState) bool {
 	rate := c.load.Rate
 	switch {
 	case c.load.MaxRequests != 0 && c.issued >= c.load.MaxRequests, rate <= 0:
-		m.active[c.index>>6] &^= 1 << (c.index & 63)
-		return false
 	case c.inFlight >= c.load.Outstanding:
 		c.blocked = true
-		m.active[c.index>>6] &^= 1 << (c.index & 63)
-		return false
 	case rate >= 1:
 		return true
 	case c.won:
 		c.won = false
 		return true
-	}
-	limit := m.now + drawHorizon
-	if m.end > m.now {
-		limit = min(limit, m.end)
-	}
-	at := m.now
-	for ; at < limit; at++ {
-		if c.rng.Bernoulli(rate) {
-			if at == m.now {
-				return true
-			}
-			c.won = true
-			break
+	default:
+		limit := m.now + drawHorizon
+		if m.end > m.now {
+			limit = min(limit, m.end)
 		}
+		at := m.now
+		for at < limit && !c.rng.Bernoulli(rate) {
+			at++
+		}
+		if at == m.now {
+			return true
+		}
+		c.wake, c.won = at, at < limit
+		m.nextWake = min(m.nextWake, at)
+		m.sleeping[c.index>>6] |= 1 << (c.index & 63)
 	}
-	c.wake = at
-	m.nextWake = min(m.nextWake, at)
 	m.active[c.index>>6] &^= 1 << (c.index & 63)
-	m.sleeping[c.index>>6] |= 1 << (c.index & 63)
 	return false
 }
 
