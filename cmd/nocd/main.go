@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -22,17 +23,29 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	queueDepth := flag.Int("queue-depth", 16, "max queued jobs before submissions get 429")
-	workers := flag.Int("workers", 2, "concurrent job workers")
-	stateDir := flag.String("state", "", "directory for job records and checkpoints (empty = no persistence)")
-	retryAfter := flag.Int("retry-after", 1, "Retry-After seconds advertised on 429")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines inside one experiment job")
-	jobDeadline := flag.Duration("job-deadline", 0, "wall-clock budget per job, e.g. 10m (0 = unlimited)")
-	cacheDir := flag.String("cache-dir", "", "directory for the content-addressed result cache (empty = caching off); resubmissions of completed jobs are served from it byte-identically")
-	cacheMem := flag.Int64("cache-mem", 64, "result cache memory tier budget in MiB")
-	cacheDisk := flag.Int64("cache-disk", 1024, "result cache disk tier budget in MiB")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, make(chan os.Signal, 1)))
+}
+
+// run serves until a signal arrives on sigc, which it subscribes to SIGTERM
+// and SIGINT once listening; it returns 1 on failure, 2 on misuse.
+func run(args []string, stdout, stderr io.Writer, sigc chan os.Signal) int {
+	fs := flag.NewFlagSet("nocd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
+	queueDepth := fs.Int("queue-depth", 16, "max queued jobs before submissions get 429")
+	workers := fs.Int("workers", 2, "concurrent job workers")
+	stateDir := fs.String("state", "", "directory for job records and checkpoints (empty = no persistence)")
+	retryAfter := fs.Int("retry-after", 1, "Retry-After seconds advertised on 429")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "worker goroutines inside one experiment job")
+	jobDeadline := fs.Duration("job-deadline", 0, "wall-clock budget per job, e.g. 10m (0 = unlimited)")
+	cacheDir := fs.String("cache-dir", "", "directory for the content-addressed result cache (empty = caching off); resubmissions of completed jobs are served from it byte-identically")
+	cacheMem := fs.Int64("cache-mem", 64, "result cache memory tier budget in MiB")
+	cacheDisk := fs.Int64("cache-disk", 1024, "result cache disk tier budget in MiB")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	experiments.SetParallelism(*parallel)
 
@@ -48,8 +61,7 @@ func main() {
 			DiskBytes: *cacheDisk << 20,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nocd: result cache disabled: %v\n", err)
-			cache = nil
+			fmt.Fprintf(stderr, "nocd: result cache disabled: %v\n", err)
 		}
 	}
 
@@ -62,14 +74,14 @@ func main() {
 		Cache:             cache,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nocd: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "nocd: %v\n", err)
+		return 1
 	}
 	if rec := srv.Recovery(); rec.Resumed+rec.Requeued+rec.Quarantined > 0 || len(rec.Notes) > 0 {
-		fmt.Printf("nocd: recovery — %d resumed, %d requeued, %d quarantined\n",
+		fmt.Fprintf(stdout, "nocd: recovery — %d resumed, %d requeued, %d quarantined\n",
 			rec.Resumed, rec.Requeued, rec.Quarantined)
 		for _, n := range rec.Notes {
-			fmt.Printf("nocd:   %s\n", n)
+			fmt.Fprintf(stdout, "nocd:   %s\n", n)
 		}
 	}
 
@@ -87,23 +99,24 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Printf("nocd: listening on http://%s (queue %d, %d workers", *addr, *queueDepth, *workers)
+	fmt.Fprintf(stdout, "nocd: listening on http://%s (queue %d, %d workers", *addr, *queueDepth, *workers)
 	if *stateDir != "" {
-		fmt.Printf(", state %s", *stateDir)
+		fmt.Fprintf(stdout, ", state %s", *stateDir)
 	}
 	if cache != nil {
-		fmt.Printf(", cache %s", *cacheDir)
+		fmt.Fprintf(stdout, ", cache %s", *cacheDir)
 	}
-	fmt.Println(")")
-
-	sigc := make(chan os.Signal, 1)
+	fmt.Fprintln(stdout, ")")
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sigc)
+
 	select {
 	case sig := <-sigc:
-		fmt.Printf("nocd: %v — checkpointing in-flight jobs\n", sig)
+		fmt.Fprintf(stdout, "nocd: %v — checkpointing in-flight jobs\n", sig)
 	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "nocd: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "nocd: %v\n", err)
+		srv.Shutdown()
+		return 1
 	}
 
 	// Stop accepting HTTP first, then drain the job queue: running sim
@@ -113,5 +126,6 @@ func main() {
 	defer cancel()
 	httpSrv.Shutdown(ctx)
 	srv.Shutdown()
-	fmt.Println("nocd: drained")
+	fmt.Fprintln(stdout, "nocd: drained")
+	return 0
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	_ "net/http/pprof" // -pprof serves /debug/pprof (profiles + runtime/trace)
@@ -28,54 +29,63 @@ import (
 	"chipletnoc/internal/stats"
 )
 
-func main() {
-	fabricName := flag.String("fabric", "multiring", "multiring|halfring|chiplets|mesh|ring|hub")
-	configPath := flag.String("config", "", "JSON topology file (overrides -fabric; see internal/config)")
-	cycles := flag.Int("cycles", 20000, "cycles to run a -config system")
-	describe := flag.Bool("describe", false, "print the -config topology before running")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (profiles + runtime/trace) on this address, e.g. localhost:6060")
-	nodes := flag.Int("nodes", 16, "endpoint count")
-	dies := flag.Int("dies", 2, "dies (chiplets/hub fabrics)")
-	rate := flag.Float64("rate", 0.05, "injection probability per node per cycle")
-	sweep := flag.Bool("sweep", false, "sweep rates and report the latency curve and knee")
-	payload := flag.Int("payload", 64, "payload bytes per packet")
-	warmup := flag.Uint64("warmup", 2000, "warmup cycles")
-	window := flag.Uint64("window", 10000, "measurement cycles")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command; it returns 1 when a -config run fails and 2 on misuse.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fabricName := fs.String("fabric", "multiring", "multiring|halfring|chiplets|mesh|ring|hub")
+	configPath := fs.String("config", "", "JSON topology file (overrides -fabric; see internal/config)")
+	cycles := fs.Int("cycles", 20000, "cycles to run a -config system")
+	describe := fs.Bool("describe", false, "print the -config topology before running")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof (profiles + runtime/trace) on this address, e.g. localhost:6060")
+	nodes := fs.Int("nodes", 16, "endpoint count")
+	dies := fs.Int("dies", 2, "dies (chiplets/hub fabrics)")
+	rate := fs.Float64("rate", 0.05, "injection probability per node per cycle")
+	sweep := fs.Bool("sweep", false, "sweep rates and report the latency curve and knee")
+	payload := fs.Int("payload", 64, "payload bytes per packet")
+	warmup := fs.Uint64("warmup", 2000, "warmup cycles")
+	window := fs.Uint64("window", 10000, "measurement cycles")
+	seed := fs.Uint64("seed", 1, "random seed")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
+				fmt.Fprintf(stderr, "pprof: %v\n", err)
 			}
 		}()
-		fmt.Printf("pprof: serving http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Fprintf(stdout, "pprof: serving http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	if *configPath != "" {
-		if err := runConfig(*configPath, *cycles, *describe); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := runConfig(stdout, *configPath, *cycles, *describe); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	factory, err := fabricFactory(*fabricName, *nodes, *dies)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if !*sweep {
 		p := baseline.MeasureUniform(factory(), *rate, *payload, *warmup, *window, *seed)
-		fmt.Printf("fabric=%s nodes=%d rate=%.3f\n", factory().Name(), *nodes, *rate)
-		fmt.Printf("throughput: %.4f pkt/node/cycle\n", p.Throughput)
-		fmt.Printf("latency:    mean %.1f cycles, p99 %.1f\n", p.MeanLatency, p.P99)
+		fmt.Fprintf(stdout, "fabric=%s nodes=%d rate=%.3f\n", factory().Name(), *nodes, *rate)
+		fmt.Fprintf(stdout, "throughput: %.4f pkt/node/cycle\n", p.Throughput)
+		fmt.Fprintf(stdout, "latency:    mean %.1f cycles, p99 %.1f\n", p.MeanLatency, p.P99)
 		if p.Saturated {
-			fmt.Println("status:     SATURATED (offered load exceeds capacity)")
+			fmt.Fprintln(stdout, "status:     SATURATED (offered load exceeds capacity)")
 		}
-		return
+		return 0
 	}
 
 	rates := []float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5}
@@ -89,8 +99,9 @@ func main() {
 		t.AddRow(fmt.Sprintf("%.2f", p.OfferedRate), fmt.Sprintf("%.4f", p.Throughput),
 			fmt.Sprintf("%.1f", p.MeanLatency), fmt.Sprintf("%.1f", p.P99), sat)
 	}
-	fmt.Printf("fabric=%s nodes=%d\n%s", factory().Name(), *nodes, t.String())
-	fmt.Printf("knee (2x zero-load latency): rate %.2f\n", baseline.Knee(points, 2))
+	fmt.Fprintf(stdout, "fabric=%s nodes=%d\n%s", factory().Name(), *nodes, t.String())
+	fmt.Fprintf(stdout, "knee (2x zero-load latency): rate %.2f\n", baseline.Knee(points, 2))
+	return 0
 }
 
 // runConfig builds and runs a JSON-defined system, reporting per-device
@@ -98,7 +109,7 @@ func main() {
 // requesters' CHI retry knobs come from the file. To observe the run, use
 // experiments -exp simrun -sim-topology custom -sim-config FILE with
 // -metrics-out and -trace-chrome.
-func runConfig(path string, cycles int, describe bool) error {
+func runConfig(stdout io.Writer, path string, cycles int, describe bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -115,11 +126,11 @@ func runConfig(path string, cycles int, describe bool) error {
 		var b bytes.Buffer
 		_ = json.Indent(&b, sys.Net.Describe(), "", "  ") // Describe is valid JSON
 		b.WriteByte('\n')
-		os.Stdout.Write(b.Bytes())
+		stdout.Write(b.Bytes())
 	}
 	sys.Run(cycles)
 
-	fmt.Printf("system %s after %d cycles:\n", spec.Name, cycles)
+	fmt.Fprintf(stdout, "system %s after %d cycles:\n", spec.Name, cycles)
 	t := stats.NewTable("requester", "completed", "mean lat", "p99 lat", "bytes")
 	names := make([]string, 0, len(sys.Requesters))
 	for n := range sys.Requesters {
@@ -131,7 +142,7 @@ func runConfig(path string, cycles int, describe bool) error {
 		t.AddRow(n, r.Completed, fmt.Sprintf("%.1f", r.Latency.Mean()),
 			fmt.Sprintf("%.1f", r.Latency.Percentile(99)), r.BytesMoved)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(stdout, t.String())
 	t2 := stats.NewTable("memory", "reads", "writes", "bytes served")
 	names = names[:0]
 	for n := range sys.Memories {
@@ -142,11 +153,11 @@ func runConfig(path string, cycles int, describe bool) error {
 		m := sys.Memories[n]
 		t2.AddRow(n, m.Reads, m.Writes, m.BytesServed)
 	}
-	fmt.Print(t2.String())
-	fmt.Printf("network: injected=%d delivered=%d deflections=%d\n",
+	fmt.Fprint(stdout, t2.String())
+	fmt.Fprintf(stdout, "network: injected=%d delivered=%d deflections=%d\n",
 		sys.Net.InjectedFlits, sys.Net.DeliveredFlits, sys.Net.Deflections)
 	if !spec.Faults.Empty() {
-		fmt.Printf("faults:  applied=%d skipped=%d dropped=%d (watchdog=%d unroutable=%d fault=%d corrupt=%d) rerouted=%d\n",
+		fmt.Fprintf(stdout, "faults:  applied=%d skipped=%d dropped=%d (watchdog=%d unroutable=%d fault=%d corrupt=%d) rerouted=%d\n",
 			sys.Injector.FaultsApplied, sys.Injector.FaultsSkipped, sys.Net.DroppedFlits,
 			sys.Net.WatchdogDrops, sys.Net.UnroutableDrops, sys.Net.FaultDrops, sys.Net.CorruptDrops,
 			sys.Net.ReroutedFlits)
@@ -158,7 +169,7 @@ func runConfig(path string, cycles int, describe bool) error {
 		aborted += ab
 	}
 	if retried+aborted > 0 {
-		fmt.Printf("chi:     retried=%d aborted=%d\n", retried, aborted)
+		fmt.Fprintf(stdout, "chi:     retried=%d aborted=%d\n", retried, aborted)
 	}
 	return nil
 }

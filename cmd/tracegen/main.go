@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"chipletnoc/internal/sim"
@@ -19,40 +20,46 @@ import (
 	"chipletnoc/internal/workloads"
 )
 
-func main() {
-	model := flag.String("model", "resnet50", "layer source: resnet50|bert|maskrcnn")
-	layerIdx := flag.Int("layer", 10, "layer index within the model trace")
-	cores := flag.Int("cores", 8, "cores to spread the layer over")
-	demand := flag.Float64("demand", 512, "aggregate issue rate in bytes/cycle")
-	lineBytes := flag.Int("line", 512, "transfer granule in bytes")
-	out := flag.String("out", "", "output path prefix (one file per core)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	synthetic := flag.Bool("synthetic", false, "generate a synthetic stream instead of a model layer")
-	ops := flag.Int("ops", 1000, "synthetic: operations to generate")
-	rate := flag.Float64("rate", 0.25, "synthetic: operations per cycle")
-	rw := flag.Float64("rw", 0.7, "synthetic: read fraction")
-	seed := flag.Uint64("seed", 1, "synthetic: random seed")
+// run is the command; it returns 1 when a trace job fails and 2 on misuse.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "resnet50", "layer source: resnet50|bert|maskrcnn")
+	layerIdx := fs.Int("layer", 10, "layer index within the model trace")
+	cores := fs.Int("cores", 8, "cores to spread the layer over")
+	demand := fs.Float64("demand", 512, "aggregate issue rate in bytes/cycle")
+	lineBytes := fs.Int("line", 512, "transfer granule in bytes")
+	out := fs.String("out", "", "output path prefix (one file per core)")
 
-	replay := flag.String("replay", "", "replay a trace file against a test rig and report")
-	flag.Parse()
+	synthetic := fs.Bool("synthetic", false, "generate a synthetic stream instead of a model layer")
+	ops := fs.Int("ops", 1000, "synthetic: operations to generate")
+	rate := fs.Float64("rate", 0.25, "synthetic: operations per cycle")
+	rw := fs.Float64("rw", 0.7, "synthetic: read fraction")
+	seed := fs.Uint64("seed", 1, "synthetic: random seed")
 
+	replay := fs.String("replay", "", "replay a trace file against a test rig and report")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	var err error
 	switch {
 	case *replay != "":
-		if err := replayFile(*replay); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = replayFile(stdout, *replay)
 	case *synthetic:
-		if err := genSynthetic(*out, *ops, *rate, *rw, *lineBytes, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = genSynthetic(stdout, *out, *ops, *rate, *rw, *lineBytes, *seed)
 	default:
-		if err := genLayer(*model, *layerIdx, *cores, *demand, *lineBytes, *out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = genLayer(stdout, *model, *layerIdx, *cores, *demand, *lineBytes, *out)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }
 
 func layersOf(model string) ([]workloads.Layer, error) {
@@ -68,7 +75,7 @@ func layersOf(model string) ([]workloads.Layer, error) {
 	}
 }
 
-func genLayer(model string, idx, cores int, demand float64, line int, out string) error {
+func genLayer(stdout io.Writer, model string, idx, cores int, demand float64, line int, out string) error {
 	layers, err := layersOf(model)
 	if err != nil {
 		return err
@@ -77,7 +84,7 @@ func genLayer(model string, idx, cores int, demand float64, line int, out string
 		return fmt.Errorf("tracegen: %s has %d layers", model, len(layers))
 	}
 	l := layers[idx]
-	fmt.Printf("layer %q: %.3g FLOPs, %.3g bytes\n", l.Name, l.FLOPs, l.Bytes)
+	fmt.Fprintf(stdout, "layer %q: %.3g FLOPs, %.3g bytes\n", l.Name, l.FLOPs, l.Bytes)
 	traces := workloads.LayerTrace(l, cores, line, demand, 0.3)
 	if out == "" {
 		return fmt.Errorf("tracegen: -out required")
@@ -95,12 +102,12 @@ func genLayer(model string, idx, cores int, demand float64, line int, out string
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d ops)\n", path, len(ops))
+		fmt.Fprintf(stdout, "wrote %s (%d ops)\n", path, len(ops))
 	}
 	return nil
 }
 
-func genSynthetic(out string, ops int, rate, rw float64, line int, seed uint64) error {
+func genSynthetic(stdout io.Writer, out string, ops int, rate, rw float64, line int, seed uint64) error {
 	if out == "" {
 		return fmt.Errorf("tracegen: -out required")
 	}
@@ -127,13 +134,13 @@ func genSynthetic(out string, ops int, rate, rw float64, line int, seed uint64) 
 	if err := traffic.FormatTrace(f, trace); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d ops)\n", out, len(trace))
+	fmt.Fprintf(stdout, "wrote %s (%d ops)\n", out, len(trace))
 	return nil
 }
 
 // replayFile runs a trace against workloads.ReplayRig and reports timing
 // fidelity.
-func replayFile(path string) error {
+func replayFile(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -152,8 +159,8 @@ func replayFile(path string) error {
 		return fmt.Errorf("tracegen: replay incomplete (%d/%d ops)", rep.Completed, len(ops))
 	}
 	sched := ops[len(ops)-1].Cycle + 1
-	fmt.Printf("replayed %d ops (%d bytes) in %d cycles (schedule %d)\n",
+	fmt.Fprintf(stdout, "replayed %d ops (%d bytes) in %d cycles (schedule %d)\n",
 		rep.Completed, rep.BytesMoved, net.Ticks(), sched)
-	fmt.Printf("slip: %d cycles accumulated\n", rep.SlipCycles)
+	fmt.Fprintf(stdout, "slip: %d cycles accumulated\n", rep.SlipCycles)
 	return nil
 }

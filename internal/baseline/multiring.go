@@ -108,13 +108,13 @@ func (m *MultiRing) addPort(st *noc.CrossStation) {
 
 func (m *MultiRing) finish() {
 	m.net.MustFinalize()
-	m.net.OnDeliver = func(f *noc.Flit, now sim.Cycle) {
+	m.net.RecordLatency(func(f *noc.Flit, cycles uint64) {
 		m.stats.packets++
 		m.stats.bytes += uint64(f.PayloadBytes)
 		if done, _ := f.Msg.(DeliverFunc); done != nil {
-			done(uint64(now - f.Created))
+			done(cycles)
 		}
-	}
+	})
 }
 
 // Network exposes the wrapped NoC for statistics.

@@ -21,6 +21,16 @@ type Artifact struct {
 	CSVs  map[string]string `json:"csvs,omitempty"`
 }
 
+// Files lists the artifact's CSV file names in order.
+func (a *Artifact) Files() []string {
+	files := make([]string, 0, len(a.CSVs))
+	for f := range a.CSVs {
+		files = append(files, f)
+	}
+	slices.Sort(files)
+	return files
+}
+
 // say appends one rendered block to the artifact's text.
 func (a *Artifact) say(s string) { a.Text += s + "\n" }
 

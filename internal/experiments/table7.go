@@ -5,7 +5,6 @@ import (
 
 	"chipletnoc/internal/chi"
 	"chipletnoc/internal/noc"
-	"chipletnoc/internal/sim"
 	"chipletnoc/internal/soc"
 	"chipletnoc/internal/stats"
 )
@@ -83,7 +82,7 @@ func RunTable7(scale Scale) Table7Result {
 		}
 		var rd, wr, dma uint64
 		counting := false
-		a.Net.OnDeliver = func(f *noc.Flit, now sim.Cycle) {
+		a.Net.RecordLatency(func(f *noc.Flit, _ uint64) {
 			if !counting || f.PayloadBytes == 0 {
 				return
 			}
@@ -96,7 +95,7 @@ func RunTable7(scale Scale) Table7Result {
 			case m != nil && m.Op == chi.NonCopyBackWrData:
 				wr += uint64(f.PayloadBytes)
 			}
-		}
+		})
 		a.Run(warmup)
 		counting = true
 		start := a.Net.Ticks()

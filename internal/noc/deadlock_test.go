@@ -194,36 +194,35 @@ func TestKillOnlyBridgeWatchdogDrains(t *testing.T) {
 	}
 }
 
-// buildParallelBridgeRig joins two full rings with two parallel RBRG-L2
-// bridges, a source endpoint on each ring. Killing either bridge must
-// leave the other carrying all cross-ring traffic.
-func buildParallelBridgeRig(t *testing.T) (*Network, *source, *source) {
+// buildBridgePairRig joins two full 8-position rings with two parallel
+// RBRG-L2 bridges, br0 at position 3 and br1 at 6, each of whose queues
+// holds depth flits. A source sits on ring 0 at each of srcPos, and dst on
+// ring 1 at position 0. Killing either bridge must leave the other
+// carrying all cross-ring traffic.
+func buildBridgePairRig(t *testing.T, depth int, srcPos ...int) (net *Network, srcs []*source, dst *source) {
 	t.Helper()
-	net := NewNetwork("t")
-	cfg := RBRGL2Config{
-		InjectDepth: 8, EjectDepth: 8,
-		TxDepth: 8, RxDepth: 8,
-		ReserveDepth:      8,
-		LinkLatency:       4,
-		LinkWidth:         1,
-		DeadlockThreshold: 64,
-		EnableSwap:        true,
+	net = NewNetwork("t")
+	cfg := RBRGL2Config{InjectDepth: depth, EjectDepth: depth, TxDepth: depth, RxDepth: depth, ReserveDepth: depth,
+		LinkLatency: 4, LinkWidth: 1, DeadlockThreshold: 64, EnableSwap: true}
+	r0, r1 := net.AddRing(8, true), net.AddRing(8, true)
+	dst = newSource(t, net, r1.AddStation(0), "dst")
+	for _, pos := range srcPos {
+		srcs = append(srcs, newSource(t, net, r0.AddStation(pos), fmt.Sprint("src", pos)))
 	}
-	r0 := net.AddRing(8, true)
-	r1 := net.AddRing(8, true)
-	a := newSource(t, net, r0.AddStation(0), "a")
-	b := newSource(t, net, r1.AddStation(0), "b")
 	NewRBRGL2(net, "br0", cfg, r0.AddStation(3), r1.AddStation(3))
 	NewRBRGL2(net, "br1", cfg, r0.AddStation(6), r1.AddStation(6))
 	net.MustFinalize()
-	return net, a, b
+	return net, srcs, dst
 }
 
 // TestParallelBridgeFailoverLossless kills one of two parallel bridges
 // between bursts: the survivor must carry everything and not a single
-// flit may be lost — degraded, not lossy.
+// flit may be lost — degraded, not lossy. The kill lands on an idle
+// bridge: everything has drained, so it holds no flit and no E-tag state.
+// TestRerouteDropsTagStateAtOldExit kills a loaded one.
 func TestParallelBridgeFailoverLossless(t *testing.T) {
-	net, a, b := buildParallelBridgeRig(t)
+	net, srcs, b := buildBridgePairRig(t, 8, 0)
+	a := srcs[0]
 	burst := func(n int) {
 		for i := 0; i < n; i++ {
 			a.queue(net.NewFlit(a.Node(), b.Node(), KindData, LineBytes))
@@ -285,18 +284,7 @@ func TestParallelBridgeFailoverLossless(t *testing.T) {
 func TestRerouteDropsTagStateAtOldExit(t *testing.T) {
 	// Six sources on one ring flood a node on the other through two
 	// narrow bridges, whose eject entries fill and register waiters.
-	net := NewNetwork("t")
-	cfg := RBRGL2Config{InjectDepth: 2, EjectDepth: 2, TxDepth: 2, RxDepth: 2, ReserveDepth: 2,
-		LinkLatency: 4, LinkWidth: 1, DeadlockThreshold: 64, EnableSwap: true}
-	r0, r1 := net.AddRing(8, true), net.AddRing(8, true)
-	sink := newSource(t, net, r1.AddStation(0), "sink")
-	var srcs []*source
-	for _, pos := range []int{0, 1, 2, 4, 5, 7} {
-		srcs = append(srcs, newSource(t, net, r0.AddStation(pos), fmt.Sprint("src", pos)))
-	}
-	NewRBRGL2(net, "br0", cfg, r0.AddStation(3), r1.AddStation(3))
-	NewRBRGL2(net, "br1", cfg, r0.AddStation(6), r1.AddStation(6))
-	net.MustFinalize()
+	net, srcs, sink := buildBridgePairRig(t, 2, 0, 1, 2, 4, 5, 7)
 	for i := 0; i < 100; i++ {
 		for _, s := range srcs {
 			s.queue(net.NewFlit(s.Node(), sink.Node(), KindData, LineBytes))

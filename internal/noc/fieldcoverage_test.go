@@ -44,7 +44,7 @@ var notSerialized = map[string]map[string]string{
 		"sweepPos":  "engine scratch: ring phase progress",
 		"EpochsRun": "always 0", "BarrierSyncs": "always 0", "SkippedCycles": "diagnostic",
 		"RingTicksSkipped": "diagnostic", "StationTicksSkipped": "diagnostic", "DeviceTicksSkipped": "diagnostic",
-		"Tracer": "hook", "metrics": "hook", "OnDeliver": "hook", "latency": "hook",
+		"Tracer": "hook", "metrics": "hook", "latency": "hook",
 	},
 	"noc.Ring": {
 		"id": "wiring", "net": "wiring", "positions": "build shape: matched", "full": "build shape: matched",

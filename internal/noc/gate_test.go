@@ -435,20 +435,21 @@ func TestFreeMaskTurnsWithTheSlots(t *testing.T) {
 }
 
 // TestSendFromDeliveryCallback: a head that appears while the rings are
-// being ticked. Nothing in the tree sends from OnDeliver, but the network
-// allows it, and the every-station scan would see such a head the same
-// cycle if its station is still ahead and the next cycle if it has been
-// passed — on the same ring or another. Here floods towards one sink per
-// ring keep its clockwise loop busy — a flooder downstream loses to the
-// flits of those upstream for cycles on end — and the flits that sink
-// takes make the two bystanders of one ring or another send the other way
-// round, where the loop is empty: one at a station the sweep has passed,
-// one at a station still ahead. Each bystander shares its station with a
-// flooder whose head is blocked and armed, so the station it wakes is
-// parked and is owed defeats up to a cycle that depends on which side of
-// the sweep it lies (Network.sweptThrough). The gated engine must match
-// the forced-awake one in every counter and in the checkpoint bytes, with
-// I-tags on and off.
+// being ticked. Nothing in the tree sends from the delivery hook
+// (RecordLatency), but the network allows it, and the every-station scan
+// would see such a head the same cycle if its station is still ahead and
+// the next cycle if it has been passed — on the same ring or another.
+// Here floods towards one sink per ring keep its clockwise loop busy — a
+// flooder downstream loses to the flits of those upstream for cycles on
+// end — and the flits that sink takes make the two bystanders of one ring
+// or another send the other way round, where the loop is empty: one at a
+// station the sweep has passed, one at a station still ahead. Each
+// bystander shares its station with a flooder whose head is blocked and
+// armed, so the station it wakes is parked and is owed defeats up to a
+// cycle that depends on which side of the sweep it lies
+// (Network.sweptThrough). The gated engine must match the forced-awake
+// one in every counter and in the checkpoint bytes, with I-tags on and
+// off.
 func TestSendFromDeliveryCallback(t *testing.T) {
 	type outcome struct{ counters, ckpt string }
 	run := func(force, itags bool) (outcome, [2]int) {
@@ -503,7 +504,7 @@ func TestSendFromDeliveryCallback(t *testing.T) {
 		// cycle, [1] still ahead.
 		var wokeParked [2]int
 		taken := 0
-		net.OnDeliver = func(f *Flit, _ sim.Cycle) {
+		net.RecordLatency(func(f *Flit, _ uint64) {
 			if !isSlow[f.Dst] {
 				return
 			}
@@ -530,7 +531,7 @@ func TestSendFromDeliveryCallback(t *testing.T) {
 					net.RecycleRefused(echo)
 				}
 			}
-		}
+		})
 		net.Run(500)
 		if err := net.CheckConservation(); err != nil {
 			t.Fatal(err)

@@ -155,8 +155,7 @@ type Network struct {
 	watchdogBudget uint64
 	watchdogPeriod uint64
 
-	// delivery hook and aggregate statistics
-	OnDeliver      func(f *Flit, now sim.Cycle)
+	// aggregate statistics and the delivery hook
 	InjectedFlits  uint64
 	DeliveredFlits uint64
 	DeliveredBytes uint64 // payload bytes at final destinations
@@ -175,8 +174,9 @@ type Network struct {
 	ReroutedFlits   uint64 // live flits retargeted after a table rebuild
 }
 
-// latencyRecorder lets experiments capture per-flit latency without
-// forcing every run to pay for histogram storage.
+// latencyRecorder is the one delivery hook: it lets a run see each flit
+// reach its final destination, with its latency, without forcing every
+// run to pay for histogram storage.
 type latencyRecorder func(f *Flit, cycles uint64)
 
 // NewNetwork creates an empty network with both fairness tags enabled.
@@ -191,7 +191,8 @@ func NewNetwork(name string) *Network {
 // Ticks returns the number of cycles the network has simulated.
 func (n *Network) Ticks() uint64 { return n.ticks }
 
-// RecordLatency installs a per-delivery latency callback.
+// RecordLatency installs the delivery hook, called with every flit that
+// reaches its final destination and its latency in cycles.
 func (n *Network) RecordLatency(fn func(f *Flit, cycles uint64)) { n.latency = fn }
 
 // building panics when a build call comes after Finalize: the topology
@@ -674,9 +675,6 @@ func (n *Network) flitEjected(ni *NodeInterface, f *Flit, now sim.Cycle) {
 	n.DeliveredBytes += uint64(f.PayloadBytes)
 	if n.latency != nil {
 		n.latency(f, uint64(now-f.Created))
-	}
-	if n.OnDeliver != nil {
-		n.OnDeliver(f, now)
 	}
 }
 

@@ -179,7 +179,7 @@ func TestPropertyNoDuplicateDelivery(t *testing.T) {
 	f := func(p rigParams) bool {
 		net, endpoints := buildRandomRig(t, p)
 		seen := make(map[uint64]int)
-		net.OnDeliver = func(fl *Flit, now sim.Cycle) { seen[fl.ID]++ }
+		net.RecordLatency(func(fl *Flit, _ uint64) { seen[fl.ID]++ })
 		rng := sim.NewRNG(p.Seed ^ 0xabcd)
 		for i := 0; i < 200; i++ {
 			src := endpoints[rng.Intn(len(endpoints))]

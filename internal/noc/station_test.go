@@ -392,8 +392,8 @@ func TestHeadSummaryTracksHeads(t *testing.T) {
 		return n
 	}
 
-	net, a, b := buildParallelBridgeRig(t)
-	load(net, a, b)
+	net, srcs, b := buildBridgePairRig(t, 8, 0)
+	load(net, srcs[0], b)
 	if heads(net) < 4 {
 		t.Fatalf("only %d interfaces have a head; the rig is not loaded", heads(net))
 	}
@@ -405,7 +405,7 @@ func TestHeadSummaryTracksHeads(t *testing.T) {
 	if err := net.SnapState(sim.Saving(e)); err != nil {
 		t.Fatal(err)
 	}
-	twin, _, _ := buildParallelBridgeRig(t)
+	twin, _, _ := buildBridgePairRig(t, 8, 0)
 	if err := twin.SnapState(sim.Loading(sim.NewDecoder(e.Data()))); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestHeadSummaryTracksHeads(t *testing.T) {
 	recount(net, "reroute on bridge repair")
 
 	// A one-cycle age budget reaps every queue, heads included.
-	load(net, a, b)
+	load(net, srcs[0], b)
 	net.SetWatchdog(1, 1)
 	reaped := net.WatchdogDrops
 	runCycles(net, 1)

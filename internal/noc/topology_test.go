@@ -94,7 +94,7 @@ func TestBypassLane(t *testing.T) {
 		t.Fatal("bypass rejected")
 	}
 	var order []uint64
-	net.OnDeliver = func(f *Flit, now sim.Cycle) { order = append(order, f.ID) }
+	net.RecordLatency(func(f *Flit, _ uint64) { order = append(order, f.ID) })
 	runCycles(net, 100)
 	if len(order) != DefaultInjectDepth+1 {
 		t.Fatalf("delivered %d", len(order))

@@ -510,19 +510,32 @@ func TestCoalescedCancelIsolation(t *testing.T) {
 
 // TestCacheSurvivesRestart: a store reopened over the same directory
 // serves the previous daemon's results from the disk tier, byte for
-// byte — the in-process version of the CI e2e-cache restart flow.
+// byte, and /readyz counts the store's put and then its hit.
 func TestCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := []byte(`{"kind":"sim","sim":{"topology":"server-cpu","cycles":1500}}`)
+	readyCache := func(base string) artifact.Stats {
+		var rv readyView
+		if doJSON(t, "GET", base+"/readyz", nil, &rv); rv.Cache == nil {
+			t.Fatal("/readyz reports no cache")
+		}
+		return *rv.Cache
+	}
 
 	store1, err := artifact.Open(artifact.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1, ts1 := testServer(t, Config{Cache: store1})
-	cold, _ := submitJob(t, ts1.URL, body)
+	cold, disp := submitJob(t, ts1.URL, body)
+	if disp != "miss" {
+		t.Fatalf("cold submission dispositioned %q, want miss", disp)
+	}
 	waitFor(t, ts1.URL, cold.ID, func(st JobStatus) bool { return st == StatusDone })
 	coldBodies := fetchBodies(t, ts1.URL, cold.ID)
+	if st := readyCache(ts1.URL); st.Puts != 1 {
+		t.Fatalf("/readyz cache after the cold run: %+v, want 1 put", st)
+	}
 	s1.Shutdown()
 
 	store2, err := artifact.Open(artifact.Config{Dir: dir})
@@ -537,6 +550,9 @@ func TestCacheSurvivesRestart(t *testing.T) {
 	}
 	if warmBodies := fetchBodies(t, ts2.URL, warm.ID); warmBodies != coldBodies {
 		t.Fatalf("disk-tier bodies differ:\ncold %+v\nwarm %+v", coldBodies, warmBodies)
+	}
+	if st := readyCache(ts2.URL); st.Hits != 1 {
+		t.Fatalf("/readyz cache after the restart: %+v, want 1 hit", st)
 	}
 }
 

@@ -8,7 +8,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"chipletnoc/internal/experiments"
@@ -142,12 +141,7 @@ var kinds = map[string]*jobKind{
 			}
 			data, ok := csvs[file]
 			if !ok {
-				files := make([]string, 0, len(csvs))
-				for f := range csvs {
-					files = append(files, f)
-				}
-				sort.Strings(files)
-				return "", fmt.Errorf("pick a CSV with ?file=; this artifact has: %s", strings.Join(files, ", "))
+				return "", fmt.Errorf("pick a CSV with ?file=; this artifact has: %s", strings.Join(r.Artifact.Files(), ", "))
 			}
 			return data, nil
 		},

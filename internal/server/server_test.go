@@ -93,37 +93,6 @@ func fetchText(t *testing.T, url string, wantCode int) string {
 	return string(data)
 }
 
-// TestServerSimJobMatchesCLI is the in-process version of the CI e2e
-// gate: a sim job served over HTTP must render byte-identically to a
-// direct RunSim call — the CLI's code path.
-func TestServerSimJobMatchesCLI(t *testing.T) {
-	s, ts := testServer(t, Config{})
-	defer s.Shutdown()
-
-	var v jobView
-	resp := doJSON(t, "POST", ts.URL+"/jobs", []byte(`{"kind":"sim","sim":{"topology":"ai-processor","scale":"quick"}}`), &v)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /jobs: HTTP %d", resp.StatusCode)
-	}
-	waitFor(t, ts.URL, v.ID, func(st JobStatus) bool { return st == StatusDone })
-
-	want, err := experiments.RunSim(experiments.SimSpec{Topology: "ai-processor", Scale: "quick"}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fetchText(t, ts.URL+"/jobs/"+v.ID+"/result?format=csv", 200); got != want.CSV() {
-		t.Fatalf("service CSV differs from CLI:\nservice: %scli:     %s", got, want.CSV())
-	}
-	if got := fetchText(t, ts.URL+"/jobs/"+v.ID+"/result?format=text", 200); got != want.Render() {
-		t.Fatalf("service text differs from CLI")
-	}
-	var res experiments.SimResult
-	doJSON(t, "GET", ts.URL+"/jobs/"+v.ID+"/result", nil, &res)
-	if res.LatencyFNV != "0x16a68fe7dc337024" {
-		t.Fatalf("service latency digest %s drifted from golden", res.LatencyFNV)
-	}
-}
-
 // TestServerExperimentJobMatchesCatalog: an experiment job's artifacts
 // must equal a direct catalog run's.
 func TestServerExperimentJobMatchesCatalog(t *testing.T) {

@@ -1,50 +1,17 @@
-// Serving-job coverage: the daemon must serve an open-loop sweep
-// byte-identically to the CLI's direct run path and memoize it under a
-// content address of its canonical document, which drops the accepted,
-// inert partitions and lookahead keys.
+// Serving-job coverage: the daemon must memoize an open-loop sweep under
+// a content address of its canonical document, which drops the accepted,
+// inert partitions and lookahead keys. cmd/experiments' TestDaemonMatchesCLI
+// holds it byte-identical to the CLI.
 package server
 
 import (
 	"strings"
 	"testing"
-
-	"chipletnoc/internal/experiments"
 )
 
 // servingBody is a small two-point sweep that runs in well under a
 // second — big enough to exercise MoE traffic, small enough for CI.
 const servingBody = `{"kind":"serving","serving":{"seed":9,"loads":[4,64],"cycles":4000}}`
-
-// TestServerServingJobMatchesCLI: a serving job served over HTTP must
-// render byte-identically to RunServingDoc — the CLI's code path.
-func TestServerServingJobMatchesCLI(t *testing.T) {
-	s, ts := testServer(t, Config{})
-	defer s.Shutdown()
-
-	v, _ := submitJob(t, ts.URL, []byte(servingBody))
-	waitFor(t, ts.URL, v.ID, func(st JobStatus) bool { return st == StatusDone })
-
-	want, err := experiments.RunServingDoc(`{"seed":9,"loads":[4,64],"cycles":4000}`, experiments.Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fetchText(t, ts.URL+"/jobs/"+v.ID+"/result?format=csv", 200); got != want.CSV() {
-		t.Fatalf("service CSV differs from CLI:\nservice:\n%s\ncli:\n%s", got, want.CSV())
-	}
-	if got := fetchText(t, ts.URL+"/jobs/"+v.ID+"/result?format=text", 200); got != want.Render() {
-		t.Fatalf("service text differs from CLI")
-	}
-	var res experiments.ServingResult
-	doJSON(t, "GET", ts.URL+"/jobs/"+v.ID+"/result", nil, &res)
-	if len(res.Points) != 2 || res.Doc == "" {
-		t.Fatalf("JSON result malformed: %d points, doc %q", len(res.Points), res.Doc)
-	}
-	for i, p := range res.Points {
-		if p.Digest != want.Points[i].Digest {
-			t.Errorf("point %d digest %s differs from CLI %s", i, p.Digest, want.Points[i].Digest)
-		}
-	}
-}
 
 // TestServingJobsAreCached: a resubmitted serving sweep answers from
 // the store without running, with byte-identical bodies — and a

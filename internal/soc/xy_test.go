@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"chipletnoc/internal/noc"
-	"chipletnoc/internal/sim"
 )
 
 // TestAIXYRoutingOneRingChange verifies Section 4.3's routing claim: with
@@ -21,9 +20,9 @@ func TestAIXYRoutingOneRingChange(t *testing.T) {
 	a := BuildAIProcessor(cfg)
 
 	maxChanges := 0
-	a.Net.OnDeliver = func(f *noc.Flit, now sim.Cycle) {
+	a.Net.RecordLatency(func(f *noc.Flit, _ uint64) {
 		maxChanges = max(maxChanges, int(f.RingChanges))
-	}
+	})
 	a.Run(3000)
 	var completed uint64
 	for _, c := range a.Cores {
@@ -50,11 +49,11 @@ func TestAICoreToL2ExactlyOneBridge(t *testing.T) {
 	cfg.IODie = false
 	a := BuildAIProcessor(cfg)
 	bad := 0
-	a.Net.OnDeliver = func(f *noc.Flit, now sim.Cycle) {
+	a.Net.RecordLatency(func(f *noc.Flit, _ uint64) {
 		if f.RingChanges != 1 {
 			bad++
 		}
-	}
+	})
 	a.Run(3000)
 	if a.Net.DeliveredFlits == 0 {
 		t.Fatal("no traffic")
